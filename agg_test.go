@@ -1,15 +1,19 @@
 package wcoj
 
 // Equivalence and acceptance tests for the aggregate-aware execution
-// mode: CountFast / Exists / Options.Project must agree byte-for-byte
-// with enumerate-then-aggregate on every workload, for both WCOJ
-// engines, serial and sharded, under every planner policy. Run with
-// -race in CI.
+// mode: Count / Exists / Options.Project must agree byte-for-byte with
+// enumerate-then-aggregate on every workload, for both WCOJ
+// algorithms, serial and sharded, under every planner policy. That the
+// two algorithms agree with each other — tuple for tuple and counter
+// for counter — is stated once, in strategy_test.go. Run with -race in
+// CI.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"wcoj/internal/agg"
 	"wcoj/internal/dataset"
 )
 
@@ -63,9 +67,9 @@ func optsName(o Options) string {
 	return fmt.Sprintf("%v/%v/p=%d", o.Algorithm, o.Planner, o.Parallelism)
 }
 
-// TestCountFastEquivalence: CountFast == Count == len(Execute) on
-// every workload and variant.
-func TestCountFastEquivalence(t *testing.T) {
+// TestCountEquivalence: the pushdown Count == the enumerating Count
+// (DisablePushdown) == len(Execute) on every workload and variant.
+func TestCountEquivalence(t *testing.T) {
 	for _, wl := range aggWorkloads(t) {
 		t.Run(wl.name, func(t *testing.T) {
 			out, _, err := Execute(wl.q, Options{Parallelism: 1})
@@ -76,19 +80,21 @@ func TestCountFastEquivalence(t *testing.T) {
 			for _, o := range aggVariants() {
 				o := o
 				t.Run(optsName(o), func(t *testing.T) {
-					slow, _, err := Count(wl.q, o)
+					enum := o
+					enum.DisablePushdown = true
+					slow, _, err := Count(wl.q, enum)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if slow != want {
-						t.Fatalf("Count = %d, want %d", slow, want)
+						t.Fatalf("Count(DisablePushdown) = %d, want %d", slow, want)
 					}
-					fast, stats, err := CountFast(wl.q, o)
+					fast, stats, err := Count(wl.q, o)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if fast != want {
-						t.Fatalf("CountFast = %d, want %d", fast, want)
+						t.Fatalf("Count = %d, want %d", fast, want)
 					}
 					if stats.Output != want {
 						t.Fatalf("stats.Output = %d, want %d", stats.Output, want)
@@ -99,13 +105,14 @@ func TestCountFastEquivalence(t *testing.T) {
 	}
 }
 
-// TestCountFastSkipsEnumeration is the acceptance check behind the
+// TestCountSkipsEnumeration is the acceptance check behind the
 // >=10x speedup claim, stated machine-independently: on the AGM-tight
 // triangle the enumerating count (Options.DisablePushdown) explores
 // ~k^3 search nodes while the default pushdown Count stops at the
 // ~k^2 bound levels, so its recursion count must be at least 10x
-// smaller (it is ~100x at k=100).
-func TestCountFastSkipsEnumeration(t *testing.T) {
+// smaller (it is ~100x at k=100). Recursions do not depend on the
+// level strategy (strategy_test.go), so one algorithm states it.
+func TestCountSkipsEnumeration(t *testing.T) {
 	tri := dataset.TriangleAGMTight(10000)
 	db := NewDatabase()
 	db.Put(tri.R)
@@ -115,25 +122,23 @@ func TestCountFastSkipsEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-		slow, slowStats, err := Count(q, Options{Algorithm: algo, Parallelism: 1, DisablePushdown: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, fastStats, err := Count(q, Options{Algorithm: algo, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fast != slow {
-			t.Fatalf("%v: Count = %d, Count(DisablePushdown) = %d", algo, fast, slow)
-		}
-		if fastStats.Recursions*10 > slowStats.Recursions {
-			t.Errorf("%v: CountFast explored %d nodes, Count %d — want >=10x reduction",
-				algo, fastStats.Recursions, slowStats.Recursions)
-		}
-		if fastStats.AggMultiplies == 0 {
-			t.Errorf("%v: no free-counted shortcuts taken", algo)
-		}
+	slow, slowStats, err := Count(q, Options{Parallelism: 1, DisablePushdown: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, fastStats, err := Count(q, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast != slow {
+		t.Fatalf("Count = %d, Count(DisablePushdown) = %d", fast, slow)
+	}
+	if fastStats.Recursions*10 > slowStats.Recursions {
+		t.Errorf("pushdown Count explored %d nodes, enumerating Count %d — want >=10x reduction",
+			fastStats.Recursions, slowStats.Recursions)
+	}
+	if fastStats.AggMultiplies == 0 {
+		t.Error("no free-counted shortcuts taken")
 	}
 }
 
@@ -215,13 +220,6 @@ func TestProjectEquivalence(t *testing.T) {
 					if n != want.Len() {
 						t.Fatalf("%s: projected Count = %d, want %d", optsName(o), n, want.Len())
 					}
-					nf, _, err := CountFast(wl.q, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if nf != want.Len() {
-						t.Fatalf("%s: projected CountFast = %d, want %d", optsName(o), nf, want.Len())
-					}
 				}
 			}
 		})
@@ -229,7 +227,8 @@ func TestProjectEquivalence(t *testing.T) {
 }
 
 // TestProjectExplicitOrderSinks: an explicit order that interleaves
-// projected-away variables is sunk, not rejected, and stays correct.
+// projected-away variables is sunk, not rejected, and stays correct
+// (for both algorithms: strategy_test.go runs the same shape).
 func TestProjectExplicitOrderSinks(t *testing.T) {
 	g := dataset.RandomGraph(200, 1200, 5)
 	db := NewDatabase()
@@ -246,18 +245,15 @@ func TestProjectExplicitOrderSinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-		got, _, err := Execute(q, Options{
-			Algorithm: algo,
-			Order:     []string{"B", "A", "C"}, // B is projected away: sunk to the end
-			Project:   []string{"A", "C"},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("%v: explicit-order projection diverges", algo)
-		}
+	got, _, err := Execute(q, Options{
+		Order:   []string{"B", "A", "C"}, // B is projected away: sunk to the end
+		Project: []string{"A", "C"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("explicit-order projection diverges")
 	}
 }
 
@@ -371,9 +367,9 @@ func TestProjectStreaming(t *testing.T) {
 	}
 }
 
-// TestCountFastProjectedCountsDistinct: the projected count is the
+// TestCountProjectedCountsDistinct: the projected count is the
 // number of distinct projected tuples, not the full multiplicity.
-func TestCountFastProjectedCountsDistinct(t *testing.T) {
+func TestCountProjectedCountsDistinct(t *testing.T) {
 	star := dataset.SkewedStar(100, 50, 0)
 	db := NewDatabase()
 	db.Put(star.R)
@@ -390,7 +386,7 @@ func TestCountFastProjectedCountsDistinct(t *testing.T) {
 		t.Fatalf("full count = %d, want %d", fullCount, 100*50)
 	}
 	// Projected to A there are only the 100 spokes.
-	n, _, err := CountFast(q, Options{Project: []string{"A"}})
+	n, _, err := Count(q, Options{Project: []string{"A"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,8 +395,9 @@ func TestCountFastProjectedCountsDistinct(t *testing.T) {
 	}
 }
 
-// TestCountFastFallbacks: non-WCOJ algorithms fall back to Count.
-func TestCountFastFallbacks(t *testing.T) {
+// TestCountFallbacks: non-WCOJ algorithms count and existence-check
+// without a pushdown plan.
+func TestCountFallbacks(t *testing.T) {
 	tri := dataset.TriangleAGMTight(400)
 	db := NewDatabase()
 	db.Put(tri.R)
@@ -415,12 +412,12 @@ func TestCountFastFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []Algorithm{AlgoBacktracking, AlgoBinaryJoin, AlgoBinaryJoinProject} {
-		n, _, err := CountFast(q, Options{Algorithm: algo})
+		n, _, err := Count(q, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != want {
-			t.Fatalf("%v: CountFast fallback = %d, want %d", algo, n, want)
+			t.Fatalf("%v: Count fallback = %d, want %d", algo, n, want)
 		}
 		found, _, err := Exists(q, Options{Algorithm: algo})
 		if err != nil {
@@ -432,8 +429,8 @@ func TestCountFastFallbacks(t *testing.T) {
 	}
 }
 
-// TestExplainCountClassification: ExplainCount reports the sunk order
-// and the level classification.
+// TestExplainCountClassification: Explain's count plan reports the
+// sunk order and the level classification.
 func TestExplainCountClassification(t *testing.T) {
 	g := dataset.RandomGraph(200, 1200, 5)
 	db := NewDatabase()
@@ -443,10 +440,11 @@ func TestExplainCountClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pl := range []Planner{PlannerHeuristic, PlannerCostBased} {
-		e, err := ExplainCount(q, Options{Planner: pl})
+		full, err := Explain(q, Options{Planner: pl})
 		if err != nil {
 			t.Fatal(err)
 		}
+		e := full.Count
 		if e.AggMode != "count" {
 			t.Fatalf("%v: AggMode = %q, want count", pl, e.AggMode)
 		}
@@ -482,10 +480,11 @@ func TestExplainCountClassification(t *testing.T) {
 	}
 }
 
-// TestCountFastOverflow: a count that exceeds int64 returns
+// TestCountOverflow: a count that exceeds int64 returns
 // ErrCountOverflow instead of a silently wrapped number. The
 // cross product of five 100k-value unary relations is 10^25.
-func TestCountFastOverflow(t *testing.T) {
+// (strategy_test.go holds the leapfrog strategy to the same errors.)
+func TestCountOverflow(t *testing.T) {
 	db := NewDatabase()
 	for _, name := range []string{"R1", "R2", "R3", "R4", "R5"} {
 		b := NewRelationBuilder(name, "x")
@@ -500,17 +499,15 @@ func TestCountFastOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-		for _, par := range []int{1, 4} {
-			_, _, err := CountFast(q, Options{Algorithm: algo, Parallelism: par})
-			if err == nil {
-				t.Fatalf("%v/p=%d: 10^25 count did not report overflow", algo, par)
-			}
-			// The overflow must not break EXISTS, which needs no product.
-			found, _, err := Exists(q, Options{Algorithm: algo, Parallelism: par})
-			if err != nil || !found {
-				t.Fatalf("%v/p=%d: Exists = %v, %v on a non-empty product", algo, par, found, err)
-			}
+	for _, par := range []int{1, 4} {
+		_, _, err := Count(q, Options{Parallelism: par})
+		if !errors.Is(err, agg.ErrCountOverflow) {
+			t.Fatalf("p=%d: 10^25 count returned %v, want ErrCountOverflow", par, err)
+		}
+		// The overflow must not break EXISTS, which needs no product.
+		found, _, err := Exists(q, Options{Parallelism: par})
+		if err != nil || !found {
+			t.Fatalf("p=%d: Exists = %v, %v on a non-empty product", par, found, err)
 		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"wcoj/internal/dataset"
 	"wcoj/internal/entropy"
 	"wcoj/internal/hypergraph"
-	"wcoj/internal/lftj"
 	"wcoj/internal/panda"
 	"wcoj/internal/relation"
 	"wcoj/internal/trie"
@@ -127,7 +126,7 @@ func BenchmarkTriangle(b *testing.B) {
 			})
 			b.Run(fmt.Sprintf("%s/n=%d/lftj", kind, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, err := lftj.Count(q, lftj.Options{Order: []string{"A", "B", "C"}}); err != nil {
+					if _, _, err := Count(q, Options{Algorithm: AlgoLeapfrog, Order: []string{"A", "B", "C"}, Parallelism: 1, DisablePushdown: true}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -466,7 +465,7 @@ func BenchmarkParallelEngine(b *testing.B) {
 // acceptance benchmark. On the AGM-tight triangle (1M results at
 // n=40000) it compares enumerate-then-count (Execute + Len — the
 // baseline the ISSUE's >=10x acceptance is measured against), the
-// streaming Count and CountFast for both engines, plus the free-
+// Count pushdown under both level strategies, plus the free-
 // counted factorization workloads (path4, skewed star), EXISTS and
 // projection pushdown. CI captures this output in the benchmark
 // regression gate.
@@ -518,7 +517,7 @@ func BenchmarkCountPushdown(b *testing.B) {
 		for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
 			b.Run(fmt.Sprintf("%s/countfast/%v", wl.name, algo), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					n, _, err := CountFast(wl.q, Options{Algorithm: algo, Parallelism: 1})
+					n, _, err := Count(wl.q, Options{Algorithm: algo, Parallelism: 1})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -794,7 +793,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 			if ok, _, err := pq.Exists(ctx); err != nil || !ok {
 				b.Fatalf("exists %v err %v", ok, err)
 			}
-			if n, _, err := count.CountFast(ctx); err != nil || n != want {
+			if n, _, err := count.Count(ctx); err != nil || n != want {
 				b.Fatalf("count %d err %v, want %d", n, err, want)
 			}
 		}
@@ -840,7 +839,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if n, _, err := cpq.CountFast(ctx); err != nil || n != want {
+			if n, _, err := cpq.Count(ctx); err != nil || n != want {
 				b.Fatalf("count %d err %v, want %d", n, err, want)
 			}
 		}

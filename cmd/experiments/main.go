@@ -40,7 +40,6 @@ import (
 	"wcoj/internal/dataset"
 	"wcoj/internal/entropy"
 	"wcoj/internal/hypergraph"
-	"wcoj/internal/lftj"
 	"wcoj/internal/panda"
 	"wcoj/internal/relation"
 	"wcoj/internal/stats"
@@ -296,7 +295,7 @@ func triangle(scale int) error {
 				return c
 			})
 			tLF, _ := timeIt(func() int {
-				c, _, err := lftj.Count(q, lftj.Options{Order: []string{"A", "B", "C"}})
+				c, _, err := wcoj.Count(q, wcoj.Options{Algorithm: wcoj.AlgoLeapfrog, Order: []string{"A", "B", "C"}, Parallelism: 1, DisablePushdown: true})
 				if err != nil {
 					panic(err)
 				}
@@ -745,8 +744,7 @@ func aggExp(scale int) error {
 			return out.Len()
 		})
 		// Count runs the pushdown by default; DisablePushdown gives the
-		// streaming count, preserving the streaming-vs-pushdown columns
-		// the deprecated CountFast used to provide.
+		// streaming count for the streaming-vs-pushdown columns.
 		streamOpts := opts
 		streamOpts.DisablePushdown = true
 		tCount, n2 := timeIt(func() int {

@@ -24,8 +24,8 @@
 // -project) the bound/free-output/free-counted level classification —
 // and exits without running the join.
 //
-// Aggregates run through the aggregate-aware engines: -count uses
-// CountFast (free-counted suffix levels are multiplied, not
+// Aggregates run through the aggregate-aware search: -count uses the
+// Count pushdown (free-counted suffix levels are multiplied, not
 // enumerated), -exists short-circuits on the first witness, and
 // -project enumerates only the distinct projected tuples, existence
 // checking the projected-away levels.
@@ -75,7 +75,7 @@ func main() {
 	flag.StringVar(&c.planner, "planner", "auto", "variable-order planner: auto|heuristic|cost-based|explicit")
 	flag.StringVar(&c.project, "project", "", "comma-separated variables to project onto (distinct tuples)")
 	flag.BoolVar(&c.explain, "explain", false, "print the plan explanation and exit without running the join")
-	flag.BoolVar(&c.count, "count", false, "print only the output cardinality (aggregate-aware CountFast)")
+	flag.BoolVar(&c.count, "count", false, "print only the output cardinality (aggregate-aware Count)")
 	flag.BoolVar(&c.exists, "exists", false, "print only whether the output is non-empty (first-witness short-circuit)")
 	flag.StringVar(&c.outPath, "out", "", "write the result as TSV to this file")
 	flag.IntVar(&c.parallel, "parallel", 0, "worker goroutines for the WCOJ algorithms (0 = all cores, 1 = serial)")

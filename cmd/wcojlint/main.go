@@ -6,14 +6,9 @@
 //	go run ./cmd/wcojlint -only snapshotonce,ctxpoll ./internal/core
 //	go run ./cmd/wcojlint -disable nilness ./...
 //	go run ./cmd/wcojlint -enable arenaescape,fsyncorder ./...
-//	go run ./cmd/wcojlint -deprecated ./...
 //
 // -enable restricts the run to the named analyzers (a synonym for
 // -only); -disable subtracts names from whatever -enable/-only left.
-// -deprecated runs no analysis at all: it prints the bare names of the
-// symbols the deprecated analyzer would flag, one per line — the input
-// of CI's docs-freshness grep (prose teaching a symbol the linter bans
-// internally is stale).
 //
 // Exit status: 0 clean, 1 findings reported, 2 analysis failure.
 package main
@@ -41,7 +36,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	enable := fs.String("enable", "", "comma-separated analyzer names to run (synonym for -only)")
 	disable := fs.String("disable", "", "comma-separated analyzer names to skip")
 	list := fs.Bool("list", false, "list available analyzers and exit")
-	deprecated := fs.Bool("deprecated", false, "list deprecated symbol names in the given packages and exit")
 	dir := fs.String("C", "", "change to this directory before loading packages")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: wcojlint [-only a,b] [-enable a,b] [-disable a,b] [-C dir] [packages]\n\nAnalyzers:\n")
@@ -119,17 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "wcojlint: %v\n", err)
 		return 2
-	}
-	if *deprecated {
-		names, err := lint.DeprecatedSymbols(units)
-		if err != nil {
-			fmt.Fprintf(stderr, "wcojlint: %v\n", err)
-			return 2
-		}
-		for _, name := range names {
-			fmt.Fprintln(stdout, name)
-		}
-		return 0
 	}
 	diags, err := analysis.Run(analyzers, units)
 	if err != nil {

@@ -99,8 +99,7 @@ func TestOptionsContextPreChecked(t *testing.T) {
 }
 
 // TestCountPushdownToggle: Count with and without DisablePushdown
-// agree, for plain and projected counting, on both WCOJ engines, and
-// CountFast remains an alias of the pushdown Count.
+// agree, for plain and projected counting, on both WCOJ algorithms.
 func TestCountPushdownToggle(t *testing.T) {
 	db := NewDatabase()
 	b := NewRelationBuilder("E", "x", "y")
@@ -134,13 +133,6 @@ func TestCountPushdownToggle(t *testing.T) {
 		if pushStats.AggMultiplies == 0 && pushStats.Recursions >= push {
 			t.Errorf("%v: pushdown plan took no shortcut (%+v)", algo, *pushStats)
 		}
-		legacy, _, err := CountFast(q, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if legacy != push {
-			t.Fatalf("%v: CountFast %d vs Count %d", algo, legacy, push)
-		}
 		proj := base
 		proj.Project = []string{"A"}
 		pn, _, err := Count(q, proj)
@@ -160,8 +152,7 @@ func TestCountPushdownToggle(t *testing.T) {
 }
 
 // TestExplainCarriesCountPlan: Explain reports the pushdown count plan
-// in its Count field (and matches the deprecated ExplainCount), unless
-// DisablePushdown clears it.
+// in its Count field, unless DisablePushdown clears it.
 func TestExplainCarriesCountPlan(t *testing.T) {
 	db := NewDatabase()
 	b := NewRelationBuilder("E", "x", "y")
@@ -184,16 +175,6 @@ func TestExplainCarriesCountPlan(t *testing.T) {
 	}
 	if e.Count.AggMode != "count" {
 		t.Fatalf("Explain.Count.AggMode = %q, want count", e.Count.AggMode)
-	}
-	legacy, err := ExplainCount(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fmt.Sprint(e.Count.Order), fmt.Sprint(legacy.Order); got != want {
-		t.Fatalf("Explain.Count order %s vs ExplainCount %s", got, want)
-	}
-	if e.Count.CountFrom != legacy.CountFrom {
-		t.Fatalf("CountFrom %d vs %d", e.Count.CountFrom, legacy.CountFrom)
 	}
 	off, err := Explain(q, Options{DisablePushdown: true})
 	if err != nil {

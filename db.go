@@ -35,7 +35,6 @@ import (
 	"wcoj/internal/agg"
 	"wcoj/internal/core"
 	"wcoj/internal/delta"
-	"wcoj/internal/lftj"
 	"wcoj/internal/planner"
 	"wcoj/internal/query"
 	"wcoj/internal/relation"
@@ -457,7 +456,7 @@ func (db *DB) Prepare(src string, opts Options) (*PreparedQuery, error) {
 		}
 	}
 	// Plans are built lazily, once per mode (enumerate/count/exists),
-	// on first use: a query served only through CountFast never pays
+	// on first use: a query served only through Count never pays
 	// for the enumeration plan's order resolution or tries. Warm
 	// forces the enumeration build for startup warm-up.
 	pq := &PreparedQuery{db: db, src: canonical, opts: opts}
@@ -741,7 +740,7 @@ func (s *pqState) enumPlan() (*core.Plan, *agg.Classification, error) {
 	return s.enum.p, s.enum.cls, s.enum.err
 }
 
-// countPlan builds (once per state) the CountFast plan and
+// countPlan builds (once per state) the pushdown count plan and
 // classification.
 func (s *pqState) countPlan() (*core.Plan, *agg.Classification, error) {
 	s.countOnce.Do(func() {
@@ -911,17 +910,7 @@ func (pq *PreparedQuery) visit(ctx context.Context, s *pqState, stats *Stats, em
 	if err != nil {
 		return err
 	}
-	workers := pq.opts.workers()
-	switch {
-	case cls != nil && pq.opts.Algorithm == AlgoLeapfrog:
-		return lftj.ProjectVisitPlan(ctx, p, cls, workers, stats, emit)
-	case cls != nil:
-		return core.GenericJoinProjectVisitPlan(ctx, p, cls, workers, stats, emit)
-	case pq.opts.Algorithm == AlgoLeapfrog:
-		return lftj.PlanVisit(ctx, p, workers, stats, emit)
-	default:
-		return core.GenericJoinPlanVisit(ctx, p, workers, stats, emit)
-	}
+	return core.GenericJoinPlanVisit(ctx, p, cls, pq.opts.Algorithm.level(), pq.opts.workers(), stats, emit)
 }
 
 // Count returns the prepared query's output cardinality (distinct
@@ -930,9 +919,6 @@ func (pq *PreparedQuery) visit(ctx context.Context, s *pqState, stats *Stats, em
 // enumerating every result tuple only when the query was prepared
 // with Options.DisablePushdown.
 func (pq *PreparedQuery) Count(ctx context.Context) (int, *Stats, error) {
-	if pq.opts.Project != nil || (!pq.opts.DisablePushdown && wcojAlgorithm(pq.opts.Algorithm)) {
-		return pq.countPushdown(ctx)
-	}
 	defer pq.record(time.Now())
 	s := pq.currentState()
 	if !wcojAlgorithm(pq.opts.Algorithm) {
@@ -945,61 +931,25 @@ func (pq *PreparedQuery) Count(ctx context.Context) (int, *Stats, error) {
 		}
 		return n, stats, err
 	}
-	p, _, err := s.enumPlan()
-	if err != nil {
-		return 0, nil, err
-	}
-	var n int
-	var stats *Stats
-	if pq.opts.Algorithm == AlgoLeapfrog {
-		n, stats, err = lftj.PlanCount(ctx, p, pq.opts.workers())
-	} else {
-		n, stats, err = core.GenericJoinPlanCount(ctx, p, pq.opts.workers())
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	pq.tuples.Add(int64(n))
-	return n, stats, nil
-}
-
-// CountFast runs the prepared aggregate-aware count.
-//
-// Deprecated: Count runs the aggregate pushdown automatically (unless
-// the query was prepared with Options.DisablePushdown); call Count
-// instead.
-func (pq *PreparedQuery) CountFast(ctx context.Context) (int, *Stats, error) {
-	return pq.countPushdown(ctx)
-}
-
-// countPushdown runs the prepared aggregate-aware count plan — the
-// pushdown path shared by Count and the deprecated CountFast alias.
-func (pq *PreparedQuery) countPushdown(ctx context.Context) (int, *Stats, error) {
-	defer pq.record(time.Now())
-	s := pq.currentState()
-	if !wcojAlgorithm(pq.opts.Algorithm) {
-		if err := ctx.Err(); err != nil {
+	// Distinct projected counting is inherently aggregate-aware, so
+	// DisablePushdown only governs the multiplicity count.
+	if pq.opts.Project == nil && pq.opts.DisablePushdown {
+		p, _, err := s.enumPlan()
+		if err != nil {
 			return 0, nil, err
 		}
-		opts := pq.opts
-		opts.DisablePushdown = false
-		n, stats, err := Count(s.q, opts)
-		if err == nil {
-			pq.tuples.Add(int64(n))
+		n, stats, err := core.GenericJoinPlanCount(ctx, p, nil, pq.opts.Algorithm.level(), pq.opts.workers())
+		if err != nil {
+			return 0, nil, err
 		}
-		return n, stats, err
+		pq.tuples.Add(int64(n))
+		return n, stats, nil
 	}
 	p, cls, err := s.countPlan()
 	if err != nil {
 		return 0, nil, err
 	}
-	var n int64
-	var stats *Stats
-	if pq.opts.Algorithm == AlgoLeapfrog {
-		n, stats, err = lftj.AggPlan(ctx, p, cls, pq.opts.workers())
-	} else {
-		n, stats, err = core.GenericJoinAggPlan(ctx, p, cls, pq.opts.workers())
-	}
+	n, stats, err := core.GenericJoinAggPlan(ctx, p, cls, pq.opts.Algorithm.level(), pq.opts.workers())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1022,13 +972,7 @@ func (pq *PreparedQuery) Exists(ctx context.Context) (bool, *Stats, error) {
 	if err != nil {
 		return false, nil, err
 	}
-	var n int64
-	var stats *Stats
-	if pq.opts.Algorithm == AlgoLeapfrog {
-		n, stats, err = lftj.AggPlan(ctx, p, cls, pq.opts.workers())
-	} else {
-		n, stats, err = core.GenericJoinAggPlan(ctx, p, cls, pq.opts.workers())
-	}
+	n, stats, err := core.GenericJoinAggPlan(ctx, p, cls, pq.opts.Algorithm.level(), pq.opts.workers())
 	if err != nil {
 		return false, nil, err
 	}

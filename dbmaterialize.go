@@ -57,7 +57,6 @@ import (
 	"wcoj/internal/agg"
 	"wcoj/internal/core"
 	"wcoj/internal/delta"
-	"wcoj/internal/lftj"
 	"wcoj/internal/query"
 	"wcoj/internal/relation"
 	"wcoj/internal/trie"
@@ -411,12 +410,7 @@ func (mq *MaterializedQuery) recompute(vers map[string]*delta.Version, epoch uin
 		if err != nil {
 			return nil, err
 		}
-		var n int64
-		if mq.opts.Algorithm == AlgoLeapfrog {
-			n, _, err = lftj.AggPlan(ctx, p, cls, mq.opts.workers())
-		} else {
-			n, _, err = core.GenericJoinAggPlan(ctx, p, cls, mq.opts.workers())
-		}
+		n, _, err := core.GenericJoinAggPlan(ctx, p, cls, mq.opts.Algorithm.level(), mq.opts.workers())
 		if err != nil {
 			return nil, err
 		}
@@ -444,12 +438,7 @@ func (mq *MaterializedQuery) recompute(vers map[string]*delta.Version, epoch uin
 		}
 		return nil
 	}
-	stats := &Stats{}
-	if mq.opts.Algorithm == AlgoLeapfrog {
-		err = lftj.PlanVisit(ctx, p, mq.opts.workers(), stats, emit)
-	} else {
-		err = core.GenericJoinPlanVisit(ctx, p, mq.opts.workers(), stats, emit)
-	}
+	err = core.GenericJoinPlanVisit(ctx, p, nil, mq.opts.Algorithm.level(), mq.opts.workers(), &Stats{}, emit)
 	if err != nil {
 		return nil, err
 	}
@@ -711,11 +700,7 @@ func (mq *MaterializedQuery) termCount(term *matTerm, i int, drel *relation.Rela
 	if err != nil {
 		return 0, err
 	}
-	if mq.opts.Algorithm == AlgoLeapfrog {
-		n, _, err := lftj.AggPlan(context.Background(), p, cls, mq.opts.workers())
-		return n, err
-	}
-	n, _, err := core.GenericJoinAggPlan(context.Background(), p, cls, mq.opts.workers())
+	n, _, err := core.GenericJoinAggPlan(context.Background(), p, cls, mq.opts.Algorithm.level(), mq.opts.workers())
 	return n, err
 }
 
@@ -730,11 +715,7 @@ func (mq *MaterializedQuery) termVisit(term *matTerm, i int, drel *relation.Rela
 	if err != nil {
 		return err
 	}
-	stats := &Stats{}
-	if mq.opts.Algorithm == AlgoLeapfrog {
-		return lftj.PlanVisit(context.Background(), p, mq.opts.workers(), stats, emit)
-	}
-	return core.GenericJoinPlanVisit(context.Background(), p, mq.opts.workers(), stats, emit)
+	return core.GenericJoinPlanVisit(context.Background(), p, nil, mq.opts.Algorithm.level(), mq.opts.workers(), &Stats{}, emit)
 }
 
 // resolve returns the term's plan bound to q's relations: the cached

@@ -304,7 +304,7 @@ func TestSnapshotIsolationWAL(t *testing.T) {
 				var got int
 				var err error
 				if i%2 == 0 {
-					got, _, err = pq.CountFast(ctx)
+					got, _, err = pq.Count(ctx)
 				} else {
 					var out *Relation
 					out, _, err = pq.Execute(ctx)

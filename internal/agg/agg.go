@@ -32,9 +32,8 @@
 // workload never revisits a range signature.
 //
 // The package is engine-agnostic: it knows variable orders and atom
-// schemas, not tries or iterators. The engines (internal/core,
-// internal/lftj) drive their own recursions and consult the
-// Classification and Memo.
+// schemas, not tries. The search in internal/core drives the recursion
+// and consults the Classification and Memo.
 package agg
 
 import (

@@ -50,6 +50,14 @@ func naiveJoin(t testing.TB, q *Query) *relation.Relation {
 	return out
 }
 
+// strategies are the two level strategies every search test runs
+// under: Generic-Join's materialized levels and Leapfrog Triejoin's
+// streamed ones.
+var strategies = []struct {
+	name string
+	lv   LevelStrategy
+}{{"materialize", MaterializeLevel}, {"leapfrog", LeapfrogLevel}}
+
 func triangleQuery(t testing.TB, r, s, tt *relation.Relation) *Query {
 	t.Helper()
 	q, err := NewQuery([]string{"A", "B", "C"}, []Atom{
@@ -93,24 +101,26 @@ func TestGenericJoinTriangleSmall(t *testing.T) {
 	tt := rel(t, "T", []string{"A", "C"},
 		[]relation.Value{1, 5}, []relation.Value{2, 6})
 	q := triangleQuery(t, r, s, tt)
-	got, stats, err := GenericJoin(q, GenericJoinOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := naiveJoin(t, q)
-	if !got.Equal(want) {
-		t.Fatalf("GenericJoin = %v, want %v", got.Tuples(), want.Tuples())
-	}
-	if stats.Output != got.Len() {
-		t.Fatalf("stats.Output = %d", stats.Output)
-	}
-	// Count-only agrees.
-	n, _, err := GenericJoinCount(q, GenericJoinOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != want.Len() {
-		t.Fatalf("count = %d, want %d", n, want.Len())
+	for _, st := range strategies {
+		got, stats, err := GenericJoin(q, GenericJoinOptions{Level: st.lv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: GenericJoin = %v, want %v", st.name, got.Tuples(), want.Tuples())
+		}
+		if stats.Output != got.Len() {
+			t.Fatalf("%s: stats.Output = %d", st.name, stats.Output)
+		}
+		// Count-only agrees.
+		n, _, err := GenericJoinCount(q, GenericJoinOptions{Level: st.lv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want.Len() {
+			t.Fatalf("%s: count = %d, want %d", st.name, n, want.Len())
+		}
 	}
 }
 
@@ -119,22 +129,24 @@ func TestGenericJoinExplicitOrder(t *testing.T) {
 	s := rel(t, "S", []string{"B", "C"}, []relation.Value{2, 3})
 	tt := rel(t, "T", []string{"A", "C"}, []relation.Value{1, 3})
 	q := triangleQuery(t, r, s, tt)
-	for _, order := range [][]string{
-		{"A", "B", "C"}, {"C", "B", "A"}, {"B", "A", "C"},
-	} {
-		got, _, err := GenericJoin(q, GenericJoinOptions{Order: order})
-		if err != nil {
-			t.Fatalf("order %v: %v", order, err)
+	for _, st := range strategies {
+		for _, order := range [][]string{
+			{"A", "B", "C"}, {"C", "B", "A"}, {"B", "A", "C"},
+		} {
+			got, _, err := GenericJoin(q, GenericJoinOptions{Order: order, Level: st.lv})
+			if err != nil {
+				t.Fatalf("%s order %v: %v", st.name, order, err)
+			}
+			if got.Len() != 1 {
+				t.Fatalf("%s order %v: len = %d, want 1", st.name, order, got.Len())
+			}
 		}
-		if got.Len() != 1 {
-			t.Fatalf("order %v: len = %d, want 1", order, got.Len())
+		if _, _, err := GenericJoin(q, GenericJoinOptions{Order: []string{"A", "B"}, Level: st.lv}); err == nil {
+			t.Fatalf("%s: short order must fail", st.name)
 		}
-	}
-	if _, _, err := GenericJoin(q, GenericJoinOptions{Order: []string{"A", "B"}}); err == nil {
-		t.Fatal("short order must fail")
-	}
-	if _, _, err := GenericJoin(q, GenericJoinOptions{Order: []string{"A", "A", "B"}}); err == nil {
-		t.Fatal("repeating order must fail")
+		if _, _, err := GenericJoin(q, GenericJoinOptions{Order: []string{"A", "A", "B"}, Level: st.lv}); err == nil {
+			t.Fatalf("%s: repeating order must fail", st.name)
+		}
 	}
 }
 
@@ -143,12 +155,14 @@ func TestGenericJoinEmptyRelation(t *testing.T) {
 	s := relation.Empty("S", "B", "C")
 	tt := rel(t, "T", []string{"A", "C"}, []relation.Value{1, 3})
 	q := triangleQuery(t, r, s, tt)
-	got, _, err := GenericJoin(q, GenericJoinOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 {
-		t.Fatalf("empty input must give empty output, got %d", got.Len())
+	for _, st := range strategies {
+		got, _, err := GenericJoin(q, GenericJoinOptions{Level: st.lv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != 0 {
+			t.Fatalf("%s: empty input must give empty output, got %d", st.name, got.Len())
+		}
 	}
 }
 
@@ -159,12 +173,14 @@ func TestGenericJoinSingleAtom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := GenericJoin(q, GenericJoinOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 {
-		t.Fatalf("single atom join = %d rows", got.Len())
+	for _, st := range strategies {
+		got, _, err := GenericJoin(q, GenericJoinOptions{Level: st.lv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != 2 {
+			t.Fatalf("%s: single atom join = %d rows", st.name, got.Len())
+		}
 	}
 }
 
@@ -327,6 +343,50 @@ func TestPropertyGenericJoinFourVars(t *testing.T) {
 		return got.Equal(naiveJoin(t, q))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: both strategies equal the reference on random 4-cycles
+// under multiple variable orders.
+func TestPropertyFourCycleOrders(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		mk2 := func(name, a1, a2 string) *relation.Relation {
+			b := relation.NewBuilder(name, a1, a2)
+			for i := 0; i < rng.Intn(50); i++ {
+				b.Add(relation.Value(rng.Intn(7)), relation.Value(rng.Intn(7)))
+			}
+			return b.Build()
+		}
+		q, err := NewQuery([]string{"A", "B", "C", "D"}, []Atom{
+			{Name: "R", Vars: []string{"A", "B"}, Rel: mk2("R", "A", "B")},
+			{Name: "S", Vars: []string{"B", "C"}, Rel: mk2("S", "B", "C")},
+			{Name: "T", Vars: []string{"C", "D"}, Rel: mk2("T", "C", "D")},
+			{Name: "U", Vars: []string{"D", "A"}, Rel: mk2("U", "D", "A")},
+		})
+		if err != nil {
+			return false
+		}
+		want := naiveJoin(t, q)
+		for _, st := range strategies {
+			for _, ord := range [][]string{
+				nil,
+				{"A", "B", "C", "D"},
+				{"D", "C", "B", "A"},
+				{"B", "D", "A", "C"},
+			} {
+				// The builder uses q.Vars whatever the order, so schemas
+				// match.
+				got, _, err := GenericJoin(q, GenericJoinOptions{Order: ord, Level: st.lv})
+				if err != nil || !got.Equal(want) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

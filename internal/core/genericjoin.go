@@ -2,13 +2,30 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 
+	"wcoj/internal/agg"
 	"wcoj/internal/relation"
-	"wcoj/internal/trie"
 )
 
-// GenericJoinOptions configure a Generic-Join run.
+// LevelStrategy is the single point of difference between Generic-Join
+// and Leapfrog Triejoin: how one level's multiway intersection reaches
+// the recursion. It is fixed per run and consulted once per level.
+type LevelStrategy int
+
+const (
+	// MaterializeLevel is Generic-Join [52]: intersect the level into a
+	// per-depth buffer (trie.IntersectLevels), then loop over the values.
+	MaterializeLevel LevelStrategy = iota
+	// LeapfrogLevel is Leapfrog Triejoin [66]: stream the level through
+	// the leapfrog kernel (trie.LeapfrogLevels), recursing per match and
+	// never materializing it. An early stop (EXISTS) leaves the rest of
+	// the level unintersected.
+	LeapfrogLevel
+)
+
+// GenericJoinOptions configure a run of the trie-plan search.
 type GenericJoinOptions struct {
 	// Order is the global variable order; nil selects the degree-order
 	// heuristic (most-constrained variable first).
@@ -17,28 +34,28 @@ type GenericJoinOptions struct {
 	// precedence over Order (explicit, heuristic, or the cost-based
 	// optimizer of internal/planner).
 	Policy OrderPolicy
+	// Level selects the per-level intersection strategy: Generic-Join's
+	// materialized levels (the zero value) or Leapfrog Triejoin's
+	// streamed ones. Output, emit order and Stats totals do not depend
+	// on it.
+	Level LevelStrategy
 	// Parallelism is the number of worker goroutines sharding the
 	// depth-0 intersection. Values <= 1 run the serial search. Output
 	// order and Stats totals are identical at every setting.
 	Parallelism int
-	// Store, when non-nil, serves the per-atom tries (a long-lived DB
-	// passes its own); nil uses the process-global trie store.
-	Store *TrieStore
 	// Ctx, when non-nil, cancels the run: workers poll it and unwind
 	// promptly, and the entry points return ctx.Err(). Nil means no
 	// cancellation.
 	Ctx context.Context
 }
 
-// plan resolves the options into an execution plan: Policy wins when
-// set, otherwise Order (nil Order selects the heuristic). Tries come
-// from o.Store (nil = the process-global store).
-func (o GenericJoinOptions) plan(q *Query) (*Plan, error) {
-	policy := o.Policy
-	if policy == nil && o.Order != nil {
-		policy = ExplicitOrder(o.Order)
+// policy resolves the options' order policy: Policy wins when set,
+// otherwise Order (nil Order selects the heuristic).
+func (o GenericJoinOptions) policy() OrderPolicy {
+	if o.Policy == nil && o.Order != nil {
+		return ExplicitOrder(o.Order)
 	}
-	return BuildPlanIn(o.Store, q, policy)
+	return o.Policy
 }
 
 // GenericJoin evaluates the query with the Generic-Join algorithm of
@@ -47,6 +64,7 @@ func (o GenericJoinOptions) plan(q *Query) (*Plan, error) {
 // current variable, the distinct values compatible with the current
 // prefix binding; recurse per value. With sorted-trie intersections the
 // runtime is Õ(N^{ρ*}) — the AGM bound — by the Theorem 4.1 analysis.
+// Leapfrog Triejoin is the same search under opts.Level = LeapfrogLevel.
 func GenericJoin(q *Query, opts GenericJoinOptions) (*relation.Relation, *Stats, error) {
 	stats := &Stats{}
 	out := relation.NewBuilder(q.OutputName(), q.Vars...)
@@ -61,49 +79,17 @@ func GenericJoin(q *Query, opts GenericJoinOptions) (*relation.Relation, *Stats,
 	return rel, stats, nil
 }
 
-// GenericJoinCount runs Generic-Join without materializing the output,
+// GenericJoinCount runs the search without materializing the output,
 // returning only the result cardinality. This is the enumeration mode
 // the paper highlights: WCOJ algorithms can stream output tuples with
 // no intermediate state beyond the search stack. Under parallelism
 // each worker counts locally; no tuples are buffered.
 func GenericJoinCount(q *Query, opts GenericJoinOptions) (int, *Stats, error) {
-	p, err := opts.plan(q)
+	p, err := BuildPlanWith(q, opts.policy())
 	if err != nil {
 		return 0, nil, err
 	}
-	return GenericJoinPlanCount(opts.Ctx, p, opts.Parallelism)
-}
-
-// GenericJoinPlanCount is GenericJoinCount over a prebuilt plan — the
-// re-execution path of prepared queries, with context cancellation.
-func GenericJoinPlanCount(ctx context.Context, p *Plan, parallelism int) (int, *Stats, error) {
-	stats := &Stats{}
-	if err := CtxErr(ctx); err != nil {
-		return 0, nil, err
-	}
-	n := 0
-	var err error
-	if parallelism <= 1 || len(p.Order) == 0 {
-		var stop atomic.Bool
-		defer WatchCancel(ctx, &stop)()
-		w := newGJWorker(p, stats, func(relation.Tuple) error {
-			n++
-			return nil
-		})
-		w.stop = &stop
-		w.budget = BudgetFrom(ctx)
-		err = CtxAbortErr(ctx, w.rec(0))
-	} else {
-		vals := p.TopValues(nil)
-		stats.Recursions++
-		stats.IntersectValues += len(vals)
-		n, err = RunShardedCount(ctx, vals, parallelism, stats, gjShardRun(p, BudgetFrom(ctx)))
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	stats.Output = n
-	return n, stats, nil
+	return GenericJoinPlanCount(opts.Ctx, p, nil, opts.Level, opts.Parallelism)
 }
 
 // GenericJoinVisit streams the join result to emit in the canonical
@@ -113,227 +99,211 @@ func GenericJoinPlanCount(ctx context.Context, p *Plan, parallelism int) (int, *
 // workers and per-chunk results are replayed in deterministic chunk
 // order, so the emit sequence is identical to the serial run.
 func GenericJoinVisit(q *Query, opts GenericJoinOptions, stats *Stats, emit func(relation.Tuple) error) error {
-	p, err := opts.plan(q)
+	p, err := BuildPlanWith(q, opts.policy())
 	if err != nil {
 		return err
 	}
-	return GenericJoinPlanVisit(opts.Ctx, p, opts.Parallelism, stats, emit)
+	return GenericJoinPlanVisit(opts.Ctx, p, nil, opts.Level, opts.Parallelism, stats, emit)
 }
 
-// GenericJoinPlanVisit is GenericJoinVisit over a prebuilt plan — the
-// re-execution path of prepared queries, with context cancellation.
-func GenericJoinPlanVisit(ctx context.Context, p *Plan, parallelism int, stats *Stats, emit func(relation.Tuple) error) error {
+// GenericJoinProjectVisit streams the distinct projected tuples of the
+// query to emit, in the lexicographic order of the sunk variable-order
+// prefix. The Tuple passed to emit is reused between calls; emit must
+// copy it to retain it. Projected-away levels are existence-checked
+// per prefix (short-circuiting on the first witness) rather than
+// enumerated, so a prefix with a million extensions costs the same as
+// one with a single extension.
+func GenericJoinProjectVisit(q *Query, opts GenericJoinOptions, project []string, stats *Stats, emit func(relation.Tuple) error) error {
+	p, cls, err := AggPlanSrc(nil, q, opts.policy(), agg.Spec{Mode: agg.ModeEnumerate, Project: project})
+	if err != nil {
+		return err
+	}
+	return GenericJoinPlanVisit(opts.Ctx, p, cls, opts.Level, opts.Parallelism, stats, emit)
+}
+
+// GenericJoinAgg evaluates an aggregate. ModeCount returns the result
+// cardinality — full multiplicity with a nil spec.Project, distinct
+// projected tuples otherwise. ModeExists returns 1 or 0,
+// short-circuiting on the first witness. Counts are identical to
+// enumerate-then-aggregate at every Parallelism setting.
+func GenericJoinAgg(q *Query, opts GenericJoinOptions, spec agg.Spec) (int64, *Stats, error) {
+	p, cls, err := AggPlanSrc(nil, q, opts.policy(), spec)
+	if err != nil {
+		return 0, nil, err
+	}
+	return GenericJoinAggPlan(opts.Ctx, p, cls, opts.Level, opts.Parallelism)
+}
+
+// run carries what the entry points below share: the plan, its
+// classification (nil for plain enumeration), the level strategy and
+// the context's stop signal and node budget.
+type run struct {
+	ctx     context.Context
+	p       *Plan
+	cls     *agg.Classification
+	lv      LevelStrategy
+	workers int
+	stats   *Stats
+	budget  *NodeBudget
+}
+
+func newRun(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int, stats *Stats) *run {
+	return &run{ctx: ctx, p: p, cls: cls, lv: lv, workers: workers, stats: stats, budget: BudgetFrom(ctx)}
+}
+
+// sharded reports whether the run partitions its depth-0 intersection
+// across workers.
+func (r *run) sharded() bool { return r.workers > 1 && len(r.p.Order) > 0 }
+
+// serial runs body on the calling goroutine with a searcher wired to
+// the context's cancellation and budget, and returns the searcher's
+// abort, if any, translated for the caller.
+func (r *run) serial(emit func(relation.Tuple) error, body func(s *searcher) error) error {
+	var stop atomic.Bool
+	defer WatchCancel(r.ctx, &stop)()
+	s := newSearcher(r.p, r.cls, r.lv, r.stats, emit, &stop, r.budget)
+	err := body(s)
+	if err == nil {
+		err = s.err
+	}
+	return CtxAbortErr(r.ctx, err)
+}
+
+// top computes the depth-0 intersection the sharded runner partitions,
+// accounting for the root node exactly as the serial search does. Both
+// strategies shard a materialized top level.
+func (r *run) top() []relation.Value {
+	vals := r.p.TopValues(nil)
+	r.stats.Recursions++
+	r.stats.IntersectValues += len(vals)
+	return vals
+}
+
+// chunk builds the searcher of one shard. All shards draw from the one
+// budget, and each is charged its depth-0 values upfront: per-chunk
+// Stats restart the &255 poll stride, so without this a fleet of small
+// chunks could dodge the budget entirely.
+func (r *run) chunk(vals []relation.Value, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) (*searcher, error) {
+	if !r.budget.Spend(int64(len(vals))) {
+		return nil, ErrNodeBudget
+	}
+	return newSearcher(r.p, r.cls, r.lv, st, emit, stop, r.budget), nil
+}
+
+// GenericJoinPlanVisit streams the result of a prebuilt plan to emit —
+// the re-execution path of prepared queries, with context
+// cancellation. A nil cls enumerates full tuples; an enumerate-mode
+// classification (over the sunk plan it was computed for) enumerates
+// the distinct projected tuples.
+func GenericJoinPlanVisit(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int, stats *Stats, emit func(relation.Tuple) error) error {
 	if err := CtxErr(ctx); err != nil {
 		return err
 	}
-	if parallelism <= 1 || len(p.Order) == 0 {
-		var stop atomic.Bool
-		defer WatchCancel(ctx, &stop)()
-		w := newGJWorker(p, stats, emit)
-		w.stop = &stop
-		w.budget = BudgetFrom(ctx)
-		return CtxAbortErr(ctx, w.rec(0))
+	r := newRun(ctx, p, cls, lv, workers, stats)
+	if !r.sharded() {
+		return r.serial(emit, func(s *searcher) error { return s.visit(0) })
 	}
-	vals := p.TopValues(nil)
-	// Account for the root node exactly as the serial search does.
-	stats.Recursions++
-	stats.IntersectValues += len(vals)
-	return RunShardedTop(ctx, vals, parallelism, len(p.Q.Vars), stats, emit, gjShardRun(p, BudgetFrom(ctx)))
-}
-
-// gjShardRun adapts the Generic-Join search to the sharded runner:
-// each chunk gets a fresh worker iterating its slice of the
-// precomputed depth-0 intersection. All workers draw from the one
-// budget, so it bounds the run's total node count.
-func gjShardRun(p *Plan, budget *NodeBudget) shardRun {
-	return func(chunk []relation.Value, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) error {
-		// Charge the chunk's depth-0 values upfront: per-chunk Stats
-		// restart the &255 poll stride, so without this a fleet of
-		// small chunks could dodge the budget entirely.
-		if !budget.Spend(int64(len(chunk))) {
-			return ErrNodeBudget
-		}
-		w := newGJWorker(p, st, emit)
-		w.stop = stop
-		w.budget = budget
-		return w.iterate(0, chunk)
+	arity := len(p.Q.Vars)
+	if cls != nil {
+		arity = len(cls.Spec.Project)
 	}
-}
-
-// gjAtom is the per-atom, per-worker execution state of Generic-Join,
-// navigating the trie's CSR index by segment.
-type gjAtom struct {
-	trie *trie.Trie
-	// levelOf[d] is this atom's trie level bound when the global
-	// variable at depth d is bound, or -1 if the atom lacks that
-	// variable.
-	levelOf []int
-	// segLo/segHi[l] is the candidate segment range at trie level l
-	// after binding the atom's first l variables (the children span of
-	// the segment chosen at level l-1; the whole level for l = 0).
-	segLo []int
-	segHi []int
-	// segCur[l] is the narrowing cursor within [segLo[l], segHi[l]):
-	// each per-value sweep probes ascending values, so arm resets it to
-	// segLo once per sweep and every find gallops forward from the
-	// previous hit — amortized O(1) per probe. A level can be swept
-	// many times (once per combination of the other atoms' bindings),
-	// which is why the cursor is separate from segLo.
-	segCur []int
-	// segAt[l] is the segment chosen at level l by the current prefix;
-	// its row range (SegRows) is what the aggregate engine's products
-	// and memo keys are built from.
-	segAt []int
-}
-
-// reset re-arms the atom for a fresh search from the root.
-func (ga *gjAtom) reset() {
-	ga.segLo[0], ga.segHi[0] = 0, ga.trie.NumSegs(0)
-}
-
-// arm starts a fresh ascending sweep over the level-l candidates.
-func (ga *gjAtom) arm(l int) {
-	ga.segCur[l] = ga.segLo[l]
-}
-
-// bind locates v at trie level l within the candidate range, recording
-// the chosen segment and pushing its children span. It reports whether
-// v is present (it always is when v came from the level intersection).
-func (ga *gjAtom) bind(l int, v relation.Value) bool {
-	s, ok := ga.trie.FindSegFrom(l, ga.segCur[l], ga.segHi[l], v)
-	if !ok {
-		ga.segCur[l] = s
-		return false
-	}
-	ga.segCur[l] = s + 1
-	ga.segAt[l] = s
-	if l+1 < ga.trie.Depth() {
-		ga.segLo[l+1], ga.segHi[l+1] = ga.trie.Children(l, s)
-	}
-	return true
-}
-
-// rows returns the row range selected after this atom's first l
-// variables are bound: the whole relation for l = 0, the chosen
-// level-(l-1) segment's rows otherwise. The range sizes feed the
-// aggregate engine's suffix products and memo keys, byte-identical to
-// the row-stack ranges of the previous layout.
-func (ga *gjAtom) rows(l int) (lo, hi int) {
-	if l == 0 {
-		return 0, ga.trie.Len()
-	}
-	return ga.trie.SegRows(l-1, ga.segAt[l-1])
-}
-
-// gjWorker is the mutable state of one search goroutine: the per-atom
-// range stacks, the binding tuple and the per-depth scratch buffers.
-// Workers share the Plan read-only.
-type gjWorker struct {
-	plan    *Plan
-	atoms   []*gjAtom
-	binding relation.Tuple
-	scratch [][]relation.Value
-	ranges  []trie.LevelRange
-	stats   *Stats
-	emit    func(relation.Tuple) error
-	// stop, when non-nil, is polled every few hundred search nodes so a
-	// cancelled (or aborted) run unwinds promptly even when it emits
-	// rarely; the recursion returns ErrAborted.
-	stop *atomic.Bool
-	// budget, when non-nil, is drawn down at the same stride; an
-	// exhausted budget unwinds with ErrNodeBudget.
-	budget *NodeBudget
-}
-
-func newGJWorker(p *Plan, stats *Stats, emit func(relation.Tuple) error) *gjWorker {
-	w := &gjWorker{
-		plan:    p,
-		atoms:   make([]*gjAtom, len(p.Tries)),
-		binding: make(relation.Tuple, len(p.Q.Vars)),
-		scratch: make([][]relation.Value, len(p.Order)),
-		ranges:  make([]trie.LevelRange, 0, len(p.Tries)),
-		stats:   stats,
-		emit:    emit,
-	}
-	for i, tr := range p.Tries {
-		k := tr.Depth()
-		idx := make([]int, 4*k)
-		ga := &gjAtom{
-			trie:    tr,
-			levelOf: p.LevelOf[i],
-			segLo:   idx[:k:k],
-			segHi:   idx[k : 2*k : 2*k],
-			segCur:  idx[2*k : 3*k : 3*k],
-			segAt:   idx[3*k:],
-		}
-		ga.reset()
-		w.atoms[i] = ga
-	}
-	return w
-}
-
-// arm starts a fresh ascending per-value sweep at depth d: every
-// participating atom's narrowing cursor rewinds to its candidate
-// range's start.
-func (w *gjWorker) arm(d int) {
-	for _, ai := range w.plan.Participants[d] {
-		ga := w.atoms[ai]
-		ga.arm(ga.levelOf[d])
-	}
-}
-
-// rec is the Generic-Join recursion: intersect the participating
-// level ranges at depth d and recurse per value. w.ranges holds
-// arena-loaned level ranges as per-depth scratch.
-//
-//wcojlint:retains w.ranges is scratch consumed within this recursion step, under one pinned snapshot
-func (w *gjWorker) rec(d int) error {
-	w.stats.Recursions++
-	if w.stats.Recursions&255 == 0 {
-		if w.stop != nil && w.stop.Load() {
-			return ErrAborted
-		}
-		if !w.budget.Spend(256) {
-			return ErrNodeBudget
-		}
-	}
-	if d == len(w.plan.Order) {
-		return w.emit(w.binding)
-	}
-	w.ranges = w.ranges[:0]
-	for _, ai := range w.plan.Participants[d] {
-		ga := w.atoms[ai]
-		l := ga.levelOf[d]
-		w.ranges = append(w.ranges, ga.trie.SegLevel(l, ga.segLo[l], ga.segHi[l]))
-	}
-	vals := trie.IntersectLevels(w.scratch[d][:0], w.ranges)
-	w.scratch[d] = vals
-	w.stats.IntersectValues += len(vals)
-	return w.iterate(d, vals)
-}
-
-// iterate runs the per-value loop of depth d over vals: bind the
-// value, narrow every participating atom's range, recurse. The
-// parallel engine calls it directly at depth 0 with one chunk of the
-// precomputed top-level intersection.
-func (w *gjWorker) iterate(d int, vals []relation.Value) error {
-	w.arm(d)
-	for _, v := range vals {
-		w.binding[w.plan.OutPos[d]] = v
-		ok := true
-		for _, ai := range w.plan.Participants[d] {
-			ga := w.atoms[ai]
-			if !ga.bind(ga.levelOf[d], v) {
-				ok = false
-				break
+	return runSharded(ctx, r.top(), workers, stats, newBufferSink(arity, emit),
+		func(vals []relation.Value, st *Stats, stop *atomic.Bool, chunkEmit func(relation.Tuple) error) error {
+			s, err := r.chunk(vals, st, stop, chunkEmit)
+			if err != nil {
+				return err
 			}
-		}
-		if !ok {
-			continue // cannot happen: v came from the intersection
-		}
-		if err := w.rec(d + 1); err != nil {
-			return err
-		}
+			return s.visitVals(0, vals)
+		})
+}
+
+// GenericJoinPlanCount counts what GenericJoinPlanVisit would emit
+// without buffering it: every worker counts its own tuples.
+func GenericJoinPlanCount(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int) (int, *Stats, error) {
+	if err := CtxErr(ctx); err != nil {
+		return 0, nil, err
 	}
-	return nil
+	r := newRun(ctx, p, cls, lv, workers, &Stats{})
+	var n int64
+	var err error
+	if !r.sharded() {
+		err = r.serial(func(relation.Tuple) error { n++; return nil },
+			func(s *searcher) error { return s.visit(0) })
+	} else {
+		n, err = runShardedSum(ctx, r.top(), workers, r.stats, func(vals []relation.Value, st *Stats, stop *atomic.Bool) (int64, error) {
+			var c int64
+			s, err := r.chunk(vals, st, stop, func(relation.Tuple) error { c++; return nil })
+			if err != nil {
+				return 0, err
+			}
+			return c, s.visitVals(0, vals)
+		})
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	r.stats.Output = int(n)
+	return int(n), r.stats, nil
+}
+
+// GenericJoinAggPlan is GenericJoinAgg over a prebuilt sunk plan and
+// classification — the re-execution path of prepared aggregate
+// queries, with context cancellation. The spec is the one the plan was
+// classified for (cls.Spec).
+func GenericJoinAggPlan(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int) (int64, *Stats, error) {
+	if err := CtxErr(ctx); err != nil {
+		return 0, nil, err
+	}
+	if cls.Spec.Mode == agg.ModeCount && len(cls.Spec.Project) > 0 {
+		// Distinct projected count: the projected enumeration, counted.
+		n, stats, err := GenericJoinPlanCount(ctx, p, cls, lv, workers)
+		return int64(n), stats, err
+	}
+	r := newRun(ctx, p, cls, lv, workers, &Stats{})
+	// A pure product (CountFrom == 0) answers in O(#atoms); don't shard.
+	sharded := r.sharded() && cls.CountFrom > 0
+	var n int64
+	var err error
+	switch cls.Spec.Mode {
+	case agg.ModeCount:
+		if !sharded {
+			err = r.serial(nil, func(s *searcher) error { n = s.count(0); return nil })
+			break
+		}
+		n, err = runShardedSum(ctx, r.top(), workers, r.stats, func(vals []relation.Value, st *Stats, stop *atomic.Bool) (int64, error) {
+			s, err := r.chunk(vals, st, stop, nil)
+			if err != nil {
+				return 0, err
+			}
+			return s.countVals(0, vals), s.err
+		})
+		if err == nil && n < 0 { // cross-chunk summation wrapped
+			err = agg.ErrCountOverflow
+		}
+	case agg.ModeExists:
+		var found bool
+		if !sharded {
+			err = r.serial(nil, func(s *searcher) error { found = s.exists(0); return nil })
+		} else {
+			// Shards poll the runner's stop flag, so the whole fleet
+			// unwinds once any worker finds a witness.
+			found, err = runShardedAny(ctx, r.top(), workers, r.stats, func(vals []relation.Value, st *Stats, stop *atomic.Bool) (bool, error) {
+				s, err := r.chunk(vals, st, stop, nil)
+				if err != nil {
+					return false, err
+				}
+				return s.existsVals(0, vals), s.err
+			})
+		}
+		if found {
+			n = 1
+		}
+	default:
+		return 0, nil, fmt.Errorf("core: unsupported aggregate mode %v", cls.Spec.Mode)
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	r.stats.Output = int(n)
+	return n, r.stats, nil
 }

@@ -1,16 +1,15 @@
 package core
 
-// Parallel sharded execution. Both Generic-Join and Leapfrog Triejoin
-// (via this package's exported runner) parallelize the same way: the
-// depth-0 intersection — the distinct values of the first variable in
-// the global order that appear in every participating atom — is
-// computed once, partitioned into contiguous chunks, and each chunk is
-// searched by the existing serial recursion with fully private state
-// (range stacks / iterators, binding tuple, Stats). Workers share only
-// the immutable tries. Chunk results are consumed in ascending chunk
-// index order, and because chunks are contiguous ranges of the sorted
-// top-level values, the emitted tuple sequence is byte-identical to
-// the serial run at any worker count.
+// Parallel sharded execution. The search parallelizes the same way
+// under both level strategies: the depth-0 intersection — the distinct
+// values of the first variable in the global order that appear in
+// every participating atom — is computed once, partitioned into
+// contiguous chunks, and each chunk is searched by the serial recursion
+// with fully private state (cursor stacks, binding tuple, Stats).
+// Workers share only the immutable tries. Chunk results are consumed
+// in ascending chunk index order, and because chunks are contiguous
+// ranges of the sorted top-level values, the emitted tuple sequence is
+// byte-identical to the serial run at any worker count.
 
 import (
 	"context"
@@ -81,16 +80,6 @@ func CtxAbortErr(ctx context.Context, err error) error {
 // by returning ErrAborted.
 type shardRun func(chunk []relation.Value, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) error
 
-// shardSink consumes the output of sharded execution. chunkEmit is
-// called from worker goroutines (concurrently, but never concurrently
-// for the same chunk); finishChunk is called from the coordinating
-// goroutine in ascending chunk order.
-type shardSink interface {
-	bind(numChunks int, stop *atomic.Bool)
-	chunkEmit(chunk int) func(relation.Tuple) error
-	finishChunk(chunk int) error
-}
-
 // runSharded partitions vals into contiguous chunks and runs run over
 // them on min(workers, chunks) goroutines. Per-chunk Stats are merged
 // into parentStats in chunk order; the first error (from a chunk or
@@ -99,10 +88,10 @@ type shardSink interface {
 // tuple via ErrAborted. Chunk issue is windowed: a chunk is only
 // handed to a worker once all chunks more than shardWindow(workers)
 // positions behind it have been consumed by the sink, bounding how
-// much un-consumed output the ordered sinks can buffer. It returns
+// much un-consumed output the ordered sink can buffer. It returns
 // only after all worker goroutines have exited, so the caller may
 // reuse any state afterwards.
-func runSharded(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats, run shardRun, sink shardSink) error {
+func runSharded(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats, sink *bufferSink, run shardRun) error {
 	if err := CtxErr(ctx); err != nil {
 		return err
 	}
@@ -195,10 +184,13 @@ func runSharded(ctx context.Context, vals []relation.Value, workers int, parentS
 	return err
 }
 
-// bufferSink buffers each chunk's tuples flat (arity values per tuple)
-// and replays them to the user's emit in chunk order, preserving the
-// serial emission sequence. The Tuple passed on is reused between
-// calls, matching the serial visit contract.
+// bufferSink consumes the output of runSharded: it buffers each chunk's
+// tuples flat (arity values per tuple) and replays them to the user's
+// emit in chunk order, preserving the serial emission sequence. The
+// Tuple passed on is reused between calls, matching the serial visit
+// contract. chunkEmit is called from worker goroutines (concurrently,
+// but never concurrently for the same chunk); finishChunk is called
+// from the coordinating goroutine in ascending chunk order.
 type bufferSink struct {
 	arity int
 	emit  func(relation.Tuple) error
@@ -239,50 +231,6 @@ func (s *bufferSink) finishChunk(chunk int) error {
 	return nil
 }
 
-// countSink counts tuples per chunk without buffering them — the
-// streaming enumeration mode keeps zero per-tuple state even under
-// parallelism.
-type countSink struct {
-	counts []int
-	total  int
-}
-
-func newCountSink() *countSink { return &countSink{} }
-
-func (s *countSink) bind(numChunks int, _ *atomic.Bool) { s.counts = make([]int, numChunks) }
-
-func (s *countSink) chunkEmit(chunk int) func(relation.Tuple) error {
-	return func(relation.Tuple) error {
-		s.counts[chunk]++
-		return nil
-	}
-}
-
-func (s *countSink) finishChunk(chunk int) error {
-	s.total += s.counts[chunk]
-	return nil
-}
-
-// RunShardedTop is the sharding seam exported for sibling algorithm
-// packages (lftj): it shards vals across workers, invoking run per
-// chunk with a private Stats, and streams the buffered per-chunk
-// tuples to emit in chunk order. Arity is the emitted tuple width.
-func RunShardedTop(ctx context.Context, vals []relation.Value, workers, arity int, parentStats *Stats,
-	emit func(relation.Tuple) error, run shardRun) error {
-	return runSharded(ctx, vals, workers, parentStats, run, newBufferSink(arity, emit))
-}
-
-// RunShardedCount is RunShardedTop's counting twin: no tuple is
-// buffered; per-chunk counts are summed in chunk order.
-func RunShardedCount(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats,
-	run shardRun) (int, error) {
-	sink := newCountSink()
-	if err := runSharded(ctx, vals, workers, parentStats, run, sink); err != nil {
-		return 0, err
-	}
-	return sink.total, nil
-}
-
 // shardStarts computes the balanced contiguous partition of n values
 // into chunks: chunk i covers [starts[i], starts[i+1]). It also
 // clamps the chunk and worker counts, returning the adjusted pair.
@@ -305,13 +253,13 @@ func shardStarts(n, workers int) (starts []int, numChunks, w int) {
 	return starts, numChunks, workers
 }
 
-// RunShardedSum shards vals across workers and sums the per-chunk
-// int64 results of run. Unlike the tuple-emitting runners no output
+// runShardedSum shards vals across workers and sums the per-chunk
+// int64 results of run. Unlike the tuple-emitting runner no output
 // ordering is needed, so chunks are claimed from an atomic counter;
 // per-chunk Stats are still merged in chunk order, keeping counter
-// totals deterministic for a fixed worker count. The aggregate-aware
-// engines use it for sharded CountFast.
-func RunShardedSum(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats,
+// totals deterministic for a fixed worker count. Every counting run
+// shards through it.
+func runShardedSum(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats,
 	run func(chunk []relation.Value, st *Stats, stop *atomic.Bool) (int64, error)) (int64, error) {
 	if err := CtxErr(ctx); err != nil {
 		return 0, err
@@ -369,14 +317,14 @@ func RunShardedSum(ctx context.Context, vals []relation.Value, workers int, pare
 	return total, nil
 }
 
-// RunShardedAny shards vals across workers and reports whether any
+// runShardedAny shards vals across workers and reports whether any
 // chunk found a witness. The shared stop flag is set as soon as one
 // does (or a chunk errors); chunk searches are expected to poll it and
 // unwind, so the whole fleet short-circuits on the first witness.
 // Stats are merged from every chunk that ran; because chunks race the
 // stop flag, counter totals (unlike the boolean result) are not
 // deterministic across runs.
-func RunShardedAny(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats,
+func runShardedAny(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats,
 	run func(chunk []relation.Value, st *Stats, stop *atomic.Bool) (bool, error)) (bool, error) {
 	if err := CtxErr(ctx); err != nil {
 		return false, err

@@ -1,0 +1,493 @@
+package core
+
+// The one depth-first search every trie-plan run executes. Generic-Join
+// and Leapfrog Triejoin are the same algorithm — fix a variable order,
+// intersect the participating atoms at each level, recurse per value —
+// and share this searcher: the per-atom CSR cursor stacks, the four
+// recursions (visit, count, exists and the per-value loops the sharded
+// runner enters at depth 0), the poll site, the sticky abort and the
+// Stats accounting. They differ only in the LevelStrategy, which
+// decides once per level how the intersection reaches the recursion.
+//
+// The aggregate-aware modes skip the enumeration work an answer does
+// not need, driven by the level classification of internal/agg:
+//
+//   - free-counted suffix levels are never recursed into — the number
+//     of extensions is the product of the active atoms' row-range sizes
+//     (relations are duplicate-free sets, so a range size is a
+//     distinct-tuple count), and the deepest level of a counting or
+//     existence run asks the kernels for the intersection's size or
+//     non-emptiness, under both strategies;
+//   - bound levels below the projection boundary consult a
+//     per-(trie,prefix) memo, so shared suffixes are counted once;
+//   - EXISTS short-circuits on the first witness, across shards via a
+//     shared stop flag.
+//
+// Results are byte-identical to enumerate-then-aggregate at every
+// parallelism setting, under every order policy and both strategies.
+
+import (
+	"sync/atomic"
+
+	"wcoj/internal/agg"
+	"wcoj/internal/relation"
+	"wcoj/internal/trie"
+)
+
+// gjAtom is the per-atom, per-worker execution state of the search,
+// navigating the trie's CSR index by segment.
+type gjAtom struct {
+	trie *trie.Trie
+	// levelOf[d] is this atom's trie level bound when the global
+	// variable at depth d is bound, or -1 if the atom lacks that
+	// variable.
+	levelOf []int
+	// segLo/segHi[l] is the candidate segment range at trie level l
+	// after binding the atom's first l variables (the children span of
+	// the segment chosen at level l-1; the whole level for l = 0).
+	segLo []int
+	segHi []int
+	// segCur[l] is the narrowing cursor within [segLo[l], segHi[l]):
+	// each per-value sweep probes ascending values, so arm resets it to
+	// segLo once per sweep and every find gallops forward from the
+	// previous hit — amortized O(1) per probe. A level can be swept
+	// many times (once per combination of the other atoms' bindings),
+	// which is why the cursor is separate from segLo.
+	segCur []int
+	// segAt[l] is the segment chosen at level l by the current prefix;
+	// its row range (SegRows) is what the aggregate modes' products and
+	// memo keys are built from.
+	segAt []int
+}
+
+// bind locates v at trie level l within the candidate range, recording
+// the chosen segment and pushing its children span. It reports whether
+// v is present (it always is when v came from the level intersection).
+func (ga *gjAtom) bind(l int, v relation.Value) bool {
+	s, ok := ga.trie.FindSegFrom(l, ga.segCur[l], ga.segHi[l], v)
+	if !ok {
+		ga.segCur[l] = s
+		return false
+	}
+	ga.segCur[l] = s + 1
+	ga.take(l, s)
+	return true
+}
+
+// take records segment s as the one chosen at trie level l and pushes
+// its children span — bind for a caller that knows where the value
+// sits.
+func (ga *gjAtom) take(l, s int) {
+	ga.segAt[l] = s
+	if l+1 < ga.trie.Depth() {
+		ga.segLo[l+1], ga.segHi[l+1] = ga.trie.Children(l, s)
+	}
+}
+
+// rows returns the row range selected after this atom's first l
+// variables are bound: the whole relation for l = 0, the chosen
+// level-(l-1) segment's rows otherwise.
+func (ga *gjAtom) rows(l int) (lo, hi int) {
+	if l == 0 {
+		return 0, ga.trie.Len()
+	}
+	return ga.trie.SegRows(l-1, ga.segAt[l-1])
+}
+
+// searcher is the mutable state of one search goroutine. Searchers
+// share only the immutable Plan and Classification with siblings.
+type searcher struct {
+	plan *Plan
+	// cls drives the aggregate modes; nil for plain full-tuple
+	// enumeration, which only ever runs visit.
+	cls *agg.Classification
+	// stream selects the leapfrog level strategy (see LevelStrategy).
+	stream bool
+	// enumEnd is the depth at which visit stops enumerating and
+	// existence-checks the rest: the projection boundary, or the full
+	// order when every variable is output.
+	enumEnd int
+
+	atoms   []*gjAtom
+	binding relation.Tuple
+	// scratch[d] holds level d's materialized intersection; ranges[d]
+	// the level ranges it (or the stream) is computed from.
+	scratch [][]relation.Value
+	ranges  [][]trie.LevelRange
+
+	stats *Stats
+	emit  func(relation.Tuple) error
+	// out is the tuple handed to emit — binding itself, or the
+	// projection buffer filled through projPos (the binding position of
+	// each projected variable).
+	out     relation.Tuple
+	projPos []int
+
+	// stop, when non-nil, and budget, when non-nil, are polled every
+	// 256 search nodes (see node): a cancelled run, a sharded EXISTS
+	// whose sibling found the witness, and an exhausted node budget all
+	// unwind through err.
+	stop   *atomic.Bool
+	budget *NodeBudget
+	// err is the sticky abort: ErrAborted, ErrNodeBudget or
+	// agg.ErrCountOverflow. Once set every mode unwinds — count with 0,
+	// exists with an inconclusive false, visit with the error — and the
+	// entry points report it in place of the result.
+	err error
+
+	memo      *agg.Memo
+	keyRanges []int // scratch the memo key is built from
+}
+
+func newSearcher(p *Plan, cls *agg.Classification, lv LevelStrategy, stats *Stats,
+	emit func(relation.Tuple) error, stop *atomic.Bool, budget *NodeBudget) *searcher {
+	n := len(p.Order)
+	s := &searcher{
+		plan:    p,
+		cls:     cls,
+		stream:  lv == LeapfrogLevel,
+		enumEnd: n,
+		atoms:   make([]*gjAtom, len(p.Tries)),
+		binding: make(relation.Tuple, len(p.Q.Vars)),
+		scratch: make([][]relation.Value, n),
+		ranges:  make([][]trie.LevelRange, n),
+		stats:   stats,
+		emit:    emit,
+		stop:    stop,
+		budget:  budget,
+	}
+	s.out = s.binding
+	for i, tr := range p.Tries {
+		k := tr.Depth()
+		idx := make([]int, 4*k)
+		ga := &gjAtom{
+			trie:    tr,
+			levelOf: p.LevelOf[i],
+			segLo:   idx[:k:k],
+			segHi:   idx[k : 2*k : 2*k],
+			segCur:  idx[2*k : 3*k : 3*k],
+			segAt:   idx[3*k:],
+		}
+		ga.segLo[0], ga.segHi[0] = 0, tr.NumSegs(0)
+		s.atoms[i] = ga
+	}
+	total := 0
+	for _, ps := range p.Participants {
+		total += len(ps)
+	}
+	slab := make([]trie.LevelRange, total)
+	for d, ps := range p.Participants {
+		s.ranges[d], slab = slab[:0:len(ps)], slab[len(ps):]
+	}
+	if cls == nil {
+		return s
+	}
+	s.memo = agg.NewMemo()
+	if len(cls.Spec.Project) > 0 {
+		s.enumEnd = cls.EnumEnd
+		s.projPos = make([]int, len(cls.Spec.Project))
+		s.out = make(relation.Tuple, len(cls.Spec.Project))
+		for i, v := range cls.Spec.Project {
+			for j, qv := range p.Q.Vars {
+				if qv == v {
+					s.projPos[i] = j
+				}
+			}
+		}
+	}
+	return s
+}
+
+// node accounts for one search node and is the search's only poll
+// site: every 256th node it checks the stop flag and draws 256 nodes
+// from the budget. It reports whether the search may continue.
+func (s *searcher) node() bool {
+	s.stats.Recursions++
+	if s.stats.Recursions&255 == 0 && s.err == nil {
+		if s.stop != nil && s.stop.Load() {
+			s.err = ErrAborted
+		} else if !s.budget.Spend(256) {
+			s.err = ErrNodeBudget
+		}
+	}
+	return s.err == nil
+}
+
+// levelRanges assembles the participating level ranges at depth d.
+//
+//wcojlint:retains s.ranges[d] is depth d's own scratch slot, so a level still streaming at depth d never shares it with the deeper levels assembled meanwhile; consumed within this search under one pinned snapshot
+func (s *searcher) levelRanges(d int) []trie.LevelRange {
+	rs := s.ranges[d][:0]
+	for _, ai := range s.plan.Participants[d] {
+		ga := s.atoms[ai]
+		l := ga.levelOf[d]
+		rs = append(rs, ga.trie.SegLevel(l, ga.segLo[l], ga.segHi[l]))
+	}
+	s.ranges[d] = rs
+	return rs
+}
+
+// intersect materializes the depth-d level intersection into the
+// depth's scratch — the materialize strategy.
+func (s *searcher) intersect(d int) []relation.Value {
+	vals := trie.IntersectLevels(s.scratch[d][:0], s.levelRanges(d))
+	s.scratch[d] = vals
+	s.stats.IntersectValues += len(vals)
+	return vals
+}
+
+// leapfrog streams the depth-d level intersection through the leapfrog
+// kernel — the leapfrog strategy: at each common value the
+// participating atoms take the segment the kernel's cursors sit on and
+// the value is handed to match, which returns true to stop the level
+// early. The level is never materialized.
+func (s *searcher) leapfrog(d int, match func(v relation.Value) bool) {
+	trie.LeapfrogLevels(s.levelRanges(d), func(v relation.Value, at []int) bool {
+		s.stats.IntersectValues++
+		for j, ai := range s.plan.Participants[d] {
+			ga := s.atoms[ai]
+			ga.take(ga.levelOf[d], at[j])
+		}
+		return match(v)
+	})
+}
+
+// arm starts a fresh ascending per-value sweep at depth d: every
+// participating atom's narrowing cursor rewinds to its candidate
+// range's start.
+func (s *searcher) arm(d int) {
+	for _, ai := range s.plan.Participants[d] {
+		ga := s.atoms[ai]
+		l := ga.levelOf[d]
+		ga.segCur[l] = ga.segLo[l]
+	}
+}
+
+// bind narrows every participating atom to v at depth d. v comes from
+// the level intersection, so narrowing cannot fail; callers skip the
+// value if it does.
+func (s *searcher) bind(d int, v relation.Value) bool {
+	for _, ai := range s.plan.Participants[d] {
+		ga := s.atoms[ai]
+		if !ga.bind(ga.levelOf[d], v) {
+			return false
+		}
+	}
+	return true
+}
+
+// visit enumerates the output prefix, emitting one tuple per prefix
+// that has at least one extension (every full binding, when all
+// variables are output).
+func (s *searcher) visit(d int) error {
+	if d == s.enumEnd {
+		if s.exists(d) {
+			for i, p := range s.projPos {
+				s.out[i] = s.binding[p]
+			}
+			return s.emit(s.out)
+		}
+		return s.err
+	}
+	if !s.node() {
+		return s.err
+	}
+	if s.stream {
+		var err error
+		s.leapfrog(d, func(v relation.Value) bool {
+			s.binding[s.plan.OutPos[d]] = v
+			err = s.visit(d + 1)
+			return err != nil
+		})
+		return err
+	}
+	return s.visitVals(d, s.intersect(d))
+}
+
+// visitVals, countVals and existsVals run the per-value loop of depth d
+// over materialized values: bind the value, narrow every participating
+// atom, recurse. The sharded runner enters the search through them at
+// depth 0, with one chunk of the precomputed top-level intersection.
+func (s *searcher) visitVals(d int, vals []relation.Value) error {
+	s.arm(d)
+	for _, v := range vals {
+		s.binding[s.plan.OutPos[d]] = v
+		if !s.bind(d, v) {
+			continue
+		}
+		if err := s.visit(d + 1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *searcher) countVals(d int, vals []relation.Value) int64 {
+	s.arm(d)
+	var total int64
+	for _, v := range vals {
+		if !s.bind(d, v) {
+			continue
+		}
+		total = s.add(total, s.count(d+1))
+	}
+	return total
+}
+
+func (s *searcher) existsVals(d int, vals []relation.Value) bool {
+	s.arm(d)
+	for _, v := range vals {
+		if s.bind(d, v) && s.exists(d+1) {
+			return true
+		}
+	}
+	return false
+}
+
+// add sums two subtree counts; a wrapped sum aborts the search with
+// agg.ErrCountOverflow instead of reporting a wrong count.
+func (s *searcher) add(total, n int64) int64 {
+	total += n
+	if total < 0 {
+		s.err = agg.ErrCountOverflow
+		return 0
+	}
+	return total
+}
+
+// product multiplies the active atoms' current row-range sizes — the
+// number of suffix extensions below depth d when every remaining level
+// is free-counted. Overflow aborts the search.
+func (s *searcher) product(d int) int64 {
+	prod := int64(1)
+	for j, ai := range s.cls.ActiveAtoms[d] {
+		lo, hi := s.atoms[ai].rows(s.cls.BoundLevel[d][j])
+		var ok bool
+		prod, ok = agg.Mul(prod, int64(hi-lo))
+		if !ok {
+			s.err = agg.ErrCountOverflow
+			return 0
+		}
+		if prod == 0 {
+			return 0
+		}
+	}
+	return prod
+}
+
+// productNonEmpty is the existence twin of product: every active
+// atom's range is non-empty. No multiplication, so no overflow.
+func (s *searcher) productNonEmpty(d int) bool {
+	for j, ai := range s.cls.ActiveAtoms[d] {
+		lo, hi := s.atoms[ai].rows(s.cls.BoundLevel[d][j])
+		if hi <= lo {
+			return false
+		}
+	}
+	return true
+}
+
+// memoKey builds the subtree signature at depth d: the (lo,hi) range
+// of every active atom. Identical signatures have identical subtree
+// results regardless of the prefix that produced them.
+func (s *searcher) memoKey(d int) []byte {
+	s.keyRanges = s.keyRanges[:0]
+	for j, ai := range s.cls.ActiveAtoms[d] {
+		lo, hi := s.atoms[ai].rows(s.cls.BoundLevel[d][j])
+		s.keyRanges = append(s.keyRanges, lo, hi)
+	}
+	return s.memo.Key(d, s.keyRanges)
+}
+
+// count returns the number of full result tuples below the current
+// prefix at depth d.
+func (s *searcher) count(d int) int64 {
+	if !s.node() {
+		return 0
+	}
+	n := len(s.plan.Order)
+	if d == n {
+		return 1
+	}
+	if d >= s.cls.CountFrom {
+		s.stats.AggMultiplies++
+		return s.product(d)
+	}
+	useMemo := s.cls.MemoDepths[d] && s.memo.Enabled()
+	if useMemo {
+		if v, ok := s.memo.Get(s.memoKey(d)); ok {
+			s.stats.AggMemoHits++
+			return v
+		}
+	}
+	var total int64
+	switch {
+	case d == n-1:
+		// Tail shortcut: each intersection value is one result, so only
+		// the cardinality is computed — neither strategy materializes.
+		s.stats.AggMultiplies++
+		c := trie.IntersectLevelsCount(s.levelRanges(d))
+		s.stats.IntersectValues += c
+		total = int64(c)
+	case s.stream:
+		s.leapfrog(d, func(relation.Value) bool {
+			total = s.add(total, s.count(d+1))
+			return s.err != nil
+		})
+	default:
+		total = s.countVals(d, s.intersect(d))
+	}
+	if useMemo && s.err == nil {
+		// The memo's key scratch was clobbered by deeper probes;
+		// rebuild it (the ranges at this depth are unchanged).
+		s.memo.Put(s.memoKey(d), total)
+	}
+	return total
+}
+
+// exists reports whether any result tuple extends the current prefix,
+// short-circuiting on the first witness. A false with err set is
+// inconclusive.
+func (s *searcher) exists(d int) bool {
+	if !s.node() {
+		return false
+	}
+	n := len(s.plan.Order)
+	if d == n {
+		return true
+	}
+	if d >= s.cls.CountFrom {
+		s.stats.AggMultiplies++
+		return s.productNonEmpty(d)
+	}
+	useMemo := s.cls.MemoDepths[d] && s.memo.Enabled()
+	if useMemo {
+		if v, ok := s.memo.Get(s.memoKey(d)); ok {
+			s.stats.AggMemoHits++
+			return v != 0
+		}
+	}
+	found := false
+	switch {
+	case d == n-1:
+		s.stats.AggMultiplies++
+		if found = trie.IntersectLevelsAny(s.levelRanges(d)); found {
+			s.stats.IntersectValues++
+		}
+	case s.stream:
+		s.leapfrog(d, func(relation.Value) bool {
+			found = s.exists(d + 1)
+			return found || s.err != nil
+		})
+	default:
+		found = s.existsVals(d, s.intersect(d))
+	}
+	if useMemo && s.err == nil {
+		var v int64
+		if found {
+			v = 1
+		}
+		s.memo.Put(s.memoKey(d), v)
+	}
+	return found
+}

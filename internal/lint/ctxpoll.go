@@ -30,7 +30,6 @@ var CtxPoll = &analysis.Analyzer{
 // fixture packages match their own name.
 var ctxPollPackages = []string{
 	"internal/core",
-	"internal/lftj",
 	"internal/agg",
 	"ctxpoll",
 }

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 
 	"wcoj/internal/lint/analysis"
@@ -11,8 +10,7 @@ import (
 
 // Deprecated flags internal call sites of symbols documented with a
 // `// Deprecated:` paragraph (the convention godoc and staticcheck
-// recognize) — today CountFast and ExplainCount, kept only for
-// external API compatibility. Export data carries no doc comments, so
+// recognize). Export data carries no doc comments, so
 // the symbol table is computed over all loaded units in Prepare and
 // shared by key; uses inside the declaration of a deprecated symbol
 // are exempt (a deprecated wrapper may delegate to another), and test
@@ -105,28 +103,6 @@ func prepareDeprecated(units []*analysis.Unit) (any, error) {
 		}
 	}
 	return &deprecatedFacts{notes: notes}, nil
-}
-
-// DeprecatedSymbols returns the bare names of every symbol the
-// deprecated analyzer would flag in units, sorted and deduplicated.
-// This is the list the docs-freshness CI check greps the prose for:
-// documentation teaching a symbol the analyzer bans internally is
-// stale by definition (wcojlint -deprecated exposes it).
-func DeprecatedSymbols(units []*analysis.Unit) ([]string, error) {
-	facts, err := prepareDeprecated(units)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool)
-	for key := range facts.(*deprecatedFacts).notes {
-		seen[key[strings.LastIndex(key, ".")+1:]] = true
-	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 func runDeprecated(pass *analysis.Pass) error {

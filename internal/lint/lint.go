@@ -20,7 +20,7 @@
 //   - publishimmutable: no writes through a pointer after it is
 //     Stored into an atomic.Pointer snapshot;
 //   - deprecated: internal code must not call symbols documented
-//     `// Deprecated:` (CountFast, ExplainCount, ...).
+//     `// Deprecated:`.
 //
 // The last four are built on internal/lint/dataflow (def-use chains,
 // an escape lattice and AST-structural happens-before), so they track

@@ -58,8 +58,10 @@ func toNarrow(keys []relation.Value) []uint32 {
 // TestPropertyKernelsAgree: for random duplicate-free sorted inputs —
 // including size skews that exercise both the linear merge and the
 // galloping kernel, empty ranges, and every width combination (wide,
-// narrow, mixed) — IntersectLevels, IntersectLevelsCount and
-// IntersectLevelsAny agree with the map-based oracle and each other.
+// narrow, mixed) — IntersectLevels, IntersectLevelsCount,
+// IntersectLevelsAny and the streaming LeapfrogLevels (run to the end
+// and stopped at the first value) agree with the map-based oracle and
+// each other.
 func TestPropertyKernelsAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -100,7 +102,31 @@ func TestPropertyKernelsAgree(t *testing.T) {
 		if IntersectLevelsAny(ranges) != (len(want) > 0) {
 			return false
 		}
-		return true
+		var streamed []relation.Value
+		LeapfrogLevels(ranges, func(v relation.Value, at []int) bool {
+			// Each reported position holds the value in its own range.
+			for i, pos := range at {
+				if keySets[i][pos] != v {
+					return true
+				}
+			}
+			streamed = append(streamed, v)
+			return false
+		})
+		if len(streamed) != len(want) {
+			return false
+		}
+		for i := range want {
+			if streamed[i] != want[i] {
+				return false
+			}
+		}
+		first := 0
+		LeapfrogLevels(ranges, func(relation.Value, []int) bool {
+			first++
+			return true
+		})
+		return first == min(len(want), 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)

@@ -26,11 +26,14 @@ type key interface {
 }
 
 // span is a kernel-internal cursor over one key range; the kernels
-// advance lo in place.
+// advance lo in place. id is the index of the range the span was made
+// from: leapfrogUntil reorders spans, and LeapfrogLevels reports
+// positions per range.
 type span[K key] struct {
 	keys []K
 	lo   int
 	hi   int
+	id   int
 }
 
 // gallopRatio is the size skew at which a binary intersection switches
@@ -110,7 +113,7 @@ func widenRanges(ranges []LevelRange) []LevelRange {
 func toSpans64(ranges []LevelRange) []span[relation.Value] {
 	spans := make([]span[relation.Value], len(ranges))
 	for i, r := range ranges {
-		spans[i] = span[relation.Value]{keys: r.Keys, lo: r.Lo, hi: r.Hi}
+		spans[i] = span[relation.Value]{keys: r.Keys, lo: r.Lo, hi: r.Hi, id: i}
 	}
 	return spans
 }
@@ -121,7 +124,7 @@ func toSpans64(ranges []LevelRange) []span[relation.Value] {
 func toSpans32(ranges []LevelRange) []span[uint32] {
 	spans := make([]span[uint32], len(ranges))
 	for i, r := range ranges {
-		spans[i] = span[uint32]{keys: r.Keys32, lo: r.Lo, hi: r.Hi}
+		spans[i] = span[uint32]{keys: r.Keys32, lo: r.Lo, hi: r.Hi, id: i}
 	}
 	return spans
 }
@@ -198,6 +201,51 @@ func IntersectLevelsAny(ranges []LevelRange) bool {
 		return anySpans(toSpans32(ranges))
 	}
 	return anySpans(toSpans64(ranges))
+}
+
+// LeapfrogLevels streams the values common to all level ranges to emit
+// in ascending order without materializing them — the level strategy of
+// Leapfrog Triejoin. Every arity, k = 1 and 2 included, runs the
+// leapfrog search. Alongside each value emit receives at, where at[i]
+// is the value's index in ranges[i]'s key array: the cursors already
+// sit on it, so the caller need not search for it again. at is reused
+// between calls; emit returns true to stop the level early.
+func LeapfrogLevels(ranges []LevelRange, emit func(v relation.Value, at []int) bool) {
+	if len(ranges) == 0 {
+		return
+	}
+	for i := range ranges {
+		if ranges[i].Lo >= ranges[i].Hi {
+			return
+		}
+	}
+	// Widened copies start at 0: shift maps their positions back.
+	k := len(ranges)
+	buf := make([]int, 2*k)
+	shift, at := buf[:k], buf[k:]
+	if mixedWidth(ranges) {
+		wide := widenRanges(ranges)
+		for i := range ranges {
+			shift[i] = ranges[i].Lo - wide[i].Lo
+		}
+		ranges = wide
+	}
+	if ranges[0].Keys32 != nil {
+		streamSpans(toSpans32(ranges), shift, at, emit)
+		return
+	}
+	streamSpans(toSpans64(ranges), shift, at, emit)
+}
+
+// streamSpans runs the leapfrog search, translating each match to the
+// per-range positions LeapfrogLevels reports.
+func streamSpans[K key](spans []span[K], shift, at []int, emit func(relation.Value, []int) bool) {
+	leapfrogUntil(spans, func(v K) bool {
+		for _, s := range spans {
+			at[s.id] = s.lo + shift[s.id]
+		}
+		return emit(relation.Value(v), at)
+	})
 }
 
 // intersectSpans materializes the intersection; all spans are

@@ -1,6 +1,6 @@
 // Package trie implements sorted-array tries over relations together
-// with the level-iterator interface (Open/Up/Next/Seek/Key) that
-// Veldhuizen's Leapfrog Triejoin is defined against.
+// with the multiway level-intersection kernels (leapfrog.go) the join
+// engine runs over them.
 //
 // A trie is the relation's sorted columnar storage viewed as a layered
 // search tree: level d enumerates the distinct values of attribute d
@@ -10,10 +10,10 @@
 // (compressed sparse row) index over them: per level a dense array of
 // distinct segment keys plus int32 offset arrays mapping each segment
 // to its row range and to its children at the next level. Navigation
-// (Open, Next, CurrentRange, Children) is then O(1) array arithmetic,
-// and Seek/FindSegFrom are galloping searches over duplicate-free key
-// arrays — the repeated lowerBound/upperBound binary searches over raw
-// column ranges of the previous layout disappear from the hot paths.
+// (SegKey, SegRows, Children) is then O(1) array arithmetic, and
+// FindSegFrom is a galloping search over duplicate-free key arrays —
+// the repeated lowerBound/upperBound binary searches over raw column
+// ranges of the previous layout disappear from the hot paths.
 // When every value of the relation fits in uint32 the per-level key
 // arrays are narrowed to 4-byte keys, halving the memory bandwidth of
 // the intersection kernels in leapfrog.go. All index storage is
@@ -328,21 +328,6 @@ func (t *Trie) FindSegFrom(d, from, hi int, v relation.Value) (int, bool) {
 	return s, s < hi && ks[s] == v
 }
 
-// seekSeg returns the first segment in [from,hi) with key >= v,
-// galloping from the current position (the leapfrog seek pattern).
-func (t *Trie) seekSeg(d, from, hi int, v relation.Value) int {
-	if t.keys32 != nil {
-		if v < 0 {
-			return from
-		}
-		if v > math.MaxUint32 {
-			return hi
-		}
-		return gallopLB(t.keys32[d], from, hi, uint32(v))
-	}
-	return gallopLB(t.keys[d], from, hi, v)
-}
-
 // lowerBound returns the first index i in [lo,hi) with col[i] >= v.
 func lowerBound(col []relation.Value, lo, hi int, v relation.Value) int {
 	return lo + sort.Search(hi-lo, func(i int) bool { return col[lo+i] >= v })
@@ -368,121 +353,3 @@ func (t *Trie) Range(d, lo, hi int, v relation.Value) (int, int) {
 // for diagnostics and tests. Intersection kernels work on the dense
 // segment keys via SegLevel.
 func (t *Trie) Level(d int) []relation.Value { return t.cols[d] }
-
-// Iterator is a cursor over a Trie implementing the LFTJ trie-iterator
-// contract. A fresh iterator sits at the (virtual) root; Open descends
-// one level, positioning at that level's first distinct value. The
-// cursor state is a segment index per level, so Open/Next/Key and the
-// row-range accessors are O(1) array reads and Seek is a galloping
-// search forward over the duplicate-free segment keys.
-type Iterator struct {
-	t *Trie
-	// Per open level d: the cursor sits on segment seg[d]; the
-	// parent's children span ends at segment end[d] (exclusive).
-	depth int // -1 at root
-	seg   []int
-	end   []int
-	atEnd []bool
-}
-
-// NewIterator returns an iterator at the root of t.
-func NewIterator(t *Trie) *Iterator {
-	k := t.Depth()
-	idx := make([]int, 2*k)
-	return &Iterator{
-		t:     t,
-		depth: -1,
-		seg:   idx[:k:k],
-		end:   idx[k:],
-		atEnd: make([]bool, k),
-	}
-}
-
-// Depth returns the current level (-1 at the root).
-func (it *Iterator) Depth() int { return it.depth }
-
-// Open descends to the first value of the next level. Opening an empty
-// range leaves the level immediately at-end.
-func (it *Iterator) Open() {
-	d := it.depth + 1
-	if d >= it.t.Depth() {
-		panic("trie: Open below the deepest level")
-	}
-	var lo, hi int
-	switch {
-	case d == 0:
-		lo, hi = 0, it.t.segs[0]
-	case it.atEnd[d-1]:
-		lo, hi = 0, 0
-	default:
-		lo, hi = it.t.Children(d-1, it.seg[d-1])
-	}
-	it.depth = d
-	it.seg[d] = lo
-	it.end[d] = hi
-	it.atEnd[d] = lo >= hi
-}
-
-// Up ascends one level.
-func (it *Iterator) Up() {
-	if it.depth < 0 {
-		panic("trie: Up above the root")
-	}
-	it.depth--
-}
-
-// AtEnd reports whether the current level is exhausted.
-func (it *Iterator) AtEnd() bool { return it.atEnd[it.depth] }
-
-// Key returns the current value at the current level. It must not be
-// called when AtEnd.
-func (it *Iterator) Key() relation.Value {
-	d := it.depth
-	if it.atEnd[d] {
-		panic("trie: Key at end")
-	}
-	return it.t.SegKey(d, it.seg[d])
-}
-
-// Next advances to the next distinct value at the current level.
-func (it *Iterator) Next() {
-	d := it.depth
-	if it.atEnd[d] {
-		return
-	}
-	it.seg[d]++
-	if it.seg[d] >= it.end[d] {
-		it.atEnd[d] = true
-	}
-}
-
-// Seek positions the level at the least value >= v, or at-end. Seeks
-// gallop forward from the current position, so a leapfrog pass over a
-// level costs amortized O(1 + log jump) per seek.
-func (it *Iterator) Seek(v relation.Value) {
-	d := it.depth
-	if it.atEnd[d] {
-		return
-	}
-	it.seg[d] = it.t.seekSeg(d, it.seg[d], it.end[d], v)
-	if it.seg[d] >= it.end[d] {
-		it.atEnd[d] = true
-	}
-}
-
-// CurrentRange returns the row range [lo,hi) of the current value at
-// the current level. Used by operators that need to recurse into the
-// subtree under the current value.
-func (it *Iterator) CurrentRange() (lo, hi int) {
-	d := it.depth
-	return it.t.SegRows(d, it.seg[d])
-}
-
-// RangeAt returns the row range [lo,hi) of the current value at an
-// already-open level, independent of the iterator's current depth.
-// Levels above the current one keep their segments while deeper levels
-// are explored, so aggregate operators read a parent's bound range
-// through RangeAt while the leapfrog loop is mid-flight below it.
-func (it *Iterator) RangeAt(level int) (lo, hi int) {
-	return it.t.SegRows(level, it.seg[level])
-}

@@ -42,7 +42,28 @@ func TestBuildSharesOrResorts(t *testing.T) {
 	}
 }
 
-func TestIteratorWalk(t *testing.T) {
+// levelKeys lists the level-d keys of segments [lo,hi).
+func levelKeys(tr *Trie, d, lo, hi int) []relation.Value {
+	var out []relation.Value
+	for s := lo; s < hi; s++ {
+		out = append(out, tr.SegKey(d, s))
+	}
+	return out
+}
+
+func equalValues(a, b []relation.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestSegWalk(t *testing.T) {
 	r := rel(t, "R", []string{"A", "B"},
 		[]relation.Value{1, 1}, []relation.Value{1, 3},
 		[]relation.Value{2, 2}, []relation.Value{4, 1})
@@ -50,120 +71,74 @@ func TestIteratorWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := NewIterator(tr)
-	if it.Depth() != -1 {
-		t.Fatalf("root depth = %d", it.Depth())
-	}
-	it.Open() // level A
-	var as []relation.Value
-	for !it.AtEnd() {
-		as = append(as, it.Key())
-		it.Next()
-	}
-	want := []relation.Value{1, 2, 4}
-	if len(as) != 3 || as[0] != want[0] || as[1] != want[1] || as[2] != want[2] {
+	if as, want := levelKeys(tr, 0, 0, tr.NumSegs(0)), []relation.Value{1, 2, 4}; !equalValues(as, want) {
 		t.Fatalf("A values = %v, want %v", as, want)
 	}
 }
 
-func TestIteratorOpenSecondLevel(t *testing.T) {
+func TestSegChildren(t *testing.T) {
 	r := rel(t, "R", []string{"A", "B"},
 		[]relation.Value{1, 1}, []relation.Value{1, 3},
 		[]relation.Value{2, 2})
 	tr, _ := Build(r, []string{"A", "B"})
-	it := NewIterator(tr)
-	it.Open() // A = 1
-	if it.Key() != 1 {
-		t.Fatalf("first A = %d", it.Key())
+	if k := tr.SegKey(0, 0); k != 1 {
+		t.Fatalf("first A = %d", k)
 	}
-	it.Open() // B under A=1
-	var bs []relation.Value
-	for !it.AtEnd() {
-		bs = append(bs, it.Key())
-		it.Next()
-	}
-	if len(bs) != 2 || bs[0] != 1 || bs[1] != 3 {
+	lo, hi := tr.Children(0, 0) // B under A=1
+	if bs := levelKeys(tr, 1, lo, hi); !equalValues(bs, []relation.Value{1, 3}) {
 		t.Fatalf("B|A=1 = %v, want [1 3]", bs)
 	}
-	it.Up() // back to A
-	it.Next()
-	if it.Key() != 2 {
-		t.Fatalf("next A = %d, want 2", it.Key())
+	if k := tr.SegKey(0, 1); k != 2 {
+		t.Fatalf("next A = %d, want 2", k)
 	}
-	it.Open()
-	if it.Key() != 2 {
-		t.Fatalf("B|A=2 = %d, want 2", it.Key())
+	lo, hi = tr.Children(0, 1)
+	if bs := levelKeys(tr, 1, lo, hi); !equalValues(bs, []relation.Value{2}) {
+		t.Fatalf("B|A=2 = %v, want [2]", bs)
 	}
 }
 
-func TestIteratorSeek(t *testing.T) {
+// TestFindSegFrom: the forward-galloping seek the narrowing cursors
+// run — lower-bound position plus an exact-hit flag, from any cursor.
+func TestFindSegFrom(t *testing.T) {
 	r := rel(t, "R", []string{"A"},
 		[]relation.Value{1}, []relation.Value{3}, []relation.Value{5},
 		[]relation.Value{7}, []relation.Value{9})
 	tr, _ := Build(r, []string{"A"})
-	it := NewIterator(tr)
-	it.Open()
-	it.Seek(4)
-	if it.AtEnd() || it.Key() != 5 {
-		t.Fatalf("seek(4) -> %v", it)
+	n := tr.NumSegs(0)
+	s, ok := tr.FindSegFrom(0, 0, n, 4)
+	if ok || s != 2 || tr.SegKey(0, s) != 5 {
+		t.Fatalf("find(4) -> %d, %v", s, ok)
 	}
-	it.Seek(7)
-	if it.Key() != 7 {
-		t.Fatalf("seek(7) -> %d", it.Key())
+	s, ok = tr.FindSegFrom(0, s, n, 7)
+	if !ok || tr.SegKey(0, s) != 7 {
+		t.Fatalf("find(7) -> %d, %v", s, ok)
 	}
-	it.Seek(10)
-	if !it.AtEnd() {
-		t.Fatal("seek(10) should be at end")
+	if s, ok = tr.FindSegFrom(0, s, n, 10); ok || s != n {
+		t.Fatalf("find(10) -> %d, %v, want the end", s, ok)
 	}
-	// Seek when already at end is a no-op.
-	it.Seek(1)
-	if !it.AtEnd() {
-		t.Fatal("seek after end must stay at end")
+	// A seek from the end stays at the end.
+	if s, ok = tr.FindSegFrom(0, n, n, 1); ok || s != n {
+		t.Fatalf("find from the end -> %d, %v", s, ok)
 	}
 }
 
-func TestIteratorEmpty(t *testing.T) {
+func TestEmptyTrie(t *testing.T) {
 	r := relation.Empty("E", "A")
 	tr, _ := Build(r, []string{"A"})
-	it := NewIterator(tr)
-	it.Open()
-	if !it.AtEnd() {
-		t.Fatal("empty trie must open at end")
+	if tr.NumSegs(0) != 0 {
+		t.Fatal("empty trie must have no segments")
 	}
-	it.Next() // must not panic
-	if !it.AtEnd() {
-		t.Fatal("still at end")
-	}
+	LeapfrogLevels([]LevelRange{tr.SegLevel(0, 0, 0)}, func(relation.Value, []int) bool {
+		t.Fatal("empty level must stream nothing")
+		return true
+	})
 }
 
-func TestIteratorPanics(t *testing.T) {
-	r := rel(t, "R", []string{"A"}, []relation.Value{1})
-	tr, _ := Build(r, []string{"A"})
-	it := NewIterator(tr)
-	mustPanic(t, func() { it.Up() })
-	it.Open()
-	mustPanic(t, func() { it.Open() }) // below deepest level
-	it.Next()
-	mustPanic(t, func() { it.Key() }) // at end
-}
-
-func mustPanic(t *testing.T, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	f()
-}
-
-func TestCurrentRangeAndRange(t *testing.T) {
+func TestSegRowsAndRange(t *testing.T) {
 	r := rel(t, "R", []string{"A", "B"},
 		[]relation.Value{1, 1}, []relation.Value{1, 2}, []relation.Value{2, 5})
 	tr, _ := Build(r, []string{"A", "B"})
-	it := NewIterator(tr)
-	it.Open()
-	lo, hi := it.CurrentRange()
+	lo, hi := tr.SegRows(0, 0)
 	if lo != 0 || hi != 2 {
 		t.Fatalf("range of A=1 is [%d,%d), want [0,2)", lo, hi)
 	}
@@ -314,22 +289,19 @@ func TestPropertyTrieEnumeratesRelation(t *testing.T) {
 			return false
 		}
 		var walked []relation.Tuple
-		var rec func(it *Iterator, prefix relation.Tuple)
-		it := NewIterator(tr)
-		rec = func(it *Iterator, prefix relation.Tuple) {
-			it.Open()
-			for !it.AtEnd() {
-				p := append(prefix[:len(prefix):len(prefix)], it.Key())
+		var rec func(d, lo, hi int, prefix relation.Tuple)
+		rec = func(d, lo, hi int, prefix relation.Tuple) {
+			for s := lo; s < hi; s++ {
+				p := append(prefix[:len(prefix):len(prefix)], tr.SegKey(d, s))
 				if len(p) == tr.Depth() {
 					walked = append(walked, p)
 				} else {
-					rec(it, p)
+					clo, chi := tr.Children(d, s)
+					rec(d+1, clo, chi, p)
 				}
-				it.Next()
 			}
-			it.Up()
 		}
-		rec(it, nil)
+		rec(0, 0, tr.NumSegs(0), nil)
 		want := r.Tuples()
 		if len(walked) != len(want) {
 			return false

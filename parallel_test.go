@@ -3,8 +3,11 @@ package wcoj
 // Serial vs parallel equivalence for the sharded execution engine.
 // Every query integration_test.go exercises is re-run here at several
 // worker counts; results must be byte-identical (same Relation, same
-// Count, same ExecuteFunc emission sequence) at every setting. Run
-// with -race: the engine must be free of shared mutable state.
+// Count, same ExecuteFunc emission sequence) at every setting. Both
+// WCOJ algorithms shard through the one runner and strategy_test.go
+// holds them equal at each of these worker counts, so the serial
+// baseline is stated for Generic-Join. Run with -race: the engine must
+// be free of shared mutable state.
 
 import (
 	"errors"
@@ -97,87 +100,82 @@ func parallelQueries(t testing.TB) map[string]*Query {
 }
 
 // TestParallelMatchesSerial asserts Execute and Count agree with the
-// serial run for every query, algorithm and worker count.
+// serial run for every query and worker count.
 func TestParallelMatchesSerial(t *testing.T) {
 	for name, q := range parallelQueries(t) {
-		for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-			serialOut, serialStats, err := Execute(q, Options{Algorithm: algo, Parallelism: 1})
-			if err != nil {
-				t.Fatalf("%s/%v serial: %v", name, algo, err)
-			}
-			serialN, serialCountStats, err := Count(q, Options{Algorithm: algo, Parallelism: 1})
-			if err != nil {
-				t.Fatalf("%s/%v serial count: %v", name, algo, err)
-			}
-			if serialN != serialOut.Len() {
-				t.Fatalf("%s/%v: serial Count %d vs Execute %d", name, algo, serialN, serialOut.Len())
-			}
-			for _, p := range parallelisms {
-				t.Run(fmt.Sprintf("%s/%v/p=%d", name, algo, p), func(t *testing.T) {
-					opts := Options{Algorithm: algo, Parallelism: p}
-					out, stats, err := Execute(q, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !out.Equal(serialOut) {
-						t.Fatalf("parallel Execute disagrees: %d rows vs %d", out.Len(), serialOut.Len())
-					}
-					if *stats != *serialStats {
-						t.Errorf("stats diverge: parallel %+v vs serial %+v", *stats, *serialStats)
-					}
-					n, cstats, err := Count(q, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if n != serialOut.Len() {
-						t.Fatalf("parallel Count %d vs %d", n, serialOut.Len())
-					}
-					if *cstats != *serialCountStats {
-						t.Errorf("count stats diverge: %+v vs %+v", *cstats, *serialCountStats)
-					}
-				})
-			}
+		serialOut, serialStats, err := Execute(q, Options{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s serial: %v", name, err)
+		}
+		serialN, serialCountStats, err := Count(q, Options{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s serial count: %v", name, err)
+		}
+		if serialN != serialOut.Len() {
+			t.Fatalf("%s: serial Count %d vs Execute %d", name, serialN, serialOut.Len())
+		}
+		for _, p := range parallelisms {
+			t.Run(fmt.Sprintf("%s/p=%d", name, p), func(t *testing.T) {
+				opts := Options{Parallelism: p}
+				out, stats, err := Execute(q, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !out.Equal(serialOut) {
+					t.Fatalf("parallel Execute disagrees: %d rows vs %d", out.Len(), serialOut.Len())
+				}
+				if *stats != *serialStats {
+					t.Errorf("stats diverge: parallel %+v vs serial %+v", *stats, *serialStats)
+				}
+				n, cstats, err := Count(q, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != serialOut.Len() {
+					t.Fatalf("parallel Count %d vs %d", n, serialOut.Len())
+				}
+				if *cstats != *serialCountStats {
+					t.Errorf("count stats diverge: %+v vs %+v", *cstats, *serialCountStats)
+				}
+			})
 		}
 	}
 }
 
 // TestExecuteFuncOrder asserts the streaming API emits the exact
-// serial tuple sequence at every worker count, for every algorithm
-// that streams.
+// serial tuple sequence at every worker count.
 func TestExecuteFuncOrder(t *testing.T) {
 	for name, q := range parallelQueries(t) {
-		for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-			var want []Value
-			_, err := ExecuteFunc(q, Options{Algorithm: algo, Parallelism: 1}, func(tu Tuple) error {
-				want = append(want, tu...)
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s/%v serial: %v", name, algo, err)
-			}
-			for _, p := range parallelisms[1:] {
-				t.Run(fmt.Sprintf("%s/%v/p=%d", name, algo, p), func(t *testing.T) {
-					var got []Value
-					stats, err := ExecuteFunc(q, Options{Algorithm: algo, Parallelism: p}, func(tu Tuple) error {
-						got = append(got, tu...)
-						return nil
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("emitted %d values, want %d", len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("emission sequence diverges at flat index %d", i)
-						}
-					}
-					if stats.Output*len(q.Vars) != len(got) {
-						t.Fatalf("stats.Output %d inconsistent with %d emitted values", stats.Output, len(got))
-					}
+		var want []Value
+		_, err := ExecuteFunc(q, Options{Parallelism: 1}, func(tu Tuple) error {
+			want = append(want, tu...)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s serial: %v", name, err)
+		}
+		for _, p := range parallelisms[1:] {
+			t.Run(fmt.Sprintf("%s/p=%d", name, p), func(t *testing.T) {
+				var got []Value
+				stats, err := ExecuteFunc(q, Options{Parallelism: p}, func(tu Tuple) error {
+					got = append(got, tu...)
+					return nil
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("emitted %d values, want %d", len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("emission sequence diverges at flat index %d", i)
+					}
+				}
+				if stats.Output*len(q.Vars) != len(got) {
+					t.Fatalf("stats.Output %d inconsistent with %d emitted values", stats.Output, len(got))
+				}
+			})
 		}
 	}
 }

@@ -68,12 +68,12 @@ func assertUpdatedMatchesFresh(t *testing.T, updated *DB, queries []string) {
 					t.Fatalf("%s %v p=%d: incremental result differs from rebuild (%d vs %d tuples)",
 						src, algo, par, uRel.Len(), fRel.Len())
 				}
-				un, _, err := upq.CountFast(ctx)
+				un, _, err := upq.Count(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if un != fRel.Len() {
-					t.Fatalf("%s %v p=%d: CountFast %d, want %d", src, algo, par, un, fRel.Len())
+					t.Fatalf("%s %v p=%d: Count %d, want %d", src, algo, par, un, fRel.Len())
 				}
 				uex, _, err := upq.Exists(ctx)
 				if err != nil {
@@ -147,7 +147,7 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := pq.CountFast(context.Background())
+	n, _, err := pq.Count(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestUpdateNoopSemantics(t *testing.T) {
 	if after.InsertNoops != 1 || after.DeleteNoops != 1 || after.Batches != 1 {
 		t.Fatalf("lifetime counters: %+v", after)
 	}
-	if n, _, _ := pq.CountFast(ctx); n != 2 {
+	if n, _, _ := pq.Count(ctx); n != 2 {
 		t.Fatalf("count after noop batch: %d", n)
 	}
 
@@ -203,7 +203,7 @@ func TestUpdateNoopSemantics(t *testing.T) {
 	if us.Inserted != 1 || us.InsertNoops != 1 || us.Deleted != 1 || us.DeleteNoops != 1 {
 		t.Fatalf("mixed batch stats: %+v", us)
 	}
-	if n, _, _ := pq.CountFast(ctx); n != 2 {
+	if n, _, _ := pq.Count(ctx); n != 2 {
 		t.Fatalf("count after mixed batch: %d", n)
 	}
 	if st := db.Stats(); st.Tuples != 2 || st.DeltaTuples != 2 {
@@ -409,9 +409,9 @@ func TestSnapshotIsolation(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					got, _, err = single.CountFast(ctx)
+					got, _, err = single.Count(ctx)
 				case 1:
-					got, _, err = join.CountFast(ctx)
+					got, _, err = join.Count(ctx)
 				default:
 					var out *Relation
 					out, _, err = single.Execute(ctx)
@@ -450,7 +450,7 @@ func TestCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := pq.CountFast(ctx)
+	want, _, err := pq.Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestCompaction(t *testing.T) {
 	if _, err := db.Insert("E", novel...); err != nil {
 		t.Fatal(err)
 	}
-	wantAfter, _, err := pq.CountFast(ctx)
+	wantAfter, _, err := pq.Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func TestCompaction(t *testing.T) {
 	}
 	// Results and plans are unchanged by compaction (same epoch, same
 	// effective set — the prepared query does not even refresh).
-	got, _, err := pq.CountFast(ctx)
+	got, _, err := pq.Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestConcurrentUpdateExecuteRace(t *testing.T) {
 				case 0:
 					_, _, err = pq.Execute(ctx)
 				case 1:
-					_, _, err = pq.CountFast(ctx)
+					_, _, err = pq.Count(ctx)
 				case 2:
 					_, _, err = pqCount.Exists(ctx)
 				default:

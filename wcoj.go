@@ -49,7 +49,6 @@ import (
 	"wcoj/internal/constraints"
 	"wcoj/internal/core"
 	"wcoj/internal/hypergraph"
-	"wcoj/internal/lftj"
 	"wcoj/internal/planner"
 	"wcoj/internal/query"
 	"wcoj/internal/relation"
@@ -165,9 +164,12 @@ type Algorithm int
 // Available algorithms.
 const (
 	// AlgoGenericJoin is Generic-Join [52] (default): recursive
-	// multiway intersection, Õ(N^{ρ*}).
+	// multiway intersection, Õ(N^{ρ*}); each level's intersection is
+	// materialized, then looped over.
 	AlgoGenericJoin Algorithm = iota
-	// AlgoLeapfrog is Leapfrog Triejoin [66]: iterator-based, Õ(N^{ρ*}).
+	// AlgoLeapfrog is Leapfrog Triejoin [66], Õ(N^{ρ*}): the same search
+	// with each level's intersection streamed through the leapfrog
+	// kernel instead of materialized.
 	AlgoLeapfrog
 	// AlgoBacktracking is Algorithm 3: worst-case optimal under
 	// acyclic degree constraints (supply Options.Constraints).
@@ -320,6 +322,22 @@ func (o Options) workers() int {
 	return o.Parallelism
 }
 
+// engine maps the options of a trie-plan algorithm (wcojAlgorithm) to
+// the search's: the order policy, worker count and context pass
+// through, and — the one place the two algorithms part ways —
+// Options.Algorithm picks the per-level intersection strategy.
+func (o Options) engine(pol core.OrderPolicy) core.GenericJoinOptions {
+	return core.GenericJoinOptions{Policy: pol, Level: o.Algorithm.level(), Parallelism: o.workers(), Ctx: o.Context}
+}
+
+// level resolves a trie-plan algorithm to the search's level strategy.
+func (a Algorithm) level() core.LevelStrategy {
+	if a == AlgoLeapfrog {
+		return core.LeapfrogLevel
+	}
+	return core.MaterializeLevel
+}
+
 // plannerOptions validates the Planner/Order combination and maps it
 // to the internal planner's options; it is the single source of truth
 // Execute/ExecuteFunc/Count (via orderPolicy) and Explain share.
@@ -357,7 +375,7 @@ func (o Options) orderPolicy() (core.OrderPolicy, error) { return o.orderPolicyF
 // orderPolicyFor is orderPolicy carrying an aggregate spec: the
 // cost-based planner then enumerates only orders with the spec's sunk
 // suffix. Heuristic and explicit plans need no spec here — the
-// engines' AggPlan sinks any resolved order identically (Sink is
+// engine's AggPlanSrc sinks any resolved order identically (Sink is
 // idempotent, so cost-based orders pass through unchanged).
 func (o Options) orderPolicyFor(spec *agg.Spec) (core.OrderPolicy, error) {
 	popt, err := o.plannerOptions()
@@ -405,7 +423,7 @@ func (o Options) validateProject(q *Query) error {
 // validatePlanner rejects planner settings the selected algorithm
 // cannot honor: only the trie-based WCOJ engines consult the planner.
 func (o Options) validatePlanner() error {
-	if o.Algorithm == AlgoGenericJoin || o.Algorithm == AlgoLeapfrog {
+	if wcojAlgorithm(o.Algorithm) {
 		return nil
 	}
 	if o.Planner == PlannerCostBased {
@@ -432,18 +450,12 @@ func Execute(q *Query, opts Options) (*Relation, *Stats, error) {
 		return executeProjected(q, opts)
 	}
 	switch opts.Algorithm {
-	case AlgoGenericJoin:
+	case AlgoGenericJoin, AlgoLeapfrog:
 		pol, err := opts.orderPolicy()
 		if err != nil {
 			return nil, nil, err
 		}
-		return core.GenericJoin(q, core.GenericJoinOptions{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context})
-	case AlgoLeapfrog:
-		pol, err := opts.orderPolicy()
-		if err != nil {
-			return nil, nil, err
-		}
-		return lftj.Join(q, lftj.Options{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context})
+		return core.GenericJoin(q, opts.engine(pol))
 	case AlgoBacktracking:
 		dc, err := backtrackConstraints(q, opts.Constraints)
 		if err != nil {
@@ -496,10 +508,7 @@ func projectVisit(q *Query, opts Options, stats *Stats, emit func(Tuple) error) 
 	if err != nil {
 		return err
 	}
-	if opts.Algorithm == AlgoLeapfrog {
-		return lftj.ProjectVisit(q, lftj.Options{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, opts.Project, stats, emit)
-	}
-	return core.GenericJoinProjectVisit(q, core.GenericJoinOptions{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, opts.Project, stats, emit)
+	return core.GenericJoinProjectVisit(q, opts.engine(pol), opts.Project, stats, emit)
 }
 
 // ExecuteFunc evaluates the query, streaming each result tuple to emit
@@ -547,27 +556,13 @@ func ExecuteFunc(q *Query, opts Options, emit func(Tuple) error) (*Stats, error)
 	}
 	stats := &Stats{}
 	switch opts.Algorithm {
-	case AlgoGenericJoin:
+	case AlgoGenericJoin, AlgoLeapfrog:
 		pol, err := opts.orderPolicy()
 		if err != nil {
 			return nil, err
 		}
 		n := 0
-		err = core.GenericJoinVisit(q, core.GenericJoinOptions{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, stats,
-			func(t Tuple) error { n++; return emit(t) })
-		if err != nil {
-			return nil, err
-		}
-		stats.Output = n
-		return stats, nil
-	case AlgoLeapfrog:
-		pol, err := opts.orderPolicy()
-		if err != nil {
-			return nil, err
-		}
-		n := 0
-		err = lftj.Visit(q, lftj.Options{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, stats,
-			func(t Tuple) error { n++; return emit(t) })
+		err = core.GenericJoinVisit(q, opts.engine(pol), stats, func(t Tuple) error { n++; return emit(t) })
 		if err != nil {
 			return nil, err
 		}
@@ -647,24 +642,14 @@ func Count(q *Query, opts Options) (int, *Stats, error) {
 			if err != nil {
 				return 0, nil, err
 			}
-			if opts.Algorithm == AlgoLeapfrog {
-				return lftj.Count(q, lftj.Options{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context})
-			}
-			return core.GenericJoinCount(q, core.GenericJoinOptions{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context})
+			return core.GenericJoinCount(q, opts.engine(pol))
 		}
 		spec := agg.Spec{Mode: agg.ModeCount, Project: opts.Project}
 		pol, err := opts.orderPolicyFor(&spec)
 		if err != nil {
 			return 0, nil, err
 		}
-		if opts.Algorithm == AlgoLeapfrog {
-			n, stats, err := lftj.Agg(q, lftj.Options{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, spec)
-			if err != nil {
-				return 0, nil, err
-			}
-			return int(n), stats, nil
-		}
-		n, stats, err := core.GenericJoinAgg(q, core.GenericJoinOptions{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, spec)
+		n, stats, err := core.GenericJoinAgg(q, opts.engine(pol), spec)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -690,17 +675,6 @@ func Count(q *Query, opts Options) (int, *Stats, error) {
 		return out.Len(), stats, nil
 	}
 	return 0, nil, fmt.Errorf("wcoj: unknown algorithm %v", opts.Algorithm)
-}
-
-// CountFast evaluates COUNT with the aggregate-aware engines.
-//
-// Deprecated: Count runs the aggregate pushdown automatically; call
-// Count instead. CountFast remains as a thin wrapper that forces the
-// pushdown on (it predates — and therefore ignores —
-// Options.DisablePushdown).
-func CountFast(q *Query, opts Options) (int, *Stats, error) {
-	opts.DisablePushdown = false
-	return Count(q, opts)
 }
 
 // errFirstWitness aborts ExecuteFunc once Exists has its answer.
@@ -729,19 +703,12 @@ func Exists(q *Query, opts Options) (bool, *Stats, error) {
 	}
 	spec := agg.Spec{Mode: agg.ModeExists}
 	switch opts.Algorithm {
-	case AlgoGenericJoin:
+	case AlgoGenericJoin, AlgoLeapfrog:
 		pol, err := opts.orderPolicyFor(&spec)
 		if err != nil {
 			return false, nil, err
 		}
-		n, stats, err := core.GenericJoinAgg(q, core.GenericJoinOptions{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, spec)
-		return n != 0, stats, err
-	case AlgoLeapfrog:
-		pol, err := opts.orderPolicyFor(&spec)
-		if err != nil {
-			return false, nil, err
-		}
-		n, stats, err := lftj.Agg(q, lftj.Options{Policy: pol, Parallelism: opts.workers(), Ctx: opts.Context}, spec)
+		n, stats, err := core.GenericJoinAgg(q, opts.engine(pol), spec)
 		return n != 0, stats, err
 	default:
 		full := opts
@@ -833,22 +800,6 @@ func Explain(q *Query, opts Options) (*PlanExplanation, error) {
 		e.Count = ce
 	}
 	return e, nil
-}
-
-// ExplainCount is Explain restricted to the count plan.
-//
-// Deprecated: Explain now reports the count plan in its Count field;
-// call Explain instead.
-func ExplainCount(q *Query, opts Options) (*PlanExplanation, error) {
-	if err := opts.validateProject(q); err != nil {
-		return nil, err
-	}
-	popt, err := opts.plannerOptions()
-	if err != nil {
-		return nil, err
-	}
-	popt.Agg = &agg.Spec{Mode: agg.ModeCount, Project: opts.Project}
-	return planner.Choose(q, popt)
 }
 
 // AGMBound computes the AGM output-size bound of the query from its
