@@ -3,7 +3,7 @@ package wcoj
 // Benchmark harness: one benchmark per experiment row of DESIGN.md §2
 // (E1–E9), plus the ablations DESIGN.md §3 calls out. The same
 // workloads are runnable with human-readable tables via
-// `go run ./cmd/experiments`; recorded results live in EXPERIMENTS.md.
+// `go run ./cmd/experiments`.
 
 import (
 	"context"
@@ -35,6 +35,37 @@ func benchTriangleQuery(b *testing.B, tri dataset.Triangle) *core.Query {
 		b.Fatal(err)
 	}
 	return q
+}
+
+// benchSearch times run against one executor of q whose plan — order
+// and tries, the latter from the benchmark's own store — an untimed
+// first run has built: the loop measures the search alone. (One-shot
+// calls build their indexes per call; a row that wants that cost in
+// calls Count/Execute directly.)
+func benchSearch(b *testing.B, store *core.TrieStore, q *core.Query, opts Options, run func(*executor) error) {
+	b.Helper()
+	e := newExecutor(q, store, opts, nil)
+	if err := run(e); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchCount is the benchSearch run that counts, checking the result
+// when want >= 0.
+func benchCount(want int) func(*executor) error {
+	return func(e *executor) error {
+		n, _, err := e.count(context.Background())
+		if err == nil && want >= 0 && int(n) != want {
+			err = fmt.Errorf("counted %d, want %d", n, want)
+		}
+		return err
+	}
 }
 
 // BenchmarkTable1Bounds (E1): polymatroid-bound computation per
@@ -117,19 +148,15 @@ func BenchmarkTriangle(b *testing.B) {
 				tri = dataset.TriangleSkew(n)
 			}
 			q := benchTriangleQuery(b, tri)
+			store := core.NewTrieStore(core.DefaultTrieCacheLimit)
+			enumerate := Options{Order: []string{"A", "B", "C"}, Parallelism: 1, DisablePushdown: true}
 			b.Run(fmt.Sprintf("%s/n=%d/generic", kind, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := core.GenericJoinCount(q, core.GenericJoinOptions{Order: []string{"A", "B", "C"}}); err != nil {
-						b.Fatal(err)
-					}
-				}
+				benchSearch(b, store, q, enumerate, benchCount(-1))
 			})
 			b.Run(fmt.Sprintf("%s/n=%d/lftj", kind, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := Count(q, Options{Algorithm: AlgoLeapfrog, Order: []string{"A", "B", "C"}, Parallelism: 1, DisablePushdown: true}); err != nil {
-						b.Fatal(err)
-					}
-				}
+				lftj := enumerate
+				lftj.Algorithm = AlgoLeapfrog
+				benchSearch(b, store, q, lftj, benchCount(-1))
 			})
 			if kind == "skew" && n > 4000 {
 				continue // binary plan is quadratic; keep the suite fast
@@ -149,6 +176,8 @@ func BenchmarkTriangle(b *testing.B) {
 func BenchmarkTriangleHeavyLight(b *testing.B) {
 	for _, n := range []int{1000, 4000, 16000} {
 		tri := dataset.TriangleSkew(n)
+		q := benchTriangleQuery(b, tri)
+		store := core.NewTrieStore(core.DefaultTrieCacheLimit)
 		b.Run(fmt.Sprintf("n=%d/alg2", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := core.TriangleHeavyLight(tri.R, tri.S, tri.T); err != nil {
@@ -157,11 +186,10 @@ func BenchmarkTriangleHeavyLight(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/alg1", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.TriangleGenericJoin(tri.R, tri.S, tri.T); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchSearch(b, store, q, Options{Order: []string{"A", "B", "C"}, Parallelism: 1}, func(e *executor) error {
+				_, _, err := e.execute(context.Background())
+				return err
+			})
 		})
 	}
 }
@@ -187,11 +215,8 @@ func BenchmarkLoomisWhitney(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("k=%d/wcoj", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.GenericJoinCount(q, core.GenericJoinOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchSearch(b, core.NewTrieStore(core.DefaultTrieCacheLimit), q,
+				Options{Parallelism: 1, DisablePushdown: true}, benchCount(-1))
 		})
 		b.Run(fmt.Sprintf("k=%d/joinproject", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -395,6 +420,7 @@ func BenchmarkVariableOrder(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	store := core.NewTrieStore(core.DefaultTrieCacheLimit)
 	for _, ord := range []struct {
 		name  string
 		order []string
@@ -403,11 +429,7 @@ func BenchmarkVariableOrder(b *testing.B) {
 		{"opposite", []string{"A", "C", "B", "D"}},
 	} {
 		b.Run(ord.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.GenericJoinCount(q, core.GenericJoinOptions{Order: ord.order}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchSearch(b, store, q, Options{Order: ord.order, Parallelism: 1, DisablePushdown: true}, benchCount(-1))
 		})
 	}
 }
@@ -432,6 +454,7 @@ func BenchmarkParallelEngine(b *testing.B) {
 		{"clique4", benchParse(b, db, "Q(A,B,C,D) :- E(A,B), E(A,C), E(A,D), E(B,C), E(B,D), E(C,D)")},
 		{"path4", benchParse(b, db, "Q(A,B,C,D) :- E(A,B), E(B,C), E(C,D)")},
 	}
+	store := core.NewTrieStore(core.DefaultTrieCacheLimit)
 	for _, wl := range workloads {
 		// Fix the variable order so every worker count searches the
 		// identical tree.
@@ -446,15 +469,7 @@ func BenchmarkParallelEngine(b *testing.B) {
 			}
 			for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
 				b.Run(fmt.Sprintf("%s/%v/p=%d", wl.name, algo, p), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						n, _, err := Count(wl.q, Options{Algorithm: algo, Order: order, Parallelism: p})
-						if err != nil {
-							b.Fatal(err)
-						}
-						if n != serial {
-							b.Fatalf("count %d diverges from serial %d", n, serial)
-						}
-					}
+					benchSearch(b, store, wl.q, Options{Algorithm: algo, Order: order, Parallelism: p}, benchCount(serial))
 				})
 			}
 		}
@@ -487,65 +502,41 @@ func BenchmarkCountPushdown(b *testing.B) {
 		name string
 		q    *core.Query
 	}{{"triangle", triQ}, {"path4", pathQ}, {"star", starQ}}
+	store := core.NewTrieStore(core.DefaultTrieCacheLimit)
 	for _, wl := range workloads {
 		want, _, err := Count(wl.q, Options{Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(wl.name+"/enumerate", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, _, err := Execute(wl.q, Options{Parallelism: 1})
-				if err != nil {
-					b.Fatal(err)
+			benchSearch(b, store, wl.q, Options{Parallelism: 1}, func(e *executor) error {
+				out, _, err := e.execute(context.Background())
+				if err == nil && out.Len() != want {
+					err = fmt.Errorf("enumerated %d, want %d", out.Len(), want)
 				}
-				if out.Len() != want {
-					b.Fatalf("enumerated %d, want %d", out.Len(), want)
-				}
-			}
+				return err
+			})
 		})
 		b.Run(wl.name+"/count-stream", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				n, _, err := Count(wl.q, Options{Parallelism: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n != want {
-					b.Fatalf("counted %d, want %d", n, want)
-				}
-			}
+			benchSearch(b, store, wl.q, Options{Parallelism: 1}, benchCount(want))
 		})
 		for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
 			b.Run(fmt.Sprintf("%s/countfast/%v", wl.name, algo), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					n, _, err := Count(wl.q, Options{Algorithm: algo, Parallelism: 1})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if n != want {
-						b.Fatalf("counted %d, want %d", n, want)
-					}
-				}
+				benchSearch(b, store, wl.q, Options{Algorithm: algo, Parallelism: 1}, benchCount(want))
 			})
 		}
 	}
 	b.Run("triangle/exists", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			found, _, err := Exists(triQ, Options{Parallelism: 1})
-			if err != nil || !found {
-				b.Fatalf("exists = %v, %v", found, err)
+		benchSearch(b, store, triQ, Options{Parallelism: 1}, func(e *executor) error {
+			found, _, err := e.exists(context.Background())
+			if err == nil && !found {
+				err = fmt.Errorf("exists = false")
 			}
-		}
+			return err
+		})
 	})
 	b.Run("star/project-count", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n, _, err := Count(starQ, Options{Parallelism: 1, Project: []string{"A"}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if n != 10000 {
-				b.Fatalf("distinct A = %d, want 10000", n)
-			}
-		}
+		benchSearch(b, store, starQ, Options{Parallelism: 1, Project: []string{"A"}}, benchCount(10000))
 	})
 }
 
@@ -560,11 +551,11 @@ func benchParse(b *testing.B, db *Database, src string) *core.Query {
 
 // BenchmarkConcurrentDB (E13): the long-lived engine acceptance
 // benchmark. N goroutines hammer one DB with prepared queries
-// (b.RunParallel); the replan rows re-derive the cost-based plan on
-// every call — measured degree statistics plus the per-prefix LP
-// solves — which is what one-shot Execute does today. The prepared
-// rows must beat replan by >= 2x on the triangle and star workloads
-// (the plan is computed once, the executions share the DB's tries).
+// (b.RunParallel); the replan rows pay what one-shot Count pays on
+// every call — measured degree statistics, the per-prefix LP solves of
+// the cost-based plan, and the index build. The prepared rows must
+// beat replan by >= 2x on the triangle and star workloads (the plan is
+// computed once, the executions share the DB's tries).
 // CI captures this output in the benchmark regression gate.
 func BenchmarkConcurrentDB(b *testing.B) {
 	ctx := context.Background()
@@ -633,13 +624,14 @@ func BenchmarkConcurrentDB(b *testing.B) {
 func BenchmarkTrieCacheParallel(b *testing.B) {
 	tri := dataset.TriangleAGMTight(10000)
 	q := benchTriangleQuery(b, tri)
-	order := []string{"A", "B", "C"}
-	if _, err := core.BuildPlan(q, order); err != nil { // warm the cache
+	store := core.NewTrieStore(core.DefaultTrieCacheLimit)
+	order := core.ExplicitOrder([]string{"A", "B", "C"})
+	if _, err := core.BuildPlanSrc(store, q, order); err != nil { // warm the store
 		b.Fatal(err)
 	}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.BuildPlan(q, order); err != nil {
+			if _, err := core.BuildPlanSrc(store, q, order); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -647,7 +639,7 @@ func BenchmarkTrieCacheParallel(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := core.BuildPlan(q, order); err != nil {
+				if _, err := core.BuildPlanSrc(store, q, order); err != nil {
 					b.Error(err)
 					return
 				}
@@ -712,28 +704,15 @@ func BenchmarkPlanner(b *testing.B) {
 			}
 		}
 	})
-	countWith := func(name string, order []string) {
+	store := core.NewTrieStore(core.DefaultTrieCacheLimit)
+	countWith := func(name string, opts Options) {
 		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				n, _, err := Count(q, Options{Order: order, Parallelism: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n != star.R.Len()*10 {
-					b.Fatalf("count %d, want %d", n, star.R.Len()*10)
-				}
-			}
+			benchSearch(b, store, q, opts, benchCount(star.R.Len()*10))
 		})
 	}
-	countWith("chosen-order", exp.Order)
-	b.Run("heuristic-order", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := Count(q, Options{Planner: PlannerHeuristic, Parallelism: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	countWith("worst-order", exp.Worst.Order)
+	countWith("chosen-order", Options{Order: exp.Order, Parallelism: 1})
+	countWith("heuristic-order", Options{Planner: PlannerHeuristic, Parallelism: 1})
+	countWith("worst-order", Options{Order: exp.Worst.Order, Parallelism: 1})
 }
 
 // BenchmarkIncrementalUpdate: the mutable-relation acceptance probe —

@@ -1,15 +1,16 @@
 package wcoj
 
 // The long-lived engine. One-shot Execute re-derives everything per
-// call: the plan (variable order, possibly cost-based LP solves over
-// freshly measured degree statistics), the agg classification, and the
-// atom tries (served from a process-global cache shared with every
-// other caller). DB is the serving-shape alternative: it owns named
-// relations and a private trie store, and Prepare compiles a query
-// once into a PreparedQuery whose plan is re-executed concurrently by
-// any number of goroutines with per-call Stats and context
-// cancellation — the pod-style shape of many tenants hitting shared,
-// pre-built state.
+// call and keeps none of it: the plan (variable order, possibly
+// cost-based LP solves over freshly measured degree statistics), the
+// agg classification, and the atom tries. DB is the serving-shape
+// alternative: it owns named relations and the one trie store, and
+// Prepare compiles a query once into a PreparedQuery whose plan is
+// re-executed concurrently by any number of goroutines with per-call
+// Stats and context cancellation — the pod-style shape of many tenants
+// hitting shared, pre-built state. Both run the same executor
+// (exec.go); a PreparedQuery merely keeps its executor, and hands its
+// plans to the next one when the data moves.
 //
 // Relations are mutable through Insert/Delete/Apply: each named
 // relation's head is an epoch-versioned snapshot (internal/delta) of
@@ -32,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wcoj/internal/agg"
 	"wcoj/internal/core"
 	"wcoj/internal/delta"
 	"wcoj/internal/planner"
@@ -290,9 +290,9 @@ func (db *DB) Names() []string {
 	return db.data.Names()
 }
 
-// SetTrieCacheLimit replaces the DB-owned trie store's byte budget and
-// returns the previous one; it does not touch the process-global store
-// one-shot Execute uses.
+// SetTrieCacheLimit replaces the byte budget of the DB's trie store —
+// the only index cache there is; one-shot Execute builds and discards —
+// and returns the previous one.
 func (db *DB) SetTrieCacheLimit(bytes int64) int64 { return db.store.SetLimit(bytes) }
 
 // DBStats is a point-in-time snapshot of the engine's shared state.
@@ -436,10 +436,7 @@ func (db *DB) Prepare(src string, opts Options) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := opts.validatePlanner(); err != nil {
-		return nil, err
-	}
-	if err := opts.validateProject(q); err != nil {
+	if err := opts.validate(q); err != nil {
 		return nil, err
 	}
 	// Validate the planner/order combination now (cheap — no planning
@@ -460,7 +457,7 @@ func (db *DB) Prepare(src string, opts Options) (*PreparedQuery, error) {
 	// for the enumeration plan's order resolution or tries. Warm
 	// forces the enumeration build for startup warm-up.
 	pq := &PreparedQuery{db: db, src: canonical, opts: opts}
-	pq.state.Store(db.newState(pq, q, nil))
+	pq.state.Store(db.newState(q, opts, nil))
 	db.plansMu.Lock()
 	switch won, ok := db.plans[key]; {
 	case ok:
@@ -493,34 +490,40 @@ func (db *DB) Bind(src string) (*Query, error) {
 		db.mu.RUnlock()
 		return nil, err
 	}
-	vers := db.atomVersions(q)
+	vers := atomVersions(q, db.versions)
 	db.mu.RUnlock()
-	rebindEffective(q, vers)
-	return q, nil
-}
-
-// atomVersions snapshots the current version of every relation the
-// query touches.
-//
-//wcojlint:locked callers hold db.mu (read or write)
-func (db *DB) atomVersions(q *Query) map[string]*delta.Version {
-	vers := make(map[string]*delta.Version, len(q.Atoms))
-	for _, a := range q.Atoms {
-		if v, ok := db.versions[a.Name]; ok {
-			vers[a.Name] = v
-		}
-	}
-	return vers
-}
-
-// rebindEffective points each atom at its snapshot's effective
-// relation (materializing lazily — outside any DB lock).
-func rebindEffective(q *Query, vers map[string]*delta.Version) {
-	for i := range q.Atoms {
-		if v := vers[q.Atoms[i].Name]; v != nil {
+	for i, v := range vers {
+		if v != nil {
 			q.Atoms[i].Rel = v.Effective()
 		}
 	}
+	return q, nil
+}
+
+// atomVersions resolves each atom of q to its relation's version in a
+// name-keyed snapshot (nil where the snapshot lacks the name).
+func atomVersions(q *Query, vers map[string]*delta.Version) []*delta.Version {
+	out := make([]*delta.Version, len(q.Atoms))
+	for i, a := range q.Atoms {
+		out[i] = vers[a.Name]
+	}
+	return out
+}
+
+// bindSnapshot binds a query shape to one snapshot: atom i reads
+// vers[i]'s effective relation (materialized lazily — call this outside
+// any DB lock); an atom with a nil version keeps the relation it has.
+// The returned source serves exactly the tries of that binding.
+func bindSnapshot(store *core.TrieStore, shape *Query, vers []*delta.Version) (*Query, snapshotSource) {
+	q := &Query{Vars: shape.Vars, Atoms: append([]Atom(nil), shape.Atoms...)}
+	src := snapshotSource{store: store, vers: make(map[*relation.Relation]*delta.Version, len(vers))}
+	for i, v := range vers {
+		if v != nil {
+			q.Atoms[i].Rel = v.Effective()
+			src.vers[q.Atoms[i].Rel] = v
+		}
+	}
+	return q, src
 }
 
 // Warm prepares each query and eagerly builds its enumeration plan
@@ -533,7 +536,7 @@ func (db *DB) Warm(srcs ...string) error {
 			return err
 		}
 		if wcojAlgorithm(pq.opts.Algorithm) {
-			if _, _, err := pq.currentState().enumPlan(); err != nil {
+			if _, _, err := pq.currentState().plan(planEnum); err != nil {
 				return err
 			}
 		}
@@ -573,20 +576,19 @@ func wcojAlgorithm(a Algorithm) bool {
 // each keep the snapshot they started with, so a reader never sees a
 // half-applied batch.
 //
-// For AlgoBacktracking and the binary-join baselines — which have no
-// trie plan to cache — the prepared query falls back to the one-shot
-// path per call (parse and bind still amortized); those paths have no
-// cancellation plumbing, so ctx is checked only before the call
+// AlgoBacktracking and the binary-join baselines have no trie plan to
+// keep, so for them only parse and bind are amortized; they have no
+// cancellation plumbing either, so ctx is checked only before the call
 // starts, not during it.
 type PreparedQuery struct {
 	db   *DB
 	src  string
 	opts Options
 
-	// state is the current resolved snapshot: the bound query, the
-	// versioned trie source and the lazily-built per-mode plans.
-	// Executions load it once and use it throughout (snapshot
-	// isolation); updates are observed by swapping in a successor.
+	// state is the current resolved snapshot: the executor of the query
+	// bound to it. Executions load it once and use it throughout
+	// (snapshot isolation); updates are observed by swapping in a
+	// successor.
 	state atomic.Pointer[pqState]
 
 	calls  atomic.Int64
@@ -594,97 +596,24 @@ type PreparedQuery struct {
 	nanos  atomic.Int64
 }
 
-// modePlan is one execution mode's resolved plan.
-type modePlan struct {
-	p   *core.Plan
-	cls *agg.Classification
-	err error
-}
-
-// pqState is one epoch-consistent resolution of a prepared query:
-// atoms bound to the snapshot's effective relations, a trie source
-// over the same snapshot, and the per-mode plans (built lazily, at
-// most once per state; inherited plans from the previous state are
-// re-versioned instead of re-planned).
+// pqState is one epoch-consistent resolution of a prepared query: the
+// executor over the snapshot's effective relations and their tries.
 type pqState struct {
-	pq    *PreparedQuery
 	epoch uint64
-	q     *Query
-	src   core.TrieSource
-
-	// inh* carry the previous state's built plans (skeleton only; the
-	// tries inside are stale and re-resolved by core.RefreshPlan).
-	inhEnum, inhCount, inhExists *modePlan
-
-	enumOnce, countOnce, existsOnce sync.Once
-	enum, count, exists             modePlan
-	enumDone, countDone, existsDone atomic.Bool
+	*executor
 }
 
-// newState resolves a fresh snapshot state for pq. q supplies the
-// binding shape (names and variables); atom relations are re-pointed
-// at the snapshot's effective views. prev, when non-nil, donates its
-// built plans for re-versioning.
-func (db *DB) newState(pq *PreparedQuery, q *Query, prev *pqState) *pqState {
+// newState resolves a fresh snapshot state. q supplies the binding
+// shape (names and variables); atom relations are re-pointed at the
+// snapshot's effective views. prev, when non-nil, donates its built
+// plans for re-versioning.
+func (db *DB) newState(q *Query, opts Options, prev *executor) *pqState {
 	db.mu.RLock()
 	epoch := db.updEpoch.Load()
-	vers := db.atomVersions(q)
+	vers := atomVersions(q, db.versions)
 	db.mu.RUnlock()
-	q2 := &Query{Vars: q.Vars, Atoms: append([]Atom(nil), q.Atoms...)}
-	rebindEffective(q2, vers)
-	s := &pqState{
-		pq:    pq,
-		epoch: epoch,
-		q:     q2,
-		src:   dbTrieSource{store: db.store, vers: vers},
-	}
-	// Inherit plans only while the binding shape is unchanged (a
-	// Register that swapped in a different-arity relation invalidates
-	// the skeleton; the fresh build below then reports the real error).
-	sameShape := true
-	for _, a := range q2.Atoms {
-		if a.Rel.Arity() != len(a.Vars) {
-			sameShape = false
-		}
-	}
-	if prev != nil && sameShape {
-		s.inhEnum = prev.donate(&prev.enumDone, &prev.enum)
-		s.inhCount = prev.donate(&prev.countDone, &prev.count)
-		s.inhExists = prev.donate(&prev.existsDone, &prev.exists)
-	}
-	return s
-}
-
-// donate hands a built mode plan to a successor state; nil when the
-// mode was never built (or is still building) — the successor then
-// builds from scratch on demand. The done flag's atomic store/load
-// pair orders the plan fields. The plan is donated BY VALUE: handing
-// out &s.enum would pin the whole donor state (and, through its own
-// inh fields, every ancestor state) for as long as the successor
-// lives — an unbounded chain under a steady update stream. The copy
-// retains only the donor's plan and tries, for exactly one
-// generation, until the successor's once-build re-versions them.
-func (s *pqState) donate(done *atomic.Bool, mp *modePlan) *modePlan {
-	if done.Load() {
-		c := *mp
-		return &c
-	}
-	return nil
-}
-
-// refreshInherited re-versions an inherited plan's tries against this
-// state's snapshot. nil means no (usable) donation: build fresh.
-// Donated errors are dropped — the fresh build recomputes the same
-// deterministic error, and data-dependent failures get a clean retry.
-func (s *pqState) refreshInherited(inh *modePlan) *modePlan {
-	if inh == nil || inh.err != nil {
-		return nil
-	}
-	np, err := core.RefreshPlan(inh.p, s.q, s.src)
-	if err != nil {
-		return nil
-	}
-	return &modePlan{p: np, cls: inh.cls}
+	q2, src := bindSnapshot(db.store, q, vers)
+	return &pqState{epoch: epoch, executor: newExecutor(q2, src, opts, prev)}
 }
 
 // currentState returns the prepared query's state for the DB's
@@ -695,7 +624,7 @@ func (pq *PreparedQuery) currentState() *pqState {
 	if s.epoch == pq.db.updEpoch.Load() {
 		return s
 	}
-	ns := pq.db.newState(pq, s.q, s)
+	ns := pq.db.newState(s.q, pq.opts, s.executor)
 	for {
 		if pq.state.CompareAndSwap(s, ns) {
 			return ns
@@ -706,84 +635,6 @@ func (pq *PreparedQuery) currentState() *pqState {
 		}
 		s = cur
 	}
-}
-
-// enumPlan builds (once per state) the enumeration plan: plain when no
-// projection is requested, a sunk projected plan otherwise.
-func (s *pqState) enumPlan() (*core.Plan, *agg.Classification, error) {
-	s.enumOnce.Do(func() {
-		defer s.enumDone.Store(true)
-		mp := s.refreshInherited(s.inhEnum)
-		s.inhEnum = nil // drop the donor plan; it pinned old tries
-		if mp != nil {
-			s.enum = *mp
-			return
-		}
-		opts := s.pq.opts
-		if opts.Project != nil {
-			spec := agg.Spec{Mode: agg.ModeEnumerate, Project: opts.Project}
-			pol, err := opts.orderPolicyFor(&spec)
-			if err != nil {
-				s.enum.err = err
-				return
-			}
-			s.enum.p, s.enum.cls, s.enum.err = core.AggPlanSrc(s.src, s.q, pol, spec)
-			return
-		}
-		pol, err := opts.orderPolicy()
-		if err != nil {
-			s.enum.err = err
-			return
-		}
-		s.enum.p, s.enum.err = core.BuildPlanSrc(s.src, s.q, pol)
-	})
-	return s.enum.p, s.enum.cls, s.enum.err
-}
-
-// countPlan builds (once per state) the pushdown count plan and
-// classification.
-func (s *pqState) countPlan() (*core.Plan, *agg.Classification, error) {
-	s.countOnce.Do(func() {
-		defer s.countDone.Store(true)
-		mp := s.refreshInherited(s.inhCount)
-		s.inhCount = nil // drop the donor plan; it pinned old tries
-		if mp != nil {
-			s.count = *mp
-			return
-		}
-		opts := s.pq.opts
-		spec := agg.Spec{Mode: agg.ModeCount, Project: opts.Project}
-		pol, err := opts.orderPolicyFor(&spec)
-		if err != nil {
-			s.count.err = err
-			return
-		}
-		s.count.p, s.count.cls, s.count.err = core.AggPlanSrc(s.src, s.q, pol, spec)
-	})
-	return s.count.p, s.count.cls, s.count.err
-}
-
-// existsPlan builds (once per state) the Exists plan and
-// classification.
-func (s *pqState) existsPlan() (*core.Plan, *agg.Classification, error) {
-	s.existsOnce.Do(func() {
-		defer s.existsDone.Store(true)
-		mp := s.refreshInherited(s.inhExists)
-		s.inhExists = nil // drop the donor plan; it pinned old tries
-		if mp != nil {
-			s.exists = *mp
-			return
-		}
-		opts := s.pq.opts
-		spec := agg.Spec{Mode: agg.ModeExists}
-		pol, err := opts.orderPolicyFor(&spec)
-		if err != nil {
-			s.exists.err = err
-			return
-		}
-		s.exists.p, s.exists.cls, s.exists.err = core.AggPlanSrc(s.src, s.q, pol, spec)
-	})
-	return s.exists.p, s.exists.cls, s.exists.err
 }
 
 // Source returns the canonical text of the prepared query.
@@ -801,7 +652,7 @@ func (pq *PreparedQuery) Order() []string {
 	if !wcojAlgorithm(pq.opts.Algorithm) {
 		return nil
 	}
-	p, _, err := pq.currentState().enumPlan()
+	p, _, err := pq.currentState().plan(planEnum)
 	if err != nil {
 		return nil
 	}
@@ -814,12 +665,16 @@ func (pq *PreparedQuery) Explain() (*PlanExplanation, error) {
 	return Explain(pq.currentState().q, pq.opts)
 }
 
-// record folds one call into the cumulative call/time counters;
-// result cardinalities are added to pq.tuples by each entry point once
-// it knows them.
-func (pq *PreparedQuery) record(start time.Time) {
+// record folds one call into the cumulative counters. stats is the
+// call's own (nil when it failed): every execution mode reports its
+// result cardinality in Stats.Output — the tuples materialized,
+// streamed or counted, and 1 for a witnessed Exists.
+func (pq *PreparedQuery) record(start time.Time, stats *Stats) {
 	pq.calls.Add(1)
 	pq.nanos.Add(int64(time.Since(start)))
+	if stats != nil {
+		pq.tuples.Add(int64(stats.Output))
+	}
 }
 
 // PreparedStats are cumulative counters across every call of a
@@ -849,68 +704,19 @@ func (pq *PreparedQuery) Stats() PreparedStats {
 // with Options.Project). Cancelling ctx stops the search workers
 // promptly and returns ctx.Err().
 func (pq *PreparedQuery) Execute(ctx context.Context) (*Relation, *Stats, error) {
-	defer pq.record(time.Now())
-	s := pq.currentState()
-	if !wcojAlgorithm(pq.opts.Algorithm) {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		out, stats, err := Execute(s.q, pq.opts)
-		if err == nil {
-			pq.tuples.Add(int64(out.Len()))
-		}
-		return out, stats, err
-	}
-	attrs := s.q.Vars
-	if pq.opts.Project != nil {
-		attrs = pq.opts.Project
-	}
-	stats := &Stats{}
-	out := relation.NewBuilder(s.q.OutputName(), attrs...)
-	err := pq.visit(ctx, s, stats, func(t Tuple) error { return out.Add(t...) })
-	if err != nil {
-		return nil, nil, err
-	}
-	rel := out.Build()
-	stats.Output = rel.Len()
-	pq.tuples.Add(int64(rel.Len()))
-	return rel, stats, nil
+	start := time.Now()
+	out, stats, err := pq.currentState().execute(ctx)
+	pq.record(start, stats)
+	return out, stats, err
 }
 
 // ExecuteFunc streams the prepared query's result to emit under the
 // one-shot ExecuteFunc contract (canonical order, reused Tuple).
 func (pq *PreparedQuery) ExecuteFunc(ctx context.Context, emit func(Tuple) error) (*Stats, error) {
-	defer pq.record(time.Now())
-	s := pq.currentState()
-	if !wcojAlgorithm(pq.opts.Algorithm) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		stats, err := ExecuteFunc(s.q, pq.opts, emit)
-		if err == nil {
-			pq.tuples.Add(int64(stats.Output))
-		}
-		return stats, err
-	}
-	stats := &Stats{}
-	n := 0
-	err := pq.visit(ctx, s, stats, func(t Tuple) error { n++; return emit(t) })
-	if err != nil {
-		return nil, err
-	}
-	stats.Output = n
-	pq.tuples.Add(int64(n))
-	return stats, nil
-}
-
-// visit drives the prepared enumeration (plain or projected) on the
-// engine the query was prepared for, against one snapshot state.
-func (pq *PreparedQuery) visit(ctx context.Context, s *pqState, stats *Stats, emit func(Tuple) error) error {
-	p, cls, err := s.enumPlan()
-	if err != nil {
-		return err
-	}
-	return core.GenericJoinPlanVisit(ctx, p, cls, pq.opts.Algorithm.level(), pq.opts.workers(), stats, emit)
+	start := time.Now()
+	stats, err := pq.currentState().visit(ctx, emit)
+	pq.record(start, stats)
+	return stats, err
 }
 
 // Count returns the prepared query's output cardinality (distinct
@@ -919,65 +725,17 @@ func (pq *PreparedQuery) visit(ctx context.Context, s *pqState, stats *Stats, em
 // enumerating every result tuple only when the query was prepared
 // with Options.DisablePushdown.
 func (pq *PreparedQuery) Count(ctx context.Context) (int, *Stats, error) {
-	defer pq.record(time.Now())
-	s := pq.currentState()
-	if !wcojAlgorithm(pq.opts.Algorithm) {
-		if err := ctx.Err(); err != nil {
-			return 0, nil, err
-		}
-		n, stats, err := Count(s.q, pq.opts)
-		if err == nil {
-			pq.tuples.Add(int64(n))
-		}
-		return n, stats, err
-	}
-	// Distinct projected counting is inherently aggregate-aware, so
-	// DisablePushdown only governs the multiplicity count.
-	if pq.opts.Project == nil && pq.opts.DisablePushdown {
-		p, _, err := s.enumPlan()
-		if err != nil {
-			return 0, nil, err
-		}
-		n, stats, err := core.GenericJoinPlanCount(ctx, p, nil, pq.opts.Algorithm.level(), pq.opts.workers())
-		if err != nil {
-			return 0, nil, err
-		}
-		pq.tuples.Add(int64(n))
-		return n, stats, nil
-	}
-	p, cls, err := s.countPlan()
-	if err != nil {
-		return 0, nil, err
-	}
-	n, stats, err := core.GenericJoinAggPlan(ctx, p, cls, pq.opts.Algorithm.level(), pq.opts.workers())
-	if err != nil {
-		return 0, nil, err
-	}
-	pq.tuples.Add(n)
-	return int(n), stats, nil
+	start := time.Now()
+	n, stats, err := pq.currentState().count(ctx)
+	pq.record(start, stats)
+	return int(n), stats, err
 }
 
 // Exists reports whether the prepared query has any result,
 // short-circuiting on the first witness across all workers.
 func (pq *PreparedQuery) Exists(ctx context.Context) (bool, *Stats, error) {
-	defer pq.record(time.Now())
-	s := pq.currentState()
-	if !wcojAlgorithm(pq.opts.Algorithm) {
-		if err := ctx.Err(); err != nil {
-			return false, nil, err
-		}
-		return Exists(s.q, pq.opts)
-	}
-	p, cls, err := s.existsPlan()
-	if err != nil {
-		return false, nil, err
-	}
-	n, stats, err := core.GenericJoinAggPlan(ctx, p, cls, pq.opts.Algorithm.level(), pq.opts.workers())
-	if err != nil {
-		return false, nil, err
-	}
-	if n != 0 {
-		pq.tuples.Add(1)
-	}
-	return n != 0, stats, nil
+	start := time.Now()
+	found, stats, err := pq.currentState().exists(ctx)
+	pq.record(start, stats)
+	return found, stats, err
 }

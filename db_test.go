@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"wcoj/internal/baseline"
 	"wcoj/internal/dataset"
 )
 
@@ -43,14 +44,18 @@ var dbSuiteQueries = []struct {
 	{"path4-parallel", "Q(A,B,C,D) :- E(A,B), E(B,C), E(C,D)", Options{Parallelism: 4}},
 	{"path4-project", "Q(A,B,C,D) :- E(A,B), E(B,C), E(C,D)", Options{Project: []string{"A", "D"}}},
 	{"clique4", "Q(A,B,C,D) :- E(A,B), E(A,C), E(A,D), E(B,C), E(B,D), E(C,D)", Options{Algorithm: AlgoLeapfrog, Parallelism: 3}},
-	// Non-WCOJ algorithms have no trie plan; prepared queries fall back
-	// to the one-shot path per call (parse/bind still amortized).
+	// Non-WCOJ algorithms have no trie plan to keep; for them a prepared
+	// query amortizes parse and bind only.
 	{"triangle-binary", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", Options{Algorithm: AlgoBinaryJoin}},
+	{"triangle-binary-project", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", Options{Algorithm: AlgoBinaryJoinProject}},
+	{"triangle-backtracking", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", Options{Algorithm: AlgoBacktracking}},
 }
 
-// TestPreparedMatchesOneShot: for every suite query, PreparedQuery
-// results (Execute, Count, Exists, ExecuteFunc) equal the
-// one-shot entry points bound over the same relations.
+// TestPreparedMatchesOneShot: for every suite query, the one-shot entry
+// points, the PreparedQuery methods (Execute, Count, Exists,
+// ExecuteFunc) and a maintained view's recompute all equal the
+// binary-join oracle over the same relations, and PreparedStats.Tuples
+// advances by each call's result cardinality.
 func TestPreparedMatchesOneShot(t *testing.T) {
 	db := testDB(t)
 	ctx := context.Background()
@@ -61,9 +66,31 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 				t.Fatal(err)
 			}
 			q := pq.Query()
-			wantRel, _, err := Execute(q, c.opts)
+			wantRel, _, err := baseline.JoinOnly(q, nil, nil)
+			if err == nil && c.opts.Project != nil {
+				wantRel, err = wantRel.Project(c.opts.Project...)
+			}
 			if err != nil {
 				t.Fatal(err)
+			}
+			// tuples checks how far the cumulative counter moved since
+			// the previous check.
+			seen := pq.Stats().Tuples
+			tuples := func(call string, want int) {
+				t.Helper()
+				now := pq.Stats().Tuples
+				if now-seen != int64(want) {
+					t.Fatalf("%s advanced PreparedStats.Tuples by %d, want %d", call, now-seen, want)
+				}
+				seen = now
+			}
+
+			oneShot, _, err := Execute(q, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !oneShot.Equal(wantRel) {
+				t.Fatalf("one-shot Execute diverges: %d vs %d tuples", oneShot.Len(), wantRel.Len())
 			}
 			gotRel, stats, err := pq.Execute(ctx)
 			if err != nil {
@@ -75,6 +102,7 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 			if stats.Output != wantRel.Len() {
 				t.Fatalf("stats.Output = %d, want %d", stats.Output, wantRel.Len())
 			}
+			tuples("Execute", wantRel.Len())
 			n, _, err := pq.Count(ctx)
 			if err != nil {
 				t.Fatal(err)
@@ -82,6 +110,7 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 			if n != wantRel.Len() {
 				t.Fatalf("Count = %d, want %d", n, wantRel.Len())
 			}
+			tuples("Count", wantRel.Len())
 			found, _, err := pq.Exists(ctx)
 			if err != nil {
 				t.Fatal(err)
@@ -89,12 +118,41 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 			if found != (wantRel.Len() > 0) {
 				t.Fatalf("Exists = %v with %d results", found, wantRel.Len())
 			}
+			witnessed := 0
+			if found {
+				witnessed = 1
+			}
+			tuples("Exists", witnessed)
 			streamed := 0
 			if _, err := pq.ExecuteFunc(ctx, func(Tuple) error { streamed++; return nil }); err != nil {
 				t.Fatal(err)
 			}
 			if streamed != wantRel.Len() {
 				t.Fatalf("ExecuteFunc streamed %d, want %d", streamed, wantRel.Len())
+			}
+			tuples("ExecuteFunc", wantRel.Len())
+
+			// Views maintain with the trie-plan algorithms only; rows
+			// prepared for another one recompute under the default.
+			mopts := MaterializeOptions{Project: c.opts.Project, Parallelism: c.opts.Parallelism}
+			if wcojAlgorithm(c.opts.Algorithm) {
+				mopts.Algorithm = c.opts.Algorithm
+			}
+			for _, mode := range []MaterializeMode{MaterializeCount, MaterializeRows} {
+				mopts.Mode = mode
+				mq, err := db.Materialize(c.src, mopts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mq.Count() != int64(wantRel.Len()) {
+					t.Fatalf("Materialize %v count = %d, want %d", mode, mq.Count(), wantRel.Len())
+				}
+				if mode == MaterializeRows && !mq.Rows().Equal(wantRel) {
+					t.Fatalf("Materialize rows diverge: %d vs %d tuples", mq.Rows().Len(), wantRel.Len())
+				}
+				if err := mq.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
@@ -571,15 +629,27 @@ func TestPreparedCancellation(t *testing.T) {
 	}
 }
 
-// TestDBTrieStoreIsolation: a DB's tries live in its own store — the
-// process-global cache is untouched, and two DBs don't share entries.
+// TestDBTrieStoreIsolation: a DB's tries live in its own store — two
+// DBs don't share entries, and a one-shot call over a DB's relations
+// leaves nothing behind in it.
 func TestDBTrieStoreIsolation(t *testing.T) {
 	db1 := testDB(t)
 	db2 := testDB(t)
-	if _, _, err := db1.Query(context.Background(), "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", Options{}); err != nil {
+	src := "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)"
+	if _, _, err := db1.Query(context.Background(), src, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	s1, s2 := db1.Stats(), db2.Stats()
+	q, err := db1.Bind(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Count(q, Options{Order: []string{"C", "B", "A"}}); err != nil {
+		t.Fatal(err)
+	}
+	if s := db1.Stats(); s.TrieEntries != s1.TrieEntries || s.TrieMisses != s1.TrieMisses {
+		t.Fatalf("one-shot Count touched the DB store: %+v -> %+v", s1, s)
+	}
 	if s1.TrieEntries == 0 {
 		t.Fatal("db1 owns no tries after executing")
 	}

@@ -54,12 +54,9 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"wcoj/internal/agg"
-	"wcoj/internal/core"
 	"wcoj/internal/delta"
 	"wcoj/internal/query"
 	"wcoj/internal/relation"
-	"wcoj/internal/trie"
 )
 
 // MaterializeMode selects what a maintained query keeps current.
@@ -118,9 +115,11 @@ type MaterializeOptions struct {
 	Project []string
 }
 
-// workers resolves Parallelism exactly like Options.workers.
-func (o MaterializeOptions) workers() int {
-	return Options{Parallelism: o.Parallelism}.workers()
+// exec is the executor configuration of the view's recomputes and
+// differential terms: full tuples (the view projects them itself, it
+// needs the support counts) under the shape's heuristic order.
+func (o MaterializeOptions) exec() Options {
+	return Options{Algorithm: o.Algorithm, Parallelism: o.Parallelism}
 }
 
 // needTuples reports whether the mode must maintain per-tuple support
@@ -178,28 +177,20 @@ type MaterializedQuery struct {
 	outAttrs []string
 	outPos   []int
 
-	// terms caches one differential plan per atom occurrence; support
+	// terms keeps, per atom occurrence, the executor of the occurrence's
+	// last differential term (nil until its first): the next batch's
+	// term inherits its plan, so terms are re-versioned, never
+	// re-planned. Like a PreparedQuery's, the kept executor pins the
+	// tries of the snapshot it ran against for one generation. support
 	// holds the per-projected-tuple multiplicities of the tuple engine
 	// (nil forces the next maintenance to recompute).
-	terms   []*matTerm       //wcojlint:guardedby writeMu
+	terms   []*executor      //wcojlint:guardedby writeMu
 	support map[string]int64 //wcojlint:guardedby writeMu
 
 	// val is the published value. Maintenance stores the successor
 	// inside the same db.mu critical section that publishes the batch.
 	val    atomic.Pointer[MaterializedResult]
 	closed atomic.Bool
-}
-
-// matTerm is the cached differential plan of one atom occurrence: a
-// delta-first variable order resolved once, and the last built plan,
-// re-versioned (never re-planned) per batch. The plan pins the tries
-// of the snapshot it last ran against — one generation, exactly like a
-// PreparedQuery's donated plans — until the next refresh replaces
-// them.
-type matTerm struct {
-	order []string
-	plan  *core.Plan
-	cls   *agg.Classification
 }
 
 // ID returns the view's registry identifier ("m0", "m1", ...).
@@ -288,7 +279,7 @@ func (db *DB) materializeLocked(id string, seq uint64, src string, opts Material
 		db.mu.RUnlock()
 		return nil, err
 	}
-	vers := db.atomVersions(q)
+	vers := atomVersions(q, db.versions)
 	epoch := db.updEpoch.Load()
 	db.mu.RUnlock()
 	if err := opts.validate(q); err != nil {
@@ -315,14 +306,7 @@ func (db *DB) materializeLocked(id string, seq uint64, src string, opts Material
 			}
 		}
 	}
-	order, err := matTermOrder(q)
-	if err != nil {
-		return nil, err
-	}
-	mq.terms = make([]*matTerm, len(q.Atoms)) //wcojlint:nosync construction: mq is not yet visible to any reader
-	for i := range q.Atoms {
-		mq.terms[i] = &matTerm{order: order} //wcojlint:nosync construction: mq is not yet visible to any reader
-	}
+	mq.terms = make([]*executor, len(q.Atoms)) //wcojlint:nosync construction: mq is not yet visible to any reader
 
 	res, err := mq.recompute(vers, epoch)
 	if err != nil {
@@ -364,20 +348,6 @@ func (db *DB) MaterializedViews() []*MaterializedQuery {
 	return out
 }
 
-// matTermOrder resolves the one global variable order all of a view's
-// differential terms share: the shape's heuristic order — the same
-// policy prepared queries resolve, so the snapshot tries the terms
-// demand carry the store keys prepared executions already populate
-// (and vice versa). See the file comment for why sharing one order
-// beats per-term delta-first orders.
-func matTermOrder(q *Query) ([]string, error) {
-	h, err := q.Hypergraph()
-	if err != nil {
-		return nil, err
-	}
-	return h.DegreeOrder(), nil
-}
-
 // matKey is an injective byte encoding of a (projected) tuple — the
 // support map key.
 func matKey(t Tuple) string {
@@ -394,33 +364,24 @@ func matKey(t Tuple) string {
 // support state.
 //
 //wcojlint:locked callers hold db.writeMu
-func (mq *MaterializedQuery) recompute(vers map[string]*delta.Version, epoch uint64) (*MaterializedResult, error) {
-	for _, a := range mq.shape.Atoms {
-		if vers[a.Name] == nil {
-			return nil, fmt.Errorf("wcoj: materialize %s: no relation %q", mq.id, a.Name)
+func (mq *MaterializedQuery) recompute(vers []*delta.Version, epoch uint64) (*MaterializedResult, error) {
+	for i, v := range vers {
+		if v == nil {
+			return nil, fmt.Errorf("wcoj: materialize %s: no relation %q", mq.id, mq.shape.Atoms[i].Name)
 		}
 	}
-	q := &Query{Vars: mq.shape.Vars, Atoms: append([]Atom(nil), mq.shape.Atoms...)}
-	rebindEffective(q, vers)
-	src := dbTrieSource{store: mq.db.store, vers: vers}
+	q, src := bindSnapshot(mq.db.store, mq.shape, vers)
+	e := newExecutor(q, src, mq.opts.exec(), nil)
 	ctx := context.Background()
 
 	if !mq.opts.needTuples() {
-		p, cls, err := core.AggPlanSrc(src, q, core.HeuristicOrder(), agg.Spec{Mode: agg.ModeCount})
-		if err != nil {
-			return nil, err
-		}
-		n, _, err := core.GenericJoinAggPlan(ctx, p, cls, mq.opts.Algorithm.level(), mq.opts.workers())
+		n, _, err := e.count(ctx)
 		if err != nil {
 			return nil, err
 		}
 		return &MaterializedResult{Epoch: epoch, Count: n}, nil
 	}
 
-	p, err := core.BuildPlanSrc(src, q, core.HeuristicOrder())
-	if err != nil {
-		return nil, err
-	}
 	supp := make(map[string]int64)
 	var b *RelationBuilder
 	if mq.opts.Mode == MaterializeRows {
@@ -438,8 +399,7 @@ func (mq *MaterializedQuery) recompute(vers map[string]*delta.Version, epoch uin
 		}
 		return nil
 	}
-	err = core.GenericJoinPlanVisit(ctx, p, nil, mq.opts.Algorithm.level(), mq.opts.workers(), &Stats{}, emit)
-	if err != nil {
+	if _, err := e.visit(ctx, emit); err != nil {
 		return nil, err
 	}
 	mq.support = supp
@@ -507,7 +467,7 @@ func (mq *MaterializedQuery) maintain(pre, post, next map[string]*delta.Version,
 	old := mq.val.Load()
 	stale := old.Err != nil || old.Epoch+1 != newEpoch || (mq.opts.needTuples() && mq.support == nil)
 	if stale {
-		res, err := mq.recompute(post, newEpoch)
+		res, err := mq.recompute(atomVersions(mq.shape, post), newEpoch)
 		if err != nil {
 			return &MaterializedResult{Epoch: old.Epoch, Count: old.Count, Rows: old.Rows, Err: err}
 		}
@@ -554,7 +514,9 @@ func (mq *MaterializedQuery) differential(old *MaterializedResult, pre, post, ne
 		deltaSupp = make(map[string]*suppDelta)
 	}
 	buf := make(Tuple, len(mq.outPos))
-	for i, term := range mq.terms {
+	preV, postV := atomVersions(mq.shape, pre), atomVersions(mq.shape, post)
+	ctx := context.Background()
+	for i := range mq.terms {
 		nv, ok := next[mq.shape.Atoms[i].Name]
 		if !ok {
 			continue // untouched occurrence: its delta term is empty
@@ -570,9 +532,13 @@ func (mq *MaterializedQuery) differential(old *MaterializedResult, pre, post, ne
 			if side.rel.Len() == 0 {
 				continue
 			}
+			e, err := mq.term(i, side.rel, preV, postV)
+			if err != nil {
+				return nil, err
+			}
 			if tuples {
 				sign := side.sign
-				err := mq.termVisit(term, i, side.rel, pre, post, func(t Tuple) error {
+				_, err := e.visit(ctx, func(t Tuple) error {
 					for j, pos := range mq.outPos {
 						buf[j] = t[pos]
 					}
@@ -589,7 +555,7 @@ func (mq *MaterializedQuery) differential(old *MaterializedResult, pre, post, ne
 					return nil, err
 				}
 			} else {
-				n, err := mq.termCount(term, i, side.rel, pre, post)
+				n, _, err := e.count(ctx)
 				if err != nil {
 					return nil, err
 				}
@@ -661,112 +627,31 @@ func (mq *MaterializedQuery) differential(old *MaterializedResult, pre, post, ne
 	return res, nil
 }
 
-// termQuery binds the view's shape for the differential term of
-// occurrence i: slot i reads the batch delta side drel, earlier slots
-// read post-batch snapshots, later slots pre-batch snapshots.
-func (mq *MaterializedQuery) termQuery(i int, drel *relation.Relation, pre, post map[string]*delta.Version) (*Query, matTrieSource, error) {
-	src := matTrieSource{store: mq.db.store, vers: make(map[*relation.Relation]*delta.Version)}
-	atoms := make([]Atom, len(mq.shape.Atoms))
+// term returns the executor of occurrence i's differential term: slot
+// i reads the batch delta side drel, earlier slots read post-batch
+// snapshots, later slots pre-batch snapshots. It succeeds the
+// occurrence's previous term, so its plan is that term's, re-versioned.
+//
+//wcojlint:locked callers hold db.writeMu
+func (mq *MaterializedQuery) term(i int, drel *relation.Relation, pre, post []*delta.Version) (*executor, error) {
+	vers := make([]*delta.Version, len(mq.shape.Atoms))
 	for j, a := range mq.shape.Atoms {
-		na := Atom{Name: a.Name, Vars: a.Vars}
-		var v *delta.Version
 		switch {
 		case j == i:
-			na.Rel = drel
+			continue
 		case j < i:
-			v = post[a.Name]
+			vers[j] = post[j]
 		default:
-			v = pre[a.Name]
+			vers[j] = pre[j]
 		}
-		if j != i {
-			if v == nil {
-				return nil, src, fmt.Errorf("wcoj: materialize %s: no relation %q", mq.id, a.Name)
-			}
-			na.Rel = v.Effective()
-			src.vers[na.Rel] = v
+		if vers[j] == nil {
+			return nil, fmt.Errorf("wcoj: materialize %s: no relation %q", mq.id, a.Name)
 		}
-		atoms[j] = na
 	}
-	return &Query{Vars: mq.shape.Vars, Atoms: atoms}, src, nil
-}
-
-// termCount evaluates one signed count term.
-func (mq *MaterializedQuery) termCount(term *matTerm, i int, drel *relation.Relation, pre, post map[string]*delta.Version) (int64, error) {
-	q, src, err := mq.termQuery(i, drel, pre, post)
-	if err != nil {
-		return 0, err
-	}
-	p, cls, err := term.resolve(mq, q, src)
-	if err != nil {
-		return 0, err
-	}
-	n, _, err := core.GenericJoinAggPlan(context.Background(), p, cls, mq.opts.Algorithm.level(), mq.opts.workers())
-	return n, err
-}
-
-// termVisit enumerates one term's full tuples into emit (the emit
-// tuple is reused; callers copy what they retain).
-func (mq *MaterializedQuery) termVisit(term *matTerm, i int, drel *relation.Relation, pre, post map[string]*delta.Version, emit func(Tuple) error) error {
-	q, src, err := mq.termQuery(i, drel, pre, post)
-	if err != nil {
-		return err
-	}
-	p, _, err := term.resolve(mq, q, src)
-	if err != nil {
-		return err
-	}
-	return core.GenericJoinPlanVisit(context.Background(), p, nil, mq.opts.Algorithm.level(), mq.opts.workers(), &Stats{}, emit)
-}
-
-// resolve returns the term's plan bound to q's relations: the cached
-// skeleton is re-versioned (tries only) when present, built fresh
-// under the term's delta-first explicit order otherwise.
-func (t *matTerm) resolve(mq *MaterializedQuery, q *Query, src core.TrieSource) (*core.Plan, *agg.Classification, error) {
-	if t.plan != nil {
-		if np, err := core.RefreshPlan(t.plan, q, src); err == nil {
-			t.plan = np
-			return np, t.cls, nil
-		}
-		t.plan, t.cls = nil, nil // shape changed (Register); rebuild below
-	}
-	pol := core.ExplicitOrder(t.order)
-	if mq.opts.needTuples() {
-		p, err := core.BuildPlanSrc(src, q, pol)
-		if err != nil {
-			return nil, nil, err
-		}
-		t.plan = p
-		return p, nil, nil
-	}
-	p, cls, err := core.AggPlanSrc(src, q, pol, agg.Spec{Mode: agg.ModeCount})
-	if err != nil {
-		return nil, nil, err
-	}
-	t.plan, t.cls = p, cls
-	return p, cls, nil
-}
-
-// matTrieSource resolves term atoms: snapshot-bound atoms (registered
-// in vers by their effective relation's identity) are served through
-// the same version-aware path prepared queries use — cached base tries
-// plus linear delta merges, shared via the DB store — while the term's
-// delta atom (absent from vers) builds its batch-sized trie directly,
-// uncached: it is used for exactly one batch.
-type matTrieSource struct {
-	store *core.TrieStore
-	vers  map[*relation.Relation]*delta.Version
-}
-
-// Get implements core.TrieSource.
-func (s matTrieSource) Get(a core.Atom, atomOrder []string) (*trie.Trie, error) {
-	if ver, ok := s.vers[a.Rel]; ok {
-		return versionTrie(s.store, a, atomOrder, ver)
-	}
-	rn, err := a.Rel.Rename(a.Name, a.Vars...)
-	if err != nil {
-		return nil, err
-	}
-	return trie.Build(rn, atomOrder)
+	q, src := bindSnapshot(mq.db.store, mq.shape, vers)
+	q.Atoms[i].Rel = drel
+	mq.terms[i] = newExecutor(q, src, mq.opts.exec(), mq.terms[i])
+	return mq.terms[i], nil
 }
 
 // rematerializeAllLocked recomputes every registered view from scratch
@@ -789,7 +674,7 @@ func (db *DB) rematerializeAllLocked() {
 	epoch := db.updEpoch.Load()
 	db.mu.RUnlock()
 	for _, mq := range views {
-		res, err := mq.recompute(vers, epoch)
+		res, err := mq.recompute(atomVersions(mq.shape, vers), epoch)
 		if err != nil {
 			old := mq.val.Load()
 			mq.support = nil

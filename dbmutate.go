@@ -347,31 +347,36 @@ func (db *DB) ApplyDeltaFile(path, rel string, opt CSVOptions) (UpdateStats, err
 	return db.ApplyDeltaCSV(f, rel, opt)
 }
 
-// dbTrieSource resolves per-atom tries against one version snapshot:
-// the cached base trie when the atom's relation has an empty delta,
-// otherwise a merged snapshot trie — the cached base trie plus the
-// delta log sorted into the atom's order, folded by trie.Merge's
-// linear level merge and cached in the store under the effective
-// relation's identity. In-flight plans keep whatever tries they
-// resolved (copy-on-write: a merge never mutates the base trie), and
-// after compaction the cached merged tries keep serving as the new
-// base tries, because the promoted base is the same *Relation the
-// merged tries were keyed by.
-type dbTrieSource struct {
+// snapshotSource is the one core.TrieSource: it serves the tries of a
+// query bound by bindSnapshot. An atom whose relation is a version's
+// effective relation (vers is keyed by that relation's identity) gets
+// the cached base trie when the version's delta is empty, otherwise a
+// merged snapshot trie — the cached base trie plus the delta log sorted
+// into the atom's order, folded by trie.Merge's linear level merge and
+// cached in the store under the effective relation's identity.
+// In-flight plans keep whatever tries they resolved (copy-on-write: a
+// merge never mutates the base trie), and after compaction the cached
+// merged tries keep serving as the new base tries, because the promoted
+// base is the same *Relation the merged tries were keyed by. An atom
+// with no version — a view term's batch-sized Δ, used for exactly one
+// batch, or any atom of a one-shot call, whose zero source has neither
+// store nor versions — builds its trie directly, uncached.
+type snapshotSource struct {
 	store *core.TrieStore
-	vers  map[string]*delta.Version
+	vers  map[*relation.Relation]*delta.Version
 }
 
 // Get implements core.TrieSource.
-func (s dbTrieSource) Get(a core.Atom, atomOrder []string) (*trie.Trie, error) {
-	return versionTrie(s.store, a, atomOrder, s.vers[a.Name])
+func (s snapshotSource) Get(a core.Atom, atomOrder []string) (*trie.Trie, error) {
+	if ver, ok := s.vers[a.Rel]; ok {
+		return versionTrie(s.store, a, atomOrder, ver)
+	}
+	return core.BuildTrie(a, atomOrder)
 }
 
-// versionTrie resolves one atom's trie against one version snapshot —
-// the shared core of dbTrieSource (prepared queries) and matTrieSource
-// (view maintenance, dbmaterialize.go).
+// versionTrie resolves one atom's trie against its relation's version.
 func versionTrie(store *core.TrieStore, a core.Atom, atomOrder []string, ver *delta.Version) (*trie.Trie, error) {
-	if ver == nil || ver.DeltaLen() == 0 {
+	if ver.DeltaLen() == 0 {
 		return store.Get(a, atomOrder)
 	}
 	// a.Rel is the snapshot's effective relation (atoms are rebound
@@ -386,11 +391,7 @@ func versionTrie(store *core.TrieStore, a core.Atom, atomOrder []string, ver *de
 	// its storage directly instead of re-running the identical merge
 	// through trie.Merge.
 	if sameOrder(atomOrder, a.Vars) {
-		rn, err := ver.Effective().Rename(a.Name, a.Vars...)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := trie.Build(rn, atomOrder)
+		tr, err := core.BuildTrie(a, atomOrder)
 		if err != nil {
 			return nil, err
 		}

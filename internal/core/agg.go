@@ -15,10 +15,9 @@ func atomVarLists(q *Query) [][]string {
 // AggPlanSrc builds the execution plan for an aggregate-aware run: the
 // policy's variable order is sunk per spec (count-irrelevant variables
 // move to the end) before tries are built, then the levels are
-// classified. Tries are served from the given source (nil selects the
-// process-global store); long-lived DBs pass their versioned source, so
-// aggregate plans read the same base ⊎ delta snapshot views as the
-// enumeration plans.
+// classified. Tries are served from the given source, exactly as in
+// BuildPlanSrc, so aggregate plans read the same base ⊎ delta snapshot
+// views as the enumeration plans.
 func AggPlanSrc(store TrieSource, q *Query, policy OrderPolicy, spec agg.Spec) (*Plan, *agg.Classification, error) {
 	if policy == nil {
 		policy = HeuristicOrder()

@@ -118,7 +118,7 @@ func backtrackVisit(q *Query, dc constraints.Set, opts BacktrackOptions, stats *
 			}
 		}
 	}
-	if err := checkOrder(q, order); err != nil {
+	if err := CheckOrder(q, order); err != nil {
 		return err
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -58,6 +59,36 @@ var strategies = []struct {
 	lv   LevelStrategy
 }{{"materialize", MaterializeLevel}, {"leapfrog", LeapfrogLevel}}
 
+// orderOf is the policy of a test's explicit order; nil selects the
+// heuristic.
+func orderOf(order []string) OrderPolicy {
+	if order == nil {
+		return nil
+	}
+	return ExplicitOrder(order)
+}
+
+// gj is the tests' way into the plan-level search: it plans q over src
+// under order and materializes the serial search's result under lv.
+// Tests that are not about the store pass a throwaway one.
+func gj(src TrieSource, q *Query, order []string, lv LevelStrategy) (*relation.Relation, *Stats, error) {
+	p, err := BuildPlanSrc(src, q, orderOf(order))
+	if err != nil {
+		return nil, nil, err
+	}
+	stats := &Stats{}
+	out := relation.NewBuilder(q.OutputName(), q.Vars...)
+	err = GenericJoinPlanVisit(context.Background(), p, nil, lv, 1, stats, func(t relation.Tuple) error {
+		return out.Add(t...)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	rel := out.Build()
+	stats.Output = rel.Len()
+	return rel, stats, nil
+}
+
 func triangleQuery(t testing.TB, r, s, tt *relation.Relation) *Query {
 	t.Helper()
 	q, err := NewQuery([]string{"A", "B", "C"}, []Atom{
@@ -103,7 +134,7 @@ func TestGenericJoinTriangleSmall(t *testing.T) {
 	q := triangleQuery(t, r, s, tt)
 	want := naiveJoin(t, q)
 	for _, st := range strategies {
-		got, stats, err := GenericJoin(q, GenericJoinOptions{Level: st.lv})
+		got, stats, err := gj(NewTrieStore(0), q, nil, st.lv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +145,11 @@ func TestGenericJoinTriangleSmall(t *testing.T) {
 			t.Fatalf("%s: stats.Output = %d", st.name, stats.Output)
 		}
 		// Count-only agrees.
-		n, _, err := GenericJoinCount(q, GenericJoinOptions{Level: st.lv})
+		p, err := BuildPlanSrc(NewTrieStore(0), q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _, err := GenericJoinPlanCount(context.Background(), p, nil, st.lv, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +168,7 @@ func TestGenericJoinExplicitOrder(t *testing.T) {
 		for _, order := range [][]string{
 			{"A", "B", "C"}, {"C", "B", "A"}, {"B", "A", "C"},
 		} {
-			got, _, err := GenericJoin(q, GenericJoinOptions{Order: order, Level: st.lv})
+			got, _, err := gj(NewTrieStore(0), q, order, st.lv)
 			if err != nil {
 				t.Fatalf("%s order %v: %v", st.name, order, err)
 			}
@@ -141,10 +176,10 @@ func TestGenericJoinExplicitOrder(t *testing.T) {
 				t.Fatalf("%s order %v: len = %d, want 1", st.name, order, got.Len())
 			}
 		}
-		if _, _, err := GenericJoin(q, GenericJoinOptions{Order: []string{"A", "B"}, Level: st.lv}); err == nil {
+		if _, _, err := gj(NewTrieStore(0), q, []string{"A", "B"}, st.lv); err == nil {
 			t.Fatalf("%s: short order must fail", st.name)
 		}
-		if _, _, err := GenericJoin(q, GenericJoinOptions{Order: []string{"A", "A", "B"}, Level: st.lv}); err == nil {
+		if _, _, err := gj(NewTrieStore(0), q, []string{"A", "A", "B"}, st.lv); err == nil {
 			t.Fatalf("%s: repeating order must fail", st.name)
 		}
 	}
@@ -156,7 +191,7 @@ func TestGenericJoinEmptyRelation(t *testing.T) {
 	tt := rel(t, "T", []string{"A", "C"}, []relation.Value{1, 3})
 	q := triangleQuery(t, r, s, tt)
 	for _, st := range strategies {
-		got, _, err := GenericJoin(q, GenericJoinOptions{Level: st.lv})
+		got, _, err := gj(NewTrieStore(0), q, nil, st.lv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +209,7 @@ func TestGenericJoinSingleAtom(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range strategies {
-		got, _, err := GenericJoin(q, GenericJoinOptions{Level: st.lv})
+		got, _, err := gj(NewTrieStore(0), q, nil, st.lv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +234,7 @@ func TestGenericJoinRenamedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := GenericJoin(q, GenericJoinOptions{})
+	got, _, err := gj(NewTrieStore(0), q, nil, MaterializeLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +263,12 @@ func TestTriangleHeavyLightMatchesGenericJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gj, _, err := TriangleGenericJoin(r, s, tt)
+	want, _, err := gj(NewTrieStore(0), triangleQuery(t, r, s, tt), []string{"A", "B", "C"}, MaterializeLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hl.Equal(gj) {
-		t.Fatalf("heavy/light %d rows vs generic join %d rows", hl.Len(), gj.Len())
+	if !hl.Equal(want) {
+		t.Fatalf("heavy/light %d rows vs generic join %d rows", hl.Len(), want.Len())
 	}
 	if hlStats.Output != hl.Len() {
 		t.Fatal("stats mismatch")
@@ -288,7 +323,7 @@ func TestPropertyGenericJoinTriangle(t *testing.T) {
 		}
 		want := naiveJoin(t, q)
 		for _, ord := range orders {
-			got, _, err := GenericJoin(q, GenericJoinOptions{Order: ord})
+			got, _, err := gj(NewTrieStore(0), q, ord, MaterializeLevel)
 			if err != nil {
 				return false
 			}
@@ -336,7 +371,7 @@ func TestPropertyGenericJoinFourVars(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, _, err := GenericJoin(q, GenericJoinOptions{})
+		got, _, err := gj(NewTrieStore(0), q, nil, MaterializeLevel)
 		if err != nil {
 			return false
 		}
@@ -378,7 +413,7 @@ func TestPropertyFourCycleOrders(t *testing.T) {
 			} {
 				// The builder uses q.Vars whatever the order, so schemas
 				// match.
-				got, _, err := GenericJoin(q, GenericJoinOptions{Order: ord, Level: st.lv})
+				got, _, err := gj(NewTrieStore(0), q, ord, st.lv)
 				if err != nil || !got.Equal(want) {
 					return false
 				}

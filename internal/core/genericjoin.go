@@ -25,115 +25,6 @@ const (
 	LeapfrogLevel
 )
 
-// GenericJoinOptions configure a run of the trie-plan search.
-type GenericJoinOptions struct {
-	// Order is the global variable order; nil selects the degree-order
-	// heuristic (most-constrained variable first).
-	Order []string
-	// Policy, when non-nil, resolves the variable order and takes
-	// precedence over Order (explicit, heuristic, or the cost-based
-	// optimizer of internal/planner).
-	Policy OrderPolicy
-	// Level selects the per-level intersection strategy: Generic-Join's
-	// materialized levels (the zero value) or Leapfrog Triejoin's
-	// streamed ones. Output, emit order and Stats totals do not depend
-	// on it.
-	Level LevelStrategy
-	// Parallelism is the number of worker goroutines sharding the
-	// depth-0 intersection. Values <= 1 run the serial search. Output
-	// order and Stats totals are identical at every setting.
-	Parallelism int
-	// Ctx, when non-nil, cancels the run: workers poll it and unwind
-	// promptly, and the entry points return ctx.Err(). Nil means no
-	// cancellation.
-	Ctx context.Context
-}
-
-// policy resolves the options' order policy: Policy wins when set,
-// otherwise Order (nil Order selects the heuristic).
-func (o GenericJoinOptions) policy() OrderPolicy {
-	if o.Policy == nil && o.Order != nil {
-		return ExplicitOrder(o.Order)
-	}
-	return o.Policy
-}
-
-// GenericJoin evaluates the query with the Generic-Join algorithm of
-// [52] (the generalization of Algorithm 1): fix a global variable
-// order; at each level intersect, across all atoms containing the
-// current variable, the distinct values compatible with the current
-// prefix binding; recurse per value. With sorted-trie intersections the
-// runtime is Õ(N^{ρ*}) — the AGM bound — by the Theorem 4.1 analysis.
-// Leapfrog Triejoin is the same search under opts.Level = LeapfrogLevel.
-func GenericJoin(q *Query, opts GenericJoinOptions) (*relation.Relation, *Stats, error) {
-	stats := &Stats{}
-	out := relation.NewBuilder(q.OutputName(), q.Vars...)
-	err := GenericJoinVisit(q, opts, stats, func(t relation.Tuple) error {
-		return out.Add(t...)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	rel := out.Build()
-	stats.Output = rel.Len()
-	return rel, stats, nil
-}
-
-// GenericJoinCount runs the search without materializing the output,
-// returning only the result cardinality. This is the enumeration mode
-// the paper highlights: WCOJ algorithms can stream output tuples with
-// no intermediate state beyond the search stack. Under parallelism
-// each worker counts locally; no tuples are buffered.
-func GenericJoinCount(q *Query, opts GenericJoinOptions) (int, *Stats, error) {
-	p, err := BuildPlanWith(q, opts.policy())
-	if err != nil {
-		return 0, nil, err
-	}
-	return GenericJoinPlanCount(opts.Ctx, p, nil, opts.Level, opts.Parallelism)
-}
-
-// GenericJoinVisit streams the join result to emit in the canonical
-// (variable-order lexicographic) sequence. The Tuple passed to emit is
-// reused between calls; emit must copy it to retain it. With
-// opts.Parallelism > 1 the depth-0 intersection is sharded across
-// workers and per-chunk results are replayed in deterministic chunk
-// order, so the emit sequence is identical to the serial run.
-func GenericJoinVisit(q *Query, opts GenericJoinOptions, stats *Stats, emit func(relation.Tuple) error) error {
-	p, err := BuildPlanWith(q, opts.policy())
-	if err != nil {
-		return err
-	}
-	return GenericJoinPlanVisit(opts.Ctx, p, nil, opts.Level, opts.Parallelism, stats, emit)
-}
-
-// GenericJoinProjectVisit streams the distinct projected tuples of the
-// query to emit, in the lexicographic order of the sunk variable-order
-// prefix. The Tuple passed to emit is reused between calls; emit must
-// copy it to retain it. Projected-away levels are existence-checked
-// per prefix (short-circuiting on the first witness) rather than
-// enumerated, so a prefix with a million extensions costs the same as
-// one with a single extension.
-func GenericJoinProjectVisit(q *Query, opts GenericJoinOptions, project []string, stats *Stats, emit func(relation.Tuple) error) error {
-	p, cls, err := AggPlanSrc(nil, q, opts.policy(), agg.Spec{Mode: agg.ModeEnumerate, Project: project})
-	if err != nil {
-		return err
-	}
-	return GenericJoinPlanVisit(opts.Ctx, p, cls, opts.Level, opts.Parallelism, stats, emit)
-}
-
-// GenericJoinAgg evaluates an aggregate. ModeCount returns the result
-// cardinality — full multiplicity with a nil spec.Project, distinct
-// projected tuples otherwise. ModeExists returns 1 or 0,
-// short-circuiting on the first witness. Counts are identical to
-// enumerate-then-aggregate at every Parallelism setting.
-func GenericJoinAgg(q *Query, opts GenericJoinOptions, spec agg.Spec) (int64, *Stats, error) {
-	p, cls, err := AggPlanSrc(nil, q, opts.policy(), spec)
-	if err != nil {
-		return 0, nil, err
-	}
-	return GenericJoinAggPlan(opts.Ctx, p, cls, opts.Level, opts.Parallelism)
-}
-
 // run carries what the entry points below share: the plan, its
 // classification (nil for plain enumeration), the level strategy and
 // the context's stop signal and node budget.
@@ -190,11 +81,24 @@ func (r *run) chunk(vals []relation.Value, st *Stats, stop *atomic.Bool, emit fu
 	return newSearcher(r.p, r.cls, r.lv, st, emit, stop, r.budget), nil
 }
 
-// GenericJoinPlanVisit streams the result of a prebuilt plan to emit —
-// the re-execution path of prepared queries, with context
-// cancellation. A nil cls enumerates full tuples; an enumerate-mode
-// classification (over the sunk plan it was computed for) enumerates
-// the distinct projected tuples.
+// GenericJoinPlanVisit evaluates a built plan with the Generic-Join
+// algorithm of [52] (the generalization of Algorithm 1): under the
+// plan's global variable order, at each level intersect, across all
+// atoms containing the current variable, the distinct values compatible
+// with the current prefix binding; recurse per value. With sorted-trie
+// intersections the runtime is Õ(N^{ρ*}) — the AGM bound — by the
+// Theorem 4.1 analysis. Leapfrog Triejoin is the same search under
+// lv = LeapfrogLevel.
+//
+// The result streams to emit in the canonical (variable-order
+// lexicographic) sequence; the Tuple passed to emit is reused between
+// calls, so emit must copy it to retain it. With workers > 1 the
+// depth-0 intersection is sharded across workers and per-chunk results
+// are replayed in deterministic chunk order, so the emit sequence is
+// identical to the serial run. A nil cls enumerates full tuples; an
+// enumerate-mode classification (over the sunk plan it was computed
+// for) enumerates the distinct projected tuples, existence-checking the
+// projected-away levels per prefix instead of enumerating them.
 func GenericJoinPlanVisit(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int, stats *Stats, emit func(relation.Tuple) error) error {
 	if err := CtxErr(ctx); err != nil {
 		return err
@@ -246,10 +150,12 @@ func GenericJoinPlanCount(ctx context.Context, p *Plan, cls *agg.Classification,
 	return int(n), r.stats, nil
 }
 
-// GenericJoinAggPlan is GenericJoinAgg over a prebuilt sunk plan and
-// classification — the re-execution path of prepared aggregate
-// queries, with context cancellation. The spec is the one the plan was
-// classified for (cls.Spec).
+// GenericJoinAggPlan evaluates the aggregate a sunk plan was
+// classified for (cls.Spec). ModeCount returns the result cardinality —
+// full multiplicity with a nil spec.Project, distinct projected tuples
+// otherwise. ModeExists returns 1 or 0, short-circuiting on the first
+// witness. Counts are identical to enumerate-then-aggregate at every
+// workers setting.
 func GenericJoinAggPlan(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int) (int64, *Stats, error) {
 	if err := CtxErr(ctx); err != nil {
 		return 0, nil, err

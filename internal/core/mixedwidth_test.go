@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -71,34 +72,63 @@ func TestMixedWidthQuery(t *testing.T) {
 		t.Fatalf("fixture: %d of %d results bind a wide value, want some of each", wideResults, want.Len())
 	}
 
+	ctx := context.Background()
+	store := core.NewTrieStore(0)
+	// enumerate materializes the search of q under pol; a nil project
+	// enumerates full tuples.
+	enumerate := func(pol core.OrderPolicy, lv core.LevelStrategy, workers int, project []string) (*relation.Relation, error) {
+		attrs := q.Vars
+		var p *core.Plan
+		var cls *agg.Classification
+		var err error
+		if project == nil {
+			p, err = core.BuildPlanSrc(store, q, pol)
+		} else {
+			attrs = project
+			p, cls, err = core.AggPlanSrc(store, q, pol, agg.Spec{Mode: agg.ModeEnumerate, Project: project})
+		}
+		if err != nil {
+			return nil, err
+		}
+		b := relation.NewBuilder("Q", attrs...)
+		err = core.GenericJoinPlanVisit(ctx, p, cls, lv, workers, &core.Stats{}, func(tu relation.Tuple) error {
+			return b.Add(tu...)
+		})
+		return b.Build(), err
+	}
 	for _, lv := range []core.LevelStrategy{core.MaterializeLevel, core.LeapfrogLevel} {
 		for _, p := range []int{1, 4} {
 			for _, order := range [][]string{nil, {"C", "B", "A"}} {
-				opts := core.GenericJoinOptions{Level: lv, Parallelism: p, Order: order}
+				var pol core.OrderPolicy
+				if order != nil {
+					pol = core.ExplicitOrder(order)
+				}
 				name := fmt.Sprintf("level=%d/p=%d/order=%v", lv, p, order)
 
-				got, _, err := core.GenericJoin(q, opts)
+				got, err := enumerate(pol, lv, p, nil)
 				if err != nil || !got.Equal(want) {
 					t.Fatalf("%s: enumerate: err=%v, %d tuples, want %d", name, err, got.Len(), want.Len())
 				}
-				n, _, err := core.GenericJoinAgg(q, opts, agg.Spec{Mode: agg.ModeCount})
-				if err != nil || n != int64(want.Len()) {
-					t.Fatalf("%s: count = %d, err=%v, want %d", name, n, err, want.Len())
-				}
-				found, _, err := core.GenericJoinAgg(q, opts, agg.Spec{Mode: agg.ModeExists})
-				if err != nil || found != 1 {
-					t.Fatalf("%s: exists = %d, err=%v, want 1", name, found, err)
+				for _, c := range []struct {
+					mode agg.Mode
+					want int64
+				}{{agg.ModeCount, int64(want.Len())}, {agg.ModeExists, 1}} {
+					ap, cls, err := core.AggPlanSrc(store, q, pol, agg.Spec{Mode: c.mode})
+					if err != nil {
+						t.Fatal(err)
+					}
+					n, _, err := core.GenericJoinAggPlan(ctx, ap, cls, lv, p)
+					if err != nil || n != c.want {
+						t.Fatalf("%s: aggregate mode %v = %d, err=%v, want %d", name, c.mode, n, err, c.want)
+					}
 				}
 				for _, project := range [][]string{{"A"}, {"C"}, {"B", "A"}} {
 					wantProj, err := want.Project(project...)
 					if err != nil {
 						t.Fatal(err)
 					}
-					b := relation.NewBuilder("Q", project...)
-					err = core.GenericJoinProjectVisit(q, opts, project, &core.Stats{}, func(tu relation.Tuple) error {
-						return b.Add(tu...)
-					})
-					if gotProj := b.Build(); err != nil || !gotProj.Equal(wantProj) {
+					gotProj, err := enumerate(pol, lv, p, project)
+					if err != nil || !gotProj.Equal(wantProj) {
 						t.Fatalf("%s: project %v: err=%v, %d tuples, want %d", name, project, err, gotProj.Len(), wantProj.Len())
 					}
 				}

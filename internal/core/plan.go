@@ -7,7 +7,7 @@ import (
 	"wcoj/internal/trie"
 )
 
-// OrderPolicy resolves the global variable order BuildPlanWith runs a
+// OrderPolicy resolves the global variable order BuildPlanSrc runs a
 // query under. The engine ships three families of policies: explicit
 // orders (ExplicitOrder), the degree-order heuristic (HeuristicOrder),
 // and the cost-based optimizer in internal/planner, which scores
@@ -47,7 +47,7 @@ func ExplicitOrder(order []string) OrderPolicy {
 // in that order, the per-depth participant lists and the mapping from
 // search depth to output position. A Plan is built once per query and
 // read concurrently by every worker goroutine; all mutable search
-// state lives in the per-worker structs of the engine packages.
+// state lives in the per-worker searcher (search.go).
 type Plan struct {
 	Q     *Query
 	Order []string
@@ -62,52 +62,25 @@ type Plan struct {
 	OutPos []int
 }
 
-// BuildPlan validates the query, resolves the variable order (nil
-// selects the degree-order heuristic) and builds the per-atom tries.
-// It is BuildPlanWith under ExplicitOrder/HeuristicOrder.
-func BuildPlan(q *Query, order []string) (*Plan, error) {
-	if order == nil {
-		return BuildPlanWith(q, HeuristicOrder())
-	}
-	return BuildPlanWith(q, ExplicitOrder(order))
-}
-
-// BuildPlanWith is BuildPlanIn against the process-global trie store.
-func BuildPlanWith(q *Query, policy OrderPolicy) (*Plan, error) {
-	return BuildPlanIn(nil, q, policy)
-}
-
-// TrieSource serves the per-atom tries of plan construction. The
-// canonical source is *TrieStore (build-on-miss, cached); the
-// mutable-relation layer of wcoj.DB interposes a versioned source that
-// resolves an atom against its relation's current snapshot — serving
-// the cached base trie when the delta is empty and a level-merged
-// (base ⊎ delta) trie otherwise — so the same plan builder works for
-// static and mutable relations.
+// TrieSource serves the per-atom tries of plan construction.
+// *TrieStore is one (build-on-miss, cached); package wcoj's snapshot
+// source resolves an atom against its relation's current version —
+// serving the cached base trie when the delta is empty and a
+// level-merged (base ⊎ delta) trie otherwise, and building atoms that
+// have no version directly — so the same plan builder works for
+// one-shot, static and mutable relations.
 type TrieSource interface {
 	Get(a Atom, atomOrder []string) (*trie.Trie, error)
 }
 
-// BuildPlanIn is BuildPlanSrc over a concrete store; nil selects the
-// process-global store.
-func BuildPlanIn(store *TrieStore, q *Query, policy OrderPolicy) (*Plan, error) {
-	if store == nil {
-		store = defaultTrieStore
-	}
-	return BuildPlanSrc(store, q, policy)
-}
-
 // BuildPlanSrc validates the query, asks the policy for the variable
-// order and builds the per-atom tries. Tries are served from the given
-// source keyed by (relation, variable binding, trie order), so
-// repeated queries — and planner probes over the same relations —
-// reuse built tries instead of rebuilding them. A long-lived DB
-// passes a source backed by its own store, giving it ownership of its
-// indexes independent of global cache churn.
+// order (nil selects the degree-order heuristic) and builds the
+// per-atom tries. Tries come from the given source — the caller owns
+// the indexes: a long-lived DB passes a source backed by its store, so
+// repeated queries over the same relations reuse built tries keyed by
+// (relation, variable binding, trie order); a one-shot call passes a
+// source that builds and discards.
 func BuildPlanSrc(store TrieSource, q *Query, policy OrderPolicy) (*Plan, error) {
-	if store == nil {
-		store = defaultTrieStore
-	}
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -256,6 +229,3 @@ func CheckOrder(q *Query, order []string) error {
 	}
 	return nil
 }
-
-// checkOrder is the internal spelling kept for existing call sites.
-func checkOrder(q *Query, order []string) error { return CheckOrder(q, order) }

@@ -30,11 +30,12 @@ func planTestQuery(t testing.TB) *Query {
 	return q
 }
 
-// TestBuildPlanOrderErrors pins the descriptive errors BuildPlan
+// TestBuildPlanOrderErrors pins the descriptive errors BuildPlanSrc
 // returns for malformed explicit orders: every failure names the
 // offending variable.
 func TestBuildPlanOrderErrors(t *testing.T) {
 	q := planTestQuery(t)
+	store := NewTrieStore(0)
 	cases := []struct {
 		name  string
 		order []string
@@ -50,19 +51,19 @@ func TestBuildPlanOrderErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := BuildPlan(q, tc.order)
+			_, err := BuildPlanSrc(store, q, orderOf(tc.order))
 			if err == nil {
-				t.Fatalf("BuildPlan(%v) succeeded, want error containing %q", tc.order, tc.want)
+				t.Fatalf("BuildPlanSrc(%v) succeeded, want error containing %q", tc.order, tc.want)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("BuildPlan(%v) error %q, want substring %q", tc.order, err, tc.want)
+				t.Fatalf("BuildPlanSrc(%v) error %q, want substring %q", tc.order, err, tc.want)
 			}
 		})
 	}
 	// Valid permutations still plan.
 	for _, order := range [][]string{{"A", "B", "C"}, {"C", "B", "A"}, nil} {
-		if _, err := BuildPlan(q, order); err != nil {
-			t.Fatalf("BuildPlan(%v): %v", order, err)
+		if _, err := BuildPlanSrc(store, q, orderOf(order)); err != nil {
+			t.Fatalf("BuildPlanSrc(%v): %v", order, err)
 		}
 	}
 }
@@ -72,41 +73,42 @@ func TestBuildPlanOrderErrors(t *testing.T) {
 // its error, and a policy returning a bad order is caught.
 func TestBuildPlanWithPolicy(t *testing.T) {
 	q := planTestQuery(t)
-	p, err := BuildPlanWith(q, ExplicitOrder([]string{"B", "A", "C"}))
+	store := NewTrieStore(0)
+	p, err := BuildPlanSrc(store, q, ExplicitOrder([]string{"B", "A", "C"}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Join(p.Order, ",") != "B,A,C" {
 		t.Fatalf("explicit policy order %v", p.Order)
 	}
-	if p, err = BuildPlanWith(q, nil); err != nil || len(p.Order) != 3 {
+	if p, err = BuildPlanSrc(store, q, nil); err != nil || len(p.Order) != 3 {
 		t.Fatalf("nil policy should fall back to the heuristic: %v %v", p, err)
 	}
-	if _, err = BuildPlanWith(q, OrderFunc(func(*Query) ([]string, error) {
+	if _, err = BuildPlanSrc(store, q, OrderFunc(func(*Query) ([]string, error) {
 		return []string{"A", "A", "A"}, nil
 	})); err == nil || !strings.Contains(err.Error(), `repeats variable "A"`) {
 		t.Fatalf("bad policy order not caught: %v", err)
 	}
 }
 
-// TestTrieCache asserts repeated plans hit the cache and that
+// TestTrieCache asserts repeated plans over one store hit it and that
 // concurrent plan construction is race-free and shares tries.
 func TestTrieCache(t *testing.T) {
-	ResetTrieCache()
+	store := NewTrieStore(DefaultTrieCacheLimit)
 	q := planTestQuery(t)
-	p1, err := BuildPlan(q, []string{"B", "A", "C"})
+	p1, err := BuildPlanSrc(store, q, ExplicitOrder([]string{"B", "A", "C"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, size := TrieCacheStats()
+	hits, misses, size := store.Stats()
 	if hits != 0 || misses != 2 || size != 2 {
 		t.Fatalf("cold build: hits=%d misses=%d size=%d, want 0/2/2", hits, misses, size)
 	}
-	p2, err := BuildPlan(q, []string{"B", "A", "C"})
+	p2, err := BuildPlanSrc(store, q, ExplicitOrder([]string{"B", "A", "C"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, _ = TrieCacheStats()
+	hits, misses, _ = store.Stats()
 	if hits != 2 || misses != 2 {
 		t.Fatalf("warm build: hits=%d misses=%d, want 2/2", hits, misses)
 	}
@@ -117,24 +119,24 @@ func TestTrieCache(t *testing.T) {
 	}
 	// A different global order needs a new trie only for S ([C,B]); R's
 	// restriction is [B,A] under both global orders and is reused.
-	if _, err := BuildPlan(q, []string{"C", "B", "A"}); err != nil {
+	if _, err := BuildPlanSrc(store, q, ExplicitOrder([]string{"C", "B", "A"})); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, size = TrieCacheStats()
+	hits, misses, size = store.Stats()
 	if hits != 3 || misses != 3 || size != 3 {
 		t.Fatalf("after second order: hits=%d misses=%d size=%d, want 3/3/3", hits, misses, size)
 	}
 
 	// Concurrent cold builds agree on one trie per atom (run with
 	// -race to check the locking).
-	ResetTrieCache()
+	store = NewTrieStore(DefaultTrieCacheLimit)
 	var wg sync.WaitGroup
 	plans := make([]*Plan, 8)
 	for i := range plans {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := BuildPlan(q, []string{"A", "B", "C"})
+			p, err := BuildPlanSrc(store, q, ExplicitOrder([]string{"A", "B", "C"}))
 			if err != nil {
 				t.Error(err)
 				return
@@ -143,7 +145,7 @@ func TestTrieCache(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if _, _, size = TrieCacheStats(); size != 2 {
+	if _, _, size = store.Stats(); size != 2 {
 		t.Fatalf("concurrent builds left %d cached tries, want 2", size)
 	}
 }

@@ -117,22 +117,3 @@ func trianglePattern(r, s, t *relation.Relation) (string, string, string, error)
 	}
 	return a, b, c, nil
 }
-
-// TriangleGenericJoin evaluates the same triangle query with
-// Generic-Join (Algorithm 1's loop structure) — the ablation partner of
-// TriangleHeavyLight in the benchmarks.
-func TriangleGenericJoin(r, s, t *relation.Relation) (*relation.Relation, *Stats, error) {
-	a, b, c, err := trianglePattern(r, s, t)
-	if err != nil {
-		return nil, nil, err
-	}
-	q, err := NewQuery([]string{a, b, c}, []Atom{
-		{Name: "R", Vars: []string{a, b}, Rel: r},
-		{Name: "S", Vars: []string{b, c}, Rel: s},
-		{Name: "T", Vars: []string{a, c}, Rel: t},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return GenericJoin(q, GenericJoinOptions{Order: []string{a, b, c}})
-}

@@ -38,11 +38,9 @@ import (
 // single-mutex cache serialized them all. Builds still happen outside
 // any lock, and a lost build race shares the winner's trie.
 //
-// Two kinds of store exist: the process-global default (what the
-// one-shot wcoj.Execute paths use, accessible through the
-// TrieCache* package functions) and per-DB stores (NewTrieStore) that
-// give a long-lived engine ownership of its indexes, isolated from
-// global churn.
+// There is no process-wide store: every store belongs to whoever
+// called NewTrieStore — in the product, one per wcoj.DB — and one-shot
+// calls build their tries with BuildTrie and discard them.
 
 // trieKey identifies one atom trie: the backing relation, the
 // variable binding of the atom, and the trie's attribute order.
@@ -61,10 +59,9 @@ type trieEntry struct {
 	stamp atomic.Uint64
 }
 
-// DefaultTrieCacheLimit is the byte budget the process-global store
-// starts with (per-DB stores default to it too). 256 MiB of cached
-// tries: generous for benchmark suites, small next to the relations a
-// workload at that scale already holds.
+// DefaultTrieCacheLimit is the byte budget a DB's store starts with.
+// 256 MiB of cached tries: generous for benchmark suites, small next to
+// the relations a workload at that scale already holds.
 const DefaultTrieCacheLimit int64 = 256 << 20
 
 // trieEntryOverhead is the fixed per-entry charge on top of the
@@ -90,8 +87,7 @@ type trieShard struct {
 
 // TrieStore is a bounded, sharded cache of built atom tries. The zero
 // value is not usable; create one with NewTrieStore. A DB owns one
-// store per engine instance; the process-global default store backs
-// the one-shot execution paths.
+// store per engine instance.
 type TrieStore struct {
 	limit     atomic.Int64
 	bytes     atomic.Int64
@@ -152,15 +148,22 @@ func (s *TrieStore) Get(a Atom, atomOrder []string) (*trie.Trie, error) {
 
 	// Build outside any lock: sorting a large relation must not block
 	// concurrent plan construction.
-	rel, err := a.Rel.Rename(a.Name, a.Vars...)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := trie.Build(rel, atomOrder)
+	tr, err := BuildTrie(a, atomOrder)
 	if err != nil {
 		return nil, err
 	}
 	return s.insert(keyOf(a, atomOrder), tr), nil
+}
+
+// BuildTrie builds atom a's trie under atomOrder directly, outside any
+// store: the relation's columns are renamed to the atom's variables and
+// the storage re-sorted by the atom's slice of the variable order.
+func BuildTrie(a Atom, atomOrder []string) (*trie.Trie, error) {
+	rel, err := a.Rel.Rename(a.Name, a.Vars...)
+	if err != nil {
+		return nil, err
+	}
+	return trie.Build(rel, atomOrder)
 }
 
 // Lookup returns the cached trie for (atom, order) without building on
@@ -304,42 +307,3 @@ func (s *TrieStore) Stats() (hits, misses uint64, size int) {
 func (s *TrieStore) Usage() (bytes, limit int64, evictions uint64) {
 	return s.bytes.Load(), s.limit.Load(), s.evictions.Load()
 }
-
-// Reset empties the store and zeroes its counters (the byte budget is
-// kept); tests and benchmarks call it to measure cold builds.
-func (s *TrieStore) Reset() {
-	s.evictMu.Lock()
-	defer s.evictMu.Unlock()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.m = make(map[trieKey]*trieEntry)
-		sh.mu.Unlock()
-	}
-	s.bytes.Store(0)
-	s.hits.Store(0)
-	s.misses.Store(0)
-	s.evictions.Store(0)
-}
-
-// defaultTrieStore backs the one-shot execution paths (and any plan
-// build that does not name a store).
-var defaultTrieStore = NewTrieStore(DefaultTrieCacheLimit)
-
-// DefaultTrieStore returns the process-global store.
-func DefaultTrieStore() *TrieStore { return defaultTrieStore }
-
-// SetTrieCacheLimit replaces the process-global store's byte budget
-// and returns the previous limit; see TrieStore.SetLimit.
-func SetTrieCacheLimit(bytes int64) int64 { return defaultTrieStore.SetLimit(bytes) }
-
-// TrieCacheStats reports the process-global store's counters; see
-// TrieStore.Stats.
-func TrieCacheStats() (hits, misses uint64, size int) { return defaultTrieStore.Stats() }
-
-// TrieCacheUsage reports the process-global store's resident bytes,
-// budget and evictions; see TrieStore.Usage.
-func TrieCacheUsage() (bytes, limit int64, evictions uint64) { return defaultTrieStore.Usage() }
-
-// ResetTrieCache empties the process-global store; see TrieStore.Reset.
-func ResetTrieCache() { defaultTrieStore.Reset() }

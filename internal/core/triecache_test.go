@@ -7,7 +7,7 @@ import (
 )
 
 // cacheTestQuery builds a 2-atom path query over two fresh relations
-// of n edges each (distinct pointers, so every call occupies new cache
+// of n edges each (distinct pointers, so every call occupies new store
 // entries).
 func cacheTestQuery(t *testing.T, n, seed int) *Query {
 	t.Helper()
@@ -31,28 +31,30 @@ func cacheTestQuery(t *testing.T, n, seed int) *Query {
 // TestTrieCacheEviction: the cache stays within its byte budget while
 // queries churn through distinct relations, evicted tries are rebuilt
 // transparently, and results are identical before and after eviction.
+// cacheCount runs q with its tries served from store and returns the
+// result cardinality.
+func cacheCount(t *testing.T, store *TrieStore, q *Query) int {
+	t.Helper()
+	out, _, err := gj(store, q, nil, MaterializeLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Len()
+}
+
 func TestTrieCacheEviction(t *testing.T) {
-	ResetTrieCache()
 	// Budget of ~6 tries of this size: 200 tuples x 2 cols x 8 bytes
 	// plus the fixed per-entry overhead.
 	const n = 200
-	prev := SetTrieCacheLimit(6 * (n*2*8 + trieEntryOverhead))
-	defer func() {
-		SetTrieCacheLimit(prev)
-		ResetTrieCache()
-	}()
+	store := NewTrieStore(6 * (n*2*8 + trieEntryOverhead))
 
 	queries := make([]*Query, 12)
 	counts := make([]int, 12)
 	for i := range queries {
 		queries[i] = cacheTestQuery(t, n, i)
-		c, _, err := GenericJoinCount(queries[i], GenericJoinOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[i] = c
+		counts[i] = cacheCount(t, store, queries[i])
 	}
-	bytes, limit, evictions := TrieCacheUsage()
+	bytes, limit, evictions := store.Usage()
 	if bytes > limit {
 		t.Fatalf("resident %d bytes exceeds limit %d", bytes, limit)
 	}
@@ -62,15 +64,11 @@ func TestTrieCacheEviction(t *testing.T) {
 	// Re-running the oldest queries rebuilds their evicted tries and
 	// reproduces identical counts.
 	for i, q := range queries {
-		c, _, err := GenericJoinCount(q, GenericJoinOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c != counts[i] {
+		if c := cacheCount(t, store, q); c != counts[i] {
 			t.Fatalf("query %d: count %d after eviction, want %d", i, c, counts[i])
 		}
 	}
-	if bytes, limit, _ := TrieCacheUsage(); bytes > limit {
+	if bytes, limit, _ := store.Usage(); bytes > limit {
 		t.Fatalf("resident %d bytes exceeds limit %d after rerun", bytes, limit)
 	}
 }
@@ -78,34 +76,22 @@ func TestTrieCacheEviction(t *testing.T) {
 // TestTrieCacheLRUOrder: a recently-touched entry survives an eviction
 // wave that claims colder entries.
 func TestTrieCacheLRUOrder(t *testing.T) {
-	ResetTrieCache()
 	const n = 200
 	entryBytes := int64(n*2*8) + trieEntryOverhead
-	prev := SetTrieCacheLimit(4 * entryBytes)
-	defer func() {
-		SetTrieCacheLimit(prev)
-		ResetTrieCache()
-	}()
+	store := NewTrieStore(4 * entryBytes)
 
 	hot := cacheTestQuery(t, n, 100)
-	if _, _, err := GenericJoinCount(hot, GenericJoinOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	cacheCount(t, store, hot)
 	// Touch hot again, then stream two cold queries (4 tries) through:
 	// the budget holds 4, so the cold entries must evict each other
 	// (and at most one hot trie) while the most recently used hot trie
 	// survives.
-	if _, _, err := GenericJoinCount(hot, GenericJoinOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	hitsBefore, missesBefore, _ := TrieCacheStats()
+	cacheCount(t, store, hot)
+	hitsBefore, missesBefore, _ := store.Stats()
 	for seed := 0; seed < 2; seed++ {
-		q := cacheTestQuery(t, n, seed)
-		if _, _, err := GenericJoinCount(q, GenericJoinOptions{}); err != nil {
-			t.Fatal(err)
-		}
+		cacheCount(t, store, cacheTestQuery(t, n, seed))
 	}
-	hits, misses, size := TrieCacheStats()
+	hits, misses, size := store.Stats()
 	if misses != missesBefore+4 {
 		t.Fatalf("cold queries: %d misses, want %d", misses-missesBefore, 4)
 	}
@@ -120,25 +106,13 @@ func TestTrieCacheLRUOrder(t *testing.T) {
 // TestTrieCacheOversizeUncached: a trie larger than the whole budget
 // is built and used but never cached.
 func TestTrieCacheOversizeUncached(t *testing.T) {
-	ResetTrieCache()
-	prev := SetTrieCacheLimit(64) // 4 tuples worth
-	defer func() {
-		SetTrieCacheLimit(prev)
-		ResetTrieCache()
-	}()
+	store := NewTrieStore(64) // 4 tuples worth
 	q := cacheTestQuery(t, 500, 1)
-	c1, _, err := GenericJoinCount(q, GenericJoinOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, size := TrieCacheStats(); size != 0 {
+	c1 := cacheCount(t, store, q)
+	if _, _, size := store.Stats(); size != 0 {
 		t.Fatalf("oversize tries cached: %d entries", size)
 	}
-	c2, _, err := GenericJoinCount(q, GenericJoinOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
+	if c2 := cacheCount(t, store, q); c1 != c2 {
 		t.Fatalf("uncached reruns diverge: %d vs %d", c1, c2)
 	}
 }
@@ -147,12 +121,7 @@ func TestTrieCacheOversizeUncached(t *testing.T) {
 // per-entry overhead, so churning through distinct empty tries cannot
 // grow the cache without bound.
 func TestTrieCacheEmptyRelationsBounded(t *testing.T) {
-	ResetTrieCache()
-	prev := SetTrieCacheLimit(4 * trieEntryOverhead)
-	defer func() {
-		SetTrieCacheLimit(prev)
-		ResetTrieCache()
-	}()
+	store := NewTrieStore(4 * trieEntryOverhead)
 	for i := 0; i < 32; i++ {
 		q, err := NewQuery([]string{"A", "B"}, []Atom{
 			{Name: "R", Vars: []string{"A", "B"}, Rel: relation.Empty("R", "x", "y")},
@@ -160,11 +129,9 @@ func TestTrieCacheEmptyRelationsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := GenericJoinCount(q, GenericJoinOptions{}); err != nil {
-			t.Fatal(err)
-		}
+		cacheCount(t, store, q)
 	}
-	if _, _, size := TrieCacheStats(); size > 4 {
+	if _, _, size := store.Stats(); size > 4 {
 		t.Fatalf("32 empty tries left %d resident entries in a 4-entry budget", size)
 	}
 }
@@ -174,20 +141,13 @@ func TestTrieCacheEmptyRelationsBounded(t *testing.T) {
 // measured from the cache rather than assumed, so the test holds for
 // any trie layout.
 func TestSetTrieCacheLimitShrink(t *testing.T) {
-	ResetTrieCache()
 	const n = 200
-	prev := SetTrieCacheLimit(1 << 20)
-	defer func() {
-		SetTrieCacheLimit(prev)
-		ResetTrieCache()
-	}()
+	store := NewTrieStore(1 << 20)
 	for seed := 0; seed < 3; seed++ {
-		if _, _, err := GenericJoinCount(cacheTestQuery(t, n, seed), GenericJoinOptions{}); err != nil {
-			t.Fatal(err)
-		}
+		cacheCount(t, store, cacheTestQuery(t, n, seed))
 	}
-	bytes, _, _ := TrieCacheUsage()
-	if _, _, size := TrieCacheStats(); size != 6 {
+	bytes, _, _ := store.Usage()
+	if _, _, size := store.Stats(); size != 6 {
 		t.Fatalf("resident entries = %d, want 6", size)
 	}
 	// The six tries are identical in shape, so the resident bytes split
@@ -199,17 +159,17 @@ func TestSetTrieCacheLimitShrink(t *testing.T) {
 	if colsOnly := int64(n*2*8) + trieEntryOverhead; entryBytes <= colsOnly {
 		t.Fatalf("entry charge %d does not cover the CSR index (columns+overhead alone = %d)", entryBytes, colsOnly)
 	}
-	SetTrieCacheLimit(2 * entryBytes)
-	bytes, limit, _ := TrieCacheUsage()
+	store.SetLimit(2 * entryBytes)
+	bytes, limit, _ := store.Usage()
 	if bytes > limit {
 		t.Fatalf("resident %d exceeds shrunken limit %d", bytes, limit)
 	}
-	if _, _, size := TrieCacheStats(); size != 2 {
+	if _, _, size := store.Stats(); size != 2 {
 		t.Fatalf("resident entries = %d, want 2", size)
 	}
 	// A zero limit disables caching.
-	SetTrieCacheLimit(0)
-	if _, _, size := TrieCacheStats(); size != 0 {
+	store.SetLimit(0)
+	if _, _, size := store.Stats(); size != 0 {
 		t.Fatalf("zero limit left %d entries resident", size)
 	}
 }

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -122,15 +123,18 @@ func TestBeamSearchWideQuery(t *testing.T) {
 	}
 	// The chosen order must execute: count with it and with the
 	// heuristic and compare.
-	nPlanned, _, err := core.GenericJoinCount(q, core.GenericJoinOptions{Order: e.Order})
-	if err != nil {
-		t.Fatal(err)
+	count := func(pol core.OrderPolicy) int {
+		p, err := core.BuildPlanSrc(core.NewTrieStore(0), q, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _, err := core.GenericJoinPlanCount(context.Background(), p, nil, core.MaterializeLevel, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
 	}
-	nHeur, _, err := core.GenericJoinCount(q, core.GenericJoinOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nPlanned != nHeur {
+	if nPlanned, nHeur := count(core.ExplicitOrder(e.Order)), count(core.HeuristicOrder()); nPlanned != nHeur {
 		t.Fatalf("beam order count %d, heuristic %d", nPlanned, nHeur)
 	}
 }

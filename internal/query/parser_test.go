@@ -3,7 +3,7 @@ package query
 import (
 	"testing"
 
-	"wcoj/internal/core"
+	"wcoj/internal/baseline"
 	"wcoj/internal/dataset"
 	"wcoj/internal/relation"
 )
@@ -69,12 +69,12 @@ func TestBind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := core.GenericJoinCount(q, core.GenericJoinOptions{})
+	out, _, err := baseline.JoinOnly(q, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 125 { // 5^3
-		t.Fatalf("bound query output = %d, want 125", n)
+	if out.Len() != 125 { // 5^3
+		t.Fatalf("bound query output = %d, want 125", out.Len())
 	}
 	// Unknown relation.
 	p2, _ := Parse("Q(A,B) :- Nope(A,B)")

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"wcoj/internal/baseline"
 	"wcoj/internal/bounds"
 	"wcoj/internal/core"
 	"wcoj/internal/dataset"
@@ -81,7 +82,7 @@ func TestAllDegreesAndBoundSandwich(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := core.GenericJoin(q, core.GenericJoinOptions{})
+	out, _, err := baseline.JoinOnly(q, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

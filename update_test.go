@@ -322,6 +322,17 @@ func TestRegisterThenUpdateConverges(t *testing.T) {
 	if n, _, _ := pq.Count(ctx); n != 3 {
 		t.Fatalf("held handle must converge after an update, got %d", n)
 	}
+	// A Register that changes the arity leaves the handle's plan without
+	// a relation it fits: once an update converges it, it must say so.
+	if err := db.Register(NewRelation("E", []string{"x", "y", "z"}, []Tuple{{1, 2, 3}})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Insert("E", Tuple{4, 5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	if n, _, err := pq.Count(ctx); err == nil {
+		t.Fatalf("held handle over a re-shaped relation counted %d, want an error", n)
+	}
 }
 
 // TestSnapshotIsolation hammers a DB with batches that each delete one

@@ -39,12 +39,10 @@ package wcoj
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 
 	"wcoj/internal/agg"
-	"wcoj/internal/baseline"
 	"wcoj/internal/bounds"
 	"wcoj/internal/constraints"
 	"wcoj/internal/core"
@@ -322,14 +320,6 @@ func (o Options) workers() int {
 	return o.Parallelism
 }
 
-// engine maps the options of a trie-plan algorithm (wcojAlgorithm) to
-// the search's: the order policy, worker count and context pass
-// through, and — the one place the two algorithms part ways —
-// Options.Algorithm picks the per-level intersection strategy.
-func (o Options) engine(pol core.OrderPolicy) core.GenericJoinOptions {
-	return core.GenericJoinOptions{Policy: pol, Level: o.Algorithm.level(), Parallelism: o.workers(), Ctx: o.Context}
-}
-
 // level resolves a trie-plan algorithm to the search's level strategy.
 func (a Algorithm) level() core.LevelStrategy {
 	if a == AlgoLeapfrog {
@@ -340,7 +330,7 @@ func (a Algorithm) level() core.LevelStrategy {
 
 // plannerOptions validates the Planner/Order combination and maps it
 // to the internal planner's options; it is the single source of truth
-// Execute/ExecuteFunc/Count (via orderPolicy) and Explain share.
+// the executor (via orderPolicyFor) and Explain share.
 func (o Options) plannerOptions() (planner.Options, error) {
 	switch o.Planner {
 	case PlannerAuto:
@@ -367,16 +357,13 @@ func (o Options) plannerOptions() (planner.Options, error) {
 	return planner.Options{}, fmt.Errorf("wcoj: unknown planner %v", o.Planner)
 }
 
-// orderPolicy resolves Options.Planner and Options.Order into the
+// orderPolicyFor resolves Options.Planner and Options.Order into the
 // core.OrderPolicy the WCOJ engines plan with. Heuristic and explicit
 // plans skip the planner package entirely (no statistics to measure).
-func (o Options) orderPolicy() (core.OrderPolicy, error) { return o.orderPolicyFor(nil) }
-
-// orderPolicyFor is orderPolicy carrying an aggregate spec: the
-// cost-based planner then enumerates only orders with the spec's sunk
-// suffix. Heuristic and explicit plans need no spec here — the
-// engine's AggPlanSrc sinks any resolved order identically (Sink is
-// idempotent, so cost-based orders pass through unchanged).
+// A non-nil aggregate spec makes the cost-based planner enumerate only
+// orders with the spec's sunk suffix; heuristic and explicit plans need
+// no spec here — core.AggPlanSrc sinks any resolved order identically
+// (Sink is idempotent, so cost-based orders pass through unchanged).
 func (o Options) orderPolicyFor(spec *agg.Spec) (core.OrderPolicy, error) {
 	popt, err := o.plannerOptions()
 	if err != nil {
@@ -420,16 +407,25 @@ func (o Options) validateProject(q *Query) error {
 	return nil
 }
 
-// validatePlanner rejects planner settings the selected algorithm
-// cannot honor: only the trie-based WCOJ engines consult the planner.
-func (o Options) validatePlanner() error {
-	if wcojAlgorithm(o.Algorithm) {
-		return nil
-	}
-	if o.Planner == PlannerCostBased {
+// validate rejects options q cannot run under: planner settings the
+// selected algorithm cannot honor (only the trie-plan search consults
+// the planner) and a malformed Options.Project.
+func (o Options) validate(q *Query) error {
+	if !wcojAlgorithm(o.Algorithm) && o.Planner == PlannerCostBased {
 		return fmt.Errorf("wcoj: the cost-based planner applies to AlgoGenericJoin and AlgoLeapfrog only (got %v)", o.Algorithm)
 	}
-	return nil
+	return o.validateProject(q)
+}
+
+// oneShot is the executor behind the free functions: q's atoms are
+// bound to plain relations, which the zero snapshot source indexes
+// directly — nothing is cached and nothing outlives the call. Callers
+// who want planning and index builds amortized use DB.Prepare.
+func oneShot(q *Query, opts Options) (*executor, error) {
+	if err := opts.validate(q); err != nil {
+		return nil, err
+	}
+	return newExecutor(q, snapshotSource{}, opts, nil), nil
 }
 
 // Execute evaluates the query with the selected algorithm. With
@@ -437,78 +433,11 @@ func (o Options) validatePlanner() error {
 // the Project field for how the WCOJ engines push the projection into
 // the search.
 func Execute(q *Query, opts Options) (*Relation, *Stats, error) {
-	if err := opts.validatePlanner(); err != nil {
-		return nil, nil, err
-	}
-	if err := opts.validateProject(q); err != nil {
-		return nil, nil, err
-	}
-	if err := core.CtxErr(opts.Context); err != nil {
-		return nil, nil, err
-	}
-	if opts.Project != nil {
-		return executeProjected(q, opts)
-	}
-	switch opts.Algorithm {
-	case AlgoGenericJoin, AlgoLeapfrog:
-		pol, err := opts.orderPolicy()
-		if err != nil {
-			return nil, nil, err
-		}
-		return core.GenericJoin(q, opts.engine(pol))
-	case AlgoBacktracking:
-		dc, err := backtrackConstraints(q, opts.Constraints)
-		if err != nil {
-			return nil, nil, err
-		}
-		return core.BacktrackingSearch(q, dc, core.BacktrackOptions{Order: opts.Order})
-	case AlgoBinaryJoin:
-		return baseline.JoinOnly(q, nil, nil)
-	case AlgoBinaryJoinProject:
-		return baseline.JoinProject(q, nil, nil)
-	}
-	return nil, nil, fmt.Errorf("wcoj: unknown algorithm %v", opts.Algorithm)
-}
-
-// executeProjected materializes Execute's projected mode: pushdown
-// through the aggregate-aware WCOJ engines, materialize-then-project
-// for the other algorithms.
-func executeProjected(q *Query, opts Options) (*Relation, *Stats, error) {
-	switch opts.Algorithm {
-	case AlgoGenericJoin, AlgoLeapfrog:
-		stats := &Stats{}
-		out := relation.NewBuilder(q.OutputName(), opts.Project...)
-		err := projectVisit(q, opts, stats, func(t Tuple) error { return out.Add(t...) })
-		if err != nil {
-			return nil, nil, err
-		}
-		rel := out.Build()
-		stats.Output = rel.Len()
-		return rel, stats, nil
-	default:
-		full := opts
-		full.Project = nil
-		out, stats, err := Execute(q, full)
-		if err != nil {
-			return nil, nil, err
-		}
-		proj, err := out.Project(opts.Project...)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.Output = proj.Len()
-		return proj, stats, nil
-	}
-}
-
-// projectVisit streams the projected enumeration of the WCOJ engines.
-func projectVisit(q *Query, opts Options, stats *Stats, emit func(Tuple) error) error {
-	spec := agg.Spec{Mode: agg.ModeEnumerate, Project: opts.Project}
-	pol, err := opts.orderPolicyFor(&spec)
+	e, err := oneShot(q, opts)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	return core.GenericJoinProjectVisit(q, opts.engine(pol), opts.Project, stats, emit)
+	return e.execute(opts.Context)
 }
 
 // ExecuteFunc evaluates the query, streaming each result tuple to emit
@@ -530,78 +459,11 @@ func projectVisit(q *Query, opts Options, stats *Stats, emit func(Tuple) error) 
 // planner may enumerate projected variables in a different relative
 // order than Project lists them.
 func ExecuteFunc(q *Query, opts Options, emit func(Tuple) error) (*Stats, error) {
-	if err := opts.validatePlanner(); err != nil {
-		return nil, err
-	}
-	if err := opts.validateProject(q); err != nil {
-		return nil, err
-	}
-	if err := core.CtxErr(opts.Context); err != nil {
-		return nil, err
-	}
-	if opts.Project != nil {
-		switch opts.Algorithm {
-		case AlgoGenericJoin, AlgoLeapfrog:
-			stats := &Stats{}
-			n := 0
-			err := projectVisit(q, opts, stats, func(t Tuple) error { n++; return emit(t) })
-			if err != nil {
-				return nil, err
-			}
-			stats.Output = n
-			return stats, nil
-		default:
-			return replayRelation(q, opts, emit)
-		}
-	}
-	stats := &Stats{}
-	switch opts.Algorithm {
-	case AlgoGenericJoin, AlgoLeapfrog:
-		pol, err := opts.orderPolicy()
-		if err != nil {
-			return nil, err
-		}
-		n := 0
-		err = core.GenericJoinVisit(q, opts.engine(pol), stats, func(t Tuple) error { n++; return emit(t) })
-		if err != nil {
-			return nil, err
-		}
-		stats.Output = n
-		return stats, nil
-	case AlgoBacktracking:
-		dc, err := backtrackConstraints(q, opts.Constraints)
-		if err != nil {
-			return nil, err
-		}
-		n := 0
-		err = core.BacktrackingVisit(q, dc, core.BacktrackOptions{Order: opts.Order}, stats,
-			func(t Tuple) error { n++; return emit(t) })
-		if err != nil {
-			return nil, err
-		}
-		stats.Output = n
-		return stats, nil
-	case AlgoBinaryJoin, AlgoBinaryJoinProject:
-		return replayRelation(q, opts, emit)
-	}
-	return nil, fmt.Errorf("wcoj: unknown algorithm %v", opts.Algorithm)
-}
-
-// replayRelation is the no-streaming-mode fallback of ExecuteFunc:
-// materialize via Execute (projected or not) and replay the rows.
-func replayRelation(q *Query, opts Options, emit func(Tuple) error) (*Stats, error) {
-	out, stats, err := Execute(q, opts)
+	e, err := oneShot(q, opts)
 	if err != nil {
 		return nil, err
 	}
-	var row Tuple
-	for i := 0; i < out.Len(); i++ {
-		row = out.Tuple(i, row)
-		if err := emit(row); err != nil {
-			return nil, err
-		}
-	}
-	return stats, nil
+	return e.visit(opts.Context, emit)
 }
 
 // Count evaluates the query returning only the output cardinality —
@@ -624,61 +486,13 @@ func replayRelation(q *Query, opts Options, emit func(Tuple) error) (*Stats, err
 // baselines have no streaming mode: Count materializes their full
 // output via Execute and returns its length.
 func Count(q *Query, opts Options) (int, *Stats, error) {
-	if err := opts.validatePlanner(); err != nil {
+	e, err := oneShot(q, opts)
+	if err != nil {
 		return 0, nil, err
 	}
-	if err := opts.validateProject(q); err != nil {
-		return 0, nil, err
-	}
-	if err := core.CtxErr(opts.Context); err != nil {
-		return 0, nil, err
-	}
-	switch opts.Algorithm {
-	case AlgoGenericJoin, AlgoLeapfrog:
-		// Distinct projected counting is inherently aggregate-aware,
-		// so DisablePushdown only governs the multiplicity count.
-		if opts.Project == nil && opts.DisablePushdown {
-			pol, err := opts.orderPolicy()
-			if err != nil {
-				return 0, nil, err
-			}
-			return core.GenericJoinCount(q, opts.engine(pol))
-		}
-		spec := agg.Spec{Mode: agg.ModeCount, Project: opts.Project}
-		pol, err := opts.orderPolicyFor(&spec)
-		if err != nil {
-			return 0, nil, err
-		}
-		n, stats, err := core.GenericJoinAgg(q, opts.engine(pol), spec)
-		if err != nil {
-			return 0, nil, err
-		}
-		return int(n), stats, nil
-	case AlgoBacktracking:
-		if opts.Project != nil {
-			out, stats, err := Execute(q, opts)
-			if err != nil {
-				return 0, nil, err
-			}
-			return out.Len(), stats, nil
-		}
-		dc, err := backtrackConstraints(q, opts.Constraints)
-		if err != nil {
-			return 0, nil, err
-		}
-		return core.BacktrackingCount(q, dc, core.BacktrackOptions{Order: opts.Order})
-	case AlgoBinaryJoin, AlgoBinaryJoinProject:
-		out, stats, err := Execute(q, opts)
-		if err != nil {
-			return 0, nil, err
-		}
-		return out.Len(), stats, nil
-	}
-	return 0, nil, fmt.Errorf("wcoj: unknown algorithm %v", opts.Algorithm)
+	n, stats, err := e.count(opts.Context)
+	return int(n), stats, err
 }
-
-// errFirstWitness aborts ExecuteFunc once Exists has its answer.
-var errFirstWitness = errors.New("wcoj: stop after first witness")
 
 // Exists reports whether the query has any result, short-circuiting on
 // the first witness: the aggregate-aware WCOJ engines unwind the whole
@@ -692,43 +506,11 @@ var errFirstWitness = errors.New("wcoj: stop after first witness")
 // iff the full join is); it is validated for consistency with the
 // other entry points and otherwise ignored.
 func Exists(q *Query, opts Options) (bool, *Stats, error) {
-	if err := opts.validatePlanner(); err != nil {
+	e, err := oneShot(q, opts)
+	if err != nil {
 		return false, nil, err
 	}
-	if err := opts.validateProject(q); err != nil {
-		return false, nil, err
-	}
-	if err := core.CtxErr(opts.Context); err != nil {
-		return false, nil, err
-	}
-	spec := agg.Spec{Mode: agg.ModeExists}
-	switch opts.Algorithm {
-	case AlgoGenericJoin, AlgoLeapfrog:
-		pol, err := opts.orderPolicyFor(&spec)
-		if err != nil {
-			return false, nil, err
-		}
-		n, stats, err := core.GenericJoinAgg(q, opts.engine(pol), spec)
-		return n != 0, stats, err
-	default:
-		full := opts
-		full.Project = nil
-		found := false
-		stats, err := ExecuteFunc(q, full, func(Tuple) error {
-			found = true
-			return errFirstWitness
-		})
-		if err != nil && !errors.Is(err, errFirstWitness) {
-			return false, nil, err
-		}
-		if stats == nil {
-			stats = &Stats{}
-		}
-		if found {
-			stats.Output = 1
-		}
-		return found, stats, nil
-	}
+	return e.exists(opts.Context)
 }
 
 // backtrackConstraints defaults to per-atom cardinalities and repairs
