@@ -16,7 +16,8 @@ type LevelStrategy int
 
 const (
 	// MaterializeLevel is Generic-Join [52]: intersect the level into a
-	// per-depth buffer (trie.IntersectLevels), then loop over the values.
+	// per-depth buffer (trie.IntersectLevelsAt, which also reports where
+	// each value matched), then loop over the values.
 	MaterializeLevel LevelStrategy = iota
 	// LeapfrogLevel is Leapfrog Triejoin [66]: stream the level through
 	// the leapfrog kernel (trie.LeapfrogLevels), recursing per match and
@@ -27,7 +28,8 @@ const (
 
 // run carries what the entry points below share: the plan, its
 // classification (nil for plain enumeration), the level strategy and
-// the context's stop signal and node budget.
+// the context's stop signal and node budget. A sharded run also holds
+// its depth-0 intersection: the values and where each matched.
 type run struct {
 	ctx     context.Context
 	p       *Plan
@@ -36,6 +38,8 @@ type run struct {
 	workers int
 	stats   *Stats
 	budget  *NodeBudget
+	topVals []relation.Value
+	topAt   []int
 }
 
 func newRun(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int, stats *Stats) *run {
@@ -61,24 +65,27 @@ func (r *run) serial(emit func(relation.Tuple) error, body func(s *searcher) err
 }
 
 // top computes the depth-0 intersection the sharded runner partitions,
-// accounting for the root node exactly as the serial search does. Both
-// strategies shard a materialized top level.
-func (r *run) top() []relation.Value {
-	vals := r.p.TopValues(nil)
+// accounting for the root node exactly as the serial search does, and
+// returns its size. Both strategies shard a materialized top level.
+func (r *run) top() int {
+	r.topVals, r.topAt = r.p.TopValues(nil, nil)
 	r.stats.Recursions++
-	r.stats.IntersectValues += len(vals)
-	return vals
+	r.stats.IntersectValues += len(r.topVals)
+	return len(r.topVals)
 }
 
-// chunk builds the searcher of one shard. All shards draw from the one
-// budget, and each is charged its depth-0 values upfront: per-chunk
-// Stats restart the &255 poll stride, so without this a fleet of small
-// chunks could dodge the budget entirely.
-func (r *run) chunk(vals []relation.Value, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) (*searcher, error) {
-	if !r.budget.Spend(int64(len(vals))) {
-		return nil, ErrNodeBudget
+// chunk builds the searcher of one shard, the depth-0 values [lo,hi),
+// and returns it with those values and their positions. All shards
+// draw from the one budget, and each is charged its depth-0 values
+// upfront: per-chunk Stats restart the &255 poll stride, so without
+// this a fleet of small chunks could dodge the budget entirely.
+func (r *run) chunk(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) (*searcher, []relation.Value, []int, error) {
+	if !r.budget.Spend(int64(hi - lo)) {
+		return nil, nil, nil, ErrNodeBudget
 	}
-	return newSearcher(r.p, r.cls, r.lv, st, emit, stop, r.budget), nil
+	k := len(r.p.Participants[0])
+	s := newSearcher(r.p, r.cls, r.lv, st, emit, stop, r.budget)
+	return s, r.topVals[lo:hi], r.topAt[lo*k : hi*k], nil
 }
 
 // GenericJoinPlanVisit evaluates a built plan with the Generic-Join
@@ -112,12 +119,12 @@ func GenericJoinPlanVisit(ctx context.Context, p *Plan, cls *agg.Classification,
 		arity = len(cls.Spec.Project)
 	}
 	return runSharded(ctx, r.top(), workers, stats, newBufferSink(arity, emit),
-		func(vals []relation.Value, st *Stats, stop *atomic.Bool, chunkEmit func(relation.Tuple) error) error {
-			s, err := r.chunk(vals, st, stop, chunkEmit)
+		func(lo, hi int, st *Stats, stop *atomic.Bool, chunkEmit func(relation.Tuple) error) error {
+			s, vals, at, err := r.chunk(lo, hi, st, stop, chunkEmit)
 			if err != nil {
 				return err
 			}
-			return s.visitVals(0, vals)
+			return s.visitVals(0, vals, at)
 		})
 }
 
@@ -134,13 +141,13 @@ func GenericJoinPlanCount(ctx context.Context, p *Plan, cls *agg.Classification,
 		err = r.serial(func(relation.Tuple) error { n++; return nil },
 			func(s *searcher) error { return s.visit(0) })
 	} else {
-		n, err = runShardedSum(ctx, r.top(), workers, r.stats, func(vals []relation.Value, st *Stats, stop *atomic.Bool) (int64, error) {
+		n, err = runShardedSum(ctx, r.top(), workers, r.stats, func(lo, hi int, st *Stats, stop *atomic.Bool) (int64, error) {
 			var c int64
-			s, err := r.chunk(vals, st, stop, func(relation.Tuple) error { c++; return nil })
+			s, vals, at, err := r.chunk(lo, hi, st, stop, func(relation.Tuple) error { c++; return nil })
 			if err != nil {
 				return 0, err
 			}
-			return c, s.visitVals(0, vals)
+			return c, s.visitVals(0, vals, at)
 		})
 	}
 	if err != nil {
@@ -176,12 +183,12 @@ func GenericJoinAggPlan(ctx context.Context, p *Plan, cls *agg.Classification, l
 			err = r.serial(nil, func(s *searcher) error { n = s.count(0); return nil })
 			break
 		}
-		n, err = runShardedSum(ctx, r.top(), workers, r.stats, func(vals []relation.Value, st *Stats, stop *atomic.Bool) (int64, error) {
-			s, err := r.chunk(vals, st, stop, nil)
+		n, err = runShardedSum(ctx, r.top(), workers, r.stats, func(lo, hi int, st *Stats, stop *atomic.Bool) (int64, error) {
+			s, vals, at, err := r.chunk(lo, hi, st, stop, nil)
 			if err != nil {
 				return 0, err
 			}
-			return s.countVals(0, vals), s.err
+			return s.countVals(0, vals, at), s.err
 		})
 		if err == nil && n < 0 { // cross-chunk summation wrapped
 			err = agg.ErrCountOverflow
@@ -193,12 +200,12 @@ func GenericJoinAggPlan(ctx context.Context, p *Plan, cls *agg.Classification, l
 		} else {
 			// Shards poll the runner's stop flag, so the whole fleet
 			// unwinds once any worker finds a witness.
-			found, err = runShardedAny(ctx, r.top(), workers, r.stats, func(vals []relation.Value, st *Stats, stop *atomic.Bool) (bool, error) {
-				s, err := r.chunk(vals, st, stop, nil)
+			found, err = runShardedAny(ctx, r.top(), workers, r.stats, func(lo, hi int, st *Stats, stop *atomic.Bool) (bool, error) {
+				s, vals, at, err := r.chunk(lo, hi, st, stop, nil)
 				if err != nil {
 					return false, err
 				}
-				return s.existsVals(0, vals), s.err
+				return s.existsVals(0, vals, at), s.err
 			})
 		}
 		if found {

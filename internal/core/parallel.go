@@ -73,35 +73,38 @@ func CtxAbortErr(ctx context.Context, err error) error {
 	return err
 }
 
-// shardRun searches one chunk of top-level values, writing counters to
-// st and tuples to emit. It runs on a worker goroutine with no state
-// shared with other chunks except the run's stop flag, which the
-// search should poll (cheaply, every few hundred nodes) and unwind on
-// by returning ErrAborted.
-type shardRun func(chunk []relation.Value, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) error
+// shardRun searches one chunk, the top-level values [lo,hi), writing
+// counters to st and tuples to emit. It runs on a worker goroutine with
+// no state shared with other chunks except the run's stop flag, which
+// the search should poll (cheaply, every few hundred nodes) and unwind
+// on by returning ErrAborted.
+type shardRun func(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) error
 
-// runSharded partitions vals into contiguous chunks and runs run over
-// them on min(workers, chunks) goroutines. Per-chunk Stats are merged
-// into parentStats in chunk order; the first error (from a chunk or
-// from the sink) aborts the remaining work — queued chunks are
-// skipped, and in-flight chunks are unwound at their next emitted
-// tuple via ErrAborted. Chunk issue is windowed: a chunk is only
-// handed to a worker once all chunks more than shardWindow(workers)
-// positions behind it have been consumed by the sink, bounding how
-// much un-consumed output the ordered sink can buffer. It returns
-// only after all worker goroutines have exited, so the caller may
-// reuse any state afterwards.
-func runSharded(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats, sink *bufferSink, run shardRun) error {
+// runSharded partitions the n top-level values into contiguous chunks
+// and runs run over them on min(workers, chunks) goroutines. Per-chunk
+// Stats are merged into parentStats in chunk order; the first error
+// (from a chunk or from the sink) aborts the remaining work — queued
+// chunks are skipped, and in-flight chunks are unwound at their next
+// emitted tuple via ErrAborted. Chunk sizes ramp up (see shardStarts):
+// a consumer that stops early (a LIMIT returning an error from emit)
+// is seen only when its chunk is replayed, and the chunks issued by
+// then run on until they unwind, so the first chunks are the cheap
+// ones. Chunk issue is windowed: a chunk is only handed to a worker
+// once all chunks more than shardWindow(workers) positions behind it
+// have been consumed by the sink, bounding how much un-consumed output
+// the ordered sink can buffer. It returns only after all worker
+// goroutines have exited, so the caller may reuse any state afterwards.
+func runSharded(ctx context.Context, n, workers int, parentStats *Stats, sink *bufferSink, run shardRun) error {
 	if err := CtxErr(ctx); err != nil {
 		return err
 	}
 	var abort atomic.Bool
-	n := len(vals)
 	if n == 0 {
 		sink.bind(0, &abort)
 		return nil
 	}
-	starts, numChunks, workers := shardStarts(n, workers)
+	starts, workers := shardStarts(n, workers, true)
+	numChunks := len(starts) - 1
 	sink.bind(numChunks, &abort)
 
 	chunkStats := make([]Stats, numChunks)
@@ -122,7 +125,7 @@ func runSharded(ctx context.Context, vals []relation.Value, workers int, parentS
 			for c := range next {
 				if !abort.Load() {
 					emit := sink.chunkEmit(c)
-					chunkErrs[c] = run(vals[starts[c]:starts[c+1]], &chunkStats[c], &abort,
+					chunkErrs[c] = run(starts[c], starts[c+1], &chunkStats[c], &abort,
 						func(t relation.Tuple) error {
 							if abort.Load() {
 								return ErrAborted
@@ -231,44 +234,50 @@ func (s *bufferSink) finishChunk(chunk int) error {
 	return nil
 }
 
-// shardStarts computes the balanced contiguous partition of n values
-// into chunks: chunk i covers [starts[i], starts[i+1]). It also
-// clamps the chunk and worker counts, returning the adjusted pair.
-func shardStarts(n, workers int) (starts []int, numChunks, w int) {
-	numChunks = workers * shardChunkFactor
-	if numChunks > n {
-		numChunks = n
-	}
-	if workers > numChunks {
-		workers = numChunks
-	}
-	starts = make([]int, numChunks+1)
-	base, rem := n/numChunks, n%numChunks
-	for i := 0; i < numChunks; i++ {
-		starts[i+1] = starts[i] + base
-		if i < rem {
-			starts[i+1]++
+// shardStarts computes the contiguous partition of n values into
+// chunks: chunk i covers [starts[i], starts[i+1]). The chunks are
+// min(workers·shardChunkFactor, n) balanced ones; with ramp, the first
+// chunks instead grow from one value, doubling while below the
+// balanced size, and the rest is split into balanced chunks again. It
+// also clamps the worker count to the chunk count.
+func shardStarts(n, workers int, ramp bool) (starts []int, w int) {
+	chunks := min(workers*shardChunkFactor, n)
+	starts = []int{0}
+	if ramp {
+		// The ramp covers fewer than 2n/chunks values, so some are left.
+		for size := 1; size < n/chunks; size *= 2 {
+			starts = append(starts, starts[len(starts)-1]+size)
 		}
 	}
-	return starts, numChunks, workers
+	lo := starts[len(starts)-1]
+	m := ((n-lo)*chunks + n - 1) / n // balanced chunks the rest spans
+	base, rem := (n-lo)/m, (n-lo)%m
+	for i := 0; i < m; i++ {
+		lo += base
+		if i < rem {
+			lo++
+		}
+		starts = append(starts, lo)
+	}
+	return starts, min(workers, len(starts)-1)
 }
 
-// runShardedSum shards vals across workers and sums the per-chunk
-// int64 results of run. Unlike the tuple-emitting runner no output
-// ordering is needed, so chunks are claimed from an atomic counter;
-// per-chunk Stats are still merged in chunk order, keeping counter
-// totals deterministic for a fixed worker count. Every counting run
-// shards through it.
-func runShardedSum(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats,
-	run func(chunk []relation.Value, st *Stats, stop *atomic.Bool) (int64, error)) (int64, error) {
+// runShardedSum shards the n top-level values across workers and sums
+// the per-chunk int64 results of run. Unlike the tuple-emitting runner
+// no output ordering is needed, so chunks are claimed from an atomic
+// counter; per-chunk Stats are still merged in chunk order, keeping
+// counter totals deterministic for a fixed worker count. Every
+// counting run shards through it.
+func runShardedSum(ctx context.Context, n, workers int, parentStats *Stats,
+	run func(lo, hi int, st *Stats, stop *atomic.Bool) (int64, error)) (int64, error) {
 	if err := CtxErr(ctx); err != nil {
 		return 0, err
 	}
-	n := len(vals)
 	if n == 0 {
 		return 0, nil
 	}
-	starts, numChunks, w := shardStarts(n, workers)
+	starts, w := shardStarts(n, workers, false)
+	numChunks := len(starts) - 1
 	chunkStats := make([]Stats, numChunks)
 	sums := make([]int64, numChunks)
 	errs := make([]error, numChunks)
@@ -285,7 +294,7 @@ func runShardedSum(ctx context.Context, vals []relation.Value, workers int, pare
 				if c >= numChunks || abort.Load() {
 					return
 				}
-				sums[c], errs[c] = run(vals[starts[c]:starts[c+1]], &chunkStats[c], &abort)
+				sums[c], errs[c] = run(starts[c], starts[c+1], &chunkStats[c], &abort)
 				if errs[c] != nil {
 					abort.Store(true)
 				}
@@ -317,23 +326,24 @@ func runShardedSum(ctx context.Context, vals []relation.Value, workers int, pare
 	return total, nil
 }
 
-// runShardedAny shards vals across workers and reports whether any
-// chunk found a witness. The shared stop flag is set as soon as one
-// does (or a chunk errors); chunk searches are expected to poll it and
-// unwind, so the whole fleet short-circuits on the first witness.
+// runShardedAny shards the n top-level values across workers and
+// reports whether any chunk found a witness. The shared stop flag is
+// set as soon as one does (or a chunk errors); chunk searches are
+// expected to poll it and unwind, so the whole fleet short-circuits on
+// the first witness.
 // Stats are merged from every chunk that ran; because chunks race the
 // stop flag, counter totals (unlike the boolean result) are not
 // deterministic across runs.
-func runShardedAny(ctx context.Context, vals []relation.Value, workers int, parentStats *Stats,
-	run func(chunk []relation.Value, st *Stats, stop *atomic.Bool) (bool, error)) (bool, error) {
+func runShardedAny(ctx context.Context, n, workers int, parentStats *Stats,
+	run func(lo, hi int, st *Stats, stop *atomic.Bool) (bool, error)) (bool, error) {
 	if err := CtxErr(ctx); err != nil {
 		return false, err
 	}
-	n := len(vals)
 	if n == 0 {
 		return false, nil
 	}
-	starts, numChunks, w := shardStarts(n, workers)
+	starts, w := shardStarts(n, workers, false)
+	numChunks := len(starts) - 1
 	chunkStats := make([]Stats, numChunks)
 	errs := make([]error, numChunks)
 	var stop atomic.Bool
@@ -350,7 +360,7 @@ func runShardedAny(ctx context.Context, vals []relation.Value, workers int, pare
 				if c >= numChunks || stop.Load() {
 					return
 				}
-				ok, err := run(vals[starts[c]:starts[c+1]], &chunkStats[c], &stop)
+				ok, err := run(starts[c], starts[c+1], &chunkStats[c], &stop)
 				errs[c] = err
 				if err != nil || ok {
 					stop.Store(true)

@@ -190,15 +190,17 @@ func RefreshPlan(p *Plan, q *Query, src TrieSource) (*Plan, error) {
 
 // TopValues computes the depth-0 intersection — the sorted distinct
 // values of Order[0] common to every participating atom — which the
-// parallel engine shards across workers. The result is appended to
-// dst.
-func (p *Plan) TopValues(dst []relation.Value) []relation.Value {
+// parallel engine shards across workers. The values are appended to
+// dst and, len(Participants[0]) per value, the level-0 segment each
+// participant matched it at to at (see trie.IntersectLevelsAt), so a
+// shard's atoms take their depth-0 segments as the serial search does.
+func (p *Plan) TopValues(dst []relation.Value, at []int) ([]relation.Value, []int) {
 	ranges := make([]trie.LevelRange, 0, len(p.Participants[0]))
 	for _, ai := range p.Participants[0] {
 		tr := p.Tries[ai]
 		ranges = append(ranges, tr.SegLevel(0, 0, tr.NumSegs(0)))
 	}
-	return trie.IntersectLevels(dst, ranges)
+	return trie.IntersectLevelsAt(dst, at, ranges)
 }
 
 // CheckOrder verifies order is a permutation of the query variables.

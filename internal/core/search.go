@@ -8,6 +8,12 @@ package core
 // runner enters at depth 0), the poll site, the sticky abort and the
 // Stats accounting. They differ only in the LevelStrategy, which
 // decides once per level how the intersection reaches the recursion.
+// Under both, each value arrives with its position in every
+// participating level range — the kernel matched it there — so the
+// atoms take their segments without a second search, and neither
+// allocates per level: the materialize strategy keeps values and
+// positions in per-depth buffers, the streamed level reuses its
+// depth's position slot.
 //
 // The aggregate-aware modes skip the enumeration work an answer does
 // not need, driven by the level classification of internal/agg:
@@ -47,36 +53,14 @@ type gjAtom struct {
 	// the segment chosen at level l-1; the whole level for l = 0).
 	segLo []int
 	segHi []int
-	// segCur[l] is the narrowing cursor within [segLo[l], segHi[l]):
-	// each per-value sweep probes ascending values, so arm resets it to
-	// segLo once per sweep and every find gallops forward from the
-	// previous hit — amortized O(1) per probe. A level can be swept
-	// many times (once per combination of the other atoms' bindings),
-	// which is why the cursor is separate from segLo.
-	segCur []int
 	// segAt[l] is the segment chosen at level l by the current prefix;
 	// its row range (SegRows) is what the aggregate modes' products and
 	// memo keys are built from.
 	segAt []int
 }
 
-// bind locates v at trie level l within the candidate range, recording
-// the chosen segment and pushing its children span. It reports whether
-// v is present (it always is when v came from the level intersection).
-func (ga *gjAtom) bind(l int, v relation.Value) bool {
-	s, ok := ga.trie.FindSegFrom(l, ga.segCur[l], ga.segHi[l], v)
-	if !ok {
-		ga.segCur[l] = s
-		return false
-	}
-	ga.segCur[l] = s + 1
-	ga.take(l, s)
-	return true
-}
-
-// take records segment s as the one chosen at trie level l and pushes
-// its children span — bind for a caller that knows where the value
-// sits.
+// take records segment s, where the level kernel matched the value, as
+// the one chosen at trie level l and pushes its children span.
 func (ga *gjAtom) take(l, s int) {
 	ga.segAt[l] = s
 	if l+1 < ga.trie.Depth() {
@@ -111,9 +95,13 @@ type searcher struct {
 	atoms   []*gjAtom
 	binding relation.Tuple
 	// scratch[d] holds level d's materialized intersection; ranges[d]
-	// the level ranges it (or the stream) is computed from.
+	// the level ranges it (or the stream) is computed from. pos[d] holds
+	// where each value matched, len(Participants[d]) positions per value
+	// (the streamed level's current value only), so the atoms take
+	// their segments without searching again.
 	scratch [][]relation.Value
 	ranges  [][]trie.LevelRange
+	pos     [][]int
 
 	stats *Stats
 	emit  func(relation.Tuple) error
@@ -151,6 +139,7 @@ func newSearcher(p *Plan, cls *agg.Classification, lv LevelStrategy, stats *Stat
 		binding: make(relation.Tuple, len(p.Q.Vars)),
 		scratch: make([][]relation.Value, n),
 		ranges:  make([][]trie.LevelRange, n),
+		pos:     make([][]int, n),
 		stats:   stats,
 		emit:    emit,
 		stop:    stop,
@@ -159,14 +148,13 @@ func newSearcher(p *Plan, cls *agg.Classification, lv LevelStrategy, stats *Stat
 	s.out = s.binding
 	for i, tr := range p.Tries {
 		k := tr.Depth()
-		idx := make([]int, 4*k)
+		idx := make([]int, 3*k)
 		ga := &gjAtom{
 			trie:    tr,
 			levelOf: p.LevelOf[i],
 			segLo:   idx[:k:k],
 			segHi:   idx[k : 2*k : 2*k],
-			segCur:  idx[2*k : 3*k : 3*k],
-			segAt:   idx[3*k:],
+			segAt:   idx[2*k:],
 		}
 		ga.segLo[0], ga.segHi[0] = 0, tr.NumSegs(0)
 		s.atoms[i] = ga
@@ -175,9 +163,13 @@ func newSearcher(p *Plan, cls *agg.Classification, lv LevelStrategy, stats *Stat
 	for _, ps := range p.Participants {
 		total += len(ps)
 	}
+	// Capacity-capped carvings of one slab each: a level that outgrows
+	// its slot reallocates instead of overwriting the next depth's.
 	slab := make([]trie.LevelRange, total)
+	posSlab := make([]int, total)
 	for d, ps := range p.Participants {
 		s.ranges[d], slab = slab[:0:len(ps)], slab[len(ps):]
+		s.pos[d], posSlab = posSlab[:0:len(ps)], posSlab[len(ps):]
 	}
 	if cls == nil {
 		return s
@@ -227,13 +219,14 @@ func (s *searcher) levelRanges(d int) []trie.LevelRange {
 	return rs
 }
 
-// intersect materializes the depth-d level intersection into the
-// depth's scratch — the materialize strategy.
-func (s *searcher) intersect(d int) []relation.Value {
-	vals := trie.IntersectLevels(s.scratch[d][:0], s.levelRanges(d))
-	s.scratch[d] = vals
+// intersect materializes the depth-d level intersection, with where
+// each value matched, into the depth's scratch — the materialize
+// strategy.
+func (s *searcher) intersect(d int) ([]relation.Value, []int) {
+	vals, at := trie.IntersectLevelsAt(s.scratch[d][:0], s.pos[d][:0], s.levelRanges(d))
+	s.scratch[d], s.pos[d] = vals, at
 	s.stats.IntersectValues += len(vals)
-	return vals
+	return vals, at
 }
 
 // leapfrog streams the depth-d level intersection through the leapfrog
@@ -242,38 +235,21 @@ func (s *searcher) intersect(d int) []relation.Value {
 // the value is handed to match, which returns true to stop the level
 // early. The level is never materialized.
 func (s *searcher) leapfrog(d int, match func(v relation.Value) bool) {
-	trie.LeapfrogLevels(s.levelRanges(d), func(v relation.Value, at []int) bool {
+	trie.LeapfrogLevels(s.levelRanges(d), s.pos[d], func(v relation.Value, at []int) bool {
 		s.stats.IntersectValues++
-		for j, ai := range s.plan.Participants[d] {
-			ga := s.atoms[ai]
-			ga.take(ga.levelOf[d], at[j])
-		}
+		s.take(d, at)
 		return match(v)
 	})
 }
 
-// arm starts a fresh ascending per-value sweep at depth d: every
-// participating atom's narrowing cursor rewinds to its candidate
-// range's start.
-func (s *searcher) arm(d int) {
-	for _, ai := range s.plan.Participants[d] {
+// take binds every participating atom at depth d to the segment its
+// level range matched the value at: at[j] is the position in
+// participant j's range, as the kernels report it.
+func (s *searcher) take(d int, at []int) {
+	for j, ai := range s.plan.Participants[d] {
 		ga := s.atoms[ai]
-		l := ga.levelOf[d]
-		ga.segCur[l] = ga.segLo[l]
+		ga.take(ga.levelOf[d], at[j])
 	}
-}
-
-// bind narrows every participating atom to v at depth d. v comes from
-// the level intersection, so narrowing cannot fail; callers skip the
-// value if it does.
-func (s *searcher) bind(d int, v relation.Value) bool {
-	for _, ai := range s.plan.Participants[d] {
-		ga := s.atoms[ai]
-		if !ga.bind(ga.levelOf[d], v) {
-			return false
-		}
-	}
-	return true
 }
 
 // visit enumerates the output prefix, emitting one tuple per prefix
@@ -301,20 +277,21 @@ func (s *searcher) visit(d int) error {
 		})
 		return err
 	}
-	return s.visitVals(d, s.intersect(d))
+	vals, at := s.intersect(d)
+	return s.visitVals(d, vals, at)
 }
 
 // visitVals, countVals and existsVals run the per-value loop of depth d
-// over materialized values: bind the value, narrow every participating
-// atom, recurse. The sharded runner enters the search through them at
-// depth 0, with one chunk of the precomputed top-level intersection.
-func (s *searcher) visitVals(d int, vals []relation.Value) error {
-	s.arm(d)
-	for _, v := range vals {
+// over materialized values: the participating atoms take the segments
+// at lists for the value (k = len(Participants[d]) positions per
+// value, as IntersectLevelsAt reports them), then the search recurses.
+// The sharded runner enters the search through them at depth 0, with
+// one chunk of the precomputed top-level intersection.
+func (s *searcher) visitVals(d int, vals []relation.Value, at []int) error {
+	k := len(s.plan.Participants[d])
+	for i, v := range vals {
 		s.binding[s.plan.OutPos[d]] = v
-		if !s.bind(d, v) {
-			continue
-		}
+		s.take(d, at[i*k:])
 		if err := s.visit(d + 1); err != nil {
 			return err
 		}
@@ -322,22 +299,21 @@ func (s *searcher) visitVals(d int, vals []relation.Value) error {
 	return nil
 }
 
-func (s *searcher) countVals(d int, vals []relation.Value) int64 {
-	s.arm(d)
+func (s *searcher) countVals(d int, vals []relation.Value, at []int) int64 {
+	k := len(s.plan.Participants[d])
 	var total int64
-	for _, v := range vals {
-		if !s.bind(d, v) {
-			continue
-		}
+	for i := range vals {
+		s.take(d, at[i*k:])
 		total = s.add(total, s.count(d+1))
 	}
 	return total
 }
 
-func (s *searcher) existsVals(d int, vals []relation.Value) bool {
-	s.arm(d)
-	for _, v := range vals {
-		if s.bind(d, v) && s.exists(d+1) {
+func (s *searcher) existsVals(d int, vals []relation.Value, at []int) bool {
+	k := len(s.plan.Participants[d])
+	for i := range vals {
+		s.take(d, at[i*k:])
+		if s.exists(d + 1) {
 			return true
 		}
 	}
@@ -435,7 +411,8 @@ func (s *searcher) count(d int) int64 {
 			return s.err != nil
 		})
 	default:
-		total = s.countVals(d, s.intersect(d))
+		vals, at := s.intersect(d)
+		total = s.countVals(d, vals, at)
 	}
 	if useMemo && s.err == nil {
 		// The memo's key scratch was clobbered by deeper probes;
@@ -480,7 +457,8 @@ func (s *searcher) exists(d int) bool {
 			return found || s.err != nil
 		})
 	default:
-		found = s.existsVals(d, s.intersect(d))
+		vals, at := s.intersect(d)
+		found = s.existsVals(d, vals, at)
 	}
 	if useMemo && s.err == nil {
 		var v int64

@@ -1,6 +1,7 @@
 package trie
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -55,13 +56,89 @@ func toNarrow(keys []relation.Value) []uint32 {
 	return out
 }
 
+// matchedAt reports whether at holds, for every range, a position
+// inside the range's window [Lo,Hi) whose key is v — the contract of
+// the positions IntersectLevelsAt and LeapfrogLevels report.
+func matchedAt(ranges []LevelRange, v relation.Value, at []int) bool {
+	if len(at) != len(ranges) {
+		return false
+	}
+	for j, r := range ranges {
+		p := at[j]
+		if p < r.Lo || p >= r.Hi {
+			return false
+		}
+		if (r.Keys32 != nil && relation.Value(r.Keys32[p]) != v) || (r.Keys32 == nil && r.Keys[p] != v) {
+			return false
+		}
+	}
+	return true
+}
+
+// kernelsAgree checks every kernel entry on ranges against the oracle
+// answer want: IntersectLevels, IntersectLevelsAt (values and
+// positions, appended after existing contents), IntersectLevelsCount,
+// IntersectLevelsAny and the streaming LeapfrogLevels (values,
+// positions, and a stop at the first value). It returns a description
+// of the first disagreement, or "".
+func kernelsAgree(ranges []LevelRange, want []relation.Value) string {
+	same := func(got []relation.Value) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if got := IntersectLevels(nil, ranges); !same(got) {
+		return fmt.Sprintf("IntersectLevels = %v, want %v", got, want)
+	}
+	k := len(ranges)
+	vals, at := IntersectLevelsAt([]relation.Value{-1}, []int{-1}, ranges)
+	if !same(vals[1:]) || len(at) != 1+k*len(want) {
+		return fmt.Sprintf("IntersectLevelsAt = %v with %d positions, want %v", vals[1:], len(at)-1, want)
+	}
+	for i, v := range want {
+		if !matchedAt(ranges, v, at[1+i*k:1+(i+1)*k]) {
+			return fmt.Sprintf("IntersectLevelsAt: value %d reported at %v", v, at[1+i*k:1+(i+1)*k])
+		}
+	}
+	if n := IntersectLevelsCount(ranges); n != len(want) {
+		return fmt.Sprintf("IntersectLevelsCount = %d, want %d", n, len(want))
+	}
+	if IntersectLevelsAny(ranges) != (len(want) > 0) {
+		return "IntersectLevelsAny disagrees"
+	}
+	var streamed []relation.Value
+	misplaced := false
+	LeapfrogLevels(ranges, nil, func(v relation.Value, at []int) bool {
+		misplaced = misplaced || !matchedAt(ranges, v, at)
+		streamed = append(streamed, v)
+		return false
+	})
+	if !same(streamed) || misplaced {
+		return fmt.Sprintf("LeapfrogLevels = %v (misplaced %v), want %v", streamed, misplaced, want)
+	}
+	first := 0
+	LeapfrogLevels(ranges, make([]int, k), func(relation.Value, []int) bool {
+		first++
+		return true
+	})
+	if first != min(len(want), 1) {
+		return fmt.Sprintf("LeapfrogLevels stopped after %d values", first)
+	}
+	return ""
+}
+
 // TestPropertyKernelsAgree: for random duplicate-free sorted inputs —
 // including size skews that exercise both the linear merge and the
-// galloping kernel, empty ranges, and every width combination (wide,
-// narrow, mixed) — IntersectLevels, IntersectLevelsCount,
-// IntersectLevelsAny and the streaming LeapfrogLevels (run to the end
-// and stopped at the first value) agree with the map-based oracle and
-// each other.
+// galloping kernel, empty ranges, windows that start and end inside
+// their key arrays, and every width combination (wide, narrow, mixed)
+// — every kernel entry agrees with the map-based oracle, and every
+// reported position lies in its range's window and holds the value.
 func TestPropertyKernelsAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -78,55 +155,25 @@ func TestPropertyKernelsAgree(t *testing.T) {
 			} else {
 				n = 200 + rng.Intn(800)
 			}
-			keySets[i] = sortedSet(rng, n, 1500)
+			keys := sortedSet(rng, n, 1500)
+			// The window is a parent's children span: it may start and
+			// end inside the level's key array.
+			lo := rng.Intn(len(keys)/4 + 1)
+			hi := len(keys) - rng.Intn(len(keys)/4+1)
+			hi = max(hi, lo)
+			keySets[i] = keys[lo:hi]
 			narrow := width == 1 || (width == 2 && i%2 == 1)
 			if narrow {
-				ranges[i] = LevelRange{Keys32: toNarrow(keySets[i]), Lo: 0, Hi: len(keySets[i])}
+				ranges[i] = LevelRange{Keys32: toNarrow(keys), Lo: lo, Hi: hi}
 			} else {
-				ranges[i] = LevelRange{Keys: keySets[i], Lo: 0, Hi: len(keySets[i])}
+				ranges[i] = LevelRange{Keys: keys, Lo: lo, Hi: hi}
 			}
 		}
-		want := refIntersect(keySets)
-		got := IntersectLevels(nil, ranges)
-		if len(got) != len(want) {
+		if msg := kernelsAgree(ranges, refIntersect(keySets)); msg != "" {
+			t.Logf("seed %d: %s", seed, msg)
 			return false
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		if IntersectLevelsCount(ranges) != len(want) {
-			return false
-		}
-		if IntersectLevelsAny(ranges) != (len(want) > 0) {
-			return false
-		}
-		var streamed []relation.Value
-		LeapfrogLevels(ranges, func(v relation.Value, at []int) bool {
-			// Each reported position holds the value in its own range.
-			for i, pos := range at {
-				if keySets[i][pos] != v {
-					return true
-				}
-			}
-			streamed = append(streamed, v)
-			return false
-		})
-		if len(streamed) != len(want) {
-			return false
-		}
-		for i := range want {
-			if streamed[i] != want[i] {
-				return false
-			}
-		}
-		first := 0
-		LeapfrogLevels(ranges, func(relation.Value, []int) bool {
-			first++
-			return true
-		})
-		return first == min(len(want), 1)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -361,9 +408,10 @@ func TestSizeBytesAccountsIndex(t *testing.T) {
 	}
 }
 
-// FuzzIntersectKernels cross-checks the three kernels against each
-// other on fuzzer-shaped inputs: two sorted duplicate-free sets built
-// from the raw bytes, wide and narrow.
+// FuzzIntersectKernels cross-checks every kernel entry and the
+// positions they report against the oracle on fuzzer-shaped inputs:
+// two sorted duplicate-free sets built from the raw bytes, wide,
+// narrow and mixed.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
 	f.Add([]byte{}, []byte{0, 255})
@@ -388,20 +436,8 @@ func FuzzIntersectKernels(f *testing.F) {
 			{{Keys32: toNarrow(a), Lo: 0, Hi: len(a)}, {Keys32: toNarrow(b), Lo: 0, Hi: len(b)}},
 			{{Keys: a, Lo: 0, Hi: len(a)}, {Keys32: toNarrow(b), Lo: 0, Hi: len(b)}},
 		} {
-			got := IntersectLevels(nil, ranges)
-			if len(got) != len(want) {
-				t.Fatalf("ranges %v: %v, want %v", ranges, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("ranges %v: %v, want %v", ranges, got, want)
-				}
-			}
-			if n := IntersectLevelsCount(ranges); n != len(want) {
-				t.Fatalf("count %d, want %d", n, len(want))
-			}
-			if IntersectLevelsAny(ranges) != (len(want) > 0) {
-				t.Fatal("any disagrees with materialize")
+			if msg := kernelsAgree(ranges, want); msg != "" {
+				t.Fatalf("ranges %v: %s", ranges, msg)
 			}
 		}
 	})

@@ -1,6 +1,21 @@
 package trie
 
+// The multiway level-intersection kernels: materializing
+// (IntersectLevels, and IntersectLevelsAt, which also reports where
+// every value matched), counting (IntersectLevelsCount), existence
+// (IntersectLevelsAny) and streaming (LeapfrogLevels). The search calls
+// one of them per level, and per value it then pays only its share of
+// that one intersection — the primitive Algorithm 1 and Generic-Join
+// assume. So no entry allocates on the same-width path: the span cursors
+// live in a fixed stack buffer, and values and positions go to the
+// caller's buffers, which grow at most once per call, to the smallest
+// range's size. The positions mean a caller never searches again for a
+// value the kernel has already matched. Only the mixed-width widening
+// copy allocates per call.
+
 import (
+	"slices"
+
 	"wcoj/internal/relation"
 )
 
@@ -27,14 +42,20 @@ type key interface {
 
 // span is a kernel-internal cursor over one key range; the kernels
 // advance lo in place. id is the index of the range the span was made
-// from: leapfrogUntil reorders spans, and LeapfrogLevels reports
-// positions per range.
+// from: leapfrogUntil reorders spans, and positions are reported per
+// range.
 type span[K key] struct {
 	keys []K
 	lo   int
 	hi   int
 	id   int
 }
+
+// stackSpans is how many span cursors an entry keeps in its stack
+// buffer. A level's participants are the atoms that share one variable,
+// single digits in practice; a wider level spills its cursors to one
+// heap allocation.
+const stackSpans = 8
 
 // gallopRatio is the size skew at which a binary intersection switches
 // from the linear merge to galloping the small side through the large
@@ -107,26 +128,37 @@ func widenRanges(ranges []LevelRange) []LevelRange {
 	return out
 }
 
-// toSpans64 rewraps the loaned Keys arenas as intersection cursors.
+// toSpans64 rewraps the loaned Keys arenas as intersection cursors,
+// appending them to the caller's (stack) buffer.
 //
 //wcojlint:retains spans are cursors consumed within the same intersection call, under one snapshot
-func toSpans64(ranges []LevelRange) []span[relation.Value] {
-	spans := make([]span[relation.Value], len(ranges))
+func toSpans64(buf []span[relation.Value], ranges []LevelRange) []span[relation.Value] {
 	for i, r := range ranges {
-		spans[i] = span[relation.Value]{keys: r.Keys, lo: r.Lo, hi: r.Hi, id: i}
+		buf = append(buf, span[relation.Value]{keys: r.Keys, lo: r.Lo, hi: r.Hi, id: i})
 	}
-	return spans
+	return buf
 }
 
-// toSpans32 rewraps the loaned Keys32 arenas as intersection cursors.
+// toSpans32 rewraps the loaned Keys32 arenas as intersection cursors,
+// appending them to the caller's (stack) buffer.
 //
 //wcojlint:retains spans are cursors consumed within the same intersection call, under one snapshot
-func toSpans32(ranges []LevelRange) []span[uint32] {
-	spans := make([]span[uint32], len(ranges))
+func toSpans32(buf []span[uint32], ranges []LevelRange) []span[uint32] {
 	for i, r := range ranges {
-		spans[i] = span[uint32]{keys: r.Keys32, lo: r.Lo, hi: r.Hi, id: i}
+		buf = append(buf, span[uint32]{keys: r.Keys32, lo: r.Lo, hi: r.Hi, id: i})
 	}
-	return spans
+	return buf
+}
+
+// anyEmpty reports whether some range has no keys, which empties the
+// intersection.
+func anyEmpty(ranges []LevelRange) bool {
+	for i := range ranges {
+		if ranges[i].Lo >= ranges[i].Hi {
+			return true
+		}
+	}
+	return false
 }
 
 // IntersectLevels computes the sorted values common to all level
@@ -137,22 +169,51 @@ func toSpans32(ranges []LevelRange) []span[uint32] {
 // total is proportional (up to logs) to the smallest range — the
 // intersection primitive Algorithm 1 and Generic-Join assume.
 func IntersectLevels(dst []relation.Value, ranges []LevelRange) []relation.Value {
-	k := len(ranges)
-	if k == 0 {
-		return dst
-	}
-	for i := range ranges {
-		if ranges[i].Lo >= ranges[i].Hi {
-			return dst
-		}
+	dst, _ = intersectLevels(dst, nil, false, ranges)
+	return dst
+}
+
+// IntersectLevelsAt is IntersectLevels that also reports where each
+// value matched: for every value appended to dst, len(ranges) entries
+// are appended to at, the value's index in each range's key array in
+// range order — the positions LeapfrogLevels hands its emit. A caller
+// that binds the values takes their segments from at instead of
+// searching for them again.
+func IntersectLevelsAt(dst []relation.Value, at []int, ranges []LevelRange) ([]relation.Value, []int) {
+	return intersectLevels(dst, at, true, ranges)
+}
+
+// intersectLevels is the materializing entry; pos selects whether the
+// match positions are appended to at.
+func intersectLevels(dst []relation.Value, at []int, pos bool, ranges []LevelRange) ([]relation.Value, []int) {
+	if len(ranges) == 0 || anyEmpty(ranges) {
+		return dst, at
 	}
 	if mixedWidth(ranges) {
-		return IntersectLevels(dst, widenRanges(ranges))
+		wide := widenRanges(ranges)
+		n := len(at)
+		dst, at = intersectLevels(dst, at, pos, wide)
+		// Widened copies start at 0: shift their positions back.
+		for i := n; i < len(at); i += len(ranges) {
+			for j := range ranges {
+				at[i+j] += ranges[j].Lo - wide[j].Lo
+			}
+		}
+		return dst, at
+	}
+	// The smallest range bounds the output: a caller's buffer grows to
+	// that once instead of doubling its way there.
+	bound := ranges[SmallestRange(ranges)].Size()
+	dst = slices.Grow(dst, bound)
+	if pos {
+		at = slices.Grow(at, bound*len(ranges))
 	}
 	if ranges[0].Keys32 != nil {
-		return intersectSpans(dst, toSpans32(ranges))
+		var buf [stackSpans]span[uint32]
+		return intersectSpans(dst, at, pos, toSpans32(buf[:0], ranges))
 	}
-	return intersectSpans(dst, toSpans64(ranges))
+	var buf [stackSpans]span[relation.Value]
+	return intersectSpans(dst, at, pos, toSpans64(buf[:0], ranges))
 }
 
 // IntersectLevelsCount returns the size of the multiway intersection
@@ -160,47 +221,39 @@ func IntersectLevels(dst []relation.Value, ranges []LevelRange) []relation.Value
 // needs only the cardinality, so the append traffic of IntersectLevels
 // is pure waste there. Same strategy selection, same cost bound.
 func IntersectLevelsCount(ranges []LevelRange) int {
-	k := len(ranges)
-	if k == 0 {
+	if len(ranges) == 0 || anyEmpty(ranges) {
 		return 0
-	}
-	for i := range ranges {
-		if ranges[i].Lo >= ranges[i].Hi {
-			return 0
-		}
 	}
 	if mixedWidth(ranges) {
 		return IntersectLevelsCount(widenRanges(ranges))
 	}
 	if ranges[0].Keys32 != nil {
-		return countSpans(toSpans32(ranges))
+		var buf [stackSpans]span[uint32]
+		return countSpans(toSpans32(buf[:0], ranges))
 	}
-	return countSpans(toSpans64(ranges))
+	var buf [stackSpans]span[relation.Value]
+	return countSpans(toSpans64(buf[:0], ranges))
 }
 
 // IntersectLevelsAny reports whether the multiway intersection is
 // non-empty, stopping at the first common value — the tail level of an
 // existence check.
 func IntersectLevelsAny(ranges []LevelRange) bool {
-	k := len(ranges)
-	if k == 0 {
+	if len(ranges) == 0 || anyEmpty(ranges) {
 		return false
 	}
-	for i := range ranges {
-		if ranges[i].Lo >= ranges[i].Hi {
-			return false
-		}
-	}
-	if k == 1 {
+	if len(ranges) == 1 {
 		return true
 	}
 	if mixedWidth(ranges) {
 		return IntersectLevelsAny(widenRanges(ranges))
 	}
 	if ranges[0].Keys32 != nil {
-		return anySpans(toSpans32(ranges))
+		var buf [stackSpans]span[uint32]
+		return anySpans(toSpans32(buf[:0], ranges))
 	}
-	return anySpans(toSpans64(ranges))
+	var buf [stackSpans]span[relation.Value]
+	return anySpans(toSpans64(buf[:0], ranges))
 }
 
 // LeapfrogLevels streams the values common to all level ranges to emit
@@ -208,99 +261,128 @@ func IntersectLevelsAny(ranges []LevelRange) bool {
 // Leapfrog Triejoin. Every arity, k = 1 and 2 included, runs the
 // leapfrog search. Alongside each value emit receives at, where at[i]
 // is the value's index in ranges[i]'s key array: the cursors already
-// sit on it, so the caller need not search for it again. at is reused
-// between calls; emit returns true to stop the level early.
-func LeapfrogLevels(ranges []LevelRange, emit func(v relation.Value, at []int) bool) {
-	if len(ranges) == 0 {
+// sit on it, so the caller need not search for it again. at is the
+// caller's scratch, overwritten before every emit (it is allocated only
+// when it has room for fewer than len(ranges) positions); emit returns
+// true to stop the level early.
+func LeapfrogLevels(ranges []LevelRange, at []int, emit func(v relation.Value, at []int) bool) {
+	if len(ranges) == 0 || anyEmpty(ranges) {
 		return
 	}
-	for i := range ranges {
-		if ranges[i].Lo >= ranges[i].Hi {
-			return
-		}
+	if cap(at) < len(ranges) {
+		at = make([]int, len(ranges))
 	}
-	// Widened copies start at 0: shift maps their positions back.
-	k := len(ranges)
-	buf := make([]int, 2*k)
-	shift, at := buf[:k], buf[k:]
+	at = at[:len(ranges)]
 	if mixedWidth(ranges) {
 		wide := widenRanges(ranges)
-		for i := range ranges {
-			shift[i] = ranges[i].Lo - wide[i].Lo
+		// Widened copies start at 0: shift their positions back.
+		shift := make([]int, len(ranges))
+		for j := range ranges {
+			shift[j] = ranges[j].Lo - wide[j].Lo
 		}
-		ranges = wide
-	}
-	if ranges[0].Keys32 != nil {
-		streamSpans(toSpans32(ranges), shift, at, emit)
+		LeapfrogLevels(wide, at, func(v relation.Value, at []int) bool {
+			for j := range at {
+				at[j] += shift[j]
+			}
+			return emit(v, at)
+		})
 		return
 	}
-	streamSpans(toSpans64(ranges), shift, at, emit)
+	if ranges[0].Keys32 != nil {
+		var buf [stackSpans]span[uint32]
+		streamSpans(toSpans32(buf[:0], ranges), at, emit)
+		return
+	}
+	var buf [stackSpans]span[relation.Value]
+	streamSpans(toSpans64(buf[:0], ranges), at, emit)
 }
 
 // streamSpans runs the leapfrog search, translating each match to the
 // per-range positions LeapfrogLevels reports.
-func streamSpans[K key](spans []span[K], shift, at []int, emit func(relation.Value, []int) bool) {
+func streamSpans[K key](spans []span[K], at []int, emit func(relation.Value, []int) bool) {
 	leapfrogUntil(spans, func(v K) bool {
 		for _, s := range spans {
-			at[s.id] = s.lo + shift[s.id]
+			at[s.id] = s.lo
 		}
 		return emit(relation.Value(v), at)
 	})
 }
 
-// intersectSpans materializes the intersection; all spans are
-// non-empty.
-func intersectSpans[K key](dst []relation.Value, spans []span[K]) []relation.Value {
+// intersectSpans materializes the intersection, appending with pos the
+// positions of each value in range order; all spans are non-empty.
+func intersectSpans[K key](dst []relation.Value, at []int, pos bool, spans []span[K]) ([]relation.Value, []int) {
 	switch len(spans) {
 	case 1:
 		s := spans[0]
 		for i := s.lo; i < s.hi; i++ {
 			dst = append(dst, relation.Value(s.keys[i]))
+			if pos {
+				at = append(at, i)
+			}
 		}
-		return dst
+		return dst, at
 	case 2:
 		a, b := spans[0], spans[1]
 		if a.hi-a.lo > b.hi-b.lo {
 			a, b = b, a
 		}
+		n := len(at)
 		if (b.hi - b.lo) >= gallopRatio*(a.hi-a.lo) {
 			// Gallop the small side through the large one.
 			j := b.lo
 			for i := a.lo; i < a.hi; i++ {
 				v := a.keys[i]
-				j = gallopLB(b.keys, j, b.hi, v)
-				if j >= b.hi {
-					return dst
+				if j = gallopLB(b.keys, j, b.hi, v); j >= b.hi {
+					break
 				}
 				if b.keys[j] == v {
 					dst = append(dst, relation.Value(v))
+					if pos {
+						at = append(at, i, j)
+					}
 					j++
 				}
 			}
-			return dst
-		}
-		// Linear merge of comparable sizes.
-		i, j := a.lo, b.lo
-		for i < a.hi && j < b.hi {
-			av, bv := a.keys[i], b.keys[j]
-			switch {
-			case av == bv:
-				dst = append(dst, relation.Value(av))
-				i++
-				j++
-			case av < bv:
-				i++
-			default:
-				j++
+		} else {
+			// Linear merge of comparable sizes.
+			i, j := a.lo, b.lo
+			for i < a.hi && j < b.hi {
+				av, bv := a.keys[i], b.keys[j]
+				switch {
+				case av == bv:
+					dst = append(dst, relation.Value(av))
+					if pos {
+						at = append(at, i, j)
+					}
+					i++
+					j++
+				case av < bv:
+					i++
+				default:
+					j++
+				}
 			}
 		}
-		return dst
+		if a.id != 0 {
+			// The pairs went in smaller range first; restore range order.
+			for p := n; p < len(at); p += 2 {
+				at[p], at[p+1] = at[p+1], at[p]
+			}
+		}
+		return dst, at
 	}
 	leapfrogUntil(spans, func(v K) bool {
 		dst = append(dst, relation.Value(v))
+		if pos {
+			n := len(at)
+			at = slices.Grow(at, len(spans))[:n+len(spans)]
+			for _, s := range spans {
+				at[n+s.id] = s.lo
+			}
+		}
 		return false
 	})
-	return dst
+	return dst, at
 }
 
 // countSpans is the counting twin of intersectSpans.

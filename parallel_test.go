@@ -10,6 +10,7 @@ package wcoj
 // be free of shared mutable state.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -202,6 +203,44 @@ func TestExecuteFuncEmitError(t *testing.T) {
 			if seen != 3 {
 				t.Fatalf("%v/p=%d: emit called %d times after error", algo, p, seen)
 			}
+		}
+	}
+}
+
+// TestExecuteFuncLimitStopsEarly: a consumer that stops after 10 tuples
+// (a LIMIT) costs a sharded run a sliver of the join. The ordered
+// runner sees the stop only when the chunk it came from is replayed,
+// and every chunk issued by then runs on, so its first chunks must be
+// small: the run has to finish within a node budget of a twentieth of
+// the full enumeration's search nodes.
+func TestExecuteFuncLimitStopsEarly(t *testing.T) {
+	db := NewDatabase()
+	db.Put(dataset.RandomGraph(1000, 60000, 7))
+	q, err := MustParse("Q(A,B,C) :- E(A,B), E(B,C), E(A,C)").Bind(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := errors.New("limit reached")
+	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
+		full, err := ExecuteFunc(q, Options{Algorithm: algo, Parallelism: 1}, func(Tuple) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := int64(full.Recursions / 20)
+		seen := 0
+		_, err = ExecuteFunc(q, Options{
+			Algorithm:   algo,
+			Parallelism: 2,
+			Context:     WithNodeBudget(context.Background(), budget),
+		}, func(Tuple) error {
+			if seen++; seen == 10 {
+				return limit
+			}
+			return nil
+		})
+		if !errors.Is(err, limit) {
+			t.Errorf("%v: stopping after 10 of %d tuples under a budget of %d of %d nodes: err = %v, want the consumer's stop",
+				algo, full.Output, budget, full.Recursions, err)
 		}
 	}
 }
