@@ -74,24 +74,32 @@ func CtxAbortErr(ctx context.Context, err error) error {
 }
 
 // shardRun searches one chunk, the top-level values [lo,hi), writing
-// counters to st and tuples to emit. It runs on a worker goroutine with
-// no state shared with other chunks except the run's stop flag, which
-// the search should poll (cheaply, every few hundred nodes) and unwind
-// on by returning ErrAborted.
+// counters to st and tuples to emit. It runs on a worker goroutine (or
+// the caller's) with no state shared with other chunks except the
+// run's stop flag, which the search should poll (cheaply, every few
+// hundred nodes) and unwind on by returning ErrAborted.
 type shardRun func(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) error
 
 // runSharded partitions the n top-level values into contiguous chunks
-// and runs run over them on min(workers, chunks) goroutines. Per-chunk
-// Stats are merged into parentStats in chunk order; the first error
-// (from a chunk or from the sink) aborts the remaining work — queued
-// chunks are skipped, and in-flight chunks are unwound at their next
-// emitted tuple via ErrAborted. Chunk sizes ramp up (see shardStarts):
-// a consumer that stops early (a LIMIT returning an error from emit)
-// is seen only when its chunk is replayed, and the chunks issued by
-// then run on until they unwind, so the first chunks are the cheap
-// ones. Chunk issue is windowed: a chunk is only handed to a worker
-// once all chunks more than shardWindow(workers) positions behind it
-// have been consumed by the sink, bounding how much un-consumed output
+// and runs run over them on the calling goroutine and workers-1 more.
+// Per-chunk Stats are merged into parentStats in chunk order; the
+// first error (from a chunk or from the sink) aborts the remaining
+// work — unclaimed chunks are skipped, and running chunks are unwound
+// at their next emitted tuple via ErrAborted. Chunk sizes ramp up (see
+// shardStarts): a consumer that stops early (a LIMIT returning an
+// error from emit) is seen only when its chunk is replayed, and the
+// chunks claimed by then run on until they unwind, so the first chunks
+// are the cheap ones.
+//
+// The caller is the consumer and a worker: while the next chunk to
+// replay is unfinished it claims and runs a chunk itself, and it
+// blocks only when the window leaves nothing to claim. A consumer that
+// only waited would sit runnable behind the workers that woke it until
+// they blocked, so whether a LIMIT was met inside the first chunk
+// would decide whether it paid for the whole window.
+//
+// Claims are windowed: chunk c can be claimed only once chunk
+// c-window has been consumed, bounding how much un-consumed output
 // the ordered sink can buffer. It returns only after all worker
 // goroutines have exited, so the caller may reuse any state afterwards.
 func runSharded(ctx context.Context, n, workers int, parentStats *Stats, sink *bufferSink, run shardRun) error {
@@ -110,54 +118,71 @@ func runSharded(ctx context.Context, n, workers int, parentStats *Stats, sink *b
 	chunkStats := make([]Stats, numChunks)
 	chunkErrs := make([]error, numChunks)
 	done := make([]chan struct{}, numChunks)
-	consumed := make([]chan struct{}, numChunks)
 	for i := range done {
 		done[i] = make(chan struct{})
-		consumed[i] = make(chan struct{})
 	}
 	defer WatchCancel(ctx, &abort)()
-	next := make(chan int)
+	exec := func(c int) {
+		if !abort.Load() {
+			emit := sink.chunkEmit(c)
+			chunkErrs[c] = run(starts[c], starts[c+1], &chunkStats[c], &abort,
+				func(t relation.Tuple) error {
+					if abort.Load() {
+						return ErrAborted
+					}
+					return emit(t)
+				})
+			if chunkErrs[c] != nil {
+				abort.Store(true)
+			}
+		}
+		close(done[c])
+	}
+	// next is the first unclaimed chunk and head the first unconsumed
+	// one; both move under mu, and a claim may run at most window
+	// chunks ahead of head (window > workers keeps every worker busy).
+	window := workers + 2
+	var (
+		mu         sync.Mutex
+		headMoved  = sync.NewCond(&mu)
+		next, head int
+	)
+	claim := func(wait bool) (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		for next < numChunks && next >= head+window {
+			if !wait {
+				return 0, false
+			}
+			headMoved.Wait()
+		}
+		if next == numChunks {
+			return 0, false
+		}
+		next++
+		return next - 1, true
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range next {
-				if !abort.Load() {
-					emit := sink.chunkEmit(c)
-					chunkErrs[c] = run(starts[c], starts[c+1], &chunkStats[c], &abort,
-						func(t relation.Tuple) error {
-							if abort.Load() {
-								return ErrAborted
-							}
-							return emit(t)
-						})
-					if chunkErrs[c] != nil {
-						abort.Store(true)
-					}
-				}
-				close(done[c])
+			for c, ok := claim(true); ok; c, ok = claim(true) {
+				exec(c)
 			}
 		}()
 	}
-	// Windowed issue: chunk c is released only after chunk c-window
-	// has been consumed, so at most window chunks are ever buffered
-	// ahead of the sink (keeps all workers busy since window >
-	// workers, while bounding ordered-sink memory).
-	window := workers + 2
-	go func() {
-		for c := 0; c < numChunks; c++ {
-			if c >= window {
-				<-consumed[c-window]
-			}
-			next <- c
-		}
-		close(next)
-	}()
 
 	var err error
 	for c := 0; c < numChunks; c++ {
-		<-done[c]
+		for !isClosed(done[c]) {
+			mine, ok := claim(false)
+			if !ok {
+				<-done[c]
+				break
+			}
+			exec(mine)
+		}
 		cerr := chunkErrs[c]
 		switch {
 		case err != nil || cerr == ErrAborted:
@@ -175,8 +200,11 @@ func runSharded(ctx context.Context, n, workers int, parentStats *Stats, sink *b
 				abort.Store(true)
 			}
 		}
-		// Unblock the issuing goroutine regardless of errors.
-		close(consumed[c])
+		// Open the window regardless of errors.
+		mu.Lock()
+		head = c + 1
+		mu.Unlock()
+		headMoved.Broadcast()
 	}
 	wg.Wait()
 	if err == nil {
@@ -187,13 +215,24 @@ func runSharded(ctx context.Context, n, workers int, parentStats *Stats, sink *b
 	return err
 }
 
+// isClosed reports whether ch is closed, without blocking.
+func isClosed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
 // bufferSink consumes the output of runSharded: it buffers each chunk's
 // tuples flat (arity values per tuple) and replays them to the user's
 // emit in chunk order, preserving the serial emission sequence. The
 // Tuple passed on is reused between calls, matching the serial visit
-// contract. chunkEmit is called from worker goroutines (concurrently,
-// but never concurrently for the same chunk); finishChunk is called
-// from the coordinating goroutine in ascending chunk order.
+// contract. chunkEmit is called from whichever goroutine runs the chunk
+// (concurrently, but never concurrently for the same chunk);
+// finishChunk is called from the calling goroutine in ascending chunk
+// order.
 type bufferSink struct {
 	arity int
 	emit  func(relation.Tuple) error
