@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -553,6 +554,41 @@ func cancelDB(t testing.TB) *DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// TestCancellableRunsSpawnNoGoroutines: a cancellable context costs a
+// serial run no goroutine — the stop flag is linked with
+// context.AfterFunc — so prepared runs under a live cancellable
+// context leave runtime.NumGoroutine at its baseline, during a run and
+// after one.
+func TestCancellableRunsSpawnNoGoroutines(t *testing.T) {
+	db := cancelDB(t)
+	pq := cancelQuery(t, db, Options{Parallelism: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		if _, _, err := pq.Count(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g := runtime.NumGoroutine(); g > base {
+		t.Fatalf("%d goroutines after 50 counts, baseline %d", g, base)
+	}
+	errEnough := errors.New("enough")
+	n := 0
+	_, err := pq.ExecuteFunc(ctx, func(Tuple) error {
+		if g := runtime.NumGoroutine(); g > base {
+			t.Fatalf("%d goroutines during a serial run, baseline %d", g, base)
+		}
+		if n++; n == 100 {
+			return errEnough
+		}
+		return nil
+	})
+	if !errors.Is(err, errEnough) {
+		t.Fatalf("err = %v, want the emit error", err)
+	}
 }
 
 // TestPreparedCancellation: a cancelled context stops serial and

@@ -1,0 +1,177 @@
+package core
+
+import (
+	"context"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"wcoj/internal/agg"
+	"wcoj/internal/dataset"
+	"wcoj/internal/relation"
+)
+
+// holdCores takes every slot of the process-wide budget until the test
+// ends, as a fully loaded process would.
+func holdCores(t *testing.T) {
+	n := int64(runtime.GOMAXPROCS(0))
+	coresBusy.Add(n)
+	t.Cleanup(func() { coresBusy.Add(-n) })
+}
+
+// concurrency tracks how many chunks run at once.
+type concurrency struct{ now, peak atomic.Int32 }
+
+func (c *concurrency) enter() int32 {
+	n := c.now.Add(1)
+	for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
+	}
+	return n
+}
+
+func (c *concurrency) leave() { c.now.Add(-1) }
+
+// TestShardedCallerAlone: with every slot held, p=4 runs complete on
+// the caller alone — no two chunks ever run at once — and give what an
+// uncontended p=4 run gives: the same count and Count Stats, the same
+// existence answer, and the same emitted sequence.
+func TestShardedCallerAlone(t *testing.T) {
+	ctx := context.Background()
+	e := dataset.PowerLawGraph(400, 2000, 1.0, 1)
+	q, err := NewQuery([]string{"A", "B", "C"}, []Atom{
+		{Name: "E", Vars: []string{"A", "B"}, Rel: e},
+		{Name: "E", Vars: []string{"B", "C"}, Rel: e},
+		{Name: "E", Vars: []string{"A", "C"}, Rel: e},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewTrieStore(0)
+	p, err := BuildPlanSrc(store, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, ecls, err := AggPlanSrc(store, q, nil, agg.Spec{Mode: agg.ModeExists})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		count Stats
+		found int64
+		rows  []relation.Value
+	}
+	run := func() result {
+		var r result
+		_, st, err := GenericJoinPlanCount(ctx, p, nil, MaterializeLevel, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.count = *st
+		if r.found, _, err = GenericJoinAggPlan(ctx, ep, ecls, MaterializeLevel, 4); err != nil {
+			t.Fatal(err)
+		}
+		err = GenericJoinPlanVisit(ctx, p, nil, MaterializeLevel, 4, &Stats{}, func(t relation.Tuple) error {
+			r.rows = append(r.rows, t...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want := run()
+	if want.count.Output == 0 || want.found != 1 {
+		t.Fatal("the case must have triangles")
+	}
+	holdCores(t)
+	got := run()
+	if got.count != want.count || got.found != want.found || !slices.Equal(got.rows, want.rows) {
+		t.Fatalf("caller-alone run differs: count stats %+v (want %+v), exists %d (want %d), rows equal %v",
+			got.count, want.count, got.found, want.found, slices.Equal(got.rows, want.rows))
+	}
+
+	// The runners themselves: chunks run one at a time, in order for
+	// the ordered runner.
+	var c concurrency
+	chunk := func(lo, hi int) {
+		c.enter()
+		time.Sleep(20 * time.Microsecond)
+		c.leave()
+	}
+	sum, err := runShardedSum(ctx, 64, 4, &Stats{}, func(lo, hi int, _ *Stats, _ *atomic.Bool) (int64, error) {
+		chunk(lo, hi)
+		return int64(hi - lo), nil
+	})
+	if err != nil || sum != 64 {
+		t.Fatalf("sum = %d, %v; want 64", sum, err)
+	}
+	if _, err := runShardedAny(ctx, 64, 4, &Stats{}, func(lo, hi int, _ *Stats, _ *atomic.Bool) (bool, error) {
+		chunk(lo, hi)
+		return false, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var emitted []relation.Value
+	sink := newBufferSink(1, func(t relation.Tuple) error { emitted = append(emitted, t[0]); return nil })
+	err = runSharded(ctx, 64, 4, &Stats{}, sink, func(lo, hi int, _ *Stats, _ *atomic.Bool, emit func(relation.Tuple) error) error {
+		chunk(lo, hi)
+		for v := lo; v < hi; v++ {
+			if err := emit(relation.Tuple{relation.Value(v)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil || len(emitted) != 64 || !slices.IsSorted(emitted) {
+		t.Fatalf("ordered run emitted %v, %v", emitted, err)
+	}
+	if pk := c.peak.Load(); pk != 1 {
+		t.Fatalf("%d chunks ran at once with every slot held, want 1", pk)
+	}
+}
+
+// TestCoresCapWorkers: across 8 concurrent sharded counts at p=4, the
+// budget never grants more than GOMAXPROCS goroutines: every chunk
+// runs on a caller or on one of at most GOMAXPROCS-1 granted workers,
+// and every slot is returned.
+func TestCoresCapWorkers(t *testing.T) {
+	ctx := context.Background()
+	procs := int32(runtime.GOMAXPROCS(0))
+	var callers atomic.Int32
+	var c concurrency
+	var over atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				callers.Add(1)
+				_, err := runShardedSum(ctx, 32, 4, &Stats{}, func(lo, hi int, _ *Stats, _ *atomic.Bool) (int64, error) {
+					// callers over-counts the callers inside a run, so
+					// this bound is exact about the granted workers.
+					if n := c.enter(); n > callers.Load()+procs-1 {
+						over.Store(n)
+					}
+					time.Sleep(20 * time.Microsecond)
+					c.leave()
+					return int64(hi - lo), nil
+				})
+				callers.Add(-1)
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := over.Load(); n != 0 {
+		t.Fatalf("%d chunks ran at once, more than the callers plus %d granted workers", n, procs-1)
+	}
+	if b := coresBusy.Load(); b != 0 {
+		t.Fatalf("%d budget slots still held after every run returned", b)
+	}
+}

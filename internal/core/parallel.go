@@ -14,6 +14,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -43,22 +44,15 @@ func CtxErr(ctx context.Context) error {
 
 // WatchCancel links ctx cancellation to a stop flag the search workers
 // poll: once ctx is done, stop is set and in-flight searches unwind at
-// their next poll instead of enumerating to completion. The returned
-// cleanup releases the watcher goroutine and must be called (defer it)
-// when the run ends. Nil or never-cancelled contexts cost nothing.
-func WatchCancel(ctx context.Context, stop *atomic.Bool) func() {
+// their next poll instead of enumerating to completion. The callback is
+// registered with context.AfterFunc, so no goroutine waits on ctx; the
+// returned cleanup unregisters it and must be called (defer it) when
+// the run ends. Nil or never-cancelled contexts cost nothing.
+func WatchCancel(ctx context.Context, stop *atomic.Bool) (cleanup func() bool) {
 	if ctx == nil || ctx.Done() == nil {
-		return func() {}
+		return func() bool { return true }
 	}
-	quit := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop.Store(true)
-		case <-quit:
-		}
-	}()
-	return func() { close(quit) }
+	return context.AfterFunc(ctx, func() { stop.Store(true) })
 }
 
 // CtxAbortErr translates the ErrAborted sentinel of a cancelled serial
@@ -80,8 +74,58 @@ func CtxAbortErr(ctx context.Context, err error) error {
 // hundred nodes) and unwind on by returning ErrAborted.
 type shardRun func(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) error
 
+// coresBusy counts the held slots of the process-wide worker budget
+// of sharded runs, which has runtime.GOMAXPROCS(0) slots: cores belong
+// to the process, so concurrent queries, one-shot calls and DBs share
+// them. A run's partition, ordered window and Stats merge order depend
+// on its requested worker count only, so its output and Stats are the
+// same whatever the budget grants.
+var coresBusy atomic.Int64
+
+// claimCores takes the caller's slot, whether or not one is free, plus
+// up to extra more while slots are free, and returns how many extra
+// slots it got.
+func claimCores(extra int) int {
+	busy := coresBusy.Add(1)
+	for extra > 0 {
+		g := min(int64(extra), int64(runtime.GOMAXPROCS(0))-busy)
+		if g <= 0 {
+			return 0
+		}
+		if coresBusy.CompareAndSwap(busy, busy+g) {
+			return int(g)
+		}
+		busy = coresBusy.Load()
+	}
+	return 0
+}
+
+// shard runs caller on the calling goroutine and worker on up to
+// workers-1 more goroutines, as many as the budget grants, and returns
+// once all of them have returned. Every goroutine gives its slot back
+// as it finishes, so a caller waiting on the last chunks holds none.
+func shard(workers int, worker, caller func()) {
+	extra := claimCores(workers - 1)
+	var wg sync.WaitGroup
+	wg.Add(extra)
+	//wcojlint:nopoll starts at most extra goroutines; their loops poll
+	for range extra {
+		go func() {
+			defer wg.Done()
+			defer coresBusy.Add(-1)
+			worker()
+		}()
+	}
+	func() {
+		defer coresBusy.Add(-1)
+		caller()
+	}()
+	wg.Wait()
+}
+
 // runSharded partitions the n top-level values into contiguous chunks
-// and runs run over them on the calling goroutine and workers-1 more.
+// and runs run over them on the calling goroutine and up to workers-1
+// more (see shard).
 // Per-chunk Stats are merged into parentStats in chunk order; the
 // first error (from a chunk or from the sink) aborts the remaining
 // work — unclaimed chunks are skipped, and running chunks are unwound
@@ -162,51 +206,46 @@ func runSharded(ctx context.Context, n, workers int, parentStats *Stats, sink *b
 		next++
 		return next - 1, true
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c, ok := claim(true); ok; c, ok = claim(true) {
-				exec(c)
-			}
-		}()
+	worker := func() {
+		for c, ok := claim(true); ok; c, ok = claim(true) {
+			exec(c)
+		}
 	}
-
 	var err error
-	for c := 0; c < numChunks; c++ {
-		for !isClosed(done[c]) {
-			mine, ok := claim(false)
-			if !ok {
-				<-done[c]
-				break
+	shard(workers, worker, func() {
+		for c := 0; c < numChunks; c++ {
+			for !isClosed(done[c]) {
+				mine, ok := claim(false)
+				if !ok {
+					<-done[c]
+					break
+				}
+				exec(mine)
 			}
-			exec(mine)
-		}
-		cerr := chunkErrs[c]
-		switch {
-		case err != nil || cerr == ErrAborted:
-			// A chunk unwound by the abort flag produced partial
-			// output; never merge or consume it.
-		case cerr != nil:
-			err = cerr
-		default:
-			parentStats.Merge(&chunkStats[c])
-			if ferr := sink.finishChunk(c); ferr != nil {
-				// A sink replay unwound by the abort flag means the
-				// ctx was cancelled mid-replay; surface the cause,
-				// never the sentinel.
-				err = CtxAbortErr(ctx, ferr)
-				abort.Store(true)
+			cerr := chunkErrs[c]
+			switch {
+			case err != nil || cerr == ErrAborted:
+				// A chunk unwound by the abort flag produced partial
+				// output; never merge or consume it.
+			case cerr != nil:
+				err = cerr
+			default:
+				parentStats.Merge(&chunkStats[c])
+				if ferr := sink.finishChunk(c); ferr != nil {
+					// A sink replay unwound by the abort flag means the
+					// ctx was cancelled mid-replay; surface the cause,
+					// never the sentinel.
+					err = CtxAbortErr(ctx, ferr)
+					abort.Store(true)
+				}
 			}
+			// Open the window regardless of errors.
+			mu.Lock()
+			head = c + 1
+			mu.Unlock()
+			headMoved.Broadcast()
 		}
-		// Open the window regardless of errors.
-		mu.Lock()
-		head = c + 1
-		mu.Unlock()
-		headMoved.Broadcast()
-	}
-	wg.Wait()
+	})
 	if err == nil {
 		// A cancelled run's chunks unwind with ErrAborted, which is
 		// never surfaced per chunk; report the cancellation itself.
@@ -301,12 +340,13 @@ func shardStarts(n, workers int, ramp bool) (starts []int, w int) {
 	return starts, min(workers, len(starts)-1)
 }
 
-// runShardedSum shards the n top-level values across workers and sums
-// the per-chunk int64 results of run. Unlike the tuple-emitting runner
-// no output ordering is needed, so chunks are claimed from an atomic
-// counter; per-chunk Stats are still merged in chunk order, keeping
-// counter totals deterministic for a fixed worker count. Every
-// counting run shards through it.
+// runShardedSum shards the n top-level values across the caller and
+// up to workers-1 more goroutines (see shard) and sums the per-chunk
+// int64 results of run. Unlike the tuple-emitting runner no output
+// ordering is needed, so chunks are claimed from an atomic counter;
+// per-chunk Stats are still merged in chunk order, keeping counter
+// totals deterministic for a fixed requested worker count, whatever
+// the budget grants. Every counting run shards through it.
 func runShardedSum(ctx context.Context, n, workers int, parentStats *Stats,
 	run func(lo, hi int, st *Stats, stop *atomic.Bool) (int64, error)) (int64, error) {
 	if err := CtxErr(ctx); err != nil {
@@ -323,24 +363,19 @@ func runShardedSum(ctx context.Context, n, workers int, parentStats *Stats,
 	var abort atomic.Bool
 	defer WatchCancel(ctx, &abort)()
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= numChunks || abort.Load() {
-					return
-				}
-				sums[c], errs[c] = run(starts[c], starts[c+1], &chunkStats[c], &abort)
-				if errs[c] != nil {
-					abort.Store(true)
-				}
+	loop := func() {
+		for {
+			c := int(next.Add(1)) - 1
+			if c >= numChunks || abort.Load() {
+				return
 			}
-		}()
+			sums[c], errs[c] = run(starts[c], starts[c+1], &chunkStats[c], &abort)
+			if errs[c] != nil {
+				abort.Store(true)
+			}
+		}
 	}
-	wg.Wait()
+	shard(w, loop, loop)
 	var total int64
 	aborted := false
 	for c := 0; c < numChunks; c++ {
@@ -365,11 +400,11 @@ func runShardedSum(ctx context.Context, n, workers int, parentStats *Stats,
 	return total, nil
 }
 
-// runShardedAny shards the n top-level values across workers and
-// reports whether any chunk found a witness. The shared stop flag is
-// set as soon as one does (or a chunk errors); chunk searches are
-// expected to poll it and unwind, so the whole fleet short-circuits on
-// the first witness.
+// runShardedAny shards the n top-level values across the caller and
+// up to workers-1 more goroutines (see shard) and reports whether any
+// chunk found a witness. The shared stop flag is set as soon as one
+// does (or a chunk errors); chunk searches are expected to poll it and
+// unwind, so the whole fleet short-circuits on the first witness.
 // Stats are merged from every chunk that ran; because chunks race the
 // stop flag, counter totals (unlike the boolean result) are not
 // deterministic across runs.
@@ -389,28 +424,23 @@ func runShardedAny(ctx context.Context, n, workers int, parentStats *Stats,
 	defer WatchCancel(ctx, &stop)()
 	var found atomic.Bool
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= numChunks || stop.Load() {
-					return
-				}
-				ok, err := run(starts[c], starts[c+1], &chunkStats[c], &stop)
-				errs[c] = err
-				if err != nil || ok {
-					stop.Store(true)
-				}
-				if ok && err == nil {
-					found.Store(true)
-				}
+	loop := func() {
+		for {
+			c := int(next.Add(1)) - 1
+			if c >= numChunks || stop.Load() {
+				return
 			}
-		}()
+			ok, err := run(starts[c], starts[c+1], &chunkStats[c], &stop)
+			errs[c] = err
+			if err != nil || ok {
+				stop.Store(true)
+			}
+			if ok && err == nil {
+				found.Store(true)
+			}
+		}
 	}
-	wg.Wait()
+	shard(w, loop, loop)
 	for c := 0; c < numChunks; c++ {
 		if errs[c] != nil && errs[c] != ErrAborted {
 			return false, errs[c]

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"wcoj/internal/core"
+	"wcoj/internal/dataset"
 	"wcoj/internal/relation"
 )
 
@@ -73,11 +74,10 @@ func TestCostBasedStar(t *testing.T) {
 	}
 }
 
-// TestBeamSearchWideQuery drives the beam path with a 9-variable
-// chain (above the default exhaustive cap) and checks the chosen
-// order still evaluates correctly.
-func TestBeamSearchWideQuery(t *testing.T) {
-	const n = 9
+// chainQ builds the n-variable chain X0 – X1 – … over distinct
+// relations E0, E1, …, each the 6-vertex circulant with offsets 1, 2.
+func chainQ(t testing.TB, n int) *core.Query {
+	t.Helper()
 	vars := make([]string, n)
 	for i := range vars {
 		vars[i] = fmt.Sprintf("X%d", i)
@@ -95,6 +95,15 @@ func TestBeamSearchWideQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return q
+}
+
+// TestBeamSearchWideQuery drives the beam path with a 9-variable
+// chain (above the default exhaustive cap) and checks the chosen
+// order still evaluates correctly.
+func TestBeamSearchWideQuery(t *testing.T) {
+	const n = 9
+	q := chainQ(t, n)
 	e, err := Choose(q, Options{Policy: CostBased, MaxDegreeVars: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -204,5 +213,51 @@ func TestCostBasedVariableCap(t *testing.T) {
 	// The heuristic policy still explains wide queries.
 	if _, err := Choose(q, Options{Policy: Heuristic}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChooseGolden pins cost-based decisions (order, per-level log
+// bounds, cost, constraint count) to the values the planner produced
+// when every statistic was measured by projecting each atom's renamed
+// relation. Degree statistics are now memoized positional measurements;
+// the decisions must not move.
+func TestChooseGolden(t *testing.T) {
+	g := dataset.RandomGraph(60, 500, 1)
+	selfJoin := func(vars []string, pairs ...[2]int) *core.Query {
+		var atoms []core.Atom
+		for _, p := range pairs {
+			atoms = append(atoms, core.Atom{Name: "G", Vars: []string{vars[p[0]], vars[p[1]]}, Rel: g})
+		}
+		q, err := core.NewQuery(vars, atoms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	for _, tc := range []struct {
+		name string
+		q    *core.Query
+		opt  Options
+		want string
+	}{
+		{"star", starQ(t, 200, 5, 40), Options{Policy: CostBased},
+			"[B C A] [0 2.321928094887362 9.965784284662087] 1006 12"},
+		{"star-small", starQ(t, 30, 3, 5), Options{Policy: CostBased},
+			"[B C A] [0 1.5849625007211563 6.491853096329675] 94 12"},
+		{"chain9-beam", chainQ(t, 9), Options{Policy: CostBased, MaxDegreeVars: 2},
+			"[X0 X1 X2 X3 X4 X5 X6 X7 X8] [2.584962500721156 2 3 4 5 6 7 8 9] 1026 48"},
+		{"triangle-selfjoin", selfJoin([]string{"A", "B", "C"}, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2}), Options{Policy: CostBased},
+			"[A B C] [5.906890595608519 7.906890595608519 11.813781191217037] 3900.000000000001 18"},
+		{"path4-selfjoin", selfJoin([]string{"A", "B", "C", "D"}, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}), Options{Policy: CostBased, MaxDegreeVars: 3},
+			"[A B C D] [5.906890595608519 7.906890595608519 11.813781191217037 15.720671786825555] 57899.999999999985 18"},
+	} {
+		e, err := Choose(tc.q, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%v %v %v %d", e.Order, e.LogBounds, e.Cost, e.Constraints)
+		if got != tc.want {
+			t.Errorf("%s: explanation %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }

@@ -234,49 +234,6 @@ func (r *Relation) Partition(attrs []string, threshold int) (heavy, light *Relat
 	return heavy, light, nil
 }
 
-// MaxDegree returns max_t |σ_{X=t} π_Y R| taken over bindings t of the
-// X attributes appearing in r: the empirical degree deg_R(Y|X) of
-// Definition 1. X must be a subset of Y and both subsets of the schema.
-func (r *Relation) MaxDegree(x, y []string) (int, error) {
-	for _, a := range append(append([]string{}, x...), y...) {
-		if !r.HasAttr(a) {
-			return 0, fmt.Errorf("relation: degree %s: no attribute %q", r.name, a)
-		}
-	}
-	proj, err := r.Project(y...)
-	if err != nil {
-		return 0, err
-	}
-	if len(x) == 0 {
-		return proj.Len(), nil
-	}
-	xi := make([]int, len(x))
-	for i, a := range x {
-		xi[i] = proj.AttrIndex(a)
-		if xi[i] < 0 {
-			return 0, fmt.Errorf("relation: degree %s: X attribute %q not in Y", r.name, a)
-		}
-	}
-	counts := make(map[string]int)
-	best := 0
-	var kb []byte
-	for i := 0; i < proj.Len(); i++ {
-		kb = kb[:0]
-		for _, j := range xi {
-			v := proj.cols[j][i]
-			for s := 0; s < 8; s++ {
-				kb = append(kb, byte(v>>(8*s)))
-			}
-		}
-		k := string(kb)
-		counts[k]++
-		if counts[k] > best {
-			best = counts[k]
-		}
-	}
-	return best, nil
-}
-
 func sameSchema(r, s *Relation) error {
 	if r.Arity() != s.Arity() {
 		return fmt.Errorf("relation: schema mismatch: %v vs %v", r.attrs, s.attrs)

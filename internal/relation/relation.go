@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Relation is an immutable, lexicographically sorted, duplicate-free
@@ -13,6 +14,9 @@ type Relation struct {
 	attrs []string
 	cols  [][]Value // len(cols) == arity; all columns have equal length
 	n     int
+
+	degMu sync.Mutex
+	degs  map[degKey]int // memoized Degree results
 }
 
 // New builds a relation from row tuples. The input is copied, sorted in

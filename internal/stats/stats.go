@@ -33,12 +33,16 @@ func Cardinalities(q *core.Query) constraints.Set {
 // This is exponential in the atom arity; arities in this repository
 // are ≤ 3–4. Trivial constraints (N equal to the full cardinality with
 // X = ∅ are kept — they are the cardinality constraints).
+//
+// Variables are measured positionally (a.Vars[i] is column i), so the
+// degrees come from the relation's own memo (relation.Degree): atoms
+// of a self-join, alpha-renamed queries and later plans over the same
+// relation share one measurement.
 func Degrees(a core.Atom, maxY int) (constraints.Set, error) {
-	rel, err := a.Rel.Rename(a.Name, a.Vars...)
-	if err != nil {
-		return nil, err
-	}
 	k := len(a.Vars)
+	if k != a.Rel.Arity() || k > 64 {
+		return nil, fmt.Errorf("stats: atom %s has %d variables for arity %d (at most 64)", a.Name, k, a.Rel.Arity())
+	}
 	if maxY <= 0 || maxY > k {
 		maxY = k
 	}
@@ -63,10 +67,7 @@ func Degrees(a core.Atom, maxY int) (constraints.Set, error) {
 					x = append(x, a.Vars[i])
 				}
 			}
-			d, err := rel.MaxDegree(x, y)
-			if err != nil {
-				return nil, err
-			}
+			d := a.Rel.Degree(uint64(xm), uint64(ym))
 			if d < 1 {
 				d = 1
 			}

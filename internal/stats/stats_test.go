@@ -132,3 +132,43 @@ func TestVerifySatisfiesViolation(t *testing.T) {
 		t.Fatal("missing guard must be reported")
 	}
 }
+
+// BenchmarkForPlanner measures the statistics the cost-based planner
+// asks for on a 4-path over one random graph at the benchmark's G scale
+// (600 vertices, 12,000 edges), with |Y| ≤ 3. cold binds the atoms to a
+// fresh view of the graph's columns on every iteration, so every degree
+// is measured; memoized binds one relation throughout, so after the
+// first iteration every degree is a memo hit.
+func BenchmarkForPlanner(b *testing.B) {
+	g := dataset.RandomGraph(600, 12000, 3)
+	path := func(b *testing.B, rel *relation.Relation) *core.Query {
+		q, err := core.NewQuery([]string{"A", "B", "C", "D"}, []core.Atom{
+			{Name: "G", Vars: []string{"A", "B"}, Rel: rel},
+			{Name: "G", Vars: []string{"B", "C"}, Rel: rel},
+			{Name: "G", Vars: []string{"C", "D"}, Rel: rel},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return q
+	}
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fresh, err := g.Rename(g.Name(), g.Attrs()...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ForPlanner(path(b, fresh), 3); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("memoized", func(b *testing.B) {
+		q := path(b, g)
+		for i := 0; i < b.N; i++ {
+			if _, err := ForPlanner(q, 3); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -276,6 +276,12 @@ type Options struct {
 	// serial run at every setting. 0 (the default) means
 	// runtime.GOMAXPROCS(0); 1 forces the serial search. The other
 	// algorithms run serially regardless.
+	//
+	// Parallelism is an upper bound. Sharded runs draw workers from one
+	// process-wide budget of GOMAXPROCS slots, and the calling goroutine
+	// always works, so under concurrent load a run uses fewer
+	// goroutines — never a different partition: output, emit order and
+	// Count's Stats depend on Parallelism alone.
 	Parallelism int
 	// Project, when non-nil, projects the result onto these variables:
 	// Execute and ExecuteFunc produce the distinct projected tuples
