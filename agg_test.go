@@ -481,8 +481,12 @@ func TestExplainCountClassification(t *testing.T) {
 }
 
 // TestCountOverflow: a count that exceeds int64 returns
-// ErrCountOverflow instead of a silently wrapped number. The
-// cross product of five 100k-value unary relations is 10^25.
+// ErrCountOverflow instead of a silently wrapped number, serial and
+// sharded. The cross product of five 100k-value unary relations is
+// 10^25 in one product. The 6-star Q(A,B,…,G) :- R1(A,B), …, R6(A,G),
+// with 1024 values per A value in every atom, gives each A value 2^60
+// results: 16 A values sum to 2^64 and 17 to 2^64 + 2^60, which an
+// unchecked int64 sum of the shards' counts wraps to 0 and 2^60.
 // (strategy_test.go holds the leapfrog strategy to the same errors.)
 func TestCountOverflow(t *testing.T) {
 	db := NewDatabase()
@@ -499,15 +503,38 @@ func TestCountOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 4} {
-		_, _, err := Count(q, Options{Parallelism: par})
-		if !errors.Is(err, agg.ErrCountOverflow) {
-			t.Fatalf("p=%d: 10^25 count returned %v, want ErrCountOverflow", par, err)
+	cases := map[string]*Query{"10^25 product": q}
+	for _, as := range []int{16, 17} {
+		db := NewDatabase()
+		for i := 1; i <= 6; i++ {
+			b := NewRelationBuilder(fmt.Sprintf("R%d", i), "a", "x")
+			for a := 0; a < as; a++ {
+				for x := 0; x < 1024; x++ {
+					if err := b.Add(Value(a), Value(x)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			db.Put(b.Build())
 		}
-		// The overflow must not break EXISTS, which needs no product.
-		found, _, err := Exists(q, Options{Parallelism: par})
-		if err != nil || !found {
-			t.Fatalf("p=%d: Exists = %v, %v on a non-empty product", par, found, err)
+		q, err := MustParse("Q(A,B,C,D,E,F,G) :- R1(A,B), R2(A,C), R3(A,D), R4(A,E), R5(A,F), R6(A,G)").Bind(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[fmt.Sprintf("%d×2^60 sum", as)] = q
+	}
+	for name, q := range cases {
+		for _, par := range []int{1, 2, 4} {
+			n, _, err := Count(q, Options{Parallelism: par})
+			if !errors.Is(err, agg.ErrCountOverflow) {
+				t.Fatalf("%s, p=%d: count returned %d, %v, want ErrCountOverflow", name, par, n, err)
+			}
+			// The overflow must not break EXISTS: capped at 1, its counts
+			// saturate instead.
+			found, _, err := Exists(q, Options{Parallelism: par})
+			if err != nil || !found {
+				t.Fatalf("%s, p=%d: Exists = %v, %v on a non-empty join", name, par, found, err)
+			}
 		}
 	}
 }

@@ -55,8 +55,9 @@ const (
 	// subtree cardinalities; with Project set it counts distinct
 	// projected tuples.
 	ModeCount
-	// ModeExists reports whether the join is non-empty, short-circuiting
-	// on the first witness.
+	// ModeExists reports whether the join is non-empty: it is the
+	// ModeCount count capped at 1, so the search stops at the first
+	// witness.
 	ModeExists
 )
 

@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"wcoj/internal/agg"
 	"wcoj/internal/constraints"
+	"wcoj/internal/dataset"
 	"wcoj/internal/relation"
 )
 
@@ -578,5 +583,98 @@ func TestPropertyBacktrackingTriangle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// capWorkloads are the workloads of the root package's
+// strategy_test.go, built from the same generators: its aggregate and
+// parallel suites' queries, the power-law triangle and path, random
+// chorded 4-cycles, and the 10^25 cross product whose count overflows.
+func capWorkloads(t *testing.T) map[string]*Query {
+	t.Helper()
+	atom := func(name, vars string, r *relation.Relation) Atom {
+		return Atom{Name: name, Vars: strings.Split(vars, ""), Rel: r}
+	}
+	qs := make(map[string]*Query)
+	add := func(name, vars string, atoms ...Atom) {
+		q, err := NewQuery(strings.Split(vars, ""), atoms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs[name] = q
+	}
+	tri := func(name string, d dataset.Triangle) {
+		add(name, "ABC", atom("R", "AB", d.R), atom("S", "BC", d.S), atom("T", "AC", d.T))
+	}
+	tri("triangle-agm", dataset.TriangleAGMTight(900))
+	tri("triangle-skew", dataset.TriangleSkew(400))
+	g := dataset.RandomGraph(300, 2400, 13)
+	add("clique4", "ABCD", atom("E", "AB", g), atom("E", "AC", g), atom("E", "AD", g),
+		atom("E", "BC", g), atom("E", "BD", g), atom("E", "CD", g))
+	add("path4", "ABCD", atom("E", "AB", g), atom("E", "BC", g), atom("E", "CD", g))
+	star := dataset.SkewedStar(2000, 8, 300)
+	add("skewed-star", "ABC", atom("R", "AB", star.R), atom("S", "BC", star.S))
+	ex := dataset.NewExample1(800, 3, 3, 0.3, 5)
+	add("example1", "ABCD", atom("R", "AB", ex.R), atom("S", "BC", ex.S), atom("T", "CD", ex.T),
+		atom("W", "ACD", ex.W), atom("V", "ABD", ex.V))
+	ch := dataset.NewChain63(30, 3, 3, 3, 9)
+	add("chain63", "ABCD", atom("R", "A", ch.R), atom("S", "AB", ch.S), atom("T", "BC", ch.T), atom("W", "CAD", ch.W))
+	c4 := dataset.RandomGraph(500, 2000, 11)
+	add("4cycle", "ABCD", atom("E", "AB", c4), atom("E", "BC", c4), atom("E", "CD", c4), atom("E", "DA", c4))
+	pl := dataset.PowerLawGraph(300, 3000, 1.6, 21)
+	add("powerlaw/triangle", "ABC", atom("E", "AB", pl), atom("E", "BC", pl), atom("E", "AC", pl))
+	add("powerlaw/path3", "ABC", atom("E", "AB", pl), atom("E", "BC", pl))
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		mk := func(name, vars string) Atom {
+			b := relation.NewBuilder(name, "x", "y")
+			for i := 0; i < 20+rng.Intn(60); i++ {
+				b.Add(relation.Value(rng.Intn(9)), relation.Value(rng.Intn(9)))
+			}
+			return atom(name, vars, b.Build())
+		}
+		add(fmt.Sprintf("random/seed=%d", seed), "ABCD",
+			mk("R", "AB"), mk("S", "BC"), mk("T", "CD"), mk("U", "DA"), mk("V", "AC"))
+	}
+	var product []Atom
+	for i, v := range []string{"A", "B", "C", "D", "E"} {
+		b := relation.NewBuilder(fmt.Sprintf("R%d", i+1), "x")
+		for x := 0; x < 100000; x++ {
+			b.Add(relation.Value(x))
+		}
+		product = append(product, atom(fmt.Sprintf("R%d", i+1), v, b.Build()))
+	}
+	add("overflow", "ABCDE", product...)
+	return qs
+}
+
+// TestCappedCount: the count capped at k is min(Count, k) — the
+// truncated semiring every aggregate runs in, EXISTS being k = 1 — under
+// both strategies, serial and sharded. A count that overflows int64
+// exceeds every cap.
+func TestCappedCount(t *testing.T) {
+	ctx := context.Background()
+	for name, q := range capWorkloads(t) {
+		p, cls, err := AggPlanSrc(NewTrieStore(0), q, nil, agg.Spec{Mode: agg.ModeCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		count, _, err := GenericJoinAggPlan(ctx, p, cls, MaterializeLevel, 1)
+		if errors.Is(err, agg.ErrCountOverflow) {
+			count = uncapped
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range strategies {
+			for _, workers := range []int{1, 4} {
+				for _, k := range []int64{1, 2, 7} {
+					r := newRun(ctx, p, cls, st.lv, workers, &Stats{})
+					r.cap = k
+					if got, _, err := r.count(); err != nil || got != min(count, k) {
+						t.Errorf("%s/%s/p=%d: capped at %d = %d, %v; want %d", name, st.name, workers, k, got, err, min(count, k))
+					}
+				}
+			}
+		}
 	}
 }

@@ -101,18 +101,16 @@ func TestShardedCallerAlone(t *testing.T) {
 		time.Sleep(20 * time.Microsecond)
 		c.leave()
 	}
-	sum, err := runShardedSum(ctx, 64, 4, &Stats{}, func(lo, hi int, _ *Stats, _ *atomic.Bool) (int64, error) {
-		chunk(lo, hi)
-		return int64(hi - lo), nil
-	})
-	if err != nil || sum != 64 {
-		t.Fatalf("sum = %d, %v; want 64", sum, err)
-	}
-	if _, err := runShardedAny(ctx, 64, 4, &Stats{}, func(lo, hi int, _ *Stats, _ *atomic.Bool) (bool, error) {
-		chunk(lo, hi)
-		return false, nil
-	}); err != nil {
-		t.Fatal(err)
+	// Uncapped, each value counts one; capped, none, so neither run
+	// stops early.
+	for _, c := range []struct{ cap, per, want int64 }{{uncapped, 1, 64}, {1, 0, 0}} {
+		sum, err := runShardedCount(ctx, 64, 4, c.cap, &Stats{}, func(lo, hi int, _ *Stats, _ *atomic.Bool) (int64, error) {
+			chunk(lo, hi)
+			return c.per * int64(hi-lo), nil
+		})
+		if err != nil || sum != c.want {
+			t.Fatalf("cap %d: sum = %d, %v; want %d", c.cap, sum, err, c.want)
+		}
 	}
 	var emitted []relation.Value
 	sink := newBufferSink(1, func(t relation.Tuple) error { emitted = append(emitted, t[0]); return nil })
@@ -150,7 +148,7 @@ func TestCoresCapWorkers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				callers.Add(1)
-				_, err := runShardedSum(ctx, 32, 4, &Stats{}, func(lo, hi int, _ *Stats, _ *atomic.Bool) (int64, error) {
+				_, err := runShardedCount(ctx, 32, 4, uncapped, &Stats{}, func(lo, hi int, _ *Stats, _ *atomic.Bool) (int64, error) {
 					// callers over-counts the callers inside a run, so
 					// this bound is exact about the granted workers.
 					if n := c.enter(); n > callers.Load()+procs-1 {

@@ -27,14 +27,16 @@ const (
 )
 
 // run carries what the entry points below share: the plan, its
-// classification (nil for plain enumeration), the level strategy and
-// the context's stop signal and node budget. A sharded run also holds
-// its depth-0 intersection: the values and where each matched.
+// classification (nil for plain enumeration), the level strategy, the
+// cap of its counts (see searcher.cap) and the context's stop signal
+// and node budget. A sharded run also holds its depth-0 intersection:
+// the values and where each matched.
 type run struct {
 	ctx     context.Context
 	p       *Plan
 	cls     *agg.Classification
 	lv      LevelStrategy
+	cap     int64
 	workers int
 	stats   *Stats
 	budget  *NodeBudget
@@ -43,7 +45,7 @@ type run struct {
 }
 
 func newRun(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int, stats *Stats) *run {
-	return &run{ctx: ctx, p: p, cls: cls, lv: lv, workers: workers, stats: stats, budget: BudgetFrom(ctx)}
+	return &run{ctx: ctx, p: p, cls: cls, lv: lv, cap: 1, workers: workers, stats: stats, budget: BudgetFrom(ctx)}
 }
 
 // sharded reports whether the run partitions its depth-0 intersection
@@ -56,7 +58,7 @@ func (r *run) sharded() bool { return r.workers > 1 && len(r.p.Order) > 0 }
 func (r *run) serial(emit func(relation.Tuple) error, body func(s *searcher) error) error {
 	var stop atomic.Bool
 	defer WatchCancel(r.ctx, &stop)()
-	s := newSearcher(r.p, r.cls, r.lv, r.stats, emit, &stop, r.budget)
+	s := newSearcher(r.p, r.cls, r.lv, r.cap, r.stats, emit, &stop, r.budget)
 	err := body(s)
 	if err == nil {
 		err = s.err
@@ -84,7 +86,7 @@ func (r *run) chunk(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation
 		return nil, nil, nil, ErrNodeBudget
 	}
 	k := len(r.p.Participants[0])
-	s := newSearcher(r.p, r.cls, r.lv, st, emit, stop, r.budget)
+	s := newSearcher(r.p, r.cls, r.lv, r.cap, st, emit, stop, r.budget)
 	return s, r.topVals[lo:hi], r.topAt[lo*k : hi*k], nil
 }
 
@@ -141,7 +143,7 @@ func GenericJoinPlanCount(ctx context.Context, p *Plan, cls *agg.Classification,
 		err = r.serial(func(relation.Tuple) error { n++; return nil },
 			func(s *searcher) error { return s.visit(0) })
 	} else {
-		n, err = runShardedSum(ctx, r.top(), workers, r.stats, func(lo, hi int, st *Stats, stop *atomic.Bool) (int64, error) {
+		n, err = runShardedCount(ctx, r.top(), workers, uncapped, r.stats, func(lo, hi int, st *Stats, stop *atomic.Bool) (int64, error) {
 			var c int64
 			s, vals, at, err := r.chunk(lo, hi, st, stop, func(relation.Tuple) error { c++; return nil })
 			if err != nil {
@@ -160,59 +162,43 @@ func GenericJoinPlanCount(ctx context.Context, p *Plan, cls *agg.Classification,
 // GenericJoinAggPlan evaluates the aggregate a sunk plan was
 // classified for (cls.Spec). ModeCount returns the result cardinality —
 // full multiplicity with a nil spec.Project, distinct projected tuples
-// otherwise. ModeExists returns 1 or 0, short-circuiting on the first
-// witness. Counts are identical to enumerate-then-aggregate at every
-// workers setting.
+// otherwise. ModeExists returns 1 or 0: the count capped at 1, which
+// stops at the first witness. Counts are identical to
+// enumerate-then-aggregate at every workers setting.
 func GenericJoinAggPlan(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int) (int64, *Stats, error) {
 	if err := CtxErr(ctx); err != nil {
 		return 0, nil, err
 	}
-	if cls.Spec.Mode == agg.ModeCount && len(cls.Spec.Project) > 0 {
+	r := newRun(ctx, p, cls, lv, workers, &Stats{})
+	switch {
+	case cls.Spec.Mode == agg.ModeCount && len(cls.Spec.Project) > 0:
 		// Distinct projected count: the projected enumeration, counted.
 		n, stats, err := GenericJoinPlanCount(ctx, p, cls, lv, workers)
 		return int64(n), stats, err
+	case cls.Spec.Mode == agg.ModeCount:
+		r.cap = uncapped
+	case cls.Spec.Mode != agg.ModeExists:
+		return 0, nil, fmt.Errorf("core: unsupported aggregate mode %v", cls.Spec.Mode)
 	}
-	r := newRun(ctx, p, cls, lv, workers, &Stats{})
-	// A pure product (CountFrom == 0) answers in O(#atoms); don't shard.
-	sharded := r.sharded() && cls.CountFrom > 0
+	return r.count()
+}
+
+// count runs the count from the root of the plan and returns min(count,
+// r.cap) with the run's Stats.
+func (r *run) count() (int64, *Stats, error) {
 	var n int64
 	var err error
-	switch cls.Spec.Mode {
-	case agg.ModeCount:
-		if !sharded {
-			err = r.serial(nil, func(s *searcher) error { n = s.count(0); return nil })
-			break
-		}
-		n, err = runShardedSum(ctx, r.top(), workers, r.stats, func(lo, hi int, st *Stats, stop *atomic.Bool) (int64, error) {
+	// A pure product (CountFrom == 0) answers in O(#atoms); don't shard.
+	if !r.sharded() || r.cls.CountFrom == 0 {
+		err = r.serial(nil, func(s *searcher) error { n = s.count(0); return nil })
+	} else {
+		n, err = runShardedCount(r.ctx, r.top(), r.workers, r.cap, r.stats, func(lo, hi int, st *Stats, stop *atomic.Bool) (int64, error) {
 			s, vals, at, err := r.chunk(lo, hi, st, stop, nil)
 			if err != nil {
 				return 0, err
 			}
 			return s.countVals(0, vals, at), s.err
 		})
-		if err == nil && n < 0 { // cross-chunk summation wrapped
-			err = agg.ErrCountOverflow
-		}
-	case agg.ModeExists:
-		var found bool
-		if !sharded {
-			err = r.serial(nil, func(s *searcher) error { found = s.exists(0); return nil })
-		} else {
-			// Shards poll the runner's stop flag, so the whole fleet
-			// unwinds once any worker finds a witness.
-			found, err = runShardedAny(ctx, r.top(), workers, r.stats, func(lo, hi int, st *Stats, stop *atomic.Bool) (bool, error) {
-				s, vals, at, err := r.chunk(lo, hi, st, stop, nil)
-				if err != nil {
-					return false, err
-				}
-				return s.existsVals(0, vals, at), s.err
-			})
-		}
-		if found {
-			n = 1
-		}
-	default:
-		return 0, nil, fmt.Errorf("core: unsupported aggregate mode %v", cls.Spec.Mode)
 	}
 	if err != nil {
 		return 0, nil, err

@@ -6,10 +6,13 @@ package core
 // every participating atom — is computed once, partitioned into
 // contiguous chunks, and each chunk is searched by the serial recursion
 // with fully private state (cursor stacks, binding tuple, Stats).
-// Workers share only the immutable tries. Chunk results are consumed
-// in ascending chunk index order, and because chunks are contiguous
-// ranges of the sorted top-level values, the emitted tuple sequence is
-// byte-identical to the serial run at any worker count.
+// Workers share only the immutable tries. There are two runners. The
+// ordered runSharded consumes chunk results in ascending chunk index
+// order, and because chunks are contiguous ranges of the sorted
+// top-level values, the emitted tuple sequence is byte-identical to the
+// serial run at any worker count. The unordered runShardedCount sums
+// chunk counts at the run's cap (COUNT uncapped, EXISTS capped at 1)
+// and stops the fleet once the sum reaches the cap.
 
 import (
 	"context"
@@ -18,6 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"wcoj/internal/agg"
 	"wcoj/internal/relation"
 )
 
@@ -340,14 +344,20 @@ func shardStarts(n, workers int, ramp bool) (starts []int, w int) {
 	return starts, min(workers, len(starts)-1)
 }
 
-// runShardedSum shards the n top-level values across the caller and
+// runShardedCount shards the n top-level values across the caller and
 // up to workers-1 more goroutines (see shard) and sums the per-chunk
-// int64 results of run. Unlike the tuple-emitting runner no output
-// ordering is needed, so chunks are claimed from an atomic counter;
-// per-chunk Stats are still merged in chunk order, keeping counter
-// totals deterministic for a fixed requested worker count, whatever
-// the budget grants. Every counting run shards through it.
-func runShardedSum(ctx context.Context, n, workers int, parentStats *Stats,
+// counts of run at cap (see searcher.cap): the sum saturates at cap,
+// and an uncapped sum past math.MaxInt64 is agg.ErrCountOverflow. No
+// output ordering is needed, so chunks are claimed from an atomic
+// counter. Once the sum reaches cap the shared stop flag is set, and
+// the chunk searches, which poll it, unwind: a capped run short-circuits
+// across the fleet (EXISTS on its first witness). Per-chunk Stats are
+// merged in chunk order, so an uncapped run's counters are
+// deterministic for a fixed requested worker count, whatever the
+// budget grants; a capped run's chunks race the stop flag, so its
+// counters (unlike its result) are not. A chunk's own error wins over a
+// reached cap, which wins over the context's error.
+func runShardedCount(ctx context.Context, n, workers int, cap int64, parentStats *Stats,
 	run func(lo, hi int, st *Stats, stop *atomic.Bool) (int64, error)) (int64, error) {
 	if err := CtxErr(ctx); err != nil {
 		return 0, err
@@ -358,97 +368,54 @@ func runShardedSum(ctx context.Context, n, workers int, parentStats *Stats,
 	starts, w := shardStarts(n, workers, false)
 	numChunks := len(starts) - 1
 	chunkStats := make([]Stats, numChunks)
-	sums := make([]int64, numChunks)
-	errs := make([]error, numChunks)
-	var abort atomic.Bool
-	defer WatchCancel(ctx, &abort)()
-	var next atomic.Int64
-	loop := func() {
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= numChunks || abort.Load() {
-				return
-			}
-			sums[c], errs[c] = run(starts[c], starts[c+1], &chunkStats[c], &abort)
-			if errs[c] != nil {
-				abort.Store(true)
-			}
-		}
-	}
-	shard(w, loop, loop)
-	var total int64
-	aborted := false
-	for c := 0; c < numChunks; c++ {
-		if errs[c] == ErrAborted {
-			aborted = true
-			continue
-		}
-		if errs[c] != nil {
-			return 0, errs[c]
-		}
-		parentStats.Merge(&chunkStats[c])
-		total += sums[c]
-	}
-	if err := CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	if aborted {
-		// A chunk unwound on the abort flag but no cause surfaced (it
-		// was claimed before a sibling's error stored the flag).
-		return 0, context.Canceled
-	}
-	return total, nil
-}
-
-// runShardedAny shards the n top-level values across the caller and
-// up to workers-1 more goroutines (see shard) and reports whether any
-// chunk found a witness. The shared stop flag is set as soon as one
-// does (or a chunk errors); chunk searches are expected to poll it and
-// unwind, so the whole fleet short-circuits on the first witness.
-// Stats are merged from every chunk that ran; because chunks race the
-// stop flag, counter totals (unlike the boolean result) are not
-// deterministic across runs.
-func runShardedAny(ctx context.Context, n, workers int, parentStats *Stats,
-	run func(lo, hi int, st *Stats, stop *atomic.Bool) (bool, error)) (bool, error) {
-	if err := CtxErr(ctx); err != nil {
-		return false, err
-	}
-	if n == 0 {
-		return false, nil
-	}
-	starts, w := shardStarts(n, workers, false)
-	numChunks := len(starts) - 1
-	chunkStats := make([]Stats, numChunks)
 	errs := make([]error, numChunks)
 	var stop atomic.Bool
 	defer WatchCancel(ctx, &stop)()
-	var found atomic.Bool
-	var next atomic.Int64
+	var (
+		mu    sync.Mutex
+		total int64
+		next  atomic.Int64
+	)
 	loop := func() {
 		for {
 			c := int(next.Add(1)) - 1
 			if c >= numChunks || stop.Load() {
 				return
 			}
-			ok, err := run(starts[c], starts[c+1], &chunkStats[c], &stop)
+			k, err := run(starts[c], starts[c+1], &chunkStats[c], &stop)
+			mu.Lock()
+			if err == nil {
+				var ok bool
+				if total, ok = capAdd(total, k, cap); !ok {
+					err = agg.ErrCountOverflow
+				}
+			}
 			errs[c] = err
-			if err != nil || ok {
+			if err != nil || reached(total, cap) {
 				stop.Store(true)
 			}
-			if ok && err == nil {
-				found.Store(true)
-			}
+			mu.Unlock()
 		}
 	}
 	shard(w, loop, loop)
+	aborted := false
 	for c := 0; c < numChunks; c++ {
-		if errs[c] != nil && errs[c] != ErrAborted {
-			return false, errs[c]
+		switch errs[c] {
+		case nil:
+		case ErrAborted:
+			aborted = true
+		default:
+			return 0, errs[c]
 		}
 		parentStats.Merge(&chunkStats[c])
 	}
-	if found.Load() {
-		return true, nil
+	if reached(total, cap) {
+		return total, nil
 	}
-	return false, CtxErr(ctx)
+	if aborted || CtxErr(ctx) != nil {
+		// Neither a chunk error nor the cap stopped the fleet, so the
+		// context did; report its error, never the sentinel.
+		return 0, CtxAbortErr(ctx, ErrAborted)
+	}
+	return total, nil
 }

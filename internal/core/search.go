@@ -3,8 +3,8 @@ package core
 // The one depth-first search every trie-plan run executes. Generic-Join
 // and Leapfrog Triejoin are the same algorithm — fix a variable order,
 // intersect the participating atoms at each level, recurse per value —
-// and share this searcher: the per-atom CSR cursor stacks, the four
-// recursions (visit, count, exists and the per-value loops the sharded
+// and share this searcher: the per-atom CSR cursor stacks, the two
+// recursions (visit and count, with the per-value loops the sharded
 // runner enters at depth 0), the poll site, the sticky abort and the
 // Stats accounting. They differ only in the LevelStrategy, which
 // decides once per level how the intersection reaches the recursion.
@@ -16,23 +16,27 @@ package core
 // depth's position slot.
 //
 // The aggregate-aware modes skip the enumeration work an answer does
-// not need, driven by the level classification of internal/agg:
+// not need, driven by the level classification of internal/agg. Every
+// aggregate is one count, taken in the truncated semiring {0, …, cap}
+// of its searcher: COUNT is uncapped, and EXISTS — like the existence
+// check at a projection boundary — is the count capped at 1, since
+// min(·, 1) maps (ℕ, +, ×) onto (𝔹, ∨, ∧).
 //
 //   - free-counted suffix levels are never recursed into — the number
 //     of extensions is the product of the active atoms' row-range sizes
 //     (relations are duplicate-free sets, so a range size is a
-//     distinct-tuple count), and the deepest level of a counting or
-//     existence run asks the kernels for the intersection's size or
-//     non-emptiness, under both strategies;
+//     distinct-tuple count), and the deepest level asks the kernel for
+//     the intersection's size up to the cap, under both strategies;
 //   - bound levels below the projection boundary consult a
 //     per-(trie,prefix) memo, so shared suffixes are counted once;
-//   - EXISTS short-circuits on the first witness, across shards via a
-//     shared stop flag.
+//   - a level whose partial sum reaches the cap stops (EXISTS stops at
+//     the first witness), across shards via a shared stop flag.
 //
 // Results are byte-identical to enumerate-then-aggregate at every
 // parallelism setting, under every order policy and both strategies.
 
 import (
+	"math"
 	"sync/atomic"
 
 	"wcoj/internal/agg"
@@ -91,6 +95,10 @@ type searcher struct {
 	// existence-checks the rest: the projection boundary, or the full
 	// order when every variable is output.
 	enumEnd int
+	// cap is the run's cap: count returns min(count, cap). It is 1 for
+	// EXISTS and for every enumeration (whose only counts are visit's
+	// existence checks), uncapped for COUNT.
+	cap int64
 
 	atoms   []*gjAtom
 	binding relation.Tuple
@@ -119,15 +127,15 @@ type searcher struct {
 	budget *NodeBudget
 	// err is the sticky abort: ErrAborted, ErrNodeBudget or
 	// agg.ErrCountOverflow. Once set every mode unwinds — count with 0,
-	// exists with an inconclusive false, visit with the error — and the
-	// entry points report it in place of the result.
+	// visit with the error — and the entry points report it in place of
+	// the result.
 	err error
 
 	memo      *agg.Memo
 	keyRanges []int // scratch the memo key is built from
 }
 
-func newSearcher(p *Plan, cls *agg.Classification, lv LevelStrategy, stats *Stats,
+func newSearcher(p *Plan, cls *agg.Classification, lv LevelStrategy, cap int64, stats *Stats,
 	emit func(relation.Tuple) error, stop *atomic.Bool, budget *NodeBudget) *searcher {
 	n := len(p.Order)
 	s := &searcher{
@@ -135,6 +143,7 @@ func newSearcher(p *Plan, cls *agg.Classification, lv LevelStrategy, stats *Stat
 		cls:     cls,
 		stream:  lv == LeapfrogLevel,
 		enumEnd: n,
+		cap:     cap,
 		atoms:   make([]*gjAtom, len(p.Tries)),
 		binding: make(relation.Tuple, len(p.Q.Vars)),
 		scratch: make([][]relation.Value, n),
@@ -257,7 +266,7 @@ func (s *searcher) take(d int, at []int) {
 // variables are output).
 func (s *searcher) visit(d int) error {
 	if d == s.enumEnd {
-		if s.exists(d) {
+		if s.count(d) > 0 {
 			for i, p := range s.projPos {
 				s.out[i] = s.binding[p]
 			}
@@ -281,12 +290,12 @@ func (s *searcher) visit(d int) error {
 	return s.visitVals(d, vals, at)
 }
 
-// visitVals, countVals and existsVals run the per-value loop of depth d
-// over materialized values: the participating atoms take the segments
-// at lists for the value (k = len(Participants[d]) positions per
-// value, as IntersectLevelsAt reports them), then the search recurses.
-// The sharded runner enters the search through them at depth 0, with
-// one chunk of the precomputed top-level intersection.
+// visitVals and countVals run the per-value loop of depth d over
+// materialized values: the participating atoms take the segments at
+// lists for the value (k = len(Participants[d]) positions per value, as
+// IntersectLevelsAt reports them), then the search recurses. The
+// sharded runner enters the search through them at depth 0, with one
+// chunk of the precomputed top-level intersection.
 func (s *searcher) visitVals(d int, vals []relation.Value, at []int) error {
 	k := len(s.plan.Participants[d])
 	for i, v := range vals {
@@ -302,65 +311,66 @@ func (s *searcher) visitVals(d int, vals []relation.Value, at []int) error {
 func (s *searcher) countVals(d int, vals []relation.Value, at []int) int64 {
 	k := len(s.plan.Participants[d])
 	var total int64
-	for i := range vals {
+	for i := 0; i < len(vals) && !reached(total, s.cap); i++ {
 		s.take(d, at[i*k:])
 		total = s.add(total, s.count(d+1))
 	}
 	return total
 }
 
-func (s *searcher) existsVals(d int, vals []relation.Value, at []int) bool {
-	k := len(s.plan.Participants[d])
-	for i := range vals {
-		s.take(d, at[i*k:])
-		if s.exists(d + 1) {
-			return true
-		}
+// uncapped is the cap of a COUNT run: its sums never saturate and never
+// stop early, and a sum past math.MaxInt64 is agg.ErrCountOverflow.
+const uncapped = math.MaxInt64
+
+// capAdd adds two counts in [0, cap]. The sum saturates at cap; ok is
+// false when an uncapped sum overflows.
+func capAdd(a, b, cap int64) (sum int64, ok bool) {
+	if b > cap-a {
+		return cap, cap != uncapped
 	}
-	return false
+	return a + b, true
 }
 
-// add sums two subtree counts; a wrapped sum aborts the search with
-// agg.ErrCountOverflow instead of reporting a wrong count.
+// reached reports whether a partial count has reached cap, so that
+// nothing left to add can change the capped result. An uncapped count
+// never reaches it: a sum at exactly math.MaxInt64 may still overflow.
+func reached(total, cap int64) bool { return cap != uncapped && total >= cap }
+
+// add sums two subtree counts at the searcher's cap; a sum that
+// overflows aborts the search with agg.ErrCountOverflow instead of
+// reporting a wrong count.
 func (s *searcher) add(total, n int64) int64 {
-	total += n
-	if total < 0 {
+	sum, ok := capAdd(total, n, s.cap)
+	if !ok {
 		s.err = agg.ErrCountOverflow
 		return 0
 	}
-	return total
+	return sum
 }
 
 // product multiplies the active atoms' current row-range sizes — the
 // number of suffix extensions below depth d when every remaining level
-// is free-counted. Overflow aborts the search.
+// is free-counted — saturating at the cap. A saturated product is still
+// 0 if a later range is empty; otherwise, uncapped, it is an overflow
+// and aborts the search.
 func (s *searcher) product(d int) int64 {
-	prod := int64(1)
+	prod, past := int64(1), false
 	for j, ai := range s.cls.ActiveAtoms[d] {
 		lo, hi := s.atoms[ai].rows(s.cls.BoundLevel[d][j])
-		var ok bool
-		prod, ok = agg.Mul(prod, int64(hi-lo))
-		if !ok {
-			s.err = agg.ErrCountOverflow
+		if lo == hi {
 			return 0
 		}
-		if prod == 0 {
-			return 0
+		p, ok := agg.Mul(prod, int64(hi-lo))
+		if !ok || p > s.cap {
+			p, past = s.cap, true
 		}
+		prod = p
+	}
+	if past && s.cap == uncapped {
+		s.err = agg.ErrCountOverflow
+		return 0
 	}
 	return prod
-}
-
-// productNonEmpty is the existence twin of product: every active
-// atom's range is non-empty. No multiplication, so no overflow.
-func (s *searcher) productNonEmpty(d int) bool {
-	for j, ai := range s.cls.ActiveAtoms[d] {
-		lo, hi := s.atoms[ai].rows(s.cls.BoundLevel[d][j])
-		if hi <= lo {
-			return false
-		}
-	}
-	return true
 }
 
 // memoKey builds the subtree signature at depth d: the (lo,hi) range
@@ -375,8 +385,10 @@ func (s *searcher) memoKey(d int) []byte {
 	return s.memo.Key(d, s.keyRanges)
 }
 
-// count returns the number of full result tuples below the current
-// prefix at depth d.
+// count returns min(n, cap) for the number n of full result tuples
+// below the current prefix at depth d — with cap 1, whether any exists.
+// A level stops once its partial sum reaches the cap. The memo stores
+// capped values, which is sound because a searcher has one cap.
 func (s *searcher) count(d int) int64 {
 	if !s.node() {
 		return 0
@@ -400,15 +412,16 @@ func (s *searcher) count(d int) int64 {
 	switch {
 	case d == n-1:
 		// Tail shortcut: each intersection value is one result, so only
-		// the cardinality is computed — neither strategy materializes.
+		// the cardinality up to the cap is computed — neither strategy
+		// materializes.
 		s.stats.AggMultiplies++
-		c := trie.IntersectLevelsCount(s.levelRanges(d))
+		c := trie.IntersectLevelsCount(s.levelRanges(d), int(s.cap))
 		s.stats.IntersectValues += c
 		total = int64(c)
 	case s.stream:
 		s.leapfrog(d, func(relation.Value) bool {
 			total = s.add(total, s.count(d+1))
-			return s.err != nil
+			return reached(total, s.cap) || s.err != nil
 		})
 	default:
 		vals, at := s.intersect(d)
@@ -420,52 +433,4 @@ func (s *searcher) count(d int) int64 {
 		s.memo.Put(s.memoKey(d), total)
 	}
 	return total
-}
-
-// exists reports whether any result tuple extends the current prefix,
-// short-circuiting on the first witness. A false with err set is
-// inconclusive.
-func (s *searcher) exists(d int) bool {
-	if !s.node() {
-		return false
-	}
-	n := len(s.plan.Order)
-	if d == n {
-		return true
-	}
-	if d >= s.cls.CountFrom {
-		s.stats.AggMultiplies++
-		return s.productNonEmpty(d)
-	}
-	useMemo := s.cls.MemoDepths[d] && s.memo.Enabled()
-	if useMemo {
-		if v, ok := s.memo.Get(s.memoKey(d)); ok {
-			s.stats.AggMemoHits++
-			return v != 0
-		}
-	}
-	found := false
-	switch {
-	case d == n-1:
-		s.stats.AggMultiplies++
-		if found = trie.IntersectLevelsAny(s.levelRanges(d)); found {
-			s.stats.IntersectValues++
-		}
-	case s.stream:
-		s.leapfrog(d, func(relation.Value) bool {
-			found = s.exists(d + 1)
-			return found || s.err != nil
-		})
-	default:
-		vals, at := s.intersect(d)
-		found = s.existsVals(d, vals, at)
-	}
-	if useMemo && s.err == nil {
-		var v int64
-		if found {
-			v = 1
-		}
-		s.memo.Put(s.memoKey(d), v)
-	}
-	return found
 }

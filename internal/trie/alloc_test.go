@@ -2,6 +2,7 @@ package trie
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"wcoj/internal/relation"
@@ -59,14 +60,10 @@ func TestKernelAllocs(t *testing.T) {
 				scratch := make([]int, len(ranges))
 				n := 0
 				for name, f := range map[string]func(){
-					"IntersectLevels":      func() { dst = IntersectLevels(dst[:0], ranges) },
-					"IntersectLevelsAt":    func() { vals, at = IntersectLevelsAt(vals[:0], at[:0], ranges) },
-					"IntersectLevelsCount": func() { n += IntersectLevelsCount(ranges) },
-					"IntersectLevelsAny": func() {
-						if IntersectLevelsAny(ranges) {
-							n++
-						}
-					},
+					"IntersectLevels":             func() { dst = IntersectLevels(dst[:0], ranges) },
+					"IntersectLevelsAt":           func() { vals, at = IntersectLevelsAt(vals[:0], at[:0], ranges) },
+					"IntersectLevelsCount":        func() { n += IntersectLevelsCount(ranges, math.MaxInt) },
+					"IntersectLevelsCount(cap 1)": func() { n += IntersectLevelsCount(ranges, 1) },
 					"LeapfrogLevels": func() {
 						LeapfrogLevels(ranges, scratch, func(relation.Value, []int) bool { n++; return false })
 					},

@@ -77,8 +77,8 @@ func matchedAt(ranges []LevelRange, v relation.Value, at []int) bool {
 
 // kernelsAgree checks every kernel entry on ranges against the oracle
 // answer want: IntersectLevels, IntersectLevelsAt (values and
-// positions, appended after existing contents), IntersectLevelsCount,
-// IntersectLevelsAny and the streaming LeapfrogLevels (values,
+// positions, appended after existing contents), IntersectLevelsCount
+// at caps 1, 2, 3 and uncapped, and the streaming LeapfrogLevels (values,
 // positions, and a stop at the first value). It returns a description
 // of the first disagreement, or "".
 func kernelsAgree(ranges []LevelRange, want []relation.Value) string {
@@ -106,11 +106,10 @@ func kernelsAgree(ranges []LevelRange, want []relation.Value) string {
 			return fmt.Sprintf("IntersectLevelsAt: value %d reported at %v", v, at[1+i*k:1+(i+1)*k])
 		}
 	}
-	if n := IntersectLevelsCount(ranges); n != len(want) {
-		return fmt.Sprintf("IntersectLevelsCount = %d, want %d", n, len(want))
-	}
-	if IntersectLevelsAny(ranges) != (len(want) > 0) {
-		return "IntersectLevelsAny disagrees"
+	for _, c := range []int{1, 2, 3, math.MaxInt} {
+		if n := IntersectLevelsCount(ranges, c); n != min(len(want), c) {
+			return fmt.Sprintf("IntersectLevelsCount(cap %d) = %d, want %d", c, n, min(len(want), c))
+		}
 	}
 	var streamed []relation.Value
 	misplaced := false
@@ -225,11 +224,11 @@ func TestGallopSkewHeavy(t *testing.T) {
 			t.Fatalf("gallop-skewed[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-	if n := IntersectLevelsCount(ranges); n != len(want) {
+	if n := IntersectLevelsCount(ranges, math.MaxInt); n != len(want) {
 		t.Fatalf("count = %d, want %d", n, len(want))
 	}
-	if !IntersectLevelsAny(ranges) {
-		t.Fatal("any = false on non-empty intersection")
+	if n := IntersectLevelsCount(ranges, 1); n != 1 {
+		t.Fatalf("count capped at 1 = %d on a non-empty intersection", n)
 	}
 }
 

@@ -2,11 +2,11 @@ package trie
 
 // The multiway level-intersection kernels: materializing
 // (IntersectLevels, and IntersectLevelsAt, which also reports where
-// every value matched), counting (IntersectLevelsCount), existence
-// (IntersectLevelsAny) and streaming (LeapfrogLevels). The search calls
-// one of them per level, and per value it then pays only its share of
-// that one intersection — the primitive Algorithm 1 and Generic-Join
-// assume. So no entry allocates on the same-width path: the span cursors
+// every value matched), counting up to a cap (IntersectLevelsCount,
+// which with cap 1 is the existence check) and streaming
+// (LeapfrogLevels). The search calls one of them per level, and per
+// value it then pays only its share of that one intersection — the
+// primitive Algorithm 1 and Generic-Join assume. So no entry allocates on the same-width path: the span cursors
 // live in a fixed stack buffer, and values and positions go to the
 // caller's buffers, which grow at most once per call, to the smallest
 // range's size. The positions mean a caller never searches again for a
@@ -203,7 +203,7 @@ func intersectLevels(dst []relation.Value, at []int, pos bool, ranges []LevelRan
 	}
 	// The smallest range bounds the output: a caller's buffer grows to
 	// that once instead of doubling its way there.
-	bound := ranges[SmallestRange(ranges)].Size()
+	bound := ranges[smallestRange(ranges)].Size()
 	dst = slices.Grow(dst, bound)
 	if pos {
 		at = slices.Grow(at, bound*len(ranges))
@@ -216,44 +216,25 @@ func intersectLevels(dst []relation.Value, at []int, pos bool, ranges []LevelRan
 	return intersectSpans(dst, at, pos, toSpans64(buf[:0], ranges))
 }
 
-// IntersectLevelsCount returns the size of the multiway intersection
-// without materializing its values — the tail level of a counting run
-// needs only the cardinality, so the append traffic of IntersectLevels
-// is pure waste there. Same strategy selection, same cost bound.
-func IntersectLevelsCount(ranges []LevelRange) int {
+// IntersectLevelsCount returns min(|∩ ranges|, cap) without
+// materializing the intersection — the tail level of a counting run
+// needs only the cardinality, and an existence check (cap 1) only the
+// first common value, so every strategy stops once it has counted cap
+// values; cap must be at least 1. Same strategy selection, same cost
+// bound as IntersectLevels.
+func IntersectLevelsCount(ranges []LevelRange, cap int) int {
 	if len(ranges) == 0 || anyEmpty(ranges) {
 		return 0
 	}
 	if mixedWidth(ranges) {
-		return IntersectLevelsCount(widenRanges(ranges))
+		return IntersectLevelsCount(widenRanges(ranges), cap)
 	}
 	if ranges[0].Keys32 != nil {
 		var buf [stackSpans]span[uint32]
-		return countSpans(toSpans32(buf[:0], ranges))
+		return countSpans(toSpans32(buf[:0], ranges), cap)
 	}
 	var buf [stackSpans]span[relation.Value]
-	return countSpans(toSpans64(buf[:0], ranges))
-}
-
-// IntersectLevelsAny reports whether the multiway intersection is
-// non-empty, stopping at the first common value — the tail level of an
-// existence check.
-func IntersectLevelsAny(ranges []LevelRange) bool {
-	if len(ranges) == 0 || anyEmpty(ranges) {
-		return false
-	}
-	if len(ranges) == 1 {
-		return true
-	}
-	if mixedWidth(ranges) {
-		return IntersectLevelsAny(widenRanges(ranges))
-	}
-	if ranges[0].Keys32 != nil {
-		var buf [stackSpans]span[uint32]
-		return anySpans(toSpans32(buf[:0], ranges))
-	}
-	var buf [stackSpans]span[relation.Value]
-	return anySpans(toSpans64(buf[:0], ranges))
+	return countSpans(toSpans64(buf[:0], ranges), cap)
 }
 
 // LeapfrogLevels streams the values common to all level ranges to emit
@@ -385,11 +366,12 @@ func intersectSpans[K key](dst []relation.Value, at []int, pos bool, spans []spa
 	return dst, at
 }
 
-// countSpans is the counting twin of intersectSpans.
-func countSpans[K key](spans []span[K]) int {
+// countSpans is the counting twin of intersectSpans: it stops at the
+// cap-th common value.
+func countSpans[K key](spans []span[K], cap int) int {
 	switch len(spans) {
 	case 1:
-		return spans[0].hi - spans[0].lo
+		return min(spans[0].hi-spans[0].lo, cap)
 	case 2:
 		a, b := spans[0], spans[1]
 		if a.hi-a.lo > b.hi-b.lo {
@@ -405,7 +387,9 @@ func countSpans[K key](spans []span[K]) int {
 					return n
 				}
 				if b.keys[j] == v {
-					n++
+					if n++; n == cap {
+						return n
+					}
 					j++
 				}
 			}
@@ -416,7 +400,9 @@ func countSpans[K key](spans []span[K]) int {
 			av, bv := a.keys[i], b.keys[j]
 			switch {
 			case av == bv:
-				n++
+				if n++; n == cap {
+					return n
+				}
 				i++
 				j++
 			case av < bv:
@@ -430,20 +416,9 @@ func countSpans[K key](spans []span[K]) int {
 	n := 0
 	leapfrogUntil(spans, func(K) bool {
 		n++
-		return false
+		return n == cap
 	})
 	return n
-}
-
-// anySpans short-circuits on the first common value; spans are
-// non-empty and len(spans) >= 2.
-func anySpans[K key](spans []span[K]) bool {
-	found := false
-	leapfrogUntil(spans, func(K) bool {
-		found = true
-		return true
-	})
-	return found
 }
 
 // leapfrogUntil is Veldhuizen's leapfrog search over the spans,
@@ -491,9 +466,9 @@ func leapfrogUntil[K key](spans []span[K], emit func(K) bool) {
 	}
 }
 
-// SmallestRange returns the index of the range with the fewest keys,
-// used by variable-ordering heuristics.
-func SmallestRange(ranges []LevelRange) int {
+// smallestRange returns the index of the range with the fewest keys,
+// which bounds the size of their intersection.
+func smallestRange(ranges []LevelRange) int {
 	best, arg := -1, -1
 	for i, r := range ranges {
 		if s := r.Size(); best < 0 || s < best {
@@ -501,29 +476,4 @@ func SmallestRange(ranges []LevelRange) int {
 		}
 	}
 	return arg
-}
-
-// DistinctCount returns the number of distinct values in a raw column
-// range (by group-skipping, O(d log N) for d distinct values). Compat
-// helper over row-addressed columns; trie levels answer this in O(1)
-// via NumSegs/Children.
-func DistinctCount(col []relation.Value, lo, hi int) int {
-	n := 0
-	i := lo
-	for i < hi {
-		i = upperBound(col, i, hi, col[i])
-		n++
-	}
-	return n
-}
-
-// Distinct appends the distinct values of a raw column range to dst.
-func Distinct(dst []relation.Value, col []relation.Value, lo, hi int) []relation.Value {
-	i := lo
-	for i < hi {
-		v := col[i]
-		dst = append(dst, v)
-		i = upperBound(col, i, hi, v)
-	}
-	return dst
 }

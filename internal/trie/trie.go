@@ -12,8 +12,8 @@
 // to its row range and to its children at the next level. Navigation
 // (SegKey, SegRows, Children) is then O(1) array arithmetic, and
 // FindSegFrom is a galloping search over duplicate-free key arrays —
-// the repeated lowerBound/upperBound binary searches over raw column
-// ranges of the previous layout disappear from the hot paths.
+// the repeated binary searches over raw column ranges of the previous
+// layout disappear from the hot paths.
 // When every value of the relation fits in uint32 the per-level key
 // arrays are narrowed to 4-byte keys, halving the memory bandwidth of
 // the intersection kernels in leapfrog.go. All index storage is
@@ -24,7 +24,6 @@ package trie
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"wcoj/internal/relation"
 )
@@ -327,29 +326,3 @@ func (t *Trie) FindSegFrom(d, from, hi int, v relation.Value) (int, bool) {
 	s := gallopLB(ks, from, hi, v)
 	return s, s < hi && ks[s] == v
 }
-
-// lowerBound returns the first index i in [lo,hi) with col[i] >= v.
-func lowerBound(col []relation.Value, lo, hi int, v relation.Value) int {
-	return lo + sort.Search(hi-lo, func(i int) bool { return col[lo+i] >= v })
-}
-
-// upperBound returns the first index i in [lo,hi) with col[i] > v.
-func upperBound(col []relation.Value, lo, hi int, v relation.Value) int {
-	return lo + sort.Search(hi-lo, func(i int) bool { return col[lo+i] > v })
-}
-
-// Range restricts rows [lo,hi) at level d to those whose level-d value
-// equals v, returning the sub-range. This is the row-addressed compat
-// surface (binary search over the raw column); the engines navigate by
-// segment (FindSegFrom/Children) instead.
-func (t *Trie) Range(d, lo, hi int, v relation.Value) (int, int) {
-	col := t.cols[d]
-	nlo := lowerBound(col, lo, hi, v)
-	nhi := upperBound(col, nlo, hi, v)
-	return nlo, nhi
-}
-
-// Level exposes the raw column of level d (with duplicates); retained
-// for diagnostics and tests. Intersection kernels work on the dense
-// segment keys via SegLevel.
-func (t *Trie) Level(d int) []relation.Value { return t.cols[d] }

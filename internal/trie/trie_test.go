@@ -142,14 +142,6 @@ func TestSegRowsAndRange(t *testing.T) {
 	if lo != 0 || hi != 2 {
 		t.Fatalf("range of A=1 is [%d,%d), want [0,2)", lo, hi)
 	}
-	nlo, nhi := tr.Range(0, 0, tr.Len(), 2)
-	if nlo != 2 || nhi != 3 {
-		t.Fatalf("Range(A=2) = [%d,%d), want [2,3)", nlo, nhi)
-	}
-	nlo, nhi = tr.Range(0, 0, tr.Len(), 9)
-	if nlo != nhi {
-		t.Fatal("Range of missing value must be empty")
-	}
 }
 
 func TestIntersectLevels(t *testing.T) {
@@ -196,24 +188,13 @@ func TestIntersectLevelsEmptyCases(t *testing.T) {
 	}
 }
 
-func TestDistinctHelpers(t *testing.T) {
-	col := []relation.Value{1, 1, 2, 2, 2, 5}
-	if n := DistinctCount(col, 0, len(col)); n != 3 {
-		t.Fatalf("DistinctCount = %d, want 3", n)
-	}
-	if n := DistinctCount(col, 1, 4); n != 2 {
-		t.Fatalf("DistinctCount[1,4) = %d, want 2", n)
-	}
-	d := Distinct(nil, col, 0, len(col))
-	if len(d) != 3 || d[0] != 1 || d[1] != 2 || d[2] != 5 {
-		t.Fatalf("Distinct = %v", d)
-	}
+func TestSmallestRange(t *testing.T) {
 	keys := []relation.Value{1, 2, 3, 4, 5, 6}
-	if i := SmallestRange([]LevelRange{{Keys: keys, Lo: 0, Hi: 6}, {Keys: keys, Lo: 0, Hi: 2}}); i != 1 {
-		t.Fatalf("SmallestRange = %d", i)
+	if i := smallestRange([]LevelRange{{Keys: keys, Lo: 0, Hi: 6}, {Keys: keys, Lo: 0, Hi: 2}}); i != 1 {
+		t.Fatalf("smallestRange = %d", i)
 	}
-	if i := SmallestRange(nil); i != -1 {
-		t.Fatalf("SmallestRange(nil) = %d", i)
+	if i := smallestRange(nil); i != -1 {
+		t.Fatalf("smallestRange(nil) = %d", i)
 	}
 }
 
