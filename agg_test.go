@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"wcoj/internal/agg"
+	"wcoj/internal/baseline"
 	"wcoj/internal/dataset"
 )
 
@@ -257,8 +258,8 @@ func TestProjectExplicitOrderSinks(t *testing.T) {
 	}
 }
 
-// TestProjectBaselineFallback: the non-WCOJ algorithms materialize and
-// project.
+// TestProjectBaselineFallback: the binary-join baselines' full results,
+// projected after the fact, equal the search's pushed-down projection.
 func TestProjectBaselineFallback(t *testing.T) {
 	tri := dataset.TriangleAGMTight(400)
 	db := NewDatabase()
@@ -277,23 +278,26 @@ func TestProjectBaselineFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algorithm{AlgoBinaryJoin, AlgoBinaryJoinProject} {
-		got, stats, err := Execute(q, Options{Algorithm: algo, Project: []string{"B"}})
+	pushed, _, err := Execute(q, Options{Project: []string{"B"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pushed.Equal(want) {
+		t.Fatal("pushed-down projection diverges from the projected full result")
+	}
+	for name, join := range map[string]func(*Query, []string, []int) (*Relation, *Stats, error){
+		"binary-join": baseline.JoinOnly, "binary-join-project": baseline.JoinProject,
+	} {
+		out, _, err := join(q, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want) {
-			t.Fatalf("%v: projected fallback diverges", algo)
-		}
-		if stats.Output != want.Len() {
-			t.Fatalf("%v: stats.Output = %d, want %d", algo, stats.Output, want.Len())
-		}
-		n, _, err := Count(q, Options{Algorithm: algo, Project: []string{"B"}})
+		got, err := out.Project("B")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != want.Len() {
-			t.Fatalf("%v: projected Count = %d, want %d", algo, n, want.Len())
+		if !got.Equal(pushed) {
+			t.Fatalf("%s: projected baseline diverges", name)
 		}
 	}
 }
@@ -395,8 +399,8 @@ func TestCountProjectedCountsDistinct(t *testing.T) {
 	}
 }
 
-// TestCountFallbacks: non-WCOJ algorithms count and existence-check
-// without a pushdown plan.
+// TestCountFallbacks: backtracking counts and existence-checks through
+// the same pushdown plans, under its constraints' order.
 func TestCountFallbacks(t *testing.T) {
 	tri := dataset.TriangleAGMTight(400)
 	db := NewDatabase()
@@ -411,7 +415,7 @@ func TestCountFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algorithm{AlgoBacktracking, AlgoBinaryJoin, AlgoBinaryJoinProject} {
+	for _, algo := range []Algorithm{AlgoBacktracking} {
 		n, _, err := Count(q, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)

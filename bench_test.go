@@ -254,7 +254,7 @@ func BenchmarkAlgorithm3(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("deg=%d", deg), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.BacktrackingCount(q, acyclic, core.BacktrackOptions{}); err != nil {
+				if _, _, err := Count(q, Options{Algorithm: AlgoBacktracking, Constraints: acyclic, Parallelism: 1, DisablePushdown: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

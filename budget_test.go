@@ -9,8 +9,8 @@ import (
 	"wcoj/internal/dataset"
 )
 
-// TestNodeBudget checks admission-control budgets across both engines
-// and serial/parallel execution: a tiny budget must cut every
+// TestNodeBudget checks admission-control budgets across every
+// algorithm and serial/parallel execution: a tiny budget must cut every
 // execution mode off with ErrNodeBudget, and a generous one must not
 // disturb the result.
 func TestNodeBudget(t *testing.T) {
@@ -19,7 +19,7 @@ func TestNodeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := "Q(A,B,C) :- E(A,B), E(B,C), E(A,C)"
-	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
+	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking} {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%v/par=%d", algo, par), func(t *testing.T) {
 				pq, err := db.Prepare(src, Options{Algorithm: algo, Parallelism: par})

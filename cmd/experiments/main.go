@@ -448,8 +448,12 @@ func alg3(scale int) error {
 		if err != nil {
 			return err
 		}
+		// The serial enumeration, so the counters are the search's own
+		// (no aggregate pushdown, no sharding).
 		start := time.Now()
-		n, st, err := core.BacktrackingCount(q, acyclic, core.BacktrackOptions{})
+		n, st, err := wcoj.Count(q, wcoj.Options{
+			Algorithm: wcoj.AlgoBacktracking, Constraints: acyclic, Parallelism: 1, DisablePushdown: true,
+		})
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,7 @@
 //
 //	wcoj -query 'Q(A,B,C) :- R(A,B), S(B,C), T(A,C)' \
 //	     -rel R=r.tsv -rel S=s.tsv -rel T=t.tsv \
-//	     [-algo generic-join|leapfrog-triejoin|backtracking|binary-join|binary-join-project] \
+//	     [-algo generic-join|leapfrog-triejoin|backtracking] \
 //	     [-order A,B,C] [-planner auto|heuristic|cost-based|explicit] \
 //	     [-explain] [-count] [-exists] [-project A,C] \
 //	     [-out out.tsv] [-parallel N] [-repeat N]
@@ -78,7 +78,7 @@ func main() {
 	flag.BoolVar(&c.count, "count", false, "print only the output cardinality (aggregate-aware Count)")
 	flag.BoolVar(&c.exists, "exists", false, "print only whether the output is non-empty (first-witness short-circuit)")
 	flag.StringVar(&c.outPath, "out", "", "write the result as TSV to this file")
-	flag.IntVar(&c.parallel, "parallel", 0, "worker goroutines for the WCOJ algorithms (0 = all cores, 1 = serial)")
+	flag.IntVar(&c.parallel, "parallel", 0, "worker goroutines of the search (0 = all cores, 1 = serial)")
 	flag.IntVar(&c.repeat, "repeat", 1, "execute the prepared query N times (plan and indexes are built once)")
 	flag.Var(&c.rels, "rel", "NAME=path.tsv|.csv (repeatable)")
 	flag.Parse()

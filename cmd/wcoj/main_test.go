@@ -33,9 +33,15 @@ const triQuery = "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)"
 
 func TestRunCountAndMaterialize(t *testing.T) {
 	dir, flags := writeTri(t)
-	for _, algo := range []string{"generic-join", "leapfrog-triejoin", "backtracking", "binary-join"} {
+	for _, algo := range []string{"generic-join", "leapfrog-triejoin", "backtracking"} {
 		if err := run(config{query: triQuery, algo: algo, planner: "auto", count: true, parallel: 2, rels: flags}); err != nil {
 			t.Fatalf("count/%s: %v", algo, err)
+		}
+	}
+	// The binary-join baselines are references, not served algorithms.
+	for _, algo := range []string{"binary-join", "binary-join-project"} {
+		if err := run(config{query: triQuery, algo: algo, planner: "auto", count: true, rels: flags}); err == nil {
+			t.Fatalf("-algo %s must fail", algo)
 		}
 	}
 	out := filepath.Join(dir, "out.tsv")
@@ -63,7 +69,7 @@ func TestRunCountAndMaterialize(t *testing.T) {
 func TestRunAggregates(t *testing.T) {
 	dir, flags := writeTri(t)
 	// -exists on every algorithm.
-	for _, algo := range []string{"generic-join", "leapfrog-triejoin", "backtracking", "binary-join"} {
+	for _, algo := range []string{"generic-join", "leapfrog-triejoin", "backtracking"} {
 		if err := run(config{query: triQuery, algo: algo, planner: "auto", exists: true, rels: flags}); err != nil {
 			t.Fatalf("exists/%s: %v", algo, err)
 		}

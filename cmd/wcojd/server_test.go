@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -217,6 +218,81 @@ func TestServerNodeBudget(t *testing.T) {
 	code, body := post(t, ts.URL+"/query", `{"query":"Q(A,B,C) :- E(A,B), E(B,C), E(A,C)","count":true}`)
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("budget exhaustion: %d %s, want 422", code, body)
+	}
+}
+
+// TestServerEveryAlgorithmStoppable: every algorithm /query accepts is
+// bounded by -query-timeout and -node-budget. An explosive clique4
+// count (K_200: ~1.5·10^9 results) under a 200 ms timeout answers 504
+// within twice the timeout and leaves no goroutine behind; under a
+// node budget it answers 422. The binary-join baselines are not
+// served algorithms: naming one is the client's error.
+func TestServerEveryAlgorithmStoppable(t *testing.T) {
+	b := wcoj.NewRelationBuilder("E", "src", "dst")
+	for i := 0; i < 200; i++ {
+		for j := 0; j < 200; j++ {
+			if i != j {
+				if err := b.Add(wcoj.Value(i), wcoj.Value(j)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	db := wcoj.NewDB()
+	if err := db.Register(b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	const clique4 = "Q(A,B,C,D) :- E(A,B), E(A,C), E(A,D), E(B,C), E(B,D), E(C,D)"
+	var algos []string
+	for a := wcoj.Algorithm(0); ; a++ {
+		if _, err := wcoj.ParseAlgorithm(a.String()); err != nil {
+			break
+		}
+		algos = append(algos, a.String())
+	}
+	if len(algos) != 3 {
+		t.Fatalf("served algorithms %v, want 3", algos)
+	}
+
+	const timeout = 200 * time.Millisecond
+	c := testConfig()
+	c.queryTimeout = timeout
+	_, ts := newTestServer(t, db, c)
+	for _, algo := range algos {
+		// Build each plan's tries first: the timeout bounds the search.
+		if code, body := post(t, ts.URL+"/query", fmt.Sprintf(`{"query":%q,"algo":%q,"exists":true}`, clique4, algo)); code != 200 {
+			t.Fatalf("%s: warm-up exists: %d %s", algo, code, body)
+		}
+	}
+	http.DefaultClient.CloseIdleConnections()
+	baseline := runtime.NumGoroutine()
+	for _, algo := range algos {
+		start := time.Now()
+		code, body := post(t, ts.URL+"/query", fmt.Sprintf(`{"query":%q,"algo":%q,"count":true}`, clique4, algo))
+		if elapsed := time.Since(start); code != http.StatusGatewayTimeout || elapsed > 2*timeout {
+			t.Errorf("%s: %d after %v (%s), want 504 within %v", algo, code, elapsed, strings.TrimSpace(body), 2*timeout)
+		}
+	}
+	http.DefaultClient.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the timed-out queries, %d before", runtime.NumGoroutine(), baseline)
+		}
+	}
+
+	c = testConfig()
+	c.nodeBudget = 10000
+	_, ts = newTestServer(t, db, c)
+	for _, algo := range algos {
+		code, body := post(t, ts.URL+"/query", fmt.Sprintf(`{"query":%q,"algo":%q,"count":true}`, clique4, algo))
+		if code != http.StatusUnprocessableEntity {
+			t.Errorf("%s: %d %s under a node budget, want 422", algo, code, body)
+		}
+	}
+	for _, algo := range []string{"binary-join", "binary-join-project"} {
+		if code, body := post(t, ts.URL+"/query", fmt.Sprintf(`{"query":%q,"algo":%q,"count":true}`, clique4, algo)); code != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", algo, code, body)
+		}
 	}
 }
 

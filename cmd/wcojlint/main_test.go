@@ -33,7 +33,7 @@ func TestList(t *testing.T) {
 	}
 	for _, name := range []string{
 		"snapshotonce", "ctxpoll", "statsmerge", "valueident",
-		"arenaescape", "fsyncorder", "publishimmutable", "deprecated",
+		"arenaescape", "fsyncorder", "publishimmutable",
 	} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, stdout.String())

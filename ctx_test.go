@@ -67,33 +67,38 @@ func TestOptionsContextCancellation(t *testing.T) {
 	}
 }
 
-// TestOptionsContextPreChecked: algorithms without in-search polling
-// still refuse to start under an already-cancelled context.
+// TestOptionsContextPreChecked: backtracking is the same search, so
+// Options.Context cancels it mid-run too, at every parallelism; an
+// already-cancelled context stops it before it starts.
 func TestOptionsContextPreChecked(t *testing.T) {
-	db := NewDatabase()
-	b := NewRelationBuilder("E", "x", "y")
-	for i := 0; i < 8; i++ {
-		if err := b.Add(Value(i), Value(i+1)); err != nil {
-			t.Fatal(err)
+	q := ctxTestQuery(t)
+	for _, par := range []int{1, 4} {
+		opts := func(ctx context.Context) Options {
+			return Options{Algorithm: AlgoBacktracking, Parallelism: par, Context: ctx, DisablePushdown: true}
 		}
-	}
-	db.Put(b.Build())
-	q, err := MustParse("Q(A,B,C) :- E(A,B), E(B,C)").Bind(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, algo := range []Algorithm{AlgoBacktracking, AlgoBinaryJoin, AlgoBinaryJoinProject} {
-		opts := Options{Algorithm: algo, Context: ctx}
-		if _, _, err := Execute(q, opts); !errors.Is(err, context.Canceled) {
-			t.Errorf("%v Execute: err = %v, want canceled", algo, err)
+		for name, f := range map[string]func(Options) error{
+			"Execute": func(o Options) error { _, _, err := Execute(q, o); return err },
+			"Count":   func(o Options) error { _, _, err := Count(q, o); return err },
+			"ExecuteFunc": func(o Options) error {
+				_, err := ExecuteFunc(q, o, func(Tuple) error { return nil })
+				return err
+			},
+		} {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+			start := time.Now()
+			err := f(opts(ctx))
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("p=%d %s: err = %v, want deadline exceeded", par, name, err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Errorf("p=%d %s: cancellation took %v", par, name, elapsed)
+			}
 		}
-		if _, _, err := Count(q, opts); !errors.Is(err, context.Canceled) {
-			t.Errorf("%v Count: err = %v, want canceled", algo, err)
-		}
-		if _, _, err := Exists(q, opts); !errors.Is(err, context.Canceled) {
-			t.Errorf("%v Exists: err = %v, want canceled", algo, err)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, _, err := Exists(q, opts(ctx)); !errors.Is(err, context.Canceled) {
+			t.Errorf("p=%d Exists: err = %v, want canceled", par, err)
 		}
 	}
 }

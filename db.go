@@ -447,7 +447,7 @@ func (db *DB) Prepare(src string, opts Options) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	if wcojAlgorithm(opts.Algorithm) && popt.Policy == planner.Explicit {
+	if popt.Policy == planner.Explicit {
 		if err := core.CheckOrder(q, popt.Explicit); err != nil {
 			return nil, err
 		}
@@ -535,10 +535,8 @@ func (db *DB) Warm(srcs ...string) error {
 		if err != nil {
 			return err
 		}
-		if wcojAlgorithm(pq.opts.Algorithm) {
-			if _, _, err := pq.currentState().plan(planEnum); err != nil {
-				return err
-			}
+		if _, _, err := pq.currentState().plan(planEnum); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -552,12 +550,6 @@ func (db *DB) Query(ctx context.Context, src string, opts Options) (*Relation, *
 		return nil, nil, err
 	}
 	return pq.Execute(ctx)
-}
-
-// wcojAlgorithm reports whether the algorithm runs through the
-// trie-based plan machinery prepared queries cache.
-func wcojAlgorithm(a Algorithm) bool {
-	return a == AlgoGenericJoin || a == AlgoLeapfrog
 }
 
 // PreparedQuery is a compiled query: parse, bind, variable order, agg
@@ -575,11 +567,6 @@ func wcojAlgorithm(a Algorithm) bool {
 // (variable order, classification) is reused. Concurrent executions
 // each keep the snapshot they started with, so a reader never sees a
 // half-applied batch.
-//
-// AlgoBacktracking and the binary-join baselines have no trie plan to
-// keep, so for them only parse and bind are amortized; they have no
-// cancellation plumbing either, so ctx is checked only before the call
-// starts, not during it.
 type PreparedQuery struct {
 	db   *DB
 	src  string
@@ -647,11 +634,9 @@ func (pq *PreparedQuery) Query() *Query { return pq.currentState().q }
 func (pq *PreparedQuery) Options() Options { return pq.opts }
 
 // Order returns the resolved global variable order of the primary
-// plan (nil for the non-WCOJ algorithms).
+// plan: for AlgoBacktracking, its constraints' compatible order unless
+// Options.Order fixed one. It is nil when the plan fails to build.
 func (pq *PreparedQuery) Order() []string {
-	if !wcojAlgorithm(pq.opts.Algorithm) {
-		return nil
-	}
 	p, _, err := pq.currentState().plan(planEnum)
 	if err != nil {
 		return nil

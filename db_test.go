@@ -45,10 +45,6 @@ var dbSuiteQueries = []struct {
 	{"path4-parallel", "Q(A,B,C,D) :- E(A,B), E(B,C), E(C,D)", Options{Parallelism: 4}},
 	{"path4-project", "Q(A,B,C,D) :- E(A,B), E(B,C), E(C,D)", Options{Project: []string{"A", "D"}}},
 	{"clique4", "Q(A,B,C,D) :- E(A,B), E(A,C), E(A,D), E(B,C), E(B,D), E(C,D)", Options{Algorithm: AlgoLeapfrog, Parallelism: 3}},
-	// Non-WCOJ algorithms have no trie plan to keep; for them a prepared
-	// query amortizes parse and bind only.
-	{"triangle-binary", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", Options{Algorithm: AlgoBinaryJoin}},
-	{"triangle-binary-project", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", Options{Algorithm: AlgoBinaryJoinProject}},
 	{"triangle-backtracking", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", Options{Algorithm: AlgoBacktracking}},
 }
 
@@ -133,10 +129,10 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 			}
 			tuples("ExecuteFunc", wantRel.Len())
 
-			// Views maintain with the trie-plan algorithms only; rows
-			// prepared for another one recompute under the default.
+			// Views maintain with generic-join and leapfrog only; rows
+			// prepared for backtracking recompute under the default.
 			mopts := MaterializeOptions{Project: c.opts.Project, Parallelism: c.opts.Parallelism}
-			if wcojAlgorithm(c.opts.Algorithm) {
+			if c.opts.Algorithm != AlgoBacktracking {
 				mopts.Algorithm = c.opts.Algorithm
 			}
 			for _, mode := range []MaterializeMode{MaterializeCount, MaterializeRows} {

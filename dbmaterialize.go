@@ -54,6 +54,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"wcoj/internal/agg"
 	"wcoj/internal/delta"
 	"wcoj/internal/query"
 	"wcoj/internal/relation"
@@ -103,8 +104,8 @@ type MaterializeOptions struct {
 	// Mode selects what is maintained (default MaterializeCount).
 	Mode MaterializeMode
 	// Algorithm runs the differential terms; AlgoGenericJoin (default)
-	// and AlgoLeapfrog are supported — maintenance needs the trie-plan
-	// machinery.
+	// and AlgoLeapfrog are supported — every term runs under the view's
+	// one shared heuristic order, not a constraint order.
 	Algorithm Algorithm
 	// Parallelism bounds the worker goroutines of each term evaluation
 	// (0 means GOMAXPROCS, as in Options.Parallelism).
@@ -131,7 +132,7 @@ func (o MaterializeOptions) needTuples() bool {
 
 // validate rejects option combinations maintenance cannot honor.
 func (o MaterializeOptions) validate(q *Query) error {
-	if !wcojAlgorithm(o.Algorithm) {
+	if o.Algorithm != AlgoGenericJoin && o.Algorithm != AlgoLeapfrog {
 		return fmt.Errorf("wcoj: Materialize: %v is not supported (use AlgoGenericJoin or AlgoLeapfrog)", o.Algorithm)
 	}
 	if o.Mode < MaterializeCount || o.Mode > MaterializeRows {
@@ -495,6 +496,17 @@ func (mq *MaterializedQuery) maintain(pre, post, next map[string]*delta.Version,
 	return res
 }
 
+// addCount adds two signed counts of the view; a sum past int64 is
+// agg.ErrCountOverflow, as in the counting engines, never a wrapped
+// value.
+func (mq *MaterializedQuery) addCount(a, b int64) (int64, error) {
+	s := a + b
+	if (s > a) != (b > 0) {
+		return 0, fmt.Errorf("wcoj: materialize %s: %w", mq.id, agg.ErrCountOverflow)
+	}
+	return s, nil
+}
+
 // suppDelta accumulates one batch's signed contribution to one
 // projected tuple.
 type suppDelta struct {
@@ -556,16 +568,21 @@ func (mq *MaterializedQuery) differential(old *MaterializedResult, pre, post, ne
 				}
 			} else {
 				n, _, err := e.count(ctx)
+				if err == nil {
+					dCount, err = mq.addCount(dCount, side.sign*n)
+				}
 				if err != nil {
 					return nil, err
 				}
-				dCount += side.sign * n
 			}
 		}
 	}
 
 	if !tuples {
-		n := old.Count + dCount
+		n, err := mq.addCount(old.Count, dCount)
+		if err != nil {
+			return nil, err
+		}
 		if n < 0 {
 			return nil, fmt.Errorf("wcoj: materialize %s: maintained count went negative (%d)", mq.id, n)
 		}

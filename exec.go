@@ -4,7 +4,8 @@ package wcoj
 // Execute/ExecuteFunc/Count/Exists call, a PreparedQuery method, a
 // maintained view's recompute or differential term — is an executor: a
 // query bound to concrete relations, the trie source serving exactly
-// those relations, and the options. The trie-plan algorithms resolve
+// those relations, and the options. Every algorithm is the one trie
+// search under its own variable order and level strategy; it resolves
 // one plan per execution mode on the mode's first use; an executor
 // built as the successor of another (the same query one update batch
 // later) re-versions the predecessor's plans — tries only, through
@@ -15,13 +16,10 @@ package wcoj
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"wcoj/internal/agg"
-	"wcoj/internal/baseline"
 	"wcoj/internal/core"
 	"wcoj/internal/relation"
 )
@@ -135,116 +133,48 @@ func (e *executor) plan(m planMode) (*core.Plan, *agg.Classification, error) {
 	return s.mp.p, s.mp.cls, s.mp.err
 }
 
-// stream runs the algorithm's search, passing each result tuple to emit
-// (the Tuple is reused between calls). The trie-plan search pushes
-// Options.Project into the enumeration; backtracking streams full
-// tuples whatever Project says — execute projects them. The binary-join
-// baselines have no search to stream.
-func (e *executor) stream(ctx context.Context, emit func(Tuple) error) (*Stats, error) {
+// visit streams the result to emit under the ExecuteFunc contract (the
+// Tuple is reused between calls): the enumeration plan's search, which
+// pushes Options.Project into the enumeration.
+func (e *executor) visit(ctx context.Context, emit func(Tuple) error) (*Stats, error) {
+	if err := core.CtxErr(ctx); err != nil {
+		return nil, err
+	}
+	p, cls, err := e.plan(planEnum)
+	if err != nil {
+		return nil, err
+	}
 	stats := &Stats{}
 	n := 0
 	counted := func(t Tuple) error { n++; return emit(t) }
-	switch e.opts.Algorithm {
-	case AlgoGenericJoin, AlgoLeapfrog:
-		p, cls, err := e.plan(planEnum)
-		if err != nil {
-			return nil, err
-		}
-		if err := core.GenericJoinPlanVisit(ctx, p, cls, e.opts.Algorithm.level(), e.opts.workers(), stats, counted); err != nil {
-			return nil, err
-		}
-	case AlgoBacktracking:
-		dc, err := backtrackConstraints(e.q, e.opts.Constraints)
-		if err != nil {
-			return nil, err
-		}
-		if err := core.BacktrackingVisit(e.q, dc, core.BacktrackOptions{Order: e.opts.Order}, stats, counted); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("wcoj: unknown algorithm %v", e.opts.Algorithm)
+	if err := core.GenericJoinPlanVisit(ctx, p, cls, e.opts.Algorithm.level(), e.opts.workers(), stats, counted); err != nil {
+		return nil, err
 	}
 	stats.Output = n
 	return stats, nil
 }
 
-// execute materializes the result: the collected stream, or the
-// binary-join baselines' own output. Only the trie-plan search projects
-// while it searches; the other algorithms project their full result.
+// execute materializes the collected stream.
 func (e *executor) execute(ctx context.Context) (*Relation, *Stats, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, nil, err
+	attrs := e.q.Vars
+	if e.opts.Project != nil {
+		attrs = e.opts.Project
 	}
-	pushdown := wcojAlgorithm(e.opts.Algorithm)
-	var out *Relation
-	var stats *Stats
-	var err error
-	switch e.opts.Algorithm {
-	case AlgoBinaryJoin:
-		out, stats, err = baseline.JoinOnly(e.q, nil, nil)
-	case AlgoBinaryJoinProject:
-		out, stats, err = baseline.JoinProject(e.q, nil, nil)
-	default:
-		attrs := e.q.Vars
-		if pushdown && e.opts.Project != nil {
-			attrs = e.opts.Project
-		}
-		b := relation.NewBuilder(e.q.OutputName(), attrs...)
-		stats, err = e.stream(ctx, func(t Tuple) error { return b.Add(t...) })
-		if err == nil {
-			out = b.Build()
-		}
-	}
-	if err == nil && !pushdown && e.opts.Project != nil {
-		out, err = out.Project(e.opts.Project...)
-	}
+	b := relation.NewBuilder(e.q.OutputName(), attrs...)
+	stats, err := e.visit(ctx, func(t Tuple) error { return b.Add(t...) })
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.Output = out.Len()
-	return out, stats, nil
+	return b.Build(), stats, nil
 }
 
-// visit streams the result to emit under the ExecuteFunc contract.
-// Where the algorithm cannot stream the requested output (the
-// binary-join baselines, projected backtracking) the result is
-// materialized first and replayed.
-func (e *executor) visit(ctx context.Context, emit func(Tuple) error) (*Stats, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if wcojAlgorithm(e.opts.Algorithm) || (e.opts.Algorithm == AlgoBacktracking && e.opts.Project == nil) {
-		return e.stream(ctx, emit)
-	}
-	out, stats, err := e.execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	var row Tuple
-	for i := 0; i < out.Len(); i++ {
-		row = out.Tuple(i, row)
-		if err := emit(row); err != nil {
-			return nil, err
-		}
-	}
-	return stats, nil
-}
-
-// count returns the output cardinality. The trie-plan search runs the
-// pushdown COUNT plan — or, with DisablePushdown and no projection
-// (distinct projected counting is inherently aggregate-aware), counts
-// the plain enumeration without materializing it. The other algorithms
-// count what visit produces.
+// count returns the output cardinality: the pushdown COUNT plan — or,
+// with DisablePushdown and no projection (distinct projected counting
+// is inherently aggregate-aware), the plain enumeration counted without
+// materializing it.
 func (e *executor) count(ctx context.Context) (int64, *Stats, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return 0, nil, err
-	}
-	if !wcojAlgorithm(e.opts.Algorithm) {
-		stats, err := e.visit(ctx, func(Tuple) error { return nil })
-		if err != nil {
-			return 0, nil, err
-		}
-		return int64(stats.Output), stats, nil
 	}
 	if e.opts.Project == nil && e.opts.DisablePushdown {
 		p, _, err := e.plan(planEnum)
@@ -257,40 +187,18 @@ func (e *executor) count(ctx context.Context) (int64, *Stats, error) {
 	return e.aggregate(ctx, planCount)
 }
 
-// errFirstWitness aborts a stream once exists has its answer.
-var errFirstWitness = errors.New("wcoj: stop after first witness")
-
-// exists reports whether the query has any result. The trie-plan search
-// runs the EXISTS plan; the other algorithms stop (backtracking) or
-// look (the baselines, which materialize regardless) at the first tuple
-// of the unprojected result — a projection is non-empty iff the full
-// join is.
+// exists reports whether the query has any result: the EXISTS plan's
+// count capped at one.
 func (e *executor) exists(ctx context.Context) (bool, *Stats, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return false, nil, err
 	}
-	if wcojAlgorithm(e.opts.Algorithm) {
-		n, stats, err := e.aggregate(ctx, planExists)
-		return n != 0, stats, err
-	}
-	full := e.opts
-	full.Project = nil
-	found := false
-	stats, err := newExecutor(e.q, e.src, full, nil).visit(ctx, func(Tuple) error {
-		found = true
-		return errFirstWitness
-	})
-	switch {
-	case found:
-		return true, &Stats{Output: 1}, nil
-	case err != nil:
-		return false, nil, err
-	}
-	return false, stats, nil
+	n, stats, err := e.aggregate(ctx, planExists)
+	return n != 0, stats, err
 }
 
-// aggregate runs the trie-plan search under mode m's aggregate plan
-// (planCount or planExists).
+// aggregate runs the search under mode m's aggregate plan (planCount or
+// planExists).
 func (e *executor) aggregate(ctx context.Context, m planMode) (int64, *Stats, error) {
 	p, cls, err := e.plan(m)
 	if err != nil {

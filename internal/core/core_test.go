@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"wcoj/internal/agg"
+	"wcoj/internal/bounds"
 	"wcoj/internal/constraints"
 	"wcoj/internal/dataset"
 	"wcoj/internal/relation"
@@ -431,6 +432,16 @@ func TestPropertyFourCycleOrders(t *testing.T) {
 	}
 }
 
+// backtrack runs Algorithm 3 the way the engine does: the plan-level
+// search under dc's compatible order.
+func backtrack(q *Query, dc constraints.Set, lv LevelStrategy) (*relation.Relation, *Stats, error) {
+	order, err := BacktrackOrder(q, dc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return gj(NewTrieStore(0), q, order, lv)
+}
+
 func TestBacktrackingSearchTriangle(t *testing.T) {
 	// Triangle with cardinality-only constraints (acyclic DC): the
 	// search must produce exactly the triangle join.
@@ -450,23 +461,18 @@ func TestBacktrackingSearchTriangle(t *testing.T) {
 		constraints.Cardinality("S", []string{"B", "C"}, float64(s.Len())),
 		constraints.Cardinality("T", []string{"A", "C"}, float64(tt.Len())),
 	}
-	got, stats, err := BacktrackingSearch(q, dc, BacktrackOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := naiveJoin(t, q)
-	if !got.Equal(want) {
-		t.Fatalf("backtracking = %d rows, want %d", got.Len(), want.Len())
-	}
-	if stats.Output != got.Len() {
-		t.Fatal("stats.Output mismatch")
-	}
-	n, _, err := BacktrackingCount(q, dc, BacktrackOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != want.Len() {
-		t.Fatalf("count = %d, want %d", n, want.Len())
+	for _, st := range strategies {
+		got, stats, err := backtrack(q, dc, st.lv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: backtracking = %d rows, want %d", st.name, got.Len(), want.Len())
+		}
+		if stats.Output != got.Len() {
+			t.Fatalf("%s: stats.Output mismatch", st.name)
+		}
 	}
 }
 
@@ -507,13 +513,25 @@ func TestBacktrackingSearchQuery63(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := BacktrackingSearch(q, acyclic, BacktrackOptions{})
+	// Theorem 5.1: the search visits at most n nodes per tuple of the
+	// modular bound ∏ N_{Y|X}^{δ}, plus the root.
+	mod, err := bounds.Modular(q.Vars, acyclic)
 	if err != nil {
 		t.Fatal(err)
 	}
+	limit := float64(len(q.Vars))*mod.Bound + 1
 	want := naiveJoin(t, q)
-	if !got.Equal(want) {
-		t.Fatalf("backtracking on (63) = %d rows, want %d", got.Len(), want.Len())
+	for _, st := range strategies {
+		got, stats, err := backtrack(q, acyclic, st.lv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: backtracking on (63) = %d rows, want %d", st.name, got.Len(), want.Len())
+		}
+		if float64(stats.Recursions) > limit {
+			t.Fatalf("%s: %d recursions exceed n·2^modular + 1 = %.0f", st.name, stats.Recursions, limit)
+		}
 	}
 }
 
@@ -525,26 +543,26 @@ func TestBacktrackingErrors(t *testing.T) {
 	}
 	// Unknown guard.
 	dc := constraints.Set{constraints.Cardinality("Z", []string{"A", "B"}, 5)}
-	if _, _, err := BacktrackingSearch(q, dc, BacktrackOptions{}); err == nil {
+	if _, err := BacktrackOrder(q, dc); err == nil {
 		t.Fatal("unknown guard must fail")
 	}
 	// Guard lacking Y variable.
 	dc = constraints.Set{constraints.Cardinality("R", []string{"A", "Z"}, 5)}
-	if _, _, err := BacktrackingSearch(q, dc, BacktrackOptions{}); err == nil {
+	if _, err := BacktrackOrder(q, dc); err == nil {
 		t.Fatal("guard lacking Y variable must fail")
 	}
 	// Variable with no intersector (B is in no Y−X): infinite bound.
 	dc = constraints.Set{constraints.Cardinality("R", []string{"A"}, 5)}
-	if _, _, err := BacktrackingSearch(q, dc, BacktrackOptions{}); err == nil {
+	if _, err := BacktrackOrder(q, dc); err == nil {
 		t.Fatal("unbounded variable must fail")
 	}
-	// Cyclic constraints without explicit order must fail.
+	// Cyclic constraints have no compatible order.
 	dc = constraints.Set{
 		constraints.Cardinality("R", []string{"A", "B"}, 5),
 		constraints.FD("R", []string{"A"}, []string{"B"}),
 		constraints.FD("R", []string{"B"}, []string{"A"}),
 	}
-	if _, _, err := BacktrackingSearch(q, dc, BacktrackOptions{}); err == nil {
+	if _, err := BacktrackOrder(q, dc); err == nil {
 		t.Fatal("cyclic DC without order must fail")
 	}
 }
@@ -575,11 +593,14 @@ func TestPropertyBacktrackingTriangle(t *testing.T) {
 			constraints.Cardinality("S", []string{"B", "C"}, float64(s.Len()+1)),
 			constraints.Cardinality("T", []string{"A", "C"}, float64(tt.Len()+1)),
 		}
-		got, _, err := BacktrackingSearch(q, dc, BacktrackOptions{})
-		if err != nil {
-			return false
+		want := naiveJoin(t, q)
+		for _, st := range strategies {
+			got, _, err := backtrack(q, dc, st.lv)
+			if err != nil || !got.Equal(want) {
+				return false
+			}
 		}
-		return got.Equal(naiveJoin(t, q))
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

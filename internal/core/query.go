@@ -6,7 +6,8 @@
 //   - the heavy/light triangle algorithm (Algorithm 2), derived from
 //     the entropy proof of the triangle bound;
 //   - backtracking search for acyclic degree constraints (Algorithm 3,
-//     Theorem 5.1), runtime Õ(|D| + ∏ N_{Y|X}^{δ_{Y|X}}).
+//     Theorem 5.1), runtime Õ(|D| + ∏ N_{Y|X}^{δ_{Y|X}}): Generic-Join
+//     under the constraints' compatible order (BacktrackOrder).
 //
 // Queries are full conjunctive queries: every variable appears in the
 // head. Relations bind to atoms positionally.

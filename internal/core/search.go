@@ -1,13 +1,14 @@
 package core
 
-// The one depth-first search every trie-plan run executes. Generic-Join
-// and Leapfrog Triejoin are the same algorithm — fix a variable order,
+// The one depth-first search every run executes. Generic-Join, Leapfrog
+// Triejoin and Algorithm 3 are the same algorithm — fix a variable order,
 // intersect the participating atoms at each level, recurse per value —
 // and share this searcher: the per-atom CSR cursor stacks, the two
 // recursions (visit and count, with the per-value loops the sharded
 // runner enters at depth 0), the poll site, the sticky abort and the
 // Stats accounting. They differ only in the LevelStrategy, which
-// decides once per level how the intersection reaches the recursion.
+// decides once per level how the intersection reaches the recursion,
+// and in how the order is chosen (Algorithm 3's is BacktrackOrder).
 // Under both, each value arrives with its position in every
 // participating level range — the kernel matched it there — so the
 // atoms take their segments without a second search, and neither

@@ -30,9 +30,8 @@ type Analyzer struct {
 	// loaded units before any Run call, and its result is exposed to
 	// every Pass of this analyzer as Facts. It exists because export
 	// data carries no doc comments or bodies: whole-module facts such
-	// as "which symbols are deprecated" or "which functions
-	// transitively fsync" can only be computed from the parsed units
-	// themselves. Upstream x/tools models this with typed Facts; the
+	// as "which functions transitively fsync" can only be computed
+	// from the parsed units themselves. Upstream x/tools models this with typed Facts; the
 	// single opaque value keeps this mirror small.
 	Prepare func(units []*Unit) (any, error)
 }

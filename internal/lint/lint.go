@@ -18,11 +18,9 @@
 //   - fsyncorder: in functions that touch WAL state and publish it,
 //     the fsync must dominate the publication;
 //   - publishimmutable: no writes through a pointer after it is
-//     Stored into an atomic.Pointer snapshot;
-//   - deprecated: internal code must not call symbols documented
-//     `// Deprecated:`.
+//     Stored into an atomic.Pointer snapshot.
 //
-// The last four are built on internal/lint/dataflow (def-use chains,
+// The last three are built on internal/lint/dataflow (def-use chains,
 // an escape lattice and AST-structural happens-before), so they track
 // values through assignments where the PR 6 analyzers only matched
 // AST shapes.
@@ -64,7 +62,6 @@ func Suite() []*analysis.Analyzer {
 		ArenaEscape,
 		FsyncOrder,
 		PublishImmutable,
-		Deprecated,
 		Nilness,
 		UnusedWrite,
 		CopyLocks,

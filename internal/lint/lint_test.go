@@ -25,7 +25,6 @@ func TestAnalyzers(t *testing.T) {
 		{"arenaescape", lint.ArenaEscape},
 		{"fsyncorder", lint.FsyncOrder},
 		{"publishimmutable", lint.PublishImmutable},
-		{"deprecated", lint.Deprecated},
 		{"nilness", lint.Nilness},
 		{"unusedwrite", lint.UnusedWrite},
 		{"copylocks", lint.CopyLocks},
@@ -46,7 +45,7 @@ func TestAnalyzers(t *testing.T) {
 func TestSuite(t *testing.T) {
 	want := []string{
 		"snapshotonce", "ctxpoll", "statsmerge", "valueident",
-		"arenaescape", "fsyncorder", "publishimmutable", "deprecated",
+		"arenaescape", "fsyncorder", "publishimmutable",
 		"nilness", "unusedwrite", "copylocks",
 	}
 	suite := lint.Suite()

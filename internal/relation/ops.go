@@ -100,34 +100,6 @@ func (r *Relation) Union(s *Relation) (*Relation, error) {
 	return b.Build(), nil
 }
 
-// Intersect returns r ∩ s by merge over the sorted storage. Schemas
-// must match exactly.
-func (r *Relation) Intersect(s *Relation) (*Relation, error) {
-	if err := sameSchema(r, s); err != nil {
-		return nil, err
-	}
-	cols := make([][]Value, r.Arity())
-	i, j := 0, 0
-	var ti, tj Tuple
-	for i < r.n && j < s.n {
-		ti = r.Tuple(i, ti)
-		tj = s.Tuple(j, tj)
-		switch ti.Compare(tj) {
-		case -1:
-			i++
-		case 1:
-			j++
-		default:
-			for c := range cols {
-				cols[c] = append(cols[c], ti[c])
-			}
-			i++
-			j++
-		}
-	}
-	return FromColumns(fmt.Sprintf("(%s∩%s)", r.name, s.name), r.attrs, cols), nil
-}
-
 // Semijoin returns r ⋉ s: the tuples of r that agree with at least one
 // tuple of s on their shared attributes. If the schemas share no
 // attributes, the result is r when s is non-empty and empty otherwise.
@@ -162,33 +134,6 @@ func (r *Relation) Semijoin(s *Relation) (*Relation, error) {
 		}
 	}
 	return FromColumns(fmt.Sprintf("(%s⋉%s)", r.name, s.name), r.attrs, cols), nil
-}
-
-// Diff returns r \ s over identical schemas.
-func (r *Relation) Diff(s *Relation) (*Relation, error) {
-	if err := sameSchema(r, s); err != nil {
-		return nil, err
-	}
-	cols := make([][]Value, r.Arity())
-	i, j := 0, 0
-	var ti, tj Tuple
-	for i < r.n {
-		ti = r.Tuple(i, ti)
-		for j < s.n {
-			tj = s.Tuple(j, tj)
-			if tj.Compare(ti) >= 0 {
-				break
-			}
-			j++
-		}
-		if j >= s.n || !tj.Equal(ti) {
-			for c := range cols {
-				cols[c] = append(cols[c], ti[c])
-			}
-		}
-		i++
-	}
-	return FromColumns(fmt.Sprintf("(%s∖%s)", r.name, s.name), r.attrs, cols), nil
 }
 
 // Partition splits r into (heavy, light) by the frequency of the value
@@ -296,22 +241,4 @@ func IntersectSorted(dst, a, b []Value) []Value {
 		}
 	}
 	return dst
-}
-
-// IntersectMany intersects k >= 1 ascending []Value slices.
-func IntersectMany(lists ...[]Value) []Value {
-	if len(lists) == 0 {
-		return nil
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	cur := append([]Value(nil), lists[0]...)
-	buf := make([]Value, 0, len(cur))
-	for _, l := range lists[1:] {
-		buf = IntersectSorted(buf[:0], cur, l)
-		cur, buf = buf, cur
-		if len(cur) == 0 {
-			return cur
-		}
-	}
-	return cur
 }

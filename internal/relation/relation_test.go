@@ -143,20 +143,6 @@ func TestUnionIntersectDiff(t *testing.T) {
 	if u.Len() != 4 {
 		t.Fatalf("union len = %d, want 4", u.Len())
 	}
-	in, err := r.Intersect(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Len() != 2 {
-		t.Fatalf("intersect len = %d, want 2", in.Len())
-	}
-	d, err := r.Diff(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 1 || d.Col(0)[0] != 1 {
-		t.Fatalf("diff = %v", d.Tuples())
-	}
 	bad := mustRel(t, "B", []string{"X"}, []Value{1})
 	if _, err := r.Union(bad); err == nil {
 		t.Fatal("expected schema mismatch error")
@@ -324,23 +310,6 @@ func TestIntersectSorted(t *testing.T) {
 	}
 	if out := IntersectSorted(nil, nil, big); len(out) != 0 {
 		t.Fatal("empty ∩ big must be empty")
-	}
-}
-
-func TestIntersectMany(t *testing.T) {
-	got := IntersectMany(
-		[]Value{1, 2, 3, 4, 5},
-		[]Value{2, 3, 5, 8},
-		[]Value{0, 2, 5, 9},
-	)
-	if len(got) != 2 || got[0] != 2 || got[1] != 5 {
-		t.Fatalf("got %v, want [2 5]", got)
-	}
-	if got := IntersectMany(); got != nil {
-		t.Fatal("no lists should yield nil")
-	}
-	if got := IntersectMany([]Value{7}); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("single list: %v", got)
 	}
 }
 

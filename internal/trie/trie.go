@@ -10,10 +10,10 @@
 // (compressed sparse row) index over them: per level a dense array of
 // distinct segment keys plus int32 offset arrays mapping each segment
 // to its row range and to its children at the next level. Navigation
-// (SegKey, SegRows, Children) is then O(1) array arithmetic, and
-// FindSegFrom is a galloping search over duplicate-free key arrays —
-// the repeated binary searches over raw column ranges of the previous
-// layout disappear from the hot paths.
+// (SegKey, SegRows, Children) is then O(1) array arithmetic, and the
+// kernels gallop over duplicate-free key arrays — the repeated binary
+// searches over raw column ranges of the previous layout disappear
+// from the hot paths.
 // When every value of the relation fits in uint32 the per-level key
 // arrays are narrowed to 4-byte keys, halving the memory bandwidth of
 // the intersection kernels in leapfrog.go. All index storage is
@@ -303,26 +303,4 @@ func (t *Trie) SegLevel(d, lo, hi int) LevelRange {
 		return LevelRange{Keys32: t.keys32[d], Lo: lo, Hi: hi}
 	}
 	return LevelRange{Keys: t.keys[d], Lo: lo, Hi: hi}
-}
-
-// FindSegFrom locates v among the level-d segments [from,hi) by a
-// galloping search from the left edge. It returns the lower-bound
-// position and whether the segment at it holds exactly v. Callers that
-// probe ascending values pass the previous hit's successor as from, so
-// a whole narrowing sweep costs amortized O(1) per probe (plus log of
-// the jump); the engines' per-value Range binary searches of the
-// previous layout cost O(log n) each.
-func (t *Trie) FindSegFrom(d, from, hi int, v relation.Value) (int, bool) {
-	if t.keys32 != nil {
-		if uint64(v) > math.MaxUint32 { // negative or too wide: absent
-			return from, false
-		}
-		w := uint32(v)
-		ks := t.keys32[d]
-		s := gallopLB(ks, from, hi, w)
-		return s, s < hi && ks[s] == w
-	}
-	ks := t.keys[d]
-	s := gallopLB(ks, from, hi, v)
-	return s, s < hi && ks[s] == v
 }

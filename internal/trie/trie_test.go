@@ -97,31 +97,6 @@ func TestSegChildren(t *testing.T) {
 	}
 }
 
-// TestFindSegFrom: the forward-galloping seek the narrowing cursors
-// run — lower-bound position plus an exact-hit flag, from any cursor.
-func TestFindSegFrom(t *testing.T) {
-	r := rel(t, "R", []string{"A"},
-		[]relation.Value{1}, []relation.Value{3}, []relation.Value{5},
-		[]relation.Value{7}, []relation.Value{9})
-	tr, _ := Build(r, []string{"A"})
-	n := tr.NumSegs(0)
-	s, ok := tr.FindSegFrom(0, 0, n, 4)
-	if ok || s != 2 || tr.SegKey(0, s) != 5 {
-		t.Fatalf("find(4) -> %d, %v", s, ok)
-	}
-	s, ok = tr.FindSegFrom(0, s, n, 7)
-	if !ok || tr.SegKey(0, s) != 7 {
-		t.Fatalf("find(7) -> %d, %v", s, ok)
-	}
-	if s, ok = tr.FindSegFrom(0, s, n, 10); ok || s != n {
-		t.Fatalf("find(10) -> %d, %v, want the end", s, ok)
-	}
-	// A seek from the end stays at the end.
-	if s, ok = tr.FindSegFrom(0, n, n, 1); ok || s != n {
-		t.Fatalf("find from the end -> %d, %v", s, ok)
-	}
-}
-
 func TestEmptyTrie(t *testing.T) {
 	r := relation.Empty("E", "A")
 	tr, _ := Build(r, []string{"A"})

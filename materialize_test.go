@@ -2,12 +2,14 @@ package wcoj
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
+	"wcoj/internal/agg"
 	"wcoj/internal/dataset"
 )
 
@@ -259,6 +261,54 @@ func TestMaterializeRegisterRecompute(t *testing.T) {
 	}
 	if res := mq.Result(); res.Err != nil || res.Count != 3 {
 		t.Fatalf("after re-inserting the cycle: %+v, want count 3", res)
+	}
+}
+
+// TestMaterializeCountOverflow: a maintained COUNT whose value passes
+// 2^63−1 goes stale with agg.ErrCountOverflow, as a prepared Count of
+// the same query does, instead of wrapping; once the data shrinks back
+// the self-heal recompute clears the error. Six atoms sharing A over
+// one vertex's k out-edges count k^6: 1400^6 fits int64, 1700^6 does
+// not.
+func TestMaterializeCountOverflow(t *testing.T) {
+	edges := func(lo, hi int) []Tuple {
+		var ts []Tuple
+		for y := lo; y < hi; y++ {
+			ts = append(ts, Tuple{1, Value(y)})
+		}
+		return ts
+	}
+	db := NewDB()
+	if err := db.Register(NewRelation("E", []string{"x", "y"}, edges(0, 1400))); err != nil {
+		t.Fatal(err)
+	}
+	const src = "Q(A,B,C,D,E,F,G) :- E(A,B), E(A,C), E(A,D), E(A,E), E(A,F), E(A,G)"
+	mq, err := db.Materialize(src, MaterializeOptions{Mode: MaterializeCount})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fits = int64(1400 * 1400 * 1400 * 1400 * 1400 * 1400)
+	if res := mq.Result(); res.Err != nil || res.Count != fits {
+		t.Fatalf("registered view: %+v, want count %d", res, fits)
+	}
+	if _, err := db.Insert("E", edges(1400, 1700)...); err != nil {
+		t.Fatal(err)
+	}
+	if res := mq.Result(); !errors.Is(res.Err, agg.ErrCountOverflow) || res.Count != fits {
+		t.Fatalf("after growing past 2^63: %+v, want stale with ErrCountOverflow and count %d", res, fits)
+	}
+	pq, err := db.Prepare(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _, err := pq.Count(context.Background()); !errors.Is(err, agg.ErrCountOverflow) {
+		t.Fatalf("prepared Count = %d, %v, want ErrCountOverflow", n, err)
+	}
+	if _, err := db.Delete("E", edges(1400, 1700)...); err != nil {
+		t.Fatal(err)
+	}
+	if res := mq.Result(); res.Err != nil || res.Count != fits {
+		t.Fatalf("after shrinking back: %+v, want healed count %d", res, fits)
 	}
 }
 

@@ -187,7 +187,7 @@ func TestExecuteFuncEmitError(t *testing.T) {
 	qs := parallelQueries(t)
 	q := qs["triangle-skew"]
 	sentinel := errors.New("stop")
-	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking, AlgoBinaryJoin} {
+	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking} {
 		for _, p := range []int{1, 4} {
 			seen := 0
 			_, err := ExecuteFunc(q, Options{Algorithm: algo, Parallelism: p}, func(Tuple) error {
@@ -249,9 +249,7 @@ func TestExecuteFuncLimitStopsEarly(t *testing.T) {
 // output equals its materialized output.
 func TestExecuteFuncAllAlgorithms(t *testing.T) {
 	q := parallelQueries(t)["triangle-skew"]
-	for _, algo := range []Algorithm{
-		AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking, AlgoBinaryJoin, AlgoBinaryJoinProject,
-	} {
+	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking} {
 		want, _, err := Execute(q, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)

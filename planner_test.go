@@ -189,8 +189,8 @@ func TestExplainPolicies(t *testing.T) {
 	if _, _, err := Execute(q, Options{Planner: PlannerExplicit}); err == nil {
 		t.Fatal("Execute explicit without order must fail")
 	}
-	if _, _, err := Execute(q, Options{Algorithm: AlgoBinaryJoin, Planner: PlannerCostBased}); err == nil {
-		t.Fatal("cost-based planner on a binary join must fail")
+	if _, _, err := Execute(q, Options{Algorithm: AlgoBacktracking, Planner: PlannerCostBased}); err == nil {
+		t.Fatal("cost-based planner on backtracking must fail")
 	}
 	if _, _, err := Count(q, Options{Planner: PlannerHeuristic, Order: []string{"A", "B", "C"}}); err == nil {
 		t.Fatal("heuristic + explicit order must fail")

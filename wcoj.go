@@ -9,7 +9,8 @@
 // the entropy-proof bound, backtracking search is worst-case optimal
 // under acyclic degree constraints (Theorem 5.1), and the PANDA
 // executor interprets Shannon-flow proof sequences as relational
-// programs. Classical binary join plans are included as baselines.
+// programs. Classical binary join plans are kept as reference
+// baselines for the experiments, not as algorithms Execute runs.
 //
 // Quick start:
 //
@@ -170,13 +171,11 @@ const (
 	// kernel instead of materialized.
 	AlgoLeapfrog
 	// AlgoBacktracking is Algorithm 3: worst-case optimal under
-	// acyclic degree constraints (supply Options.Constraints).
+	// acyclic degree constraints (supply Options.Constraints). It is
+	// the Generic-Join search under the constraints' compatible order
+	// (every X-variable of a constraint before its Y−X variables),
+	// which Theorem 5.1's bound carries over to.
 	AlgoBacktracking
-	// AlgoBinaryJoin is the one-pair-at-a-time baseline (left-deep
-	// hash joins, greedy order).
-	AlgoBinaryJoin
-	// AlgoBinaryJoinProject is the join-project baseline.
-	AlgoBinaryJoinProject
 )
 
 func (a Algorithm) String() string {
@@ -187,17 +186,13 @@ func (a Algorithm) String() string {
 		return "leapfrog-triejoin"
 	case AlgoBacktracking:
 		return "backtracking"
-	case AlgoBinaryJoin:
-		return "binary-join"
-	case AlgoBinaryJoinProject:
-		return "binary-join-project"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
 // ParseAlgorithm resolves an algorithm name as printed by String.
 func ParseAlgorithm(name string) (Algorithm, error) {
-	for _, a := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking, AlgoBinaryJoin, AlgoBinaryJoinProject} {
+	for _, a := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking} {
 		if a.String() == name {
 			return a, nil
 		}
@@ -206,8 +201,9 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 }
 
 // Planner selects how Execute, ExecuteFunc, Count and Explain resolve
-// the variable order of the WCOJ algorithms (AlgoGenericJoin and
-// AlgoLeapfrog).
+// the variable order of AlgoGenericJoin and AlgoLeapfrog.
+// AlgoBacktracking runs under Options.Order when set and under its
+// constraints' compatible order otherwise.
 type Planner int
 
 // Available planner policies.
@@ -255,27 +251,26 @@ func ParsePlanner(name string) (Planner, error) {
 type Options struct {
 	// Algorithm selects the join algorithm (default AlgoGenericJoin).
 	Algorithm Algorithm
-	// Order optionally fixes the variable order (WCOJ algorithms).
+	// Order optionally fixes the variable order.
 	Order []string
 	// Planner selects how the variable order is resolved for
 	// AlgoGenericJoin and AlgoLeapfrog (default PlannerAuto: Order when
 	// set, heuristic otherwise). PlannerCostBased scores candidate
 	// orders with the bounds subsystem; see Explain for the decision
-	// record.
+	// record. AlgoBacktracking rejects PlannerCostBased.
 	Planner Planner
-	// Constraints supplies degree constraints. Required by
-	// AlgoBacktracking (they must be acyclic or repairable); ignored
-	// by the others.
+	// Constraints supplies the degree constraints of AlgoBacktracking,
+	// which runs under their compatible order unless Order is set. Nil
+	// means one cardinality constraint per atom; a cyclic set is
+	// repaired per Proposition 5.2. Ignored by the other algorithms.
 	Constraints ConstraintSet
-	// Parallelism is the number of worker goroutines used by
-	// AlgoGenericJoin and AlgoLeapfrog: the depth-0 intersection is
-	// computed once, partitioned into contiguous chunks, and each
-	// chunk is searched by a worker with private state over the shared
-	// immutable tries. Results are concatenated in chunk order, so
-	// output (and the emit sequence of ExecuteFunc) is identical to a
-	// serial run at every setting. 0 (the default) means
-	// runtime.GOMAXPROCS(0); 1 forces the serial search. The other
-	// algorithms run serially regardless.
+	// Parallelism is the number of worker goroutines of the search: the
+	// depth-0 intersection is computed once, partitioned into
+	// contiguous chunks, and each chunk is searched by a worker with
+	// private state over the shared immutable tries. Results are
+	// concatenated in chunk order, so output (and the emit sequence of
+	// ExecuteFunc) is identical to a serial run at every setting. 0 (the
+	// default) means runtime.GOMAXPROCS(0); 1 forces the serial search.
 	//
 	// Parallelism is an upper bound. Sharded runs draw workers from one
 	// process-wide budget of GOMAXPROCS slots, and the calling goroutine
@@ -288,24 +283,21 @@ type Options struct {
 	// (attributes in Project order) and Count counts them. It must be a
 	// non-empty, duplicate-free subset of the query variables.
 	//
-	// For AlgoGenericJoin and AlgoLeapfrog the projection is pushed
-	// into the search: projected-away variables are sunk to the end of
-	// the resolved variable order (explicit orders included) and their
-	// levels are existence-checked per prefix — short-circuiting on the
-	// first witness — instead of enumerated, so a prefix with a million
-	// extensions costs the same as one with a single extension. The
-	// other algorithms materialize the full result and project it.
+	// The projection is pushed into the search: projected-away
+	// variables are sunk to the end of the resolved variable order
+	// (explicit orders included) and their levels are existence-checked
+	// per prefix — short-circuiting on the first witness — instead of
+	// enumerated, so a prefix with a million extensions costs the same
+	// as one with a single extension.
 	Project []string
 	// Context, when non-nil, cancels an in-flight run: the free
 	// functions (Execute, ExecuteFunc, Count, Exists) hand it to the
-	// AlgoGenericJoin and AlgoLeapfrog search workers, which poll it
-	// every 256 search nodes and unwind promptly with ctx.Err() — the
-	// same machinery the DB/PreparedQuery entry points drive through
-	// their explicit ctx parameter (see ExampleOptions_context). The
-	// other algorithms have no in-search polling; for them the context
-	// is checked once before the run starts. DB.Prepare ignores this
-	// field: per-call cancellation of a prepared query comes from the
-	// ctx argument of each execution method.
+	// search workers, which poll it every 256 search nodes and unwind
+	// promptly with ctx.Err() — the same machinery the DB/PreparedQuery
+	// entry points drive through their explicit ctx parameter (see
+	// ExampleOptions_context). DB.Prepare ignores this field: per-call
+	// cancellation of a prepared query comes from the ctx argument of
+	// each execution method.
 	Context context.Context
 	// DisablePushdown makes Count enumerate every result tuple instead
 	// of running the aggregate-aware pushdown plan (sunk single-atom
@@ -313,8 +305,7 @@ type Options struct {
 	// documentation). The results are identical; the escape hatch
 	// exists for debugging and for A/B measurement of the pushdown
 	// itself. It does not affect distinct projected counting (Project
-	// set), which is inherently aggregate-aware, and is ignored by the
-	// non-WCOJ algorithms, which never push aggregates down.
+	// set), which is inherently aggregate-aware.
 	DisablePushdown bool
 }
 
@@ -326,7 +317,7 @@ func (o Options) workers() int {
 	return o.Parallelism
 }
 
-// level resolves a trie-plan algorithm to the search's level strategy.
+// level resolves an algorithm to the search's level strategy.
 func (a Algorithm) level() core.LevelStrategy {
 	if a == AlgoLeapfrog {
 		return core.LeapfrogLevel
@@ -364,13 +355,29 @@ func (o Options) plannerOptions() (planner.Options, error) {
 }
 
 // orderPolicyFor resolves Options.Planner and Options.Order into the
-// core.OrderPolicy the WCOJ engines plan with. Heuristic and explicit
+// core.OrderPolicy the search plans with. Heuristic and explicit
 // plans skip the planner package entirely (no statistics to measure).
 // A non-nil aggregate spec makes the cost-based planner enumerate only
 // orders with the spec's sunk suffix; heuristic and explicit plans need
 // no spec here — core.AggPlanSrc sinks any resolved order identically
 // (Sink is idempotent, so cost-based orders pass through unchanged).
+// AlgoBacktracking ignores Planner: it runs under Order when set and
+// under its constraints' compatible order otherwise, and the
+// constraints are checked against the query either way.
 func (o Options) orderPolicyFor(spec *agg.Spec) (core.OrderPolicy, error) {
+	if o.Algorithm == AlgoBacktracking {
+		return core.OrderFunc(func(q *Query) ([]string, error) {
+			dc, err := backtrackConstraints(q, o.Constraints)
+			if err != nil {
+				return nil, err
+			}
+			order, err := core.BacktrackOrder(q, dc)
+			if err == nil && o.Order != nil {
+				order = o.Order
+			}
+			return order, err
+		}), nil
+	}
 	popt, err := o.plannerOptions()
 	if err != nil {
 		return nil, err
@@ -413,11 +420,15 @@ func (o Options) validateProject(q *Query) error {
 	return nil
 }
 
-// validate rejects options q cannot run under: planner settings the
-// selected algorithm cannot honor (only the trie-plan search consults
-// the planner) and a malformed Options.Project.
+// validate rejects options q cannot run under: an unknown algorithm,
+// planner settings the selected algorithm cannot honor (backtracking
+// plans under its constraints, not the cost model) and a malformed
+// Options.Project.
 func (o Options) validate(q *Query) error {
-	if !wcojAlgorithm(o.Algorithm) && o.Planner == PlannerCostBased {
+	switch {
+	case o.Algorithm < AlgoGenericJoin || o.Algorithm > AlgoBacktracking:
+		return fmt.Errorf("wcoj: unknown algorithm %v", o.Algorithm)
+	case o.Algorithm == AlgoBacktracking && o.Planner == PlannerCostBased:
 		return fmt.Errorf("wcoj: the cost-based planner applies to AlgoGenericJoin and AlgoLeapfrog only (got %v)", o.Algorithm)
 	}
 	return o.validateProject(q)
@@ -452,11 +463,9 @@ func Execute(q *Query, opts Options) (*Relation, *Stats, error) {
 // reused between calls, so emit must copy it to retain it. A non-nil
 // error from emit aborts the run and is returned.
 //
-// AlgoGenericJoin and AlgoLeapfrog stream directly from the search
-// (sharded across Options.Parallelism workers, with per-chunk replay
-// preserving the serial emit sequence); AlgoBacktracking streams
-// serially. The binary-join baselines have no streaming mode: their
-// full output is materialized first and then replayed to emit.
+// Tuples stream directly from the search (sharded across
+// Options.Parallelism workers, with per-chunk replay preserving the
+// serial emit sequence).
 //
 // With Options.Project set the distinct projected tuples are streamed
 // in the plan's prefix enumeration order — deterministic for fixed
@@ -476,21 +485,16 @@ func ExecuteFunc(q *Query, opts Options, emit func(Tuple) error) (*Stats, error)
 // full multiplicity with a nil Options.Project, distinct projected
 // tuples otherwise.
 //
-// For AlgoGenericJoin and AlgoLeapfrog, Count runs the aggregate-aware
-// pushdown plan by default: each plan level is classified (see
-// PlanExplanation.Count), variables occurring in a single atom are
-// sunk to the end of the variable order — where the number of
-// extensions is the product of the atoms' current row-range sizes
-// (relations are duplicate-free sets) — the deepest searched level
-// contributes its intersection size without recursing, and a
-// per-(trie,prefix) memo counts shared suffixes once. Setting
+// Count runs the aggregate-aware pushdown plan by default: each plan
+// level is classified (see PlanExplanation.Count), variables occurring
+// in a single atom are sunk to the end of the variable order — where
+// the number of extensions is the product of the atoms' current
+// row-range sizes (relations are duplicate-free sets) — the deepest
+// searched level contributes its intersection size without recursing,
+// and a per-(trie,prefix) memo counts shared suffixes once. Setting
 // Options.DisablePushdown falls back to enumerating (never
 // materializing) every result tuple; the two agree at every
 // Parallelism setting and under every planner policy.
-//
-// AlgoBacktracking counts its stream serially. The binary-join
-// baselines have no streaming mode: Count materializes their full
-// output via Execute and returns its length.
 func Count(q *Query, opts Options) (int, *Stats, error) {
 	e, err := oneShot(q, opts)
 	if err != nil {
@@ -501,12 +505,10 @@ func Count(q *Query, opts Options) (int, *Stats, error) {
 }
 
 // Exists reports whether the query has any result, short-circuiting on
-// the first witness: the aggregate-aware WCOJ engines unwind the whole
-// search (all shards, via a shared stop flag) as soon as one tuple is
-// found, and free-counted suffix levels are checked by range
-// non-emptiness without being searched at all. AlgoBacktracking stops
-// at its first streamed tuple; the binary-join baselines materialize
-// their output regardless.
+// the first witness: the aggregate-aware search unwinds (all shards,
+// via a shared stop flag) as soon as one tuple is found, and
+// free-counted suffix levels are checked by range non-emptiness
+// without being searched at all.
 //
 // Options.Project cannot change the answer (a projection is non-empty
 // iff the full join is); it is validated for consistency with the

@@ -24,10 +24,7 @@ func TestExecuteAllAlgorithmsAgree(t *testing.T) {
 	tri := dataset.TriangleAGMTight(144)
 	q := triangleQuery(t, tri)
 	var want *Relation
-	for _, algo := range []Algorithm{
-		AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking,
-		AlgoBinaryJoin, AlgoBinaryJoinProject,
-	} {
+	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking} {
 		got, stats, err := Execute(q, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
@@ -56,9 +53,7 @@ func TestCountMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algorithm{
-		AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking, AlgoBinaryJoin,
-	} {
+	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking} {
 		n, _, err := Count(q, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
@@ -175,16 +170,17 @@ func TestBacktrackingWithExplicitConstraints(t *testing.T) {
 }
 
 func TestAlgorithmNames(t *testing.T) {
-	for _, a := range []Algorithm{
-		AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking, AlgoBinaryJoin, AlgoBinaryJoinProject,
-	} {
+	for _, a := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking} {
 		parsed, err := ParseAlgorithm(a.String())
 		if err != nil || parsed != a {
 			t.Fatalf("round trip failed for %v", a)
 		}
 	}
-	if _, err := ParseAlgorithm("nope"); err == nil {
-		t.Fatal("unknown algorithm must fail")
+	// The binary-join baselines are references, not served algorithms.
+	for _, name := range []string{"nope", "binary-join", "binary-join-project"} {
+		if _, err := ParseAlgorithm(name); err == nil {
+			t.Fatalf("unknown algorithm %q must fail", name)
+		}
 	}
 	if Algorithm(99).String() == "" {
 		t.Fatal("unknown algorithm String")
