@@ -145,12 +145,9 @@ func (e *executor) visit(ctx context.Context, emit func(Tuple) error) (*Stats, e
 		return nil, err
 	}
 	stats := &Stats{}
-	n := 0
-	counted := func(t Tuple) error { n++; return emit(t) }
-	if err := core.GenericJoinPlanVisit(ctx, p, cls, e.opts.Algorithm.level(), e.opts.workers(), stats, counted); err != nil {
+	if _, err := core.GenericJoinPlanVisit(ctx, p, cls, e.opts.Algorithm.level(), e.opts.workers(), stats, emit); err != nil {
 		return nil, err
 	}
-	stats.Output = n
 	return stats, nil
 }
 
@@ -181,8 +178,12 @@ func (e *executor) count(ctx context.Context) (int64, *Stats, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		n, stats, err := core.GenericJoinPlanCount(ctx, p, nil, e.opts.Algorithm.level(), e.opts.workers())
-		return int64(n), stats, err
+		stats := &Stats{}
+		n, err := core.GenericJoinPlanVisit(ctx, p, nil, e.opts.Algorithm.level(), e.opts.workers(), stats, nil)
+		if err != nil {
+			return 0, nil, err
+		}
+		return n, stats, nil
 	}
 	return e.aggregate(ctx, planCount)
 }

@@ -35,7 +35,7 @@ func TestSearchAllocs(t *testing.T) {
 			t.Run(fmt.Sprintf("E=%d/%s", m, st.name), func(t *testing.T) {
 				n := 0
 				run := func() {
-					err := GenericJoinPlanVisit(context.Background(), p, nil, st.lv, 1, &Stats{},
+					_, err := GenericJoinPlanVisit(context.Background(), p, nil, st.lv, 1, &Stats{},
 						func(relation.Tuple) error { n++; return nil })
 					if err != nil {
 						t.Fatal(err)

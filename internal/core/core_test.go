@@ -84,7 +84,7 @@ func gj(src TrieSource, q *Query, order []string, lv LevelStrategy) (*relation.R
 	}
 	stats := &Stats{}
 	out := relation.NewBuilder(q.OutputName(), q.Vars...)
-	err = GenericJoinPlanVisit(context.Background(), p, nil, lv, 1, stats, func(t relation.Tuple) error {
+	_, err = GenericJoinPlanVisit(context.Background(), p, nil, lv, 1, stats, func(t relation.Tuple) error {
 		return out.Add(t...)
 	})
 	if err != nil {
@@ -155,11 +155,11 @@ func TestGenericJoinTriangleSmall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, _, err := GenericJoinPlanCount(context.Background(), p, nil, st.lv, 1)
+		n, err := GenericJoinPlanVisit(context.Background(), p, nil, st.lv, 1, &Stats{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != want.Len() {
+		if int(n) != want.Len() {
 			t.Fatalf("%s: count = %d, want %d", st.name, n, want.Len())
 		}
 	}
@@ -690,8 +690,8 @@ func TestCappedCount(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				for _, k := range []int64{1, 2, 7} {
 					r := newRun(ctx, p, cls, st.lv, workers, &Stats{})
-					r.cap = k
-					if got, _, err := r.count(); err != nil || got != min(count, k) {
+					r.cap, r.agg = k, true
+					if got, err := r.search(nil); err != nil || got != min(count, k) {
 						t.Errorf("%s/%s/p=%d: capped at %d = %d, %v; want %d", name, st.name, workers, k, got, err, min(count, k))
 					}
 				}

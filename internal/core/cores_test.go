@@ -65,15 +65,13 @@ func TestShardedCallerAlone(t *testing.T) {
 	}
 	run := func() result {
 		var r result
-		_, st, err := GenericJoinPlanCount(ctx, p, nil, MaterializeLevel, 4)
-		if err != nil {
+		if _, err := GenericJoinPlanVisit(ctx, p, nil, MaterializeLevel, 4, &r.count, nil); err != nil {
 			t.Fatal(err)
 		}
-		r.count = *st
 		if r.found, _, err = GenericJoinAggPlan(ctx, ep, ecls, MaterializeLevel, 4); err != nil {
 			t.Fatal(err)
 		}
-		err = GenericJoinPlanVisit(ctx, p, nil, MaterializeLevel, 4, &Stats{}, func(t relation.Tuple) error {
+		_, err = GenericJoinPlanVisit(ctx, p, nil, MaterializeLevel, 4, &Stats{}, func(t relation.Tuple) error {
 			r.rows = append(r.rows, t...)
 			return nil
 		})
@@ -93,40 +91,38 @@ func TestShardedCallerAlone(t *testing.T) {
 			got.count, want.count, got.found, want.found, slices.Equal(got.rows, want.rows))
 	}
 
-	// The runners themselves: chunks run one at a time, in order for
-	// the ordered runner.
-	var c concurrency
-	chunk := func(lo, hi int) {
-		c.enter()
-		time.Sleep(20 * time.Microsecond)
-		c.leave()
-	}
-	// Uncapped, each value counts one; capped, none, so neither run
-	// stops early.
-	for _, c := range []struct{ cap, per, want int64 }{{uncapped, 1, 64}, {1, 0, 0}} {
-		sum, err := runShardedCount(ctx, 64, 4, c.cap, &Stats{}, func(lo, hi int, _ *Stats, _ *atomic.Bool) (int64, error) {
-			chunk(lo, hi)
+	// The runner itself, under both reducers: chunks run one at a time.
+	// Uncapped, each value counts one; capped, none, so no run stops
+	// early.
+	var conc concurrency
+	for _, c := range []struct {
+		cap, per, want int64
+		ordered        bool
+	}{{uncapped, 1, 64, false}, {1, 0, 0, false}, {uncapped, 1, 64, true}} {
+		var emitted []relation.Value
+		var sink *bufferSink
+		if c.ordered {
+			sink = newBufferSink(1, func(t relation.Tuple) error { emitted = append(emitted, t[0]); return nil })
+		}
+		sum, err := runSharded(ctx, 64, 4, c.cap, &Stats{}, sink, func(lo, hi int, _ *Stats, _ *atomic.Bool, emit func(relation.Tuple) error) (int64, error) {
+			conc.enter()
+			defer conc.leave()
+			time.Sleep(20 * time.Microsecond)
+			for v := lo; emit != nil && v < hi; v++ {
+				if err := emit(relation.Tuple{relation.Value(v)}); err != nil {
+					return 0, err
+				}
+			}
 			return c.per * int64(hi-lo), nil
 		})
 		if err != nil || sum != c.want {
-			t.Fatalf("cap %d: sum = %d, %v; want %d", c.cap, sum, err, c.want)
+			t.Fatalf("cap %d ordered %v: sum = %d, %v; want %d", c.cap, c.ordered, sum, err, c.want)
+		}
+		if c.ordered && (len(emitted) != 64 || !slices.IsSorted(emitted)) {
+			t.Fatalf("ordered run emitted %v", emitted)
 		}
 	}
-	var emitted []relation.Value
-	sink := newBufferSink(1, func(t relation.Tuple) error { emitted = append(emitted, t[0]); return nil })
-	err = runSharded(ctx, 64, 4, &Stats{}, sink, func(lo, hi int, _ *Stats, _ *atomic.Bool, emit func(relation.Tuple) error) error {
-		chunk(lo, hi)
-		for v := lo; v < hi; v++ {
-			if err := emit(relation.Tuple{relation.Value(v)}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil || len(emitted) != 64 || !slices.IsSorted(emitted) {
-		t.Fatalf("ordered run emitted %v, %v", emitted, err)
-	}
-	if pk := c.peak.Load(); pk != 1 {
+	if pk := conc.peak.Load(); pk != 1 {
 		t.Fatalf("%d chunks ran at once with every slot held, want 1", pk)
 	}
 }
@@ -139,6 +135,10 @@ func TestCoresCapWorkers(t *testing.T) {
 	ctx := context.Background()
 	procs := int32(runtime.GOMAXPROCS(0))
 	var callers atomic.Int32
+	// A caller leaves only while no chunk is checking the bound, so a
+	// run whose chunks were counted cannot drop out of callers before
+	// the check reads it.
+	var leaving sync.RWMutex
 	var c concurrency
 	var over atomic.Int32
 	var wg sync.WaitGroup
@@ -148,17 +148,21 @@ func TestCoresCapWorkers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				callers.Add(1)
-				_, err := runShardedCount(ctx, 32, 4, uncapped, &Stats{}, func(lo, hi int, _ *Stats, _ *atomic.Bool) (int64, error) {
+				_, err := runSharded(ctx, 32, 4, uncapped, &Stats{}, nil, func(lo, hi int, _ *Stats, _ *atomic.Bool, _ func(relation.Tuple) error) (int64, error) {
 					// callers over-counts the callers inside a run, so
 					// this bound is exact about the granted workers.
+					leaving.RLock()
 					if n := c.enter(); n > callers.Load()+procs-1 {
 						over.Store(n)
 					}
+					leaving.RUnlock()
 					time.Sleep(20 * time.Microsecond)
 					c.leave()
 					return int64(hi - lo), nil
 				})
+				leaving.Lock()
 				callers.Add(-1)
+				leaving.Unlock()
 				if err != nil {
 					t.Error(err)
 				}

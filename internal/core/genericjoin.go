@@ -1,5 +1,11 @@
 package core
 
+// The entry points of the one trie search. GenericJoinPlanVisit emits
+// (or, with a nil emit, counts) what a plan enumerates;
+// GenericJoinAggPlan counts the aggregate a sunk plan was classified
+// for. Both build a run, and run.search is the one place that chooses
+// between a serial search and the sharded runner (parallel.go).
+
 import (
 	"context"
 	"fmt"
@@ -28,15 +34,17 @@ const (
 
 // run carries what the entry points below share: the plan, its
 // classification (nil for plain enumeration), the level strategy, the
-// cap of its counts (see searcher.cap) and the context's stop signal
-// and node budget. A sharded run also holds its depth-0 intersection:
-// the values and where each matched.
+// cap of its counts (see searcher.cap), whether it counts an aggregate
+// rather than emitting tuples, and the context's stop signal and node
+// budget. A sharded run also holds its depth-0 intersection: the
+// values and where each matched.
 type run struct {
 	ctx     context.Context
 	p       *Plan
 	cls     *agg.Classification
 	lv      LevelStrategy
 	cap     int64
+	agg     bool
 	workers int
 	stats   *Stats
 	budget  *NodeBudget
@@ -48,22 +56,62 @@ func newRun(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrat
 	return &run{ctx: ctx, p: p, cls: cls, lv: lv, cap: 1, workers: workers, stats: stats, budget: BudgetFrom(ctx)}
 }
 
-// sharded reports whether the run partitions its depth-0 intersection
-// across workers.
-func (r *run) sharded() bool { return r.workers > 1 && len(r.p.Order) > 0 }
-
-// serial runs body on the calling goroutine with a searcher wired to
-// the context's cancellation and budget, and returns the searcher's
-// abort, if any, translated for the caller.
-func (r *run) serial(emit func(relation.Tuple) error, body func(s *searcher) error) error {
-	var stop atomic.Bool
-	defer WatchCancel(r.ctx, &stop)()
-	s := newSearcher(r.p, r.cls, r.lv, r.cap, r.stats, emit, &stop, r.budget)
-	err := body(s)
-	if err == nil {
-		err = s.err
+// search runs the plan from its root and returns what it counts: with
+// r.agg, min(count, r.cap); otherwise the tuples it emits to emit,
+// where a nil emit counts them without buffering. It sets Stats.Output
+// to that result. The run is serial with one worker, with an empty
+// order, or when a pure product (CountFrom == 0) answers the aggregate
+// in O(#atoms); otherwise the depth-0 intersection is sharded across
+// the workers by runSharded, which replays emitted tuples in chunk
+// order, so the emit sequence is identical to the serial run.
+func (r *run) search(emit func(relation.Tuple) error) (int64, error) {
+	var n int64
+	var err error
+	if r.workers <= 1 || len(r.p.Order) == 0 || (r.agg && r.cls.CountFrom == 0) {
+		var stop atomic.Bool
+		defer WatchCancel(r.ctx, &stop)()
+		s := newSearcher(r.p, r.cls, r.lv, r.cap, r.stats, counted(&n, emit), &stop, r.budget)
+		if r.agg {
+			n = s.count(0)
+		} else {
+			err = s.visit(0)
+		}
+		if err == nil {
+			err = s.err
+		}
+		err = CtxAbortErr(r.ctx, err)
+	} else {
+		// An aggregate sums at its cap; emitted tuples sum uncapped, as
+		// r.cap caps only a visit's existence checks.
+		cap, sink := r.cap, (*bufferSink)(nil)
+		if !r.agg {
+			cap = uncapped
+		}
+		if emit != nil {
+			arity := len(r.p.Q.Vars)
+			if r.cls != nil {
+				arity = len(r.cls.Spec.Project)
+			}
+			sink = newBufferSink(arity, emit)
+		}
+		n, err = runSharded(r.ctx, r.top(), r.workers, cap, r.stats, sink, r.chunk)
 	}
-	return CtxAbortErr(r.ctx, err)
+	if err != nil {
+		return 0, err
+	}
+	r.stats.Output = int(n)
+	return n, nil
+}
+
+// counted wraps emit, which may be nil, to count the tuples it is
+// handed into *n.
+func counted(n *int64, emit func(relation.Tuple) error) func(relation.Tuple) error {
+	return func(t relation.Tuple) error {
+		if *n++; emit == nil {
+			return nil
+		}
+		return emit(t)
+	}
 }
 
 // top computes the depth-0 intersection the sharded runner partitions,
@@ -76,18 +124,22 @@ func (r *run) top() int {
 	return len(r.topVals)
 }
 
-// chunk builds the searcher of one shard, the depth-0 values [lo,hi),
-// and returns it with those values and their positions. All shards
-// draw from the one budget, and each is charged its depth-0 values
-// upfront: per-chunk Stats restart the &255 poll stride, so without
-// this a fleet of small chunks could dodge the budget entirely.
-func (r *run) chunk(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) (*searcher, []relation.Value, []int, error) {
+// chunk searches one shard, the depth-0 values [lo,hi) (see shardRun).
+// All shards draw from the one budget, and each is charged its depth-0
+// values upfront: per-chunk Stats restart the &255 poll stride, so
+// without this a fleet of small chunks could dodge the budget entirely.
+func (r *run) chunk(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) (int64, error) {
 	if !r.budget.Spend(int64(hi - lo)) {
-		return nil, nil, nil, ErrNodeBudget
+		return 0, ErrNodeBudget
 	}
+	var n int64
+	s := newSearcher(r.p, r.cls, r.lv, r.cap, st, counted(&n, emit), stop, r.budget)
 	k := len(r.p.Participants[0])
-	s := newSearcher(r.p, r.cls, r.lv, r.cap, st, emit, stop, r.budget)
-	return s, r.topVals[lo:hi], r.topAt[lo*k : hi*k], nil
+	vals, at := r.topVals[lo:hi], r.topAt[lo*k:hi*k]
+	if r.agg {
+		return s.countVals(0, vals, at), s.err
+	}
+	return n, s.visitVals(0, vals, at)
 }
 
 // GenericJoinPlanVisit evaluates a built plan with the Generic-Join
@@ -101,62 +153,20 @@ func (r *run) chunk(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation
 //
 // The result streams to emit in the canonical (variable-order
 // lexicographic) sequence; the Tuple passed to emit is reused between
-// calls, so emit must copy it to retain it. With workers > 1 the
-// depth-0 intersection is sharded across workers and per-chunk results
-// are replayed in deterministic chunk order, so the emit sequence is
+// calls, so emit must copy it to retain it. A nil emit counts the
+// result without buffering it. Either way the number of tuples is
+// returned and recorded as stats.Output. With workers > 1 the depth-0
+// intersection is sharded across workers and per-chunk results are
+// replayed in deterministic chunk order, so the emit sequence is
 // identical to the serial run. A nil cls enumerates full tuples; an
 // enumerate-mode classification (over the sunk plan it was computed
 // for) enumerates the distinct projected tuples, existence-checking the
 // projected-away levels per prefix instead of enumerating them.
-func GenericJoinPlanVisit(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int, stats *Stats, emit func(relation.Tuple) error) error {
+func GenericJoinPlanVisit(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int, stats *Stats, emit func(relation.Tuple) error) (int64, error) {
 	if err := CtxErr(ctx); err != nil {
-		return err
+		return 0, err
 	}
-	r := newRun(ctx, p, cls, lv, workers, stats)
-	if !r.sharded() {
-		return r.serial(emit, func(s *searcher) error { return s.visit(0) })
-	}
-	arity := len(p.Q.Vars)
-	if cls != nil {
-		arity = len(cls.Spec.Project)
-	}
-	return runSharded(ctx, r.top(), workers, stats, newBufferSink(arity, emit),
-		func(lo, hi int, st *Stats, stop *atomic.Bool, chunkEmit func(relation.Tuple) error) error {
-			s, vals, at, err := r.chunk(lo, hi, st, stop, chunkEmit)
-			if err != nil {
-				return err
-			}
-			return s.visitVals(0, vals, at)
-		})
-}
-
-// GenericJoinPlanCount counts what GenericJoinPlanVisit would emit
-// without buffering it: every worker counts its own tuples.
-func GenericJoinPlanCount(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int) (int, *Stats, error) {
-	if err := CtxErr(ctx); err != nil {
-		return 0, nil, err
-	}
-	r := newRun(ctx, p, cls, lv, workers, &Stats{})
-	var n int64
-	var err error
-	if !r.sharded() {
-		err = r.serial(func(relation.Tuple) error { n++; return nil },
-			func(s *searcher) error { return s.visit(0) })
-	} else {
-		n, err = runShardedCount(ctx, r.top(), workers, uncapped, r.stats, func(lo, hi int, st *Stats, stop *atomic.Bool) (int64, error) {
-			var c int64
-			s, vals, at, err := r.chunk(lo, hi, st, stop, func(relation.Tuple) error { c++; return nil })
-			if err != nil {
-				return 0, err
-			}
-			return c, s.visitVals(0, vals, at)
-		})
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	r.stats.Output = int(n)
-	return int(n), r.stats, nil
+	return newRun(ctx, p, cls, lv, workers, stats).search(emit)
 }
 
 // GenericJoinAggPlan evaluates the aggregate a sunk plan was
@@ -173,36 +183,16 @@ func GenericJoinAggPlan(ctx context.Context, p *Plan, cls *agg.Classification, l
 	switch {
 	case cls.Spec.Mode == agg.ModeCount && len(cls.Spec.Project) > 0:
 		// Distinct projected count: the projected enumeration, counted.
-		n, stats, err := GenericJoinPlanCount(ctx, p, cls, lv, workers)
-		return int64(n), stats, err
 	case cls.Spec.Mode == agg.ModeCount:
-		r.cap = uncapped
-	case cls.Spec.Mode != agg.ModeExists:
+		r.cap, r.agg = uncapped, true
+	case cls.Spec.Mode == agg.ModeExists:
+		r.agg = true
+	default:
 		return 0, nil, fmt.Errorf("core: unsupported aggregate mode %v", cls.Spec.Mode)
 	}
-	return r.count()
-}
-
-// count runs the count from the root of the plan and returns min(count,
-// r.cap) with the run's Stats.
-func (r *run) count() (int64, *Stats, error) {
-	var n int64
-	var err error
-	// A pure product (CountFrom == 0) answers in O(#atoms); don't shard.
-	if !r.sharded() || r.cls.CountFrom == 0 {
-		err = r.serial(nil, func(s *searcher) error { n = s.count(0); return nil })
-	} else {
-		n, err = runShardedCount(r.ctx, r.top(), r.workers, r.cap, r.stats, func(lo, hi int, st *Stats, stop *atomic.Bool) (int64, error) {
-			s, vals, at, err := r.chunk(lo, hi, st, stop, nil)
-			if err != nil {
-				return 0, err
-			}
-			return s.countVals(0, vals, at), s.err
-		})
-	}
+	n, err := r.search(nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	r.stats.Output = int(n)
 	return n, r.stats, nil
 }

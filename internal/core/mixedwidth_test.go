@@ -91,7 +91,7 @@ func TestMixedWidthQuery(t *testing.T) {
 			return nil, err
 		}
 		b := relation.NewBuilder("Q", attrs...)
-		err = core.GenericJoinPlanVisit(ctx, p, cls, lv, workers, &core.Stats{}, func(tu relation.Tuple) error {
+		_, err = core.GenericJoinPlanVisit(ctx, p, cls, lv, workers, &core.Stats{}, func(tu relation.Tuple) error {
 			return b.Add(tu...)
 		})
 		return b.Build(), err

@@ -6,13 +6,16 @@ package core
 // every participating atom — is computed once, partitioned into
 // contiguous chunks, and each chunk is searched by the serial recursion
 // with fully private state (cursor stacks, binding tuple, Stats).
-// Workers share only the immutable tries. There are two runners. The
-// ordered runSharded consumes chunk results in ascending chunk index
-// order, and because chunks are contiguous ranges of the sorted
-// top-level values, the emitted tuple sequence is byte-identical to the
-// serial run at any worker count. The unordered runShardedCount sums
-// chunk counts at the run's cap (COUNT uncapped, EXISTS capped at 1)
-// and stops the fleet once the sum reaches the cap.
+// Workers share only the immutable tries. One runner, runSharded,
+// claims the chunks under one mutex and has two reducers. Every chunk
+// returns a count, which is summed at the run's cap as the chunk
+// finishes, in any order (COUNT uncapped, EXISTS capped at 1), and the
+// fleet stops once the sum reaches the cap. The caller merges chunk
+// Stats in ascending chunk order and, when the run emits tuples,
+// replays each chunk's buffered output in that order too: because
+// chunks are contiguous ranges of the sorted top-level values, the
+// emitted tuple sequence is byte-identical to the serial run at any
+// worker count.
 
 import (
 	"context"
@@ -32,10 +35,10 @@ const shardChunkFactor = 4
 
 // ErrAborted is injected through a chunk's emit path (and returned by
 // worker stop-flag polls) once a sibling chunk has failed, the
-// consuming sink has errored, or the run's context was cancelled. It
-// unwinds a search mid-flight instead of letting it run to completion
-// and is never returned from the package-level entry points — they
-// translate it to the causing error (see CtxAbortErr).
+// consuming sink has errored, the run's cap was reached or its context
+// was cancelled. It unwinds a search mid-flight instead of letting it
+// run to completion and is never returned from the package-level entry
+// points — they translate it to the causing error (see CtxAbortErr).
 var ErrAborted = errors.New("core: sharded run aborted")
 
 // CtxErr returns the context's error, tolerating nil contexts.
@@ -72,16 +75,18 @@ func CtxAbortErr(ctx context.Context, err error) error {
 }
 
 // shardRun searches one chunk, the top-level values [lo,hi), writing
-// counters to st and tuples to emit. It runs on a worker goroutine (or
-// the caller's) with no state shared with other chunks except the
-// run's stop flag, which the search should poll (cheaply, every few
-// hundred nodes) and unwind on by returning ErrAborted.
-type shardRun func(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) error
+// counters to st and tuples, if the run emits any, to emit (nil
+// otherwise), and returns the chunk's count: its capped aggregate, or
+// the tuples it emitted. It runs on a worker goroutine (or the
+// caller's) with no state shared with other chunks except the run's
+// stop flag, which the search should poll (cheaply, every few hundred
+// nodes) and unwind on by returning ErrAborted.
+type shardRun func(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) (int64, error)
 
 // coresBusy counts the held slots of the process-wide worker budget
 // of sharded runs, which has runtime.GOMAXPROCS(0) slots: cores belong
 // to the process, so concurrent queries, one-shot calls and DBs share
-// them. A run's partition, ordered window and Stats merge order depend
+// them. A run's partition, claim window and Stats merge order depend
 // on its requested worker count only, so its output and Stats are the
 // same whatever the budget grants.
 var coresBusy atomic.Int64
@@ -128,154 +133,174 @@ func shard(workers int, worker, caller func()) {
 }
 
 // runSharded partitions the n top-level values into contiguous chunks
-// and runs run over them on the calling goroutine and up to workers-1
-// more (see shard).
-// Per-chunk Stats are merged into parentStats in chunk order; the
-// first error (from a chunk or from the sink) aborts the remaining
-// work — unclaimed chunks are skipped, and running chunks are unwound
-// at their next emitted tuple via ErrAborted. Chunk sizes ramp up (see
-// shardStarts): a consumer that stops early (a LIMIT returning an
-// error from emit) is seen only when its chunk is replayed, and the
-// chunks claimed by then run on until they unwind, so the first chunks
-// are the cheap ones.
+// (see shardStarts), runs run over them on the calling goroutine and up
+// to workers-1 more (see shard), and returns the sum of the chunks'
+// counts at cap (see searcher.cap): it saturates at cap, and an
+// uncapped sum past math.MaxInt64 is agg.ErrCountOverflow.
 //
-// The caller is the consumer and a worker: while the next chunk to
-// replay is unfinished it claims and runs a chunk itself, and it
-// blocks only when the window leaves nothing to claim. A consumer that
-// only waited would sit runnable behind the workers that woke it until
-// they blocked, so whether a LIMIT was met inside the first chunk
-// would decide whether it paid for the whole window.
+// Chunks are claimed in ascending order under one mutex, and each
+// chunk's count is added under it as the chunk finishes. The first
+// error (from a chunk or the sink) and a sum that reaches cap set the
+// shared stop flag: unclaimed chunks are skipped, and running chunks
+// unwind at their next poll or emitted tuple with ErrAborted, so EXISTS
+// stops the whole fleet at its first witness.
 //
-// Claims are windowed: chunk c can be claimed only once chunk
-// c-window has been consumed, bounding how much un-consumed output
-// the ordered sink can buffer. It returns only after all worker
-// goroutines have exited, so the caller may reuse any state afterwards.
-func runSharded(ctx context.Context, n, workers int, parentStats *Stats, sink *bufferSink, run shardRun) error {
+// The caller is a worker and the reducer: while the next chunk in
+// order is unfinished it claims and runs a chunk itself, and it blocks
+// only when nothing is left to claim. A caller that only waited would
+// sit runnable behind the workers that woke it until they blocked.
+// Once a chunk is finished the caller merges its Stats into parentStats
+// — so an uncapped run's counters are deterministic for a fixed
+// requested worker count — and, with a non-nil sink, replays its
+// buffered tuples. A run with a sink ramps its chunk sizes (see
+// shardStarts): a consumer that stops early (a LIMIT returning an error
+// from emit) is seen only when its chunk is replayed, and the chunks
+// claimed by then run on until they unwind, so the first chunks are the
+// cheap ones. Its claims are also windowed: chunk c can be claimed only
+// once chunk c-window has been replayed, bounding the buffered output.
+// A counting run has neither: nothing waits on its first chunk, and
+// ramped chunks split the low-id hubs of a power-law graph so evenly
+// that its workers take the cores a concurrent writer needs.
+//
+// A chunk's own error wins over a reached cap, which wins over the
+// context's error. The context is reported only if some chunk or
+// replay was cut short by the stop flag: a run whose every chunk
+// finished has its whole answer, however late the context was
+// cancelled. It returns only after all worker goroutines have exited,
+// so the caller may reuse any state afterwards.
+func runSharded(ctx context.Context, n, workers int, cap int64, parentStats *Stats, sink *bufferSink, run shardRun) (int64, error) {
 	if err := CtxErr(ctx); err != nil {
-		return err
+		return 0, err
 	}
-	var abort atomic.Bool
 	if n == 0 {
-		sink.bind(0, &abort)
-		return nil
+		return 0, nil
 	}
-	starts, workers := shardStarts(n, workers, true)
+	starts, workers := shardStarts(n, workers, sink != nil)
 	numChunks := len(starts) - 1
-	sink.bind(numChunks, &abort)
-
 	chunkStats := make([]Stats, numChunks)
 	chunkErrs := make([]error, numChunks)
-	done := make([]chan struct{}, numChunks)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
+	finished := make([]bool, numChunks)
+	var abort atomic.Bool
 	defer WatchCancel(ctx, &abort)()
-	exec := func(c int) {
+	window := numChunks
+	if sink != nil {
+		sink.bind(numChunks, &abort)
+		window = workers + 2 // > workers keeps every worker busy
+	}
+	// next is the first unclaimed chunk and head the first unreduced one;
+	// both, finished, chunkErrs and total move under mu, and changed is
+	// signalled whenever a chunk finishes or head moves.
+	var (
+		mu         sync.Mutex
+		changed    = sync.NewCond(&mu)
+		next, head int
+		total      int64
+	)
+	// step claims and runs the next chunk, if the window allows one, and
+	// reports whether it did. It is called, and returns, with mu held.
+	step := func() bool {
+		if next == numChunks || next >= head+window {
+			return false
+		}
+		c := next
+		next++
+		mu.Unlock()
+		k, err := int64(0), ErrAborted
 		if !abort.Load() {
-			emit := sink.chunkEmit(c)
-			chunkErrs[c] = run(starts[c], starts[c+1], &chunkStats[c], &abort,
-				func(t relation.Tuple) error {
+			var emit func(relation.Tuple) error
+			if sink != nil {
+				buf := sink.chunkEmit(c)
+				emit = func(t relation.Tuple) error {
 					if abort.Load() {
 						return ErrAborted
 					}
-					return emit(t)
-				})
-			if chunkErrs[c] != nil {
-				abort.Store(true)
+					return buf(t)
+				}
 			}
+			k, err = run(starts[c], starts[c+1], &chunkStats[c], &abort, emit)
 		}
-		close(done[c])
-	}
-	// next is the first unclaimed chunk and head the first unconsumed
-	// one; both move under mu, and a claim may run at most window
-	// chunks ahead of head (window > workers keeps every worker busy).
-	window := workers + 2
-	var (
-		mu         sync.Mutex
-		headMoved  = sync.NewCond(&mu)
-		next, head int
-	)
-	claim := func(wait bool) (int, bool) {
 		mu.Lock()
-		defer mu.Unlock()
-		for next < numChunks && next >= head+window {
-			if !wait {
-				return 0, false
+		if err == nil {
+			var ok bool
+			if total, ok = capAdd(total, k, cap); !ok {
+				err = agg.ErrCountOverflow
 			}
-			headMoved.Wait()
 		}
-		if next == numChunks {
-			return 0, false
+		if err != nil || reached(total, cap) {
+			abort.Store(true)
 		}
-		next++
-		return next - 1, true
+		chunkErrs[c], finished[c] = err, true
+		changed.Broadcast()
+		return true
 	}
 	worker := func() {
-		for c, ok := claim(true); ok; c, ok = claim(true) {
-			exec(c)
+		mu.Lock()
+		defer mu.Unlock()
+		for next < numChunks {
+			if !step() {
+				changed.Wait()
+			}
 		}
 	}
 	var err error
+	aborted := false
 	shard(workers, worker, func() {
 		for c := 0; c < numChunks; c++ {
-			for !isClosed(done[c]) {
-				mine, ok := claim(false)
-				if !ok {
-					<-done[c]
-					break
+			mu.Lock()
+			for !finished[c] {
+				if !step() {
+					changed.Wait()
 				}
-				exec(mine)
 			}
-			cerr := chunkErrs[c]
-			switch {
-			case err != nil || cerr == ErrAborted:
-				// A chunk unwound by the abort flag produced partial
-				// output; never merge or consume it.
+			mu.Unlock()
+			switch cerr := chunkErrs[c]; {
+			case err != nil:
+				// After the first error nothing is merged or replayed.
+			case cerr == ErrAborted:
+				// Cut short by the stop flag: its Stats count work done,
+				// but its output is partial and so is everything after it.
+				aborted = true
+				parentStats.Merge(&chunkStats[c])
 			case cerr != nil:
 				err = cerr
 			default:
 				parentStats.Merge(&chunkStats[c])
-				if ferr := sink.finishChunk(c); ferr != nil {
-					// A sink replay unwound by the abort flag means the
-					// ctx was cancelled mid-replay; surface the cause,
-					// never the sentinel.
-					err = CtxAbortErr(ctx, ferr)
+				if sink == nil || aborted {
+					break
+				}
+				if ferr := sink.finishChunk(c); ferr == ErrAborted {
+					aborted = true
+				} else if ferr != nil {
+					err = ferr
 					abort.Store(true)
 				}
 			}
-			// Open the window regardless of errors.
 			mu.Lock()
 			head = c + 1
+			changed.Broadcast()
 			mu.Unlock()
-			headMoved.Broadcast()
 		}
 	})
-	if err == nil {
-		// A cancelled run's chunks unwind with ErrAborted, which is
-		// never surfaced per chunk; report the cancellation itself.
-		err = CtxErr(ctx)
+	switch {
+	case err != nil:
+		return 0, err
+	case reached(total, cap):
+		return total, nil
+	case aborted:
+		// Neither a chunk error nor the cap stopped the fleet, so the
+		// context did; report its error, never the sentinel.
+		return 0, CtxAbortErr(ctx, ErrAborted)
 	}
-	return err
+	return total, nil
 }
 
-// isClosed reports whether ch is closed, without blocking.
-func isClosed(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
-}
-
-// bufferSink consumes the output of runSharded: it buffers each chunk's
-// tuples flat (arity values per tuple) and replays them to the user's
-// emit in chunk order, preserving the serial emission sequence. The
-// Tuple passed on is reused between calls, matching the serial visit
-// contract. chunkEmit is called from whichever goroutine runs the chunk
-// (concurrently, but never concurrently for the same chunk);
-// finishChunk is called from the calling goroutine in ascending chunk
-// order.
+// bufferSink buffers runSharded's output: each chunk's tuples flat
+// (arity values per tuple), replayed to the user's emit in chunk order,
+// preserving the serial emission sequence. The Tuple passed on is
+// reused between calls, matching the serial visit contract. chunkEmit
+// is called from whichever goroutine runs the chunk (concurrently, but
+// never concurrently for the same chunk); finishChunk is called from
+// the calling goroutine in ascending chunk order.
 type bufferSink struct {
 	arity int
 	emit  func(relation.Tuple) error
@@ -303,8 +328,8 @@ func (s *bufferSink) finishChunk(chunk int) error {
 	buf := s.bufs[chunk]
 	for i, n := 0, 0; i < len(buf); i += s.arity {
 		// A chunk can hold an arbitrary number of buffered tuples and
-		// the user's emit can be slow; poll so a cancelled run does
-		// not replay a huge buffer to completion.
+		// the user's emit can be slow; poll so a stopped run does not
+		// replay a huge buffer to completion.
 		if n++; n&255 == 0 && s.stop.Load() {
 			return ErrAborted
 		}
@@ -342,80 +367,4 @@ func shardStarts(n, workers int, ramp bool) (starts []int, w int) {
 		starts = append(starts, lo)
 	}
 	return starts, min(workers, len(starts)-1)
-}
-
-// runShardedCount shards the n top-level values across the caller and
-// up to workers-1 more goroutines (see shard) and sums the per-chunk
-// counts of run at cap (see searcher.cap): the sum saturates at cap,
-// and an uncapped sum past math.MaxInt64 is agg.ErrCountOverflow. No
-// output ordering is needed, so chunks are claimed from an atomic
-// counter. Once the sum reaches cap the shared stop flag is set, and
-// the chunk searches, which poll it, unwind: a capped run short-circuits
-// across the fleet (EXISTS on its first witness). Per-chunk Stats are
-// merged in chunk order, so an uncapped run's counters are
-// deterministic for a fixed requested worker count, whatever the
-// budget grants; a capped run's chunks race the stop flag, so its
-// counters (unlike its result) are not. A chunk's own error wins over a
-// reached cap, which wins over the context's error.
-func runShardedCount(ctx context.Context, n, workers int, cap int64, parentStats *Stats,
-	run func(lo, hi int, st *Stats, stop *atomic.Bool) (int64, error)) (int64, error) {
-	if err := CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	starts, w := shardStarts(n, workers, false)
-	numChunks := len(starts) - 1
-	chunkStats := make([]Stats, numChunks)
-	errs := make([]error, numChunks)
-	var stop atomic.Bool
-	defer WatchCancel(ctx, &stop)()
-	var (
-		mu    sync.Mutex
-		total int64
-		next  atomic.Int64
-	)
-	loop := func() {
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= numChunks || stop.Load() {
-				return
-			}
-			k, err := run(starts[c], starts[c+1], &chunkStats[c], &stop)
-			mu.Lock()
-			if err == nil {
-				var ok bool
-				if total, ok = capAdd(total, k, cap); !ok {
-					err = agg.ErrCountOverflow
-				}
-			}
-			errs[c] = err
-			if err != nil || reached(total, cap) {
-				stop.Store(true)
-			}
-			mu.Unlock()
-		}
-	}
-	shard(w, loop, loop)
-	aborted := false
-	for c := 0; c < numChunks; c++ {
-		switch errs[c] {
-		case nil:
-		case ErrAborted:
-			aborted = true
-		default:
-			return 0, errs[c]
-		}
-		parentStats.Merge(&chunkStats[c])
-	}
-	if reached(total, cap) {
-		return total, nil
-	}
-	if aborted || CtxErr(ctx) != nil {
-		// Neither a chunk error nor the cap stopped the fleet, so the
-		// context did; report its error, never the sentinel.
-		return 0, CtxAbortErr(ctx, ErrAborted)
-	}
-	return total, nil
 }

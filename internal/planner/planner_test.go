@@ -137,11 +137,11 @@ func TestBeamSearchWideQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, _, err := core.GenericJoinPlanCount(context.Background(), p, nil, core.MaterializeLevel, 1)
+		n, err := core.GenericJoinPlanVisit(context.Background(), p, nil, core.MaterializeLevel, 1, &core.Stats{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n
+		return int(n)
 	}
 	if nPlanned, nHeur := count(core.ExplicitOrder(e.Order)), count(core.HeuristicOrder()); nPlanned != nHeur {
 		t.Fatalf("beam order count %d, heuristic %d", nPlanned, nHeur)

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"wcoj/internal/core"
@@ -241,6 +242,46 @@ func TestExecuteFuncLimitStopsEarly(t *testing.T) {
 		if !errors.Is(err, limit) {
 			t.Errorf("%v: stopping after 10 of %d tuples under a budget of %d of %d nodes: err = %v, want the consumer's stop",
 				algo, full.Output, budget, full.Recursions, err)
+		}
+	}
+}
+
+// TestLateCancelKeepsAnswer: a consumer that cancels the context on the
+// final tuple has the whole answer, so the run returns nil at every
+// worker count, as a serial run does. A sharded run replays the last
+// chunk only once every chunk has finished, so nothing is left for the
+// cancellation to cut short. A serial search polls the stop flag every
+// 256 nodes and could still see it after the final tuple, so the
+// fixture's serial search stays below one poll.
+func TestLateCancelKeepsAnswer(t *testing.T) {
+	q := parallelQueries(t)["chain63"]
+	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
+		var want []Value
+		serial, err := ExecuteFunc(q, Options{Algorithm: algo, Parallelism: 1}, func(tu Tuple) error {
+			want = append(want, tu...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial.Output == 0 || serial.Recursions >= 256 {
+			t.Fatalf("%v: the fixture's serial search has %d tuples over %d nodes; want some, below one poll",
+				algo, serial.Output, serial.Recursions)
+		}
+		for _, p := range []int{1, 2, 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var got []Value
+			_, err := ExecuteFunc(q, Options{Algorithm: algo, Parallelism: p, Context: ctx}, func(tu Tuple) error {
+				if got = append(got, tu...); len(got) == len(want) {
+					cancel()
+				}
+				return nil
+			})
+			cancel()
+			if err != nil || !slices.Equal(got, want) {
+				t.Errorf("%v/p=%d: cancelled on the final tuple: err = %v, %d of %d values emitted in order: %v",
+					algo, p, err, len(got), len(want), slices.Equal(got, want))
+			}
 		}
 	}
 }
