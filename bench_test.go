@@ -38,13 +38,13 @@ func benchTriangleQuery(b *testing.B, tri dataset.Triangle) *core.Query {
 }
 
 // benchSearch times run against one executor of q whose plan — order
-// and tries, the latter from the benchmark's own store — an untimed
+// and tries, the latter from the given source — an untimed
 // first run has built: the loop measures the search alone. (One-shot
 // calls build their indexes per call; a row that wants that cost in
 // calls Count/Execute directly.)
-func benchSearch(b *testing.B, store *core.TrieStore, q *core.Query, opts Options, run func(*executor) error) {
+func benchSearch(b *testing.B, src core.TrieSource, q *core.Query, opts Options, run func(*executor) error) {
 	b.Helper()
-	e := newExecutor(q, store, opts, nil)
+	e := newExecutor(q, src, opts, nil)
 	if err := run(e); err != nil {
 		b.Fatal(err)
 	}
@@ -148,15 +148,15 @@ func BenchmarkTriangle(b *testing.B) {
 				tri = dataset.TriangleSkew(n)
 			}
 			q := benchTriangleQuery(b, tri)
-			store := core.NewTrieStore(core.DefaultTrieCacheLimit)
+			memo := new(core.TrieMemo)
 			enumerate := Options{Order: []string{"A", "B", "C"}, Parallelism: 1, DisablePushdown: true}
 			b.Run(fmt.Sprintf("%s/n=%d/generic", kind, n), func(b *testing.B) {
-				benchSearch(b, store, q, enumerate, benchCount(-1))
+				benchSearch(b, memo, q, enumerate, benchCount(-1))
 			})
 			b.Run(fmt.Sprintf("%s/n=%d/lftj", kind, n), func(b *testing.B) {
 				lftj := enumerate
 				lftj.Algorithm = AlgoLeapfrog
-				benchSearch(b, store, q, lftj, benchCount(-1))
+				benchSearch(b, memo, q, lftj, benchCount(-1))
 			})
 			if kind == "skew" && n > 4000 {
 				continue // binary plan is quadratic; keep the suite fast
@@ -177,7 +177,7 @@ func BenchmarkTriangleHeavyLight(b *testing.B) {
 	for _, n := range []int{1000, 4000, 16000} {
 		tri := dataset.TriangleSkew(n)
 		q := benchTriangleQuery(b, tri)
-		store := core.NewTrieStore(core.DefaultTrieCacheLimit)
+		memo := new(core.TrieMemo)
 		b.Run(fmt.Sprintf("n=%d/alg2", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := core.TriangleHeavyLight(tri.R, tri.S, tri.T); err != nil {
@@ -186,7 +186,7 @@ func BenchmarkTriangleHeavyLight(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("n=%d/alg1", n), func(b *testing.B) {
-			benchSearch(b, store, q, Options{Order: []string{"A", "B", "C"}, Parallelism: 1}, func(e *executor) error {
+			benchSearch(b, memo, q, Options{Order: []string{"A", "B", "C"}, Parallelism: 1}, func(e *executor) error {
 				_, _, err := e.execute(context.Background())
 				return err
 			})
@@ -215,7 +215,7 @@ func BenchmarkLoomisWhitney(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("k=%d/wcoj", k), func(b *testing.B) {
-			benchSearch(b, core.NewTrieStore(core.DefaultTrieCacheLimit), q,
+			benchSearch(b, new(core.TrieMemo), q,
 				Options{Parallelism: 1, DisablePushdown: true}, benchCount(-1))
 		})
 		b.Run(fmt.Sprintf("k=%d/joinproject", k), func(b *testing.B) {
@@ -420,7 +420,7 @@ func BenchmarkVariableOrder(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	store := core.NewTrieStore(core.DefaultTrieCacheLimit)
+	memo := new(core.TrieMemo)
 	for _, ord := range []struct {
 		name  string
 		order []string
@@ -429,7 +429,7 @@ func BenchmarkVariableOrder(b *testing.B) {
 		{"opposite", []string{"A", "C", "B", "D"}},
 	} {
 		b.Run(ord.name, func(b *testing.B) {
-			benchSearch(b, store, q, Options{Order: ord.order, Parallelism: 1, DisablePushdown: true}, benchCount(-1))
+			benchSearch(b, memo, q, Options{Order: ord.order, Parallelism: 1, DisablePushdown: true}, benchCount(-1))
 		})
 	}
 }
@@ -454,7 +454,7 @@ func BenchmarkParallelEngine(b *testing.B) {
 		{"clique4", benchParse(b, db, "Q(A,B,C,D) :- E(A,B), E(A,C), E(A,D), E(B,C), E(B,D), E(C,D)")},
 		{"path4", benchParse(b, db, "Q(A,B,C,D) :- E(A,B), E(B,C), E(C,D)")},
 	}
-	store := core.NewTrieStore(core.DefaultTrieCacheLimit)
+	memo := new(core.TrieMemo)
 	for _, wl := range workloads {
 		// Fix the variable order so every worker count searches the
 		// identical tree.
@@ -469,7 +469,7 @@ func BenchmarkParallelEngine(b *testing.B) {
 			}
 			for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
 				b.Run(fmt.Sprintf("%s/%v/p=%d", wl.name, algo, p), func(b *testing.B) {
-					benchSearch(b, store, wl.q, Options{Algorithm: algo, Order: order, Parallelism: p}, benchCount(serial))
+					benchSearch(b, memo, wl.q, Options{Algorithm: algo, Order: order, Parallelism: p}, benchCount(serial))
 				})
 			}
 		}
@@ -502,14 +502,14 @@ func BenchmarkCountPushdown(b *testing.B) {
 		name string
 		q    *core.Query
 	}{{"triangle", triQ}, {"path4", pathQ}, {"star", starQ}}
-	store := core.NewTrieStore(core.DefaultTrieCacheLimit)
+	memo := new(core.TrieMemo)
 	for _, wl := range workloads {
 		want, _, err := Count(wl.q, Options{Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(wl.name+"/enumerate", func(b *testing.B) {
-			benchSearch(b, store, wl.q, Options{Parallelism: 1}, func(e *executor) error {
+			benchSearch(b, memo, wl.q, Options{Parallelism: 1}, func(e *executor) error {
 				out, _, err := e.execute(context.Background())
 				if err == nil && out.Len() != want {
 					err = fmt.Errorf("enumerated %d, want %d", out.Len(), want)
@@ -518,16 +518,16 @@ func BenchmarkCountPushdown(b *testing.B) {
 			})
 		})
 		b.Run(wl.name+"/count-stream", func(b *testing.B) {
-			benchSearch(b, store, wl.q, Options{Parallelism: 1}, benchCount(want))
+			benchSearch(b, memo, wl.q, Options{Parallelism: 1}, benchCount(want))
 		})
 		for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
 			b.Run(fmt.Sprintf("%s/countfast/%v", wl.name, algo), func(b *testing.B) {
-				benchSearch(b, store, wl.q, Options{Algorithm: algo, Parallelism: 1}, benchCount(want))
+				benchSearch(b, memo, wl.q, Options{Algorithm: algo, Parallelism: 1}, benchCount(want))
 			})
 		}
 	}
 	b.Run("triangle/exists", func(b *testing.B) {
-		benchSearch(b, store, triQ, Options{Parallelism: 1}, func(e *executor) error {
+		benchSearch(b, memo, triQ, Options{Parallelism: 1}, func(e *executor) error {
 			found, _, err := e.exists(context.Background())
 			if err == nil && !found {
 				err = fmt.Errorf("exists = false")
@@ -536,7 +536,7 @@ func BenchmarkCountPushdown(b *testing.B) {
 		})
 	})
 	b.Run("star/project-count", func(b *testing.B) {
-		benchSearch(b, store, starQ, Options{Parallelism: 1, Project: []string{"A"}}, benchCount(10000))
+		benchSearch(b, memo, starQ, Options{Parallelism: 1, Project: []string{"A"}}, benchCount(10000))
 	})
 }
 
@@ -614,24 +614,23 @@ func BenchmarkConcurrentDB(b *testing.B) {
 	}
 }
 
-// BenchmarkTrieCacheParallel: the striped trie-store hit path. Every
-// iteration builds a plan whose three tries are cache hits; the
-// parallel row runs one builder per core against the same keys. Under
-// the old single-mutex cache the parallel row could not beat serial
-// (every hit took the one lock and moved an LRU list node); the
-// striped store serves hits under a shard read lock plus an atomic
-// stamp, so parallel plan construction scales.
+// BenchmarkTrieCacheParallel: the trie memo's hit path. Every
+// iteration builds a plan whose three tries are memo hits; the
+// parallel row runs one builder per core against the same relations.
+// A hit is one atomic load and a scan of the relation's (at most a
+// few) memoized permutations, with no lock, so parallel plan
+// construction scales.
 func BenchmarkTrieCacheParallel(b *testing.B) {
 	tri := dataset.TriangleAGMTight(10000)
 	q := benchTriangleQuery(b, tri)
-	store := core.NewTrieStore(core.DefaultTrieCacheLimit)
+	memo := new(core.TrieMemo)
 	order := core.ExplicitOrder([]string{"A", "B", "C"})
-	if _, err := core.BuildPlanSrc(store, q, order); err != nil { // warm the store
+	if _, err := core.BuildPlanSrc(memo, q, order); err != nil { // warm the memo
 		b.Fatal(err)
 	}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.BuildPlanSrc(store, q, order); err != nil {
+			if _, err := core.BuildPlanSrc(memo, q, order); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -639,7 +638,7 @@ func BenchmarkTrieCacheParallel(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := core.BuildPlanSrc(store, q, order); err != nil {
+				if _, err := core.BuildPlanSrc(memo, q, order); err != nil {
 					b.Error(err)
 					return
 				}
@@ -704,10 +703,10 @@ func BenchmarkPlanner(b *testing.B) {
 			}
 		}
 	})
-	store := core.NewTrieStore(core.DefaultTrieCacheLimit)
+	memo := new(core.TrieMemo)
 	countWith := func(name string, opts Options) {
 		b.Run(name, func(b *testing.B) {
-			benchSearch(b, store, q, opts, benchCount(star.R.Len()*10))
+			benchSearch(b, memo, q, opts, benchCount(star.R.Len()*10))
 		})
 	}
 	countWith("chosen-order", Options{Order: exp.Order, Parallelism: 1})

@@ -22,7 +22,7 @@
 //	GET  /materialized     list maintained views (id, epoch, count, stale)
 //	GET  /materialized/{id}  one view; rows mode includes the tuples
 //	DELETE /materialized/{id} retire a view
-//	GET  /stats   engine counters (relations, deltas, trie store, plan cache)
+//	GET  /stats   engine counters (relations, deltas, trie memo, plan cache)
 //	              plus one entry per maintained view
 //	GET  /metrics Prometheus text exposition
 //	GET  /healthz liveness (always 200 while the process runs)
@@ -113,6 +113,7 @@ func main() {
 	flag.IntVar(&c.maxInflight, "max-inflight", 64, "serve mode: concurrent data requests admitted (overflow answers 429)")
 	flag.Int64Var(&c.maxBody, "max-body", 1<<20, "serve mode: request body byte cap (overflow answers 413)")
 	flag.Parse()
+	startGCFloor()
 	if err := run(c); err != nil {
 		fmt.Fprintln(os.Stderr, "wcojd:", err)
 		os.Exit(1)

@@ -23,7 +23,8 @@ package main
 //
 // Observability. /metrics exposes Prometheus text: request and
 // rejection counters, in-flight and latency aggregates, and the
-// engine's own DBStats (epoch, tuples, plan cache, trie store).
+// engine's own DBStats (epoch, tuples, plan cache, trie memo), and the
+// GC pacing the heap-goal floor decides (gcfloor.go).
 
 import (
 	"context"
@@ -33,6 +34,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -292,6 +294,15 @@ func (s *server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	f("# TYPE wcojd_updates_total counter\n")
 	f("wcojd_updates_total %d\n", s.m.updates.Load())
 
+	gc := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/goal:bytes"}}
+	metrics.Read(gc)
+	f("# HELP wcojd_gc_cycles_total Completed GC cycles.\n")
+	f("# TYPE wcojd_gc_cycles_total counter\n")
+	f("wcojd_gc_cycles_total %d\n", gc[0].Value.Uint64())
+	f("# HELP wcojd_gc_heap_goal_bytes Heap size the current GC cycle aims to finish under (see gcfloor.go).\n")
+	f("# TYPE wcojd_gc_heap_goal_bytes gauge\n")
+	f("wcojd_gc_heap_goal_bytes %d\n", gc[1].Value.Uint64())
+
 	db := s.db.Load()
 	ready := 0
 	if db != nil && !s.draining.Load() {
@@ -322,10 +333,6 @@ func (s *server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		f("wcojd_db_plan_hits_total %d\n", st.PlanHits)
 		f("# TYPE wcojd_db_plan_misses_total counter\n")
 		f("wcojd_db_plan_misses_total %d\n", st.PlanMisses)
-		f("# TYPE wcojd_db_trie_entries gauge\n")
-		f("wcojd_db_trie_entries %d\n", st.TrieEntries)
-		f("# TYPE wcojd_db_trie_bytes gauge\n")
-		f("wcojd_db_trie_bytes %d\n", st.TrieBytes)
 		materializedMetrics(db, f)
 	}
 	w.Write(b)

@@ -4,11 +4,11 @@ package wcoj
 // call and keeps none of it: the plan (variable order, possibly
 // cost-based LP solves over freshly measured degree statistics), the
 // agg classification, and the atom tries. DB is the serving-shape
-// alternative: it owns named relations and the one trie store, and
-// Prepare compiles a query once into a PreparedQuery whose plan is
-// re-executed concurrently by any number of goroutines with per-call
-// Stats and context cancellation — the pod-style shape of many tenants
-// hitting shared, pre-built state. Both run the same executor
+// alternative: it owns named relations, whose tries are memoized on
+// their storage, and Prepare compiles a query once into a
+// PreparedQuery whose plan is re-executed concurrently by any number
+// of goroutines with per-call Stats and context cancellation — the
+// pod-style shape of many tenants hitting shared, pre-built state. Both run the same executor
 // (exec.go); a PreparedQuery merely keeps its executor, and hands its
 // plans to the next one when the data moves.
 //
@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 	"sync"
@@ -46,16 +45,18 @@ import (
 type CSVOptions = relation.CSVOptions
 
 // DB is a long-lived query engine: a named collection of mutable
-// relations (epoch-versioned snapshots over immutable storage), a
-// private bounded trie store holding their indexes, and a cache of
-// prepared plans. All methods are safe for concurrent use; every
-// execution of a PreparedQuery reads one consistent snapshot of the
-// data, even while Insert/Delete/Apply advance it concurrently.
+// relations (epoch-versioned snapshots over immutable storage), whose
+// tries are memoized on that storage, and a cache of prepared plans.
+// All methods are safe for concurrent use; every execution of a
+// PreparedQuery reads one consistent snapshot of the data, even while
+// Insert/Delete/Apply advance it concurrently.
 type DB struct {
 	mu       sync.RWMutex
 	data     *Database                 //wcojlint:guardedby mu
 	versions map[string]*delta.Version //wcojlint:guardedby mu
-	store    *core.TrieStore
+	// tries counts the trie memo hits and builds of this DB's queries
+	// (the tries themselves live on the relations; see core.TrieMemo).
+	tries core.TrieMemo
 
 	// writeMu serializes the writers (Register, Apply, Compact); the
 	// read path never takes it.
@@ -74,13 +75,9 @@ type DB struct {
 	// (updEpoch, versions) taken under mu.RLock is consistent.
 	updEpoch atomic.Uint64
 
-	// compactRatio (float64 bits) and compactMinBase gate background
-	// compaction; the ratio is atomic so sweeps re-arming themselves
-	// read it without any lock. compacting marks relations with a
-	// sweep in flight (guarded by mu).
-	compactRatio   atomic.Uint64
+	// compactRatio and compactMinBase gate the compaction Apply runs.
+	compactRatio   float64 //wcojlint:guardedby writeMu
 	compactMinBase int
-	compacting     map[string]bool //wcojlint:guardedby mu
 
 	// Update counters (see DBStats).
 	batches, inserts, deletes atomic.Uint64
@@ -111,27 +108,23 @@ type planCacheEntry struct {
 }
 
 // DefaultPlanCacheLimit bounds a DB's plan cache. Each entry pins its
-// bound relations and built plans, so — like the trie store — the
-// cache must not grow without bound under adversarial query shapes
-// (e.g. a serving daemon fed arbitrary client text); past the limit
-// the least-recently-prepared entries are dropped and will replan on
-// next use.
+// bound relations and built plans, so the cache must not grow without
+// bound under adversarial query shapes (e.g. a serving daemon fed
+// arbitrary client text); past the limit the least-recently-prepared
+// entries are dropped and will replan on next use.
 const DefaultPlanCacheLimit = 512
 
-// NewDB returns an empty engine whose trie store starts at the default
-// byte budget (see SetTrieCacheLimit to change it).
+// NewDB returns an empty engine.
 func NewDB() *DB {
 	db := &DB{
 		data:           relation.NewDatabase(),
 		versions:       make(map[string]*delta.Version),
-		store:          core.NewTrieStore(core.DefaultTrieCacheLimit),
+		compactRatio:   DefaultCompactionRatio,
 		compactMinBase: defaultCompactionMinBase,
-		compacting:     make(map[string]bool),
 		views:          make(map[string]*MaterializedQuery),
 		plans:          make(map[string]*planCacheEntry),
 		planLimit:      DefaultPlanCacheLimit,
 	}
-	db.compactRatio.Store(math.Float64bits(DefaultCompactionRatio))
 	return db
 }
 
@@ -141,7 +134,8 @@ func NewDB() *DB {
 // stay valid against the data they were bound to, but new Prepare
 // calls see the new relation (a held handle converges to the new data
 // at its next snapshot refresh, i.e. after any subsequent update
-// batch). Tries of replaced relations age out of the store by LRU.
+// batch). Tries of replaced relations go with them, once no plan
+// holds them.
 // For incremental changes use Insert/Delete/Apply instead: they keep
 // the base storage, the built tries and all prepared plans.
 func (db *DB) Register(rels ...*Relation) error {
@@ -290,11 +284,6 @@ func (db *DB) Names() []string {
 	return db.data.Names()
 }
 
-// SetTrieCacheLimit replaces the byte budget of the DB's trie store —
-// the only index cache there is; one-shot Execute builds and discards —
-// and returns the previous one.
-func (db *DB) SetTrieCacheLimit(bytes int64) int64 { return db.store.SetLimit(bytes) }
-
 // DBStats is a point-in-time snapshot of the engine's shared state.
 //
 //wcojlint:exhaustive
@@ -302,10 +291,9 @@ type DBStats struct {
 	// Relations and Tuples size the registered data (Tuples counts the
 	// effective cardinality: base − deleted + inserted).
 	Relations, Tuples int
-	// TrieEntries / TrieBytes / TrieLimit describe the owned trie
-	// store; TrieHits / TrieMisses are its lifetime counters.
-	TrieEntries          int
-	TrieBytes, TrieLimit int64
+	// TrieHits / TrieMisses count the lifetime trie lookups of this
+	// DB's queries that found the trie memoized on its relation, and
+	// those that built it.
 	TrieHits, TrieMisses uint64
 	// PlansCached is the resident plan-cache size; PlanHits and
 	// PlanMisses count Prepare calls served from / missing the cache.
@@ -346,14 +334,12 @@ func (db *DB) Stats() DBStats {
 		}
 	}
 	db.mu.RUnlock()
-	hits, misses, entries := db.store.Stats()
-	bytes, limit, _ := db.store.Usage()
+	hits, misses := db.tries.Stats()
 	db.plansMu.Lock()
 	cached := len(db.plans)
 	db.plansMu.Unlock()
 	return DBStats{
 		Relations: rels, Tuples: tuples,
-		TrieEntries: entries, TrieBytes: bytes, TrieLimit: limit,
 		TrieHits: hits, TrieMisses: misses,
 		PlansCached: cached,
 		PlanHits:    db.planHits.Load(), PlanMisses: db.planMisses.Load(),
@@ -372,7 +358,7 @@ func (db *DB) Stats() DBStats {
 // planKey fingerprints (query shape, options) for the plan cache.
 // Parallelism is part of the key: it is captured by the prepared query
 // (execution calls take only a context), so two parallelism settings
-// are two prepared entries sharing tries through the store. The
+// are two prepared entries sharing the relations' tries. The
 // constraint set is fingerprinted too — AlgoBacktracking runs under
 // it, so two constraint sets must never share a cached plan. Slices
 // are rendered with sliceKey so nil (defaulted) and empty (invalid,
@@ -514,9 +500,9 @@ func atomVersions(q *Query, vers map[string]*delta.Version) []*delta.Version {
 // vers[i]'s effective relation (materialized lazily — call this outside
 // any DB lock); an atom with a nil version keeps the relation it has.
 // The returned source serves exactly the tries of that binding.
-func bindSnapshot(store *core.TrieStore, shape *Query, vers []*delta.Version) (*Query, snapshotSource) {
+func bindSnapshot(memo *core.TrieMemo, shape *Query, vers []*delta.Version) (*Query, snapshotSource) {
 	q := &Query{Vars: shape.Vars, Atoms: append([]Atom(nil), shape.Atoms...)}
-	src := snapshotSource{store: store, vers: make(map[*relation.Relation]*delta.Version, len(vers))}
+	src := snapshotSource{memo: memo, vers: make(map[*relation.Relation]*delta.Version, len(vers))}
 	for i, v := range vers {
 		if v != nil {
 			q.Atoms[i].Rel = v.Effective()
@@ -599,7 +585,7 @@ func (db *DB) newState(q *Query, opts Options, prev *executor) *pqState {
 	epoch := db.updEpoch.Load()
 	vers := atomVersions(q, db.versions)
 	db.mu.RUnlock()
-	q2, src := bindSnapshot(db.store, q, vers)
+	q2, src := bindSnapshot(&db.tries, q, vers)
 	return &pqState{epoch: epoch, executor: newExecutor(q2, src, opts, prev)}
 }
 

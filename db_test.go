@@ -661,9 +661,10 @@ func TestPreparedCancellation(t *testing.T) {
 	}
 }
 
-// TestDBTrieStoreIsolation: a DB's tries live in its own store — two
-// DBs don't share entries, and a one-shot call over a DB's relations
-// leaves nothing behind in it.
+// TestDBTrieStoreIsolation: a DB counts the trie lookups of its own
+// queries only — a second DB that never executed counts none, and a
+// one-shot call over a DB's relations builds and discards its tries,
+// counting nothing and memoizing nothing on the relations.
 func TestDBTrieStoreIsolation(t *testing.T) {
 	db1 := testDB(t)
 	db2 := testDB(t)
@@ -672,26 +673,30 @@ func TestDBTrieStoreIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1, s2 := db1.Stats(), db2.Stats()
+	if s1.TrieMisses == 0 {
+		t.Fatal("db1 built no tries executing")
+	}
+	if s2.TrieHits+s2.TrieMisses != 0 {
+		t.Fatalf("db2 counted %d/%d trie lookups without executing", s2.TrieHits, s2.TrieMisses)
+	}
 	q, err := db1.Bind(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Count(q, Options{Order: []string{"C", "B", "A"}}); err != nil {
+	reversed := Options{Order: []string{"C", "B", "A"}}
+	if _, _, err := Count(q, reversed); err != nil {
 		t.Fatal(err)
 	}
-	if s := db1.Stats(); s.TrieEntries != s1.TrieEntries || s.TrieMisses != s1.TrieMisses {
-		t.Fatalf("one-shot Count touched the DB store: %+v -> %+v", s1, s)
+	if s := db1.Stats(); s.TrieHits != s1.TrieHits || s.TrieMisses != s1.TrieMisses {
+		t.Fatalf("one-shot Count touched the DB counters: %+v -> %+v", s1, s)
 	}
-	if s1.TrieEntries == 0 {
-		t.Fatal("db1 owns no tries after executing")
+	// The one-shot call memoized nothing: the DB still builds the
+	// reversed order's tries (S and T read their columns reversed).
+	if _, _, err := db1.Query(context.Background(), src, reversed); err != nil {
+		t.Fatal(err)
 	}
-	if s2.TrieEntries != 0 {
-		t.Fatalf("db2 acquired %d tries without executing", s2.TrieEntries)
-	}
-	// Shrinking the DB budget evicts from the DB store only.
-	db1.SetTrieCacheLimit(0)
-	if s := db1.Stats(); s.TrieEntries != 0 {
-		t.Fatalf("zero budget left %d tries", s.TrieEntries)
+	if s := db1.Stats(); s.TrieMisses <= s1.TrieMisses {
+		t.Fatalf("reversed order built nothing after the one-shot call: %+v -> %+v", s1, s)
 	}
 }
 
@@ -701,7 +706,7 @@ func TestWarm(t *testing.T) {
 	if err := db.Warm("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", "Q(A,B) :- E(A,B)"); err != nil {
 		t.Fatal(err)
 	}
-	if s := db.Stats(); s.PlansCached != 2 || s.TrieEntries == 0 {
+	if s := db.Stats(); s.PlansCached != 2 || s.TrieMisses == 0 {
 		t.Fatalf("after Warm: %+v", s)
 	}
 	if err := db.Warm("Q(A) :- Missing(A)"); err == nil {

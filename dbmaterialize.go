@@ -22,13 +22,13 @@ package wcoj
 // O(|Δ|·degrees) — but every term would then restrict the shared
 // variables differently, and at serving scale the dominant batch cost
 // is building the snapshot-side (base ⊎ delta) tries those orders
-// demand: the triangle query needs six distinct (binding, order)
-// merged tries under delta-first orders and three under a shared
-// order. Sharing one order builds each snapshot trie at most once per
-// batch, shares it across all m terms, and — because the keys match —
-// shares it with concurrently executing prepared queries through the
-// DB trie store, while the batch-sized delta trie still prunes the
-// term's search at whatever levels its variables occupy.
+// demand: each further column order a term reads a relation in is one
+// more merged trie per batch. Sharing one order builds each snapshot
+// trie at most once per batch, shares it across all m terms, and —
+// tries being memoized on the snapshot's relation by column order —
+// with concurrently executing prepared queries, while the batch-sized
+// delta trie still prunes the term's search at whatever levels its
+// variables occupy.
 //
 // COUNT with no projection (and EXISTS, which is COUNT ≠ 0) folds
 // signed term counts directly — counting is linear. Enumeration and
@@ -371,7 +371,7 @@ func (mq *MaterializedQuery) recompute(vers []*delta.Version, epoch uint64) (*Ma
 			return nil, fmt.Errorf("wcoj: materialize %s: no relation %q", mq.id, mq.shape.Atoms[i].Name)
 		}
 	}
-	q, src := bindSnapshot(mq.db.store, mq.shape, vers)
+	q, src := bindSnapshot(&mq.db.tries, mq.shape, vers)
 	e := newExecutor(q, src, mq.opts.exec(), nil)
 	ctx := context.Background()
 
@@ -665,7 +665,7 @@ func (mq *MaterializedQuery) term(i int, drel *relation.Relation, pre, post []*d
 			return nil, fmt.Errorf("wcoj: materialize %s: no relation %q", mq.id, a.Name)
 		}
 	}
-	q, src := bindSnapshot(mq.db.store, mq.shape, vers)
+	q, src := bindSnapshot(&mq.db.tries, mq.shape, vers)
 	q.Atoms[i].Rel = drel
 	mq.terms[i] = newExecutor(q, src, mq.opts.exec(), mq.terms[i])
 	return mq.terms[i], nil

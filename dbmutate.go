@@ -10,18 +10,19 @@ package wcoj
 //	        │ publish (db.mu, all relations of the batch at once)
 //	        ▼                        ▼
 //	versions[name] head ──► updEpoch++ ──► prepared queries refresh
-//	                                        lazily: base trie (cached)
-//	                                        + sorted delta ──trie.Merge──►
-//	                                        merged snapshot trie
+//	                                        lazily: base trie (memoized
+//	                                        on Base) + sorted delta
+//	                                        ──trie.Merge──► merged trie,
+//	                                        memoized on Effective()
 //	        │
-//	        └─ delta depth ≥ ratio·|base| ──► background compaction:
-//	           Effective() promoted to the new base, delta emptied,
-//	           merged tries become the base tries (same backing array).
+//	        └─ delta depth ≥ ratio·|base| ──► compaction, inline, still
+//	           under writeMu: Effective() promoted to the new base
+//	           (same *Relation, so its merged tries become the base
+//	           tries), delta emptied, WAL snapshotted.
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
@@ -31,8 +32,8 @@ import (
 	"wcoj/internal/trie"
 )
 
-// DefaultCompactionRatio is the delta-to-base size ratio past which a
-// background compaction folds a relation's delta log into a fresh
+// DefaultCompactionRatio is the delta-to-base size ratio past which
+// Apply's compaction folds a relation's delta log into a fresh
 // base. At 1/4, read-side merge work stays within a constant factor
 // of the base scan while compactions stay rare under steady streams.
 const DefaultCompactionRatio = 0.25
@@ -119,8 +120,10 @@ func (db *DB) Delete(rel string, tuples ...Tuple) (UpdateStats, error) {
 // started before the swap keep their snapshot; executions that start
 // after it see the whole batch — never part of it. Prepared queries
 // are not invalidated: at their next execution they re-version only
-// the touched relations' tries, merging the delta log into the cached
-// base trie in linear time instead of re-sorting or re-planning.
+// the touched relations' tries, merging the delta log into the base
+// trie in linear time instead of re-sorting or re-planning. A relation
+// whose delta crossed the compaction threshold is compacted before
+// Apply returns (see SetCompactionThreshold).
 //
 // A batch that changes nothing (all no-ops) does not advance the
 // update epoch, so readers skip the refresh entirely.
@@ -207,111 +210,75 @@ func (db *DB) Apply(b *Batch) (UpdateStats, error) {
 	db.insertNoops.Add(uint64(us.InsertNoops))
 	db.deleteNoops.Add(uint64(us.DeleteNoops))
 
-	for name, nv := range next {
-		db.maybeCompact(name, nv)
-	}
+	// Compact inline, still under writeMu: no later batch can move the
+	// head first, so every fold is installed and none is thrown away.
+	// The batch is already durable and published, so a failed WAL
+	// snapshot is not Apply's error: the old generation stays the
+	// recovery source, strictly more history than needed, never less.
+	db.compactLocked(next, false) //nolint:errcheck
 	return us, nil
 }
 
-// SetCompactionThreshold replaces the delta-to-base size ratio that
-// triggers background compaction and returns the previous one. Ratios
-// <= 0 compact after every effective batch; very large ratios
-// effectively disable automatic compaction (Compact still works).
+// SetCompactionThreshold replaces the delta-to-base size ratio past
+// which Apply compacts a relation it touched, and returns the previous
+// one. Ratios <= 0 compact after every effective batch; very large
+// ratios effectively disable automatic compaction (Compact still
+// works).
 func (db *DB) SetCompactionThreshold(ratio float64) float64 {
-	return math.Float64frombits(db.compactRatio.Swap(math.Float64bits(ratio)))
-}
-
-// maybeCompact schedules a background compaction of the relation when
-// its delta depth crossed the threshold and no sweep is in flight.
-func (db *DB) maybeCompact(name string, v *delta.Version) {
-	ratio := math.Float64frombits(db.compactRatio.Load())
-	if !v.NeedsCompaction(ratio, db.compactMinBase) {
-		return
-	}
-	db.mu.Lock()
-	if db.compacting[name] {
-		db.mu.Unlock()
-		return
-	}
-	db.compacting[name] = true //wcojlint:nosync compacting is a scheduling latch, not durable state
-	db.mu.Unlock()
-	go db.backgroundCompact(name, v)
-}
-
-// backgroundCompact runs one sweep for the head v, then hands the
-// relation's sweep slot back and re-arms: batches that landed while
-// the sweep was in flight were skipped by maybeCompact (the slot was
-// taken), so the current head must be re-checked or a deep delta
-// could sit above the threshold forever.
-func (db *DB) backgroundCompact(name string, v *delta.Version) {
-	if db.installCompacted(name, v) {
-		// Compaction's durable twin: the folded history no longer needs
-		// its log records, so snapshot and restart the log. Errors are
-		// swallowed — the old generation remains the recovery source,
-		// strictly more history than needed, never less.
-		db.walSnapshot() //nolint:errcheck
-	}
-	db.mu.Lock()
-	db.compacting[name] = false //wcojlint:nosync compacting is a scheduling latch, not durable state
-	head := db.versions[name]
-	db.mu.Unlock()
-	if head != nil && head.DeltaLen() > 0 {
-		db.maybeCompact(name, head)
-	}
-}
-
-// installCompacted folds v's delta into a fresh base and installs it
-// if v is still the head (a concurrent batch moving the head wins).
-// The merge runs outside every lock; the install is one pointer swap.
-// The update epoch does not advance: the tuple set is unchanged, so
-// readers at this epoch stay valid, and the promoted base is
-// pointer-identical to the effective view their merged tries were
-// keyed by.
-func (db *DB) installCompacted(name string, v *delta.Version) bool {
-	c := v.Compacted()
-	db.mu.Lock()
-	ok := db.versions[name] == v
-	if ok {
-		db.versions[name] = c
-	}
-	db.mu.Unlock()
-	if ok {
-		db.compactions.Add(1)
-	}
-	return ok
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	prev := db.compactRatio
+	db.compactRatio = ratio
+	return prev
 }
 
 // Compact synchronously folds the delta logs of the named relations
 // (all registered relations when none are named) into fresh bases,
 // regardless of the size-ratio threshold. Useful before a read-heavy
 // phase and in tests and benchmarks that need deterministic state.
-// It does not touch the background sweep slots: a sweep already in
-// flight for the same head simply loses the install race.
 func (db *DB) Compact(names ...string) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	if len(names) == 0 {
 		names = db.Names()
 	}
-	compacted := false
+	heads := make(map[string]*delta.Version, len(names))
 	for _, name := range names {
 		db.mu.RLock()
-		v, ok := db.versions[name]
+		heads[name] = db.versions[name]
 		db.mu.RUnlock()
-		if !ok {
+		if heads[name] == nil {
 			return fmt.Errorf("wcoj: Compact: no relation %q", name)
 		}
-		if v.DeltaLen() == 0 {
+	}
+	return db.compactLocked(heads, true)
+}
+
+// compactLocked folds the delta of each given head — every non-empty
+// one when force is set, else those past the compaction threshold —
+// into a fresh base, installs it, and then snapshots the WAL, the
+// fold's durable twin: the log no longer needs the folded history.
+// The caller holds writeMu, so the heads are current. The update epoch
+// does not advance: the tuple set is unchanged, so readers at this
+// epoch stay valid, and each promoted base is pointer-identical to the
+// effective relation their merged tries are memoized on.
+func (db *DB) compactLocked(heads map[string]*delta.Version, force bool) error {
+	compacted := false
+	for name, v := range heads {
+		if v.DeltaLen() == 0 || !force && !v.NeedsCompaction(db.compactRatio, db.compactMinBase) {
 			continue
 		}
-		if db.installCompacted(name, v) {
-			compacted = true
-		}
+		c := v.Compacted()
+		db.mu.Lock()
+		db.versions[name] = c //wcojlint:nosync a fold changes the representation, not the tuple set, whose batches were synced when applied
+		db.mu.Unlock()
+		db.compactions.Add(1)
+		compacted = true
 	}
-	if compacted {
-		return db.walSnapshotLocked()
+	if !compacted {
+		return nil
 	}
-	return nil
+	return db.walSnapshotLocked()
 }
 
 // ApplyDeltaCSV reads a delta file (relation.ReadDeltaCSV: "+,..."
@@ -350,97 +317,55 @@ func (db *DB) ApplyDeltaFile(path, rel string, opt CSVOptions) (UpdateStats, err
 // snapshotSource is the one core.TrieSource: it serves the tries of a
 // query bound by bindSnapshot. An atom whose relation is a version's
 // effective relation (vers is keyed by that relation's identity) gets
-// the cached base trie when the version's delta is empty, otherwise a
-// merged snapshot trie — the cached base trie plus the delta log sorted
-// into the atom's order, folded by trie.Merge's linear level merge and
-// cached in the store under the effective relation's identity.
-// In-flight plans keep whatever tries they resolved (copy-on-write: a
-// merge never mutates the base trie), and after compaction the cached
-// merged tries keep serving as the new base tries, because the promoted
-// base is the same *Relation the merged tries were keyed by. An atom
-// with no version — a view term's batch-sized Δ, used for exactly one
-// batch, or any atom of a one-shot call, whose zero source has neither
-// store nor versions — builds its trie directly, uncached.
+// the base trie memoized on it when the version's delta is empty,
+// otherwise a merged snapshot trie — the base trie plus the delta log
+// sorted into the trie's column order, folded by trie.Merge's linear
+// level merge — memoized on the effective relation. In-flight plans
+// keep whatever tries they resolved (copy-on-write: a merge never
+// mutates the base trie), and after compaction the merged tries keep
+// serving as the new base tries, because the promoted base is the same
+// *Relation they are memoized on. An atom with no version — a view
+// term's batch-sized Δ, used for exactly one batch, or any atom of a
+// one-shot call, whose zero source has neither memo nor versions —
+// builds its trie directly, unmemoized.
 type snapshotSource struct {
-	store *core.TrieStore
-	vers  map[*relation.Relation]*delta.Version
+	memo *core.TrieMemo
+	vers map[*relation.Relation]*delta.Version
 }
 
 // Get implements core.TrieSource.
 func (s snapshotSource) Get(a core.Atom, atomOrder []string) (*trie.Trie, error) {
-	if ver, ok := s.vers[a.Rel]; ok {
-		return versionTrie(s.store, a, atomOrder, ver)
+	perm := core.AtomPerm(a, atomOrder)
+	ver, ok := s.vers[a.Rel]
+	if !ok {
+		return trie.BuildPerm(a.Rel, perm)
 	}
-	return core.BuildTrie(a, atomOrder)
-}
-
-// versionTrie resolves one atom's trie against its relation's version.
-func versionTrie(store *core.TrieStore, a core.Atom, atomOrder []string, ver *delta.Version) (*trie.Trie, error) {
-	if ver.DeltaLen() == 0 {
-		return store.Get(a, atomOrder)
-	}
-	// a.Rel is the snapshot's effective relation (atoms are rebound
-	// before planning), so the store key is stable per (version,
-	// binding, order): later executions and sibling plans hit here.
-	if tr, ok := store.Lookup(a, atomOrder); ok {
-		return tr, nil
-	}
-	// Native-order binding: the snapshot refresh already materialized
-	// Effective() (one linear merge) to rebind the atom, and that
-	// relation is sorted in exactly this order — build the trie over
-	// its storage directly instead of re-running the identical merge
-	// through trie.Merge.
-	if sameOrder(atomOrder, a.Vars) {
-		tr, err := core.BuildTrie(a, atomOrder)
+	// a.Rel is the version's effective relation (atoms are rebound
+	// before planning), so later executions and sibling plans of this
+	// version hit here.
+	return s.memo.Memo(a.Rel, perm, func() (*trie.Trie, error) {
+		// With no delta a.Rel is the base. In native column order
+		// Effective() is already sorted this way, so the trie shares its
+		// storage instead of re-running the identical merge.
+		native := true
+		for i, j := range perm {
+			native = native && i == j
+		}
+		if native || ver.DeltaLen() == 0 {
+			return trie.BuildPerm(a.Rel, perm)
+		}
+		bt, err := s.memo.Memo(ver.Base, perm, func() (*trie.Trie, error) { return trie.BuildPerm(ver.Base, perm) })
 		if err != nil {
 			return nil, err
 		}
-		return store.Add(a, atomOrder, tr), nil
-	}
-	baseAtom := a
-	baseAtom.Rel = ver.Base
-	bt, err := store.Get(baseAtom, atomOrder)
-	if err != nil {
-		return nil, err
-	}
-	add, err := renameSort(ver.Add, a, atomOrder)
-	if err != nil {
-		return nil, err
-	}
-	del, err := renameSort(ver.Del, a, atomOrder)
-	if err != nil {
-		return nil, err
-	}
-	merged, err := trie.Merge(bt, add, del)
-	if err != nil {
-		return nil, err
-	}
-	return store.Add(a, atomOrder, merged), nil
-}
-
-// renameSort renames a delta relation to the atom's variables and
-// sorts it under the atom's trie order — O(D log D) on the delta,
-// never on the base.
-func renameSort(r *relation.Relation, a core.Atom, atomOrder []string) (*relation.Relation, error) {
-	rn, err := r.Rename(a.Name, a.Vars...)
-	if err != nil {
-		return nil, err
-	}
-	if sameOrder(atomOrder, rn.Attrs()) {
-		return rn, nil
-	}
-	return rn.SortedBy(atomOrder)
-}
-
-// sameOrder reports whether two attribute lists are elementwise equal.
-func sameOrder(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+		add, err := ver.Add.Permuted(perm) // O(D log D) on the delta, never on the base
+		if err != nil {
+			return nil, err
 		}
-	}
-	return true
+		del, err := ver.Del.Permuted(perm)
+		if err != nil {
+			return nil, err
+		}
+		return trie.Merge(bt, add, del)
+	})
 }

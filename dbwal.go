@@ -362,11 +362,3 @@ func (db *DB) walSnapshotLocked() error {
 	}
 	return nil
 }
-
-// walSnapshot is walSnapshotLocked for callers that do not hold
-// writeMu (the background compaction sweep).
-func (db *DB) walSnapshot() error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	return db.walSnapshotLocked()
-}

@@ -34,7 +34,7 @@ func triangleQ(t testing.TB, seed int64, n, dom int) *core.Query {
 // genericJoin materializes q by the serial Generic-Join search — what
 // the baselines are checked against.
 func genericJoin(q *core.Query) (*relation.Relation, error) {
-	p, err := core.BuildPlanSrc(core.NewTrieStore(0), q, nil)
+	p, err := core.BuildPlanSrc(new(core.TrieMemo), q, nil)
 	if err != nil {
 		return nil, err
 	}

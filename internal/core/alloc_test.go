@@ -27,7 +27,7 @@ func TestSearchAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := BuildPlanSrc(NewTrieStore(0), q, nil)
+		p, err := BuildPlanSrc(new(TrieMemo), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,7 +76,7 @@ func orderOf(order []string) OrderPolicy {
 
 // gj is the tests' way into the plan-level search: it plans q over src
 // under order and materializes the serial search's result under lv.
-// Tests that are not about the store pass a throwaway one.
+// Tests that are not about the memo pass a fresh one.
 func gj(src TrieSource, q *Query, order []string, lv LevelStrategy) (*relation.Relation, *Stats, error) {
 	p, err := BuildPlanSrc(src, q, orderOf(order))
 	if err != nil {
@@ -140,7 +140,7 @@ func TestGenericJoinTriangleSmall(t *testing.T) {
 	q := triangleQuery(t, r, s, tt)
 	want := naiveJoin(t, q)
 	for _, st := range strategies {
-		got, stats, err := gj(NewTrieStore(0), q, nil, st.lv)
+		got, stats, err := gj(new(TrieMemo), q, nil, st.lv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestGenericJoinTriangleSmall(t *testing.T) {
 			t.Fatalf("%s: stats.Output = %d", st.name, stats.Output)
 		}
 		// Count-only agrees.
-		p, err := BuildPlanSrc(NewTrieStore(0), q, nil)
+		p, err := BuildPlanSrc(new(TrieMemo), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +174,7 @@ func TestGenericJoinExplicitOrder(t *testing.T) {
 		for _, order := range [][]string{
 			{"A", "B", "C"}, {"C", "B", "A"}, {"B", "A", "C"},
 		} {
-			got, _, err := gj(NewTrieStore(0), q, order, st.lv)
+			got, _, err := gj(new(TrieMemo), q, order, st.lv)
 			if err != nil {
 				t.Fatalf("%s order %v: %v", st.name, order, err)
 			}
@@ -182,10 +182,10 @@ func TestGenericJoinExplicitOrder(t *testing.T) {
 				t.Fatalf("%s order %v: len = %d, want 1", st.name, order, got.Len())
 			}
 		}
-		if _, _, err := gj(NewTrieStore(0), q, []string{"A", "B"}, st.lv); err == nil {
+		if _, _, err := gj(new(TrieMemo), q, []string{"A", "B"}, st.lv); err == nil {
 			t.Fatalf("%s: short order must fail", st.name)
 		}
-		if _, _, err := gj(NewTrieStore(0), q, []string{"A", "A", "B"}, st.lv); err == nil {
+		if _, _, err := gj(new(TrieMemo), q, []string{"A", "A", "B"}, st.lv); err == nil {
 			t.Fatalf("%s: repeating order must fail", st.name)
 		}
 	}
@@ -197,7 +197,7 @@ func TestGenericJoinEmptyRelation(t *testing.T) {
 	tt := rel(t, "T", []string{"A", "C"}, []relation.Value{1, 3})
 	q := triangleQuery(t, r, s, tt)
 	for _, st := range strategies {
-		got, _, err := gj(NewTrieStore(0), q, nil, st.lv)
+		got, _, err := gj(new(TrieMemo), q, nil, st.lv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestGenericJoinSingleAtom(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range strategies {
-		got, _, err := gj(NewTrieStore(0), q, nil, st.lv)
+		got, _, err := gj(new(TrieMemo), q, nil, st.lv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestGenericJoinRenamedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := gj(NewTrieStore(0), q, nil, MaterializeLevel)
+	got, _, err := gj(new(TrieMemo), q, nil, MaterializeLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestTriangleHeavyLightMatchesGenericJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := gj(NewTrieStore(0), triangleQuery(t, r, s, tt), []string{"A", "B", "C"}, MaterializeLevel)
+	want, _, err := gj(new(TrieMemo), triangleQuery(t, r, s, tt), []string{"A", "B", "C"}, MaterializeLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestPropertyGenericJoinTriangle(t *testing.T) {
 		}
 		want := naiveJoin(t, q)
 		for _, ord := range orders {
-			got, _, err := gj(NewTrieStore(0), q, ord, MaterializeLevel)
+			got, _, err := gj(new(TrieMemo), q, ord, MaterializeLevel)
 			if err != nil {
 				return false
 			}
@@ -377,7 +377,7 @@ func TestPropertyGenericJoinFourVars(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, _, err := gj(NewTrieStore(0), q, nil, MaterializeLevel)
+		got, _, err := gj(new(TrieMemo), q, nil, MaterializeLevel)
 		if err != nil {
 			return false
 		}
@@ -419,7 +419,7 @@ func TestPropertyFourCycleOrders(t *testing.T) {
 			} {
 				// The builder uses q.Vars whatever the order, so schemas
 				// match.
-				got, _, err := gj(NewTrieStore(0), q, ord, st.lv)
+				got, _, err := gj(new(TrieMemo), q, ord, st.lv)
 				if err != nil || !got.Equal(want) {
 					return false
 				}
@@ -439,7 +439,7 @@ func backtrack(q *Query, dc constraints.Set, lv LevelStrategy) (*relation.Relati
 	if err != nil {
 		return nil, nil, err
 	}
-	return gj(NewTrieStore(0), q, order, lv)
+	return gj(new(TrieMemo), q, order, lv)
 }
 
 func TestBacktrackingSearchTriangle(t *testing.T) {
@@ -676,7 +676,7 @@ func capWorkloads(t *testing.T) map[string]*Query {
 func TestCappedCount(t *testing.T) {
 	ctx := context.Background()
 	for name, q := range capWorkloads(t) {
-		p, cls, err := AggPlanSrc(NewTrieStore(0), q, nil, agg.Spec{Mode: agg.ModeCount})
+		p, cls, err := AggPlanSrc(new(TrieMemo), q, nil, agg.Spec{Mode: agg.ModeCount})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,12 +49,12 @@ func TestShardedCallerAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewTrieStore(0)
-	p, err := BuildPlanSrc(store, q, nil)
+	memo := new(TrieMemo)
+	p, err := BuildPlanSrc(memo, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, ecls, err := AggPlanSrc(store, q, nil, agg.Spec{Mode: agg.ModeExists})
+	ep, ecls, err := AggPlanSrc(memo, q, nil, agg.Spec{Mode: agg.ModeExists})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestMixedWidthQuery(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	store := core.NewTrieStore(0)
+	memo := new(core.TrieMemo)
 	// enumerate materializes the search of q under pol; a nil project
 	// enumerates full tuples.
 	enumerate := func(pol core.OrderPolicy, lv core.LevelStrategy, workers int, project []string) (*relation.Relation, error) {
@@ -82,10 +82,10 @@ func TestMixedWidthQuery(t *testing.T) {
 		var cls *agg.Classification
 		var err error
 		if project == nil {
-			p, err = core.BuildPlanSrc(store, q, pol)
+			p, err = core.BuildPlanSrc(memo, q, pol)
 		} else {
 			attrs = project
-			p, cls, err = core.AggPlanSrc(store, q, pol, agg.Spec{Mode: agg.ModeEnumerate, Project: project})
+			p, cls, err = core.AggPlanSrc(memo, q, pol, agg.Spec{Mode: agg.ModeEnumerate, Project: project})
 		}
 		if err != nil {
 			return nil, err
@@ -113,7 +113,7 @@ func TestMixedWidthQuery(t *testing.T) {
 					mode agg.Mode
 					want int64
 				}{{agg.ModeCount, int64(want.Len())}, {agg.ModeExists, 1}} {
-					ap, cls, err := core.AggPlanSrc(store, q, pol, agg.Spec{Mode: c.mode})
+					ap, cls, err := core.AggPlanSrc(memo, q, pol, agg.Spec{Mode: c.mode})
 					if err != nil {
 						t.Fatal(err)
 					}

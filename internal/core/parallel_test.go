@@ -209,13 +209,13 @@ func BenchmarkShardedRunner(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	store := NewTrieStore(0)
-	p, err := BuildPlanSrc(store, q, nil)
+	memo := new(TrieMemo)
+	p, err := BuildPlanSrc(memo, q, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	aggRun := func(mode agg.Mode) func(b *testing.B) {
-		ap, cls, err := AggPlanSrc(store, q, nil, agg.Spec{Mode: mode})
+		ap, cls, err := AggPlanSrc(memo, q, nil, agg.Spec{Mode: mode})
 		if err != nil {
 			b.Fatal(err)
 		}

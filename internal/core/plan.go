@@ -63,10 +63,10 @@ type Plan struct {
 }
 
 // TrieSource serves the per-atom tries of plan construction.
-// *TrieStore is one (build-on-miss, cached); package wcoj's snapshot
-// source resolves an atom against its relation's current version —
-// serving the cached base trie when the delta is empty and a
-// level-merged (base ⊎ delta) trie otherwise, and building atoms that
+// *TrieMemo is one (tries memoized on relation storage); package wcoj's
+// snapshot source resolves an atom against its relation's current
+// version — serving the memoized base trie when the delta is empty and
+// a level-merged (base ⊎ delta) trie otherwise, and building atoms that
 // have no version directly — so the same plan builder works for
 // one-shot, static and mutable relations.
 type TrieSource interface {
@@ -75,11 +75,11 @@ type TrieSource interface {
 
 // BuildPlanSrc validates the query, asks the policy for the variable
 // order (nil selects the degree-order heuristic) and builds the
-// per-atom tries. Tries come from the given source — the caller owns
-// the indexes: a long-lived DB passes a source backed by its store, so
-// repeated queries over the same relations reuse built tries keyed by
-// (relation, variable binding, trie order); a one-shot call passes a
-// source that builds and discards.
+// per-atom tries. Tries come from the given source: a long-lived DB
+// passes one that memoizes them on relation storage, so repeated
+// queries over the same relations reuse built tries keyed by
+// (relation, column permutation); a one-shot call passes a source that
+// builds and discards.
 func BuildPlanSrc(store TrieSource, q *Query, policy OrderPolicy) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -102,17 +102,7 @@ func BuildPlanSrc(store TrieSource, q *Query, policy OrderPolicy) (*Plan, error)
 		LevelOf: make([][]int, len(q.Atoms)),
 	}
 	for i, a := range q.Atoms {
-		// The atom's trie order is the global order restricted to the
-		// atom's variables.
-		var atomOrder []string
-		for _, v := range order {
-			for _, av := range a.Vars {
-				if av == v {
-					atomOrder = append(atomOrder, v)
-					break
-				}
-			}
-		}
+		atomOrder := atomOrderOf(order, a.Vars)
 		tr, err := store.Get(a, atomOrder)
 		if err != nil {
 			return nil, fmt.Errorf("core: atom %s: %w", a.Name, err)
@@ -166,7 +156,7 @@ func BuildPlanSrc(store TrieSource, q *Query, policy OrderPolicy) (*Plan, error)
 // entirely). Everything planning paid for — order resolution,
 // including any cost-based LP solves, plus the level/participant
 // tables — is carried over; only the per-atom tries are fetched from
-// the source, which serves cached tries for unchanged relations and
+// the source, which serves memoized tries for unchanged relations and
 // level-merged (base ⊎ delta) tries for updated ones. This is what
 // lets a PreparedQuery survive updates: the plan skeleton is
 // re-versioned, never re-planned.
@@ -178,8 +168,10 @@ func RefreshPlan(p *Plan, q *Query, src TrieSource) (*Plan, error) {
 	np.Q = q
 	np.Tries = make([]*trie.Trie, len(p.Tries))
 	for i, a := range q.Atoms {
-		// The atom's trie order is recorded in the old trie itself.
-		tr, err := src.Get(a, p.Tries[i].Attrs())
+		// The atom's trie order comes from the plan's order and the
+		// atom's variables, never from the old trie: a shared trie
+		// carries the column names of its storage, not this atom's.
+		tr, err := src.Get(a, atomOrderOf(p.Order, a.Vars))
 		if err != nil {
 			return nil, fmt.Errorf("core: refresh atom %s: %w", a.Name, err)
 		}

@@ -35,7 +35,7 @@ func planTestQuery(t testing.TB) *Query {
 // offending variable.
 func TestBuildPlanOrderErrors(t *testing.T) {
 	q := planTestQuery(t)
-	store := NewTrieStore(0)
+	memo := new(TrieMemo)
 	cases := []struct {
 		name  string
 		order []string
@@ -51,7 +51,7 @@ func TestBuildPlanOrderErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := BuildPlanSrc(store, q, orderOf(tc.order))
+			_, err := BuildPlanSrc(memo, q, orderOf(tc.order))
 			if err == nil {
 				t.Fatalf("BuildPlanSrc(%v) succeeded, want error containing %q", tc.order, tc.want)
 			}
@@ -62,7 +62,7 @@ func TestBuildPlanOrderErrors(t *testing.T) {
 	}
 	// Valid permutations still plan.
 	for _, order := range [][]string{{"A", "B", "C"}, {"C", "B", "A"}, nil} {
-		if _, err := BuildPlanSrc(store, q, orderOf(order)); err != nil {
+		if _, err := BuildPlanSrc(memo, q, orderOf(order)); err != nil {
 			t.Fatalf("BuildPlanSrc(%v): %v", order, err)
 		}
 	}
@@ -73,45 +73,46 @@ func TestBuildPlanOrderErrors(t *testing.T) {
 // its error, and a policy returning a bad order is caught.
 func TestBuildPlanWithPolicy(t *testing.T) {
 	q := planTestQuery(t)
-	store := NewTrieStore(0)
-	p, err := BuildPlanSrc(store, q, ExplicitOrder([]string{"B", "A", "C"}))
+	memo := new(TrieMemo)
+	p, err := BuildPlanSrc(memo, q, ExplicitOrder([]string{"B", "A", "C"}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Join(p.Order, ",") != "B,A,C" {
 		t.Fatalf("explicit policy order %v", p.Order)
 	}
-	if p, err = BuildPlanSrc(store, q, nil); err != nil || len(p.Order) != 3 {
+	if p, err = BuildPlanSrc(memo, q, nil); err != nil || len(p.Order) != 3 {
 		t.Fatalf("nil policy should fall back to the heuristic: %v %v", p, err)
 	}
-	if _, err = BuildPlanSrc(store, q, OrderFunc(func(*Query) ([]string, error) {
+	if _, err = BuildPlanSrc(memo, q, OrderFunc(func(*Query) ([]string, error) {
 		return []string{"A", "A", "A"}, nil
 	})); err == nil || !strings.Contains(err.Error(), `repeats variable "A"`) {
 		t.Fatalf("bad policy order not caught: %v", err)
 	}
 }
 
-// TestTrieCache asserts repeated plans over one store hit it and that
-// concurrent plan construction is race-free and shares tries.
+// TestTrieCache asserts repeated plans over one memo hit it, counted
+// per atom, and that a new global order builds only the tries whose
+// column order it changes.
 func TestTrieCache(t *testing.T) {
-	store := NewTrieStore(DefaultTrieCacheLimit)
+	memo := new(TrieMemo)
 	q := planTestQuery(t)
-	p1, err := BuildPlanSrc(store, q, ExplicitOrder([]string{"B", "A", "C"}))
+	counts := func(wantHits, wantBuilds uint64) {
+		t.Helper()
+		if hits, builds := memo.Stats(); hits != wantHits || builds != wantBuilds {
+			t.Fatalf("hits=%d builds=%d, want %d/%d", hits, builds, wantHits, wantBuilds)
+		}
+	}
+	p1, err := BuildPlanSrc(memo, q, ExplicitOrder([]string{"B", "A", "C"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, size := store.Stats()
-	if hits != 0 || misses != 2 || size != 2 {
-		t.Fatalf("cold build: hits=%d misses=%d size=%d, want 0/2/2", hits, misses, size)
-	}
-	p2, err := BuildPlanSrc(store, q, ExplicitOrder([]string{"B", "A", "C"}))
+	counts(0, 2)
+	p2, err := BuildPlanSrc(memo, q, ExplicitOrder([]string{"B", "A", "C"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, _ = store.Stats()
-	if hits != 2 || misses != 2 {
-		t.Fatalf("warm build: hits=%d misses=%d, want 2/2", hits, misses)
-	}
+	counts(2, 2)
 	for i := range p1.Tries {
 		if p1.Tries[i] != p2.Tries[i] {
 			t.Fatalf("atom %d trie rebuilt instead of shared", i)
@@ -119,24 +120,26 @@ func TestTrieCache(t *testing.T) {
 	}
 	// A different global order needs a new trie only for S ([C,B]); R's
 	// restriction is [B,A] under both global orders and is reused.
-	if _, err := BuildPlanSrc(store, q, ExplicitOrder([]string{"C", "B", "A"})); err != nil {
+	if _, err := BuildPlanSrc(memo, q, ExplicitOrder([]string{"C", "B", "A"})); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, size = store.Stats()
-	if hits != 3 || misses != 3 || size != 3 {
-		t.Fatalf("after second order: hits=%d misses=%d size=%d, want 3/3/3", hits, misses, size)
-	}
+	counts(3, 3)
+}
 
-	// Concurrent cold builds agree on one trie per atom (run with
-	// -race to check the locking).
-	store = NewTrieStore(DefaultTrieCacheLimit)
+// TestTrieMemoConcurrentBuild: concurrent first builders of one
+// relation's trie serialize on the relation, so exactly one builds and
+// every plan ends up sharing its trie (run with -race to check the
+// publication).
+func TestTrieMemoConcurrentBuild(t *testing.T) {
+	memo := new(TrieMemo)
+	q := planTestQuery(t)
 	var wg sync.WaitGroup
 	plans := make([]*Plan, 8)
 	for i := range plans {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := BuildPlanSrc(store, q, ExplicitOrder([]string{"A", "B", "C"}))
+			p, err := BuildPlanSrc(memo, q, ExplicitOrder([]string{"B", "A", "C"}))
 			if err != nil {
 				t.Error(err)
 				return
@@ -145,7 +148,58 @@ func TestTrieCache(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if _, _, size = store.Stats(); size != 2 {
-		t.Fatalf("concurrent builds left %d cached tries, want 2", size)
+	if t.Failed() {
+		return
+	}
+	for _, p := range plans[1:] {
+		for a := range p.Tries {
+			if p.Tries[a] != plans[0].Tries[a] {
+				t.Fatalf("atom %d: concurrent plans hold different tries", a)
+			}
+		}
+	}
+	if hits, builds := memo.Stats(); builds != 2 || hits != 14 {
+		t.Fatalf("hits=%d builds=%d, want 14/2", hits, builds)
+	}
+}
+
+// TestTrieMemoRefreshPlan: a plan whose tries were first built by an
+// alpha-renamed query — so they carry the relation's column names, not
+// this query's variables — re-versions onto new relations, taking each
+// atom's trie order from the plan's order and the atom's variables.
+func TestTrieMemoRefreshPlan(t *testing.T) {
+	memo := new(TrieMemo)
+	q := planTestQuery(t)
+	renamed, err := NewQuery([]string{"U", "V", "W"}, []Atom{
+		{Name: "R", Vars: []string{"U", "V"}, Rel: q.Atoms[0].Rel},
+		{Name: "S", Vars: []string{"V", "W"}, Rel: q.Atoms[1].Rel},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildPlanSrc(memo, renamed, ExplicitOrder([]string{"V", "U", "W"})); err != nil {
+		t.Fatal(err)
+	}
+	order := ExplicitOrder([]string{"B", "A", "C"})
+	p, err := BuildPlanSrc(memo, q, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, builds := memo.Stats(); hits != 2 || builds != 2 {
+		t.Fatalf("alpha-renamed plan: hits=%d builds=%d, want 2/2", hits, builds)
+	}
+	next := planTestQuery(t) // same shape, fresh relations
+	np, err := RefreshPlan(p, next, memo)
+	if err != nil {
+		t.Fatalf("refresh over shared tries: %v", err)
+	}
+	fresh, err := BuildPlanSrc(memo, next, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range np.Tries {
+		if np.Tries[i] != fresh.Tries[i] || np.Tries[i] == p.Tries[i] {
+			t.Fatalf("atom %d: refreshed trie is not the new relation's", i)
+		}
 	}
 }

@@ -133,7 +133,7 @@ func TestBeamSearchWideQuery(t *testing.T) {
 	// The chosen order must execute: count with it and with the
 	// heuristic and compare.
 	count := func(pol core.OrderPolicy) int {
-		p, err := core.BuildPlanSrc(core.NewTrieStore(0), q, pol)
+		p, err := core.BuildPlanSrc(new(core.TrieMemo), q, pol)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Relation is an immutable, lexicographically sorted, duplicate-free
@@ -17,6 +18,11 @@ type Relation struct {
 
 	degMu sync.Mutex
 	degs  map[degKey]int // memoized Degree results
+
+	// ixs holds the memoized per-permutation indexes (see Index); the
+	// slice is copy-on-write, replaced whole under ixMu.
+	ixMu sync.Mutex
+	ixs  atomic.Pointer[[]indexEntry]
 }
 
 // New builds a relation from row tuples. The input is copied, sorted in
@@ -235,21 +241,38 @@ func FromColumns(name string, attrs []string, cols [][]Value) *Relation {
 // SortedBy returns a relation with the same tuples re-sorted under a
 // new attribute order. order must be a permutation of the schema.
 func (r *Relation) SortedBy(order []string) (*Relation, error) {
-	if len(order) != len(r.attrs) {
-		return nil, fmt.Errorf("relation: %s: order has %d attrs, want %d", r.name, len(order), len(r.attrs))
-	}
 	perm := make([]int, len(order))
-	seen := make(map[string]bool, len(order))
 	for i, a := range order {
-		j := r.AttrIndex(a)
-		if j < 0 || seen[a] {
-			return nil, fmt.Errorf("relation: %s: order %v is not a permutation of %v", r.name, order, r.attrs)
+		perm[i] = r.AttrIndex(a)
+	}
+	return r.Permuted(perm)
+}
+
+// Permuted returns a relation whose column i is r's column perm[i],
+// re-sorted in that column order; attribute names travel with their
+// columns. perm must be a permutation of 0..arity-1. The identity
+// permutation returns r itself.
+func (r *Relation) Permuted(perm []int) (*Relation, error) {
+	k := len(r.attrs)
+	seen := make([]bool, k)
+	order := make([]string, k)
+	ok, identity := len(perm) == k, true
+	for i, j := range perm {
+		if ok = ok && j >= 0 && j < k && !seen[j]; !ok {
+			break
 		}
-		seen[a] = true
-		perm[i] = j
+		seen[j] = true
+		order[i] = r.attrs[j]
+		identity = identity && i == j
+	}
+	if !ok {
+		return nil, fmt.Errorf("relation: %s: column order %v is not a permutation of %v", r.name, perm, r.attrs)
+	}
+	if identity {
+		return r, nil
 	}
 	b := NewBuilder(r.name, order...)
-	row := make(Tuple, len(order))
+	row := make(Tuple, k)
 	for i := 0; i < r.n; i++ {
 		for x, j := range perm {
 			row[x] = r.cols[j][i]

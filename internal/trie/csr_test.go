@@ -375,7 +375,7 @@ func TestNarrowing(t *testing.T) {
 
 // TestSizeBytesAccountsIndex: SizeBytes covers the raw columns plus
 // every owned index array (offsets, segment-key slabs, narrowed
-// copies) — the contract the TrieStore budget relies on.
+// copies) — the footprint a memoized trie pins.
 func TestSizeBytesAccountsIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := randomRelation(t, rng, "R", []string{"A", "B", "C"}, 500, 12)

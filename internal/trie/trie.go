@@ -24,6 +24,7 @@ package trie
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"wcoj/internal/relation"
 )
@@ -65,23 +66,29 @@ type Trie struct {
 // otherwise the relation is re-sorted. order must be a permutation of
 // r's schema.
 func Build(r *relation.Relation, order []string) (*Trie, error) {
-	native := r.Attrs()
-	same := len(order) == len(native)
-	if same {
-		for i := range order {
-			if order[i] != native[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if !same {
+	if !slices.Equal(order, r.Attrs()) {
 		var err error
-		r, err = r.SortedBy(order)
-		if err != nil {
+		if r, err = r.SortedBy(order); err != nil {
 			return nil, fmt.Errorf("trie: %w", err)
 		}
 	}
+	return over(r)
+}
+
+// BuildPerm returns a trie over r's own columns taken in the order
+// perm: level d reads column perm[d], under that column's name. The
+// identity permutation shares r's storage; any other re-sorts a copy.
+func BuildPerm(r *relation.Relation, perm []int) (*Trie, error) {
+	sorted, err := r.Permuted(perm)
+	if err != nil {
+		return nil, fmt.Errorf("trie: %w", err)
+	}
+	return over(sorted)
+}
+
+// over builds the CSR index over a relation already sorted in the
+// trie's level order, sharing its storage.
+func over(r *relation.Relation) (*Trie, error) {
 	cols := make([][]relation.Value, r.Arity())
 	for j := range cols {
 		cols[j] = r.Col(j)
@@ -257,8 +264,8 @@ func (t *Trie) Narrowed() bool { return t.keys32 != nil }
 
 // SizeBytes estimates the heap footprint the trie pins: the columnar
 // storage (tuples x arity x 8-byte values — charged in full even when
-// Build shared the relation's native storage, since the cache that
-// budgets by SizeBytes pins it either way) plus the owned CSR index
+// Build shared the relation's native storage, since a memoized trie
+// pins it either way) plus the owned CSR index
 // arenas (offset arrays and dense, possibly uint32-narrowed, key
 // slabs).
 func (t *Trie) SizeBytes() int64 {

@@ -4,7 +4,7 @@ package wcoj
 // must (a) pick an order that beats the worst enumerated order by a
 // wide margin on the skewed star fixture, and (b) produce
 // byte-identical output to the heuristic engine on every fixture,
-// serial and parallel. Run with -race: planning shares the trie cache
+// serial and parallel. Run with -race: planning shares memoized tries
 // across goroutines.
 
 import (

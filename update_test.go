@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"wcoj/internal/dataset"
 )
@@ -508,6 +507,8 @@ func TestCompaction(t *testing.T) {
 	}
 }
 
+// TestBackgroundCompaction: Apply compacts a relation whose delta
+// crossed the threshold before it returns.
 func TestBackgroundCompaction(t *testing.T) {
 	db := NewDB()
 	if err := db.Register(dataset.RandomGraph(50, 400, 17)); err != nil {
@@ -519,16 +520,9 @@ func TestBackgroundCompaction(t *testing.T) {
 	if _, err := db.Insert("E", Tuple{900, 901}, Tuple{901, 902}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := db.Stats()
-		if st.Compactions > 0 && st.DeltaTuples == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background compaction did not run: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
+	// Apply compacts inline: the fold is installed before it returns.
+	if st := db.Stats(); st.Compactions != 1 || st.DeltaTuples != 0 {
+		t.Fatalf("Apply returned without compacting: %+v", st)
 	}
 	if r, _ := db.Relation("E"); !r.Contains(Tuple{900, 901}) {
 		t.Fatal("compaction lost an inserted tuple")
