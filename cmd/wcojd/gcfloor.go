@@ -1,12 +1,22 @@
 package main
 
+// wcojd's two runtime settings, each the operator's to switch off by
+// setting the runtime's own environment variable.
+//
 // GC pacing. The DB's tries live on its relations, so the live heap is
 // little more than the data — a few MiB for a small dataset — and the
 // runtime's default goal of twice that collects tens of times a
 // second, which writer latency tails pay for. wcojd keeps the heap
 // goal at max(2×live, gcFloorBytes) instead: after every cycle it sets
 // the GC percent from the live heap that cycle marked. A GOGC in the
-// environment is the operator's choice and disables the floor.
+// environment disables the floor.
+//
+// A spare P. Go polls the network when a P runs out of goroutines, or
+// from sysmon at most every 10 ms, so while a sharded query holds
+// every P a write request is not even read until the query ends.
+// wcojd runs GOMAXPROCS = NumCPU+1 while the searches' core budget
+// stays NumCPU (core.Cores), so one P never runs a search and its M
+// waits in the poller. A GOMAXPROCS in the environment disables it.
 
 import (
 	"os"
@@ -14,6 +24,16 @@ import (
 	"runtime/debug"
 	"runtime/metrics"
 )
+
+// startSpareP sets GOMAXPROCS to one more than the CPU count unless
+// GOMAXPROCS is set, and reports whether it did.
+func startSpareP() bool {
+	if _, ok := os.LookupEnv("GOMAXPROCS"); ok {
+		return false
+	}
+	runtime.GOMAXPROCS(runtime.NumCPU() + 1)
+	return true
+}
 
 // gcFloorBytes is the smallest heap goal wcojd lets the runtime aim
 // for. A larger floor buys fewer cycles with resident memory on

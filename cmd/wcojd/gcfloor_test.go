@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wcoj/internal/core"
 )
 
 // TestGCFloorPercent pins the pacing rule: the goal is twice the live
@@ -73,24 +75,55 @@ func TestGCFloorEnv(t *testing.T) {
 	}
 }
 
-// TestGCFloorMetrics: /metrics shows the pacing decision — cycles run
-// and the current heap goal.
+// TestSparePEnv: a GOMAXPROCS in the environment is left alone;
+// without one wcojd runs one P more than it has CPUs, and the core
+// budget of searches stays at the CPU count, so that P never runs one.
+func TestSparePEnv(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	cpus := runtime.NumCPU()
+	runtime.GOMAXPROCS(1)
+	t.Setenv("GOMAXPROCS", "1")
+	if startSpareP() || runtime.GOMAXPROCS(0) != 1 {
+		t.Fatalf("GOMAXPROCS set: startSpareP changed it to %d", runtime.GOMAXPROCS(0))
+	}
+	os.Unsetenv("GOMAXPROCS") // t.Setenv restores it
+	if !startSpareP() {
+		t.Fatal("no spare P without GOMAXPROCS")
+	}
+	if p := runtime.GOMAXPROCS(0); p != cpus+1 {
+		t.Fatalf("GOMAXPROCS %d, want %d CPUs + 1", p, cpus)
+	}
+	if c := core.Cores(); c != cpus {
+		t.Fatalf("core budget %d with a spare P, want the %d CPUs", c, cpus)
+	}
+}
+
+// TestGCFloorMetrics: /metrics shows the runtime settings — GC cycles
+// run, the current heap goal, the Ps and the core budget.
 func TestGCFloorMetrics(t *testing.T) {
 	_, ts := newTestServer(t, testDB(t), testConfig())
 	runtime.GC()
 	_, body := get(t, ts.URL+"/metrics")
-	for _, name := range []string{"wcojd_gc_cycles_total", "wcojd_gc_heap_goal_bytes"} {
-		if !strings.Contains(body, "# TYPE "+name+" ") {
-			t.Errorf("metrics missing the TYPE line of %s", name)
+	for _, m := range []struct {
+		name string
+		min  float64
+	}{
+		{"wcojd_gc_cycles_total", 1}, {"wcojd_gc_heap_goal_bytes", 1},
+		{"wcojd_gomaxprocs", 1}, {"wcojd_core_slots", 1},
+		{"wcojd_core_slots_busy", 0}, {"wcojd_shard_yields_total", 0},
+	} {
+		if !strings.Contains(body, "# TYPE "+m.name+" ") {
+			t.Errorf("metrics missing the TYPE line of %s", m.name)
 		}
 		v := -1.0
 		for _, line := range strings.Split(body, "\n") {
-			if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			if rest, ok := strings.CutPrefix(line, m.name+" "); ok {
 				v, _ = strconv.ParseFloat(rest, 64)
 			}
 		}
-		if v < 1 {
-			t.Errorf("%s = %v, want >= 1", name, v)
+		if v < m.min {
+			t.Errorf("%s = %v, want >= %v", m.name, v, m.min)
 		}
 	}
 }

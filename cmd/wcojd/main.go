@@ -114,6 +114,7 @@ func main() {
 	flag.Int64Var(&c.maxBody, "max-body", 1<<20, "serve mode: request body byte cap (overflow answers 413)")
 	flag.Parse()
 	startGCFloor()
+	startSpareP()
 	if err := run(c); err != nil {
 		fmt.Fprintln(os.Stderr, "wcojd:", err)
 		os.Exit(1)

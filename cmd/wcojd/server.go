@@ -23,8 +23,9 @@ package main
 //
 // Observability. /metrics exposes Prometheus text: request and
 // rejection counters, in-flight and latency aggregates, and the
-// engine's own DBStats (epoch, tuples, plan cache, trie memo), and the
-// GC pacing the heap-goal floor decides (gcfloor.go).
+// engine's own DBStats (epoch, tuples, plan cache, trie memo), the
+// GC pacing the heap-goal floor decides and the core budget the spare
+// P sits beside (gcfloor.go).
 
 import (
 	"context"
@@ -34,6 +35,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"runtime/metrics"
 	"sort"
 	"sync"
@@ -42,6 +44,7 @@ import (
 	"time"
 
 	"wcoj"
+	"wcoj/internal/core"
 )
 
 // server is the HTTP serving state around one DB.
@@ -302,6 +305,18 @@ func (s *server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	f("# HELP wcojd_gc_heap_goal_bytes Heap size the current GC cycle aims to finish under (see gcfloor.go).\n")
 	f("# TYPE wcojd_gc_heap_goal_bytes gauge\n")
 	f("wcojd_gc_heap_goal_bytes %d\n", gc[1].Value.Uint64())
+	f("# HELP wcojd_gomaxprocs Ps the runtime schedules on: one more than the CPUs unless GOMAXPROCS is set (see gcfloor.go).\n")
+	f("# TYPE wcojd_gomaxprocs gauge\n")
+	f("wcojd_gomaxprocs %d\n", runtime.GOMAXPROCS(0))
+	f("# HELP wcojd_core_slots Slots of the process-wide core budget of searches and the writer, min(GOMAXPROCS, CPUs).\n")
+	f("# TYPE wcojd_core_slots gauge\n")
+	f("wcojd_core_slots %d\n", core.Cores())
+	f("# HELP wcojd_core_slots_busy Budget slots held by searches and the writer; above wcojd_core_slots, workers yield.\n")
+	f("# TYPE wcojd_core_slots_busy gauge\n")
+	f("wcojd_core_slots_busy %d\n", core.CoresBusy())
+	f("# HELP wcojd_shard_yields_total Sharded-search workers that gave their slot back to an oversubscribed budget.\n")
+	f("# TYPE wcojd_shard_yields_total counter\n")
+	f("wcojd_shard_yields_total %d\n", core.ShardYields())
 
 	db := s.db.Load()
 	ready := 0

@@ -108,7 +108,9 @@ type MaterializeOptions struct {
 	// one shared heuristic order, not a constraint order.
 	Algorithm Algorithm
 	// Parallelism bounds the worker goroutines of each term evaluation
-	// (0 means GOMAXPROCS, as in Options.Parallelism).
+	// (0 means the core budget, as in Options.Parallelism). Terms run
+	// on the writer's budget slot, so a p=2 view gets one more worker
+	// when one slot is free.
 	Parallelism int
 	// Project, when non-nil, projects the maintained result onto these
 	// variables (same contract as Options.Project). Rejected for
@@ -309,7 +311,7 @@ func (db *DB) materializeLocked(id string, seq uint64, src string, opts Material
 	}
 	mq.terms = make([]*executor, len(q.Atoms)) //wcojlint:nosync construction: mq is not yet visible to any reader
 
-	res, err := mq.recompute(vers, epoch)
+	res, err := mq.recompute(context.Background(), vers, epoch)
 	if err != nil {
 		if !tolerateComputeErr {
 			return nil, err
@@ -362,10 +364,10 @@ func matKey(t Tuple) string {
 // recompute evaluates the view from scratch against one snapshot —
 // the initial computation, and the self-heal path after a maintenance
 // failure or a Register. On success it replaces the tuple engine's
-// support state.
+// support state. ctx carries the writer's core slot when Apply calls.
 //
 //wcojlint:locked callers hold db.writeMu
-func (mq *MaterializedQuery) recompute(vers []*delta.Version, epoch uint64) (*MaterializedResult, error) {
+func (mq *MaterializedQuery) recompute(ctx context.Context, vers []*delta.Version, epoch uint64) (*MaterializedResult, error) {
 	for i, v := range vers {
 		if v == nil {
 			return nil, fmt.Errorf("wcoj: materialize %s: no relation %q", mq.id, mq.shape.Atoms[i].Name)
@@ -373,7 +375,6 @@ func (mq *MaterializedQuery) recompute(vers []*delta.Version, epoch uint64) (*Ma
 	}
 	q, src := bindSnapshot(&mq.db.tries, mq.shape, vers)
 	e := newExecutor(q, src, mq.opts.exec(), nil)
-	ctx := context.Background()
 
 	if !mq.opts.needTuples() {
 		n, _, err := e.count(ctx)
@@ -422,8 +423,9 @@ type viewUpdate struct {
 // the batch that produced next. Called by Apply under writeMu, after
 // the batch is durable and before it publishes; the returned updates
 // are stored inside the same critical section that installs the new
-// versions and advances the epoch.
-func (db *DB) maintainViews(next map[string]*delta.Version) []viewUpdate {
+// versions and advances the epoch. Every search runs under ctx, which
+// carries the writer's core slot (see core.HoldCore).
+func (db *DB) maintainViews(ctx context.Context, next map[string]*delta.Version) []viewUpdate {
 	db.mu.RLock()
 	if len(db.views) == 0 {
 		db.mu.RUnlock()
@@ -450,7 +452,7 @@ func (db *DB) maintainViews(next map[string]*delta.Version) []viewUpdate {
 	newEpoch := epoch + 1
 	ups := make([]viewUpdate, 0, len(views))
 	for _, mq := range views {
-		ups = append(ups, viewUpdate{mq: mq, res: mq.maintain(pre, post, next, newEpoch)})
+		ups = append(ups, viewUpdate{mq: mq, res: mq.maintain(ctx, pre, post, next, newEpoch)})
 	}
 	return ups
 }
@@ -464,11 +466,11 @@ func (db *DB) maintainViews(next map[string]*delta.Version) []viewUpdate {
 // "recompute".
 //
 //wcojlint:locked callers hold db.writeMu
-func (mq *MaterializedQuery) maintain(pre, post, next map[string]*delta.Version, newEpoch uint64) *MaterializedResult {
+func (mq *MaterializedQuery) maintain(ctx context.Context, pre, post, next map[string]*delta.Version, newEpoch uint64) *MaterializedResult {
 	old := mq.val.Load()
 	stale := old.Err != nil || old.Epoch+1 != newEpoch || (mq.opts.needTuples() && mq.support == nil)
 	if stale {
-		res, err := mq.recompute(atomVersions(mq.shape, post), newEpoch)
+		res, err := mq.recompute(ctx, atomVersions(mq.shape, post), newEpoch)
 		if err != nil {
 			return &MaterializedResult{Epoch: old.Epoch, Count: old.Count, Rows: old.Rows, Err: err}
 		}
@@ -484,7 +486,7 @@ func (mq *MaterializedQuery) maintain(pre, post, next map[string]*delta.Version,
 	if !touched {
 		return &MaterializedResult{Epoch: newEpoch, Count: old.Count, Rows: old.Rows}
 	}
-	res, err := mq.differential(old, pre, post, next, newEpoch)
+	res, err := mq.differential(ctx, old, pre, post, next, newEpoch)
 	if err != nil {
 		if mq.opts.needTuples() {
 			// The support map may be half-folded; drop it so the recompute
@@ -518,7 +520,7 @@ type suppDelta struct {
 // the telescoping terms (see the file comment).
 //
 //wcojlint:locked callers hold db.writeMu
-func (mq *MaterializedQuery) differential(old *MaterializedResult, pre, post, next map[string]*delta.Version, newEpoch uint64) (*MaterializedResult, error) {
+func (mq *MaterializedQuery) differential(ctx context.Context, old *MaterializedResult, pre, post, next map[string]*delta.Version, newEpoch uint64) (*MaterializedResult, error) {
 	tuples := mq.opts.needTuples()
 	var dCount int64
 	var deltaSupp map[string]*suppDelta
@@ -527,7 +529,6 @@ func (mq *MaterializedQuery) differential(old *MaterializedResult, pre, post, ne
 	}
 	buf := make(Tuple, len(mq.outPos))
 	preV, postV := atomVersions(mq.shape, pre), atomVersions(mq.shape, post)
-	ctx := context.Background()
 	for i := range mq.terms {
 		nv, ok := next[mq.shape.Atoms[i].Name]
 		if !ok {
@@ -691,7 +692,7 @@ func (db *DB) rematerializeAllLocked() {
 	epoch := db.updEpoch.Load()
 	db.mu.RUnlock()
 	for _, mq := range views {
-		res, err := mq.recompute(atomVersions(mq.shape, vers), epoch)
+		res, err := mq.recompute(context.Background(), atomVersions(mq.shape, vers), epoch)
 		if err != nil {
 			old := mq.val.Load()
 			mq.support = nil

@@ -21,6 +21,7 @@ package wcoj
 //	           tries), delta emptied, WAL snapshotted.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -138,6 +139,11 @@ func (db *DB) Apply(b *Batch) (UpdateStats, error) {
 	if db.walClosed {
 		return us, fmt.Errorf("wcoj: Apply: DB is closed")
 	}
+	// The writer holds a slot of the core budget while it holds the
+	// lock, so sharded readers' workers yield a core to it at their next
+	// chunk boundary; view maintenance searches on that slot.
+	ctx, release := core.HoldCore(context.Background())
+	defer release()
 
 	// Snapshot the touched heads (writers are serialized by writeMu,
 	// so these stay the heads until we publish).
@@ -186,7 +192,7 @@ func (db *DB) Apply(b *Batch) (UpdateStats, error) {
 	// reader never pairs a view value with the wrong DBStats.Epoch.
 	var ups []viewUpdate
 	if len(next) > 0 {
-		ups = db.maintainViews(next)
+		ups = db.maintainViews(ctx, next)
 	}
 
 	// Publish every touched relation in one critical section: a reader

@@ -269,7 +269,7 @@ func (db *DB) walAppendMaterializeLocked(mq *MaterializedQuery) error {
 	}
 	par := mq.opts.Parallelism
 	if par < 0 {
-		par = 0 // both mean "default": workers() treats <=0 as GOMAXPROCS
+		par = 0 // both mean "default": workers() treats <=0 as the core budget
 	}
 	rec := &wal.Record{
 		Kind:        wal.KindMaterialize,

@@ -17,7 +17,7 @@ import (
 // holdCores takes every slot of the process-wide budget until the test
 // ends, as a fully loaded process would.
 func holdCores(t *testing.T) {
-	n := int64(runtime.GOMAXPROCS(0))
+	n := int64(Cores())
 	coresBusy.Add(n)
 	t.Cleanup(func() { coresBusy.Add(-n) })
 }
@@ -128,12 +128,28 @@ func TestShardedCallerAlone(t *testing.T) {
 }
 
 // TestCoresCapWorkers: across 8 concurrent sharded counts at p=4, the
-// budget never grants more than GOMAXPROCS goroutines: every chunk
-// runs on a caller or on one of at most GOMAXPROCS-1 granted workers,
-// and every slot is returned.
+// budget never grants more than Cores() goroutines: every chunk runs
+// on a caller or on one of at most Cores()-1 granted workers — one
+// fewer while a writer holds a slot (see HoldCore) — and every slot is
+// returned.
 func TestCoresCapWorkers(t *testing.T) {
+	for _, writer := range []bool{false, true} {
+		name := "readers"
+		if writer {
+			name = "writer-slot-held"
+		}
+		t.Run(name, func(t *testing.T) { coresCapWorkers(t, writer) })
+	}
+}
+
+func coresCapWorkers(t *testing.T, writer bool) {
 	ctx := context.Background()
-	procs := int32(runtime.GOMAXPROCS(0))
+	granted := int32(Cores() - 1)
+	if writer {
+		_, release := HoldCore(ctx)
+		defer release()
+		granted = max(granted-1, 0)
+	}
 	var callers atomic.Int32
 	// A caller leaves only while no chunk is checking the bound, so a
 	// run whose chunks were counted cannot drop out of callers before
@@ -152,7 +168,7 @@ func TestCoresCapWorkers(t *testing.T) {
 					// callers over-counts the callers inside a run, so
 					// this bound is exact about the granted workers.
 					leaving.RLock()
-					if n := c.enter(); n > callers.Load()+procs-1 {
+					if n := c.enter(); n > callers.Load()+granted {
 						over.Store(n)
 					}
 					leaving.RUnlock()
@@ -171,9 +187,109 @@ func TestCoresCapWorkers(t *testing.T) {
 	}
 	wg.Wait()
 	if n := over.Load(); n != 0 {
-		t.Fatalf("%d chunks ran at once, more than the callers plus %d granted workers", n, procs-1)
+		t.Fatalf("%d chunks ran at once, more than the callers plus %d granted workers", n, granted)
 	}
-	if b := coresBusy.Load(); b != 0 {
-		t.Fatalf("%d budget slots still held after every run returned", b)
+	want := int64(0)
+	if writer {
+		want = 1 // the writer's own, released on return
+	}
+	if b := coresBusy.Load(); b != want {
+		t.Fatalf("%d budget slots held after every run returned, want %d", b, want)
+	}
+}
+
+// TestCoresHeldSlot: with exactly one slot of the budget free, a run
+// whose caller already holds a slot (the writer's, see HoldCore) gets
+// that one extra worker, and a run whose caller does not gets none. A
+// maintenance term that claimed a second slot would run serially.
+func TestCoresHeldSlot(t *testing.T) {
+	if Cores() < 2 {
+		t.Skip("needs a budget of two slots")
+	}
+	for _, held := range []bool{true, false} {
+		ctx, release := context.Background(), func() {}
+		others := int64(Cores() - 1) // all slots but one, held elsewhere
+		if held {
+			ctx, release = HoldCore(ctx)
+			others-- // the caller's own slot is one of them
+		}
+		coresBusy.Add(others)
+		var conc concurrency
+		_, err := runSharded(ctx, 64, 4, uncapped, &Stats{}, nil, func(lo, hi int, _ *Stats, _ *atomic.Bool, _ func(relation.Tuple) error) (int64, error) {
+			conc.enter()
+			defer conc.leave()
+			// A granted worker claims a chunk within a few ms; wait for it
+			// so the two are seen at once.
+			for deadline := time.Now().Add(time.Second); held && conc.peak.Load() < 2 && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			return int64(hi - lo), nil
+		})
+		coresBusy.Add(-others)
+		release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int32(1)
+		if held {
+			want = 2
+		}
+		if pk := conc.peak.Load(); pk != want {
+			t.Errorf("held=%v: %d chunks ran at once, want %d", held, pk, want)
+		}
+		if b := coresBusy.Load(); b != 0 {
+			t.Fatalf("held=%v: %d budget slots still held", held, b)
+		}
+	}
+}
+
+// TestShardYield: a worker that finds the budget oversubscribed — a
+// writer took a slot while the run was going — gives its slot back
+// before its next claim and the yield is counted, while the caller
+// runs every remaining chunk; a run nobody oversubscribes never
+// yields.
+func TestShardYield(t *testing.T) {
+	if Cores() < 2 {
+		t.Skip("needs a budget of two slots")
+	}
+	ctx := context.Background()
+	const n = 64
+	count := func(take bool) {
+		var taken atomic.Bool
+		before := shardYields.Load()
+		sum, err := runSharded(ctx, n, 2, uncapped, &Stats{}, nil, func(lo, hi int, _ *Stats, _ *atomic.Bool, _ func(relation.Tuple) error) (int64, error) {
+			if take && !taken.Swap(true) {
+				coresBusy.Add(1)
+				// Hold the first chunk until the other goroutine yields:
+				// the worker does at its first claim, unless it is the one
+				// running this chunk.
+				for deadline := time.Now().Add(50 * time.Millisecond); shardYields.Load() == before && time.Now().Before(deadline); {
+					runtime.Gosched()
+				}
+			}
+			return int64(hi - lo), nil
+		})
+		if taken.Load() {
+			coresBusy.Add(-1)
+		}
+		if err != nil || sum != n {
+			t.Fatalf("take=%v: sum = %d, %v; want %d", take, sum, err, n)
+		}
+		if b := coresBusy.Load(); b != 0 {
+			t.Fatalf("take=%v: %d budget slots still held", take, b)
+		}
+	}
+	before := shardYields.Load()
+	for range 20 {
+		count(false)
+	}
+	if y := shardYields.Load() - before; y != 0 {
+		t.Fatalf("%d yields with the budget never oversubscribed", y)
+	}
+	for i := 0; i < 100 && shardYields.Load() == before; i++ {
+		count(true)
+	}
+	if shardYields.Load() == before {
+		t.Fatal("no worker yielded to the taken slot")
 	}
 }

@@ -84,20 +84,50 @@ func CtxAbortErr(ctx context.Context, err error) error {
 type shardRun func(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation.Tuple) error) (int64, error)
 
 // coresBusy counts the held slots of the process-wide worker budget
-// of sharded runs, which has runtime.GOMAXPROCS(0) slots: cores belong
-// to the process, so concurrent queries, one-shot calls and DBs share
-// them. A run's partition, claim window and Stats merge order depend
-// on its requested worker count only, so its output and Stats are the
-// same whatever the budget grants.
+// of sharded runs, which has Cores() slots: cores belong to the
+// process, so concurrent queries, one-shot calls, DBs and the writer
+// (see HoldCore) share them. A run's partition, claim window and Stats
+// merge order depend on its requested worker count only, so its output
+// and Stats are the same whatever the budget grants.
 var coresBusy atomic.Int64
 
-// claimCores takes the caller's slot, whether or not one is free, plus
-// up to extra more while slots are free, and returns how many extra
-// slots it got.
-func claimCores(extra int) int {
-	busy := coresBusy.Add(1)
+// shardYields counts the workers that gave their slot back to an
+// oversubscribed budget before claiming a chunk (see runSharded).
+var shardYields atomic.Int64
+
+// Cores returns the size of the worker budget, min(GOMAXPROCS,
+// NumCPU): a P beyond the CPU count never runs a search, so a process
+// that runs one (wcojd does) keeps an M free to poll the network.
+func Cores() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
+
+// CoresBusy returns the number of held budget slots.
+func CoresBusy() int { return int(coresBusy.Load()) }
+
+// ShardYields returns how many workers have yielded their slot.
+func ShardYields() int64 { return shardYields.Load() }
+
+type heldCoreKey struct{}
+
+// HoldCore takes one slot of the budget, whether or not one is free,
+// for work that must not wait behind sharded searches for a core — a
+// DB's writer holds one while it holds its write lock. Sharded runs
+// under the returned context use that slot as their caller's instead
+// of taking a second. release gives the slot back.
+func HoldCore(ctx context.Context) (_ context.Context, release func()) {
+	coresBusy.Add(1)
+	return context.WithValue(ctx, heldCoreKey{}, true), func() { coresBusy.Add(-1) }
+}
+
+// claimCores takes the caller's slot, whether or not one is free,
+// unless the caller already holds one, plus up to extra more while
+// slots are free, and returns how many extra slots it got.
+func claimCores(extra int, held bool) int {
+	busy := coresBusy.Load()
+	if !held {
+		busy = coresBusy.Add(1)
+	}
 	for extra > 0 {
-		g := min(int64(extra), int64(runtime.GOMAXPROCS(0))-busy)
+		g := min(int64(extra), int64(Cores())-busy)
 		if g <= 0 {
 			return 0
 		}
@@ -112,9 +142,10 @@ func claimCores(extra int) int {
 // shard runs caller on the calling goroutine and worker on up to
 // workers-1 more goroutines, as many as the budget grants, and returns
 // once all of them have returned. Every goroutine gives its slot back
-// as it finishes, so a caller waiting on the last chunks holds none.
-func shard(workers int, worker, caller func()) {
-	extra := claimCores(workers - 1)
+// as it finishes, so a caller waiting on the last chunks holds none;
+// a caller that held its slot before (held) keeps it.
+func shard(workers int, held bool, worker, caller func()) {
+	extra := claimCores(workers-1, held)
 	var wg sync.WaitGroup
 	wg.Add(extra)
 	//wcojlint:nopoll starts at most extra goroutines; their loops poll
@@ -126,7 +157,9 @@ func shard(workers int, worker, caller func()) {
 		}()
 	}
 	func() {
-		defer coresBusy.Add(-1)
+		if !held {
+			defer coresBusy.Add(-1)
+		}
 		caller()
 	}()
 	wg.Wait()
@@ -152,15 +185,17 @@ func shard(workers int, worker, caller func()) {
 // Once a chunk is finished the caller merges its Stats into parentStats
 // — so an uncapped run's counters are deterministic for a fixed
 // requested worker count — and, with a non-nil sink, replays its
-// buffered tuples. A run with a sink ramps its chunk sizes (see
-// shardStarts): a consumer that stops early (a LIMIT returning an error
-// from emit) is seen only when its chunk is replayed, and the chunks
-// claimed by then run on until they unwind, so the first chunks are the
-// cheap ones. Its claims are also windowed: chunk c can be claimed only
-// once chunk c-window has been replayed, bounding the buffered output.
-// A counting run has neither: nothing waits on its first chunk, and
-// ramped chunks split the low-id hubs of a power-law graph so evenly
-// that its workers take the cores a concurrent writer needs.
+// buffered tuples. Chunk sizes ramp up (see shardStarts): a consumer
+// that stops early (a LIMIT erroring from emit) is seen only when its
+// chunk is replayed, so the first chunks are the cheap ones, and the
+// small chunks split the low-id hubs of a power-law graph. A run with
+// a sink also windows its claims: chunk c can be claimed only once
+// chunk c-window has been replayed, bounding the buffered output.
+//
+// A worker other than the caller re-checks the budget before each
+// claim and, once it is oversubscribed (a writer took a slot, see
+// HoldCore), gives its slot back and exits. The caller keeps claiming,
+// so a yield changes who runs the chunks, never the chunks or orders.
 //
 // A chunk's own error wins over a reached cap, which wins over the
 // context's error. The context is reported only if some chunk or
@@ -175,7 +210,7 @@ func runSharded(ctx context.Context, n, workers int, cap int64, parentStats *Sta
 	if n == 0 {
 		return 0, nil
 	}
-	starts, workers := shardStarts(n, workers, sink != nil)
+	starts, workers := shardStarts(n, workers)
 	numChunks := len(starts) - 1
 	chunkStats := make([]Stats, numChunks)
 	chunkErrs := make([]error, numChunks)
@@ -234,9 +269,14 @@ func runSharded(ctx context.Context, n, workers int, cap int64, parentStats *Sta
 		return true
 	}
 	worker := func() {
+		budget := int64(Cores())
 		mu.Lock()
 		defer mu.Unlock()
 		for next < numChunks {
+			if coresBusy.Load() > budget {
+				shardYields.Add(1)
+				return
+			}
 			if !step() {
 				changed.Wait()
 			}
@@ -244,7 +284,8 @@ func runSharded(ctx context.Context, n, workers int, cap int64, parentStats *Sta
 	}
 	var err error
 	aborted := false
-	shard(workers, worker, func() {
+	held := ctx != nil && ctx.Value(heldCoreKey{}) != nil
+	shard(workers, held, worker, func() {
 		for c := 0; c < numChunks; c++ {
 			mu.Lock()
 			for !finished[c] {
@@ -342,19 +383,17 @@ func (s *bufferSink) finishChunk(chunk int) error {
 }
 
 // shardStarts computes the contiguous partition of n values into
-// chunks: chunk i covers [starts[i], starts[i+1]). The chunks are
-// min(workers·shardChunkFactor, n) balanced ones; with ramp, the first
-// chunks instead grow from one value, doubling while below the
-// balanced size, and the rest is split into balanced chunks again. It
-// also clamps the worker count to the chunk count.
-func shardStarts(n, workers int, ramp bool) (starts []int, w int) {
+// chunks: chunk i covers [starts[i], starts[i+1]). With chunks =
+// min(workers·shardChunkFactor, n), the first chunks grow from one
+// value, doubling while below the balanced size n/chunks, and the rest
+// is split into balanced chunks. It also clamps the worker count to the
+// chunk count.
+func shardStarts(n, workers int) (starts []int, w int) {
 	chunks := min(workers*shardChunkFactor, n)
 	starts = []int{0}
-	if ramp {
-		// The ramp covers fewer than 2n/chunks values, so some are left.
-		for size := 1; size < n/chunks; size *= 2 {
-			starts = append(starts, starts[len(starts)-1]+size)
-		}
+	// The ramp covers fewer than 2n/chunks values, so some are left.
+	for size := 1; size < n/chunks; size *= 2 {
+		starts = append(starts, starts[len(starts)-1]+size)
 	}
 	lo := starts[len(starts)-1]
 	m := ((n-lo)*chunks + n - 1) / n // balanced chunks the rest spans

@@ -13,38 +13,30 @@ import (
 	"wcoj/internal/relation"
 )
 
-// TestShardStarts: both partitions cover [0,n) with contiguous,
-// non-empty chunks no larger than the balanced size. Without the ramp
-// they are the min(workers·shardChunkFactor, n) balanced chunks; with
-// it the first chunks hold 1, 2, 4, … values while that is below the
-// balanced size.
+// TestShardStarts: the partition covers [0,n) with contiguous,
+// non-empty chunks no larger than the balanced size of
+// min(workers·shardChunkFactor, n) chunks, and the first chunks hold
+// 1, 2, 4, … values while that is below the balanced size.
 func TestShardStarts(t *testing.T) {
 	for n := 1; n <= 300; n++ {
 		for workers := 2; workers <= 5; workers++ {
 			chunks := min(workers*shardChunkFactor, n)
 			size := (n + chunks - 1) / chunks
-			for _, ramp := range []bool{false, true} {
-				starts, w := shardStarts(n, workers, ramp)
-				if starts[0] != 0 || starts[len(starts)-1] != n {
-					t.Fatalf("n=%d workers=%d ramp=%v: starts %v do not cover [0,n)", n, workers, ramp, starts)
+			starts, w := shardStarts(n, workers)
+			if starts[0] != 0 || starts[len(starts)-1] != n {
+				t.Fatalf("n=%d workers=%d: starts %v do not cover [0,n)", n, workers, starts)
+			}
+			if w != min(workers, len(starts)-1) {
+				t.Fatalf("n=%d workers=%d: %d workers for %d chunks", n, workers, w, len(starts)-1)
+			}
+			for c := 0; c+1 < len(starts); c++ {
+				if sz := starts[c+1] - starts[c]; sz < 1 || sz > size {
+					t.Fatalf("n=%d workers=%d: chunk %d holds %d values, want 1..%d", n, workers, c, sz, size)
 				}
-				if w != min(workers, len(starts)-1) {
-					t.Fatalf("n=%d workers=%d ramp=%v: %d workers for %d chunks", n, workers, ramp, w, len(starts)-1)
-				}
-				for c := 0; c+1 < len(starts); c++ {
-					if sz := starts[c+1] - starts[c]; sz < 1 || sz > size {
-						t.Fatalf("n=%d workers=%d ramp=%v: chunk %d holds %d values, want 1..%d", n, workers, ramp, c, sz, size)
-					}
-				}
-				if !ramp && len(starts)-1 != chunks {
-					t.Fatalf("n=%d workers=%d: %d balanced chunks, want %d", n, workers, len(starts)-1, chunks)
-				}
-				if ramp {
-					for c, want := 0, 1; want < n/chunks; c, want = c+1, want*2 {
-						if sz := starts[c+1] - starts[c]; sz != want {
-							t.Fatalf("n=%d workers=%d: ramp chunk %d holds %d values, want %d", n, workers, c, sz, want)
-						}
-					}
+			}
+			for c, want := 0, 1; want < n/chunks; c, want = c+1, want*2 {
+				if sz := starts[c+1] - starts[c]; sz != want {
+					t.Fatalf("n=%d workers=%d: ramp chunk %d holds %d values, want %d", n, workers, c, sz, want)
 				}
 			}
 		}
@@ -64,9 +56,12 @@ func TestShardStarts(t *testing.T) {
 // until the fleet is stopped and then unwinds, as a long search would.
 // That value also cancels the run's context, so a chunk error and a
 // reached cap are both shown to outrank the cancellation and the
-// unwound chunks.
+// unwound chunks. Every ending also runs as a slot-taken row: the chunk
+// holding value takeAt takes a budget slot, as a writer does, so the
+// workers yield at their next claim, and the answer, Stats and replay
+// order must not change.
 func TestShardedRunner(t *testing.T) {
-	const n, workers = 300, 4
+	const n, workers, takeAt = 300, 4, 100
 	errChunk := errors.New("chunk failed")
 	errLimit := errors.New("limit reached")
 	const none = -1
@@ -81,6 +76,7 @@ func TestShardedRunner(t *testing.T) {
 		limit         int  // the sink's emit fails on this tuple; 0 never
 		lateCancel    bool // the sink's emit cancels on the last tuple
 		sinkOnly, cap bool
+		take          bool // a chunk takes a budget slot mid-run
 	}
 	endings := []ending{
 		{name: "clean", at: none},
@@ -89,6 +85,10 @@ func TestShardedRunner(t *testing.T) {
 		{name: "late-cap", at: 200, witness: true, cap: true},
 		{name: "cancel", at: 150, unwind: true},
 		{name: "late-cancel", at: none, lateCancel: true, sinkOnly: true},
+	}
+	for _, e := range endings {
+		e.name, e.take = e.name+"/slot-taken", true
+		endings = append(endings, e)
 	}
 	reducers := []struct {
 		name string
@@ -102,6 +102,7 @@ func TestShardedRunner(t *testing.T) {
 			}
 			t.Run(red.name+"/"+e.name, func(t *testing.T) {
 				for range 10 {
+					var taken atomic.Bool
 					ctx, cancel := context.WithCancel(context.Background())
 					var replay []relation.Value
 					var sink *bufferSink
@@ -123,6 +124,9 @@ func TestShardedRunner(t *testing.T) {
 								runtime.Gosched()
 							}
 							return 0, ErrAborted
+						}
+						if e.take && lo <= takeAt && takeAt < hi && !taken.Swap(true) {
+							coresBusy.Add(1)
 						}
 						if stop.Load() || e.at != none && lo > e.at {
 							return unwind()
@@ -151,6 +155,9 @@ func TestShardedRunner(t *testing.T) {
 						return k, nil
 					})
 					cancel()
+					if taken.Load() {
+						coresBusy.Add(-1)
+					}
 					var want int64
 					var wantErr error
 					switch {

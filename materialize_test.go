@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"wcoj/internal/agg"
+	"wcoj/internal/core"
 	"wcoj/internal/dataset"
 )
 
@@ -670,5 +671,62 @@ func TestMaterializeID(t *testing.T) {
 		if want := fmt.Sprintf("m%d", i); mq.ID() != want {
 			t.Fatalf("view id %q, want %q", mq.ID(), want)
 		}
+	}
+}
+
+// TestMaterializeWriterSlot: a p=2 maintained triangle COUNT equals a
+// from-scratch recompute after every batch while Apply holds its core
+// slot and its maintenance terms search on it, with p=2 readers
+// sharding beside the writer (their workers yield to it), and every
+// slot is back once the writes and reads are done.
+func TestMaterializeWriterSlot(t *testing.T) {
+	const domain = 40
+	db := NewDB()
+	if err := db.Register(dataset.RandomGraph(domain, 300, 21)); err != nil {
+		t.Fatal(err)
+	}
+	spec := matViewSpec{name: "count-p2", query: "T(A,B,C) :- E(A,B), E(B,C), E(C,A)",
+		opts: MaterializeOptions{Mode: MaterializeCount, Parallelism: 2}}
+	mq, err := db.Materialize(spec.query, spec.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstRecompute(t, db, mq, spec)
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			pq, err := db.Prepare(spec.query, Options{Parallelism: 2})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, _, err := pq.Count(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	r := rand.New(rand.NewSource(7))
+	for step := 0; step < 40; step++ {
+		if _, err := db.Apply(matRandomBatch(r, "E", 1+r.Intn(30), domain)); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstRecompute(t, db, mq, spec)
+	}
+	close(done)
+	readers.Wait()
+	if b := core.CoresBusy(); b != 0 {
+		t.Fatalf("%d core slots still held after the writes and reads", b)
 	}
 }

@@ -22,7 +22,7 @@ import (
 )
 
 // parallelisms covers the edge cases the engine normalizes: 1 (forced
-// serial), 0 (default, GOMAXPROCS), a small explicit count, and a
+// serial), 0 (default, the core budget), a small explicit count, and a
 // count far larger than any depth-0 intersection in these workloads.
 var parallelisms = []int{1, 0, 3, 1 << 20}
 
@@ -312,10 +312,18 @@ func TestExecuteFuncAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestParallelismDefault documents the 0 => GOMAXPROCS default wiring.
+// TestParallelismDefault pins the budget rule behind the 0 default:
+// min(GOMAXPROCS, NumCPU), so a spare P beyond the CPU count (wcojd
+// runs one for its network poller) never runs a search.
 func TestParallelismDefault(t *testing.T) {
-	if w := (Options{}).workers(); w != runtime.GOMAXPROCS(0) {
-		t.Fatalf("default workers %d, want GOMAXPROCS %d", w, runtime.GOMAXPROCS(0))
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	cpus := runtime.NumCPU()
+	for _, procs := range []int{1, cpus, cpus + 1} {
+		runtime.GOMAXPROCS(procs)
+		if w, want := (Options{}).workers(), min(procs, cpus); w != want || core.Cores() != want {
+			t.Fatalf("GOMAXPROCS %d on %d CPUs: default workers %d, budget %d, want %d", procs, cpus, w, core.Cores(), want)
+		}
 	}
 	if w := (Options{Parallelism: 7}).workers(); w != 7 {
 		t.Fatalf("explicit workers %d, want 7", w)

@@ -3,13 +3,19 @@ package wcoj
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"wcoj/internal/core"
 	"wcoj/internal/dataset"
+	"wcoj/internal/delta"
+	"wcoj/internal/relation"
+	"wcoj/internal/trie"
 )
 
 // freshEquivalent registers the current effective tuple sets of src's
@@ -637,5 +643,102 @@ func TestBatchEmptySideNoDoubleApply(t *testing.T) {
 	}
 	if us.Inserted != 1 || us.InsertNoops != 1 {
 		t.Fatalf("insert-only delta file double-applied: %+v", us)
+	}
+}
+
+// TestApplyWidensNarrowedTrie pins a silent-wrong-answer risk of
+// uint32-narrowed tries: R and S hold only small values, so their
+// tries are narrowed, and then R receives values ≥ 2^32 through Apply.
+// The merged snapshot tries of R must come out wide in both column
+// orders, and joins mixing R with the still-narrowed S — a two-relation
+// path — and with itself — a 2-cycle — must return the oracle's answer
+// at p=1 and p=2, through Count and Execute.
+func TestApplyWidensNarrowedTrie(t *testing.T) {
+	const huge = Value(math.MaxUint32) + 1
+	var r, s []Tuple
+	rb, sb := NewRelationBuilder("R", "x", "y"), NewRelationBuilder("S", "x", "y")
+	for i := Value(0); i < 50; i++ {
+		r = append(r, Tuple{i, (i*7 + 1) % 50})
+		s = append(s, Tuple{i, (i * 3) % 11})
+	}
+	for _, tu := range r {
+		rb.Add(tu...)
+	}
+	for _, tu := range s {
+		sb.Add(tu...)
+	}
+	base := rb.Build()
+	if tr, err := trie.Build(base, base.Attrs()); err != nil || !tr.Narrowed() {
+		t.Fatalf("fixture: R's base trie must be narrowed (err %v)", err)
+	}
+	db := NewDB()
+	if err := db.Register(base, sb.Build()); err != nil {
+		t.Fatal(err)
+	}
+	// Wide sources into narrowed targets, a wide 2-cycle, a wide self-loop.
+	wide := []Tuple{{huge, 3}, {huge + 5, 8}, {4, huge}, {huge + 9, 12}, {12, huge + 9}, {huge + 2, huge + 2}}
+	if _, err := db.Apply(NewBatch().Insert("R", wide...)); err != nil {
+		t.Fatal(err)
+	}
+	r = append(r, wide...)
+
+	db.mu.RLock()
+	ver := db.versions["R"]
+	db.mu.RUnlock()
+	eff := ver.Effective()
+	src := snapshotSource{memo: &db.tries, vers: map[*relation.Relation]*delta.Version{eff: ver}}
+	for _, order := range [][]string{{"A", "B"}, {"B", "A"}} {
+		tr, err := src.Get(core.Atom{Name: "R", Vars: []string{"A", "B"}, Rel: eff}, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Narrowed() {
+			t.Fatalf("merged trie of R in order %v stayed narrowed after wide inserts", order)
+		}
+	}
+
+	// The oracle: nested loops over the tuple lists.
+	var path, cycle []Tuple
+	for _, a := range r {
+		for _, b := range s {
+			if a[1] == b[0] {
+				path = append(path, Tuple{a[0], a[1], b[1]})
+			}
+		}
+		for _, b := range r {
+			if a[1] == b[0] && b[1] == a[0] {
+				cycle = append(cycle, Tuple{a[0], a[1]})
+			}
+		}
+	}
+	if len(cycle) == 0 {
+		t.Fatal("fixture: the 2-cycle must have answers")
+	}
+	ctx := context.Background()
+	for _, c := range []struct {
+		query string
+		want  []Tuple
+	}{
+		{"Q(A,B,C) :- R(A,B), S(B,C)", path},
+		{"Q(A,B) :- R(A,B), R(B,A)", cycle},
+	} {
+		slices.SortFunc(c.want, func(a, b Tuple) int { return slices.Compare(a, b) })
+		for _, p := range []int{1, 2} {
+			pq, err := db.Prepare(c.query, Options{Parallelism: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, _, err := pq.Count(ctx)
+			if err != nil || n != len(c.want) {
+				t.Fatalf("%s p=%d: Count = %d, %v; oracle %d", c.query, p, n, err, len(c.want))
+			}
+			got, _, err := pq.Execute(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tuples := got.Tuples(); !slices.EqualFunc(tuples, c.want, slices.Equal) {
+				t.Fatalf("%s p=%d: Execute = %v; oracle %v", c.query, p, tuples, c.want)
+			}
+		}
 	}
 }

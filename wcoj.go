@@ -41,7 +41,6 @@ package wcoj
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"wcoj/internal/agg"
 	"wcoj/internal/bounds"
@@ -270,13 +269,16 @@ type Options struct {
 	// private state over the shared immutable tries. Results are
 	// concatenated in chunk order, so output (and the emit sequence of
 	// ExecuteFunc) is identical to a serial run at every setting. 0 (the
-	// default) means runtime.GOMAXPROCS(0); 1 forces the serial search.
+	// default) means the size of the process-wide core budget,
+	// min(GOMAXPROCS, NumCPU); 1 forces the serial search.
 	//
-	// Parallelism is an upper bound. Sharded runs draw workers from one
-	// process-wide budget of GOMAXPROCS slots, and the calling goroutine
-	// always works, so under concurrent load a run uses fewer
-	// goroutines — never a different partition: output, emit order and
-	// Count's Stats depend on Parallelism alone.
+	// Parallelism is an upper bound. Sharded runs draw workers from that
+	// budget, and the calling goroutine always works, so under
+	// concurrent load a run uses fewer goroutines — never a different
+	// partition: output, emit order and Count's Stats depend on
+	// Parallelism alone. A DB's writer holds one slot while it applies a
+	// batch, and a worker that finds the budget oversubscribed gives its
+	// slot back before claiming its next chunk.
 	Parallelism int
 	// Project, when non-nil, projects the result onto these variables:
 	// Execute and ExecuteFunc produce the distinct projected tuples
@@ -312,7 +314,7 @@ type Options struct {
 // workers resolves Options.Parallelism to a concrete worker count.
 func (o Options) workers() int {
 	if o.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
+		return core.Cores()
 	}
 	return o.Parallelism
 }
