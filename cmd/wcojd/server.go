@@ -311,10 +311,10 @@ func (s *server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	f("# HELP wcojd_core_slots Slots of the process-wide core budget of searches and the writer, min(GOMAXPROCS, CPUs).\n")
 	f("# TYPE wcojd_core_slots gauge\n")
 	f("wcojd_core_slots %d\n", core.Cores())
-	f("# HELP wcojd_core_slots_busy Budget slots held by searches and the writer; above wcojd_core_slots, workers yield.\n")
+	f("# HELP wcojd_core_slots_busy Budget slots held by searches and the writer; above wcojd_core_slots while the writer holds one, workers yield.\n")
 	f("# TYPE wcojd_core_slots_busy gauge\n")
 	f("wcojd_core_slots_busy %d\n", core.CoresBusy())
-	f("# HELP wcojd_shard_yields_total Sharded-search workers that gave their slot back to an oversubscribed budget.\n")
+	f("# HELP wcojd_shard_yields_total Sharded-search workers that gave their slot back to the writer at a chunk boundary.\n")
 	f("# TYPE wcojd_shard_yields_total counter\n")
 	f("wcojd_shard_yields_total %d\n", core.ShardYields())
 

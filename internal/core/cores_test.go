@@ -22,6 +22,21 @@ func holdCores(t *testing.T) {
 	t.Cleanup(func() { coresBusy.Add(-n) })
 }
 
+// oversubscribe stands in for a writer arriving at a loaded process:
+// it holds a writer's slot (see HoldCore) when writer is set, and
+// every slot of the budget besides, so the budget stays oversubscribed
+// until every worker of a running run has given its slot back,
+// whatever the number of cores. release returns all of them.
+func oversubscribe(writer bool) (release func()) {
+	held := func() {}
+	if writer {
+		_, held = HoldCore(context.Background())
+	}
+	n := int64(Cores())
+	coresBusy.Add(n)
+	return func() { coresBusy.Add(-n); held() }
+}
+
 // concurrency tracks how many chunks run at once.
 type concurrency struct{ now, peak atomic.Int32 }
 
@@ -243,53 +258,62 @@ func TestCoresHeldSlot(t *testing.T) {
 	}
 }
 
-// TestShardYield: a worker that finds the budget oversubscribed — a
-// writer took a slot while the run was going — gives its slot back
-// before its next claim and the yield is counted, while the caller
-// runs every remaining chunk; a run nobody oversubscribes never
-// yields.
+// TestShardYield: a worker that finds a writer's slot taken and the
+// budget oversubscribed — a writer arrived while the run was going —
+// gives its slot back before its next claim and the yield is counted,
+// while the caller runs every remaining chunk. A run nobody
+// oversubscribes never yields, and neither does one that only readers
+// oversubscribe: a reader's caller takes its slot whether or not one is
+// free, and a worker that yielded to it would leave both runs serial.
 func TestShardYield(t *testing.T) {
 	if Cores() < 2 {
 		t.Skip("needs a budget of two slots")
 	}
 	ctx := context.Background()
 	const n = 64
-	count := func(take bool) {
-		var taken atomic.Bool
+	count := func(take, writer bool) {
+		var release func()
+		var once sync.Once
+		var started atomic.Int32
 		before := shardYields.Load()
 		sum, err := runSharded(ctx, n, 2, uncapped, &Stats{}, nil, func(lo, hi int, _ *Stats, _ *atomic.Bool, _ func(relation.Tuple) error) (int64, error) {
-			if take && !taken.Swap(true) {
-				coresBusy.Add(1)
-				// Hold the first chunk until the other goroutine yields:
-				// the worker does at its first claim, unless it is the one
-				// running this chunk.
-				for deadline := time.Now().Add(50 * time.Millisecond); shardYields.Load() == before && time.Now().Before(deadline); {
-					runtime.Gosched()
-				}
+			started.Add(1)
+			if take {
+				once.Do(func() {
+					release = oversubscribe(writer)
+					// Hold the first chunk until the other goroutine yields
+					// or claims a chunk: the worker yields at its first claim
+					// to a writer, unless it is the one running this chunk.
+					for deadline := time.Now().Add(50 * time.Millisecond); shardYields.Load() == before && started.Load() < 2 && time.Now().Before(deadline); {
+						runtime.Gosched()
+					}
+				})
 			}
+			time.Sleep(20 * time.Microsecond)
 			return int64(hi - lo), nil
 		})
-		if taken.Load() {
-			coresBusy.Add(-1)
+		if release != nil {
+			release()
 		}
 		if err != nil || sum != n {
-			t.Fatalf("take=%v: sum = %d, %v; want %d", take, sum, err, n)
+			t.Fatalf("take=%v writer=%v: sum = %d, %v; want %d", take, writer, sum, err, n)
 		}
 		if b := coresBusy.Load(); b != 0 {
-			t.Fatalf("take=%v: %d budget slots still held", take, b)
+			t.Fatalf("take=%v writer=%v: %d budget slots still held", take, writer, b)
 		}
 	}
 	before := shardYields.Load()
 	for range 20 {
-		count(false)
+		count(false, false)
+		count(true, false)
 	}
 	if y := shardYields.Load() - before; y != 0 {
-		t.Fatalf("%d yields with the budget never oversubscribed", y)
+		t.Fatalf("%d yields with no writer holding a slot", y)
 	}
 	for i := 0; i < 100 && shardYields.Load() == before; i++ {
-		count(true)
+		count(true, true)
 	}
 	if shardYields.Load() == before {
-		t.Fatal("no worker yielded to the taken slot")
+		t.Fatal("no worker yielded to the writer's slot")
 	}
 }

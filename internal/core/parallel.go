@@ -91,9 +91,9 @@ type shardRun func(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation.
 // and Stats are the same whatever the budget grants.
 var coresBusy atomic.Int64
 
-// shardYields counts the workers that gave their slot back to an
-// oversubscribed budget before claiming a chunk (see runSharded).
-var shardYields atomic.Int64
+// writerSlots counts the slots taken through HoldCore, and shardYields
+// the workers that gave their slot back to a writer (see runSharded).
+var writerSlots, shardYields atomic.Int64
 
 // Cores returns the size of the worker budget, min(GOMAXPROCS,
 // NumCPU): a P beyond the CPU count never runs a search, so a process
@@ -103,7 +103,7 @@ func Cores() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
 // CoresBusy returns the number of held budget slots.
 func CoresBusy() int { return int(coresBusy.Load()) }
 
-// ShardYields returns how many workers have yielded their slot.
+// ShardYields returns how many workers have yielded to a writer.
 func ShardYields() int64 { return shardYields.Load() }
 
 type heldCoreKey struct{}
@@ -114,8 +114,9 @@ type heldCoreKey struct{}
 // under the returned context use that slot as their caller's instead
 // of taking a second. release gives the slot back.
 func HoldCore(ctx context.Context) (_ context.Context, release func()) {
+	writerSlots.Add(1)
 	coresBusy.Add(1)
-	return context.WithValue(ctx, heldCoreKey{}, true), func() { coresBusy.Add(-1) }
+	return context.WithValue(ctx, heldCoreKey{}, true), func() { coresBusy.Add(-1); writerSlots.Add(-1) }
 }
 
 // claimCores takes the caller's slot, whether or not one is free,
@@ -193,9 +194,10 @@ func shard(workers int, held bool, worker, caller func()) {
 // chunk c-window has been replayed, bounding the buffered output.
 //
 // A worker other than the caller re-checks the budget before each
-// claim and, once it is oversubscribed (a writer took a slot, see
-// HoldCore), gives its slot back and exits. The caller keeps claiming,
-// so a yield changes who runs the chunks, never the chunks or orders.
+// claim and, once a writer holds a slot (see HoldCore) and the budget
+// is oversubscribed, gives its slot back and exits; readers alone never
+// make it yield. The caller keeps claiming, so a yield changes who runs
+// the chunks, never the chunks or orders.
 //
 // A chunk's own error wins over a reached cap, which wins over the
 // context's error. The context is reported only if some chunk or
@@ -269,11 +271,10 @@ func runSharded(ctx context.Context, n, workers int, cap int64, parentStats *Sta
 		return true
 	}
 	worker := func() {
-		budget := int64(Cores())
 		mu.Lock()
 		defer mu.Unlock()
 		for next < numChunks {
-			if coresBusy.Load() > budget {
+			if writerSlots.Load() > 0 && coresBusy.Load() > int64(Cores()) {
 				shardYields.Add(1)
 				return
 			}

@@ -57,9 +57,9 @@ func TestShardStarts(t *testing.T) {
 // That value also cancels the run's context, so a chunk error and a
 // reached cap are both shown to outrank the cancellation and the
 // unwound chunks. Every ending also runs as a slot-taken row: the chunk
-// holding value takeAt takes a budget slot, as a writer does, so the
-// workers yield at their next claim, and the answer, Stats and replay
-// order must not change.
+// holding value takeAt takes a writer's slot and oversubscribes the
+// budget (see oversubscribe), so every worker yields at its next claim,
+// and the answer, Stats and replay order must not change.
 func TestShardedRunner(t *testing.T) {
 	const n, workers, takeAt = 300, 4, 100
 	errChunk := errors.New("chunk failed")
@@ -103,6 +103,7 @@ func TestShardedRunner(t *testing.T) {
 			t.Run(red.name+"/"+e.name, func(t *testing.T) {
 				for range 10 {
 					var taken atomic.Bool
+					release := func() {}
 					ctx, cancel := context.WithCancel(context.Background())
 					var replay []relation.Value
 					var sink *bufferSink
@@ -126,7 +127,7 @@ func TestShardedRunner(t *testing.T) {
 							return 0, ErrAborted
 						}
 						if e.take && lo <= takeAt && takeAt < hi && !taken.Swap(true) {
-							coresBusy.Add(1)
+							release = oversubscribe(true)
 						}
 						if stop.Load() || e.at != none && lo > e.at {
 							return unwind()
@@ -155,9 +156,7 @@ func TestShardedRunner(t *testing.T) {
 						return k, nil
 					})
 					cancel()
-					if taken.Load() {
-						coresBusy.Add(-1)
-					}
+					release()
 					var want int64
 					var wantErr error
 					switch {
