@@ -136,6 +136,10 @@ type searcher struct {
 	keyRanges []int // scratch the memo key is built from
 }
 
+// newSearcher prepares one search goroutine's state over plan p,
+// including every depth's level ranges (see levelRanges).
+//
+//wcojlint:retains s.ranges[d] holds depth d's level ranges for the searcher's lifetime, one search under one pinned snapshot
 func newSearcher(p *Plan, cls *agg.Classification, lv LevelStrategy, cap int64, stats *Stats,
 	emit func(relation.Tuple) error, stop *atomic.Bool, budget *NodeBudget) *searcher {
 	n := len(p.Order)
@@ -178,8 +182,13 @@ func newSearcher(p *Plan, cls *agg.Classification, lv LevelStrategy, cap int64, 
 	slab := make([]trie.LevelRange, total)
 	posSlab := make([]int, total)
 	for d, ps := range p.Participants {
-		s.ranges[d], slab = slab[:0:len(ps)], slab[len(ps):]
+		s.ranges[d], slab = slab[:len(ps):len(ps)], slab[len(ps):]
 		s.pos[d], posSlab = posSlab[:0:len(ps)], posSlab[len(ps):]
+		for j, ai := range ps {
+			ga := s.atoms[ai]
+			l := ga.levelOf[d]
+			s.ranges[d][j] = ga.trie.SegLevel(l, ga.segLo[l], ga.segHi[l])
+		}
 	}
 	if cls == nil {
 		return s
@@ -215,17 +224,20 @@ func (s *searcher) node() bool {
 	return s.err == nil
 }
 
-// levelRanges assembles the participating level ranges at depth d.
+// levelRanges returns the participating level ranges at depth d. The
+// searcher builds them once (newSearcher) and here only moves their
+// windows to the atoms' current children spans: a level's key array is
+// fixed for the search, and a level-0 window is always the whole level,
+// so its rank array stays valid.
 //
 //wcojlint:retains s.ranges[d] is depth d's own scratch slot, so a level still streaming at depth d never shares it with the deeper levels assembled meanwhile; consumed within this search under one pinned snapshot
 func (s *searcher) levelRanges(d int) []trie.LevelRange {
-	rs := s.ranges[d][:0]
-	for _, ai := range s.plan.Participants[d] {
+	rs := s.ranges[d]
+	for j, ai := range s.plan.Participants[d] {
 		ga := s.atoms[ai]
 		l := ga.levelOf[d]
-		rs = append(rs, ga.trie.SegLevel(l, ga.segLo[l], ga.segHi[l]))
+		rs[j].Lo, rs[j].Hi = ga.segLo[l], ga.segHi[l]
 	}
-	s.ranges[d] = rs
 	return rs
 }
 

@@ -56,6 +56,25 @@ func toNarrow(keys []relation.Value) []uint32 {
 	return out
 }
 
+// trieLevel builds a one-attribute trie over the sorted, duplicate-free
+// keys and returns its level 0 restricted to [lo,hi): ranked, as the
+// search sees it, when the window is the whole level and the keys are
+// dense and fit uint32; unranked otherwise.
+func trieLevel(t testing.TB, keys []relation.Value, lo, hi int) LevelRange {
+	t.Helper()
+	b := relation.NewBuilder("R", "A")
+	for _, v := range keys {
+		if err := b.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := Build(b.Build(), []string{"A"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.SegLevel(0, lo, hi)
+}
+
 // matchedAt reports whether at holds, for every range, a position
 // inside the range's window [Lo,Hi) whose key is v — the contract of
 // the positions IntersectLevelsAt and LeapfrogLevels report.
@@ -133,9 +152,10 @@ func kernelsAgree(ranges []LevelRange, want []relation.Value) string {
 }
 
 // TestPropertyKernelsAgree: for random duplicate-free sorted inputs —
-// including size skews that exercise both the linear merge and the
-// galloping kernel, empty ranges, windows that start and end inside
-// their key arrays, and every width combination (wide, narrow, mixed)
+// including size skews that exercise the linear merge, the galloping
+// kernel and the ranked probe, empty ranges, windows that start and
+// end inside their key arrays, whole ranked and unranked level-0
+// ranges, k up to 4 and every width combination (wide, narrow, mixed)
 // — every kernel entry agrees with the map-based oracle, and every
 // reported position lies in its range's window and holds the value.
 func TestPropertyKernelsAgree(t *testing.T) {
@@ -155,16 +175,23 @@ func TestPropertyKernelsAgree(t *testing.T) {
 				n = 200 + rng.Intn(800)
 			}
 			keys := sortedSet(rng, n, 1500)
-			// The window is a parent's children span: it may start and
-			// end inside the level's key array.
-			lo := rng.Intn(len(keys)/4 + 1)
-			hi := len(keys) - rng.Intn(len(keys)/4+1)
-			hi = max(hi, lo)
+			// The window is a parent's children span, which may start
+			// and end inside the level's key array, or half the time
+			// the whole of level 0.
+			lo, hi := 0, len(keys)
+			if rng.Intn(2) == 0 {
+				lo = rng.Intn(len(keys)/4 + 1)
+				hi = max(len(keys)-rng.Intn(len(keys)/4+1), lo)
+			}
 			keySets[i] = keys[lo:hi]
 			narrow := width == 1 || (width == 2 && i%2 == 1)
-			if narrow {
+			switch {
+			case narrow && rng.Intn(2) == 0:
+				// A trie's level: ranked if whole and dense.
+				ranges[i] = trieLevel(t, keys, lo, hi)
+			case narrow:
 				ranges[i] = LevelRange{Keys32: toNarrow(keys), Lo: lo, Hi: hi}
-			} else {
+			default:
 				ranges[i] = LevelRange{Keys: keys, Lo: lo, Hi: hi}
 			}
 		}
@@ -196,6 +223,88 @@ func TestPropertyGallopLB(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPropertySeek: from any cursor lo that satisfies seek's
+// precondition (every key before lo is below v), seek on a ranked whole
+// level 0 matches a plain binary search over the window, for v from
+// below the first key to past the last.
+func TestPropertySeek(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		keys := sortedSet(rng, 150+rng.Intn(300), 400)
+		r := trieLevel(t, keys, 0, len(keys))
+		if r.rank == nil {
+			t.Logf("seed %d: %d keys below 400 are not ranked", seed, len(keys))
+			return false
+		}
+		v := uint32(rng.Intn(460))
+		want := sort.Search(len(keys), func(i int) bool { return keys[i] >= relation.Value(v) })
+		lo := rng.Intn(want + 1)
+		return seek(r.Keys32, r.rank, lo, r.Hi, v) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRankedLevelEdges pins the rank array's edges through every
+// kernel entry: probe values 0 and past the last ranked key, a level-0
+// window that starts at 0 but ends early (which must not be ranked, or
+// seeks would land past its end), a sparse level 0 (no rank array) and
+// a wide one (never ranked).
+func TestRankedLevelEdges(t *testing.T) {
+	dense := []relation.Value{0, 1, 2, 5, 8, 13, 21, 34, 40}
+	whole := trieLevel(t, dense, 0, len(dense))
+	if whole.rank == nil {
+		t.Fatal("a dense narrowed level 0 is not ranked")
+	}
+	early := trieLevel(t, dense, 0, len(dense)-3)
+	if early.rank != nil {
+		t.Fatal("a level-0 window that ends early is ranked")
+	}
+	sparse := []relation.Value{0, 1000, 2000, 3000}
+	if r := trieLevel(t, sparse, 0, len(sparse)); r.rank != nil {
+		t.Fatal("a sparse level 0 is ranked")
+	}
+	wideKeys := []relation.Value{1 << 33, 1<<33 + 1}
+	if r := trieLevel(t, wideKeys, 0, len(wideKeys)); r.rank != nil || r.Keys == nil {
+		t.Fatal("a wide level 0 is ranked")
+	}
+	probe := func(vs ...relation.Value) LevelRange {
+		return LevelRange{Keys32: toNarrow(vs), Lo: 0, Hi: len(vs)}
+	}
+	for _, c := range []struct {
+		name string
+		sets [][]relation.Value
+		rs   []LevelRange
+	}{
+		{"zero and past the last key",
+			[][]relation.Value{{0, 3, 40, 41, 100, 1 << 31}, dense},
+			[]LevelRange{probe(0, 3, 40, 41, 100, 1<<31), whole}},
+		{"only past the last key",
+			[][]relation.Value{{41, 42}, dense},
+			[]LevelRange{probe(41, 42), whole}},
+		{"k=3 zero and past the last key",
+			[][]relation.Value{{0, 8, 40, 99}, dense, {0, 8, 40, 99, 500}},
+			[]LevelRange{probe(0, 8, 40, 99), whole, probe(0, 8, 40, 99, 500)}},
+		{"k=3 two ranked",
+			[][]relation.Value{dense, dense, {0, 5, 34, 77}},
+			[]LevelRange{whole, whole, probe(0, 5, 34, 77)}},
+		{"window ending early",
+			[][]relation.Value{{0, 13, 21, 34, 40}, dense[:len(dense)-3]},
+			[]LevelRange{probe(0, 13, 21, 34, 40), early}},
+		{"k=3 window ending early",
+			[][]relation.Value{{13, 21, 34, 40}, dense[:len(dense)-3], dense},
+			[]LevelRange{probe(13, 21, 34, 40), early, whole}},
+		{"sparse",
+			[][]relation.Value{{0, 999, 1000, 3000, 3001}, sparse},
+			[]LevelRange{probe(0, 999, 1000, 3000, 3001), trieLevel(t, sparse, 0, len(sparse))}},
+	} {
+		if msg := kernelsAgree(c.rs, refIntersect(c.sets)); msg != "" {
+			t.Errorf("%s: %s", c.name, msg)
+		}
 	}
 }
 
@@ -374,8 +483,9 @@ func TestNarrowing(t *testing.T) {
 }
 
 // TestSizeBytesAccountsIndex: SizeBytes covers the raw columns plus
-// every owned index array (offsets, segment-key slabs, narrowed
-// copies) — the footprint a memoized trie pins.
+// every owned index array (offsets, the level-0 rank array,
+// segment-key slabs, narrowed copies) — the footprint a memoized trie
+// pins.
 func TestSizeBytesAccountsIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := randomRelation(t, rng, "R", []string{"A", "B", "C"}, 500, 12)
@@ -388,25 +498,50 @@ func TestSizeBytesAccountsIndex(t *testing.T) {
 		t.Fatalf("SizeBytes = %d does not cover the CSR index above %d column bytes", tr.SizeBytes(), colBytes)
 	}
 	// Offsets alone: every non-deepest level owns rowStart (+1
-	// sentinel) int32 entries, so the index must charge at least that.
+	// sentinel) int32 entries, so the index must charge at least that;
+	// the dense level 0 (values below 12) also owns a rank array.
 	var offsets int64
 	for d := 0; d < tr.Depth()-1; d++ {
 		offsets += int64((tr.NumSegs(d) + 1) * 4)
 	}
-	if tr.SizeBytes() < colBytes+offsets {
-		t.Fatalf("SizeBytes = %d < columns %d + offsets %d", tr.SizeBytes(), colBytes, offsets)
+	if tr.rank0 == nil {
+		t.Fatal("level 0 of values below 12 is not ranked")
+	}
+	rank := int64(len(tr.rank0) * 4)
+	if tr.SizeBytes() < colBytes+offsets+rank {
+		t.Fatalf("SizeBytes = %d < columns %d + offsets %d + rank %d", tr.SizeBytes(), colBytes, offsets, rank)
+	}
+
+	// The same shape with level-0 keys spread 1000 apart has no rank
+	// array, and SizeBytes charges exactly the rank array's bytes less.
+	sb := relation.NewBuilder("R", "A", "B", "C")
+	for _, tup := range r.Tuples() {
+		if err := sb.Add(tup[0]*1000, tup[1], tup[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sparse, err := Build(sb.Build(), []string{"A", "B", "C"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sparse.rank0 != nil {
+		t.Fatal("a sparse level 0 is ranked")
+	}
+	if got := tr.SizeBytes() - sparse.SizeBytes(); got != rank {
+		t.Fatalf("ranked - sparse SizeBytes = %d, want the rank array's %d bytes", got, rank)
 	}
 }
 
 // FuzzIntersectKernels cross-checks every kernel entry and the
 // positions they report against the oracle on fuzzer-shaped inputs:
-// two sorted duplicate-free sets built from the raw bytes, wide,
-// narrow and mixed.
+// two and three sorted duplicate-free sets built from the raw bytes,
+// wide, narrow, mixed, and as trie levels (ranked when dense).
 func FuzzIntersectKernels(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
-	f.Add([]byte{}, []byte{0, 255})
-	f.Add([]byte{9, 9, 9, 1}, []byte{9})
-	f.Fuzz(func(t *testing.T, ab, bb []byte) {
+	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, []byte{3})
+	f.Add([]byte{}, []byte{0, 255}, []byte{0})
+	f.Add([]byte{9, 9, 9, 1}, []byte{9}, []byte{})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{0, 7, 8, 200}, []byte{0, 1, 7, 255})
+	f.Fuzz(func(t *testing.T, ab, bb, cb []byte) {
 		mk := func(bs []byte) []relation.Value {
 			set := make(map[relation.Value]bool)
 			for _, b := range bs {
@@ -419,15 +554,29 @@ func FuzzIntersectKernels(f *testing.F) {
 			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 			return out
 		}
-		a, b := mk(ab), mk(bb)
-		want := refIntersect([][]relation.Value{a, b})
-		for _, ranges := range [][]LevelRange{
-			{{Keys: a, Lo: 0, Hi: len(a)}, {Keys: b, Lo: 0, Hi: len(b)}},
-			{{Keys32: toNarrow(a), Lo: 0, Hi: len(a)}, {Keys32: toNarrow(b), Lo: 0, Hi: len(b)}},
-			{{Keys: a, Lo: 0, Hi: len(a)}, {Keys32: toNarrow(b), Lo: 0, Hi: len(b)}},
+		a, b, c := mk(ab), mk(bb), mk(cb)
+		wide := func(ks []relation.Value) LevelRange { return LevelRange{Keys: ks, Lo: 0, Hi: len(ks)} }
+		narrow := func(ks []relation.Value) LevelRange { return LevelRange{Keys32: toNarrow(ks), Lo: 0, Hi: len(ks)} }
+		level := func(ks []relation.Value) LevelRange { return trieLevel(t, ks, 0, len(ks)) }
+		want2 := refIntersect([][]relation.Value{a, b})
+		want3 := refIntersect([][]relation.Value{a, b, c})
+		for _, tc := range []struct {
+			ranges []LevelRange
+			want   []relation.Value
+		}{
+			{[]LevelRange{wide(a), wide(b)}, want2},
+			{[]LevelRange{narrow(a), narrow(b)}, want2},
+			{[]LevelRange{wide(a), narrow(b)}, want2},
+			{[]LevelRange{narrow(a), level(b)}, want2},
+			{[]LevelRange{level(a), level(b)}, want2},
+			{[]LevelRange{wide(a), wide(b), wide(c)}, want3},
+			{[]LevelRange{narrow(a), narrow(b), narrow(c)}, want3},
+			{[]LevelRange{wide(a), narrow(b), wide(c)}, want3},
+			{[]LevelRange{narrow(a), level(b), narrow(c)}, want3},
+			{[]LevelRange{level(a), level(b), level(c)}, want3},
 		} {
-			if msg := kernelsAgree(ranges, want); msg != "" {
-				t.Fatalf("ranges %v: %s", ranges, msg)
+			if msg := kernelsAgree(tc.ranges, tc.want); msg != "" {
+				t.Fatalf("ranges %v: %s", tc.ranges, msg)
 			}
 		}
 	})

@@ -6,12 +6,15 @@ package trie
 // which with cap 1 is the existence check) and streaming
 // (LeapfrogLevels). The search calls one of them per level, and per
 // value it then pays only its share of that one intersection — the
-// primitive Algorithm 1 and Generic-Join assume. So no entry allocates on the same-width path: the span cursors
-// live in a fixed stack buffer, and values and positions go to the
-// caller's buffers, which grow at most once per call, to the smallest
-// range's size. The positions mean a caller never searches again for a
-// value the kernel has already matched. Only the mixed-width widening
-// copy allocates per call.
+// primitive Algorithm 1 and Generic-Join assume. Every seek goes
+// through seek: O(1) into the whole of a ranked level 0, a gallop
+// otherwise. No entry allocates on the same-width path: k <= 2 reads
+// the caller's ranges in place, k >= 3 keeps its cursors in a fixed
+// stack buffer, and values and positions go to the caller's buffers,
+// which grow at most once per call, to the smallest range's size. The
+// positions mean a caller never searches again for a value the kernel
+// has already matched. Only the mixed-width widening copy allocates
+// per call.
 
 import (
 	"slices"
@@ -29,6 +32,11 @@ type LevelRange struct {
 	Keys32 []uint32
 	Lo     int
 	Hi     int
+	// rank is the trie's level-0 rank array when the range is the whole
+	// of a ranked level 0 (Trie.SegLevel attaches it), nil otherwise:
+	// rank[v] is the index of the first key >= v, for v up to the
+	// largest key.
+	rank []int32
 }
 
 // Size returns the number of keys in the range.
@@ -41,11 +49,12 @@ type key interface {
 }
 
 // span is a kernel-internal cursor over one key range; the kernels
-// advance lo in place. id is the index of the range the span was made
-// from: leapfrogUntil reorders spans, and positions are reported per
-// range.
+// advance lo in place. rank is the range's rank array, if any. id is
+// the index of the range the span was made from: the kernels reorder
+// spans, and positions are reported per range.
 type span[K key] struct {
 	keys []K
+	rank []int32
 	lo   int
 	hi   int
 	id   int
@@ -95,12 +104,25 @@ func gallopLB[K key](keys []K, lo, hi int, v K) int {
 	return lo
 }
 
+// seek returns the first index i in [lo,hi) with keys[i] >= v, or hi
+// if there is none. Seeks only move forward: every key before lo is
+// below v. A ranked range is the whole of level 0, so for any v up to
+// its largest key the answer is one read of the rank array; every
+// other seek gallops from lo (a nil rank has no entries). Every kernel
+// seeks through here.
+func seek[K key](keys []K, rank []int32, lo, hi int, v K) int {
+	if uint(v) < uint(len(rank)) {
+		return int(rank[v])
+	}
+	return gallopLB(keys, lo, hi, v)
+}
+
 // mixedWidth reports whether ranges mixes narrowed and wide key
 // arrays (possible when one query joins narrowed and wide relations).
 func mixedWidth(ranges []LevelRange) bool {
 	narrow := ranges[0].Keys32 != nil
-	for _, r := range ranges[1:] {
-		if (r.Keys32 != nil) != narrow {
+	for i := 1; i < len(ranges); i++ {
+		if (ranges[i].Keys32 != nil) != narrow {
 			return true
 		}
 	}
@@ -128,26 +150,49 @@ func widenRanges(ranges []LevelRange) []LevelRange {
 	return out
 }
 
-// toSpans64 rewraps the loaned Keys arenas as intersection cursors,
-// appending them to the caller's (stack) buffer.
+// span32 wraps a narrowed range as an intersection cursor, carrying
+// its rank array if it has one.
 //
 //wcojlint:retains spans are cursors consumed within the same intersection call, under one snapshot
-func toSpans64(buf []span[relation.Value], ranges []LevelRange) []span[relation.Value] {
-	for i, r := range ranges {
-		buf = append(buf, span[relation.Value]{keys: r.Keys, lo: r.Lo, hi: r.Hi, id: i})
+func span32(r *LevelRange, id int) span[uint32] {
+	return span[uint32]{keys: r.Keys32, rank: r.rank, lo: r.Lo, hi: r.Hi, id: id}
+}
+
+// span64 wraps a wide range as an intersection cursor; wide ranges are
+// never ranked.
+//
+//wcojlint:retains spans are cursors consumed within the same intersection call, under one snapshot
+func span64(r *LevelRange, id int) span[relation.Value] {
+	return span[relation.Value]{keys: r.Keys, lo: r.Lo, hi: r.Hi, id: id}
+}
+
+// toSpans32 wraps every narrowed range as a cursor, appending to the
+// caller's (stack) buffer.
+func toSpans32(buf []span[uint32], ranges []LevelRange) []span[uint32] {
+	for i := range ranges {
+		buf = append(buf, span32(&ranges[i], i))
 	}
 	return buf
 }
 
-// toSpans32 rewraps the loaned Keys32 arenas as intersection cursors,
-// appending them to the caller's (stack) buffer.
-//
-//wcojlint:retains spans are cursors consumed within the same intersection call, under one snapshot
-func toSpans32(buf []span[uint32], ranges []LevelRange) []span[uint32] {
-	for i, r := range ranges {
-		buf = append(buf, span[uint32]{keys: r.Keys32, lo: r.Lo, hi: r.Hi, id: i})
+// toSpans64 wraps every wide range as a cursor, appending to the
+// caller's (stack) buffer.
+func toSpans64(buf []span[relation.Value], ranges []LevelRange) []span[relation.Value] {
+	for i := range ranges {
+		buf = append(buf, span64(&ranges[i], i))
 	}
 	return buf
+}
+
+// bySize orders the cursors by size, smallest first (k is the number
+// of atoms on the level — single digits).
+func bySize[K key](spans []span[K]) []span[K] {
+	for i := 1; i < len(spans); i++ {
+		for j := i; j > 0 && spans[j].hi-spans[j].lo < spans[j-1].hi-spans[j-1].lo; j-- {
+			spans[j], spans[j-1] = spans[j-1], spans[j]
+		}
+	}
+	return spans
 }
 
 // anyEmpty reports whether some range has no keys, which empties the
@@ -163,9 +208,11 @@ func anyEmpty(ranges []LevelRange) bool {
 
 // IntersectLevels computes the sorted values common to all level
 // ranges, appending to dst. Keys are duplicate-free, so the k = 1 case
-// is a bulk copy, k = 2 picks linear merge or galloping by size skew
-// (gallopRatio), and k >= 3 runs the leapfrog search with galloping
-// seeks. Per emitted or skipped value the cost is O(k log N), so the
+// is a bulk copy. k = 2 probes the larger range from every key of the
+// smaller one when the larger is ranked or gallopRatio times larger,
+// and merges linearly otherwise. k >= 3 intersects the two smallest
+// ranges that way and probes each common key in the others, smallest
+// first. Per key of the smallest range the cost is O(k log N), so the
 // total is proportional (up to logs) to the smallest range — the
 // intersection primitive Algorithm 1 and Generic-Join assume.
 func IntersectLevels(dst []relation.Value, ranges []LevelRange) []relation.Value {
@@ -203,17 +250,49 @@ func intersectLevels(dst []relation.Value, at []int, pos bool, ranges []LevelRan
 	}
 	// The smallest range bounds the output: a caller's buffer grows to
 	// that once instead of doubling its way there.
-	bound := ranges[smallestRange(ranges)].Size()
+	small := &ranges[smallestRange(ranges)]
+	bound := small.Hi - small.Lo
 	dst = slices.Grow(dst, bound)
 	if pos {
 		at = slices.Grow(at, bound*len(ranges))
 	}
+	// k <= 2 reads the ranges in place; only k >= 3 fills a cursor
+	// buffer, ordered smallest first.
 	if ranges[0].Keys32 != nil {
+		a := span32(&ranges[0], 0)
+		switch len(ranges) {
+		case 1:
+			return appendSpan(dst, at, pos, &a)
+		case 2:
+			b := span32(&ranges[1], 1)
+			return intersectPair(dst, at, pos, &a, &b, nil)
+		}
 		var buf [stackSpans]span[uint32]
-		return intersectSpans(dst, at, pos, toSpans32(buf[:0], ranges))
+		spans := bySize(toSpans32(buf[:0], ranges))
+		return intersectPair(dst, at, pos, &spans[0], &spans[1], spans[2:])
+	}
+	a := span64(&ranges[0], 0)
+	switch len(ranges) {
+	case 1:
+		return appendSpan(dst, at, pos, &a)
+	case 2:
+		b := span64(&ranges[1], 1)
+		return intersectPair(dst, at, pos, &a, &b, nil)
 	}
 	var buf [stackSpans]span[relation.Value]
-	return intersectSpans(dst, at, pos, toSpans64(buf[:0], ranges))
+	spans := bySize(toSpans64(buf[:0], ranges))
+	return intersectPair(dst, at, pos, &spans[0], &spans[1], spans[2:])
+}
+
+// appendSpan is the k = 1 materializer: every key of s, in order.
+func appendSpan[K key](dst []relation.Value, at []int, pos bool, s *span[K]) ([]relation.Value, []int) {
+	for i := s.lo; i < s.hi; i++ {
+		dst = append(dst, relation.Value(s.keys[i]))
+		if pos {
+			at = append(at, i)
+		}
+	}
+	return dst, at
 }
 
 // IntersectLevelsCount returns min(|∩ ranges|, cap) without
@@ -229,23 +308,36 @@ func IntersectLevelsCount(ranges []LevelRange, cap int) int {
 	if mixedWidth(ranges) {
 		return IntersectLevelsCount(widenRanges(ranges), cap)
 	}
+	if len(ranges) == 1 {
+		return min(ranges[0].Hi-ranges[0].Lo, cap)
+	}
 	if ranges[0].Keys32 != nil {
+		if len(ranges) == 2 {
+			a, b := span32(&ranges[0], 0), span32(&ranges[1], 1)
+			return countPair(&a, &b, nil, cap)
+		}
 		var buf [stackSpans]span[uint32]
-		return countSpans(toSpans32(buf[:0], ranges), cap)
+		spans := bySize(toSpans32(buf[:0], ranges))
+		return countPair(&spans[0], &spans[1], spans[2:], cap)
+	}
+	if len(ranges) == 2 {
+		a, b := span64(&ranges[0], 0), span64(&ranges[1], 1)
+		return countPair(&a, &b, nil, cap)
 	}
 	var buf [stackSpans]span[relation.Value]
-	return countSpans(toSpans64(buf[:0], ranges), cap)
+	spans := bySize(toSpans64(buf[:0], ranges))
+	return countPair(&spans[0], &spans[1], spans[2:], cap)
 }
 
 // LeapfrogLevels streams the values common to all level ranges to emit
 // in ascending order without materializing them — the level strategy of
-// Leapfrog Triejoin. Every arity, k = 1 and 2 included, runs the
-// leapfrog search. Alongside each value emit receives at, where at[i]
-// is the value's index in ranges[i]'s key array: the cursors already
-// sit on it, so the caller need not search for it again. at is the
-// caller's scratch, overwritten before every emit (it is allocated only
-// when it has room for fewer than len(ranges) positions); emit returns
-// true to stop the level early.
+// Leapfrog Triejoin. Every arity k >= 2 runs Veldhuizen's leapfrog
+// search, k = 2 on the ranges in place. Alongside each value emit
+// receives at, where at[i] is the value's index in ranges[i]'s key
+// array: the cursors already sit on it, so the caller need not search
+// for it again. at is the caller's scratch, overwritten before every
+// emit (it is allocated only when it has room for fewer than
+// len(ranges) positions); emit returns true to stop the level early.
 func LeapfrogLevels(ranges []LevelRange, at []int, emit func(v relation.Value, at []int) bool) {
 	if len(ranges) == 0 || anyEmpty(ranges) {
 		return
@@ -270,16 +362,44 @@ func LeapfrogLevels(ranges []LevelRange, at []int, emit func(v relation.Value, a
 		return
 	}
 	if ranges[0].Keys32 != nil {
-		var buf [stackSpans]span[uint32]
-		streamSpans(toSpans32(buf[:0], ranges), at, emit)
+		a := span32(&ranges[0], 0)
+		switch len(ranges) {
+		case 1:
+			streamSpan(&a, at, emit)
+		case 2:
+			b := span32(&ranges[1], 1)
+			leapfrogPair(&a, &b, at, emit)
+		default:
+			var buf [stackSpans]span[uint32]
+			streamSpans(toSpans32(buf[:0], ranges), at, emit)
+		}
 		return
 	}
-	var buf [stackSpans]span[relation.Value]
-	streamSpans(toSpans64(buf[:0], ranges), at, emit)
+	a := span64(&ranges[0], 0)
+	switch len(ranges) {
+	case 1:
+		streamSpan(&a, at, emit)
+	case 2:
+		b := span64(&ranges[1], 1)
+		leapfrogPair(&a, &b, at, emit)
+	default:
+		var buf [stackSpans]span[relation.Value]
+		streamSpans(toSpans64(buf[:0], ranges), at, emit)
+	}
 }
 
-// streamSpans runs the leapfrog search, translating each match to the
-// per-range positions LeapfrogLevels reports.
+// streamSpan streams every key of s, the k = 1 level.
+func streamSpan[K key](s *span[K], at []int, emit func(relation.Value, []int) bool) {
+	for i := s.lo; i < s.hi; i++ {
+		at[0] = i
+		if emit(relation.Value(s.keys[i]), at) {
+			return
+		}
+	}
+}
+
+// streamSpans runs the leapfrog search over k >= 3 cursors, translating
+// each match to the per-range positions LeapfrogLevels reports.
 func streamSpans[K key](spans []span[K], at []int, emit func(relation.Value, []int) bool) {
 	leapfrogUntil(spans, func(v K) bool {
 		for _, s := range spans {
@@ -289,141 +409,198 @@ func streamSpans[K key](spans []span[K], at []int, emit func(relation.Value, []i
 	})
 }
 
-// intersectSpans materializes the intersection, appending with pos the
-// positions of each value in range order; all spans are non-empty.
-func intersectSpans[K key](dst []relation.Value, at []int, pos bool, spans []span[K]) ([]relation.Value, []int) {
-	switch len(spans) {
-	case 1:
-		s := spans[0]
-		for i := s.lo; i < s.hi; i++ {
-			dst = append(dst, relation.Value(s.keys[i]))
-			if pos {
-				at = append(at, i)
-			}
+// probeRest seeks every cursor of rest to v, in order, and reports
+// whether all of them hold it; more is false once a cursor has run past
+// its range, which ends the intersection.
+func probeRest[K key](rest []span[K], v K) (hit, more bool) {
+	for r := range rest {
+		s := &rest[r]
+		if s.lo = seek(s.keys, s.rank, s.lo, s.hi, v); s.lo >= s.hi {
+			return false, false
 		}
-		return dst, at
-	case 2:
-		a, b := spans[0], spans[1]
-		if a.hi-a.lo > b.hi-b.lo {
-			a, b = b, a
+		if s.keys[s.lo] != v {
+			return false, true
 		}
-		n := len(at)
-		if (b.hi - b.lo) >= gallopRatio*(a.hi-a.lo) {
-			// Gallop the small side through the large one.
-			j := b.lo
-			for i := a.lo; i < a.hi; i++ {
-				v := a.keys[i]
-				if j = gallopLB(b.keys, j, b.hi, v); j >= b.hi {
-					break
-				}
-				if b.keys[j] == v {
-					dst = append(dst, relation.Value(v))
-					if pos {
-						at = append(at, i, j)
-					}
-					j++
-				}
-			}
-		} else {
-			// Linear merge of comparable sizes.
-			i, j := a.lo, b.lo
-			for i < a.hi && j < b.hi {
-				av, bv := a.keys[i], b.keys[j]
-				switch {
-				case av == bv:
-					dst = append(dst, relation.Value(av))
-					if pos {
-						at = append(at, i, j)
-					}
-					i++
-					j++
-				case av < bv:
-					i++
-				default:
-					j++
-				}
-			}
-		}
-		if a.id != 0 {
-			// The pairs went in smaller range first; restore range order.
-			for p := n; p < len(at); p += 2 {
-				at[p], at[p+1] = at[p+1], at[p]
-			}
-		}
-		return dst, at
 	}
-	leapfrogUntil(spans, func(v K) bool {
+	return true, true
+}
+
+// probes reports whether the pair kernels intersect a and b (|a| <=
+// |b|) by seeking into b from every key of a — one read per key when b
+// is ranked, a gallop when b is gallopRatio times larger — rather than
+// by a linear merge.
+func probes[K key](a, b *span[K]) bool {
+	return b.rank != nil || b.hi-b.lo >= gallopRatio*(a.hi-a.lo)
+}
+
+// intersectPair materializes a ∩ b ∩ rest: it intersects the pair (by
+// probing the larger side, see probes, or merging), then probes each
+// common key in rest, which the k >= 3 entries order smallest first.
+// The pair's common keys bound the probes, so the level costs
+// O(k·min·log N) for the smallest range's min keys. Positions go to at
+// in range order, by span id.
+func intersectPair[K key](dst []relation.Value, at []int, pos bool, a, b *span[K], rest []span[K]) ([]relation.Value, []int) {
+	if a.hi-a.lo > b.hi-b.lo {
+		a, b = b, a
+	}
+	ak, alo, ahi, aid := a.keys, a.lo, a.hi, a.id
+	bk, brank, blo, bhi, bid := b.keys, b.rank, b.lo, b.hi, b.id
+	k := 2 + len(rest)
+	match := func(v K, i, j int) {
 		dst = append(dst, relation.Value(v))
 		if pos {
 			n := len(at)
-			at = slices.Grow(at, len(spans))[:n+len(spans)]
-			for _, s := range spans {
+			at = slices.Grow(at, k)[:n+k]
+			at[n+aid], at[n+bid] = i, j
+			for _, s := range rest {
 				at[n+s.id] = s.lo
 			}
 		}
-		return false
-	})
+	}
+	if probes(a, b) {
+		j := blo
+		for i := alo; i < ahi; i++ {
+			v := ak[i]
+			if j = seek(bk, brank, j, bhi, v); j >= bhi {
+				break
+			}
+			if bk[j] != v {
+				continue
+			}
+			if len(rest) > 0 {
+				hit, more := probeRest(rest, v)
+				if !more {
+					break
+				}
+				if !hit {
+					continue
+				}
+			}
+			match(v, i, j)
+		}
+		return dst, at
+	}
+	i, j := alo, blo
+	for i < ahi && j < bhi {
+		av, bv := ak[i], bk[j]
+		if av < bv {
+			i++
+			continue
+		}
+		if av > bv {
+			j++
+			continue
+		}
+		if len(rest) > 0 {
+			hit, more := probeRest(rest, av)
+			if !more {
+				break
+			}
+			if !hit {
+				i++
+				j++
+				continue
+			}
+		}
+		match(av, i, j)
+		i++
+		j++
+	}
 	return dst, at
 }
 
-// countSpans is the counting twin of intersectSpans: it stops at the
+// countPair is the counting twin of intersectPair: it stops at the
 // cap-th common value.
-func countSpans[K key](spans []span[K], cap int) int {
-	switch len(spans) {
-	case 1:
-		return min(spans[0].hi-spans[0].lo, cap)
-	case 2:
-		a, b := spans[0], spans[1]
-		if a.hi-a.lo > b.hi-b.lo {
-			a, b = b, a
-		}
-		n := 0
-		if (b.hi - b.lo) >= gallopRatio*(a.hi-a.lo) {
-			j := b.lo
-			for i := a.lo; i < a.hi; i++ {
-				v := a.keys[i]
-				j = gallopLB(b.keys, j, b.hi, v)
-				if j >= b.hi {
+func countPair[K key](a, b *span[K], rest []span[K], cap int) int {
+	if a.hi-a.lo > b.hi-b.lo {
+		a, b = b, a
+	}
+	ak, alo, ahi := a.keys, a.lo, a.hi
+	bk, brank, blo, bhi := b.keys, b.rank, b.lo, b.hi
+	n := 0
+	if probes(a, b) {
+		j := blo
+		for i := alo; i < ahi; i++ {
+			v := ak[i]
+			if j = seek(bk, brank, j, bhi, v); j >= bhi {
+				return n
+			}
+			if bk[j] != v {
+				continue
+			}
+			if len(rest) > 0 {
+				hit, more := probeRest(rest, v)
+				if !more {
 					return n
 				}
-				if b.keys[j] == v {
-					if n++; n == cap {
-						return n
-					}
-					j++
+				if !hit {
+					continue
 				}
 			}
-			return n
-		}
-		i, j := a.lo, b.lo
-		for i < a.hi && j < b.hi {
-			av, bv := a.keys[i], b.keys[j]
-			switch {
-			case av == bv:
-				if n++; n == cap {
-					return n
-				}
-				i++
-				j++
-			case av < bv:
-				i++
-			default:
-				j++
+			if n++; n == cap {
+				return n
 			}
 		}
 		return n
 	}
-	n := 0
-	leapfrogUntil(spans, func(K) bool {
-		n++
-		return n == cap
-	})
+	i, j := alo, blo
+	for i < ahi && j < bhi {
+		av, bv := ak[i], bk[j]
+		if av < bv {
+			i++
+			continue
+		}
+		if av > bv {
+			j++
+			continue
+		}
+		i++
+		j++
+		if len(rest) > 0 {
+			hit, more := probeRest(rest, av)
+			if !more {
+				return n
+			}
+			if !hit {
+				continue
+			}
+		}
+		if n++; n == cap {
+			return n
+		}
+	}
 	return n
+}
+
+// leapfrogPair is the leapfrog search over two cursors: each seeks to
+// the other's key until they agree, then a advances past the match.
+func leapfrogPair[K key](a, b *span[K], at []int, emit func(relation.Value, []int) bool) {
+	ak, arank, i, ahi := a.keys, a.rank, a.lo, a.hi
+	bk, brank, j, bhi := b.keys, b.rank, b.lo, b.hi
+	for {
+		v := ak[i]
+		if j = seek(bk, brank, j, bhi, v); j >= bhi {
+			return
+		}
+		if w := bk[j]; w != v {
+			if i = seek(ak, arank, i, ahi, w); i >= ahi {
+				return
+			}
+			continue
+		}
+		at[a.id], at[b.id] = i, j
+		if emit(relation.Value(v), at) {
+			return
+		}
+		if i++; i >= ahi {
+			return
+		}
+	}
 }
 
 // leapfrogUntil is Veldhuizen's leapfrog search over the spans,
 // calling emit for every common key; cursors advance in place with
-// galloping seeks, so the cost per emitted or skipped key is
+// seeks (see seek), so the cost per emitted or skipped key is
 // O(k + log jump). Spans must be non-empty. emit returns true to stop
 // early (EXISTS). The classic invariant: cursors are kept sorted by
 // current key starting from p; when the smallest equals the largest
@@ -453,7 +630,7 @@ func leapfrogUntil[K key](spans []span[K], emit func(K) bool) {
 			}
 			max = s.keys[s.lo]
 		} else {
-			s.lo = gallopLB(s.keys, s.lo, s.hi, max)
+			s.lo = seek(s.keys, s.rank, s.lo, s.hi, max)
 			if s.lo >= s.hi {
 				return
 			}
@@ -467,11 +644,12 @@ func leapfrogUntil[K key](spans []span[K], emit func(K) bool) {
 }
 
 // smallestRange returns the index of the range with the fewest keys,
-// which bounds the size of their intersection.
+// which bounds the size of their intersection. It reads the windows in
+// place: a LevelRange is too large to copy per call.
 func smallestRange(ranges []LevelRange) int {
 	best, arg := -1, -1
-	for i, r := range ranges {
-		if s := r.Size(); best < 0 || s < best {
+	for i := range ranges {
+		if s := ranges[i].Hi - ranges[i].Lo; best < 0 || s < best {
 			best, arg = s, i
 		}
 	}

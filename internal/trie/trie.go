@@ -47,6 +47,9 @@ import (
 //     children at level d+1 are segments
 //     [childStart[d][s], childStart[d][s+1]). Level-(k-1) children are
 //     rows, so childStart[k-2] aliases rowStart[k-2].
+//   - rank0, on a narrowed trie whose level-0 keys are dense (see
+//     denseLevel0), has maxKey+1 entries: rank0[v] is the index of the
+//     first level-0 key >= v. Otherwise it is nil.
 type Trie struct {
 	rel   *relation.Relation
 	attrs []string
@@ -58,7 +61,15 @@ type Trie struct {
 	keys32     [][]uint32
 	rowStart   [][]int32
 	childStart [][]int32
+	rank0      []int32
 	owned      int64 // arena bytes owned by the CSR index
+}
+
+// denseLevel0 reports whether a level 0 of n distinct keys, the
+// largest maxKey, is dense enough for a rank array: maxKey+1 entries
+// cost at most 4 per key plus a constant, at 4 bytes an entry.
+func denseLevel0(n int, maxKey relation.Value) bool {
+	return maxKey < 4*relation.Value(n)+64
 }
 
 // Build returns a trie over r with attributes in the given order. If
@@ -148,10 +159,32 @@ func (t *Trie) buildIndex() error {
 		t.segs[d] = len(b)
 	}
 
+	// Narrow the key slabs to uint32 when every value of every column is
+	// representable (values can be negative: raw integer columns are
+	// stored verbatim, only Dict-interned IDs are dense non-negative).
+	narrow := true
+	for _, col := range t.cols {
+		for _, v := range col {
+			if v < 0 || v > math.MaxUint32 {
+				narrow = false
+				break
+			}
+		}
+		if !narrow {
+			break
+		}
+	}
+	// A narrowed trie with a dense level 0 ranks it (column 0 is
+	// sorted, so its last value is the largest key).
+	rankLen := 0
+	if narrow && n > 0 && denseLevel0(t.segs[0], t.cols[0][n-1]) {
+		rankLen = int(t.cols[0][n-1]) + 1
+	}
+
 	// Offset arena: rowStart for every non-deepest level plus
 	// childStart for levels with non-row children (childStart[k-2]
-	// aliases rowStart[k-2]).
-	totOff := 0
+	// aliases rowStart[k-2]), then the level-0 rank array.
+	totOff := rankLen
 	totKeys := 0
 	for d := 0; d < k-1; d++ {
 		totOff += t.segs[d] + 1
@@ -190,22 +223,8 @@ func (t *Trie) buildIndex() error {
 	if k >= 2 {
 		t.childStart[k-2] = t.rowStart[k-2]
 	}
+	rank := offArena[off : off+rankLen : off+rankLen]
 
-	// Key slabs. Narrow to uint32 when every value of every column is
-	// representable (values can be negative: raw integer columns are
-	// stored verbatim, only Dict-interned IDs are dense non-negative).
-	narrow := true
-	for _, col := range t.cols {
-		for _, v := range col {
-			if v < 0 || v > math.MaxUint32 {
-				narrow = false
-				break
-			}
-		}
-		if !narrow {
-			break
-		}
-	}
 	if narrow {
 		arena := make([]uint32, totKeys+n)
 		t.keys32 = make([][]uint32, k)
@@ -225,6 +244,16 @@ func (t *Trie) buildIndex() error {
 			last[i] = uint32(v)
 		}
 		t.keys32[k-1] = last
+		if rankLen > 0 {
+			ks, j := t.keys32[0], 0
+			for v := range rank {
+				for ks[j] < uint32(v) {
+					j++
+				}
+				rank[v] = int32(j)
+			}
+			t.rank0 = rank
+		}
 		t.owned = int64(totOff)*4 + int64(totKeys+n)*4
 	} else {
 		arena := make([]relation.Value, totKeys)
@@ -266,8 +295,8 @@ func (t *Trie) Narrowed() bool { return t.keys32 != nil }
 // storage (tuples x arity x 8-byte values — charged in full even when
 // Build shared the relation's native storage, since a memoized trie
 // pins it either way) plus the owned CSR index
-// arenas (offset arrays and dense, possibly uint32-narrowed, key
-// slabs).
+// arenas (offset arrays, the level-0 rank array and dense, possibly
+// uint32-narrowed, key slabs).
 func (t *Trie) SizeBytes() int64 {
 	return int64(t.n)*int64(len(t.cols))*8 + t.owned
 }
@@ -304,10 +333,16 @@ func (t *Trie) Children(d, s int) (lo, hi int) {
 // SegLevel returns the intersection view of level d restricted to
 // segments [lo,hi) — a parent's children span, or the whole level for
 // d = 0. The keys are dense, strictly increasing and duplicate-free,
-// which is what the kernels in leapfrog.go assume.
+// which is what the kernels in leapfrog.go assume. The whole of a
+// ranked level 0 carries its rank array, so the kernels seek into it
+// in O(1).
 func (t *Trie) SegLevel(d, lo, hi int) LevelRange {
 	if t.keys32 != nil {
-		return LevelRange{Keys32: t.keys32[d], Lo: lo, Hi: hi}
+		r := LevelRange{Keys32: t.keys32[d], Lo: lo, Hi: hi}
+		if d == 0 && lo == 0 && hi == t.segs[0] {
+			r.rank = t.rank0
+		}
+		return r
 	}
 	return LevelRange{Keys: t.keys[d], Lo: lo, Hi: hi}
 }
