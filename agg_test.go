@@ -11,6 +11,8 @@ package wcoj
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"wcoj/internal/agg"
@@ -399,6 +401,45 @@ func TestCountProjectedCountsDistinct(t *testing.T) {
 	}
 }
 
+// TestCountBowtieMemo: the subtree memo pays below a separator. In the
+// bow-tie — two triangles sharing A — under [A B C D F], the second
+// triangle's atoms hold neither B nor C, so once A is bound the count
+// below D is the same for every (B, C): it is served from the memo.
+// Hits depend on A alone, and the sharded runner splits A values
+// between chunks, so p=1 and p=2 make the same hits.
+func TestCountBowtieMemo(t *testing.T) {
+	db := NewDatabase()
+	db.Put(dataset.PowerLawGraph(200, 1000, 1.6, 21))
+	q, err := MustParse("Q(A,B,C,D,F) :- E(A,B), E(B,C), E(A,C), E(A,D), E(D,F), E(A,F)").Bind(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := []string{"A", "B", "C", "D", "F"}
+	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
+		slow, _, err := Count(q, Options{Algorithm: algo, Order: order, DisablePushdown: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n1, st1, err := Count(q, Options{Algorithm: algo, Order: order, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n2, st2, err := Count(q, Options{Algorithm: algo, Order: order, Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n1 != slow || n2 != slow {
+			t.Errorf("%v: Count = %d (p=1), %d (p=2); DisablePushdown count %d", algo, n1, n2, slow)
+		}
+		// The hit count is pinned: the separator rule only stops
+		// probes that cannot hit, so it must not lose one.
+		const wantHits = 1856
+		if st1.AggMemoHits != wantHits || st2.AggMemoHits != wantHits {
+			t.Errorf("%v: memo hits %d (p=1), %d (p=2); want %d", algo, st1.AggMemoHits, st2.AggMemoHits, wantHits)
+		}
+	}
+}
+
 // TestCountFallbacks: backtracking counts and existence-checks through
 // the same pushdown plans, under its constraints' order.
 func TestCountFallbacks(t *testing.T) {
@@ -481,6 +522,37 @@ func TestExplainCountClassification(t *testing.T) {
 	}
 	if e.Classes[0] != ClassFreeOutput || e.Classes[1] != ClassFreeOutput {
 		t.Fatalf("Classes = %v, want free-output prefix", e.Classes)
+	}
+
+	// Memo levels: the bound levels below a separator. A triangle has
+	// none; the bow-tie's is D, where the second triangle's atoms hold
+	// neither B nor C.
+	for _, tc := range []struct {
+		src   string
+		order []string
+		memo  []bool
+		shown string
+	}{
+		{"Q(A,B,C) :- E(A,B), E(B,C), E(A,C)", []string{"A", "B", "C"},
+			[]bool{false, false, false}, ""},
+		{"Q(A,B,C,D,F) :- E(A,B), E(B,C), E(A,C), E(A,D), E(D,F), E(A,F)", []string{"A", "B", "C", "D", "F"},
+			[]bool{false, false, false, true, false}, "memo=[D]"},
+	} {
+		q, err := MustParse(tc.src).Bind(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := Explain(q, Options{Order: tc.order})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := full.Count; !reflect.DeepEqual(e.MemoDepths, tc.memo) {
+			t.Errorf("%s: MemoDepths = %v, want %v", tc.src, e.MemoDepths, tc.memo)
+		}
+		s := full.Count.String()
+		if tc.shown == "" && strings.Contains(s, "memo=") || !strings.Contains(s, tc.shown) {
+			t.Errorf("%s: String() = %q, want memo levels %q", tc.src, s, tc.shown)
+		}
 	}
 }
 

@@ -25,11 +25,13 @@
 //     recursing.
 //
 // A per-(trie,prefix) memo table caches subtree counts at bound
-// levels: the count below depth d is a pure function of the row
-// ranges of the atoms still active at depth d, so shared suffixes —
-// different prefixes that narrow the active atoms to identical ranges
-// — are counted once. The memo disables itself adaptively when the
-// workload never revisits a range signature.
+// levels below a separator: the count below depth d is a pure function
+// of the row ranges of the atoms still active at depth d, so once the
+// prefix binds a variable no active atom contains, the prefixes that
+// differ only there narrow the active atoms to identical ranges and
+// their subtree is counted once. Above the first separator every key
+// is distinct, so the memo is not consulted there. It disables itself
+// adaptively when the workload never revisits a range signature.
 //
 // The package is engine-agnostic: it knows variable orders and atom
 // schemas, not tries. The search in internal/core drives the recursion
@@ -137,8 +139,13 @@ type Classification struct {
 	// range stack entry holds the atom's current row range.
 	BoundLevel [][]int
 	// MemoDepths[d] reports whether the engines should consult the
-	// subtree memo at depth d (bound levels below the projection
-	// boundary, excluding the root and the tail level).
+	// subtree memo at depth d: a bound level below the projection
+	// boundary, not the root and not the tail level, and below a
+	// separator — some variable bound above d occurs in no atom active
+	// at d. Without a separator the memo key (the active atoms' row
+	// ranges) fixes every bound variable, so two prefixes never share
+	// a key and the memo cannot hit; with one, prefixes that differ
+	// only in separated variables can.
 	MemoDepths []bool
 }
 
@@ -193,6 +200,14 @@ func Classify(order []string, atoms [][]string, spec Spec) (*Classification, err
 			}
 		}
 	}
+	// reach[d] = the deepest level of any atom containing order[d]:
+	// the variable is in an active atom's key through depth reach[d].
+	reach := make([]int, n)
+	for i, vars := range atoms {
+		for _, v := range vars {
+			reach[pos[v]] = max(reach[pos[v]], lastLevel[i])
+		}
+	}
 
 	countFrom := n
 	for d := n - 1; d >= enumEnd; d-- {
@@ -212,7 +227,13 @@ func Classify(order []string, atoms [][]string, spec Spec) (*Classification, err
 		BoundLevel:  make([][]int, n),
 		MemoDepths:  make([]bool, n),
 	}
+	// minReach = the least reach of a variable bound above d: below
+	// it, that variable is in no active atom.
+	minReach := n
 	for d := 0; d < n; d++ {
+		if d > 0 {
+			minReach = min(minReach, reach[d-1])
+		}
 		switch {
 		case d < enumEnd:
 			c.Classes[d] = FreeOutput
@@ -236,7 +257,7 @@ func Classify(order []string, atoms [][]string, spec Spec) (*Classification, err
 				c.BoundLevel[d] = append(c.BoundLevel[d], bound)
 			}
 		}
-		c.MemoDepths[d] = d > 0 && d >= enumEnd && c.Classes[d] == Bound
+		c.MemoDepths[d] = d > 0 && d >= enumEnd && c.Classes[d] == Bound && minReach < d
 	}
 	return c, nil
 }
@@ -303,10 +324,10 @@ func SinkPartition(order []string, atoms [][]string, spec Spec) (keep, sunk []st
 }
 
 // Memo caches subtree results keyed by the row-range signature of the
-// active atoms at a depth — the per-(trie,prefix) table that lets
-// shared suffixes be counted once. It is single-goroutine state: the
-// sharded engines give each chunk its own Memo, so results stay
-// deterministic for a fixed worker count.
+// active atoms at a depth — the per-(trie,prefix) table that lets a
+// subtree below a separator be counted once. It is single-goroutine
+// state: the sharded engines give each chunk its own Memo, so results
+// stay deterministic for a fixed worker count.
 //
 // The memo watches its own hit rate and stops probing (and inserting)
 // once a workload has demonstrated it never revisits a signature, so

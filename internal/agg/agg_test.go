@@ -38,8 +38,44 @@ func TestClassifyTriangleCount(t *testing.T) {
 	if got := c.BoundLevel[2]; !reflect.DeepEqual(got, []int{1, 1}) {
 		t.Errorf("BoundLevel[2] = %v, want [1 1]", got)
 	}
-	if c.MemoDepths[0] || !c.MemoDepths[1] || c.MemoDepths[2] {
-		t.Errorf("MemoDepths = %v, want [false true false]", c.MemoDepths)
+	// A, bound above depth 1, is in R and T, both active there: no
+	// separator, so no memo level.
+	if want := []bool{false, false, false}; !reflect.DeepEqual(c.MemoDepths, want) {
+		t.Errorf("MemoDepths = %v, want %v", c.MemoDepths, want)
+	}
+}
+
+// TestClassifyMemoDepths: the memo is consulted only at bound levels
+// below a separator — a variable bound above the level that no atom
+// active at the level contains.
+func TestClassifyMemoDepths(t *testing.T) {
+	cycle4 := [][]string{{"A", "B"}, {"B", "C"}, {"C", "D"}, {"A", "D"}}
+	clique4 := [][]string{{"A", "B"}, {"A", "C"}, {"A", "D"}, {"B", "C"}, {"B", "D"}, {"C", "D"}}
+	// Two triangles sharing A: R,S,T on (A,B,C), U,V,W on (A,D,F).
+	bowtie := [][]string{{"A", "B"}, {"B", "C"}, {"A", "C"}, {"A", "D"}, {"D", "F"}, {"A", "F"}}
+	for _, tc := range []struct {
+		name  string
+		order []string
+		atoms [][]string
+		spec  Spec
+		want  []bool
+	}{
+		{"cycle4", []string{"A", "B", "C", "D"}, cycle4, Spec{Mode: ModeCount}, []bool{false, false, false, false}},
+		{"clique4", []string{"A", "B", "C", "D"}, clique4, Spec{Mode: ModeExists}, []bool{false, false, false, false}},
+		// Only U, V, W are active at D, and none holds B or C.
+		{"bowtie", []string{"A", "B", "C", "D", "F"}, bowtie, Spec{Mode: ModeCount}, []bool{false, false, false, true, false}},
+		// Projected to A: E1, the only atom holding A, ends at B, so
+		// C is below a separator.
+		{"path4-project-A", []string{"A", "B", "C", "D"}, path4Atoms,
+			Spec{Mode: ModeEnumerate, Project: []string{"A"}}, []bool{false, false, true, false}},
+	} {
+		c, err := Classify(tc.order, tc.atoms, tc.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(c.MemoDepths, tc.want) {
+			t.Errorf("%s: MemoDepths = %v, want %v", tc.name, c.MemoDepths, tc.want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"wcoj/internal/agg"
 	"wcoj/internal/dataset"
 	"wcoj/internal/relation"
 )
@@ -12,7 +13,9 @@ import (
 // TestSearchAllocs: a serial enumeration over a built plan makes a
 // bounded number of allocations — its searcher and the growth of its
 // per-depth buffers — however large the data, under both level
-// strategies: the level kernels allocate nothing per call.
+// strategies: the level kernels allocate nothing per call. So does a
+// COUNT, serial or sharded: the triangle has no level below a
+// separator, so its searchers never make a subtree memo or its keys.
 func TestSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -49,6 +52,30 @@ func TestSearchAllocs(t *testing.T) {
 					t.Errorf("enumerate: %v allocations per run, want <= 32", a)
 				}
 			})
+		}
+		cp, cls, err := AggPlanSrc(new(TrieMemo), q, nil, agg.Spec{Mode: agg.ModeCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range strategies {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("E=%d/%s/count/p=%d", m, st.name, workers), func(t *testing.T) {
+					run := func() {
+						if _, _, err := GenericJoinAggPlan(context.Background(), cp, cls, st.lv, workers); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// Each chunk of a sharded run has its own searcher;
+					// the chunk count grows with the log of the data.
+					limit := 32.0
+					if workers > 1 {
+						limit = 512
+					}
+					if a := testing.AllocsPerRun(3, run); a > limit {
+						t.Errorf("count: %v allocations per run, want <= %v", a, limit)
+					}
+				})
+			}
 		}
 	}
 }

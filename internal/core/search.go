@@ -28,8 +28,10 @@ package core
 //     (relations are duplicate-free sets, so a range size is a
 //     distinct-tuple count), and the deepest level asks the kernel for
 //     the intersection's size up to the cap, under both strategies;
-//   - bound levels below the projection boundary consult a
-//     per-(trie,prefix) memo, so shared suffixes are counted once;
+//   - bound levels below the projection boundary and below a separator
+//     (a bound variable no active atom contains) consult a
+//     per-(trie,prefix) memo, so the subtree is counted once per
+//     separator value;
 //   - a level whose partial sum reaches the cap stops (EXISTS stops at
 //     the first witness), across shards via a shared stop flag.
 //
@@ -38,6 +40,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"wcoj/internal/agg"
@@ -132,6 +135,8 @@ type searcher struct {
 	// the result.
 	err error
 
+	// memo is nil unless some depth is below a separator
+	// (agg.Classification.MemoDepths); a nil memo is never enabled.
 	memo      *agg.Memo
 	keyRanges []int // scratch the memo key is built from
 }
@@ -193,7 +198,9 @@ func newSearcher(p *Plan, cls *agg.Classification, lv LevelStrategy, cap int64, 
 	if cls == nil {
 		return s
 	}
-	s.memo = agg.NewMemo()
+	if slices.Contains(cls.MemoDepths, true) {
+		s.memo = agg.NewMemo()
+	}
 	if len(cls.Spec.Project) > 0 {
 		s.enumEnd = cls.EnumEnd
 		s.projPos = make([]int, len(cls.Spec.Project))

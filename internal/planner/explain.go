@@ -55,6 +55,10 @@ type Explanation struct {
 	// depth from which the engines multiply subtree cardinalities
 	// instead of recursing (len(Order) when there is no such suffix).
 	CountFrom int
+	// MemoDepths[d] reports whether the engines consult the subtree
+	// memo at level d of Order: the bound levels below a separator (see
+	// agg.Classification.MemoDepths); nil without an aggregate spec.
+	MemoDepths []bool
 	// Count, when non-nil, is the planning record of the aggregate
 	// pushdown plan Count runs for the same options: single-atom (or
 	// projected-away) variables sunk to the end of the order, each
@@ -89,6 +93,15 @@ func (e *Explanation) String() string {
 		fmt.Fprintf(&b, "  agg: mode=%s", e.AggMode)
 		if e.CountFrom < len(e.Order) {
 			fmt.Fprintf(&b, " counted-suffix=[%s]", strings.Join(e.Order[e.CountFrom:], " "))
+		}
+		var memo []string
+		for d, on := range e.MemoDepths {
+			if on {
+				memo = append(memo, e.Order[d])
+			}
+		}
+		if len(memo) > 0 {
+			fmt.Fprintf(&b, " memo=[%s]", strings.Join(memo, " "))
 		}
 		if len(e.Classes) == len(e.Order) && len(e.LogBounds) != len(e.Order) {
 			parts := make([]string, len(e.Classes))

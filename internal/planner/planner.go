@@ -188,6 +188,7 @@ func attachAgg(e *Explanation, q *core.Query, spec *agg.Spec) error {
 	e.AggMode = spec.Mode.String()
 	e.Classes = cls.Classes
 	e.CountFrom = cls.CountFrom
+	e.MemoDepths = cls.MemoDepths
 	return nil
 }
 

@@ -493,9 +493,9 @@ func ExecuteFunc(q *Query, opts Options, emit func(Tuple) error) (*Stats, error)
 // the number of extensions is the product of the atoms' current
 // row-range sizes (relations are duplicate-free sets) — the deepest
 // searched level contributes its intersection size without recursing,
-// and a per-(trie,prefix) memo counts shared suffixes once. Setting
-// Options.DisablePushdown falls back to enumerating (never
-// materializing) every result tuple; the two agree at every
+// and a per-(trie,prefix) memo counts a subtree below a separator
+// once. Setting Options.DisablePushdown falls back to enumerating
+// (never materializing) every result tuple; the two agree at every
 // Parallelism setting and under every planner policy.
 func Count(q *Query, opts Options) (int, *Stats, error) {
 	e, err := oneShot(q, opts)
