@@ -58,8 +58,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -205,16 +207,18 @@ func loadDB(c config) (*wcoj.DB, map[string]bool, error) {
 }
 
 // decodeJSON and writeJSON are the request/response codecs shared by
-// the HTTP handlers.
+// the HTTP handlers. Untyped numbers (the tuple fields of /update)
+// decode as json.Number, so integers past 2^53 arrive exactly.
+// Replies are compact; pipe them through jq to read them.
 func decodeJSON(r io.Reader, v any) error {
-	return json.NewDecoder(r).Decode(v)
+	dec := json.NewDecoder(r)
+	dec.UseNumber()
+	return dec.Decode(v)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // batch prepares every query, then re-executes the prepared set from
@@ -332,14 +336,98 @@ type queryRequest struct {
 
 // queryResponse is the POST /query reply. For row requests Count is
 // the number of rows returned (enumeration stops at Limit; Truncated
-// marks the cut); count/exists requests report exact answers.
+// marks the cut); count/exists requests report exact answers. Rows
+// holds the rows already encoded by appendRow, comma-separated and
+// without the enclosing brackets; appendJSON writes the envelope.
 type queryResponse struct {
-	Count     int       `json:"count"`
-	Exists    *bool     `json:"exists,omitempty"`
-	Attrs     []string  `json:"attrs,omitempty"`
-	Rows      [][]int64 `json:"rows,omitempty"`
-	Truncated bool      `json:"truncated,omitempty"`
-	ElapsedUS int64     `json:"elapsed_us"`
+	Count     int
+	Exists    *bool
+	Attrs     []string
+	Rows      []byte
+	Truncated bool
+	ElapsedUS int64
+}
+
+// appendJSON appends the reply as encoding/json would write it (field
+// order, omitempty rules and the trailing newline included) without
+// reflecting over the rows or re-scanning them once encoded:
+//
+//	{"count":N,"exists":B,"attrs":[...],"rows":[[...],...],"truncated":true,"elapsed_us":N}
+func (r *queryResponse) appendJSON(b []byte) []byte {
+	b = append(b, `{"count":`...)
+	b = strconv.AppendInt(b, int64(r.Count), 10)
+	if r.Exists != nil {
+		b = append(b, `,"exists":`...)
+		b = strconv.AppendBool(b, *r.Exists)
+	}
+	if len(r.Attrs) > 0 {
+		attrs, _ := json.Marshal(r.Attrs) // a []string always marshals
+		b = append(b, `,"attrs":`...)
+		b = append(b, attrs...)
+	}
+	if len(r.Rows) > 0 {
+		b = append(b, `,"rows":[`...)
+		b = append(b, r.Rows...)
+		b = append(b, ']')
+	}
+	if r.Truncated {
+		b = append(b, `,"truncated":true`...)
+	}
+	b = append(b, `,"elapsed_us":`...)
+	b = strconv.AppendInt(b, r.ElapsedUS, 10)
+	return append(b, "}\n"...)
+}
+
+// appendRow appends t as the JSON array [v1,v2,...] to dst, after a
+// comma when dst ends in an earlier row. /query and /materialized/{id}
+// encode their rows with it as the engine (or the view) hands them
+// over, so no row is ever boxed as a slice.
+func appendRow(dst []byte, t wcoj.Tuple) []byte {
+	if len(dst) > 0 && dst[len(dst)-1] == ']' {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, '[')
+	for j, v := range t {
+		if j > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(v), 10)
+	}
+	return append(dst, ']')
+}
+
+// maxPooledReply caps the buffers replyBufs keeps: a buffer that grew
+// past it for one huge reply is left to the GC instead of pinning its
+// memory in the pool.
+const maxPooledReply = 1 << 20
+
+// replyBufs recycles the byte buffers rows and replies are encoded
+// into, so a steady stream of row queries stops growing fresh buffers.
+var replyBufs sync.Pool
+
+func getReplyBuf() []byte {
+	if b, ok := replyBufs.Get().(*[]byte); ok {
+		return (*b)[:0]
+	}
+	return make([]byte, 0, 4096)
+}
+
+func putReplyBuf(b []byte) {
+	if cap(b) > 0 && cap(b) <= maxPooledReply {
+		replyBufs.Put(&b)
+	}
+}
+
+// writeQueryReply writes a /query reply with its Content-Length and
+// hands the rows buffer back to the pool.
+func writeQueryReply(w http.ResponseWriter, resp *queryResponse) {
+	b := resp.appendJSON(getReplyBuf())
+	putReplyBuf(resp.Rows)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.Write(b)
+	putReplyBuf(b)
 }
 
 // updateRequest is the POST /update body: tuples to insert and delete
@@ -367,13 +455,38 @@ type updateResponse struct {
 	ElapsedUS   int64  `json:"elapsed_us"`
 }
 
+// maxExactFloat is 2^53: every integer of at most that magnitude has
+// an exact float64, so a number written as 1e3 or 7.0 within it cannot
+// have been rounded.
+const maxExactFloat = 1 << 53
+
+// tupleInt converts one decoded JSON number to a tuple value. A plain
+// integer literal is parsed exactly over the whole int64 range; any
+// other form (1e3, 7.0) is taken only if it is integral and within
+// ±2^53.
+func tupleInt(n json.Number) (wcoj.Value, error) {
+	s := string(n)
+	if !strings.ContainsAny(s, ".eE") {
+		i, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return 0, fmt.Errorf("%s is out of the int64 range", s)
+		}
+		return wcoj.Value(i), nil
+	}
+	x, err := strconv.ParseFloat(s, 64)
+	if err != nil || x != math.Trunc(x) || math.Abs(x) > maxExactFloat {
+		return 0, fmt.Errorf("%s is not an integer within ±2^53", s)
+	}
+	return wcoj.Value(int64(x)), nil
+}
+
 // handleUpdate folds one update request into the DB. dictRels says
 // which relations were loaded with string interning: string fields
 // are only accepted for those — interning a string against an
 // integer-encoded relation would allocate a fresh dict ID and insert
 // a bogus tuple while reporting success. Numbers are accepted either
 // way (for a dict relation they are raw dict IDs, as returned by
-// /query).
+// /query); tupleInt says which numbers are integers.
 func handleUpdate(db *wcoj.DB, dictRels map[string]bool, req updateRequest) (*updateResponse, int, error) {
 	batch := wcoj.NewBatch()
 	toTuples := func(rel string, rows [][]any) ([]wcoj.Tuple, error) {
@@ -382,11 +495,11 @@ func handleUpdate(db *wcoj.DB, dictRels map[string]bool, req updateRequest) (*up
 			t := make(wcoj.Tuple, len(row))
 			for j, v := range row {
 				switch x := v.(type) {
-				case float64: // every JSON number decodes here
-					if x != float64(int64(x)) {
-						return nil, fmt.Errorf("tuple %d field %d: %v is not an integer", i, j+1, x)
+				case json.Number: // every JSON number decodes here
+					var err error
+					if t[j], err = tupleInt(x); err != nil {
+						return nil, fmt.Errorf("tuple %d field %d: %w", i, j+1, err)
 					}
-					t[j] = wcoj.Value(int64(x))
 				case string:
 					if !dictRels[rel] {
 						return nil, fmt.Errorf("tuple %d field %d: relation %q holds integers, not interned strings", i, j+1, rel)
@@ -434,8 +547,10 @@ func handleUpdate(db *wcoj.DB, dictRels map[string]bool, req updateRequest) (*up
 // errRowLimit aborts a row enumeration once Limit rows are streamed.
 var errRowLimit = errors.New("row limit reached")
 
-// maxRowLimit bounds client-supplied limits: the handler allocates the
-// row buffer up front, so the cap must be server-controlled.
+// maxRowLimit bounds client-supplied limits, and with them a reply's
+// memory: rows are encoded into one buffer as the engine emits them,
+// so a reply holds nothing but its encoded rows, and the server, not
+// the client, caps how many.
 const maxRowLimit = 100000
 
 // handleQuery resolves one request against the DB's plan cache. The
@@ -491,27 +606,20 @@ func handleQuery(ctx context.Context, db *wcoj.DB, req queryRequest) (*queryResp
 			attrs = req.Project
 		}
 		resp.Attrs = attrs
-		capHint := limit
-		if capHint > 1024 {
-			capHint = 1024 // grow on demand past this; limit only caps
-		}
-		resp.Rows = make([][]int64, 0, capHint)
+		resp.Rows = getReplyBuf()
 		_, err := pq.ExecuteFunc(ctx, func(t wcoj.Tuple) error {
-			if len(resp.Rows) == limit {
+			if resp.Count == limit {
 				resp.Truncated = true
 				return errRowLimit
 			}
-			row := make([]int64, len(t))
-			for j, v := range t {
-				row[j] = int64(v)
-			}
-			resp.Rows = append(resp.Rows, row)
+			resp.Rows = appendRow(resp.Rows, t)
+			resp.Count++
 			return nil
 		})
 		if err != nil && !errors.Is(err, errRowLimit) {
+			putReplyBuf(resp.Rows)
 			return nil, http.StatusInternalServerError, err
 		}
-		resp.Count = len(resp.Rows)
 	}
 	resp.ElapsedUS = time.Since(start).Microseconds()
 	return resp, 0, nil

@@ -2,8 +2,12 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"math"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wcoj"
@@ -115,7 +119,7 @@ func TestHandleUpdateStringTuples(t *testing.T) {
 	}
 	// Non-integral numbers and unsupported types are rejected.
 	if _, _, err := handleUpdate(db, dictRels, updateRequest{
-		Insert: map[string][][]any{"F": {{1.5, "x"}}},
+		Insert: map[string][][]any{"F": {{json.Number("1.5"), "x"}}},
 	}); err == nil {
 		t.Fatal("non-integral number must fail")
 	}
@@ -130,5 +134,60 @@ func TestHandleUpdateStringTuples(t *testing.T) {
 		Insert: map[string][][]any{"G": {{"alice", "bob"}}},
 	}); err == nil {
 		t.Fatal("string fields for a non-dict relation must fail")
+	}
+}
+
+// TestHandleUpdateExactIntegers: /update takes tuple values exactly.
+// Plain integer literals keep every int64 (2^53+1 is not rounded to
+// 2^53, so deleting it removes it and not its neighbour); other number
+// forms are taken only when integral and within ±2^53; anything else
+// is a 400 naming the tuple and the field.
+func TestHandleUpdateExactIntegers(t *testing.T) {
+	_, ts := newTestServer(t, testDB(t), testConfig())
+	rows := func() map[[2]int64]bool {
+		t.Helper()
+		code, body := post(t, ts.URL+"/query", `{"query":"Q(A,B) :- E(A,B)","limit":1000}`)
+		if code != http.StatusOK {
+			t.Fatalf("query: %d %s", code, body)
+		}
+		var r struct{ Rows [][2]int64 }
+		if err := json.Unmarshal([]byte(body), &r); err != nil {
+			t.Fatal(err)
+		}
+		set := make(map[[2]int64]bool, len(r.Rows))
+		for _, row := range r.Rows {
+			set[row] = true
+		}
+		return set
+	}
+	code, body := post(t, ts.URL+"/update", `{"insert":{"E":[
+		[9007199254740993,1],[9007199254740992,1],
+		[9223372036854775807,2],[-9223372036854775807,3],[1e3,4],[7.0,5]]}}`)
+	if code != http.StatusOK {
+		t.Fatalf("insert: %d %s", code, body)
+	}
+	got := rows()
+	for _, want := range [][2]int64{
+		{1<<53 + 1, 1}, {1 << 53, 1}, {math.MaxInt64, 2}, {-math.MaxInt64, 3}, {1000, 4}, {7, 5},
+	} {
+		if !got[want] {
+			t.Errorf("row %v missing after insert: %v", want, got)
+		}
+	}
+	if code, body := post(t, ts.URL+"/update", `{"delete":{"E":[[9007199254740993,1]]}}`); code != http.StatusOK {
+		t.Fatalf("delete: %d %s", code, body)
+	}
+	if got := rows(); got[[2]int64{1<<53 + 1, 1}] || !got[[2]int64{1 << 53, 1}] {
+		t.Fatalf("deleting 2^53+1 must remove exactly it: %v", got)
+	}
+	for _, bad := range []string{
+		`{"insert":{"E":[[1,2],[1.5,1]]}}`,
+		`{"insert":{"E":[[1,2],[1,9223372036854775808]]}}`,
+		`{"insert":{"E":[[1,2],[1e300,1]]}}`,
+	} {
+		code, body := post(t, ts.URL+"/update", bad)
+		if code != http.StatusBadRequest || !strings.Contains(body, "tuple 1 field") {
+			t.Errorf("%s: %d %q, want 400 naming tuple 1 and its field", bad, code, body)
+		}
 	}
 }

@@ -10,6 +10,7 @@ package main
 // the answer.
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -37,24 +38,25 @@ type materializeRequest struct {
 // heals it by recomputing). Rows appear only on GET /materialized/{id}
 // for rows-mode views, capped at the server row limit.
 type materializedView struct {
-	ID        string    `json:"id"`
-	Query     string    `json:"query"`
-	Mode      string    `json:"mode"`
-	Project   []string  `json:"project,omitempty"`
-	Epoch     uint64    `json:"epoch"`
-	Count     int64     `json:"count"`
-	Exists    *bool     `json:"exists,omitempty"`
-	Attrs     []string  `json:"attrs,omitempty"`
-	Rows      [][]int64 `json:"rows,omitempty"`
-	Truncated bool      `json:"truncated,omitempty"`
-	Stale     bool      `json:"stale,omitempty"`
-	ElapsedUS int64     `json:"elapsed_us,omitempty"`
-	Error     string    `json:"error,omitempty"`
+	ID        string          `json:"id"`
+	Query     string          `json:"query"`
+	Mode      string          `json:"mode"`
+	Project   []string        `json:"project,omitempty"`
+	Epoch     uint64          `json:"epoch"`
+	Count     int64           `json:"count"`
+	Exists    *bool           `json:"exists,omitempty"`
+	Attrs     []string        `json:"attrs,omitempty"`
+	Rows      json.RawMessage `json:"rows,omitempty"`
+	Truncated bool            `json:"truncated,omitempty"`
+	Stale     bool            `json:"stale,omitempty"`
+	ElapsedUS int64           `json:"elapsed_us,omitempty"`
+	Error     string          `json:"error,omitempty"`
 }
 
 // viewOf snapshots one maintained view for a JSON reply. withRows
-// additionally copies the maintained tuples out (rows mode only),
-// sorted for a stable wire order and capped at maxRowLimit.
+// additionally encodes the maintained tuples (rows mode only) with
+// /query's row encoder, sorted for a stable wire order and capped at
+// maxRowLimit.
 func viewOf(mq *wcoj.MaterializedQuery, withRows bool) materializedView {
 	res := mq.Result()
 	v := materializedView{
@@ -84,15 +86,14 @@ func viewOf(mq *wcoj.MaterializedQuery, withRows bool) materializedView {
 			n = maxRowLimit
 			v.Truncated = true
 		}
-		v.Rows = make([][]int64, n)
-		var buf wcoj.Tuple
-		for i := 0; i < n; i++ {
-			buf = rows.Tuple(i, buf[:0])
-			row := make([]int64, len(buf))
-			for j, val := range buf {
-				row[j] = int64(val)
+		if n > 0 {
+			v.Rows = json.RawMessage{'['}
+			var buf wcoj.Tuple
+			for i := 0; i < n; i++ {
+				buf = rows.Tuple(i, buf[:0])
+				v.Rows = appendRow(v.Rows, buf)
 			}
-			v.Rows[i] = row
+			v.Rows = append(v.Rows, ']')
 		}
 	}
 	return v

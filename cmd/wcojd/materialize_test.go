@@ -80,7 +80,10 @@ func TestMaterializeEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("get rows view: %d %s", code, body)
 	}
-	var rows materializedView
+	var rows struct {
+		materializedView
+		Rows [][]int64 `json:"rows"`
+	}
 	if err := json.Unmarshal([]byte(body), &rows); err != nil {
 		t.Fatal(err)
 	}

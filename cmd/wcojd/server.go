@@ -210,7 +210,7 @@ func (s *server) handleQueryHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.countRequest("query", http.StatusOK)
-	writeJSON(w, resp)
+	writeQueryReply(w, resp)
 }
 
 func (s *server) handleUpdateHTTP(w http.ResponseWriter, r *http.Request) {
