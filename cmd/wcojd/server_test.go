@@ -5,6 +5,9 @@ package main
 // round trips against the production handler.
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -222,27 +225,39 @@ func TestServerNodeBudget(t *testing.T) {
 }
 
 // TestServerEveryAlgorithmStoppable: every algorithm /query accepts is
-// bounded by -query-timeout and -node-budget. An explosive clique4
-// count (K_200: ~1.5·10^9 results) under a 200 ms timeout answers 504
-// within twice the timeout and leaves no goroutine behind; under a
-// node budget it answers 422. The binary-join baselines are not
-// served algorithms: naming one is the client's error.
+// bounded by -query-timeout and -node-budget in every reply mode. An
+// explosive clique4 count (K_200: ~1.5·10^9 results), an exists and a
+// rows request of large limit over a 5-clique with no result (on the
+// complete 4-partite P, whose every top-level value roots a subtree of
+// ~10^6 nodes) each answer 504 within twice a 200 ms timeout and leave
+// no goroutine behind; under a node budget they answer 422. The
+// binary-join baselines are not served algorithms: naming one is the
+// client's error.
 func TestServerEveryAlgorithmStoppable(t *testing.T) {
-	b := wcoj.NewRelationBuilder("E", "src", "dst")
-	for i := 0; i < 200; i++ {
-		for j := 0; j < 200; j++ {
-			if i != j {
-				if err := b.Add(wcoj.Value(i), wcoj.Value(j)); err != nil {
-					t.Fatal(err)
+	complete := func(name string, n, parts int) *wcoj.Relation {
+		b := wcoj.NewRelationBuilder(name, "src", "dst")
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i%parts != j%parts {
+					if err := b.Add(wcoj.Value(i), wcoj.Value(j)); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
+		return b.Build()
 	}
 	db := wcoj.NewDB()
-	if err := db.Register(b.Build()); err != nil {
+	if err := db.Register(complete("E", 200, 200), complete("P", 240, 4)); err != nil {
 		t.Fatal(err)
 	}
 	const clique4 = "Q(A,B,C,D) :- E(A,B), E(A,C), E(A,D), E(B,C), E(B,D), E(C,D)"
+	const clique5 = "Q(A,B,C,D,F) :- P(A,B), P(A,C), P(A,D), P(A,F), P(B,C), P(B,D), P(B,F), P(C,D), P(C,F), P(D,F)"
+	requests := []struct{ name, body string }{
+		{"count", fmt.Sprintf(`"query":%q,"count":true`, clique4)},
+		{"exists", fmt.Sprintf(`"query":%q,"exists":true`, clique5)},
+		{"rows", fmt.Sprintf(`"query":%q,"limit":%d`, clique5, maxRowLimit)},
+	}
 	var algos []string
 	for a := wcoj.Algorithm(0); ; a++ {
 		if _, err := wcoj.ParseAlgorithm(a.String()); err != nil {
@@ -263,14 +278,27 @@ func TestServerEveryAlgorithmStoppable(t *testing.T) {
 		if code, body := post(t, ts.URL+"/query", fmt.Sprintf(`{"query":%q,"algo":%q,"exists":true}`, clique4, algo)); code != 200 {
 			t.Fatalf("%s: warm-up exists: %d %s", algo, code, body)
 		}
+		a, err := wcoj.ParseAlgorithm(algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq, err := db.Prepare(clique5, wcoj.Options{Algorithm: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := pq.Exists(wcoj.WithNodeBudget(context.Background(), 1)); !errors.Is(err, wcoj.ErrNodeBudget) {
+			t.Fatalf("%s: warm-up clique5: %v", algo, err)
+		}
 	}
 	http.DefaultClient.CloseIdleConnections()
 	baseline := runtime.NumGoroutine()
 	for _, algo := range algos {
-		start := time.Now()
-		code, body := post(t, ts.URL+"/query", fmt.Sprintf(`{"query":%q,"algo":%q,"count":true}`, clique4, algo))
-		if elapsed := time.Since(start); code != http.StatusGatewayTimeout || elapsed > 2*timeout {
-			t.Errorf("%s: %d after %v (%s), want 504 within %v", algo, code, elapsed, strings.TrimSpace(body), 2*timeout)
+		for _, r := range requests {
+			start := time.Now()
+			code, body := post(t, ts.URL+"/query", fmt.Sprintf(`{%s,"algo":%q}`, r.body, algo))
+			if elapsed := time.Since(start); code != http.StatusGatewayTimeout || elapsed > 2*timeout {
+				t.Errorf("%s %s: %d after %v (%s), want 504 within %v", algo, r.name, code, elapsed, strings.TrimSpace(body), 2*timeout)
+			}
 		}
 	}
 	http.DefaultClient.CloseIdleConnections()
@@ -284,15 +312,34 @@ func TestServerEveryAlgorithmStoppable(t *testing.T) {
 	c.nodeBudget = 10000
 	_, ts = newTestServer(t, db, c)
 	for _, algo := range algos {
-		code, body := post(t, ts.URL+"/query", fmt.Sprintf(`{"query":%q,"algo":%q,"count":true}`, clique4, algo))
-		if code != http.StatusUnprocessableEntity {
-			t.Errorf("%s: %d %s under a node budget, want 422", algo, code, body)
+		for _, r := range requests {
+			code, body := post(t, ts.URL+"/query", fmt.Sprintf(`{%s,"algo":%q}`, r.body, algo))
+			if code != http.StatusUnprocessableEntity {
+				t.Errorf("%s %s: %d %s under a node budget, want 422", algo, r.name, code, body)
+			}
 		}
 	}
 	for _, algo := range []string{"binary-join", "binary-join-project"} {
 		if code, body := post(t, ts.URL+"/query", fmt.Sprintf(`{"query":%q,"algo":%q,"count":true}`, clique4, algo)); code != http.StatusBadRequest {
 			t.Errorf("%s: %d %s, want 400", algo, code, body)
 		}
+	}
+}
+
+// TestServerHugeParallel: a client's "parallel" is forwarded as the
+// runs' Parallelism; at math.MaxInt64 a count and a view still hold the
+// one triangle of the test graph.
+func TestServerHugeParallel(t *testing.T) {
+	_, ts := newTestServer(t, testDB(t), testConfig())
+	const tri = "Q(A,B,C) :- E(A,B), E(B,C), E(A,C)"
+	code, body := post(t, ts.URL+"/query", fmt.Sprintf(`{"query":%q,"count":true,"parallel":9223372036854775807}`, tri))
+	if code != 200 || !strings.HasPrefix(body, `{"count":1,`) {
+		t.Fatalf("count at parallel MaxInt64: %d %s, want count 1", code, body)
+	}
+	code, body = post(t, ts.URL+"/materialize", fmt.Sprintf(`{"query":%q,"parallel":9223372036854775807}`, tri))
+	var v materializedView
+	if code != 200 || json.Unmarshal([]byte(body), &v) != nil || v.Count != 1 {
+		t.Fatalf("view at parallel MaxInt64: %d %s, want count 1", code, body)
 	}
 }
 

@@ -3,12 +3,11 @@
 // go/analysis multichecker:
 //
 //	go run ./cmd/wcojlint ./...
-//	go run ./cmd/wcojlint -only snapshotonce,ctxpoll ./internal/core
+//	go run ./cmd/wcojlint -only snapshotonce,fsyncorder ./...
 //	go run ./cmd/wcojlint -disable nilness ./...
-//	go run ./cmd/wcojlint -enable arenaescape,fsyncorder ./...
 //
-// -enable restricts the run to the named analyzers (a synonym for
-// -only); -disable subtracts names from whatever -enable/-only left.
+// -only restricts the run to the named analyzers; -disable subtracts
+// names from whatever -only left.
 //
 // Exit status: 0 clean, 1 findings reported, 2 analysis failure.
 package main
@@ -33,12 +32,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wcojlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	enable := fs.String("enable", "", "comma-separated analyzer names to run (synonym for -only)")
 	disable := fs.String("disable", "", "comma-separated analyzer names to skip")
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	dir := fs.String("C", "", "change to this directory before loading packages")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: wcojlint [-only a,b] [-enable a,b] [-disable a,b] [-C dir] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(stderr, "usage: wcojlint [-only a,b] [-disable a,b] [-C dir] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Suite() {
 			fmt.Fprintf(stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
@@ -71,11 +69,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return names, true
 	}
-	for _, restrict := range []string{*only, *enable} {
-		if restrict == "" {
-			continue
-		}
-		names, ok := parseNames(restrict)
+	if *only != "" {
+		names, ok := parseNames(*only)
 		if !ok {
 			return 2
 		}

@@ -285,8 +285,6 @@ func (db *DB) Names() []string {
 }
 
 // DBStats is a point-in-time snapshot of the engine's shared state.
-//
-//wcojlint:exhaustive
 type DBStats struct {
 	// Relations and Tuples size the registered data (Tuples counts the
 	// effective cardinality: base − deleted + inserted).
@@ -650,8 +648,6 @@ func (pq *PreparedQuery) record(start time.Time, stats *Stats) {
 
 // PreparedStats are cumulative counters across every call of a
 // prepared query (all goroutines).
-//
-//wcojlint:exhaustive
 type PreparedStats struct {
 	// Calls counts completed executions (including failed ones).
 	Calls int64

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -711,5 +712,51 @@ func TestWarm(t *testing.T) {
 	}
 	if err := db.Warm("Q(A) :- Missing(A)"); err == nil {
 		t.Fatal("warming an unbindable query succeeded")
+	}
+}
+
+// TestStatsSnapshotsEveryField drives a DB through every counter its
+// snapshots report — registration, a plan miss and hit, trie builds
+// and hits, inserts and deletes with and without effect, a compaction,
+// a delta left after it, a materialized view — and checks by
+// reflection that DB.Stats and PreparedQuery.Stats populate every
+// field. A field left out of either snapshot's literal reads zero here.
+func TestStatsSnapshotsEveryField(t *testing.T) {
+	db := NewDB()
+	if err := db.Register(NewRelation("E", []string{"src", "dst"}, []Tuple{{1, 2}, {2, 3}, {1, 3}})); err != nil {
+		t.Fatal(err)
+	}
+	const src = "Q(A,B,C) :- E(A,B), E(B,C), E(A,C)"
+	pq, err := db.Prepare(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pq, err = db.Prepare(src, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, _, err := pq.Execute(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Apply(NewBatch().Insert("E", Tuple{3, 4}, Tuple{1, 2}).Delete("E", Tuple{2, 3}, Tuple{7, 8})); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Compact("E"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Insert("E", Tuple{4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Materialize(src, MaterializeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range []any{db.Stats(), pq.Stats()} {
+		v := reflect.ValueOf(snap)
+		for i := range v.NumField() {
+			if v.Field(i).IsZero() {
+				t.Errorf("%T.%s is zero: %+v", snap, v.Type().Field(i).Name, snap)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -696,6 +697,30 @@ func TestCappedCount(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestStatsMergeFoldsEveryField sets every field of two Stats to
+// distinct non-zero values and checks that Merge folds each one: the
+// high-water mark Intermediate by maximum, every other counter by sum.
+// A counter added to Stats and forgotten in Merge fails here.
+func TestStatsMergeFoldsEveryField(t *testing.T) {
+	var s, o Stats
+	sv, ov := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&o).Elem()
+	for i := range sv.NumField() {
+		sv.Field(i).SetInt(int64(10*i + 3))
+		ov.Field(i).SetInt(int64(100*i + 7))
+	}
+	s.Merge(&o)
+	for i := range sv.NumField() {
+		a, b := int64(10*i+3), int64(100*i+7)
+		want := a + b
+		if name := sv.Type().Field(i).Name; name == "Intermediate" {
+			want = max(a, b)
+		}
+		if got := sv.Field(i).Int(); got != want {
+			t.Errorf("Merge: %s = %d, want %d", sv.Type().Field(i).Name, got, want)
 		}
 	}
 }

@@ -149,7 +149,6 @@ func shard(workers int, held bool, worker, caller func()) {
 	extra := claimCores(workers-1, held)
 	var wg sync.WaitGroup
 	wg.Add(extra)
-	//wcojlint:nopoll starts at most extra goroutines; their loops poll
 	for range extra {
 		go func() {
 			defer wg.Done()
@@ -390,7 +389,10 @@ func (s *bufferSink) finishChunk(chunk int) error {
 // is split into balanced chunks. It also clamps the worker count to the
 // chunk count.
 func shardStarts(n, workers int) (starts []int, w int) {
-	chunks := min(workers*shardChunkFactor, n)
+	chunks := n
+	if workers <= n/shardChunkFactor { // workers·shardChunkFactor ≤ n, without overflow
+		chunks = workers * shardChunkFactor
+	}
 	starts = []int{0}
 	// The ramp covers fewer than 2n/chunks values, so some are left.
 	for size := 1; size < n/chunks; size *= 2 {

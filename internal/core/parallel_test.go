@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -16,10 +17,18 @@ import (
 // TestShardStarts: the partition covers [0,n) with contiguous,
 // non-empty chunks no larger than the balanced size of
 // min(workers·shardChunkFactor, n) chunks, and the first chunks hold
-// 1, 2, 4, … values while that is below the balanced size.
+// 1, 2, 4, … values while that is below the balanced size. Worker
+// counts around n/shardChunkFactor cross from workers·shardChunkFactor
+// chunks to n. A worker count whose product with shardChunkFactor
+// overflows an int partitions like any count of n or more: one value
+// per chunk, on both sides of the overflow boundary.
 func TestShardStarts(t *testing.T) {
 	for n := 1; n <= 300; n++ {
-		for workers := 2; workers <= 5; workers++ {
+		q := n / shardChunkFactor
+		for _, workers := range []int{2, 3, 4, 5, q - 1, q, q + 1, q + 2} {
+			if workers < 1 {
+				continue
+			}
 			chunks := min(workers*shardChunkFactor, n)
 			size := (n + chunks - 1) / chunks
 			starts, w := shardStarts(n, workers)
@@ -37,6 +46,19 @@ func TestShardStarts(t *testing.T) {
 			for c, want := 0, 1; want < n/chunks; c, want = c+1, want*2 {
 				if sz := starts[c+1] - starts[c]; sz != want {
 					t.Fatalf("n=%d workers=%d: ramp chunk %d holds %d values, want %d", n, workers, c, sz, want)
+				}
+			}
+		}
+	}
+	for _, n := range []int{1, 5, 300} {
+		for _, workers := range []int{math.MaxInt / shardChunkFactor, math.MaxInt/shardChunkFactor + 1, 1 << 62, math.MaxInt} {
+			starts, w := shardStarts(n, workers)
+			if w != n || len(starts) != n+1 {
+				t.Fatalf("n=%d workers=%d: %d workers, starts %v; want %d one-value chunks", n, workers, w, starts, n)
+			}
+			for c, s := range starts {
+				if s != c {
+					t.Fatalf("n=%d workers=%d: starts %v, want one value per chunk", n, workers, starts)
 				}
 			}
 		}

@@ -12,8 +12,8 @@ import (
 // validKinds is the directive vocabulary the parser may emit —
 // anything else in a parsed directive is a fuzz failure.
 var validKinds = map[string]bool{
-	"nopoll": true, "locked": true, "guardedby": true,
-	"exhaustive": true, "retains": true, "nosync": true, "mutates": true,
+	"locked": true, "guardedby": true,
+	"retains": true, "nosync": true, "mutates": true,
 }
 
 // FuzzDirectiveParse hardens the //wcojlint: directive parser (the
@@ -24,16 +24,16 @@ var validKinds = map[string]bool{
 // line.
 func FuzzDirectiveParse(f *testing.F) {
 	seeds := []string{
-		"package p\n\n//wcojlint:nopoll tight inner loop\nfunc f() {}\n",
+		"package p\n\n//wcojlint:locked callers hold mu\nfunc f() {}\n",
 		"package p\n\ntype s struct {\n\tmu int\n\tn  int //wcojlint:guardedby mu\n}\n",
 		"package p\n\n//lint:locked caller holds mu\nfunc g() {}\n",
 		"package p\n\n//wcojlint:retains spans consumed in call\nfunc h() {}\n",
 		"package p\n\nfunc i() {\n\tx := 1 //wcojlint:nosync replay path\n\t_ = x\n}\n",
 		"package p\n\nfunc j() {\n\t//wcojlint:mutates writer-owned page\n\tx := 1\n\t_ = x\n}\n",
-		"package p\n\n//wcojlint:exhaustive\ntype t struct{ a, b int }\n",
+		"package p\n\n//wcojlint:guardedby\ntype t struct{ a, b int }\n",
 		"package p\n\n//wcojlint:bogus unknown kinds are dropped\nfunc k() {}\n",
 		"package p\n\n//wcojlint:\nfunc l() {}\n",
-		"package p\n\n/* wcojlint:nopoll block comments never bind */\nfunc m() {}\n",
+		"package p\n\n/* wcojlint:locked block comments never bind */\nfunc m() {}\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -6,10 +6,6 @@
 //   - snapshotonce: prepared-query state is read through its
 //     atomic.Pointer exactly once per call, and DB fields marked
 //     guardedby are only touched with their mutex held;
-//   - ctxpoll: loops that can recurse into trie iteration poll the
-//     stop flag / ctx so cancellation unwinds promptly;
-//   - statsmerge: Stats.Merge folds every counter field, and
-//     exhaustive-marked stats snapshots populate every field;
 //   - valueident: tuples handed to emit callbacks are never mutated
 //     or retained by alias;
 //   - arenaescape: slices loaned from the CSR arenas
@@ -25,18 +21,16 @@
 // values through assignments where the PR 6 analyzers only matched
 // AST shapes.
 //
-// Plus three general-purpose passes (nilness, unusedwrite, copylocks)
-// so one binary runs everything.
+// Plus two general-purpose passes (nilness, unusedwrite) so one binary
+// runs everything.
 //
 // Analyzers are configured in source via machine-readable directive
 // comments, accepted with either prefix `//lint:` or `//wcojlint:`
 // (the latter is what the codebase uses, since staticcheck reserves
 // the bare `//lint:` namespace for its own directives):
 //
-//	//wcojlint:nopoll <reason>     exempt the next for-loop from ctxpoll
 //	//wcojlint:locked <reason>     function runs with the lock held by its caller
 //	//wcojlint:guardedby <mutex>   struct field is guarded by the named mutex field
-//	//wcojlint:exhaustive          composite literals of this struct must set every field
 //	//wcojlint:retains <reason>    function takes ownership of its tuple argument
 //	                               (or, on a line, sanctions one arena-loan escape)
 //	//wcojlint:nosync <reason>     publish is intentionally not preceded by a WAL sync
@@ -56,21 +50,18 @@ import (
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		SnapshotOnce,
-		CtxPoll,
-		StatsMerge,
 		ValueIdent,
 		ArenaEscape,
 		FsyncOrder,
 		PublishImmutable,
 		Nilness,
 		UnusedWrite,
-		CopyLocks,
 	}
 }
 
 // directive is one parsed machine-readable comment.
 type directive struct {
-	kind string // nopoll | locked | guardedby | exhaustive | retains | nosync | mutates
+	kind string // locked | guardedby | retains | nosync | mutates
 	arg  string // reason or mutex field name
 	pos  token.Pos
 	col  int // start column: distinguishes own-line from trailing comments
@@ -97,7 +88,7 @@ func parseDirectives(pass *analysis.Pass) directiveIndex {
 				}
 				kind, arg, _ := strings.Cut(rest, " ")
 				switch kind {
-				case "nopoll", "locked", "guardedby", "exhaustive", "retains", "nosync", "mutates":
+				case "locked", "guardedby", "retains", "nosync", "mutates":
 				default:
 					continue // staticcheck's own //lint: directives etc.
 				}
@@ -168,30 +159,11 @@ func namedIn(t types.Type, pkgPath string, names ...string) bool {
 	return false
 }
 
-// isContext reports whether t is context.Context.
-func isContext(t types.Type) bool { return namedIn(t, "context", "Context") }
-
 // selectionOf returns the type of the selector's operand (X), using
 // type info; nil when unknown.
 func exprType(pass *analysis.Pass, e ast.Expr) types.Type {
 	if tv, ok := pass.TypesInfo.Types[e]; ok {
 		return tv.Type
-	}
-	return nil
-}
-
-// receiverNamed returns the receiver base type name of a method
-// declaration, or "".
-func receiverNamed(pass *analysis.Pass, fd *ast.FuncDecl) *types.Named {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return nil
-	}
-	t := exprType(pass, fd.Recv.List[0].Type)
-	if t == nil {
-		return nil
-	}
-	if n, ok := deref(t).(*types.Named); ok {
-		return n
 	}
 	return nil
 }

@@ -19,15 +19,12 @@ func TestAnalyzers(t *testing.T) {
 		a    *analysis.Analyzer
 	}{
 		{"snapshotonce", lint.SnapshotOnce},
-		{"ctxpoll", lint.CtxPoll},
-		{"statsmerge", lint.StatsMerge},
 		{"valueident", lint.ValueIdent},
 		{"arenaescape", lint.ArenaEscape},
 		{"fsyncorder", lint.FsyncOrder},
 		{"publishimmutable", lint.PublishImmutable},
 		{"nilness", lint.Nilness},
 		{"unusedwrite", lint.UnusedWrite},
-		{"copylocks", lint.CopyLocks},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,9 +41,9 @@ func TestAnalyzers(t *testing.T) {
 // would silently stop gating.
 func TestSuite(t *testing.T) {
 	want := []string{
-		"snapshotonce", "ctxpoll", "statsmerge", "valueident",
+		"snapshotonce", "valueident",
 		"arenaescape", "fsyncorder", "publishimmutable",
-		"nilness", "unusedwrite", "copylocks",
+		"nilness", "unusedwrite",
 	}
 	suite := lint.Suite()
 	if len(suite) != len(want) {

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -327,5 +328,84 @@ func TestParallelismDefault(t *testing.T) {
 	}
 	if w := (Options{Parallelism: 7}).workers(); w != 7 {
 		t.Fatalf("explicit workers %d, want 7", w)
+	}
+}
+
+// TestHugeParallelism: a Parallelism whose product with the chunk
+// oversplit factor overflows an int partitions like any count past the
+// depth-0 intersection, so every entry point answers as the serial run
+// does — Count, Exists, ExecuteFunc, and a view's initial computation
+// and maintenance.
+func TestHugeParallelism(t *testing.T) {
+	const n = 50
+	b := NewRelationBuilder("E", "src", "dst")
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				if err := b.Add(Value(i), Value(j)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	db := NewDB()
+	if err := db.Register(b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	const src = "Q(A,B,C) :- E(A,B), E(B,C), E(A,C)"
+	q, err := db.Bind(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := Options{Parallelism: 1}
+	want, _, err := Count(q, serial)
+	if err != nil || want != n*(n-1)*(n-2) {
+		t.Fatalf("serial count %d, %v; want %d", want, err, n*(n-1)*(n-2))
+	}
+	var wantSeq []Value
+	if _, err := ExecuteFunc(q, serial, func(tu Tuple) error { wantSeq = append(wantSeq, tu...); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	serialView, err := db.Materialize(src, MaterializeOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var views []*MaterializedQuery
+	for _, p := range []int{1 << 61, 1 << 62, math.MaxInt64} {
+		opts := Options{Parallelism: p}
+		if got, _, err := Count(q, opts); err != nil || got != want {
+			t.Errorf("p=%d: Count = %d, %v; want %d", p, got, err, want)
+		}
+		if ok, _, err := Exists(q, opts); err != nil || !ok {
+			t.Errorf("p=%d: Exists = %v, %v; want true", p, ok, err)
+		}
+		var seq []Value
+		if _, err := ExecuteFunc(q, opts, func(tu Tuple) error { seq = append(seq, tu...); return nil }); err != nil || !slices.Equal(seq, wantSeq) {
+			t.Errorf("p=%d: ExecuteFunc emitted %d values, %v; want the serial sequence of %d", p, len(seq), err, len(wantSeq))
+		}
+		mq, err := db.Materialize(src, MaterializeOptions{Parallelism: p})
+		if err != nil {
+			t.Fatalf("p=%d: Materialize: %v", p, err)
+		}
+		if got := mq.Count(); got != int64(want) {
+			t.Errorf("p=%d: view count %d, want %d", p, got, want)
+		}
+		views = append(views, mq)
+	}
+	// Deleting vertex 0's edges runs every view's differential terms.
+	del := NewBatch()
+	for j := 1; j < n; j++ {
+		del.Delete("E", Tuple{0, Value(j)}).Delete("E", Tuple{Value(j), 0})
+	}
+	if _, err := db.Apply(del); err != nil {
+		t.Fatal(err)
+	}
+	if got := serialView.Count(); got != (n-1)*(n-2)*(n-3) {
+		t.Fatalf("serial view count after delete %d, want %d", got, (n-1)*(n-2)*(n-3))
+	}
+	for i, mq := range views {
+		if got := mq.Count(); got != serialView.Count() {
+			t.Errorf("view %d: count after delete %d, want %d", i, got, serialView.Count())
+		}
 	}
 }
