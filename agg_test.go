@@ -52,22 +52,31 @@ func aggWorkloads(t testing.TB) []aggWorkload {
 	}
 }
 
-// aggVariants enumerates the engine/planner/parallelism grid every
-// aggregate result must be identical across.
-func aggVariants() []Options {
-	var out []Options
-	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-		for _, pl := range []Planner{PlannerHeuristic, PlannerCostBased} {
+// aggVariant is one point of the grid every aggregate result must be
+// identical across, with its subtest name.
+type aggVariant struct {
+	name string
+	opts Options
+}
+
+// aggVariants enumerates the algorithm-name/planner/parallelism grid.
+// "heuristic" is PlannerAuto without an Order.
+func aggVariants() []aggVariant {
+	var out []aggVariant
+	for _, a := range algoAxis {
+		for _, pl := range []struct {
+			name string
+			pl   Planner
+		}{{"heuristic", PlannerAuto}, {"cost-based", PlannerCostBased}} {
 			for _, par := range []int{1, 4} {
-				out = append(out, Options{Algorithm: algo, Planner: pl, Parallelism: par})
+				out = append(out, aggVariant{
+					name: fmt.Sprintf("%s/%s/p=%d", a.name, pl.name, par),
+					opts: Options{Algorithm: a.algo, Planner: pl.pl, Parallelism: par},
+				})
 			}
 		}
 	}
 	return out
-}
-
-func optsName(o Options) string {
-	return fmt.Sprintf("%v/%v/p=%d", o.Algorithm, o.Planner, o.Parallelism)
 }
 
 // TestCountEquivalence: the pushdown Count == the enumerating Count
@@ -80,9 +89,9 @@ func TestCountEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := out.Len()
-			for _, o := range aggVariants() {
-				o := o
-				t.Run(optsName(o), func(t *testing.T) {
+			for _, v := range aggVariants() {
+				o := v.opts
+				t.Run(v.name, func(t *testing.T) {
 					enum := o
 					enum.DisablePushdown = true
 					slow, _, err := Count(wl.q, enum)
@@ -113,8 +122,7 @@ func TestCountEquivalence(t *testing.T) {
 // triangle the enumerating count (Options.DisablePushdown) explores
 // ~k^3 search nodes while the default pushdown Count stops at the
 // ~k^2 bound levels, so its recursion count must be at least 10x
-// smaller (it is ~100x at k=100). Recursions do not depend on the
-// level strategy (strategy_test.go), so one algorithm states it.
+// smaller (it is ~100x at k=100).
 func TestCountSkipsEnumeration(t *testing.T) {
 	tri := dataset.TriangleAGMTight(10000)
 	db := NewDatabase()
@@ -166,17 +174,18 @@ func TestExistsEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := n > 0
-			for _, o := range aggVariants() {
+			for _, v := range aggVariants() {
+				o := v.opts
 				got, stats, err := Exists(wl.q, o)
 				if err != nil {
-					t.Fatalf("%s: %v", optsName(o), err)
+					t.Fatalf("%s: %v", v.name, err)
 				}
 				if got != want {
-					t.Fatalf("%s: Exists = %v, want %v", optsName(o), got, want)
+					t.Fatalf("%s: Exists = %v, want %v", v.name, got, want)
 				}
 				if want && o.Parallelism == 1 && stats.Recursions > n && n > 100 {
 					t.Errorf("%s: Exists explored %d nodes for a %d-tuple result — no short-circuit",
-						optsName(o), stats.Recursions, n)
+						v.name, stats.Recursions, n)
 				}
 			}
 		})
@@ -205,23 +214,23 @@ func TestProjectEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, o := range aggVariants() {
-					o := o
+				for _, v := range aggVariants() {
+					o := v.opts
 					o.Project = proj
 					got, _, err := Execute(wl.q, o)
 					if err != nil {
-						t.Fatalf("%s/%v: %v", optsName(o), proj, err)
+						t.Fatalf("%s/%v: %v", v.name, proj, err)
 					}
 					if !got.Equal(want) {
 						t.Fatalf("%s: project %v: got %d tuples, want %d (or content differs)",
-							optsName(o), proj, got.Len(), want.Len())
+							v.name, proj, got.Len(), want.Len())
 					}
 					n, _, err := Count(wl.q, o)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if n != want.Len() {
-						t.Fatalf("%s: projected Count = %d, want %d", optsName(o), n, want.Len())
+						t.Fatalf("%s: projected Count = %d, want %d", v.name, n, want.Len())
 					}
 				}
 			}
@@ -330,43 +339,41 @@ func TestProjectStreaming(t *testing.T) {
 			t.Fatal(err)
 		}
 		if stats.Output != len(got) {
-			t.Fatalf("%s: stats.Output = %d, streamed %d", optsName(o), stats.Output, len(got))
+			t.Fatalf("%v/p=%d: stats.Output = %d, streamed %d", o.Planner, o.Parallelism, stats.Output, len(got))
 		}
 		return got
 	}
-	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-		for _, pl := range []Planner{PlannerHeuristic, PlannerCostBased} {
-			serial := Options{Algorithm: algo, Planner: pl, Parallelism: 1, Project: []string{"A", "C"}}
-			sharded := serial
-			sharded.Parallelism = 4
-			want, _, err := Execute(q, serial)
-			if err != nil {
+	for _, pl := range []Planner{PlannerAuto, PlannerCostBased} {
+		serial := Options{Planner: pl, Parallelism: 1, Project: []string{"A", "C"}}
+		sharded := serial
+		sharded.Parallelism = 4
+		want, _, err := Execute(q, serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := collect(serial)
+		// The streamed set equals the materialized set (the builder
+		// re-sorts, so compare via a rebuilt relation).
+		rebuilt := NewRelationBuilder(want.Name(), "A", "C")
+		for _, tp := range got {
+			if err := rebuilt.Add(tp...); err != nil {
 				t.Fatal(err)
 			}
-			got := collect(serial)
-			// The streamed set equals the materialized set (the builder
-			// re-sorts, so compare via a rebuilt relation).
-			rebuilt := NewRelationBuilder(want.Name(), "A", "C")
-			for _, tp := range got {
-				if err := rebuilt.Add(tp...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if rel := rebuilt.Build(); !rel.Equal(want) || rel.Len() != len(got) {
-				t.Fatalf("%s: streamed set diverges from Execute (%d streamed, %d materialized)",
-					optsName(serial), len(got), want.Len())
-			}
-			// A sharded run replays chunks in order: identical sequence.
-			got4 := collect(sharded)
-			if len(got4) != len(got) {
-				t.Fatalf("%s: sharded streamed %d tuples, serial %d", optsName(sharded), len(got4), len(got))
-			}
-			for i := range got {
-				for j := range got[i] {
-					if got[i][j] != got4[i][j] {
-						t.Fatalf("%s: sharded sequence diverges at tuple %d: %v vs %v",
-							optsName(sharded), i, got4[i], got[i])
-					}
+		}
+		if rel := rebuilt.Build(); !rel.Equal(want) || rel.Len() != len(got) {
+			t.Fatalf("%v: streamed set diverges from Execute (%d streamed, %d materialized)",
+				pl, len(got), want.Len())
+		}
+		// A sharded run replays chunks in order: identical sequence.
+		got4 := collect(sharded)
+		if len(got4) != len(got) {
+			t.Fatalf("%v: sharded streamed %d tuples, serial %d", pl, len(got4), len(got))
+		}
+		for i := range got {
+			for j := range got[i] {
+				if got[i][j] != got4[i][j] {
+					t.Fatalf("%v: sharded sequence diverges at tuple %d: %v vs %v",
+						pl, i, got4[i], got[i])
 				}
 			}
 		}
@@ -415,28 +422,26 @@ func TestCountBowtieMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := []string{"A", "B", "C", "D", "F"}
-	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-		slow, _, err := Count(q, Options{Algorithm: algo, Order: order, DisablePushdown: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n1, st1, err := Count(q, Options{Algorithm: algo, Order: order, Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n2, st2, err := Count(q, Options{Algorithm: algo, Order: order, Parallelism: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n1 != slow || n2 != slow {
-			t.Errorf("%v: Count = %d (p=1), %d (p=2); DisablePushdown count %d", algo, n1, n2, slow)
-		}
-		// The hit count is pinned: the separator rule only stops
-		// probes that cannot hit, so it must not lose one.
-		const wantHits = 1856
-		if st1.AggMemoHits != wantHits || st2.AggMemoHits != wantHits {
-			t.Errorf("%v: memo hits %d (p=1), %d (p=2); want %d", algo, st1.AggMemoHits, st2.AggMemoHits, wantHits)
-		}
+	slow, _, err := Count(q, Options{Order: order, DisablePushdown: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1, st1, err := Count(q, Options{Order: order, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2, st2, err := Count(q, Options{Order: order, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n1 != slow || n2 != slow {
+		t.Errorf("Count = %d (p=1), %d (p=2); DisablePushdown count %d", n1, n2, slow)
+	}
+	// The hit count is pinned: the separator rule only stops
+	// probes that cannot hit, so it must not lose one.
+	const wantHits = 1856
+	if st1.AggMemoHits != wantHits || st2.AggMemoHits != wantHits {
+		t.Errorf("memo hits %d (p=1), %d (p=2); want %d", st1.AggMemoHits, st2.AggMemoHits, wantHits)
 	}
 }
 
@@ -484,7 +489,7 @@ func TestExplainCountClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pl := range []Planner{PlannerHeuristic, PlannerCostBased} {
+	for _, pl := range []Planner{PlannerAuto, PlannerCostBased} {
 		full, err := Explain(q, Options{Planner: pl})
 		if err != nil {
 			t.Fatal(err)
@@ -563,7 +568,7 @@ func TestExplainCountClassification(t *testing.T) {
 // with 1024 values per A value in every atom, gives each A value 2^60
 // results: 16 A values sum to 2^64 and 17 to 2^64 + 2^60, which an
 // unchecked int64 sum of the shards' counts wraps to 0 and 2^60.
-// (strategy_test.go holds the leapfrog strategy to the same errors.)
+// (strategy_test.go holds EXISTS and projections to the same errors.)
 func TestCountOverflow(t *testing.T) {
 	db := NewDatabase()
 	for _, name := range []string{"R1", "R2", "R3", "R4", "R5"} {

@@ -153,11 +153,6 @@ func BenchmarkTriangle(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d/generic", kind, n), func(b *testing.B) {
 				benchSearch(b, memo, q, enumerate, benchCount(-1))
 			})
-			b.Run(fmt.Sprintf("%s/n=%d/lftj", kind, n), func(b *testing.B) {
-				lftj := enumerate
-				lftj.Algorithm = AlgoLeapfrog
-				benchSearch(b, memo, q, lftj, benchCount(-1))
-			})
 			if kind == "skew" && n > 4000 {
 				continue // binary plan is quadratic; keep the suite fast
 			}
@@ -371,7 +366,7 @@ func BenchmarkIntersect(b *testing.B) {
 			dst = relation.IntersectSorted(dst[:0], balanced, big)
 		}
 	})
-	// Leapfrog multiway intersection on three lists.
+	// Multiway intersection on three lists.
 	third := make([]relation.Value, 1<<12)
 	for i := range third {
 		third[i] = relation.Value(16 * i)
@@ -467,11 +462,9 @@ func BenchmarkParallelEngine(b *testing.B) {
 			if wi > 0 && p <= workers[wi-1] {
 				continue // GOMAXPROCS duplicated a fixed entry
 			}
-			for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-				b.Run(fmt.Sprintf("%s/%v/p=%d", wl.name, algo, p), func(b *testing.B) {
-					benchSearch(b, memo, wl.q, Options{Algorithm: algo, Order: order, Parallelism: p}, benchCount(serial))
-				})
-			}
+			b.Run(fmt.Sprintf("%s/generic-join/p=%d", wl.name, p), func(b *testing.B) {
+				benchSearch(b, memo, wl.q, Options{Order: order, Parallelism: p}, benchCount(serial))
+			})
 		}
 	}
 }
@@ -479,8 +472,8 @@ func BenchmarkParallelEngine(b *testing.B) {
 // BenchmarkCountPushdown (E12): the aggregate-aware execution mode
 // acceptance benchmark. On the AGM-tight triangle (1M results at
 // n=40000) it compares enumerate-then-count (Execute + Len — the
-// baseline the ISSUE's >=10x acceptance is measured against), the
-// Count pushdown under both level strategies, plus the free-
+// baseline the >=10x acceptance is measured against), the Count
+// pushdown, plus the free-
 // counted factorization workloads (path4, skewed star), EXISTS and
 // projection pushdown. CI captures this output in the benchmark
 // regression gate.
@@ -520,11 +513,9 @@ func BenchmarkCountPushdown(b *testing.B) {
 		b.Run(wl.name+"/count-stream", func(b *testing.B) {
 			benchSearch(b, memo, wl.q, Options{Parallelism: 1}, benchCount(want))
 		})
-		for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-			b.Run(fmt.Sprintf("%s/countfast/%v", wl.name, algo), func(b *testing.B) {
-				benchSearch(b, memo, wl.q, Options{Algorithm: algo, Parallelism: 1}, benchCount(want))
-			})
-		}
+		b.Run(wl.name+"/countfast/generic-join", func(b *testing.B) {
+			benchSearch(b, memo, wl.q, Options{Parallelism: 1}, benchCount(want))
+		})
 	}
 	b.Run("triangle/exists", func(b *testing.B) {
 		benchSearch(b, memo, triQ, Options{Parallelism: 1}, func(e *executor) error {
@@ -710,7 +701,7 @@ func BenchmarkPlanner(b *testing.B) {
 		})
 	}
 	countWith("chosen-order", Options{Order: exp.Order, Parallelism: 1})
-	countWith("heuristic-order", Options{Planner: PlannerHeuristic, Parallelism: 1})
+	countWith("heuristic-order", Options{Parallelism: 1})
 	countWith("worst-order", Options{Order: exp.Worst.Order, Parallelism: 1})
 }
 

@@ -19,10 +19,10 @@ func TestNodeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := "Q(A,B,C) :- E(A,B), E(B,C), E(A,C)"
-	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking} {
+	for _, a := range withBacktracking() {
 		for _, par := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v/par=%d", algo, par), func(t *testing.T) {
-				pq, err := db.Prepare(src, Options{Algorithm: algo, Parallelism: par})
+			t.Run(fmt.Sprintf("%s/par=%d", a.name, par), func(t *testing.T) {
+				pq, err := db.Prepare(src, Options{Algorithm: a.algo, Parallelism: par})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,11 +79,11 @@ func TestNodeBudgetProjection(t *testing.T) {
 		if err := db.Register(row.graph); err != nil {
 			t.Fatal(err)
 		}
-		for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
+		for _, a := range algoAxis {
 			for _, par := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%s/%v/par=%d", row.name, algo, par), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/par=%d", row.name, a.name, par), func(t *testing.T) {
 					budgeted := func() context.Context { return WithNodeBudget(context.Background(), row.budget) }
-					pq, err := db.Prepare(src, Options{Algorithm: algo, Parallelism: par, Project: []string{"A"}})
+					pq, err := db.Prepare(src, Options{Algorithm: a.algo, Parallelism: par, Project: []string{"A"}})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -102,7 +102,7 @@ func TestNodeBudgetProjection(t *testing.T) {
 						}
 						return
 					}
-					full, err := db.Prepare(src, Options{Algorithm: algo, Parallelism: par})
+					full, err := db.Prepare(src, Options{Algorithm: a.algo, Parallelism: par})
 					if err != nil {
 						t.Fatal(err)
 					}

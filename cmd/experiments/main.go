@@ -16,7 +16,7 @@
 //
 // Usage: experiments -exp all|table1|... [-n 10000] [-parallel P]
 //
-//	[-planner heuristic|cost-based] [-explain]
+//	[-planner auto|cost-based] [-explain]
 //
 // -planner selects the policy the planner experiment explains;
 // -explain prints its full EXPLAIN record (per-level bounds, every
@@ -79,7 +79,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (or 'all')")
 	n := flag.Int("n", 10000, "base scale")
 	flag.IntVar(&maxWorkers, "parallel", 0, "max workers for the parallel experiment (0 = all cores)")
-	flag.StringVar(&plannerPolicy, "planner", "cost-based", "policy the planner experiment explains: heuristic|cost-based")
+	flag.StringVar(&plannerPolicy, "planner", "cost-based", "policy the planner experiment explains: auto|cost-based")
 	flag.BoolVar(&explainPlans, "explain", false, "print the full plan explanation in the planner experiment")
 	flag.Parse()
 	ran := false
@@ -266,13 +266,15 @@ func maxDeg(r *relation.Relation, x, y []string) float64 {
 	return float64(d)
 }
 
-// triangle compares Generic-Join, LFTJ and binary plans on AGM-tight
-// and skewed instances across a scale sweep (the §2 headline).
+// triangle compares Generic-Join, heavy/light and binary plans on
+// AGM-tight and skewed instances across a scale sweep (the §2
+// headline). Generic-Join's enumerating count materializes every level,
+// as Leapfrog Triejoin's search order would visit every value too.
 func triangle(scale int) error {
 	for _, kind := range []string{"agm-tight", "skew"} {
 		fmt.Printf("-- %s instances --\n", kind)
-		fmt.Printf("%-8s %-9s %-12s %-12s %-12s %-12s %-12s\n",
-			"N", "output", "generic", "lftj", "heavylight", "binary", "bin-inter")
+		fmt.Printf("%-8s %-9s %-12s %-12s %-12s %-12s\n",
+			"N", "output", "generic", "heavylight", "binary", "bin-inter")
 		for _, n := range []int{scale / 16, scale / 4, scale} {
 			if n < 64 {
 				n = 64
@@ -294,13 +296,6 @@ func triangle(scale int) error {
 				}
 				return c
 			})
-			tLF, _ := timeIt(func() int {
-				c, _, err := wcoj.Count(q, wcoj.Options{Algorithm: wcoj.AlgoLeapfrog, Order: []string{"A", "B", "C"}, Parallelism: 1, DisablePushdown: true})
-				if err != nil {
-					panic(err)
-				}
-				return c
-			})
 			tHL, _ := timeIt(func() int {
 				out, _, err := core.TriangleHeavyLight(tri.R, tri.S, tri.T)
 				if err != nil {
@@ -317,8 +312,8 @@ func triangle(scale int) error {
 				inter = st.Intermediate
 				return out.Len()
 			})
-			fmt.Printf("%-8d %-9d %-12v %-12v %-12v %-12v %-12d\n",
-				tri.R.Len(), cnt, tGJ, tLF, tHL, tBin, inter)
+			fmt.Printf("%-8d %-9d %-12v %-12v %-12v %-12d\n",
+				tri.R.Len(), cnt, tGJ, tHL, tBin, inter)
 		}
 	}
 	fmt.Println("(shape: WCOJ times grow ~N^{3/2} on agm-tight and ~N on skew; binary intermediates grow ~N² on skew)")
@@ -611,21 +606,11 @@ func parallelScaling(scale int) error {
 	}{{"triangle", triQ}, {"clique4", cliqueQ}} {
 		order := append([]string(nil), wl.q.Vars...)
 		fmt.Printf("-- %s (N=%d) --\n", wl.name, wl.q.MaxRelationSize())
-		fmt.Printf("%-8s %-9s %-12s %-9s %-12s %-9s\n",
-			"workers", "output", "generic", "speedup", "lftj", "speedup")
-		var baseGJ, baseLF time.Duration
+		fmt.Printf("%-8s %-9s %-12s %-9s\n", "workers", "output", "generic", "speedup")
+		var baseGJ time.Duration
 		for _, p := range workers {
 			opts := wcoj.Options{Order: order, Parallelism: p}
 			tGJ, cnt := timeIt(func() int {
-				opts.Algorithm = wcoj.AlgoGenericJoin
-				c, _, err := wcoj.Count(wl.q, opts)
-				if err != nil {
-					panic(err)
-				}
-				return c
-			})
-			tLF, _ := timeIt(func() int {
-				opts.Algorithm = wcoj.AlgoLeapfrog
 				c, _, err := wcoj.Count(wl.q, opts)
 				if err != nil {
 					panic(err)
@@ -633,10 +618,9 @@ func parallelScaling(scale int) error {
 				return c
 			})
 			if p == 1 {
-				baseGJ, baseLF = tGJ, tLF
+				baseGJ = tGJ
 			}
-			fmt.Printf("%-8d %-9d %-12v %-9.2f %-12v %-9.2f\n",
-				p, cnt, tGJ, float64(baseGJ)/float64(tGJ), tLF, float64(baseLF)/float64(tLF))
+			fmt.Printf("%-8d %-9d %-12v %-9.2f\n", p, cnt, tGJ, float64(baseGJ)/float64(tGJ))
 		}
 	}
 	fmt.Println("(identical outputs at every worker count; sharded over the depth-0 intersection)")

@@ -6,8 +6,8 @@
 //
 //	wcoj -query 'Q(A,B,C) :- R(A,B), S(B,C), T(A,C)' \
 //	     -rel R=r.tsv -rel S=s.tsv -rel T=t.tsv \
-//	     [-algo generic-join|leapfrog-triejoin|backtracking] \
-//	     [-order A,B,C] [-planner auto|heuristic|cost-based|explicit] \
+//	     [-algo generic-join|backtracking] \
+//	     [-order A,B,C] [-planner auto|cost-based] \
 //	     [-explain] [-count] [-exists] [-project A,C] \
 //	     [-out out.tsv] [-parallel N] [-repeat N]
 //
@@ -18,8 +18,11 @@
 //
 // Each TSV file has an attribute header line followed by integer
 // tuples (see wcojgen to generate workloads). -planner selects how
-// the WCOJ variable order is resolved (cost-based runs the bounds
-// driven optimizer); -explain prints the planning record — chosen
+// the WCOJ variable order is resolved: auto takes -order when given and
+// the degree-order heuristic otherwise, cost-based runs the bounds
+// driven optimizer. -algo leapfrog-triejoin is still accepted, as the
+// name of generic-join, which streams the levels that may stop early
+// (see wcoj.AlgoLeapfrog). -explain prints the planning record — chosen
 // order, per-level bounds, candidates considered, and (for -count /
 // -project) the bound/free-output/free-counted level classification —
 // and exits without running the join.
@@ -70,9 +73,9 @@ type config struct {
 func main() {
 	var c config
 	flag.StringVar(&c.query, "query", "", "conjunctive query, e.g. 'Q(A,B,C) :- R(A,B), S(B,C), T(A,C)'")
-	flag.StringVar(&c.algo, "algo", "generic-join", "join algorithm")
+	flag.StringVar(&c.algo, "algo", "generic-join", "join algorithm: generic-join|backtracking")
 	flag.StringVar(&c.order, "order", "", "comma-separated variable order (optional)")
-	flag.StringVar(&c.planner, "planner", "auto", "variable-order planner: auto|heuristic|cost-based|explicit")
+	flag.StringVar(&c.planner, "planner", "auto", "variable-order planner: auto|cost-based")
 	flag.StringVar(&c.project, "project", "", "comma-separated variables to project onto (distinct tuples)")
 	flag.BoolVar(&c.explain, "explain", false, "print the plan explanation and exit without running the join")
 	flag.BoolVar(&c.count, "count", false, "print only the output cardinality (aggregate-aware Count)")

@@ -128,12 +128,12 @@ func TestRunExplainAndPlanner(t *testing.T) {
 	_, flags := writeTri(t)
 	q := triQuery
 	// -explain prints the plan and skips execution for every policy.
-	for _, planner := range []string{"auto", "heuristic", "cost-based"} {
+	for _, planner := range []string{"auto", "cost-based"} {
 		if err := run(config{query: q, algo: "generic-join", planner: planner, explain: true, parallel: 1, rels: flags}); err != nil {
 			t.Fatalf("explain/%s: %v", planner, err)
 		}
 	}
-	if err := run(config{query: q, algo: "leapfrog-triejoin", order: "B,A,C", planner: "explicit", explain: true, parallel: 1, rels: flags}); err != nil {
+	if err := run(config{query: q, algo: "leapfrog-triejoin", order: "B,A,C", planner: "auto", explain: true, parallel: 1, rels: flags}); err != nil {
 		t.Fatal(err)
 	}
 	// -explain -count prints the aggregate classification; with
@@ -148,14 +148,15 @@ func TestRunExplainAndPlanner(t *testing.T) {
 	if err := run(config{query: q, algo: "leapfrog-triejoin", planner: "cost-based", count: true, parallel: 2, rels: flags}); err != nil {
 		t.Fatal(err)
 	}
-	// Bad settings fail: unknown planner, explicit without order,
-	// cost-based with an explicit order, and an order naming a
-	// variable the query lacks.
+	// Bad settings fail: an unknown or retired planner, cost-based with
+	// an explicit order, and an order naming a variable the query lacks.
 	if err := run(config{query: q, algo: "generic-join", planner: "nope", count: true, rels: flags}); err == nil {
 		t.Fatal("unknown planner must fail")
 	}
-	if err := run(config{query: q, algo: "generic-join", planner: "explicit", count: true, rels: flags}); err == nil {
-		t.Fatal("explicit planner without -order must fail")
+	for _, planner := range []string{"heuristic", "explicit"} {
+		if err := run(config{query: q, algo: "generic-join", order: "A,B,C", planner: planner, count: true, rels: flags}); err == nil {
+			t.Fatalf("retired planner %s must fail", planner)
+		}
 	}
 	if err := run(config{query: q, algo: "generic-join", order: "A,B,C", planner: "cost-based", count: true, rels: flags}); err == nil {
 		t.Fatal("cost-based with explicit -order must fail")

@@ -13,10 +13,11 @@
 //
 //	POST /query   {"query": "Q(A,B,C) :- E(A,B), E(B,C), E(A,C)",
 //	               "count": true | "exists": true | "limit": 50,
-//	               "project": ["A","C"], "algo": "...", "planner": "..."}
+//	               "project": ["A","C"], "algo": "generic-join"|"backtracking",
+//	               "planner": "auto"|"cost-based"}
 //	POST /update  {"insert": {"E": [[1,2],[3,4]]}, "delete": {"E": [[5,6]]}}
 //	POST /materialize      {"query": "...", "mode": "count"|"exists"|"rows",
-//	                        "project": [...], "algo": "...", "parallel": N}
+//	                        "project": [...], "parallel": N}
 //	                       register a maintained view: the answer is kept
 //	                       continuously correct across /update batches
 //	GET  /materialized     list maintained views (id, epoch, count, stale)
@@ -104,8 +105,8 @@ func main() {
 	flag.StringVar(&c.queriesPath, "queries", "", "batch mode: file with one conjunctive query per line ('-' = stdin)")
 	flag.StringVar(&c.serveAddr, "serve", "", "serve mode: HTTP listen address, e.g. :8077")
 	flag.StringVar(&c.dir, "dir", "", "durable mode: directory for the write-ahead log and snapshots (recovered on start)")
-	flag.StringVar(&c.algo, "algo", "generic-join", "join algorithm for batch queries")
-	flag.StringVar(&c.planner, "planner", "auto", "variable-order planner for batch queries")
+	flag.StringVar(&c.algo, "algo", "generic-join", "join algorithm for batch queries: generic-join|backtracking")
+	flag.StringVar(&c.planner, "planner", "auto", "variable-order planner for batch queries: auto|cost-based")
 	flag.IntVar(&c.parallel, "parallel", 1, "per-query worker goroutines (batch mode defaults serial: concurrency supplies the parallelism)")
 	flag.IntVar(&c.repeat, "repeat", 1, "batch mode: times each query is executed")
 	flag.IntVar(&c.concurrency, "concurrency", 4, "batch mode: concurrent executor goroutines")

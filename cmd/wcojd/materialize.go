@@ -27,7 +27,6 @@ type materializeRequest struct {
 	Query    string   `json:"query"`
 	Mode     string   `json:"mode,omitempty"`
 	Project  []string `json:"project,omitempty"`
-	Algo     string   `json:"algo,omitempty"`
 	Parallel int      `json:"parallel,omitempty"`
 }
 
@@ -110,13 +109,6 @@ func handleMaterialize(db *wcoj.DB, req materializeRequest) (*materializedView, 
 			return nil, http.StatusBadRequest, err
 		}
 		opts.Mode = m
-	}
-	if req.Algo != "" {
-		a, err := wcoj.ParseAlgorithm(req.Algo)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		opts.Algorithm = a
 	}
 	start := time.Now()
 	mq, err := db.Materialize(req.Query, opts)

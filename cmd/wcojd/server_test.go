@@ -265,8 +265,8 @@ func TestServerEveryAlgorithmStoppable(t *testing.T) {
 		}
 		algos = append(algos, a.String())
 	}
-	if len(algos) != 3 {
-		t.Fatalf("served algorithms %v, want 3", algos)
+	if len(algos) != 2 {
+		t.Fatalf("served algorithms %v, want 2", algos)
 	}
 
 	const timeout = 200 * time.Millisecond

@@ -36,8 +36,8 @@ func ctxTestQuery(t testing.TB) *Query {
 func TestOptionsContextCancellation(t *testing.T) {
 	q := ctxTestQuery(t)
 	for _, par := range []int{1, 4} {
-		for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-			name := fmt.Sprintf("%v/p=%d", algo, par)
+		for _, a := range algoAxis {
+			algo, name := a.algo, fmt.Sprintf("%s/p=%d", a.name, par)
 			run := func(t *testing.T, f func(Options) error) {
 				t.Helper()
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -120,7 +120,7 @@ func TestCountPushdownToggle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
+	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoBacktracking} {
 		base := Options{Algorithm: algo}
 		push, pushStats, err := Count(q, base)
 		if err != nil {

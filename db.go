@@ -635,9 +635,11 @@ func (pq *PreparedQuery) Explain() (*PlanExplanation, error) {
 }
 
 // record folds one call into the cumulative counters. stats is the
-// call's own (nil when it failed): every execution mode reports its
-// result cardinality in Stats.Output — the tuples materialized,
-// streamed or counted, and 1 for a witnessed Exists.
+// call's own (nil when it failed before it started): every execution
+// mode reports its result cardinality in Stats.Output — the tuples
+// materialized, streamed or counted, and 1 for a witnessed Exists — and
+// a run that failed later, a caller's emit stopping it included, the
+// tuples it emitted until then.
 func (pq *PreparedQuery) record(start time.Time, stats *Stats) {
 	pq.calls.Add(1)
 	pq.nanos.Add(int64(time.Since(start)))
@@ -651,7 +653,8 @@ func (pq *PreparedQuery) record(start time.Time, stats *Stats) {
 type PreparedStats struct {
 	// Calls counts completed executions (including failed ones).
 	Calls int64
-	// Tuples totals the result cardinalities.
+	// Tuples totals the result cardinalities, with the tuples a failed
+	// or stopped call emitted before it ended.
 	Tuples int64
 	// Duration totals wall-clock execution time.
 	Duration time.Duration

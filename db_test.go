@@ -45,7 +45,7 @@ var dbSuiteQueries = []struct {
 	{"path4", "Q(A,B,C,D) :- E(A,B), E(B,C), E(C,D)", Options{}},
 	{"path4-parallel", "Q(A,B,C,D) :- E(A,B), E(B,C), E(C,D)", Options{Parallelism: 4}},
 	{"path4-project", "Q(A,B,C,D) :- E(A,B), E(B,C), E(C,D)", Options{Project: []string{"A", "D"}}},
-	{"clique4", "Q(A,B,C,D) :- E(A,B), E(A,C), E(A,D), E(B,C), E(B,D), E(C,D)", Options{Algorithm: AlgoLeapfrog, Parallelism: 3}},
+	{"clique4", "Q(A,B,C,D) :- E(A,B), E(A,C), E(A,D), E(B,C), E(B,D), E(C,D)", Options{Parallelism: 3}},
 	{"triangle-backtracking", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", Options{Algorithm: AlgoBacktracking}},
 }
 
@@ -130,12 +130,9 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 			}
 			tuples("ExecuteFunc", wantRel.Len())
 
-			// Views maintain with generic-join and leapfrog only; rows
-			// prepared for backtracking recompute under the default.
+			// Views maintain under the default algorithm whatever the
+			// prepared query's.
 			mopts := MaterializeOptions{Project: c.opts.Project, Parallelism: c.opts.Parallelism}
-			if c.opts.Algorithm != AlgoBacktracking {
-				mopts.Algorithm = c.opts.Algorithm
-			}
 			for _, mode := range []MaterializeMode{MaterializeCount, MaterializeRows} {
 				mopts.Mode = mode
 				mq, err := db.Materialize(c.src, mopts)
@@ -293,7 +290,7 @@ func TestPlanCache(t *testing.T) {
 	if p3 != p1 {
 		t.Fatal("canonicalized query text did not hit the plan cache")
 	}
-	pl, err := db.Prepare(src, Options{Algorithm: AlgoLeapfrog})
+	pl, err := db.Prepare(src, Options{Algorithm: AlgoBacktracking})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +404,7 @@ func TestPlanKeyNilVsEmpty(t *testing.T) {
 	if _, err := db.Prepare(src, Options{Project: []string{}}); err == nil {
 		t.Fatal("empty Project hit the nil-Project cache entry instead of failing validation")
 	}
-	if _, err := db.Prepare(src, Options{Order: []string{}, Planner: PlannerExplicit}); err == nil {
+	if _, err := db.Prepare(src, Options{Order: []string{}}); err == nil {
 		t.Fatal("empty explicit Order accepted")
 	}
 }
@@ -470,8 +467,11 @@ func TestDBErrors(t *testing.T) {
 	if _, err := db.Prepare("Q(A,B) :- Nope(A,B)", Options{}); err == nil {
 		t.Fatal("unknown relation accepted")
 	}
-	if _, err := db.Prepare("Q(A,B) :- E(A,B)", Options{Planner: PlannerExplicit}); err == nil {
-		t.Fatal("explicit planner without order accepted")
+	if _, err := db.Prepare("Q(A,B) :- E(A,B)", Options{Planner: PlannerCostBased, Order: []string{"A", "B"}}); err == nil {
+		t.Fatal("cost-based planner with an explicit order accepted")
+	}
+	if _, err := db.Prepare("Q(A,B) :- E(A,B)", Options{Planner: PlannerCostBased + 1}); err == nil {
+		t.Fatal("unknown planner accepted")
 	}
 	if _, err := db.Prepare("Q(A,B) :- E(A,B)", Options{Project: []string{"Z"}}); err == nil {
 		t.Fatal("projection onto non-variable accepted")
@@ -594,8 +594,8 @@ func TestCancellableRunsSpawnNoGoroutines(t *testing.T) {
 func TestPreparedCancellation(t *testing.T) {
 	db := cancelDB(t)
 	for _, par := range []int{1, 4} {
-		for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-			name := fmt.Sprintf("%v/p=%d", algo, par)
+		for _, a := range algoAxis {
+			algo, name := a.algo, fmt.Sprintf("%s/p=%d", a.name, par)
 			t.Run("count/"+name, func(t *testing.T) {
 				// DisablePushdown keeps this a long enumeration: the
 				// default pushdown count finishes this product query in

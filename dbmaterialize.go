@@ -103,10 +103,6 @@ func ParseMaterializeMode(name string) (MaterializeMode, error) {
 type MaterializeOptions struct {
 	// Mode selects what is maintained (default MaterializeCount).
 	Mode MaterializeMode
-	// Algorithm runs the differential terms; AlgoGenericJoin (default)
-	// and AlgoLeapfrog are supported — every term runs under the view's
-	// one shared heuristic order, not a constraint order.
-	Algorithm Algorithm
 	// Parallelism bounds the worker goroutines of each term evaluation
 	// (0 means the core budget, as in Options.Parallelism). Terms run
 	// on the writer's budget slot, so a p=2 view gets one more worker
@@ -122,7 +118,7 @@ type MaterializeOptions struct {
 // differential terms: full tuples (the view projects them itself, it
 // needs the support counts) under the shape's heuristic order.
 func (o MaterializeOptions) exec() Options {
-	return Options{Algorithm: o.Algorithm, Parallelism: o.Parallelism}
+	return Options{Parallelism: o.Parallelism}
 }
 
 // needTuples reports whether the mode must maintain per-tuple support
@@ -134,9 +130,6 @@ func (o MaterializeOptions) needTuples() bool {
 
 // validate rejects option combinations maintenance cannot honor.
 func (o MaterializeOptions) validate(q *Query) error {
-	if o.Algorithm != AlgoGenericJoin && o.Algorithm != AlgoLeapfrog {
-		return fmt.Errorf("wcoj: Materialize: %v is not supported (use AlgoGenericJoin or AlgoLeapfrog)", o.Algorithm)
-	}
 	if o.Mode < MaterializeCount || o.Mode > MaterializeRows {
 		return fmt.Errorf("wcoj: Materialize: unknown mode %v", o.Mode)
 	}

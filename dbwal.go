@@ -242,7 +242,6 @@ func (db *DB) rearmViews(recs []*wal.Record, matFloor uint64) error {
 	for _, rec := range recs {
 		opts := MaterializeOptions{
 			Mode:        MaterializeMode(rec.MatMode),
-			Algorithm:   Algorithm(rec.MatAlgo),
 			Parallelism: int(rec.MatParallel),
 			Project:     rec.MatProject,
 		}
@@ -277,7 +276,6 @@ func (db *DB) walAppendMaterializeLocked(mq *MaterializedQuery) error {
 		MatID:       mq.id,
 		MatSrc:      mq.src,
 		MatMode:     uint8(mq.opts.Mode),
-		MatAlgo:     uint8(mq.opts.Algorithm),
 		MatParallel: uint64(par),
 		MatProject:  mq.opts.Project,
 	}

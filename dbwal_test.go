@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"wcoj/internal/dataset"
+	"wcoj/internal/wal"
 )
 
 // sameState asserts two DBs agree on update epoch, relation names and
@@ -341,4 +342,57 @@ func TestSnapshotIsolationWAL(t *testing.T) {
 	}
 	defer re.Close()
 	sameState(t, re, db)
+}
+
+// TestOpenDirIgnoresRetiredViewAlgorithm: a view record's MatAlgo byte
+// is a retired option, written as 0 and ignored on replay. A log whose
+// view was registered with MatAlgo = 1 (Leapfrog Triejoin, when views
+// had an algorithm) recovers that view with its count unchanged,
+// whatever Algorithm 1 names today.
+func TestOpenDirIgnoresRetiredViewAlgorithm(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Register(dataset.RandomGraph(30, 200, 3)); err != nil {
+		t.Fatal(err)
+	}
+	const src = "Q(A,B,C) :- E(A,B), E(B,C), E(A,C)"
+	pq, err := db.Prepare(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := pq.Count(context.Background())
+	if err != nil || want == 0 {
+		t.Fatalf("Count = %d, %v: the case must have triangles", want, err)
+	}
+	epoch := db.Stats().Epoch
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, _, _, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &wal.Record{Kind: wal.KindMaterialize, Epoch: epoch, MatID: "m0", MatSrc: src,
+		MatMode: uint8(MaterializeCount), MatAlgo: 1}
+	if err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDir(dir)
+	if err != nil {
+		t.Fatalf("recovery of a view logged with MatAlgo 1: %v", err)
+	}
+	defer re.Close()
+	mq, ok := re.Materialized("m0")
+	if !ok || mq.Count() != int64(want) {
+		t.Fatalf("recovered view m0 (found %v), want it counting %d", ok, want)
+	}
 }

@@ -160,10 +160,7 @@ func ExampleExecute_costBasedPlanner() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, _, err := wcoj.Execute(q, wcoj.Options{
-		Algorithm: wcoj.AlgoLeapfrog,
-		Planner:   wcoj.PlannerCostBased,
-	})
+	out, _, err := wcoj.Execute(q, wcoj.Options{Planner: wcoj.PlannerCostBased})
 	if err != nil {
 		log.Fatal(err)
 	}

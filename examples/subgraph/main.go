@@ -45,7 +45,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		n, stats, err := wcoj.Count(q, wcoj.Options{Algorithm: wcoj.AlgoLeapfrog})
+		n, stats, err := wcoj.Count(q, wcoj.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

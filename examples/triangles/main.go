@@ -42,11 +42,7 @@ func main() {
 	fmt.Printf("AGM bound: %.0f (= |E|^{3/2})\n\n", agm.Bound)
 
 	fmt.Printf("%-22s %-12s %-12s %-10s\n", "algorithm", "triangles", "elapsed", "max-inter")
-	for _, algo := range []wcoj.Algorithm{
-		wcoj.AlgoGenericJoin,
-		wcoj.AlgoLeapfrog,
-		wcoj.AlgoBacktracking,
-	} {
+	for _, algo := range []wcoj.Algorithm{wcoj.AlgoGenericJoin, wcoj.AlgoBacktracking} {
 		start := time.Now()
 		n, stats, err := wcoj.Count(q, wcoj.Options{Algorithm: algo})
 		if err != nil {
@@ -64,5 +60,13 @@ func main() {
 	}
 	fmt.Printf("%-22s %-12d %-12v %-10d\n",
 		"binary-join", out.Len(), time.Since(start).Round(time.Millisecond), stats.Intermediate)
+	// An EXISTS streams its levels (the survey's Leapfrog Triejoin) and
+	// stops at the first triangle.
+	start = time.Now()
+	found, st, err := wcoj.Exists(q, wcoj.Options{Parallelism: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%-22s %-12v %-12v nodes=%d\n", "exists (streamed)", found, time.Since(start).Round(time.Microsecond), st.Recursions)
 	fmt.Println("\n(WCOJ algorithms never build the quadratic wedge set the binary plan does)")
 }

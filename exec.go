@@ -5,7 +5,7 @@ package wcoj
 // maintained view's recompute or differential term — is an executor: a
 // query bound to concrete relations, the trie source serving exactly
 // those relations, and the options. Every algorithm is the one trie
-// search under its own variable order and level strategy; it resolves
+// search under its own variable order; it resolves
 // one plan per execution mode on the mode's first use; an executor
 // built as the successor of another (the same query one update batch
 // later) re-versions the predecessor's plans — tries only, through
@@ -135,7 +135,9 @@ func (e *executor) plan(m planMode) (*core.Plan, *agg.Classification, error) {
 
 // visit streams the result to emit under the ExecuteFunc contract (the
 // Tuple is reused between calls): the enumeration plan's search, which
-// pushes Options.Project into the enumeration.
+// pushes Options.Project into the enumeration. A run that fails once
+// started — emit's own error included — returns its Stats with the
+// error, Output counting the tuples emit was handed.
 func (e *executor) visit(ctx context.Context, emit func(Tuple) error) (*Stats, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
@@ -145,10 +147,8 @@ func (e *executor) visit(ctx context.Context, emit func(Tuple) error) (*Stats, e
 		return nil, err
 	}
 	stats := &Stats{}
-	if _, err := core.GenericJoinPlanVisit(ctx, p, cls, e.opts.Algorithm.level(), e.opts.workers(), stats, emit); err != nil {
-		return nil, err
-	}
-	return stats, nil
+	_, err = core.GenericJoinPlanVisit(ctx, p, cls, e.opts.workers(), stats, emit)
+	return stats, err
 }
 
 // execute materializes the collected stream.
@@ -160,7 +160,7 @@ func (e *executor) execute(ctx context.Context) (*Relation, *Stats, error) {
 	b := relation.NewBuilder(e.q.OutputName(), attrs...)
 	stats, err := e.visit(ctx, func(t Tuple) error { return b.Add(t...) })
 	if err != nil {
-		return nil, nil, err
+		return nil, stats, err
 	}
 	return b.Build(), stats, nil
 }
@@ -179,11 +179,8 @@ func (e *executor) count(ctx context.Context) (int64, *Stats, error) {
 			return 0, nil, err
 		}
 		stats := &Stats{}
-		n, err := core.GenericJoinPlanVisit(ctx, p, nil, e.opts.Algorithm.level(), e.opts.workers(), stats, nil)
-		if err != nil {
-			return 0, nil, err
-		}
-		return n, stats, nil
+		n, err := core.GenericJoinPlanVisit(ctx, p, nil, e.opts.workers(), stats, nil)
+		return n, stats, err
 	}
 	return e.aggregate(ctx, planCount)
 }
@@ -205,5 +202,5 @@ func (e *executor) aggregate(ctx context.Context, m planMode) (int64, *Stats, er
 	if err != nil {
 		return 0, nil, err
 	}
-	return core.GenericJoinAggPlan(ctx, p, cls, e.opts.Algorithm.level(), e.opts.workers())
+	return core.GenericJoinAggPlan(ctx, p, cls, e.opts.workers())
 }

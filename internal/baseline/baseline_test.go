@@ -39,7 +39,7 @@ func genericJoin(q *core.Query) (*relation.Relation, error) {
 		return nil, err
 	}
 	out := relation.NewBuilder(q.OutputName(), q.Vars...)
-	_, err = core.GenericJoinPlanVisit(context.Background(), p, nil, core.MaterializeLevel, 1, &core.Stats{},
+	_, err = core.GenericJoinPlanVisit(context.Background(), p, nil, 1, &core.Stats{},
 		func(t relation.Tuple) error { return out.Add(t...) })
 	return out.Build(), err
 }

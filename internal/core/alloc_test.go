@@ -10,12 +10,14 @@ import (
 	"wcoj/internal/relation"
 )
 
-// TestSearchAllocs: a serial enumeration over a built plan makes a
-// bounded number of allocations — its searcher and the growth of its
-// per-depth buffers — however large the data, under both level
-// strategies: the level kernels allocate nothing per call. So does a
-// COUNT, serial or sharded: the triangle has no level below a
-// separator, so its searchers never make a subtree memo or its keys.
+// TestSearchAllocs: a serial search over a built plan makes a bounded
+// number of allocations — its searcher and the growth of its per-depth
+// buffers — however large the data: the level kernels allocate nothing
+// per call. "materialize" runs the full enumeration and the uncapped
+// COUNT, whose levels materialize; "leapfrog" runs the enumeration
+// projected on A and the EXISTS, whose capped levels stream. So do
+// their sharded runs: the triangle has no level below a separator, so
+// its searchers never make a subtree memo or its keys.
 func TestSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -30,15 +32,32 @@ func TestSearchAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := BuildPlanSrc(new(TrieMemo), q, nil)
-		if err != nil {
-			t.Fatal(err)
+		plan := func(spec *agg.Spec) (*Plan, *agg.Classification) {
+			if spec == nil {
+				p, err := BuildPlanSrc(new(TrieMemo), q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p, nil
+			}
+			p, cls, err := AggPlanSrc(new(TrieMemo), q, nil, *spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p, cls
 		}
-		for _, st := range strategies {
-			t.Run(fmt.Sprintf("E=%d/%s", m, st.name), func(t *testing.T) {
+		for _, c := range []struct {
+			name        string
+			enum, count *agg.Spec
+		}{
+			{"materialize", nil, &agg.Spec{Mode: agg.ModeCount}},
+			{"leapfrog", &agg.Spec{Mode: agg.ModeEnumerate, Project: []string{"A"}}, &agg.Spec{Mode: agg.ModeExists}},
+		} {
+			p, cls := plan(c.enum)
+			t.Run(fmt.Sprintf("E=%d/%s", m, c.name), func(t *testing.T) {
 				n := 0
 				run := func() {
-					_, err := GenericJoinPlanVisit(context.Background(), p, nil, st.lv, 1, &Stats{},
+					_, err := GenericJoinPlanVisit(context.Background(), p, cls, 1, &Stats{},
 						func(relation.Tuple) error { n++; return nil })
 					if err != nil {
 						t.Fatal(err)
@@ -52,16 +71,11 @@ func TestSearchAllocs(t *testing.T) {
 					t.Errorf("enumerate: %v allocations per run, want <= 32", a)
 				}
 			})
-		}
-		cp, cls, err := AggPlanSrc(new(TrieMemo), q, nil, agg.Spec{Mode: agg.ModeCount})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, st := range strategies {
+			cp, ccls := plan(c.count)
 			for _, workers := range []int{1, 2} {
-				t.Run(fmt.Sprintf("E=%d/%s/count/p=%d", m, st.name, workers), func(t *testing.T) {
+				t.Run(fmt.Sprintf("E=%d/%s/count/p=%d", m, c.name, workers), func(t *testing.T) {
 					run := func() {
-						if _, _, err := GenericJoinAggPlan(context.Background(), cp, cls, st.lv, workers); err != nil {
+						if _, _, err := GenericJoinAggPlan(context.Background(), cp, ccls, workers); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -58,14 +58,6 @@ func naiveJoin(t testing.TB, q *Query) *relation.Relation {
 	return out
 }
 
-// strategies are the two level strategies every search test runs
-// under: Generic-Join's materialized levels and Leapfrog Triejoin's
-// streamed ones.
-var strategies = []struct {
-	name string
-	lv   LevelStrategy
-}{{"materialize", MaterializeLevel}, {"leapfrog", LeapfrogLevel}}
-
 // orderOf is the policy of a test's explicit order; nil selects the
 // heuristic.
 func orderOf(order []string) OrderPolicy {
@@ -76,16 +68,16 @@ func orderOf(order []string) OrderPolicy {
 }
 
 // gj is the tests' way into the plan-level search: it plans q over src
-// under order and materializes the serial search's result under lv.
+// under order and materializes the serial search's result.
 // Tests that are not about the memo pass a fresh one.
-func gj(src TrieSource, q *Query, order []string, lv LevelStrategy) (*relation.Relation, *Stats, error) {
+func gj(src TrieSource, q *Query, order []string) (*relation.Relation, *Stats, error) {
 	p, err := BuildPlanSrc(src, q, orderOf(order))
 	if err != nil {
 		return nil, nil, err
 	}
 	stats := &Stats{}
 	out := relation.NewBuilder(q.OutputName(), q.Vars...)
-	_, err = GenericJoinPlanVisit(context.Background(), p, nil, lv, 1, stats, func(t relation.Tuple) error {
+	_, err = GenericJoinPlanVisit(context.Background(), p, nil, 1, stats, func(t relation.Tuple) error {
 		return out.Add(t...)
 	})
 	if err != nil {
@@ -140,29 +132,27 @@ func TestGenericJoinTriangleSmall(t *testing.T) {
 		[]relation.Value{1, 5}, []relation.Value{2, 6})
 	q := triangleQuery(t, r, s, tt)
 	want := naiveJoin(t, q)
-	for _, st := range strategies {
-		got, stats, err := gj(new(TrieMemo), q, nil, st.lv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("%s: GenericJoin = %v, want %v", st.name, got.Tuples(), want.Tuples())
-		}
-		if stats.Output != got.Len() {
-			t.Fatalf("%s: stats.Output = %d", st.name, stats.Output)
-		}
-		// Count-only agrees.
-		p, err := BuildPlanSrc(new(TrieMemo), q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := GenericJoinPlanVisit(context.Background(), p, nil, st.lv, 1, &Stats{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(n) != want.Len() {
-			t.Fatalf("%s: count = %d, want %d", st.name, n, want.Len())
-		}
+	got, stats, err := gj(new(TrieMemo), q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("GenericJoin = %v, want %v", got.Tuples(), want.Tuples())
+	}
+	if stats.Output != got.Len() {
+		t.Fatalf("stats.Output = %d", stats.Output)
+	}
+	// Count-only agrees.
+	p, err := BuildPlanSrc(new(TrieMemo), q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := GenericJoinPlanVisit(context.Background(), p, nil, 1, &Stats{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(n) != want.Len() {
+		t.Fatalf("count = %d, want %d", n, want.Len())
 	}
 }
 
@@ -171,24 +161,22 @@ func TestGenericJoinExplicitOrder(t *testing.T) {
 	s := rel(t, "S", []string{"B", "C"}, []relation.Value{2, 3})
 	tt := rel(t, "T", []string{"A", "C"}, []relation.Value{1, 3})
 	q := triangleQuery(t, r, s, tt)
-	for _, st := range strategies {
-		for _, order := range [][]string{
-			{"A", "B", "C"}, {"C", "B", "A"}, {"B", "A", "C"},
-		} {
-			got, _, err := gj(new(TrieMemo), q, order, st.lv)
-			if err != nil {
-				t.Fatalf("%s order %v: %v", st.name, order, err)
-			}
-			if got.Len() != 1 {
-				t.Fatalf("%s order %v: len = %d, want 1", st.name, order, got.Len())
-			}
+	for _, order := range [][]string{
+		{"A", "B", "C"}, {"C", "B", "A"}, {"B", "A", "C"},
+	} {
+		got, _, err := gj(new(TrieMemo), q, order)
+		if err != nil {
+			t.Fatalf("order %v: %v", order, err)
 		}
-		if _, _, err := gj(new(TrieMemo), q, []string{"A", "B"}, st.lv); err == nil {
-			t.Fatalf("%s: short order must fail", st.name)
+		if got.Len() != 1 {
+			t.Fatalf("order %v: len = %d, want 1", order, got.Len())
 		}
-		if _, _, err := gj(new(TrieMemo), q, []string{"A", "A", "B"}, st.lv); err == nil {
-			t.Fatalf("%s: repeating order must fail", st.name)
-		}
+	}
+	if _, _, err := gj(new(TrieMemo), q, []string{"A", "B"}); err == nil {
+		t.Fatalf("short order must fail")
+	}
+	if _, _, err := gj(new(TrieMemo), q, []string{"A", "A", "B"}); err == nil {
+		t.Fatalf("repeating order must fail")
 	}
 }
 
@@ -197,14 +185,12 @@ func TestGenericJoinEmptyRelation(t *testing.T) {
 	s := relation.Empty("S", "B", "C")
 	tt := rel(t, "T", []string{"A", "C"}, []relation.Value{1, 3})
 	q := triangleQuery(t, r, s, tt)
-	for _, st := range strategies {
-		got, _, err := gj(new(TrieMemo), q, nil, st.lv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Len() != 0 {
-			t.Fatalf("%s: empty input must give empty output, got %d", st.name, got.Len())
-		}
+	got, _, err := gj(new(TrieMemo), q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 0 {
+		t.Fatalf("empty input must give empty output, got %d", got.Len())
 	}
 }
 
@@ -215,14 +201,12 @@ func TestGenericJoinSingleAtom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range strategies {
-		got, _, err := gj(new(TrieMemo), q, nil, st.lv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Len() != 2 {
-			t.Fatalf("%s: single atom join = %d rows", st.name, got.Len())
-		}
+	got, _, err := gj(new(TrieMemo), q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 2 {
+		t.Fatalf("single atom join = %d rows", got.Len())
 	}
 }
 
@@ -241,7 +225,7 @@ func TestGenericJoinRenamedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := gj(new(TrieMemo), q, nil, MaterializeLevel)
+	got, _, err := gj(new(TrieMemo), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +254,7 @@ func TestTriangleHeavyLightMatchesGenericJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := gj(new(TrieMemo), triangleQuery(t, r, s, tt), []string{"A", "B", "C"}, MaterializeLevel)
+	want, _, err := gj(new(TrieMemo), triangleQuery(t, r, s, tt), []string{"A", "B", "C"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +314,7 @@ func TestPropertyGenericJoinTriangle(t *testing.T) {
 		}
 		want := naiveJoin(t, q)
 		for _, ord := range orders {
-			got, _, err := gj(new(TrieMemo), q, ord, MaterializeLevel)
+			got, _, err := gj(new(TrieMemo), q, ord)
 			if err != nil {
 				return false
 			}
@@ -378,7 +362,7 @@ func TestPropertyGenericJoinFourVars(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, _, err := gj(new(TrieMemo), q, nil, MaterializeLevel)
+		got, _, err := gj(new(TrieMemo), q, nil)
 		if err != nil {
 			return false
 		}
@@ -389,7 +373,7 @@ func TestPropertyGenericJoinFourVars(t *testing.T) {
 	}
 }
 
-// Property: both strategies equal the reference on random 4-cycles
+// Property: the search equals the reference on random 4-cycles
 // under multiple variable orders.
 func TestPropertyFourCycleOrders(t *testing.T) {
 	f := func(seed int64) bool {
@@ -411,19 +395,17 @@ func TestPropertyFourCycleOrders(t *testing.T) {
 			return false
 		}
 		want := naiveJoin(t, q)
-		for _, st := range strategies {
-			for _, ord := range [][]string{
-				nil,
-				{"A", "B", "C", "D"},
-				{"D", "C", "B", "A"},
-				{"B", "D", "A", "C"},
-			} {
-				// The builder uses q.Vars whatever the order, so schemas
-				// match.
-				got, _, err := gj(new(TrieMemo), q, ord, st.lv)
-				if err != nil || !got.Equal(want) {
-					return false
-				}
+		for _, ord := range [][]string{
+			nil,
+			{"A", "B", "C", "D"},
+			{"D", "C", "B", "A"},
+			{"B", "D", "A", "C"},
+		} {
+			// The builder uses q.Vars whatever the order, so schemas
+			// match.
+			got, _, err := gj(new(TrieMemo), q, ord)
+			if err != nil || !got.Equal(want) {
+				return false
 			}
 		}
 		return true
@@ -435,12 +417,12 @@ func TestPropertyFourCycleOrders(t *testing.T) {
 
 // backtrack runs Algorithm 3 the way the engine does: the plan-level
 // search under dc's compatible order.
-func backtrack(q *Query, dc constraints.Set, lv LevelStrategy) (*relation.Relation, *Stats, error) {
+func backtrack(q *Query, dc constraints.Set) (*relation.Relation, *Stats, error) {
 	order, err := BacktrackOrder(q, dc)
 	if err != nil {
 		return nil, nil, err
 	}
-	return gj(new(TrieMemo), q, order, lv)
+	return gj(new(TrieMemo), q, order)
 }
 
 func TestBacktrackingSearchTriangle(t *testing.T) {
@@ -463,17 +445,15 @@ func TestBacktrackingSearchTriangle(t *testing.T) {
 		constraints.Cardinality("T", []string{"A", "C"}, float64(tt.Len())),
 	}
 	want := naiveJoin(t, q)
-	for _, st := range strategies {
-		got, stats, err := backtrack(q, dc, st.lv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("%s: backtracking = %d rows, want %d", st.name, got.Len(), want.Len())
-		}
-		if stats.Output != got.Len() {
-			t.Fatalf("%s: stats.Output mismatch", st.name)
-		}
+	got, stats, err := backtrack(q, dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("backtracking = %d rows, want %d", got.Len(), want.Len())
+	}
+	if stats.Output != got.Len() {
+		t.Fatalf("stats.Output mismatch")
 	}
 }
 
@@ -522,17 +502,15 @@ func TestBacktrackingSearchQuery63(t *testing.T) {
 	}
 	limit := float64(len(q.Vars))*mod.Bound + 1
 	want := naiveJoin(t, q)
-	for _, st := range strategies {
-		got, stats, err := backtrack(q, acyclic, st.lv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("%s: backtracking on (63) = %d rows, want %d", st.name, got.Len(), want.Len())
-		}
-		if float64(stats.Recursions) > limit {
-			t.Fatalf("%s: %d recursions exceed n·2^modular + 1 = %.0f", st.name, stats.Recursions, limit)
-		}
+	got, stats, err := backtrack(q, acyclic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("backtracking on (63) = %d rows, want %d", got.Len(), want.Len())
+	}
+	if float64(stats.Recursions) > limit {
+		t.Fatalf("%d recursions exceed n·2^modular + 1 = %.0f", stats.Recursions, limit)
 	}
 }
 
@@ -595,11 +573,9 @@ func TestPropertyBacktrackingTriangle(t *testing.T) {
 			constraints.Cardinality("T", []string{"A", "C"}, float64(tt.Len()+1)),
 		}
 		want := naiveJoin(t, q)
-		for _, st := range strategies {
-			got, _, err := backtrack(q, dc, st.lv)
-			if err != nil || !got.Equal(want) {
-				return false
-			}
+		got, _, err := backtrack(q, dc)
+		if err != nil || !got.Equal(want) {
+			return false
 		}
 		return true
 	}
@@ -671,8 +647,8 @@ func capWorkloads(t *testing.T) map[string]*Query {
 }
 
 // TestCappedCount: the count capped at k is min(Count, k) — the
-// truncated semiring every aggregate runs in, EXISTS being k = 1 — under
-// both strategies, serial and sharded. A count that overflows int64
+// truncated semiring every aggregate runs in, EXISTS being k = 1 — whose
+// capped levels stream, serial and sharded. A count that overflows int64
 // exceeds every cap.
 func TestCappedCount(t *testing.T) {
 	ctx := context.Background()
@@ -681,20 +657,18 @@ func TestCappedCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		count, _, err := GenericJoinAggPlan(ctx, p, cls, MaterializeLevel, 1)
+		count, _, err := GenericJoinAggPlan(ctx, p, cls, 1)
 		if errors.Is(err, agg.ErrCountOverflow) {
 			count = uncapped
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range strategies {
-			for _, workers := range []int{1, 4} {
-				for _, k := range []int64{1, 2, 7} {
-					r := newRun(ctx, p, cls, st.lv, workers, &Stats{})
-					r.cap, r.agg = k, true
-					if got, err := r.search(nil); err != nil || got != min(count, k) {
-						t.Errorf("%s/%s/p=%d: capped at %d = %d, %v; want %d", name, st.name, workers, k, got, err, min(count, k))
-					}
+		for _, workers := range []int{1, 4} {
+			for _, k := range []int64{1, 2, 7} {
+				r := newRun(ctx, p, cls, workers, &Stats{})
+				r.cap, r.agg = k, true
+				if got, err := r.search(nil); err != nil || got != min(count, k) {
+					t.Errorf("%s/p=%d: capped at %d = %d, %v; want %d", name, workers, k, got, err, min(count, k))
 				}
 			}
 		}

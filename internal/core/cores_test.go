@@ -80,13 +80,13 @@ func TestShardedCallerAlone(t *testing.T) {
 	}
 	run := func() result {
 		var r result
-		if _, err := GenericJoinPlanVisit(ctx, p, nil, MaterializeLevel, 4, &r.count, nil); err != nil {
+		if _, err := GenericJoinPlanVisit(ctx, p, nil, 4, &r.count, nil); err != nil {
 			t.Fatal(err)
 		}
-		if r.found, _, err = GenericJoinAggPlan(ctx, ep, ecls, MaterializeLevel, 4); err != nil {
+		if r.found, _, err = GenericJoinAggPlan(ctx, ep, ecls, 4); err != nil {
 			t.Fatal(err)
 		}
-		_, err = GenericJoinPlanVisit(ctx, p, nil, MaterializeLevel, 4, &Stats{}, func(t relation.Tuple) error {
+		_, err = GenericJoinPlanVisit(ctx, p, nil, 4, &Stats{}, func(t relation.Tuple) error {
 			r.rows = append(r.rows, t...)
 			return nil
 		})

@@ -15,34 +15,16 @@ import (
 	"wcoj/internal/relation"
 )
 
-// LevelStrategy is the single point of difference between Generic-Join
-// and Leapfrog Triejoin: how one level's multiway intersection reaches
-// the recursion. It is fixed per run and consulted once per level.
-type LevelStrategy int
-
-const (
-	// MaterializeLevel is Generic-Join [52]: intersect the level into a
-	// per-depth buffer (trie.IntersectLevelsAt, which also reports where
-	// each value matched), then loop over the values.
-	MaterializeLevel LevelStrategy = iota
-	// LeapfrogLevel is Leapfrog Triejoin [66]: stream the level through
-	// the leapfrog kernel (trie.LeapfrogLevels), recursing per match and
-	// never materializing it. An early stop (EXISTS) leaves the rest of
-	// the level unintersected.
-	LeapfrogLevel
-)
-
 // run carries what the entry points below share: the plan, its
-// classification (nil for plain enumeration), the level strategy, the
-// cap of its counts (see searcher.cap), whether it counts an aggregate
-// rather than emitting tuples, and the context's stop signal and node
-// budget. A sharded run also holds its depth-0 intersection: the
-// values and where each matched.
+// classification (nil for plain enumeration), the cap of its counts
+// (see searcher.cap), whether it counts an aggregate rather than
+// emitting tuples, and the context's stop signal and node budget. A
+// sharded run also holds its depth-0 intersection: the values and where
+// each matched.
 type run struct {
 	ctx     context.Context
 	p       *Plan
 	cls     *agg.Classification
-	lv      LevelStrategy
 	cap     int64
 	agg     bool
 	workers int
@@ -52,25 +34,28 @@ type run struct {
 	topAt   []int
 }
 
-func newRun(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int, stats *Stats) *run {
-	return &run{ctx: ctx, p: p, cls: cls, lv: lv, cap: 1, workers: workers, stats: stats, budget: BudgetFrom(ctx)}
+func newRun(ctx context.Context, p *Plan, cls *agg.Classification, workers int, stats *Stats) *run {
+	return &run{ctx: ctx, p: p, cls: cls, cap: 1, workers: workers, stats: stats, budget: BudgetFrom(ctx)}
 }
 
 // search runs the plan from its root and returns what it counts: with
 // r.agg, min(count, r.cap); otherwise the tuples it emits to emit,
 // where a nil emit counts them without buffering. It sets Stats.Output
-// to that result. The run is serial with one worker, with an empty
-// order, or when a pure product (CountFrom == 0) answers the aggregate
-// in O(#atoms); otherwise the depth-0 intersection is sharded across
-// the workers by runSharded, which replays emitted tuples in chunk
-// order, so the emit sequence is identical to the serial run.
+// to that result. A run that fails — emit's own error included — keeps
+// the Stats of the work it did, with Output the tuples it emitted
+// before the failure (none for an aggregate). The run is serial with
+// one worker, with an empty order, or when a pure product
+// (CountFrom == 0) answers the aggregate in O(#atoms); otherwise the
+// depth-0 intersection is sharded across the workers by runSharded,
+// which replays emitted tuples in chunk order, so the emit sequence is
+// identical to the serial run.
 func (r *run) search(emit func(relation.Tuple) error) (int64, error) {
 	var n int64
 	var err error
 	if r.workers <= 1 || len(r.p.Order) == 0 || (r.agg && r.cls.CountFrom == 0) {
 		var stop atomic.Bool
 		defer WatchCancel(r.ctx, &stop)()
-		s := newSearcher(r.p, r.cls, r.lv, r.cap, r.stats, counted(&n, emit), &stop, r.budget)
+		s := newSearcher(r.p, r.cls, r.cap, r.stats, counted(&n, emit), &stop, r.budget)
 		if r.agg {
 			n = s.count(0)
 		} else {
@@ -87,19 +72,25 @@ func (r *run) search(emit func(relation.Tuple) error) (int64, error) {
 		if !r.agg {
 			cap = uncapped
 		}
+		var replayed int64
 		if emit != nil {
 			arity := len(r.p.Q.Vars)
 			if r.cls != nil {
 				arity = len(r.cls.Spec.Project)
 			}
-			sink = newBufferSink(arity, emit)
+			sink = newBufferSink(arity, counted(&replayed, emit))
 		}
-		n, err = runSharded(r.ctx, r.top(), r.workers, cap, r.stats, sink, r.chunk)
+		if n, err = runSharded(r.ctx, r.top(), r.workers, cap, r.stats, sink, r.chunk); err != nil {
+			n = replayed
+		}
 	}
+	if err != nil && r.agg {
+		n = 0 // a failed aggregate emitted nothing
+	}
+	r.stats.Output = int(n)
 	if err != nil {
 		return 0, err
 	}
-	r.stats.Output = int(n)
 	return n, nil
 }
 
@@ -116,7 +107,8 @@ func counted(n *int64, emit func(relation.Tuple) error) func(relation.Tuple) err
 
 // top computes the depth-0 intersection the sharded runner partitions,
 // accounting for the root node exactly as the serial search does, and
-// returns its size. Both strategies shard a materialized top level.
+// returns its size. A sharded run materializes its top level whatever
+// its cap.
 func (r *run) top() int {
 	r.topVals, r.topAt = r.p.TopValues(nil, nil)
 	r.stats.Recursions++
@@ -133,7 +125,7 @@ func (r *run) chunk(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation
 		return 0, ErrNodeBudget
 	}
 	var n int64
-	s := newSearcher(r.p, r.cls, r.lv, r.cap, st, counted(&n, emit), stop, r.budget)
+	s := newSearcher(r.p, r.cls, r.cap, st, counted(&n, emit), stop, r.budget)
 	k := len(r.p.Participants[0])
 	vals, at := r.topVals[lo:hi], r.topAt[lo*k:hi*k]
 	if r.agg {
@@ -148,8 +140,9 @@ func (r *run) chunk(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation
 // atoms containing the current variable, the distinct values compatible
 // with the current prefix binding; recurse per value. With sorted-trie
 // intersections the runtime is Õ(N^{ρ*}) — the AGM bound — by the
-// Theorem 4.1 analysis. Leapfrog Triejoin is the same search under
-// lv = LeapfrogLevel.
+// Theorem 4.1 analysis. Leapfrog Triejoin is the same search with its
+// levels streamed, which the search does where a level's cap lets it
+// stop early (see search.go).
 //
 // The result streams to emit in the canonical (variable-order
 // lexicographic) sequence; the Tuple passed to emit is reused between
@@ -162,11 +155,11 @@ func (r *run) chunk(lo, hi int, st *Stats, stop *atomic.Bool, emit func(relation
 // enumerate-mode classification (over the sunk plan it was computed
 // for) enumerates the distinct projected tuples, existence-checking the
 // projected-away levels per prefix instead of enumerating them.
-func GenericJoinPlanVisit(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int, stats *Stats, emit func(relation.Tuple) error) (int64, error) {
+func GenericJoinPlanVisit(ctx context.Context, p *Plan, cls *agg.Classification, workers int, stats *Stats, emit func(relation.Tuple) error) (int64, error) {
 	if err := CtxErr(ctx); err != nil {
 		return 0, err
 	}
-	return newRun(ctx, p, cls, lv, workers, stats).search(emit)
+	return newRun(ctx, p, cls, workers, stats).search(emit)
 }
 
 // GenericJoinAggPlan evaluates the aggregate a sunk plan was
@@ -174,12 +167,13 @@ func GenericJoinPlanVisit(ctx context.Context, p *Plan, cls *agg.Classification,
 // full multiplicity with a nil spec.Project, distinct projected tuples
 // otherwise. ModeExists returns 1 or 0: the count capped at 1, which
 // stops at the first witness. Counts are identical to
-// enumerate-then-aggregate at every workers setting.
-func GenericJoinAggPlan(ctx context.Context, p *Plan, cls *agg.Classification, lv LevelStrategy, workers int) (int64, *Stats, error) {
+// enumerate-then-aggregate at every workers setting. A run that fails
+// past its start still returns the Stats of the work it did.
+func GenericJoinAggPlan(ctx context.Context, p *Plan, cls *agg.Classification, workers int) (int64, *Stats, error) {
 	if err := CtxErr(ctx); err != nil {
 		return 0, nil, err
 	}
-	r := newRun(ctx, p, cls, lv, workers, &Stats{})
+	r := newRun(ctx, p, cls, workers, &Stats{})
 	switch {
 	case cls.Spec.Mode == agg.ModeCount && len(cls.Spec.Project) > 0:
 		// Distinct projected count: the projected enumeration, counted.
@@ -191,8 +185,5 @@ func GenericJoinAggPlan(ctx context.Context, p *Plan, cls *agg.Classification, l
 		return 0, nil, fmt.Errorf("core: unsupported aggregate mode %v", cls.Spec.Mode)
 	}
 	n, err := r.search(nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	return n, r.stats, nil
+	return n, r.stats, err
 }

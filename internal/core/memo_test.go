@@ -15,7 +15,7 @@ import (
 // atoms' row ranges fix every bound variable. On random small queries
 // and orders, each bound level the rule excludes is turned on alone;
 // every such run must make no memo hit and return the unforced count,
-// under both strategies, serial and sharded.
+// serial and sharded.
 func TestMemoSeparatorRule(t *testing.T) {
 	ctx := context.Background()
 	vars := []string{"A", "B", "C", "D", "E"}
@@ -58,7 +58,7 @@ func TestMemoSeparatorRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := GenericJoinAggPlan(ctx, p, cls, MaterializeLevel, 1)
+		want, _, err := GenericJoinAggPlan(ctx, p, cls, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,16 +70,14 @@ func TestMemoSeparatorRule(t *testing.T) {
 			one := *cls
 			one.MemoDepths = make([]bool, len(cls.MemoDepths))
 			one.MemoDepths[d] = true
-			for _, st := range strategies {
-				for _, workers := range []int{1, 2} {
-					got, stats, err := GenericJoinAggPlan(ctx, p, &one, st.lv, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want || stats.AggMemoHits != 0 {
-						t.Errorf("seed %d, order %v, %+v, memo at %s only, %s/p=%d: count %d (want %d), %d memo hits (want 0)",
-							seed, cls.Order, spec, cls.Order[d], st.name, workers, got, want, stats.AggMemoHits)
-					}
+			for _, workers := range []int{1, 2} {
+				got, stats, err := GenericJoinAggPlan(ctx, p, &one, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want || stats.AggMemoHits != 0 {
+					t.Errorf("seed %d, order %v, %+v, memo at %s only, p=%d: count %d (want %d), %d memo hits (want 0)",
+						seed, cls.Order, spec, cls.Order[d], workers, got, want, stats.AggMemoHits)
 				}
 			}
 		}

@@ -17,9 +17,9 @@ import (
 // TestMixedWidthQuery joins relations whose tries have different key
 // widths: R and T hold values above math.MaxUint32, so their tries stay
 // wide, while S is uint32-narrowed. Every level then intersects wide
-// with narrow keys (or binds a wide value on a narrowed trie), under
-// both level strategies, in all four modes, serial and sharded —
-// checked against the binary-join baseline.
+// with narrow keys (or binds a wide value on a narrowed trie), on
+// materialized and streamed levels, in all four modes, serial and
+// sharded — checked against the binary-join baseline.
 func TestMixedWidthQuery(t *testing.T) {
 	const huge = relation.Value(math.MaxUint32) + 1
 	rng := rand.New(rand.NewSource(17))
@@ -76,7 +76,7 @@ func TestMixedWidthQuery(t *testing.T) {
 	memo := new(core.TrieMemo)
 	// enumerate materializes the search of q under pol; a nil project
 	// enumerates full tuples.
-	enumerate := func(pol core.OrderPolicy, lv core.LevelStrategy, workers int, project []string) (*relation.Relation, error) {
+	enumerate := func(pol core.OrderPolicy, workers int, project []string) (*relation.Relation, error) {
 		attrs := q.Vars
 		var p *core.Plan
 		var cls *agg.Classification
@@ -91,46 +91,44 @@ func TestMixedWidthQuery(t *testing.T) {
 			return nil, err
 		}
 		b := relation.NewBuilder("Q", attrs...)
-		_, err = core.GenericJoinPlanVisit(ctx, p, cls, lv, workers, &core.Stats{}, func(tu relation.Tuple) error {
+		_, err = core.GenericJoinPlanVisit(ctx, p, cls, workers, &core.Stats{}, func(tu relation.Tuple) error {
 			return b.Add(tu...)
 		})
 		return b.Build(), err
 	}
-	for _, lv := range []core.LevelStrategy{core.MaterializeLevel, core.LeapfrogLevel} {
-		for _, p := range []int{1, 4} {
-			for _, order := range [][]string{nil, {"C", "B", "A"}} {
-				var pol core.OrderPolicy
-				if order != nil {
-					pol = core.ExplicitOrder(order)
-				}
-				name := fmt.Sprintf("level=%d/p=%d/order=%v", lv, p, order)
+	for _, p := range []int{1, 4} {
+		for _, order := range [][]string{nil, {"C", "B", "A"}} {
+			var pol core.OrderPolicy
+			if order != nil {
+				pol = core.ExplicitOrder(order)
+			}
+			name := fmt.Sprintf("p=%d/order=%v", p, order)
 
-				got, err := enumerate(pol, lv, p, nil)
-				if err != nil || !got.Equal(want) {
-					t.Fatalf("%s: enumerate: err=%v, %d tuples, want %d", name, err, got.Len(), want.Len())
+			got, err := enumerate(pol, p, nil)
+			if err != nil || !got.Equal(want) {
+				t.Fatalf("%s: enumerate: err=%v, %d tuples, want %d", name, err, got.Len(), want.Len())
+			}
+			for _, c := range []struct {
+				mode agg.Mode
+				want int64
+			}{{agg.ModeCount, int64(want.Len())}, {agg.ModeExists, 1}} {
+				ap, cls, err := core.AggPlanSrc(memo, q, pol, agg.Spec{Mode: c.mode})
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, c := range []struct {
-					mode agg.Mode
-					want int64
-				}{{agg.ModeCount, int64(want.Len())}, {agg.ModeExists, 1}} {
-					ap, cls, err := core.AggPlanSrc(memo, q, pol, agg.Spec{Mode: c.mode})
-					if err != nil {
-						t.Fatal(err)
-					}
-					n, _, err := core.GenericJoinAggPlan(ctx, ap, cls, lv, p)
-					if err != nil || n != c.want {
-						t.Fatalf("%s: aggregate mode %v = %d, err=%v, want %d", name, c.mode, n, err, c.want)
-					}
+				n, _, err := core.GenericJoinAggPlan(ctx, ap, cls, p)
+				if err != nil || n != c.want {
+					t.Fatalf("%s: aggregate mode %v = %d, err=%v, want %d", name, c.mode, n, err, c.want)
 				}
-				for _, project := range [][]string{{"A"}, {"C"}, {"B", "A"}} {
-					wantProj, err := want.Project(project...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotProj, err := enumerate(pol, lv, p, project)
-					if err != nil || !gotProj.Equal(wantProj) {
-						t.Fatalf("%s: project %v: err=%v, %d tuples, want %d", name, project, err, gotProj.Len(), wantProj.Len())
-					}
+			}
+			for _, project := range [][]string{{"A"}, {"C"}, {"B", "A"}} {
+				wantProj, err := want.Project(project...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotProj, err := enumerate(pol, p, project)
+				if err != nil || !gotProj.Equal(wantProj) {
+					t.Fatalf("%s: project %v: err=%v, %d tuples, want %d", name, project, err, gotProj.Len(), wantProj.Len())
 				}
 			}
 		}

@@ -249,7 +249,7 @@ func BenchmarkShardedRunner(b *testing.B) {
 		}
 		return func(b *testing.B) {
 			for range b.N {
-				if _, _, err := GenericJoinAggPlan(ctx, ap, cls, MaterializeLevel, workers); err != nil {
+				if _, _, err := GenericJoinAggPlan(ctx, ap, cls, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -257,7 +257,7 @@ func BenchmarkShardedRunner(b *testing.B) {
 	}
 	b.Run("triangle/ordered", func(b *testing.B) {
 		for range b.N {
-			if _, err := GenericJoinPlanVisit(ctx, p, nil, MaterializeLevel, workers, &Stats{}, func(relation.Tuple) error { return nil }); err != nil {
+			if _, err := GenericJoinPlanVisit(ctx, p, nil, workers, &Stats{}, func(relation.Tuple) error { return nil }); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,14 +6,18 @@ package core
 // and share this searcher: the per-atom CSR cursor stacks, the two
 // recursions (visit and count, with the per-value loops the sharded
 // runner enters at depth 0), the poll site, the sticky abort and the
-// Stats accounting. They differ only in the LevelStrategy, which
-// decides once per level how the intersection reaches the recursion,
-// and in how the order is chosen (Algorithm 3's is BacktrackOrder).
-// Under both, each value arrives with its position in every
-// participating level range — the kernel matched it there — so the
-// atoms take their segments without a second search, and neither
-// allocates per level: the materialize strategy keeps values and
-// positions in per-depth buffers, the streamed level reuses its
+// Stats accounting. Algorithm 3 differs only in how the order is chosen
+// (BacktrackOrder). How a level's intersection reaches the recursion
+// follows from the level's cap: a count level with a finite cap (EXISTS,
+// and the existence checks below a projection boundary) may stop at its
+// first values, so it streams them (trie.StreamLevels, the survey's
+// Leapfrog Triejoin level); an uncapped count and an emitting level
+// visit every value, so they materialize the level first
+// (trie.IntersectLevelsAt, Generic-Join's). Either way each value
+// arrives with its position in every participating level range — the
+// kernel matched it there — so the atoms take their segments without a
+// second search, and no level allocates: a materialized level keeps
+// values and positions in per-depth buffers, a streamed level reuses its
 // depth's position slot.
 //
 // The aggregate-aware modes skip the enumeration work an answer does
@@ -27,7 +31,7 @@ package core
 //     of extensions is the product of the active atoms' row-range sizes
 //     (relations are duplicate-free sets, so a range size is a
 //     distinct-tuple count), and the deepest level asks the kernel for
-//     the intersection's size up to the cap, under both strategies;
+//     the intersection's size up to the cap;
 //   - bound levels below the projection boundary and below a separator
 //     (a bound variable no active atom contains) consult a
 //     per-(trie,prefix) memo, so the subtree is counted once per
@@ -36,7 +40,7 @@ package core
 //     the first witness), across shards via a shared stop flag.
 //
 // Results are byte-identical to enumerate-then-aggregate at every
-// parallelism setting, under every order policy and both strategies.
+// parallelism setting and under every order policy.
 
 import (
 	"math"
@@ -93,8 +97,6 @@ type searcher struct {
 	// cls drives the aggregate modes; nil for plain full-tuple
 	// enumeration, which only ever runs visit.
 	cls *agg.Classification
-	// stream selects the leapfrog level strategy (see LevelStrategy).
-	stream bool
 	// enumEnd is the depth at which visit stops enumerating and
 	// existence-checks the rest: the projection boundary, or the full
 	// order when every variable is output.
@@ -145,13 +147,12 @@ type searcher struct {
 // including every depth's level ranges (see levelRanges).
 //
 //wcojlint:retains s.ranges[d] holds depth d's level ranges for the searcher's lifetime, one search under one pinned snapshot
-func newSearcher(p *Plan, cls *agg.Classification, lv LevelStrategy, cap int64, stats *Stats,
+func newSearcher(p *Plan, cls *agg.Classification, cap int64, stats *Stats,
 	emit func(relation.Tuple) error, stop *atomic.Bool, budget *NodeBudget) *searcher {
 	n := len(p.Order)
 	s := &searcher{
 		plan:    p,
 		cls:     cls,
-		stream:  lv == LeapfrogLevel,
 		enumEnd: n,
 		cap:     cap,
 		atoms:   make([]*gjAtom, len(p.Tries)),
@@ -249,8 +250,7 @@ func (s *searcher) levelRanges(d int) []trie.LevelRange {
 }
 
 // intersect materializes the depth-d level intersection, with where
-// each value matched, into the depth's scratch — the materialize
-// strategy.
+// each value matched, into the depth's scratch.
 func (s *searcher) intersect(d int) ([]relation.Value, []int) {
 	vals, at := trie.IntersectLevelsAt(s.scratch[d][:0], s.pos[d][:0], s.levelRanges(d))
 	s.scratch[d], s.pos[d] = vals, at
@@ -258,13 +258,13 @@ func (s *searcher) intersect(d int) ([]relation.Value, []int) {
 	return vals, at
 }
 
-// leapfrog streams the depth-d level intersection through the leapfrog
-// kernel — the leapfrog strategy: at each common value the
-// participating atoms take the segment the kernel's cursors sit on and
+// stream streams the depth-d level intersection: at each common value
+// the participating atoms take the segment the kernel matched it at and
 // the value is handed to match, which returns true to stop the level
-// early. The level is never materialized.
-func (s *searcher) leapfrog(d int, match func(v relation.Value) bool) {
-	trie.LeapfrogLevels(s.levelRanges(d), s.pos[d], func(v relation.Value, at []int) bool {
+// early. The level is never materialized, so a stop leaves the rest of
+// it unintersected.
+func (s *searcher) stream(d int, match func(v relation.Value) bool) {
+	trie.StreamLevels(s.levelRanges(d), s.pos[d], func(v relation.Value, at []int) bool {
 		s.stats.IntersectValues++
 		s.take(d, at)
 		return match(v)
@@ -296,15 +296,6 @@ func (s *searcher) visit(d int) error {
 	}
 	if !s.node() {
 		return s.err
-	}
-	if s.stream {
-		var err error
-		s.leapfrog(d, func(v relation.Value) bool {
-			s.binding[s.plan.OutPos[d]] = v
-			err = s.visit(d + 1)
-			return err != nil
-		})
-		return err
 	}
 	vals, at := s.intersect(d)
 	return s.visitVals(d, vals, at)
@@ -432,14 +423,14 @@ func (s *searcher) count(d int) int64 {
 	switch {
 	case d == n-1:
 		// Tail shortcut: each intersection value is one result, so only
-		// the cardinality up to the cap is computed — neither strategy
-		// materializes.
+		// the cardinality up to the cap is computed.
 		s.stats.AggMultiplies++
 		c := trie.IntersectLevelsCount(s.levelRanges(d), int(s.cap))
 		s.stats.IntersectValues += c
 		total = int64(c)
-	case s.stream:
-		s.leapfrog(d, func(relation.Value) bool {
+	case s.cap != uncapped:
+		// A capped level may stop at its first values: stream them.
+		s.stream(d, func(relation.Value) bool {
 			total = s.add(total, s.count(d+1))
 			return reached(total, s.cap) || s.err != nil
 		})

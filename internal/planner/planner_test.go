@@ -137,7 +137,7 @@ func TestBeamSearchWideQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := core.GenericJoinPlanVisit(context.Background(), p, nil, core.MaterializeLevel, 1, &core.Stats{}, nil)
+		n, err := core.GenericJoinPlanVisit(context.Background(), p, nil, 1, &core.Stats{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

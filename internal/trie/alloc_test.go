@@ -88,8 +88,8 @@ func TestKernelAllocs(t *testing.T) {
 					"IntersectLevelsAt":           func() { vals, at = IntersectLevelsAt(vals[:0], at[:0], ranges) },
 					"IntersectLevelsCount":        func() { n += IntersectLevelsCount(ranges, math.MaxInt) },
 					"IntersectLevelsCount(cap 1)": func() { n += IntersectLevelsCount(ranges, 1) },
-					"LeapfrogLevels": func() {
-						LeapfrogLevels(ranges, scratch, func(relation.Value, []int) bool { n++; return false })
+					"StreamLevels": func() {
+						StreamLevels(ranges, scratch, func(relation.Value, []int) bool { n++; return false })
 					},
 				} {
 					if a := testing.AllocsPerRun(20, f); a != 0 {

@@ -24,7 +24,7 @@ import (
 //     a ~20/20/600 clique level.
 //
 // Each shape runs through the materializing (IntersectLevelsAt),
-// counting and streaming (LeapfrogLevels) entries.
+// counting and streaming (StreamLevels) entries.
 func BenchmarkLevelKernels(b *testing.B) {
 	build := func(r *relation.Relation) *Trie {
 		tr, err := Build(r, r.Attrs())
@@ -77,8 +77,8 @@ func BenchmarkLevelKernels(b *testing.B) {
 		}{
 			{"at", func(rs []LevelRange) { vals, at = IntersectLevelsAt(vals[:0], at[:0], rs); n += len(vals) }},
 			{"count", func(rs []LevelRange) { n += IntersectLevelsCount(rs, math.MaxInt) }},
-			{"leapfrog", func(rs []LevelRange) {
-				LeapfrogLevels(rs, scratch, func(relation.Value, []int) bool { n++; return false })
+			{"stream", func(rs []LevelRange) {
+				StreamLevels(rs, scratch, func(relation.Value, []int) bool { n++; return false })
 			}},
 		} {
 			b.Run(shape+"/"+entry.name, func(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -77,7 +78,7 @@ func trieLevel(t testing.TB, keys []relation.Value, lo, hi int) LevelRange {
 
 // matchedAt reports whether at holds, for every range, a position
 // inside the range's window [Lo,Hi) whose key is v — the contract of
-// the positions IntersectLevelsAt and LeapfrogLevels report.
+// the positions IntersectLevelsAt and StreamLevels report.
 func matchedAt(ranges []LevelRange, v relation.Value, at []int) bool {
 	if len(at) != len(ranges) {
 		return false
@@ -97,10 +98,12 @@ func matchedAt(ranges []LevelRange, v relation.Value, at []int) bool {
 // kernelsAgree checks every kernel entry on ranges against the oracle
 // answer want: IntersectLevels, IntersectLevelsAt (values and
 // positions, appended after existing contents), IntersectLevelsCount
-// at caps 1, 2, 3 and uncapped, and the streaming LeapfrogLevels (values,
-// positions, and a stop at the first value). It returns a description
-// of the first disagreement, or "".
-func kernelsAgree(ranges []LevelRange, want []relation.Value) string {
+// at caps 1, 2, 3 and uncapped, and the streaming StreamLevels (values,
+// positions, and stops after the first value, the second, half the
+// values and the extra stop index, so the merge and probe branches stop
+// mid-level). It returns a description of the first disagreement, or
+// "".
+func kernelsAgree(ranges []LevelRange, want []relation.Value, stop int) string {
 	same := func(got []relation.Value) bool {
 		if len(got) != len(want) {
 			return false
@@ -132,21 +135,28 @@ func kernelsAgree(ranges []LevelRange, want []relation.Value) string {
 	}
 	var streamed []relation.Value
 	misplaced := false
-	LeapfrogLevels(ranges, nil, func(v relation.Value, at []int) bool {
+	StreamLevels(ranges, nil, func(v relation.Value, at []int) bool {
 		misplaced = misplaced || !matchedAt(ranges, v, at)
 		streamed = append(streamed, v)
 		return false
 	})
 	if !same(streamed) || misplaced {
-		return fmt.Sprintf("LeapfrogLevels = %v (misplaced %v), want %v", streamed, misplaced, want)
+		return fmt.Sprintf("StreamLevels = %v (misplaced %v), want %v", streamed, misplaced, want)
 	}
-	first := 0
-	LeapfrogLevels(ranges, make([]int, k), func(relation.Value, []int) bool {
-		first++
-		return true
-	})
-	if first != min(len(want), 1) {
-		return fmt.Sprintf("LeapfrogLevels stopped after %d values", first)
+	// A stop after the n-th value leaves exactly the first n.
+	for _, n := range []int{1, 2, len(want) / 2, stop} {
+		if n < 1 {
+			continue
+		}
+		streamed = streamed[:0]
+		StreamLevels(ranges, make([]int, k), func(v relation.Value, at []int) bool {
+			misplaced = misplaced || !matchedAt(ranges, v, at)
+			streamed = append(streamed, v)
+			return len(streamed) == n
+		})
+		if m := min(len(want), n); len(streamed) != m || misplaced || !slices.Equal(streamed, want[:m]) {
+			return fmt.Sprintf("StreamLevels stopped at value %d: streamed %v (misplaced %v), want %v", n, streamed, misplaced, want[:m])
+		}
 	}
 	return ""
 }
@@ -195,7 +205,8 @@ func TestPropertyKernelsAgree(t *testing.T) {
 				ranges[i] = LevelRange{Keys: keys, Lo: lo, Hi: hi}
 			}
 		}
-		if msg := kernelsAgree(ranges, refIntersect(keySets)); msg != "" {
+		want := refIntersect(keySets)
+		if msg := kernelsAgree(ranges, want, rng.Intn(len(want)+1)); msg != "" {
 			t.Logf("seed %d: %s", seed, msg)
 			return false
 		}
@@ -302,7 +313,7 @@ func TestRankedLevelEdges(t *testing.T) {
 			[][]relation.Value{{0, 999, 1000, 3000, 3001}, sparse},
 			[]LevelRange{probe(0, 999, 1000, 3000, 3001), trieLevel(t, sparse, 0, len(sparse))}},
 	} {
-		if msg := kernelsAgree(c.rs, refIntersect(c.sets)); msg != "" {
+		if msg := kernelsAgree(c.rs, refIntersect(c.sets), 3); msg != "" {
 			t.Errorf("%s: %s", c.name, msg)
 		}
 	}
@@ -535,7 +546,8 @@ func TestSizeBytesAccountsIndex(t *testing.T) {
 // FuzzIntersectKernels cross-checks every kernel entry and the
 // positions they report against the oracle on fuzzer-shaped inputs:
 // two and three sorted duplicate-free sets built from the raw bytes,
-// wide, narrow, mixed, and as trie levels (ranked when dense).
+// wide, narrow, mixed, and as trie levels (ranked when dense), with a
+// streaming stop index derived from the input lengths.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, []byte{3})
 	f.Add([]byte{}, []byte{0, 255}, []byte{0})
@@ -575,7 +587,9 @@ func FuzzIntersectKernels(f *testing.F) {
 			{[]LevelRange{narrow(a), level(b), narrow(c)}, want3},
 			{[]LevelRange{level(a), level(b), level(c)}, want3},
 		} {
-			if msg := kernelsAgree(tc.ranges, tc.want); msg != "" {
+			// The stop index comes from the input too.
+			stop := (len(ab) + 3*len(bb) + 7*len(cb)) % (len(tc.want) + 1)
+			if msg := kernelsAgree(tc.ranges, tc.want, stop); msg != "" {
 				t.Fatalf("ranges %v: %s", tc.ranges, msg)
 			}
 		}

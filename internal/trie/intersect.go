@@ -4,7 +4,7 @@ package trie
 // (IntersectLevels, and IntersectLevelsAt, which also reports where
 // every value matched), counting up to a cap (IntersectLevelsCount,
 // which with cap 1 is the existence check) and streaming
-// (LeapfrogLevels). The search calls one of them per level, and per
+// (StreamLevels). The search calls one of them per level, and per
 // value it then pays only its share of that one intersection — the
 // primitive Algorithm 1 and Generic-Join assume. Every seek goes
 // through seek: O(1) into the whole of a ranked level 0, a gallop
@@ -76,7 +76,7 @@ const gallopRatio = 8
 // gallopLB returns the first index i in [lo,hi) with keys[i] >= v by
 // exponential probing from lo followed by a binary search over the
 // final block — O(1 + log jump) instead of O(log (hi-lo)), which is
-// what makes forward-moving cursors (leapfrog seeks, narrowing sweeps)
+// what makes forward-moving cursors (probes, narrowing sweeps)
 // amortized cheap.
 func gallopLB[K key](keys []K, lo, hi int, v K) int {
 	if lo >= hi || keys[lo] >= v {
@@ -223,7 +223,7 @@ func IntersectLevels(dst []relation.Value, ranges []LevelRange) []relation.Value
 // IntersectLevelsAt is IntersectLevels that also reports where each
 // value matched: for every value appended to dst, len(ranges) entries
 // are appended to at, the value's index in each range's key array in
-// range order — the positions LeapfrogLevels hands its emit. A caller
+// range order — the positions StreamLevels hands its emit. A caller
 // that binds the values takes their segments from at instead of
 // searching for them again.
 func IntersectLevelsAt(dst []relation.Value, at []int, ranges []LevelRange) ([]relation.Value, []int) {
@@ -265,11 +265,11 @@ func intersectLevels(dst []relation.Value, at []int, pos bool, ranges []LevelRan
 			return appendSpan(dst, at, pos, &a)
 		case 2:
 			b := span32(&ranges[1], 1)
-			return intersectPair(dst, at, pos, &a, &b, nil)
+			return intersectPair(dst, at, pos, &a, &b, nil, nil)
 		}
 		var buf [stackSpans]span[uint32]
 		spans := bySize(toSpans32(buf[:0], ranges))
-		return intersectPair(dst, at, pos, &spans[0], &spans[1], spans[2:])
+		return intersectPair(dst, at, pos, &spans[0], &spans[1], spans[2:], nil)
 	}
 	a := span64(&ranges[0], 0)
 	switch len(ranges) {
@@ -277,11 +277,11 @@ func intersectLevels(dst []relation.Value, at []int, pos bool, ranges []LevelRan
 		return appendSpan(dst, at, pos, &a)
 	case 2:
 		b := span64(&ranges[1], 1)
-		return intersectPair(dst, at, pos, &a, &b, nil)
+		return intersectPair(dst, at, pos, &a, &b, nil, nil)
 	}
 	var buf [stackSpans]span[relation.Value]
 	spans := bySize(toSpans64(buf[:0], ranges))
-	return intersectPair(dst, at, pos, &spans[0], &spans[1], spans[2:])
+	return intersectPair(dst, at, pos, &spans[0], &spans[1], spans[2:], nil)
 }
 
 // appendSpan is the k = 1 materializer: every key of s, in order.
@@ -329,16 +329,18 @@ func IntersectLevelsCount(ranges []LevelRange, cap int) int {
 	return countPair(&spans[0], &spans[1], spans[2:], cap)
 }
 
-// LeapfrogLevels streams the values common to all level ranges to emit
-// in ascending order without materializing them — the level strategy of
-// Leapfrog Triejoin. Every arity k >= 2 runs Veldhuizen's leapfrog
-// search, k = 2 on the ranges in place. Alongside each value emit
-// receives at, where at[i] is the value's index in ranges[i]'s key
-// array: the cursors already sit on it, so the caller need not search
-// for it again. at is the caller's scratch, overwritten before every
-// emit (it is allocated only when it has room for fewer than
-// len(ranges) positions); emit returns true to stop the level early.
-func LeapfrogLevels(ranges []LevelRange, at []int, emit func(v relation.Value, at []int) bool) {
+// StreamLevels streams the values common to all level ranges to emit
+// in ascending order without materializing them — the streamed level
+// strategy. It runs IntersectLevels' loop (the two smallest ranges
+// probed or merged, the rest probed per common key) and hands each
+// match to emit as the loop finds it, so a level that stops early pays
+// only for the keys before its stop. Alongside each value emit receives
+// at, where at[i] is the value's index in ranges[i]'s key array: the
+// caller need not search for it again. at is the caller's scratch,
+// overwritten before every emit (it is allocated only when it has room
+// for fewer than len(ranges) positions); emit returns true to stop the
+// level early.
+func StreamLevels(ranges []LevelRange, at []int, emit func(v relation.Value, at []int) bool) {
 	if len(ranges) == 0 || anyEmpty(ranges) {
 		return
 	}
@@ -353,7 +355,7 @@ func LeapfrogLevels(ranges []LevelRange, at []int, emit func(v relation.Value, a
 		for j := range ranges {
 			shift[j] = ranges[j].Lo - wide[j].Lo
 		}
-		LeapfrogLevels(wide, at, func(v relation.Value, at []int) bool {
+		StreamLevels(wide, at, func(v relation.Value, at []int) bool {
 			for j := range at {
 				at[j] += shift[j]
 			}
@@ -368,10 +370,11 @@ func LeapfrogLevels(ranges []LevelRange, at []int, emit func(v relation.Value, a
 			streamSpan(&a, at, emit)
 		case 2:
 			b := span32(&ranges[1], 1)
-			leapfrogPair(&a, &b, at, emit)
+			intersectPair(nil, at, false, &a, &b, nil, emit)
 		default:
 			var buf [stackSpans]span[uint32]
-			streamSpans(toSpans32(buf[:0], ranges), at, emit)
+			spans := bySize(toSpans32(buf[:0], ranges))
+			intersectPair(nil, at, false, &spans[0], &spans[1], spans[2:], emit)
 		}
 		return
 	}
@@ -381,10 +384,11 @@ func LeapfrogLevels(ranges []LevelRange, at []int, emit func(v relation.Value, a
 		streamSpan(&a, at, emit)
 	case 2:
 		b := span64(&ranges[1], 1)
-		leapfrogPair(&a, &b, at, emit)
+		intersectPair(nil, at, false, &a, &b, nil, emit)
 	default:
 		var buf [stackSpans]span[relation.Value]
-		streamSpans(toSpans64(buf[:0], ranges), at, emit)
+		spans := bySize(toSpans64(buf[:0], ranges))
+		intersectPair(nil, at, false, &spans[0], &spans[1], spans[2:], emit)
 	}
 }
 
@@ -396,17 +400,6 @@ func streamSpan[K key](s *span[K], at []int, emit func(relation.Value, []int) bo
 			return
 		}
 	}
-}
-
-// streamSpans runs the leapfrog search over k >= 3 cursors, translating
-// each match to the per-range positions LeapfrogLevels reports.
-func streamSpans[K key](spans []span[K], at []int, emit func(relation.Value, []int) bool) {
-	leapfrogUntil(spans, func(v K) bool {
-		for _, s := range spans {
-			at[s.id] = s.lo
-		}
-		return emit(relation.Value(v), at)
-	})
 }
 
 // probeRest seeks every cursor of rest to v, in order, and reports
@@ -433,20 +426,32 @@ func probes[K key](a, b *span[K]) bool {
 	return b.rank != nil || b.hi-b.lo >= gallopRatio*(a.hi-a.lo)
 }
 
-// intersectPair materializes a ∩ b ∩ rest: it intersects the pair (by
+// intersectPair intersects a ∩ b ∩ rest: it intersects the pair (by
 // probing the larger side, see probes, or merging), then probes each
 // common key in rest, which the k >= 3 entries order smallest first.
 // The pair's common keys bound the probes, so the level costs
-// O(k·min·log N) for the smallest range's min keys. Positions go to at
-// in range order, by span id.
-func intersectPair[K key](dst []relation.Value, at []int, pos bool, a, b *span[K], rest []span[K]) ([]relation.Value, []int) {
+// O(k·min·log N) for the smallest range's min keys. With a nil emit it
+// materializes: values go to dst and, with pos, positions to at in
+// range order, by span id. With a non-nil emit it streams: at is the
+// caller's scratch of k positions, overwritten before each emit, and
+// emit returns true to stop.
+func intersectPair[K key](dst []relation.Value, at []int, pos bool, a, b *span[K], rest []span[K], emit func(relation.Value, []int) bool) ([]relation.Value, []int) {
 	if a.hi-a.lo > b.hi-b.lo {
 		a, b = b, a
 	}
 	ak, alo, ahi, aid := a.keys, a.lo, a.hi, a.id
 	bk, brank, blo, bhi, bid := b.keys, b.rank, b.lo, b.hi, b.id
 	k := 2 + len(rest)
-	match := func(v K, i, j int) {
+	// match takes one common value, found at i in a and j in b, and
+	// reports whether the level stops.
+	match := func(v K, i, j int) bool {
+		if emit != nil {
+			at[aid], at[bid] = i, j
+			for _, s := range rest {
+				at[s.id] = s.lo
+			}
+			return emit(relation.Value(v), at)
+		}
 		dst = append(dst, relation.Value(v))
 		if pos {
 			n := len(at)
@@ -456,6 +461,7 @@ func intersectPair[K key](dst []relation.Value, at []int, pos bool, a, b *span[K
 				at[n+s.id] = s.lo
 			}
 		}
+		return false
 	}
 	if probes(a, b) {
 		j := blo
@@ -476,7 +482,9 @@ func intersectPair[K key](dst []relation.Value, at []int, pos bool, a, b *span[K
 					continue
 				}
 			}
-			match(v, i, j)
+			if match(v, i, j) {
+				break
+			}
 		}
 		return dst, at
 	}
@@ -502,7 +510,9 @@ func intersectPair[K key](dst []relation.Value, at []int, pos bool, a, b *span[K
 				continue
 			}
 		}
-		match(av, i, j)
+		if match(av, i, j) {
+			break
+		}
 		i++
 		j++
 	}
@@ -570,77 +580,6 @@ func countPair[K key](a, b *span[K], rest []span[K], cap int) int {
 		}
 	}
 	return n
-}
-
-// leapfrogPair is the leapfrog search over two cursors: each seeks to
-// the other's key until they agree, then a advances past the match.
-func leapfrogPair[K key](a, b *span[K], at []int, emit func(relation.Value, []int) bool) {
-	ak, arank, i, ahi := a.keys, a.rank, a.lo, a.hi
-	bk, brank, j, bhi := b.keys, b.rank, b.lo, b.hi
-	for {
-		v := ak[i]
-		if j = seek(bk, brank, j, bhi, v); j >= bhi {
-			return
-		}
-		if w := bk[j]; w != v {
-			if i = seek(ak, arank, i, ahi, w); i >= ahi {
-				return
-			}
-			continue
-		}
-		at[a.id], at[b.id] = i, j
-		if emit(relation.Value(v), at) {
-			return
-		}
-		if i++; i >= ahi {
-			return
-		}
-	}
-}
-
-// leapfrogUntil is Veldhuizen's leapfrog search over the spans,
-// calling emit for every common key; cursors advance in place with
-// seeks (see seek), so the cost per emitted or skipped key is
-// O(k + log jump). Spans must be non-empty. emit returns true to stop
-// early (EXISTS). The classic invariant: cursors are kept sorted by
-// current key starting from p; when the smallest equals the largest
-// all k agree.
-func leapfrogUntil[K key](spans []span[K], emit func(K) bool) {
-	k := len(spans)
-	// Insertion sort by current key (k is the number of atoms on this
-	// level — single digits).
-	for i := 1; i < k; i++ {
-		for j := i; j > 0 && spans[j].keys[spans[j].lo] < spans[j-1].keys[spans[j-1].lo]; j-- {
-			spans[j], spans[j-1] = spans[j-1], spans[j]
-		}
-	}
-	p := 0
-	max := spans[k-1].keys[spans[k-1].lo]
-	for {
-		s := &spans[p]
-		x := s.keys[s.lo]
-		if x == max {
-			// All cursors agree on x.
-			if emit(x) {
-				return
-			}
-			s.lo++
-			if s.lo >= s.hi {
-				return
-			}
-			max = s.keys[s.lo]
-		} else {
-			s.lo = seek(s.keys, s.rank, s.lo, s.hi, max)
-			if s.lo >= s.hi {
-				return
-			}
-			max = s.keys[s.lo]
-		}
-		p++
-		if p == k {
-			p = 0
-		}
-	}
 }
 
 // smallestRange returns the index of the range with the fewest keys,

@@ -1,5 +1,5 @@
 // Package trie implements sorted-array tries over relations together
-// with the multiway level-intersection kernels (leapfrog.go) the join
+// with the multiway level-intersection kernels (intersect.go) the join
 // engine runs over them.
 //
 // A trie is the relation's sorted columnar storage viewed as a layered
@@ -16,7 +16,7 @@
 // from the hot paths.
 // When every value of the relation fits in uint32 the per-level key
 // arrays are narrowed to 4-byte keys, halving the memory bandwidth of
-// the intersection kernels in leapfrog.go. All index storage is
+// the intersection kernels in intersect.go. All index storage is
 // arena-allocated: one offsets slab and one keys slab per trie,
 // regardless of arity. See DESIGN.md §11.
 package trie
@@ -333,7 +333,7 @@ func (t *Trie) Children(d, s int) (lo, hi int) {
 // SegLevel returns the intersection view of level d restricted to
 // segments [lo,hi) — a parent's children span, or the whole level for
 // d = 0. The keys are dense, strictly increasing and duplicate-free,
-// which is what the kernels in leapfrog.go assume. The whole of a
+// which is what the kernels in intersect.go assume. The whole of a
 // ranked level 0 carries its rank array, so the kernels seek into it
 // in O(1).
 func (t *Trie) SegLevel(d, lo, hi int) LevelRange {

@@ -103,7 +103,7 @@ func TestEmptyTrie(t *testing.T) {
 	if tr.NumSegs(0) != 0 {
 		t.Fatal("empty trie must have no segments")
 	}
-	LeapfrogLevels([]LevelRange{tr.SegLevel(0, 0, 0)}, nil, func(relation.Value, []int) bool {
+	StreamLevels([]LevelRange{tr.SegLevel(0, 0, 0)}, nil, func(relation.Value, []int) bool {
 		t.Fatal("empty level must stream nothing")
 		return true
 	})

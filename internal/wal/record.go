@@ -90,10 +90,12 @@ type Record struct {
 	DictStrs  []string
 
 	// KindMaterialize / KindUnmaterialize: the view id, and (materialize
-	// only) the canonical query text and its options — mode, algorithm,
-	// parallelism and projection, encoded as the plain integers the
-	// engine enums map to. A nil MatProject round-trips as nil (an empty
-	// projection never validates).
+	// only) the canonical query text and its options — mode, parallelism
+	// and projection, encoded as the plain integers the engine enums map
+	// to. A nil MatProject round-trips as nil (an empty projection never
+	// validates). MatAlgo is a retired option's byte, kept so logs keep
+	// one format: written as 0 and ignored on replay, whatever an older
+	// writer put there.
 	MatID       string
 	MatSrc      string
 	MatMode     uint8

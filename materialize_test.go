@@ -51,7 +51,7 @@ func checkAgainstRecompute(t *testing.T, db *DB, mq *MaterializedQuery, spec mat
 	if got, want := res.Epoch, db.Stats().Epoch; got != want {
 		t.Fatalf("%s: result epoch %d, DB epoch %d", spec.name, got, want)
 	}
-	opts := Options{Algorithm: spec.opts.Algorithm, Parallelism: spec.opts.Parallelism, Project: spec.opts.Project}
+	opts := Options{Parallelism: spec.opts.Parallelism, Project: spec.opts.Project}
 	pq, err := db.Prepare(spec.query, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -96,16 +96,16 @@ func TestMaterializeEquivalence(t *testing.T) {
 	specs := []matViewSpec{
 		{name: "count-gj", query: "T(A,B,C) :- E(A,B), E(B,C), E(C,A)",
 			opts: MaterializeOptions{Mode: MaterializeCount}},
-		{name: "count-lftj-par", query: "T(A,B,C) :- E(A,B), E(B,C), E(C,A)",
-			opts: MaterializeOptions{Mode: MaterializeCount, Algorithm: AlgoLeapfrog, Parallelism: 4}},
+		{name: "count-par", query: "T(A,B,C) :- E(A,B), E(B,C), E(C,A)",
+			opts: MaterializeOptions{Mode: MaterializeCount, Parallelism: 4}},
 		{name: "count-project", query: "P(A,B,C) :- E(A,B), F(B,C)",
 			opts: MaterializeOptions{Mode: MaterializeCount, Project: []string{"A", "C"}}},
 		{name: "exists", query: "T(A,B,C) :- E(A,B), E(B,C), E(C,A)",
 			opts: MaterializeOptions{Mode: MaterializeExists, Parallelism: 2}},
 		{name: "rows", query: "P(A,B,C) :- E(A,B), F(B,C)",
 			opts: MaterializeOptions{Mode: MaterializeRows}},
-		{name: "rows-project-lftj", query: "P(A,B,C) :- E(A,B), F(B,C)",
-			opts: MaterializeOptions{Mode: MaterializeRows, Algorithm: AlgoLeapfrog, Project: []string{"A", "C"}}},
+		{name: "rows-project", query: "P(A,B,C) :- E(A,B), F(B,C)",
+			opts: MaterializeOptions{Mode: MaterializeRows, Project: []string{"A", "C"}}},
 	}
 
 	db := NewDB()
@@ -357,8 +357,6 @@ func TestMaterializeValidation(t *testing.T) {
 		opts  MaterializeOptions
 		want  string
 	}{
-		{"bad-algo", "T(A,B,C) :- E(A,B), E(B,C), E(C,A)",
-			MaterializeOptions{Algorithm: AlgoBacktracking}, "not supported"},
 		{"bad-mode", "T(A,B,C) :- E(A,B), E(B,C), E(C,A)",
 			MaterializeOptions{Mode: MaterializeMode(9)}, "unknown mode"},
 		{"exists-project", "T(A,B,C) :- E(A,B), E(B,C), E(C,A)",

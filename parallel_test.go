@@ -3,11 +3,8 @@ package wcoj
 // Serial vs parallel equivalence for the sharded execution engine.
 // Every query integration_test.go exercises is re-run here at several
 // worker counts; results must be byte-identical (same Relation, same
-// Count, same ExecuteFunc emission sequence) at every setting. Both
-// WCOJ algorithms shard through the one runner and strategy_test.go
-// holds them equal at each of these worker counts, so the serial
-// baseline is stated for Generic-Join. Run with -race: the engine must
-// be free of shared mutable state.
+// Count, same ExecuteFunc emission sequence) at every setting. Run with
+// -race: the engine must be free of shared mutable state.
 
 import (
 	"context"
@@ -189,7 +186,7 @@ func TestExecuteFuncEmitError(t *testing.T) {
 	qs := parallelQueries(t)
 	q := qs["triangle-skew"]
 	sentinel := errors.New("stop")
-	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking} {
+	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoBacktracking} {
 		for _, p := range []int{1, 4} {
 			seen := 0
 			_, err := ExecuteFunc(q, Options{Algorithm: algo, Parallelism: p}, func(Tuple) error {
@@ -205,6 +202,52 @@ func TestExecuteFuncEmitError(t *testing.T) {
 			if seen != 3 {
 				t.Fatalf("%v/p=%d: emit called %d times after error", algo, p, seen)
 			}
+		}
+	}
+}
+
+// TestStoppedExecuteFuncKeepsStats: a consumer that stops a run after
+// 10 tuples gets the run's Stats with its error, serial and sharded,
+// one-shot and prepared: Output counts the 10 tuples emit was handed,
+// the counters the work done, and a prepared query's Tuples advances by
+// the 10.
+func TestStoppedExecuteFuncKeepsStats(t *testing.T) {
+	db := NewDB()
+	if err := db.Register(dataset.PowerLawGraph(1000, 5000, 1.0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	const src = "Q(A,B,C) :- E(A,B), E(B,C), E(A,C)"
+	q, err := db.Bind(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("limit reached")
+	for _, p := range []int{1, 2} {
+		seen := 0
+		emit := func(Tuple) error {
+			if seen++; seen == 10 {
+				return stop
+			}
+			return nil
+		}
+		check := func(name string, st *Stats, err error) {
+			t.Helper()
+			if !errors.Is(err, stop) || st == nil || st.Output != 10 || st.Recursions == 0 {
+				t.Errorf("%s/p=%d: err %v, Stats %+v; want the stop, Output 10 and the work done", name, p, err, st)
+			}
+		}
+		st, err := ExecuteFunc(q, Options{Parallelism: p}, emit)
+		check("one-shot", st, err)
+		pq, err := db.Prepare(src, Options{Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := pq.Stats().Tuples
+		seen = 0
+		st, err = pq.ExecuteFunc(context.Background(), emit)
+		check("prepared", st, err)
+		if got := pq.Stats().Tuples - before; got != 10 {
+			t.Errorf("prepared/p=%d: PreparedStats.Tuples advanced by %d, want 10", p, got)
 		}
 	}
 }
@@ -291,7 +334,7 @@ func TestLateCancelKeepsAnswer(t *testing.T) {
 // output equals its materialized output.
 func TestExecuteFuncAllAlgorithms(t *testing.T) {
 	q := parallelQueries(t)["triangle-skew"]
-	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking} {
+	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoBacktracking} {
 		want, _, err := Execute(q, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)

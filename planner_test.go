@@ -9,6 +9,8 @@ package wcoj
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,13 +73,14 @@ func plannerFixtures(t testing.TB) map[string]*Query {
 // both WCOJ engines, serial and parallel.
 func TestPlannerMatchesHeuristic(t *testing.T) {
 	for name, q := range plannerFixtures(t) {
-		for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-			want, _, err := Execute(q, Options{Algorithm: algo, Planner: PlannerHeuristic, Parallelism: 1})
+		for _, a := range algoAxis {
+			algo := a.algo
+			want, _, err := Execute(q, Options{Algorithm: algo, Parallelism: 1})
 			if err != nil {
-				t.Fatalf("%s/%v heuristic: %v", name, algo, err)
+				t.Fatalf("%s/%s heuristic: %v", name, a.name, err)
 			}
 			for _, p := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%v/p=%d", name, algo, p), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/p=%d", name, a.name, p), func(t *testing.T) {
 					opts := Options{Algorithm: algo, Planner: PlannerCostBased, Parallelism: p}
 					got, _, err := Execute(q, opts)
 					if err != nil {
@@ -146,6 +149,70 @@ func TestPlannerSkewedStar(t *testing.T) {
 	t.Logf("chosen %v work=%d; worst %v work=%d (%.1fx)", exp.Order, cw, exp.Worst.Order, ww, float64(ww)/float64(cw))
 }
 
+// TestExplainMatchesPreparedOrder: Explain explains the order a run
+// uses. Over algorithm × planner × Options.Order on a triangle whose S
+// holds the degree constraint C→B ≤ 3 — under which backtracking binds
+// C before B, unlike the heuristic — Explain's order equals the
+// prepared query's, or both reject the options.
+func TestExplainMatchesPreparedOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	mk := func(name, x, y string, deg int) *Relation {
+		b := NewRelationBuilder(name, x, y)
+		for v := 0; v < 30; v++ {
+			for range 1 + rng.Intn(deg) {
+				if err := b.Add(Value(rng.Intn(30)), Value(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return b.Build()
+	}
+	db := NewDB()
+	for _, r := range []*Relation{mk("R", "A", "B", 8), mk("S", "B", "C", 3), mk("T", "A", "C", 8)} {
+		if err := db.Register(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)"
+	q, err := db.Bind(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := ConstraintSet{
+		Cardinality("R", []string{"A", "B"}, float64(q.Atoms[0].Rel.Len())),
+		Degree("S", []string{"C"}, []string{"B", "C"}, 3),
+		Cardinality("T", []string{"A", "C"}, float64(q.Atoms[2].Rel.Len())),
+	}
+	orders := map[Algorithm][]string{}
+	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoBacktracking} {
+		for _, pl := range []Planner{PlannerAuto, PlannerCostBased} {
+			for _, order := range [][]string{nil, {"C", "B", "A"}} {
+				o := Options{Algorithm: algo, Planner: pl, Order: order, Constraints: dc}
+				name := fmt.Sprintf("%v/%v/order=%v", algo, pl, order)
+				e, eerr := Explain(q, o)
+				var ran []string
+				pq, perr := db.Prepare(src, o)
+				if perr == nil {
+					if ran = pq.Order(); ran == nil {
+						perr = fmt.Errorf("no plan")
+					}
+				}
+				switch {
+				case (eerr == nil) != (perr == nil):
+					t.Errorf("%s: Explain error %v, prepared query error %v", name, eerr, perr)
+				case eerr == nil && !slices.Equal(e.Order, ran):
+					t.Errorf("%s: Explain order %v, prepared query runs %v", name, e.Order, ran)
+				case eerr == nil && order == nil && pl == PlannerAuto:
+					orders[algo] = ran
+				}
+			}
+		}
+	}
+	if slices.Equal(orders[AlgoGenericJoin], orders[AlgoBacktracking]) {
+		t.Fatalf("the fixture must give backtracking its own order, both run %v", orders[AlgoGenericJoin])
+	}
+}
+
 // TestExplainPolicies pins the policy-resolution matrix of Explain
 // and the planner-option validation of Execute.
 func TestExplainPolicies(t *testing.T) {
@@ -183,17 +250,25 @@ func TestExplainPolicies(t *testing.T) {
 	if _, err := Explain(q, Options{Planner: PlannerCostBased, Order: []string{"A", "B", "C"}}); err == nil {
 		t.Fatal("cost-based + explicit order must fail")
 	}
-	if _, err := Explain(q, Options{Planner: PlannerExplicit}); err == nil {
-		t.Fatal("explicit without order must fail")
+	if _, _, err := Count(q, Options{Planner: PlannerCostBased, Order: []string{"A", "B", "C"}}); err == nil {
+		t.Fatal("Count cost-based + explicit order must fail")
 	}
-	if _, _, err := Execute(q, Options{Planner: PlannerExplicit}); err == nil {
-		t.Fatal("Execute explicit without order must fail")
+	for _, o := range []Options{
+		{Algorithm: AlgoBacktracking, Planner: PlannerCostBased},
+		{Planner: PlannerCostBased + 1},
+		{Algorithm: AlgoBacktracking + 1},
+	} {
+		if _, err := Explain(q, o); err == nil {
+			t.Fatalf("Explain(%v, %v) must fail", o.Algorithm, o.Planner)
+		}
+		if _, _, err := Execute(q, o); err == nil {
+			t.Fatalf("Execute(%v, %v) must fail", o.Algorithm, o.Planner)
+		}
 	}
-	if _, _, err := Execute(q, Options{Algorithm: AlgoBacktracking, Planner: PlannerCostBased}); err == nil {
-		t.Fatal("cost-based planner on backtracking must fail")
-	}
-	if _, _, err := Count(q, Options{Planner: PlannerHeuristic, Order: []string{"A", "B", "C"}}); err == nil {
-		t.Fatal("heuristic + explicit order must fail")
+	for _, name := range []string{"heuristic", "explicit"} {
+		if _, err := ParsePlanner(name); err == nil {
+			t.Fatalf("ParsePlanner(%q): the retired value must be rejected", name)
+		}
 	}
 
 	// Explicit orders that are not permutations name the variable.

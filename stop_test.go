@@ -85,15 +85,15 @@ func TestStopEveryMode(t *testing.T) {
 			return WithNodeBudget(context.Background(), 1000), func() {}
 		}, 0, ErrNodeBudget},
 	}
-	for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking} {
+	for _, a := range withBacktracking() {
 		for _, p := range []int{1, 2} {
 			for _, m := range modes {
-				pq, err := db.Prepare(q5, Options{Algorithm: algo, Parallelism: p, Project: m.project})
+				pq, err := db.Prepare(q5, Options{Algorithm: a.algo, Parallelism: p, Project: m.project})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, s := range stops {
-					t.Run(fmt.Sprintf("%v/p=%d/%s/%s", algo, p, m.name, s.name), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/p=%d/%s/%s", a.name, p, m.name, s.name), func(t *testing.T) {
 						ctx, cancel := s.ctx()
 						defer cancel()
 						done := make(chan error, 1)

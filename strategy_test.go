@@ -1,18 +1,22 @@
 package wcoj
 
-// Strategy equivalence, stated once. Generic-Join and Leapfrog
-// Triejoin run one search and differ only in how a level's
-// intersection reaches the recursion (materialized or streamed), so
-// for every query, order, projection and parallelism they must emit the
-// same tuples in the same sequence, return the same counts and errors,
-// and account the same work. The other suites check each algorithm
-// against an oracle; this table is where they are checked against each
-// other.
+// Strategy equivalence, stated once. The search materializes the
+// levels that visit every value (enumeration, COUNT) and streams the
+// ones that may stop early (EXISTS, and the existence checks below a
+// projection boundary), so the modes of one query run different
+// kernels. For every query, order, projection and parallelism they must
+// agree with each other — Count is the number of tuples ExecuteFunc
+// emits, Exists is Count > 0 — and with the serial run, tuple for
+// tuple in the same sequence; and AlgoBacktracking, the same search
+// under its constraints' order, must return the same answers. The other
+// suites check each mode against an oracle; this table is where they
+// are checked against each other.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wcoj/internal/dataset"
@@ -79,7 +83,7 @@ func strategyCases(t testing.TB) []strategyCase {
 			orders: [][]string{{"A", "B", "C", "D"}, {"D", "C", "B", "A"}, {"B", "D", "A", "C"}},
 		})
 	}
-	// A count beyond int64: both strategies must fail the same way.
+	// A count beyond int64: every mode must fail the same way.
 	db := NewDatabase()
 	var atoms string
 	for i, name := range []string{"R1", "R2", "R3", "R4", "R5"} {
@@ -103,39 +107,58 @@ func strategyCases(t testing.TB) []strategyCase {
 	return cases
 }
 
-// strategyRun is what one algorithm produced for one (case, options).
+// strategyRun is what one run of every mode produced for one (case,
+// options).
 type strategyRun struct {
 	tuples []Value // the ExecuteFunc emit sequence, flattened
 	n      int
 	found  bool
-	stats  [4]*Stats // enumerate (or project), count, enumerating count, exists
-	errs   [4]error
+	errs   [4]error // enumerate (or project), count, enumerating count, exists
 }
 
 func runStrategy(q *Query, o Options, enumerate bool) strategyRun {
 	var r strategyRun
 	if enumerate {
-		r.stats[0], r.errs[0] = ExecuteFunc(q, o, func(tu Tuple) error {
+		_, r.errs[0] = ExecuteFunc(q, o, func(tu Tuple) error {
 			r.tuples = append(r.tuples, tu...)
 			return nil
 		})
 	}
-	r.n, r.stats[1], r.errs[1] = Count(q, o)
+	r.n, _, r.errs[1] = Count(q, o)
 	if enumerate {
 		slow := o
 		slow.DisablePushdown = true
 		var n int
-		n, r.stats[2], r.errs[2] = Count(q, slow)
+		n, _, r.errs[2] = Count(q, slow)
 		if r.errs[2] == nil && r.errs[1] == nil && n != r.n {
 			r.errs[2] = fmt.Errorf("enumerating Count %d vs pushdown Count %d", n, r.n)
 		}
 	}
-	r.found, r.stats[3], r.errs[3] = Exists(q, o)
+	r.found, _, r.errs[3] = Exists(q, o)
 	return r
+}
+
+// sortedTuples returns the flattened tuples of the given arity in
+// lexicographic order, for comparing runs whose orders differ.
+func sortedTuples(flat []Value, arity int) []Value {
+	ts := make([][]Value, 0, len(flat)/arity)
+	for i := 0; i < len(flat); i += arity {
+		ts = append(ts, flat[i:i+arity])
+	}
+	slices.SortFunc(ts, slices.Compare)
+	return slices.Concat(ts...)
 }
 
 func TestStrategyEquivalence(t *testing.T) {
 	modes := [4]string{"enumerate", "count", "count-enumerating", "exists"}
+	sameErrs := func(t *testing.T, what string, a, b strategyRun) {
+		t.Helper()
+		for m, mode := range modes {
+			if (a.errs[m] == nil) != (b.errs[m] == nil) || (a.errs[m] != nil && !errors.Is(b.errs[m], a.errs[m])) {
+				t.Fatalf("%s: %s err %v vs %v", mode, what, a.errs[m], b.errs[m])
+			}
+		}
+	}
 	for _, c := range strategyCases(t) {
 		// The overflow product has 10^25 results: count and exists only.
 		enumerate := c.name != "overflow"
@@ -147,49 +170,32 @@ func TestStrategyEquivalence(t *testing.T) {
 				projects = append(projects, c.q.Vars[:1], c.q.Vars[len(c.q.Vars)-1:])
 			}
 			for _, project := range append(projects, c.projects...) {
+				arity := len(c.q.Vars)
+				if project != nil {
+					arity = len(project)
+				}
+				serial := runStrategy(c.q, Options{Order: order, Project: project, Parallelism: 1}, enumerate)
 				for _, p := range append([]int{4}, parallelisms...) {
 					o := Options{Order: order, Project: project, Parallelism: p}
 					t.Run(fmt.Sprintf("%s/order=%v/project=%v/p=%d", c.name, order, project, p), func(t *testing.T) {
-						o.Algorithm = AlgoGenericJoin
 						gj := runStrategy(c.q, o, enumerate)
-						o.Algorithm = AlgoLeapfrog
-						lf := runStrategy(c.q, o, enumerate)
-						for m, mode := range modes {
-							if (gj.errs[m] == nil) != (lf.errs[m] == nil) || (gj.errs[m] != nil && !errors.Is(lf.errs[m], gj.errs[m])) {
-								t.Fatalf("%s: generic-join err %v vs leapfrog err %v", mode, gj.errs[m], lf.errs[m])
-							}
+						sameErrs(t, "serial", serial, gj)
+						if gj.n != serial.n || gj.found != serial.found || !slices.Equal(gj.tuples, serial.tuples) {
+							t.Fatalf("count %d, exists %v, %d values emitted; serial %d, %v, %d, or the emit sequences diverge",
+								gj.n, gj.found, len(gj.tuples), serial.n, serial.found, len(serial.tuples))
 						}
-						if gj.n != lf.n || gj.found != lf.found {
-							t.Fatalf("count %d/%d, exists %v/%v", gj.n, lf.n, gj.found, lf.found)
+						if gj.errs[1] == nil && gj.errs[3] == nil && gj.found != (gj.n > 0) {
+							t.Fatalf("Exists %v, Count %d", gj.found, gj.n)
 						}
-						if len(gj.tuples) != len(lf.tuples) {
-							t.Fatalf("emitted %d values vs %d", len(gj.tuples), len(lf.tuples))
+						if enumerate && gj.errs[0] == nil && gj.errs[1] == nil && len(gj.tuples) != gj.n*arity {
+							t.Fatalf("ExecuteFunc emitted %d tuples, Count %d", len(gj.tuples)/arity, gj.n)
 						}
-						for i := range gj.tuples {
-							if gj.tuples[i] != lf.tuples[i] {
-								t.Fatalf("emit sequences diverge at flat index %d", i)
-							}
-						}
-						for m, mode := range modes {
-							g, l := gj.stats[m], lf.stats[m]
-							if g == nil || l == nil {
-								continue // mode not run, or failed identically
-							}
-							if mode == "exists" && p != 1 {
-								continue // shards race the stop flag: counters are not deterministic
-							}
-							// A level that stops at its first witness leaves the
-							// rest of a streamed level unintersected, where the
-							// materialized level already paid for all of it:
-							// wherever the search existence-checks (exists, and
-							// below a projection boundary) the leapfrog strategy
-							// may produce fewer values. Nothing else may differ.
-							if checks := mode == "exists" || project != nil; checks && l.IntersectValues <= g.IntersectValues {
-								l.IntersectValues = g.IntersectValues
-							}
-							if *g != *l {
-								t.Errorf("%s stats diverge: generic-join %+v vs leapfrog %+v", mode, *g, *l)
-							}
+						o.Algorithm = AlgoBacktracking
+						bt := runStrategy(c.q, o, enumerate)
+						sameErrs(t, "generic-join vs backtracking", gj, bt)
+						if gj.n != bt.n || gj.found != bt.found || !slices.Equal(sortedTuples(gj.tuples, arity), sortedTuples(bt.tuples, arity)) {
+							t.Fatalf("backtracking: count %d, exists %v, %d values; generic-join %d, %v, %d, or the answers differ",
+								bt.n, bt.found, len(bt.tuples), gj.n, gj.found, len(gj.tuples))
 						}
 					})
 				}

@@ -26,7 +26,7 @@ func TestTrieMemoAlphaRenamed(t *testing.T) {
 		"Q(P,R,S,U) :- E(P,R), E(R,S), E(S,U)",
 		"Q(A,B) :- E(A,B), E(B,A)",
 	} {
-		for _, opts := range []Options{{}, {Algorithm: AlgoLeapfrog}} {
+		for _, opts := range []Options{{}, {Parallelism: 1}} {
 			pq, err := db.Prepare(src, opts)
 			if err != nil {
 				t.Fatal(err)

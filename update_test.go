@@ -44,49 +44,47 @@ func freshEquivalent(t testing.TB, src *DB) *DB {
 
 // assertUpdatedMatchesFresh checks that every execution mode of the
 // incrementally updated DB is byte-identical to a from-scratch rebuild,
-// across both WCOJ engines and serial/parallel execution.
+// serial and parallel.
 func assertUpdatedMatchesFresh(t *testing.T, updated *DB, queries []string) {
 	t.Helper()
 	ctx := context.Background()
 	fresh := freshEquivalent(t, updated)
 	for _, src := range queries {
-		for _, algo := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog} {
-			for _, par := range []int{1, 4} {
-				opts := Options{Algorithm: algo, Parallelism: par}
-				upq, err := updated.Prepare(src, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fpq, err := fresh.Prepare(src, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				uRel, _, err := upq.Execute(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fRel, _, err := fpq.Execute(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !uRel.Equal(fRel) {
-					t.Fatalf("%s %v p=%d: incremental result differs from rebuild (%d vs %d tuples)",
-						src, algo, par, uRel.Len(), fRel.Len())
-				}
-				un, _, err := upq.Count(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if un != fRel.Len() {
-					t.Fatalf("%s %v p=%d: Count %d, want %d", src, algo, par, un, fRel.Len())
-				}
-				uex, _, err := upq.Exists(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if uex != (fRel.Len() > 0) {
-					t.Fatalf("%s %v p=%d: Exists %v, want %v", src, algo, par, uex, fRel.Len() > 0)
-				}
+		for _, par := range []int{1, 4} {
+			opts := Options{Parallelism: par}
+			upq, err := updated.Prepare(src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fpq, err := fresh.Prepare(src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			uRel, _, err := upq.Execute(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fRel, _, err := fpq.Execute(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !uRel.Equal(fRel) {
+				t.Fatalf("%s p=%d: incremental result differs from rebuild (%d vs %d tuples)",
+					src, par, uRel.Len(), fRel.Len())
+			}
+			un, _, err := upq.Count(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if un != fRel.Len() {
+				t.Fatalf("%s p=%d: Count %d, want %d", src, par, un, fRel.Len())
+			}
+			uex, _, err := upq.Exists(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if uex != (fRel.Len() > 0) {
+				t.Fatalf("%s p=%d: Exists %v, want %v", src, par, uex, fRel.Len() > 0)
 			}
 		}
 	}
@@ -372,7 +370,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	join, err := db.Prepare("Q(A,B) :- E(A,B), S(A)", Options{Algorithm: AlgoLeapfrog})
+	join, err := db.Prepare("Q(A,B) :- E(A,B), S(A)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +547,7 @@ func TestConcurrentUpdateExecuteRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pqCount, err := db.Prepare("Q(A,B) :- E(A,B)", Options{Algorithm: AlgoLeapfrog})
+	pqCount, err := db.Prepare("Q(A,B) :- E(A,B)", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,11 @@
 //	out, stats, _ := wcoj.Execute(q, wcoj.Options{Algorithm: wcoj.AlgoGenericJoin})
 //
 // The variable order the WCOJ algorithms run under is resolved by a
-// planner (Options.Planner): the degree-order heuristic, an explicit
-// Options.Order, or the cost-based optimizer, which enumerates
-// candidate orders and scores them with the paper's own bound LPs
-// over degree statistics measured from the data. Explain returns the
-// full planning record without running the join.
+// planner (Options.Planner): the degree-order heuristic or an explicit
+// Options.Order (PlannerAuto), or the cost-based optimizer, which
+// enumerates candidate orders and scores them with the paper's own
+// bound LPs over degree statistics measured from the data. Explain
+// returns the full planning record without running the join.
 //
 // For a long-lived serving process, DB owns registered relations
 // (builders or CSV/TSV ingestion), their tries, and a plan cache;
@@ -162,13 +162,12 @@ type Algorithm int
 // Available algorithms.
 const (
 	// AlgoGenericJoin is Generic-Join [52] (default): recursive
-	// multiway intersection, Õ(N^{ρ*}); each level's intersection is
-	// materialized, then looped over.
+	// multiway intersection, Õ(N^{ρ*}). It runs Leapfrog Triejoin [66]
+	// too, as the survey treats them: the search streams a level's
+	// intersection wherever the level may stop early (EXISTS, and the
+	// existence checks below a projection boundary) and materializes it
+	// wherever every value is visited (counts and emitted levels).
 	AlgoGenericJoin Algorithm = iota
-	// AlgoLeapfrog is Leapfrog Triejoin [66], Õ(N^{ρ*}): the same search
-	// with each level's intersection streamed through the leapfrog
-	// kernel instead of materialized.
-	AlgoLeapfrog
 	// AlgoBacktracking is Algorithm 3: worst-case optimal under
 	// acyclic degree constraints (supply Options.Constraints). It is
 	// the Generic-Join search under the constraints' compatible order
@@ -177,21 +176,29 @@ const (
 	AlgoBacktracking
 )
 
+// AlgoLeapfrog is an alias of AlgoGenericJoin, kept for callers that
+// still name Leapfrog Triejoin: the search picks each level's strategy
+// itself (see AlgoGenericJoin). ParseAlgorithm still accepts its old
+// name, "leapfrog-triejoin".
+const AlgoLeapfrog = AlgoGenericJoin
+
 func (a Algorithm) String() string {
 	switch a {
 	case AlgoGenericJoin:
 		return "generic-join"
-	case AlgoLeapfrog:
-		return "leapfrog-triejoin"
 	case AlgoBacktracking:
 		return "backtracking"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// ParseAlgorithm resolves an algorithm name as printed by String.
+// ParseAlgorithm resolves an algorithm name as printed by String, or
+// "leapfrog-triejoin", the name of AlgoLeapfrog.
 func ParseAlgorithm(name string) (Algorithm, error) {
-	for _, a := range []Algorithm{AlgoGenericJoin, AlgoLeapfrog, AlgoBacktracking} {
+	if name == "leapfrog-triejoin" {
+		return AlgoLeapfrog, nil
+	}
+	for _, a := range []Algorithm{AlgoGenericJoin, AlgoBacktracking} {
 		if a.String() == name {
 			return a, nil
 		}
@@ -200,9 +207,9 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 }
 
 // Planner selects how Execute, ExecuteFunc, Count and Explain resolve
-// the variable order of AlgoGenericJoin and AlgoLeapfrog.
-// AlgoBacktracking runs under Options.Order when set and under its
-// constraints' compatible order otherwise.
+// the variable order of AlgoGenericJoin. AlgoBacktracking runs under
+// Options.Order when set and under its constraints' compatible order
+// otherwise.
 type Planner int
 
 // Available planner policies.
@@ -210,35 +217,26 @@ const (
 	// PlannerAuto (default): Options.Order when set, otherwise the
 	// degree-order heuristic.
 	PlannerAuto Planner = iota
-	// PlannerHeuristic always uses the degree-order heuristic;
-	// Options.Order must be nil.
-	PlannerHeuristic
 	// PlannerCostBased runs the cost-based optimizer: candidate orders
 	// are enumerated (exhaustively up to 8 variables, beam search
 	// beyond) and scored with per-prefix output-size bounds computed
 	// from measured degree statistics; Options.Order must be nil.
 	PlannerCostBased
-	// PlannerExplicit requires Options.Order and uses it verbatim.
-	PlannerExplicit
 )
 
 func (p Planner) String() string {
 	switch p {
 	case PlannerAuto:
 		return "auto"
-	case PlannerHeuristic:
-		return "heuristic"
 	case PlannerCostBased:
 		return "cost-based"
-	case PlannerExplicit:
-		return "explicit"
 	}
 	return fmt.Sprintf("Planner(%d)", int(p))
 }
 
 // ParsePlanner resolves a planner policy name as printed by String.
 func ParsePlanner(name string) (Planner, error) {
-	for _, p := range []Planner{PlannerAuto, PlannerHeuristic, PlannerCostBased, PlannerExplicit} {
+	for _, p := range []Planner{PlannerAuto, PlannerCostBased} {
 		if p.String() == name {
 			return p, nil
 		}
@@ -253,10 +251,10 @@ type Options struct {
 	// Order optionally fixes the variable order.
 	Order []string
 	// Planner selects how the variable order is resolved for
-	// AlgoGenericJoin and AlgoLeapfrog (default PlannerAuto: Order when
-	// set, heuristic otherwise). PlannerCostBased scores candidate
-	// orders with the bounds subsystem; see Explain for the decision
-	// record. AlgoBacktracking rejects PlannerCostBased.
+	// AlgoGenericJoin (default PlannerAuto: Order when set, heuristic
+	// otherwise). PlannerCostBased scores candidate orders with the
+	// bounds subsystem; see Explain for the decision record.
+	// AlgoBacktracking rejects PlannerCostBased.
 	Planner Planner
 	// Constraints supplies the degree constraints of AlgoBacktracking,
 	// which runs under their compatible order unless Order is set. Nil
@@ -319,17 +317,9 @@ func (o Options) workers() int {
 	return o.Parallelism
 }
 
-// level resolves an algorithm to the search's level strategy.
-func (a Algorithm) level() core.LevelStrategy {
-	if a == AlgoLeapfrog {
-		return core.LeapfrogLevel
-	}
-	return core.MaterializeLevel
-}
-
 // plannerOptions validates the Planner/Order combination and maps it
 // to the internal planner's options; it is the single source of truth
-// the executor (via orderPolicyFor) and Explain share.
+// the executor (via orderPolicyFor), Prepare and Explain share.
 func (o Options) plannerOptions() (planner.Options, error) {
 	switch o.Planner {
 	case PlannerAuto:
@@ -337,21 +327,11 @@ func (o Options) plannerOptions() (planner.Options, error) {
 			return planner.Options{Policy: planner.Explicit, Explicit: o.Order}, nil
 		}
 		return planner.Options{Policy: planner.Heuristic}, nil
-	case PlannerHeuristic:
-		if o.Order != nil {
-			return planner.Options{}, fmt.Errorf("wcoj: PlannerHeuristic conflicts with an explicit Options.Order; use PlannerAuto or PlannerExplicit")
-		}
-		return planner.Options{Policy: planner.Heuristic}, nil
 	case PlannerCostBased:
 		if o.Order != nil {
 			return planner.Options{}, fmt.Errorf("wcoj: PlannerCostBased conflicts with an explicit Options.Order; drop one of the two")
 		}
 		return planner.Options{Policy: planner.CostBased}, nil
-	case PlannerExplicit:
-		if o.Order == nil {
-			return planner.Options{}, fmt.Errorf("wcoj: PlannerExplicit requires Options.Order")
-		}
-		return planner.Options{Policy: planner.Explicit, Explicit: o.Order}, nil
 	}
 	return planner.Options{}, fmt.Errorf("wcoj: unknown planner %v", o.Planner)
 }
@@ -431,7 +411,7 @@ func (o Options) validate(q *Query) error {
 	case o.Algorithm < AlgoGenericJoin || o.Algorithm > AlgoBacktracking:
 		return fmt.Errorf("wcoj: unknown algorithm %v", o.Algorithm)
 	case o.Algorithm == AlgoBacktracking && o.Planner == PlannerCostBased:
-		return fmt.Errorf("wcoj: the cost-based planner applies to AlgoGenericJoin and AlgoLeapfrog only (got %v)", o.Algorithm)
+		return fmt.Errorf("wcoj: the cost-based planner applies to AlgoGenericJoin only (got %v)", o.Algorithm)
 	}
 	return o.validateProject(q)
 }
@@ -548,11 +528,11 @@ func backtrackConstraints(q *Query, dc ConstraintSet) (ConstraintSet, error) {
 // Explain resolves the variable order Execute would run q under and
 // returns the full planning record: the chosen order, the per-level
 // output-size bound of every prefix, and — for PlannerCostBased — the
-// candidate orders considered and the worst order rejected. The plan
-// is algorithm-independent: it describes the variable order shared by
-// AlgoGenericJoin and AlgoLeapfrog. Explain performs no join work
-// beyond measuring degree statistics and solving the (poly-size)
-// modular bound LPs.
+// candidate orders considered and the worst order rejected. For
+// AlgoBacktracking it explains the order the constraints resolve (or
+// Options.Order). Explain rejects what Execute rejects, and performs no
+// join work beyond measuring degree statistics and solving the
+// (poly-size) modular bound LPs.
 //
 // With Options.Project set the plan is the projected enumeration's:
 // projected-away variables are sunk and the explanation reports each
@@ -565,33 +545,42 @@ func backtrackConstraints(q *Query, dc ConstraintSet) (ConstraintSet, error) {
 // counted by range multiplication without being searched
 // (free-counted). It is nil with Options.DisablePushdown set.
 func Explain(q *Query, opts Options) (*PlanExplanation, error) {
-	popt, err := opts.plannerOptions()
-	if err != nil {
+	if err := opts.validate(q); err != nil {
 		return nil, err
 	}
-	if opts.Project != nil {
-		if err := opts.validateProject(q); err != nil {
-			return nil, err
-		}
-		popt.Agg = &agg.Spec{Mode: agg.ModeEnumerate, Project: opts.Project}
-	}
-	e, err := planner.Choose(q, popt)
+	e, err := opts.explain(q, planEnum.spec(opts.Project))
 	if err != nil {
 		return nil, err
 	}
 	if !opts.DisablePushdown {
-		cpopt, err := opts.plannerOptions()
-		if err != nil {
+		if e.Count, err = opts.explain(q, planCount.spec(opts.Project)); err != nil {
 			return nil, err
 		}
-		cpopt.Agg = &agg.Spec{Mode: agg.ModeCount, Project: opts.Project}
-		ce, err := planner.Choose(q, cpopt)
-		if err != nil {
-			return nil, err
-		}
-		e.Count = ce
 	}
 	return e, nil
+}
+
+// explain is the planning record of the order the executor's plan for
+// spec runs q under: the planner's own record of its policy, or for
+// AlgoBacktracking the record of the order orderPolicyFor resolves.
+func (o Options) explain(q *Query, spec *agg.Spec) (*PlanExplanation, error) {
+	popt, err := o.plannerOptions()
+	if err != nil {
+		return nil, err
+	}
+	if o.Algorithm == AlgoBacktracking {
+		pol, err := o.orderPolicyFor(spec)
+		if err != nil {
+			return nil, err
+		}
+		order, err := pol.ResolveOrder(q)
+		if err != nil {
+			return nil, err
+		}
+		popt = planner.Options{Policy: planner.Explicit, Explicit: order}
+	}
+	popt.Agg = spec
+	return planner.Choose(q, popt)
 }
 
 // AGMBound computes the AGM output-size bound of the query from its
