@@ -209,11 +209,14 @@ func loadDB(c config) (*wcoj.DB, map[string]bool, error) {
 
 // decodeJSON and writeJSON are the request/response codecs shared by
 // the HTTP handlers. Untyped numbers (the tuple fields of /update)
-// decode as json.Number, so integers past 2^53 arrive exactly.
+// decode as json.Number, so integers past 2^53 arrive exactly. A field
+// the request type does not have is an error that names it: a
+// misspelled or retired field must not be dropped silently.
 // Replies are compact; pipe them through jq to read them.
 func decodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.UseNumber()
+	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
 

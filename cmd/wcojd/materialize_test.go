@@ -148,6 +148,7 @@ func TestMaterializeEndpointErrors(t *testing.T) {
 		{`{"query":"Q(A) :- Missing(A)"}`, http.StatusBadRequest},
 		{`{"query":"Q(A,B) :- E(A,B)","mode":"median"}`, http.StatusBadRequest},
 		{`{"query":"Q(A,B) :- E(A,B)","mode":"exists","project":["A"]}`, http.StatusBadRequest},
+		{`{"query":"Q(A,B) :- E(A,B)","algo":"bogus"}`, http.StatusBadRequest},
 	} {
 		if code, body := post(t, ts.URL+"/materialize", tc.body); code != tc.want {
 			t.Errorf("materialize %s: %d %s, want %d", tc.body, code, body, tc.want)

@@ -386,6 +386,14 @@ func (s *server) serveStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, stats)
 }
 
+// publish makes a loaded DB the one every handler serves; readyz
+// flips here. Handlers read dictRels after loading db, so it is set
+// first and never written again.
+func (s *server) publish(db *wcoj.DB, dictRels map[string]bool) {
+	s.dictRels = dictRels
+	s.db.Store(db)
+}
+
 // handler builds the route table.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
@@ -435,8 +443,7 @@ func serve(c config) error {
 			loadErr <- err
 			return
 		}
-		s.dictRels = dictRels
-		s.db.Store(db) // publishes dictRels too; readyz flips here
+		s.publish(db, dictRels)
 		fmt.Printf("ready: %d relations at epoch %d\n", db.Stats().Relations, db.Stats().Epoch)
 		loadErr <- nil
 	}()
@@ -457,20 +464,24 @@ func serve(c config) error {
 				return err
 			}
 		case <-sig:
-			// Drain: stop admitting (readyz goes 503), let in-flight
-			// requests finish, then release the WAL so the next process
-			// can recover the directory.
-			fmt.Println("draining")
-			s.draining.Store(true)
-			ctx, cancel := context.WithTimeout(context.Background(), c.drainTimeout)
-			err := srv.Shutdown(ctx)
-			cancel()
-			if db := s.db.Load(); db != nil {
-				if cerr := db.Close(); err == nil {
-					err = cerr
-				}
-			}
-			return err
+			return s.drain(srv, c.drainTimeout)
 		}
 	}
+}
+
+// drain stops admitting (readyz goes 503), lets in-flight requests
+// finish, then releases the WAL so the next process can recover the
+// directory.
+func (s *server) drain(srv *http.Server, timeout time.Duration) error {
+	fmt.Println("draining")
+	s.draining.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	err := srv.Shutdown(ctx)
+	cancel()
+	if db := s.db.Load(); db != nil {
+		if cerr := db.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }

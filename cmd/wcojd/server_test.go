@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,8 +39,7 @@ func newTestServer(t *testing.T, db *wcoj.DB, c config) (*server, *httptest.Serv
 	t.Helper()
 	s := newServer(c)
 	if db != nil {
-		s.dictRels = map[string]bool{}
-		s.db.Store(db)
+		s.publish(db, map[string]bool{})
 	}
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
@@ -359,4 +359,73 @@ func TestServerMethodNotAllowed(t *testing.T) {
 	if code, _ := get(t, ts.URL+"/query"); code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /query: %d, want 405", code)
 	}
+}
+
+// TestUnknownRequestFields: a field the request type does not have is
+// a 400 that names it, on every endpoint that decodes a body, rather
+// than a request that silently runs without it.
+func TestUnknownRequestFields(t *testing.T) {
+	_, ts := newTestServer(t, testDB(t), testConfig())
+	for _, tc := range []struct{ path, body, field string }{
+		{"/query", `{"query":"Q(A,B) :- E(A,B)","projet":["A"]}`, "projet"},
+		{"/update", `{"insert":{"E":[[5,6]]},"delet":{"E":[[1,2]]}}`, "delet"},
+		{"/materialize", `{"query":"Q(A,B) :- E(A,B)","algo":"bogus"}`, "algo"},
+	} {
+		code, body := post(t, ts.URL+tc.path, tc.body)
+		if code != http.StatusBadRequest || !strings.Contains(body, `"`+tc.field+`"`) {
+			t.Errorf("%s %s: %d %q, want 400 naming %q", tc.path, tc.body, code, body, tc.field)
+		}
+	}
+	// The rejected update changed nothing.
+	if code, body := post(t, ts.URL+"/query", `{"query":"Q(A,B) :- E(A,B)","count":true}`); code != http.StatusOK || !strings.Contains(body, `"count":3`) {
+		t.Fatalf("after the rejected update: %d %s", code, body)
+	}
+}
+
+// TestServerPublishRace runs requests against the handler while the
+// loader publishes the DB. Every handler reads what publish wrote
+// (the DB, and dictRels for /update) only after loading the pointer,
+// so under -race a write made after the Store — by publish, or
+// through the published DB — is reported here.
+func TestServerPublishRace(t *testing.T) {
+	s := newServer(testConfig())
+	h := s.handler()
+	db := testDB(t)
+	published := make(chan struct{})
+	go func() {
+		s.publish(db, map[string]bool{"E": false})
+		close(published)
+	}()
+	reqs := []struct{ path, body string }{
+		{"/update", `{"insert":{"E":[[7,8]]}}`},
+		{"/query", `{"query":"Q(A,B) :- E(A,B)","count":true}`},
+		{"/stats", ""},
+		{"/readyz", ""},
+	}
+	var wg sync.WaitGroup
+	for _, rq := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ok := 0; ok < 20; {
+				method := http.MethodPost
+				if rq.body == "" {
+					method = http.MethodGet
+				}
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(method, rq.path, strings.NewReader(rq.body)))
+				switch w.Code {
+				case http.StatusOK:
+					ok++
+				case http.StatusServiceUnavailable:
+					// Not published yet.
+				default:
+					t.Errorf("%s: %d %s", rq.path, w.Code, w.Body.String())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	<-published
 }

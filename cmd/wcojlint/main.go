@@ -3,7 +3,7 @@
 // go/analysis multichecker:
 //
 //	go run ./cmd/wcojlint ./...
-//	go run ./cmd/wcojlint -only snapshotonce,fsyncorder ./...
+//	go run ./cmd/wcojlint -only snapshotonce,valueident ./...
 //	go run ./cmd/wcojlint -disable nilness ./...
 //
 // -only restricts the run to the named analyzers; -disable subtracts

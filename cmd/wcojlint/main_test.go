@@ -33,7 +33,6 @@ func TestList(t *testing.T) {
 	}
 	for _, name := range []string{
 		"snapshotonce", "valueident",
-		"arenaescape", "fsyncorder", "publishimmutable",
 		"nilness", "unusedwrite",
 	} {
 		if !strings.Contains(stdout.String(), name) {

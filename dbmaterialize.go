@@ -230,7 +230,7 @@ func (mq *MaterializedQuery) Close() error {
 		return err
 	}
 	db.mu.Lock()
-	delete(db.views, mq.id) //wcojlint:nosync the unregistration was synced above; the view's last value stays readable
+	delete(db.views, mq.id)
 	db.mu.Unlock()
 	return nil
 }
@@ -302,7 +302,7 @@ func (db *DB) materializeLocked(id string, seq uint64, src string, opts Material
 			}
 		}
 	}
-	mq.terms = make([]*executor, len(q.Atoms)) //wcojlint:nosync construction: mq is not yet visible to any reader
+	mq.terms = make([]*executor, len(q.Atoms))
 
 	res, err := mq.recompute(context.Background(), vers, epoch)
 	if err != nil {
@@ -311,14 +311,14 @@ func (db *DB) materializeLocked(id string, seq uint64, src string, opts Material
 		}
 		res = &MaterializedResult{Epoch: epoch, Err: err}
 	}
-	mq.val.Store(res) //wcojlint:nosync construction: mq is not yet visible to any reader
+	mq.val.Store(res)
 
 	// Durability before visibility, like every other registration.
 	if err := db.walAppendMaterializeLocked(mq); err != nil {
 		return nil, err
 	}
 	db.mu.Lock()
-	db.views[id] = mq //wcojlint:nosync the registration was synced above
+	db.views[id] = mq
 	db.mu.Unlock()
 	return mq, nil
 }

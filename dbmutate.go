@@ -199,10 +199,10 @@ func (db *DB) Apply(b *Batch) (UpdateStats, error) {
 	// snapshotting under mu.RLock sees all of the batch or none of it.
 	db.mu.Lock()
 	for name, nv := range next {
-		db.versions[name] = nv //wcojlint:nosync loop runs only when next is non-empty, and then the batch was synced above
+		db.versions[name] = nv
 	}
 	for _, u := range ups {
-		u.mq.val.Store(u.res) //wcojlint:nosync the batch driving this value was synced above
+		u.mq.val.Store(u.res)
 	}
 	if len(next) > 0 {
 		db.updEpoch.Add(1)
@@ -276,7 +276,7 @@ func (db *DB) compactLocked(heads map[string]*delta.Version, force bool) error {
 		}
 		c := v.Compacted()
 		db.mu.Lock()
-		db.versions[name] = c //wcojlint:nosync a fold changes the representation, not the tuple set, whose batches were synced when applied
+		db.versions[name] = c
 		db.mu.Unlock()
 		db.compactions.Add(1)
 		compacted = true

@@ -32,10 +32,15 @@ import (
 // first use and otherwise recovering the pre-crash state: the newest
 // valid snapshot, plus a replay of every logged batch after it, back
 // to the exact update epoch the last acknowledged batch produced.
-// All subsequent Register and Apply calls are logged (and fsynced, for
-// batches) before they are published. Close the DB to release the log.
+// All subsequent Register, Materialize and Apply calls are logged and
+// fsynced before they are published. Close the DB to release the log.
 func OpenDir(dir string) (*DB, error) {
-	l, snap, recs, err := wal.Open(dir)
+	return openDir(dir, nil)
+}
+
+// openDir is OpenDir with the log writing through fsys (nil: the OS).
+func openDir(dir string, fsys wal.FS) (*DB, error) {
+	l, snap, recs, err := wal.OpenFS(dir, fsys)
 	if err != nil {
 		return nil, err
 	}
@@ -86,8 +91,8 @@ func OpenDir(dir string) (*DB, error) {
 		return nil, fmt.Errorf("wcoj: OpenDir %s: %w", dir, err)
 	}
 	db.writeMu.Lock()
-	db.walDictN = db.Dict().Len() //wcojlint:nosync recovery: the DB is not yet visible to any reader
-	db.wal = l                    //wcojlint:nosync recovery: the DB is not yet visible to any reader
+	db.walDictN = db.Dict().Len()
+	db.wal = l
 	db.writeMu.Unlock()
 	return db, nil
 }
@@ -136,7 +141,6 @@ func (db *DB) replayRecord(rec *wal.Record) error {
 		r := rec.Rel
 		db.mu.Lock()
 		db.data.Put(r)
-		//wcojlint:nosync replay: the record being applied is already durable in the log
 		db.versions[r.Name()] = &delta.Version{
 			Epoch: rec.RelEpoch,
 			Base:  r,
@@ -179,27 +183,36 @@ func (db *DB) Close() error {
 	return err
 }
 
-// walLogDictLocked logs dictionary strings interned since the last
-// logged high-water mark, so any tuple record that references them
-// replays against a dictionary that already holds them. Callers hold
-// writeMu.
-func (db *DB) walLogDictLocked() error {
+// walCommitLocked logs one unit and forces it to stable storage: the
+// dictionary strings interned since the last logged high-water mark
+// (so any tuple record that references them replays against a
+// dictionary that already holds them), then recs. The log drops a
+// unit that fails whole (see wal.Log), so the mark moves only once the
+// sync succeeded. Callers hold writeMu and have checked db.wal.
+func (db *DB) walCommitLocked(recs ...*wal.Record) error {
 	d := db.Dict()
 	n := d.Len()
-	if n <= db.walDictN {
-		return nil
+	if n > db.walDictN {
+		strs := make([]string, 0, n-db.walDictN)
+		for i := db.walDictN; i < n; i++ {
+			strs = append(strs, d.String(relation.Value(i)))
+		}
+		rec := &wal.Record{
+			Kind:      wal.KindDict,
+			Epoch:     db.updEpoch.Load(),
+			DictFirst: uint64(db.walDictN),
+			DictStrs:  strs,
+		}
+		if err := db.wal.Append(rec); err != nil {
+			return err
+		}
 	}
-	strs := make([]string, 0, n-db.walDictN)
-	for i := db.walDictN; i < n; i++ {
-		strs = append(strs, d.String(relation.Value(i)))
+	for _, rec := range recs {
+		if err := db.wal.Append(rec); err != nil {
+			return err
+		}
 	}
-	rec := &wal.Record{
-		Kind:      wal.KindDict,
-		Epoch:     db.updEpoch.Load(),
-		DictFirst: uint64(db.walDictN),
-		DictStrs:  strs,
-	}
-	if err := db.wal.Append(rec); err != nil {
+	if err := db.wal.Sync(); err != nil {
 		return err
 	}
 	db.walDictN = n
@@ -214,18 +227,11 @@ func (db *DB) walAppendBatchLocked(b *Batch) error {
 	if db.wal == nil {
 		return nil
 	}
-	if err := db.walLogDictLocked(); err != nil {
-		return err
-	}
 	ops := make([]wal.RelOps, 0, len(b.order))
 	for _, name := range b.order {
 		ops = append(ops, wal.RelOps{Rel: name, Ops: b.ops[name]})
 	}
-	rec := &wal.Record{Kind: wal.KindBatch, Epoch: db.updEpoch.Load() + 1, Batch: ops}
-	if err := db.wal.Append(rec); err != nil {
-		return err
-	}
-	return db.wal.Sync()
+	return db.walCommitLocked(&wal.Record{Kind: wal.KindBatch, Epoch: db.updEpoch.Load() + 1, Batch: ops})
 }
 
 // rearmViews re-registers the maintained views the replayed log
@@ -238,7 +244,7 @@ func (db *DB) walAppendBatchLocked(b *Batch) error {
 func (db *DB) rearmViews(recs []*wal.Record, matFloor uint64) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	db.matSeq = matFloor //wcojlint:nosync replay reconstructs already-synced state; db.wal is not installed yet
+	db.matSeq = matFloor
 	for _, rec := range recs {
 		opts := MaterializeOptions{
 			Mode:        MaterializeMode(rec.MatMode),
@@ -259,18 +265,13 @@ func (db *DB) rearmViews(recs []*wal.Record, matFloor uint64) error {
 	return nil
 }
 
-// walAppendMaterializeLocked logs one view registration and forces it
-// to stable storage before the view becomes visible. Callers hold
-// writeMu.
-func (db *DB) walAppendMaterializeLocked(mq *MaterializedQuery) error {
-	if db.wal == nil {
-		return nil
-	}
+// materializeRecord is mq's registration record at the current epoch.
+func (db *DB) materializeRecord(mq *MaterializedQuery) *wal.Record {
 	par := mq.opts.Parallelism
 	if par < 0 {
 		par = 0 // both mean "default": workers() treats <=0 as the core budget
 	}
-	rec := &wal.Record{
+	return &wal.Record{
 		Kind:        wal.KindMaterialize,
 		Epoch:       db.updEpoch.Load(),
 		MatID:       mq.id,
@@ -279,10 +280,16 @@ func (db *DB) walAppendMaterializeLocked(mq *MaterializedQuery) error {
 		MatParallel: uint64(par),
 		MatProject:  mq.opts.Project,
 	}
-	if err := db.wal.Append(rec); err != nil {
-		return err
+}
+
+// walAppendMaterializeLocked logs one view registration and forces it
+// to stable storage before the view becomes visible. Callers hold
+// writeMu.
+func (db *DB) walAppendMaterializeLocked(mq *MaterializedQuery) error {
+	if db.wal == nil {
+		return nil
 	}
-	return db.wal.Sync()
+	return db.walCommitLocked(db.materializeRecord(mq))
 }
 
 // walAppendUnmaterializeLocked logs one view retirement. Callers hold
@@ -291,15 +298,7 @@ func (db *DB) walAppendUnmaterializeLocked(id string) error {
 	if db.wal == nil {
 		return nil
 	}
-	rec := &wal.Record{
-		Kind:  wal.KindUnmaterialize,
-		Epoch: db.updEpoch.Load(),
-		MatID: id,
-	}
-	if err := db.wal.Append(rec); err != nil {
-		return err
-	}
-	return db.wal.Sync()
+	return db.walCommitLocked(&wal.Record{Kind: wal.KindUnmaterialize, Epoch: db.updEpoch.Load(), MatID: id})
 }
 
 // walAppendRegisterLocked logs full-relation register records for rels
@@ -308,23 +307,21 @@ func (db *DB) walAppendRegisterLocked(rels []*Relation) error {
 	if db.wal == nil {
 		return nil
 	}
-	if err := db.walLogDictLocked(); err != nil {
-		return err
-	}
 	epoch := db.updEpoch.Load()
+	recs := make([]*wal.Record, 0, len(rels))
 	for _, r := range rels {
-		rec := &wal.Record{Kind: wal.KindRegister, Epoch: epoch, Rel: r}
-		if err := db.wal.Append(rec); err != nil {
-			return err
-		}
+		recs = append(recs, &wal.Record{Kind: wal.KindRegister, Epoch: epoch, Rel: r})
 	}
-	return db.wal.Sync()
+	return db.walCommitLocked(recs...)
 }
 
 // walSnapshotLocked writes the full current state as the next
 // generation's snapshot and restarts the log there (compaction's
-// durable twin: the log no longer needs the folded history). Callers
-// hold writeMu, so the captured state cannot advance mid-snapshot.
+// durable twin: the log no longer needs the folded history). The
+// snapshot captures relations, not view registrations, so each live
+// view's registration starts the fresh log; Rotate makes them durable
+// before the old generation goes. Callers hold writeMu, so the
+// captured state cannot advance mid-snapshot.
 func (db *DB) walSnapshotLocked() error {
 	if db.wal == nil {
 		return nil
@@ -346,17 +343,14 @@ func (db *DB) walSnapshotLocked() error {
 	for _, v := range vers {
 		rels = append(rels, wal.SnapRel{Epoch: v.Epoch, Rel: v.Effective()})
 	}
-	if err := db.wal.Rotate(&wal.Snapshot{Epoch: epoch, Dict: dict, Rels: rels}); err != nil {
+	views := db.MaterializedViews()
+	recs := make([]*wal.Record, 0, len(views))
+	for _, mq := range views {
+		recs = append(recs, db.materializeRecord(mq))
+	}
+	if err := db.wal.Rotate(&wal.Snapshot{Epoch: epoch, Dict: dict, Rels: rels, Records: recs}); err != nil {
 		return err
 	}
 	db.walDictN = n
-	// The snapshot captures relations, not view registrations; re-log
-	// each live view into the fresh generation or recovery would drop
-	// them.
-	for _, mq := range db.MaterializedViews() {
-		if err := db.walAppendMaterializeLocked(mq); err != nil {
-			return err
-		}
-	}
 	return nil
 }

@@ -145,8 +145,6 @@ type searcher struct {
 
 // newSearcher prepares one search goroutine's state over plan p,
 // including every depth's level ranges (see levelRanges).
-//
-//wcojlint:retains s.ranges[d] holds depth d's level ranges for the searcher's lifetime, one search under one pinned snapshot
 func newSearcher(p *Plan, cls *agg.Classification, cap int64, stats *Stats,
 	emit func(relation.Tuple) error, stop *atomic.Bool, budget *NodeBudget) *searcher {
 	n := len(p.Order)
@@ -237,8 +235,6 @@ func (s *searcher) node() bool {
 // windows to the atoms' current children spans: a level's key array is
 // fixed for the search, and a level-0 window is always the whole level,
 // so its rank array stays valid.
-//
-//wcojlint:retains s.ranges[d] is depth d's own scratch slot, so a level still streaming at depth d never shares it with the deeper levels assembled meanwhile; consumed within this search under one pinned snapshot
 func (s *searcher) levelRanges(d int) []trie.LevelRange {
 	rs := s.ranges[d]
 	for j, ai := range s.plan.Participants[d] {

@@ -25,15 +25,6 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) error
-
-	// Prepare, when set, runs once per driver invocation over all
-	// loaded units before any Run call, and its result is exposed to
-	// every Pass of this analyzer as Facts. It exists because export
-	// data carries no doc comments or bodies: whole-module facts such
-	// as "which functions transitively fsync" can only be computed
-	// from the parsed units themselves. Upstream x/tools models this with typed Facts; the
-	// single opaque value keeps this mirror small.
-	Prepare func(units []*Unit) (any, error)
 }
 
 // Pass is one (analyzer, package) unit of work. All fields are
@@ -45,10 +36,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Facts is the value returned by Analyzer.Prepare, or nil when the
-	// analyzer has no Prepare hook.
-	Facts any
 
 	diags *[]Diagnostic
 }
@@ -91,17 +78,6 @@ type Unit struct {
 // analysis itself succeeded; the diagnostics carry the findings.
 func Run(analyzers []*Analyzer, units []*Unit) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	facts := make(map[*Analyzer]any, len(analyzers))
-	for _, a := range analyzers {
-		if a.Prepare == nil {
-			continue
-		}
-		f, err := a.Prepare(units)
-		if err != nil {
-			return nil, fmt.Errorf("%s: prepare: %w", a.Name, err)
-		}
-		facts[a] = f
-	}
 	for _, u := range units {
 		for _, a := range analyzers {
 			pass := &Pass{
@@ -110,7 +86,6 @@ func Run(analyzers []*Analyzer, units []*Unit) ([]Diagnostic, error) {
 				Files:     u.Files,
 				Pkg:       u.Pkg,
 				TypesInfo: u.Info,
-				Facts:     facts[a],
 				diags:     &diags,
 			}
 			if err := a.Run(pass); err != nil {

@@ -12,8 +12,7 @@ import (
 // validKinds is the directive vocabulary the parser may emit —
 // anything else in a parsed directive is a fuzz failure.
 var validKinds = map[string]bool{
-	"locked": true, "guardedby": true,
-	"retains": true, "nosync": true, "mutates": true,
+	"locked": true, "guardedby": true, "retains": true,
 }
 
 // FuzzDirectiveParse hardens the //wcojlint: directive parser (the
@@ -28,8 +27,8 @@ func FuzzDirectiveParse(f *testing.F) {
 		"package p\n\ntype s struct {\n\tmu int\n\tn  int //wcojlint:guardedby mu\n}\n",
 		"package p\n\n//lint:locked caller holds mu\nfunc g() {}\n",
 		"package p\n\n//wcojlint:retains spans consumed in call\nfunc h() {}\n",
-		"package p\n\nfunc i() {\n\tx := 1 //wcojlint:nosync replay path\n\t_ = x\n}\n",
-		"package p\n\nfunc j() {\n\t//wcojlint:mutates writer-owned page\n\tx := 1\n\t_ = x\n}\n",
+		"package p\n\nfunc i() {\n\tx := 1 //wcojlint:retains trailing on a statement\n\t_ = x\n}\n",
+		"package p\n\nfunc j() {\n\t//wcojlint:nosync retired kinds are dropped\n\tx := 1\n\t_ = x\n}\n",
 		"package p\n\n//wcojlint:guardedby\ntype t struct{ a, b int }\n",
 		"package p\n\n//wcojlint:bogus unknown kinds are dropped\nfunc k() {}\n",
 		"package p\n\n//wcojlint:\nfunc l() {}\n",

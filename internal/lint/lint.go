@@ -7,19 +7,7 @@
 //     atomic.Pointer exactly once per call, and DB fields marked
 //     guardedby are only touched with their mutex held;
 //   - valueident: tuples handed to emit callbacks are never mutated
-//     or retained by alias;
-//   - arenaescape: slices loaned from the CSR arenas
-//     (trie.LevelRange.Keys/Keys32 and LevelRange-typed results) must
-//     not outlive their snapshot scope (dataflow-tracked);
-//   - fsyncorder: in functions that touch WAL state and publish it,
-//     the fsync must dominate the publication;
-//   - publishimmutable: no writes through a pointer after it is
-//     Stored into an atomic.Pointer snapshot.
-//
-// The last three are built on internal/lint/dataflow (def-use chains,
-// an escape lattice and AST-structural happens-before), so they track
-// values through assignments where the PR 6 analyzers only matched
-// AST shapes.
+//     or retained by alias.
 //
 // Plus two general-purpose passes (nilness, unusedwrite) so one binary
 // runs everything.
@@ -32,9 +20,6 @@
 //	//wcojlint:locked <reason>     function runs with the lock held by its caller
 //	//wcojlint:guardedby <mutex>   struct field is guarded by the named mutex field
 //	//wcojlint:retains <reason>    function takes ownership of its tuple argument
-//	                               (or, on a line, sanctions one arena-loan escape)
-//	//wcojlint:nosync <reason>     publish is intentionally not preceded by a WAL sync
-//	//wcojlint:mutates <reason>    sanctioned write through an already-published pointer
 package lint
 
 import (
@@ -51,9 +36,6 @@ func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		SnapshotOnce,
 		ValueIdent,
-		ArenaEscape,
-		FsyncOrder,
-		PublishImmutable,
 		Nilness,
 		UnusedWrite,
 	}
@@ -61,7 +43,7 @@ func Suite() []*analysis.Analyzer {
 
 // directive is one parsed machine-readable comment.
 type directive struct {
-	kind string // locked | guardedby | retains | nosync | mutates
+	kind string // locked | guardedby | retains
 	arg  string // reason or mutex field name
 	pos  token.Pos
 	col  int // start column: distinguishes own-line from trailing comments
@@ -88,7 +70,7 @@ func parseDirectives(pass *analysis.Pass) directiveIndex {
 				}
 				kind, arg, _ := strings.Cut(rest, " ")
 				switch kind {
-				case "locked", "guardedby", "retains", "nosync", "mutates":
+				case "locked", "guardedby", "retains":
 				default:
 					continue // staticcheck's own //lint: directives etc.
 				}

@@ -20,9 +20,6 @@ func TestAnalyzers(t *testing.T) {
 	}{
 		{"snapshotonce", lint.SnapshotOnce},
 		{"valueident", lint.ValueIdent},
-		{"arenaescape", lint.ArenaEscape},
-		{"fsyncorder", lint.FsyncOrder},
-		{"publishimmutable", lint.PublishImmutable},
 		{"nilness", lint.Nilness},
 		{"unusedwrite", lint.UnusedWrite},
 	}
@@ -35,14 +32,12 @@ func TestAnalyzers(t *testing.T) {
 	}
 }
 
-// TestSuite pins the suite composition: the shape-based project
-// analyzers first, then the dataflow-powered ones, then the general
-// correctness passes. CI runs Suite(), so an analyzer dropped from it
+// TestSuite pins the suite composition: the project analyzers first,
+// then the general correctness passes. CI runs Suite(), so an analyzer dropped from it
 // would silently stop gating.
 func TestSuite(t *testing.T) {
 	want := []string{
 		"snapshotonce", "valueident",
-		"arenaescape", "fsyncorder", "publishimmutable",
 		"nilness", "unusedwrite",
 	}
 	suite := lint.Suite()

@@ -40,6 +40,10 @@ const (
 	CostBased
 	// Explicit uses Options.Explicit verbatim (after validation).
 	Explicit
+	// Constraints plans like Explicit, over the order that degree
+	// constraints made compatible (Algorithm 3's order), so that the
+	// record names where the order came from.
+	Constraints
 )
 
 func (p Policy) String() string {
@@ -50,6 +54,8 @@ func (p Policy) String() string {
 		return "cost-based"
 	case Explicit:
 		return "explicit"
+	case Constraints:
+		return "constraints"
 	}
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
@@ -136,9 +142,9 @@ func Choose(q *core.Query, opt Options) (*Explanation, error) {
 			return nil, err
 		}
 		return explainSingle(c, opt.Policy, sinkFor(q, h.DegreeOrder(), opt.Agg), q, opt.Agg)
-	case Explicit:
+	case Explicit, Constraints:
 		if len(opt.Explicit) == 0 {
-			return nil, fmt.Errorf("planner: explicit policy requires an order")
+			return nil, fmt.Errorf("planner: %v policy requires an order", opt.Policy)
 		}
 		if err := core.CheckOrder(q, opt.Explicit); err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package relation_test
 
 import (
+	"sync"
 	"testing"
 
 	"wcoj/internal/core"
@@ -51,5 +52,47 @@ func TestForPlannerMeasuresOnce(t *testing.T) {
 	}
 	if hits != 3 || relation.DegreeMemoLen(g) != 5 {
 		t.Fatalf("%d atoms read the memo (want 3); G holds %d statistics (want 5)", hits, relation.DegreeMemoLen(g))
+	}
+}
+
+// TestMemoIndexConcurrentReaders: readers scan the published index
+// list while first builders publish new entries, for both column
+// orders of one relation. Every caller of one order gets the one index
+// built for it, and, under -race, a write to a published list after
+// its Store is reported here.
+func TestMemoIndexConcurrentReaders(t *testing.T) {
+	g := dataset.RandomGraph(30, 100, 2)
+	perms := [][]int{{0, 1}, {1, 0}}
+	got := make([][]any, len(perms))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				k := (w + i) % len(perms)
+				ix, _, err := g.MemoIndex(perms[k], func() (any, error) { return new(int), nil })
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if again, ok := g.Index(perms[k]); !ok || again != ix {
+					t.Errorf("perm %v: Index returned %v after MemoIndex returned %v", perms[k], again, ix)
+					return
+				}
+				mu.Lock()
+				got[k] = append(got[k], ix)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	for k, ixs := range got {
+		for _, ix := range ixs {
+			if ix != ixs[0] {
+				t.Fatalf("perm %v: two indexes were published", perms[k])
+			}
+		}
 	}
 }

@@ -132,8 +132,6 @@ func mixedWidth(ranges []LevelRange) bool {
 // widenRanges converts every narrowed range to a wide copy — the
 // correctness-first slow path for mixed-width intersections. Already
 // wide ranges pass through with their arena-loaned Keys intact.
-//
-//wcojlint:retains passthrough loans are consumed by the same intersection call, under one snapshot
 func widenRanges(ranges []LevelRange) []LevelRange {
 	out := make([]LevelRange, len(ranges))
 	for i, r := range ranges {
@@ -152,16 +150,12 @@ func widenRanges(ranges []LevelRange) []LevelRange {
 
 // span32 wraps a narrowed range as an intersection cursor, carrying
 // its rank array if it has one.
-//
-//wcojlint:retains spans are cursors consumed within the same intersection call, under one snapshot
 func span32(r *LevelRange, id int) span[uint32] {
 	return span[uint32]{keys: r.Keys32, rank: r.rank, lo: r.Lo, hi: r.Hi, id: id}
 }
 
 // span64 wraps a wide range as an intersection cursor; wide ranges are
 // never ranked.
-//
-//wcojlint:retains spans are cursors consumed within the same intersection call, under one snapshot
 func span64(r *LevelRange, id int) span[relation.Value] {
 	return span[relation.Value]{keys: r.Keys, lo: r.Lo, hi: r.Hi, id: id}
 }

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -41,6 +42,12 @@ type Snapshot struct {
 	Dict []string
 	// Rels are the registered relations (any iteration order).
 	Rels []SnapRel
+	// Records start the log of the generation this snapshot begins:
+	// Rotate writes and syncs them before the snapshot is renamed in,
+	// so they are never missing from a recovered generation. They are
+	// not part of the snapshot file; recovery returns them as the log's
+	// first records.
+	Records []*Record
 }
 
 func appendSnapshot(dst []byte, s *Snapshot) []byte {
@@ -97,8 +104,11 @@ func decodeSnapshot(p []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// writeSnapshot writes s to path via temp file + fsync + atomic rename.
-func writeSnapshot(path string, s *Snapshot) error {
+// writeSnapshot writes s to path via temp file + fsync + atomic
+// rename, then syncs the directory. committed reports whether the
+// rename happened, after which path holds the snapshot even if the
+// directory sync failed.
+func writeSnapshot(fsys FS, path string, s *Snapshot) (committed bool, err error) {
 	payload := appendSnapshot(nil, s)
 	buf := make([]byte, 0, len(snapMagic)+12+len(payload))
 	buf = append(buf, snapMagic...)
@@ -108,26 +118,29 @@ func writeSnapshot(path string, s *Snapshot) error {
 	buf = append(buf, hdr[:]...)
 	buf = append(buf, payload...)
 
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, true)
 	if err != nil {
-		return err
+		return false, err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return err
+	defer os.Remove(tmp) // no-op after a successful rename
+	n, err := f.WriteAt(buf, 0)
+	if err == nil && n < len(buf) {
+		err = io.ErrShortWrite
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
+	if err != nil {
+		return false, err
 	}
-	return syncDir(filepath.Dir(path))
+	if err := fsys.Rename(tmp, path); err != nil {
+		return false, err
+	}
+	return true, fsys.SyncDir(filepath.Dir(path))
 }
 
 // readSnapshot reads and verifies the snapshot at path. Any

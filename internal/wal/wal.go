@@ -9,11 +9,15 @@
 //	wal-<seq>.log    record log (see record.go for the frame format)
 //	snap-<seq>.snap  full-state snapshot the log's records follow
 //
-// Generation 0 has no snapshot (an empty engine). Rotate writes
-// snap-(s+1) via temp file + atomic rename, then starts wal-(s+1) and
-// prunes generation s; a crash between those steps leaves either the
-// old generation intact or the new snapshot with an empty (or absent)
-// log — both recover exactly.
+// Generation 0 has no snapshot (an empty engine). Rotate writes and
+// syncs wal-(s+1), then writes snap-(s+1) via temp file + atomic
+// rename, and only then switches to it and prunes generation s; a
+// crash before the rename leaves generation s the recovery source (the
+// orphaned wal-(s+1) is ignored, and overwritten by the next Rotate),
+// and one after it leaves generation s+1 complete.
+//
+// All writes go through an FS (fs.go): the OS in production, a
+// fault-injecting one in tests.
 //
 // Recovery scans the newest valid snapshot, then replays its log.
 // A torn tail — a final frame with missing bytes, or whose checksum
@@ -28,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,21 +40,26 @@ import (
 
 var logMagic = []byte("WCOJWAL1")
 
+var errClosed = errors.New("wal: log is closed")
+
 // Log is an open write-ahead log positioned at the tail of the current
 // generation's segment. Methods are not safe for concurrent use; the
 // DB serializes writers (they already hold its write mutex).
+//
+// A write that fails leaves nothing behind: Append and Sync put the
+// segment back to the end of its last synced frame, so a torn or
+// unacknowledged frame never sits in front of the next acknowledged
+// one (recovery would reject that log as corrupt). If the rollback
+// itself fails, the Log is poisoned and every later write returns the
+// error; reopening the directory recovers the last synced state.
 type Log struct {
-	dir string
-	seq uint64
-	f   *os.File
-	off int64
-
-	// crashAt/crashFn simulate kill -9 at an exact byte offset: an
-	// Append that would carry the log past crashAt writes only up to it
-	// and invokes crashFn (the crash-recovery harness re-execs a child
-	// that installs os.Exit here). Production opens never set them.
-	crashAt int64
-	crashFn func()
+	fs   FS
+	dir  string
+	seq  uint64
+	f    File
+	off  int64 // where the next frame goes
+	good int64 // end of the last synced frame: where a failed write rolls back to
+	err  error // sticky: set when a rollback failed
 }
 
 // Open recovers the newest consistent state under dir (creating the
@@ -57,6 +67,14 @@ type Log struct {
 // log positioned for appends, the snapshot recovery starts from (nil
 // for generation 0), and the decoded records to replay on top of it.
 func Open(dir string) (*Log, *Snapshot, []*Record, error) {
+	return OpenFS(dir, nil)
+}
+
+// OpenFS is Open with the log writing through fsys; nil means the OS.
+func OpenFS(dir string, fsys FS) (*Log, *Snapshot, []*Record, error) {
+	if fsys == nil {
+		fsys = osFS{}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, err
 	}
@@ -96,7 +114,7 @@ func Open(dir string) (*Log, *Snapshot, []*Record, error) {
 		return nil, nil, nil, err
 	}
 
-	l := &Log{dir: dir, seq: seq}
+	l := &Log{fs: fsys, dir: dir, seq: seq}
 	if err := l.openSegment(tail); err != nil {
 		return nil, nil, nil, err
 	}
@@ -107,8 +125,7 @@ func Open(dir string) (*Log, *Snapshot, []*Record, error) {
 // openSegment opens (or creates) the current generation's log file and
 // positions the writer at validTail — truncating anything torn past it.
 func (l *Log) openSegment(validTail int64) error {
-	path := logPath(l.dir, l.seq)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := l.fs.OpenFile(logPath(l.dir, l.seq), false)
 	if err != nil {
 		return err
 	}
@@ -123,84 +140,133 @@ func (l *Log) openSegment(validTail int64) error {
 		f.Close()
 		return err
 	}
-	if _, err := f.Seek(validTail, 0); err != nil {
-		f.Close()
-		return err
+	l.f, l.off, l.good = f, validTail, validTail
+	return nil
+}
+
+// usable returns why the log cannot take writes, or nil.
+func (l *Log) usable() error {
+	if l.err != nil {
+		return l.err
 	}
-	l.f, l.off = f, validTail
+	if l.f == nil {
+		return errClosed
+	}
 	return nil
 }
 
 // Append encodes rec as one frame and writes it at the tail. The bytes
 // reach the OS before Append returns; call Sync to force them to
-// stable storage (the DB syncs once per applied batch).
+// stable storage (the DB syncs once per applied batch). A failed
+// Append drops every frame since the last Sync.
 func (l *Log) Append(rec *Record) error {
-	if l.f == nil {
-		return fmt.Errorf("wal: log is closed")
-	}
-	frame := appendFrame(nil, rec)
-	if l.crashFn != nil && l.off+int64(len(frame)) > l.crashAt {
-		// Simulated kill -9: write the torn prefix, make it visible the
-		// way a real crash would, and die.
-		k := l.crashAt - l.off
-		if k < 0 {
-			k = 0
-		}
-		if k > int64(len(frame)) {
-			k = int64(len(frame))
-		}
-		l.f.Write(frame[:k])
-		l.f.Sync()
-		l.crashFn()
-		return fmt.Errorf("wal: crash point reached")
-	}
-	n, err := l.f.Write(frame)
-	l.off += int64(n)
-	if err != nil {
+	if err := l.usable(); err != nil {
 		return err
 	}
+	frame := appendFrame(nil, rec)
+	n, err := l.f.WriteAt(frame, l.off)
+	if err == nil && n < len(frame) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		return l.rollback(err)
+	}
+	l.off += int64(n)
 	return nil
 }
 
-// Sync forces appended records to stable storage.
+// Sync forces appended records to stable storage. A failed Sync drops
+// every frame since the last successful one: none of them is durable,
+// so none may be acknowledged.
 func (l *Log) Sync() error {
-	if l.f == nil {
-		return fmt.Errorf("wal: log is closed")
+	if err := l.usable(); err != nil {
+		return err
 	}
-	return l.f.Sync()
+	if err := l.f.Sync(); err != nil {
+		return l.rollback(err)
+	}
+	l.good = l.off
+	return nil
+}
+
+// rollback truncates the segment to the end of its last synced frame
+// after a failed write and returns cause; if the truncate fails too,
+// it poisons the log.
+func (l *Log) rollback(cause error) error {
+	if err := l.f.Truncate(l.good); err != nil {
+		l.err = fmt.Errorf("wal: log unusable: rolling back after %v: %w", cause, err)
+		return l.err
+	}
+	l.off = l.good
+	return cause
 }
 
 // Size returns the current byte offset of the tail (the header counts).
 func (l *Log) Size() int64 { return l.off }
 
-// SetCrashPoint arranges for fn to run — after writing only the bytes
-// up to offset off — on the first Append that would carry the log past
-// off. It simulates a process killed mid-write at an exact byte
-// offset; the crash-recovery harness is its only intended caller.
-func (l *Log) SetCrashPoint(off int64, fn func()) {
-	l.crashAt, l.crashFn = off, fn
-}
-
-// Rotate writes snap as the next generation's snapshot (temp file +
-// atomic rename), switches appends to that generation's fresh log, and
-// prunes the previous generation. On error the current generation
-// remains the recovery source.
+// Rotate starts the next generation: its log, holding snap.Records and
+// synced, then snap itself, written to a temporary file and renamed
+// into place, which is the commit point. Only then does the log switch
+// to the new generation and prune the previous one. On an error before
+// the rename the current generation stays the recovery source and
+// takes further appends; on an error after it (the directory sync) the
+// log cannot tell which generation a crash would recover, so it is
+// poisoned.
 func (l *Log) Rotate(snap *Snapshot) error {
-	if l.f == nil {
-		return fmt.Errorf("wal: log is closed")
+	if err := l.usable(); err != nil {
+		return err
 	}
 	next := l.seq + 1
-	if err := writeSnapshot(snapPath(l.dir, next), snap); err != nil {
+	f, off, err := l.newSegment(next, snap.Records)
+	if err != nil {
 		return err
 	}
-	old := l.f
-	l.seq = next
-	if err := l.openSegment(0); err != nil {
+	committed, err := writeSnapshot(l.fs, snapPath(l.dir, next), snap)
+	if err != nil {
+		f.Close()
+		if committed {
+			l.err = fmt.Errorf("wal: log unusable: generation %d renamed in but not synced: %w", next, err)
+			return l.err
+		}
+		os.Remove(logPath(l.dir, next))
 		return err
 	}
-	old.Close()
+	l.f.Close()
+	l.seq, l.f, l.off, l.good = next, f, off, off
 	l.prune(next)
-	return syncDir(l.dir)
+	return nil
+}
+
+// newSegment creates generation seq's log holding recs, syncs it, and
+// syncs the directory so that the file outlives an OS crash before the
+// snapshot that needs it is renamed in. It returns the open file and
+// its tail.
+func (l *Log) newSegment(seq uint64, recs []*Record) (File, int64, error) {
+	buf := append([]byte(nil), logMagic...)
+	for _, rec := range recs {
+		buf = appendFrame(buf, rec)
+	}
+	path := logPath(l.dir, seq)
+	f, err := l.fs.OpenFile(path, true)
+	if err != nil {
+		return nil, 0, err
+	}
+	n, err := f.WriteAt(buf, 0)
+	if err == nil && n < len(buf) {
+		err = io.ErrShortWrite
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = l.fs.SyncDir(l.dir)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, 0, err
+	}
+	return f, int64(len(buf)), nil
 }
 
 // Close flushes and closes the log. Further appends fail.
@@ -344,16 +410,4 @@ func scanDir(dir string) (snaps, logs []uint64, err error) {
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })
 	sort.Slice(logs, func(i, j int) bool { return logs[i] < logs[j] })
 	return snaps, logs, nil
-}
-
-// syncDir fsyncs the directory so renames and creates survive an OS
-// crash (best-effort: some filesystems reject directory fsync).
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	d.Sync()
-	return nil
 }

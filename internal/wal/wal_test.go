@@ -282,44 +282,11 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 	}
 }
 
-// TestCrashPoint drives the kill-at-offset hook: an append that hits
-// the crash point writes only the torn prefix, and recovery truncates
-// it away.
-func TestCrashPoint(t *testing.T) {
-	recs := testRecords(t)
-	for _, extra := range []int64{0, 1, 5} {
-		dir := t.TempDir()
-		l, _, _, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Append(recs[0]); err != nil {
-			t.Fatal(err)
-		}
-		crashed := false
-		l.SetCrashPoint(l.Size()+extra, func() { crashed = true })
-		if err := l.Append(recs[1]); err == nil {
-			t.Fatal("append past the crash point succeeded")
-		}
-		if !crashed {
-			t.Fatal("crash fn not invoked")
-		}
-		l.f.Close() // simulate process death without Log.Close bookkeeping
-
-		l2, _, got, err := Open(dir)
-		if err != nil {
-			t.Fatalf("extra %d: %v", extra, err)
-		}
-		sameRecords(t, got, recs[:1])
-		l2.Close()
-	}
-}
-
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.snap")
 	s := &Snapshot{Epoch: 42, Dict: []string{"x"}, Rels: []SnapRel{{Epoch: 2, Rel: testRel(t, "R", []int64{1, 1})}}}
-	if err := writeSnapshot(path, s); err != nil {
+	if _, err := writeSnapshot(osFS{}, path, s); err != nil {
 		t.Fatal(err)
 	}
 	got, err := readSnapshot(path)

@@ -189,6 +189,11 @@ func TestExplainMatchesPreparedOrder(t *testing.T) {
 			for _, order := range [][]string{nil, {"C", "B", "A"}} {
 				o := Options{Algorithm: algo, Planner: pl, Order: order, Constraints: dc}
 				name := fmt.Sprintf("%v/%v/order=%v", algo, pl, order)
+				// Backtracking's record names where its order came from.
+				btPolicy := "explicit"
+				if order == nil {
+					btPolicy = "constraints"
+				}
 				e, eerr := Explain(q, o)
 				var ran []string
 				pq, perr := db.Prepare(src, o)
@@ -202,6 +207,8 @@ func TestExplainMatchesPreparedOrder(t *testing.T) {
 					t.Errorf("%s: Explain error %v, prepared query error %v", name, eerr, perr)
 				case eerr == nil && !slices.Equal(e.Order, ran):
 					t.Errorf("%s: Explain order %v, prepared query runs %v", name, e.Order, ran)
+				case eerr == nil && algo == AlgoBacktracking && e.Policy.String() != btPolicy:
+					t.Errorf("%s: Explain policy %v, want %s", name, e.Policy, btPolicy)
 				case eerr == nil && order == nil && pl == PlannerAuto:
 					orders[algo] = ran
 				}

@@ -2,9 +2,11 @@ package wcoj
 
 // Crash-recovery property test. The test binary re-execs itself as a
 // child (TestMain diverts on WCOJ_CRASH_CHILD) that opens the durable
-// directory, arms the WAL's crash point at a random byte offset past
-// the current tail, and applies a deterministic stream of batches
-// until the simulated kill -9 fires mid-append. The parent then
+// directory through a fault file (internal/wal/walfault) armed to kill
+// the process once a random number of further bytes has been written,
+// and applies a deterministic stream of batches until the simulated
+// kill -9 fires mid-write: in a log append, or in the new log or the
+// snapshot of a compaction's rotation. The parent then
 // recovers the directory and checks the two properties durability
 // promises:
 //
@@ -31,6 +33,7 @@ import (
 	"testing"
 
 	"wcoj/internal/dataset"
+	"wcoj/internal/wal/walfault"
 )
 
 const (
@@ -78,7 +81,7 @@ func crashBatch(seed int64, i int) *Batch {
 }
 
 // crashChild runs in the re-exec'd process: recover, arm the crash
-// point, apply batches from where the stream left off, and print an
+// budget, apply batches from where the stream left off, and print an
 // ack per applied batch so the parent knows what durability promised.
 func crashChild() {
 	fail := func(err error) {
@@ -88,11 +91,12 @@ func crashChild() {
 	seed, _ := strconv.ParseInt(os.Getenv(crashSeedEnv), 10, 64)
 	extra, _ := strconv.ParseInt(os.Getenv(crashExtraEnv), 10, 64)
 	max, _ := strconv.Atoi(os.Getenv(crashMaxEnv))
-	db, err := OpenDir(os.Getenv(crashDirEnv))
+	fs := &walfault.FS{}
+	db, err := openDir(os.Getenv(crashDirEnv), fs)
 	if err != nil {
 		fail(err)
 	}
-	db.wal.SetCrashPoint(db.wal.Size()+extra, func() { os.Exit(137) })
+	fs.Crash(extra, func() { os.Exit(137) })
 	start := int(db.Stats().Epoch)
 	for i := start; i < start+max; i++ {
 		us, err := db.Apply(crashBatch(seed, i))

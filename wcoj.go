@@ -562,7 +562,8 @@ func Explain(q *Query, opts Options) (*PlanExplanation, error) {
 
 // explain is the planning record of the order the executor's plan for
 // spec runs q under: the planner's own record of its policy, or for
-// AlgoBacktracking the record of the order orderPolicyFor resolves.
+// AlgoBacktracking the record of the order orderPolicyFor resolves —
+// policy "constraints" unless Options.Order fixed it.
 func (o Options) explain(q *Query, spec *agg.Spec) (*PlanExplanation, error) {
 	popt, err := o.plannerOptions()
 	if err != nil {
@@ -578,6 +579,9 @@ func (o Options) explain(q *Query, spec *agg.Spec) (*PlanExplanation, error) {
 			return nil, err
 		}
 		popt = planner.Options{Policy: planner.Explicit, Explicit: order}
+		if o.Order == nil {
+			popt.Policy = planner.Constraints
+		}
 	}
 	popt.Agg = spec
 	return planner.Choose(q, popt)
