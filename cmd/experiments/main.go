@@ -246,11 +246,12 @@ func table2(scale int) error {
 		}
 		elapsed := time.Since(start)
 		// Naive comparator: the first intermediate |R ⋈ S| of the
-		// canonical left-deep plan, counted without materializing.
-		naive, err := relation.JoinSize(d.R, d.S)
+		// canonical left-deep plan.
+		rs, err := relation.Join(d.R, d.S)
 		if err != nil {
 			return err
 		}
+		naive := rs.Len()
 		fmt.Printf("%-8d %-10d %-12d %-14.0f %-14d %-10v\n",
 			n, out.Len(), est.Intermediate, st.RuntimeBound(), naive, elapsed.Round(time.Millisecond))
 	}

@@ -11,10 +11,10 @@
 //	     [-explain] [-count] [-exists] [-project A,C] \
 //	     [-out out.tsv] [-parallel N] [-repeat N]
 //
-// Relations whose path ends in .csv are loaded through the CSV reader
-// (quoted fields; strings interned through the DB dictionary);
-// everything else is integer TSV. For a many-query serving or batch
-// process, see cmd/wcojd.
+// Every -rel file loads through DB.LoadFile: a path ending in .csv is
+// comma-separated (quoted fields; strings interned through the DB
+// dictionary), anything else is tab-separated integers. For a
+// long-lived serving process, see cmd/wcojd.
 //
 // Each TSV file has an attribute header line followed by integer
 // tuples (see wcojgen to generate workloads). -planner selects how
@@ -25,7 +25,10 @@
 // (see wcoj.AlgoLeapfrog). -explain prints the planning record — chosen
 // order, per-level bounds, candidates considered, and (for -count /
 // -project) the bound/free-output/free-counted level classification —
-// and exits without running the join.
+// then the whole query's worst-case output bounds: the AGM bound with
+// its fractional edge cover, and the polymatroid and modular bounds
+// under the degree constraints measured on the data. It exits without
+// running the join; -count reports the actual output size.
 //
 // Aggregates run through the aggregate-aware search: -count uses the
 // Count pushdown (free-counted suffix levels are multiplied, not
@@ -38,12 +41,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"wcoj"
 	"wcoj/internal/relation"
+	"wcoj/internal/stats"
 )
 
 type relFlags []string
@@ -77,7 +82,7 @@ func main() {
 	flag.StringVar(&c.order, "order", "", "comma-separated variable order (optional)")
 	flag.StringVar(&c.planner, "planner", "auto", "variable-order planner: auto|cost-based")
 	flag.StringVar(&c.project, "project", "", "comma-separated variables to project onto (distinct tuples)")
-	flag.BoolVar(&c.explain, "explain", false, "print the plan explanation and exit without running the join")
+	flag.BoolVar(&c.explain, "explain", false, "print the plan explanation and the output-size bounds, and exit without running the join")
 	flag.BoolVar(&c.count, "count", false, "print only the output cardinality (aggregate-aware Count)")
 	flag.BoolVar(&c.exists, "exists", false, "print only whether the output is non-empty (first-witness short-circuit)")
 	flag.StringVar(&c.outPath, "out", "", "write the result as TSV to this file")
@@ -85,13 +90,13 @@ func main() {
 	flag.IntVar(&c.repeat, "repeat", 1, "execute the prepared query N times (plan and indexes are built once)")
 	flag.Var(&c.rels, "rel", "NAME=path.tsv|.csv (repeatable)")
 	flag.Parse()
-	if err := run(c); err != nil {
+	if err := run(os.Stdout, c); err != nil {
 		fmt.Fprintln(os.Stderr, "wcoj:", err)
 		os.Exit(1)
 	}
 }
 
-func run(c config) error {
+func run(w io.Writer, c config) error {
 	if c.query == "" {
 		return fmt.Errorf("missing -query")
 	}
@@ -133,8 +138,8 @@ func run(c config) error {
 		if (c.count || c.exists) && e.Count != nil {
 			e = e.Count // the aggregate plan is what count/exists runs
 		}
-		fmt.Print(e)
-		return nil
+		fmt.Fprint(w, e)
+		return printBounds(w, q)
 	}
 
 	prepStart := time.Now()
@@ -157,8 +162,8 @@ func run(c config) error {
 				return err
 			}
 		}
-		fmt.Printf("exists=%v algo=%v elapsed=%v recursions=%d\n", found, algo, perCall(start, c.repeat), stats.Recursions)
-		reportRepeat(pq, prepElapsed, c.repeat)
+		fmt.Fprintf(w, "exists=%v algo=%v elapsed=%v recursions=%d\n", found, algo, perCall(start, c.repeat), stats.Recursions)
+		reportRepeat(w, pq, prepElapsed, c.repeat)
 		return nil
 	}
 	if c.count {
@@ -169,9 +174,9 @@ func run(c config) error {
 				return err
 			}
 		}
-		fmt.Printf("count=%d algo=%v elapsed=%v recursions=%d multiplies=%d memohits=%d\n",
+		fmt.Fprintf(w, "count=%d algo=%v elapsed=%v recursions=%d multiplies=%d memohits=%d\n",
 			n, algo, perCall(start, c.repeat), stats.Recursions, stats.AggMultiplies, stats.AggMemoHits)
-		reportRepeat(pq, prepElapsed, c.repeat)
+		reportRepeat(w, pq, prepElapsed, c.repeat)
 		return nil
 	}
 	var out *wcoj.Relation
@@ -182,8 +187,8 @@ func run(c config) error {
 		}
 	}
 	elapsed := perCall(start, c.repeat)
-	reportRepeat(pq, prepElapsed, c.repeat)
-	fmt.Printf("rows=%d algo=%v elapsed=%v intermediate=%d\n", out.Len(), algo, elapsed, stats.Intermediate)
+	reportRepeat(w, pq, prepElapsed, c.repeat)
+	fmt.Fprintf(w, "rows=%d algo=%v elapsed=%v intermediate=%d\n", out.Len(), algo, elapsed, stats.Intermediate)
 	if c.outPath != "" {
 		f, err := os.Create(c.outPath)
 		if err != nil {
@@ -197,7 +202,7 @@ func run(c config) error {
 	if limit > 20 {
 		limit = 20
 	}
-	fmt.Println(strings.Join(out.Attrs(), "\t"))
+	fmt.Fprintln(w, strings.Join(out.Attrs(), "\t"))
 	var row wcoj.Tuple
 	for i := 0; i < limit; i++ {
 		row = out.Tuple(i, row)
@@ -205,10 +210,10 @@ func run(c config) error {
 		for j, v := range row {
 			parts[j] = fmt.Sprint(int64(v))
 		}
-		fmt.Println(strings.Join(parts, "\t"))
+		fmt.Fprintln(w, strings.Join(parts, "\t"))
 	}
 	if out.Len() > limit {
-		fmt.Printf("... (%d more rows; use -out to save)\n", out.Len()-limit)
+		fmt.Fprintf(w, "... (%d more rows; use -out to save)\n", out.Len()-limit)
 	}
 	return nil
 }
@@ -235,11 +240,47 @@ func perCall(start time.Time, repeat int) time.Duration {
 }
 
 // reportRepeat prints the plan-reuse summary for -repeat runs.
-func reportRepeat(pq *wcoj.PreparedQuery, prep time.Duration, repeat int) {
+func reportRepeat(w io.Writer, pq *wcoj.PreparedQuery, prep time.Duration, repeat int) {
 	if repeat <= 1 {
 		return
 	}
 	st := pq.Stats()
-	fmt.Printf("prepared once in %v; %d calls, %v total execution, %v/call\n",
+	fmt.Fprintf(w, "prepared once in %v; %d calls, %v total execution, %v/call\n",
 		prep, st.Calls, st.Duration, st.Duration/time.Duration(st.Calls))
+}
+
+// printBounds prints q's worst-case output-size bounds: AGM from the
+// relation cardinalities, with its optimal fractional edge cover, and
+// the polymatroid and modular bounds under the degree constraints
+// measured on the data (stats.AllDegrees).
+func printBounds(w io.Writer, q *wcoj.Query) error {
+	agm, err := wcoj.AGMBound(q)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "AGM bound:         %.1f tuples (2^%.3f), rho* = %.3f\n", agm.Bound, agm.LogBound, agm.Rho)
+	for i, a := range q.Atoms {
+		fmt.Fprintf(w, "  cover delta[%s] = %.3f\n", a.Name, agm.Cover[i])
+	}
+	dc, err := stats.AllDegrees(q, 3)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "constraints:       %d measured degree constraints\n", len(dc))
+	poly, err := wcoj.PolymatroidBound(q, dc)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "polymatroid bound: %.1f tuples (2^%.3f)\n", poly.Bound, poly.LogBound)
+	if !dc.IsAcyclic() {
+		fmt.Fprintln(w, "modular bound:     skipped (constraints are cyclic; Prop 4.4 does not apply)")
+		return nil
+	}
+	mod, err := wcoj.ModularBound(q, dc)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "modular bound:     %.1f tuples (2^%.3f) [acyclic DC: equals polymatroid by Prop 4.4]\n",
+		mod.Bound, mod.LogBound)
+	return nil
 }

@@ -40,11 +40,28 @@ func startSpareP() bool {
 // read-only workloads, whose live heap is smallest.
 const gcFloorBytes = 16 << 20
 
-// gcPercent returns the GC percent whose goal, live·(1 + percent/100),
-// is max(2·live, gcFloorBytes).
+// runtimeHeapMin is the runtime's smallest heap goal at GC percent
+// 100. The runtime scales it by the percent, so at a percent above
+// gcFloorBytes/runtimeHeapMin·100 it alone sets a goal past the floor.
+const runtimeHeapMin = 4 << 20
+
+// floorPercent is the GC percent at which the runtime's minimum goal,
+// runtimeHeapMin·percent/100, is the floor.
+const floorPercent = gcFloorBytes * 100 / runtimeHeapMin
+
+// gcPercent returns the GC percent whose goal is max(2·live,
+// gcFloorBytes). The runtime's goal is the larger of live·(1 +
+// percent/100) and runtimeHeapMin·percent/100, so up to a live heap of
+// a fifth of the floor (and before the first cycle, live 0) the
+// percent stays at floorPercent and the second term holds the goal at
+// the floor. Starting there matters: at percent 100 the first cycle
+// runs at 4 MiB, in the middle of loading the data.
 func gcPercent(live uint64) int {
-	if live == 0 || 2*live >= gcFloorBytes {
+	switch {
+	case 2*live >= gcFloorBytes:
 		return 100
+	case live*(100+floorPercent) <= gcFloorBytes*100:
+		return floorPercent
 	}
 	return int((gcFloorBytes - live) * 100 / live)
 }

@@ -22,16 +22,17 @@ func TestGCFloorPercent(t *testing.T) {
 		{4 << 20, 300}, // goal 16 MiB: 4 MiB · (1 + 300/100)
 		{8 << 20, 100}, // 2·live reaches the floor
 		{64 << 20, 100},
-		{0, 100}, // no cycle has run yet
+		{1 << 20, 400}, // goal 16 MiB: the runtime's minimum, 4 MiB · 400/100
+		{256 << 10, 400},
+		{0, 400}, // no cycle has run yet: the first one runs at the floor
 	} {
-		if got := gcPercent(c.live); got != c.want {
-			t.Errorf("gcPercent(%d MiB) = %d, want %d", c.live>>20, got, c.want)
+		p := uint64(gcPercent(c.live))
+		if int(p) != c.want {
+			t.Errorf("gcPercent(%d KiB) = %d, want %d", c.live>>10, p, c.want)
 		}
-		if c.live != 0 {
-			goal := c.live * uint64(100+gcPercent(c.live)) / 100
-			if want := max(2*c.live, gcFloorBytes); goal != want {
-				t.Errorf("live %d MiB: goal %d, want %d", c.live>>20, goal, want)
-			}
+		goal := max(c.live*(100+p)/100, runtimeHeapMin*p/100)
+		if want := max(2*c.live, gcFloorBytes); goal != want {
+			t.Errorf("live %d KiB: goal %d, want %d", c.live>>10, goal, want)
 		}
 	}
 }

@@ -1,13 +1,7 @@
-// Command wcojd runs many queries against one long-lived wcoj.DB —
-// the serving shape: relations and indexes are loaded once, plans are
-// prepared once, and traffic re-executes them concurrently.
-//
-// Batch mode reads one query per line and drives the shared DB with a
-// configurable worker count:
-//
-//	wcojd -rel E=edges.tsv -queries queries.txt -repeat 100 -concurrency 8
-//
-// Serve mode exposes the DB over HTTP:
+// Command wcojd serves one long-lived wcoj.DB over HTTP: relations and
+// indexes are loaded once, plans are prepared once, and traffic
+// re-executes them concurrently. For one query from the shell, see
+// cmd/wcoj.
 //
 //	wcojd -rel E=edges.tsv -serve :8077
 //
@@ -36,7 +30,7 @@
 // registered maintained view at its pre-crash answer. -rel files then
 // only seed relations the directory does not already hold.
 //
-// Serve mode is production-hardened: requests are bounded by a
+// The server is production-hardened: requests are bounded by a
 // concurrency semaphore (-max-inflight, overflow answered 429), a body
 // cap (-max-body, 413), a deadline (-query-timeout, 504) and a search
 // node budget (-node-budget, 422); SIGTERM drains gracefully. See
@@ -52,7 +46,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -65,7 +58,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wcoj"
@@ -80,16 +72,10 @@ func (r *relFlags) Set(s string) error {
 }
 
 type config struct {
-	rels        relFlags
-	updates     relFlags
-	queriesPath string
-	serveAddr   string
-	dir         string
-	algo        string
-	planner     string
-	parallel    int
-	repeat      int
-	concurrency int
+	rels      relFlags
+	updates   relFlags
+	serveAddr string
+	dir       string
 
 	queryTimeout time.Duration
 	drainTimeout time.Duration
@@ -102,19 +88,13 @@ func main() {
 	var c config
 	flag.Var(&c.rels, "rel", "NAME=path.tsv|.csv (repeatable)")
 	flag.Var(&c.updates, "updates", "NAME=delta.tsv|.csv batch update file applied after load: '+,v1,v2' inserts, '-,v1,v2' deletes (repeatable)")
-	flag.StringVar(&c.queriesPath, "queries", "", "batch mode: file with one conjunctive query per line ('-' = stdin)")
-	flag.StringVar(&c.serveAddr, "serve", "", "serve mode: HTTP listen address, e.g. :8077")
+	flag.StringVar(&c.serveAddr, "serve", "", "HTTP listen address, e.g. :8077 (required)")
 	flag.StringVar(&c.dir, "dir", "", "durable mode: directory for the write-ahead log and snapshots (recovered on start)")
-	flag.StringVar(&c.algo, "algo", "generic-join", "join algorithm for batch queries: generic-join|backtracking")
-	flag.StringVar(&c.planner, "planner", "auto", "variable-order planner for batch queries: auto|cost-based")
-	flag.IntVar(&c.parallel, "parallel", 1, "per-query worker goroutines (batch mode defaults serial: concurrency supplies the parallelism)")
-	flag.IntVar(&c.repeat, "repeat", 1, "batch mode: times each query is executed")
-	flag.IntVar(&c.concurrency, "concurrency", 4, "batch mode: concurrent executor goroutines")
-	flag.DurationVar(&c.queryTimeout, "query-timeout", 30*time.Second, "serve mode: per-request deadline (expiry answers 504)")
-	flag.DurationVar(&c.drainTimeout, "drain-timeout", 10*time.Second, "serve mode: grace for in-flight requests on SIGTERM")
-	flag.Int64Var(&c.nodeBudget, "node-budget", 0, "serve mode: per-query search-node budget, 0 = unlimited (exhaustion answers 422)")
-	flag.IntVar(&c.maxInflight, "max-inflight", 64, "serve mode: concurrent data requests admitted (overflow answers 429)")
-	flag.Int64Var(&c.maxBody, "max-body", 1<<20, "serve mode: request body byte cap (overflow answers 413)")
+	flag.DurationVar(&c.queryTimeout, "query-timeout", 30*time.Second, "per-request deadline (expiry answers 504)")
+	flag.DurationVar(&c.drainTimeout, "drain-timeout", 10*time.Second, "grace for in-flight requests on SIGTERM")
+	flag.Int64Var(&c.nodeBudget, "node-budget", 0, "per-query search-node budget, 0 = unlimited (exhaustion answers 422)")
+	flag.IntVar(&c.maxInflight, "max-inflight", 64, "concurrent data requests admitted (overflow answers 429)")
+	flag.Int64Var(&c.maxBody, "max-body", 1<<20, "request body byte cap (overflow answers 413)")
 	flag.Parse()
 	startGCFloor()
 	startSpareP()
@@ -125,20 +105,12 @@ func main() {
 }
 
 func run(c config) error {
-	if (c.queriesPath == "") == (c.serveAddr == "") {
-		return fmt.Errorf("exactly one of -queries (batch) or -serve (HTTP) is required")
+	if c.serveAddr == "" {
+		return fmt.Errorf("missing -serve (the HTTP listen address)")
 	}
-	if c.serveAddr != "" {
-		// Serve mode loads in the background so liveness comes up
-		// immediately; see server.go.
-		return serve(c)
-	}
-	db, _, err := loadDB(c)
-	if err != nil {
-		return err
-	}
-	defer db.Close()
-	return batch(db, c)
+	// The DB loads in the background so liveness comes up immediately;
+	// see server.go.
+	return serve(c)
 }
 
 // loadDB builds the DB a run serves: a durable one recovered from -dir
@@ -223,104 +195,6 @@ func decodeJSON(r io.Reader, v any) error {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
-}
-
-// batch prepares every query, then re-executes the prepared set from
-// `concurrency` goroutines `repeat` times each, reporting per-query
-// answers and aggregate throughput.
-func batch(db *wcoj.DB, c config) error {
-	algo, err := wcoj.ParseAlgorithm(c.algo)
-	if err != nil {
-		return err
-	}
-	planner, err := wcoj.ParsePlanner(c.planner)
-	if err != nil {
-		return err
-	}
-	var in *os.File
-	if c.queriesPath == "-" {
-		in = os.Stdin
-	} else {
-		f, err := os.Open(c.queriesPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
-	}
-	opts := wcoj.Options{Algorithm: algo, Planner: planner, Parallelism: c.parallel}
-	var prepared []*wcoj.PreparedQuery
-	prepStart := time.Now()
-	sc := bufio.NewScanner(in)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		pq, err := db.Prepare(line, opts)
-		if err != nil {
-			return fmt.Errorf("prepare %q: %w", line, err)
-		}
-		prepared = append(prepared, pq)
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if len(prepared) == 0 {
-		return fmt.Errorf("no queries in %s", c.queriesPath)
-	}
-	fmt.Printf("prepared %d queries in %v\n", len(prepared), time.Since(prepStart))
-
-	if c.repeat < 1 {
-		c.repeat = 1
-	}
-	if c.concurrency < 1 {
-		c.concurrency = 1
-	}
-	type job struct{ pq *wcoj.PreparedQuery }
-	jobs := make(chan job)
-	var calls atomic.Int64
-	var errMu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	runStart := time.Now()
-	for w := 0; w < c.concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := context.Background()
-			for j := range jobs {
-				if _, _, err := j.pq.Count(ctx); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					continue
-				}
-				calls.Add(1)
-			}
-		}()
-	}
-	for i := 0; i < c.repeat; i++ {
-		for _, pq := range prepared {
-			jobs <- job{pq}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	elapsed := time.Since(runStart)
-	for _, pq := range prepared {
-		st := pq.Stats()
-		fmt.Printf("%-60s calls=%d tuples=%d avg=%v\n",
-			pq.Source(), st.Calls, st.Tuples/st.Calls, st.Duration/time.Duration(st.Calls))
-	}
-	fmt.Printf("%d calls in %v (%.0f queries/sec, concurrency %d)\n",
-		calls.Load(), elapsed, float64(calls.Load())/elapsed.Seconds(), c.concurrency)
-	return nil
 }
 
 // queryRequest is the POST /query body.

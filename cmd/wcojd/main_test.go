@@ -25,6 +25,16 @@ func testDB(t *testing.T) *wcoj.DB {
 	return db
 }
 
+// TestRunRequiresServe: wcojd only serves, so a command line without
+// -serve is an error, whatever else it sets.
+func TestRunRequiresServe(t *testing.T) {
+	for _, c := range []config{{}, {rels: relFlags{"E=edges.tsv"}, dir: t.TempDir()}} {
+		if err := run(c); err == nil || !strings.Contains(err.Error(), "-serve") {
+			t.Fatalf("run(%+v) = %v, want an error naming -serve", c, err)
+		}
+	}
+}
+
 func TestHandleUpdateThenQuery(t *testing.T) {
 	db := testDB(t)
 	// Insert the second half of a diamond; delete one original edge.

@@ -233,27 +233,16 @@ func (db *DB) LoadCSVFile(path, name string, opt CSVOptions) (*Relation, error) 
 }
 
 // LoadFile registers a relation from a file, dispatching on the
-// extension: .csv loads through the CSV reader with strings interned
-// via the DB dictionary; everything else loads as plain integer TSV
-// (the cmd/wcojgen format). Both commands (cmd/wcoj, cmd/wcojd) load
-// through here, so a given -rel flag means the same thing everywhere.
+// extension: .csv loads comma-separated with strings interned via the
+// DB dictionary; everything else loads as tab-separated integer data
+// with '#' comment lines (the cmd/wcojgen format), both through
+// ReadCSV. Both commands (cmd/wcoj, cmd/wcojd) load through here, so a
+// given -rel flag means the same thing everywhere.
 func (db *DB) LoadFile(path, name string) (*Relation, error) {
 	if strings.HasSuffix(path, ".csv") {
 		return db.LoadCSVFile(path, name, CSVOptions{Dict: db.Dict()})
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := relation.ReadTSV(f, name)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.Register(r); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return db.LoadCSVFile(path, name, CSVOptions{Comma: '\t'})
 }
 
 // Dict returns the engine's string dictionary (shared with LoadCSV

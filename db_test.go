@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -522,6 +524,47 @@ func TestDBLoadCSV(t *testing.T) {
 	row := out.Tuple(0, nil)
 	if db.Dict().String(row[0]) != "alice" {
 		t.Fatalf("decoded row = %v", row)
+	}
+}
+
+// writeFile writes src to name under a fresh temporary directory and
+// returns its path.
+func writeFile(t *testing.T, name, src string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadFileTSVCommentsAndBlanks: a path not ending in .csv loads as
+// tab-separated integers, skipping '#' comment lines and blank lines.
+func TestLoadFileTSVCommentsAndBlanks(t *testing.T) {
+	src := "# comment\nA\tB\n\n1\t2\n# more\n3\t4\n"
+	for _, name := range []string{"r.tsv", "r.txt"} {
+		r, err := NewDB().LoadFile(writeFile(t, name, src), "R")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.Len() != 2 || r.Attrs()[1] != "B" || !r.Contains(Tuple{3, 4}) {
+			t.Fatalf("%s parsed: %v %v", name, r, r.Tuples())
+		}
+	}
+}
+
+func TestLoadFileTSVErrors(t *testing.T) {
+	for _, c := range []struct{ what, src string }{
+		{"empty input", ""},
+		{"field count mismatch", "A\tB\n1\n"},
+		{"non-integer", "A\nx\n"},
+	} {
+		if _, err := NewDB().LoadFile(writeFile(t, "r.tsv", c.src), "R"); err == nil {
+			t.Fatalf("%s must fail", c.what)
+		}
+	}
+	if _, err := NewDB().LoadFile(filepath.Join(t.TempDir(), "missing.tsv"), "R"); err == nil {
+		t.Fatal("missing file must fail")
 	}
 }
 

@@ -65,14 +65,10 @@ func openDir(dir string, fsys wal.FS) (*DB, error) {
 				l.Close()
 				return nil, fmt.Errorf("wcoj: OpenDir %s: materialize %q at epoch %d, log says %d", dir, rec.MatID, got, rec.Epoch)
 			}
-			// The id floor counts every registration ever logged — views
-			// retired below must not have their ids reissued.
-			var seq uint64
-			if _, err := fmt.Sscanf(rec.MatID, "m%d", &seq); err == nil && seq+1 > matFloor {
-				matFloor = seq + 1
-			}
+			matFloor = raiseMatFloor(matFloor, rec.MatID)
 			mats = append(mats, rec)
 		case wal.KindUnmaterialize:
+			matFloor = raiseMatFloor(matFloor, rec.MatID)
 			for i, m := range mats {
 				if m.MatID == rec.MatID {
 					mats = append(mats[:i], mats[i+1:]...)
@@ -95,6 +91,17 @@ func openDir(dir string, fsys wal.FS) (*DB, error) {
 	db.wal = l
 	db.writeMu.Unlock()
 	return db, nil
+}
+
+// raiseMatFloor returns the view-id floor after a logged registration
+// or retirement of id: every id ever logged stays off the reissue
+// floor, whether its view is live or retired.
+func raiseMatFloor(floor uint64, id string) uint64 {
+	var seq uint64
+	if _, err := fmt.Sscanf(id, "m%d", &seq); err == nil && seq+1 > floor {
+		return seq + 1
+	}
+	return floor
 }
 
 // restoreSnapshot installs a snapshot's relations, dictionary and
@@ -344,9 +351,18 @@ func (db *DB) walSnapshotLocked() error {
 		rels = append(rels, wal.SnapRel{Epoch: v.Epoch, Rel: v.Effective()})
 	}
 	views := db.MaterializedViews()
-	recs := make([]*wal.Record, 0, len(views))
+	recs := make([]*wal.Record, 0, len(views)+1)
 	for _, mq := range views {
 		recs = append(recs, db.materializeRecord(mq))
+	}
+	// The highest id ever issued keeps the reissue floor (see
+	// raiseMatFloor) even when its view is retired: the fresh log
+	// records its retirement.
+	if db.matSeq > 0 {
+		last := fmt.Sprintf("m%d", db.matSeq-1)
+		if _, live := db.Materialized(last); !live {
+			recs = append(recs, &wal.Record{Kind: wal.KindUnmaterialize, Epoch: epoch, MatID: last})
+		}
 	}
 	if err := db.wal.Rotate(&wal.Snapshot{Epoch: epoch, Dict: dict, Rels: rels, Records: recs}); err != nil {
 		return err

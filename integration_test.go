@@ -23,14 +23,14 @@ import (
 func TestIntegrationPipeline(t *testing.T) {
 	tri := dataset.TriangleSkew(400)
 
-	// TSV round trip (what cmd/wcoj and cmd/wcojgen do).
+	// TSV round trip (what cmd/wcojgen writes and cmd/wcoj loads).
 	db := NewDatabase()
 	for _, r := range []*Relation{tri.R, tri.S, tri.T} {
 		var buf bytes.Buffer
 		if err := relation.WriteTSV(&buf, r); err != nil {
 			t.Fatal(err)
 		}
-		back, err := relation.ReadTSV(&buf, r.Name())
+		back, err := NewDB().LoadFile(writeFile(t, r.Name()+".tsv", buf.String()), r.Name())
 		if err != nil {
 			t.Fatal(err)
 		}

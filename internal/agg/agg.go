@@ -384,9 +384,6 @@ func (m *Memo) Enabled() bool {
 	return true
 }
 
-// Hits returns the number of successful probes.
-func (m *Memo) Hits() uint64 { return m.hits }
-
 // Key builds the lookup key for depth d from the active atoms' row
 // ranges, given as (lo, hi) pairs. The returned slice is reused by the
 // next Key call; Get/Put must be called before then.

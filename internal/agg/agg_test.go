@@ -185,8 +185,8 @@ func TestMemoRoundTrip(t *testing.T) {
 	if _, ok := m.Get(k3); ok {
 		t.Fatal("depth is not part of the key")
 	}
-	if m.Hits() != 1 {
-		t.Fatalf("Hits = %d, want 1", m.Hits())
+	if m.hits != 1 {
+		t.Fatalf("hits = %d, want 1", m.hits)
 	}
 }
 

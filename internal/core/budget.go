@@ -43,11 +43,6 @@ func (b *NodeBudget) Spend(n int64) bool {
 	return b == nil || b.left.Add(-n) >= 0
 }
 
-// Exceeded reports whether the budget has been exhausted.
-func (b *NodeBudget) Exceeded() bool {
-	return b != nil && b.left.Load() < 0
-}
-
 type budgetKey struct{}
 
 // WithNodeBudget returns a context carrying a fresh budget of n search

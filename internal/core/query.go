@@ -121,20 +121,6 @@ func (q *Query) MaxRelationSize() int {
 	return best
 }
 
-// AtomsWith returns the indexes of atoms containing variable v.
-func (q *Query) AtomsWith(v string) []int {
-	var out []int
-	for i, a := range q.Atoms {
-		for _, av := range a.Vars {
-			if av == v {
-				out = append(out, i)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // OutputName returns a display name for the query result.
 func (q *Query) OutputName() string { return "Q" }
 

@@ -10,8 +10,8 @@ import (
 
 // CSVOptions configure ReadCSV.
 type CSVOptions struct {
-	// Comma is the field delimiter; 0 means ',' (pass '\t' for
-	// quoted-TSV input — plain integer TSV is also what ReadTSV reads).
+	// Comma is the field delimiter; 0 means ',' (pass '\t' for TSV,
+	// such as what WriteTSV writes).
 	Comma rune
 	// Comment, when non-zero and positive, makes lines starting with
 	// that rune comments. The zero value enables '#' comments only for
@@ -216,35 +216,4 @@ func ReadDeltaCSV(r io.Reader, name string, opt CSVOptions) (*Delta, error) {
 		}
 	}
 	return d, nil
-}
-
-// WriteCSV writes the relation as delimited text in the format ReadCSV
-// reads: a header record then one record per tuple. With a non-nil
-// dict, values are written as their interned strings (quoting handled
-// by encoding/csv); otherwise as integers.
-func WriteCSV(w io.Writer, r *Relation, comma rune, dict *Dict) error {
-	cw := csv.NewWriter(w)
-	if comma != 0 {
-		cw.Comma = comma
-	}
-	if err := cw.Write(r.Attrs()); err != nil {
-		return err
-	}
-	rec := make([]string, r.Arity())
-	var row Tuple
-	for i := 0; i < r.Len(); i++ {
-		row = r.Tuple(i, row)
-		for j, v := range row {
-			if dict != nil {
-				rec[j] = dict.String(v)
-			} else {
-				rec[j] = strconv.FormatInt(int64(v), 10)
-			}
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -1,10 +1,9 @@
 package relation
 
-// Delta-file loading tests live beside the CSV round-trip tests; see
+// Delta-file loading tests live beside the CSV reader tests; see
 // TestReadDeltaCSV below.
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -39,13 +38,18 @@ func TestReadCSVTabDelimited(t *testing.T) {
 
 func TestReadCSVStringsInterned(t *testing.T) {
 	dict := NewDict()
-	in := "person,city\nalice,\"new york\"\nbob,berlin\nalice,berlin\n"
+	in := "person,city\nalice,\"new york\"\nbob,berlin\nalice,berlin\nbob,\"with,comma\"\nbob,\"with \"\"quote\"\"\"\n"
 	r, err := ReadCSV(strings.NewReader(in), "Lives", CSVOptions{Dict: dict})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
+	if r.Len() != 5 {
+		t.Fatalf("len = %d, want 5", r.Len())
+	}
+	for _, s := range []string{"with,comma", `with "quote"`} {
+		if _, ok := dict.Lookup(s); !ok {
+			t.Fatalf("quoted field %q not interned verbatim", s)
+		}
 	}
 	alice, ok := dict.Lookup("alice")
 	if !ok {
@@ -129,64 +133,28 @@ func TestReadCSVMalformed(t *testing.T) {
 	}
 }
 
-// TestCSVRoundTrip: Write then Read reproduces the relation exactly,
-// in both integer and dictionary-interned modes.
-func TestCSVRoundTrip(t *testing.T) {
-	ints := New("R", []string{"a", "b"}, []Tuple{{3, 4}, {1, 2}, {-5, 7}})
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, ints, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf, "R", CSVOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ints.Equal(back) {
-		t.Fatalf("integer round trip: %v vs %v", ints.Tuples(), back.Tuples())
-	}
-
-	dict := NewDict()
-	strRel := New("S", []string{"w"}, []Tuple{
-		{dict.ID("plain")}, {dict.ID("with,comma")}, {dict.ID("with \"quote\"")},
-	})
-	buf.Reset()
-	if err := WriteCSV(&buf, strRel, 0, dict); err != nil {
-		t.Fatal(err)
-	}
-	back2, err := ReadCSV(&buf, "S", CSVOptions{Dict: dict})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strRel.Equal(back2) {
-		t.Fatalf("string round trip: %v vs %v", strRel.Tuples(), back2.Tuples())
-	}
-}
-
-// TestCSVTSVInterop: integer TSV written by WriteTSV loads through
-// ReadCSV with a tab delimiter and vice versa.
+// TestCSVTSVInterop: WriteTSV writes the comma-separated input with
+// tabs in place of commas, and ReadCSV with a tab delimiter loads that
+// text to the relation the comma form loaded to.
 func TestCSVTSVInterop(t *testing.T) {
-	r := New("E", []string{"src", "dst"}, []Tuple{{1, 2}, {3, 4}})
-	var buf bytes.Buffer
-	if err := WriteTSV(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	viaCSV, err := ReadCSV(bytes.NewReader(buf.Bytes()), "E", CSVOptions{Comma: '\t'})
+	csvText := "src,dst\n1,2\n3,4\n"
+	viaCSV, err := ReadCSV(strings.NewReader(csvText), "E", CSVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Equal(viaCSV) {
-		t.Fatal("TSV output did not load through ReadCSV")
-	}
-	buf.Reset()
-	if err := WriteCSV(&buf, r, '\t', nil); err != nil {
+	var buf strings.Builder
+	if err := WriteTSV(&buf, viaCSV); err != nil {
 		t.Fatal(err)
 	}
-	viaTSV, err := ReadTSV(bytes.NewReader(buf.Bytes()), "E")
+	if want := strings.ReplaceAll(csvText, ",", "\t"); buf.String() != want {
+		t.Fatalf("WriteTSV wrote %q, want %q", buf.String(), want)
+	}
+	viaTSV, err := ReadCSV(strings.NewReader(buf.String()), "E", CSVOptions{Comma: '\t'})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Equal(viaTSV) {
-		t.Fatal("CSV tab output did not load through ReadTSV")
+	if !viaCSV.Equal(viaTSV) {
+		t.Fatalf("CSV and TSV forms differ: %v vs %v", viaCSV.Tuples(), viaTSV.Tuples())
 	}
 }
 

@@ -25,7 +25,7 @@ func oracleDegree(t *testing.T, r *Relation, x, y []string) int {
 	for i := 0; i < proj.Len(); i++ {
 		var k string
 		for _, a := range x {
-			c, _ := proj.ColByName(a)
+			c := proj.Col(proj.AttrIndex(a))
 			k += fmt.Sprintf("%d,", c[i])
 		}
 		counts[k]++

@@ -46,21 +46,6 @@ func (ix *HashIndex) Contains(key Tuple) bool {
 	return ok
 }
 
-// MaxGroup returns the size of the largest key group (the empirical
-// degree of the indexed attributes).
-func (ix *HashIndex) MaxGroup() int {
-	best := 0
-	for _, rows := range ix.rows {
-		if len(rows) > best {
-			best = len(rows)
-		}
-	}
-	return best
-}
-
-// Groups returns the number of distinct keys.
-func (ix *HashIndex) Groups() int { return len(ix.rows) }
-
 // Relation returns the indexed relation.
 func (ix *HashIndex) Relation() *Relation { return ix.rel }
 

@@ -93,32 +93,3 @@ func Join(r, s *Relation) (*Relation, error) {
 	}
 	return b.Build(), nil
 }
-
-// JoinSize returns |r ⋈ s| without materializing the full output
-// columns (it still walks every matching pair).
-func JoinSize(r, s *Relation) (int, error) {
-	shared := sharedAttrs(r, s)
-	if len(shared) == 0 {
-		return r.Len() * s.Len(), nil
-	}
-	build, probe := s, r
-	if r.Len() < s.Len() {
-		build, probe = r, s
-	}
-	ix := NewHashIndex(build, shared)
-	probeKey := make([]int, len(shared))
-	for i, a := range shared {
-		probeKey[i] = probe.AttrIndex(a)
-	}
-	key := make(Tuple, len(shared))
-	var pRow Tuple
-	n := 0
-	for i := 0; i < probe.Len(); i++ {
-		pRow = probe.Tuple(i, pRow)
-		for x, j := range probeKey {
-			key[x] = pRow[j]
-		}
-		n += len(ix.Probe(key))
-	}
-	return n, nil
-}

@@ -26,13 +26,6 @@ func TestJoinBasic(t *testing.T) {
 	if !j.Contains(Tuple{1, 10, 200}) || j.Contains(Tuple{2, 20, 100}) {
 		t.Fatal("membership mismatch")
 	}
-	n, err := JoinSize(r, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("JoinSize = %d", n)
-	}
 }
 
 func TestJoinCrossProduct(t *testing.T) {
@@ -44,10 +37,6 @@ func TestJoinCrossProduct(t *testing.T) {
 	}
 	if j.Len() != 6 {
 		t.Fatalf("cross product = %d rows, want 6", j.Len())
-	}
-	n, err := JoinSize(r, s)
-	if err != nil || n != 6 {
-		t.Fatalf("JoinSize = %d, %v", n, err)
 	}
 }
 
@@ -99,7 +88,7 @@ func TestJoinEmpty(t *testing.T) {
 }
 
 // Property: Join agrees with a nested-loop reference and is symmetric
-// in cardinality; JoinSize agrees with Join.
+// in cardinality.
 func TestPropertyJoinNestedLoop(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -142,23 +131,7 @@ func TestPropertyJoinNestedLoop(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if j2.Len() != j.Len() {
-			return false
-		}
-		// JoinSize counts pairs (with duplicates collapsing only in the
-		// materialized relation); here all tuples are distinct per
-		// (r-row, s-row) pair only if outputs differ — compare against
-		// the pair count.
-		pairs := 0
-		for i := 0; i < r.Len(); i++ {
-			for k := 0; k < s.Len(); k++ {
-				if r.Col(1)[i] == s.Col(0)[k] {
-					pairs++
-				}
-			}
-		}
-		n, err := JoinSize(r, s)
-		return err == nil && n == pairs
+		return j2.Len() == j.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

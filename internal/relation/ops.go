@@ -29,55 +29,6 @@ func (r *Relation) Project(attrs ...string) (*Relation, error) {
 	return b.Build(), nil
 }
 
-// Select returns σ_{attr=v} R: the tuples of r whose attr column equals
-// v. Sort order is preserved (the result is a filtered view with copied
-// columns).
-func (r *Relation) Select(attr string, v Value) (*Relation, error) {
-	j := r.AttrIndex(attr)
-	if j < 0 {
-		return nil, fmt.Errorf("relation: select %s: no attribute %q", r.name, attr)
-	}
-	cols := make([][]Value, len(r.cols))
-	for c := range cols {
-		cols[c] = make([]Value, 0, 8)
-	}
-	if j == 0 {
-		// Fast path: first column is sorted, binary search the range.
-		lo := sort.Search(r.n, func(i int) bool { return r.cols[0][i] >= v })
-		hi := lo + sort.Search(r.n-lo, func(i int) bool { return r.cols[0][lo+i] > v })
-		for c := range cols {
-			cols[c] = append(cols[c], r.cols[c][lo:hi]...)
-		}
-	} else {
-		for i := 0; i < r.n; i++ {
-			if r.cols[j][i] != v {
-				continue
-			}
-			for c := range cols {
-				cols[c] = append(cols[c], r.cols[c][i])
-			}
-		}
-	}
-	out := FromColumns(fmt.Sprintf("σ(%s)", r.name), r.attrs, cols)
-	return out, nil
-}
-
-// SelectTuple returns σ_{attrs=vals} R with several bound attributes.
-func (r *Relation) SelectTuple(attrs []string, vals Tuple) (*Relation, error) {
-	if len(attrs) != len(vals) {
-		return nil, fmt.Errorf("relation: select %s: %d attrs, %d values", r.name, len(attrs), len(vals))
-	}
-	cur := r
-	for i, a := range attrs {
-		next, err := cur.Select(a, vals[i])
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
 // Union returns r ∪ s. Schemas must match exactly.
 func (r *Relation) Union(s *Relation) (*Relation, error) {
 	if err := sameSchema(r, s); err != nil {

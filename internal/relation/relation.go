@@ -60,15 +60,6 @@ func (r *Relation) Len() int { return r.n }
 // Col returns column j. The returned slice must not be modified.
 func (r *Relation) Col(j int) []Value { return r.cols[j] }
 
-// ColByName returns the column for the named attribute.
-func (r *Relation) ColByName(attr string) ([]Value, bool) {
-	j := r.AttrIndex(attr)
-	if j < 0 {
-		return nil, false
-	}
-	return r.cols[j], true
-}
-
 // AttrIndex returns the position of attr in the schema, or -1.
 func (r *Relation) AttrIndex(attr string) int {
 	for j, a := range r.attrs {

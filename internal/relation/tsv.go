@@ -2,56 +2,13 @@ package relation
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
 )
 
-// ReadTSV reads a relation from tab-separated text: the first line is
-// the attribute header, every following non-empty line is a tuple of
-// integers. Lines starting with '#' are comments.
-func ReadTSV(r io.Reader, name string) (*Relation, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var b *Builder
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Split(line, "\t")
-		if b == nil {
-			b = NewBuilder(name, fields...)
-			continue
-		}
-		if len(fields) != b.arity {
-			return nil, fmt.Errorf("relation: %s line %d: %d fields, want %d", name, lineNo, len(fields), b.arity)
-		}
-		row := make([]Value, len(fields))
-		for i, f := range fields {
-			v, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("relation: %s line %d: %w", name, lineNo, err)
-			}
-			row[i] = Value(v)
-		}
-		if err := b.Add(row...); err != nil {
-			return nil, err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if b == nil {
-		return nil, fmt.Errorf("relation: %s: empty input (missing header)", name)
-	}
-	return b.Build(), nil
-}
-
-// WriteTSV writes the relation in the format ReadTSV reads.
+// WriteTSV writes the relation as tab-separated integers under an
+// attribute header line, the format ReadCSV reads with Comma '\t'.
 func WriteTSV(w io.Writer, r *Relation) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(strings.Join(r.Attrs(), "\t") + "\n"); err != nil {

@@ -378,9 +378,11 @@ func (r *reader) str() (string, error) {
 	return s, nil
 }
 
-// rel decodes a register-style relation body through a Builder (which
-// re-sorts and dedups, so even a hand-edited log yields a valid
-// relation).
+// rel decodes a register-style relation body. The writer emits the
+// rows in sorted storage order, so they decode straight into columns
+// sized by the count; rows that are not strictly ascending (a
+// hand-edited log) go through a Builder, which re-sorts and dedups, so
+// even such a log yields a valid relation.
 func (r *reader) rel() (*relation.Relation, error) {
 	name, err := r.str()
 	if err != nil {
@@ -402,19 +404,53 @@ func (r *reader) rel() (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := relation.NewBuilder(name, attrs...)
-	t := make(relation.Tuple, arity)
+	if arity == 0 {
+		return relation.NewBuilder(name).Build(), nil
+	}
+	// Each value costs at least a byte, so a corrupt count cannot size
+	// the columns past the input.
+	if n > (len(r.buf)-r.off)/arity {
+		return nil, fmt.Errorf("wal: %d rows of arity %d exceed remaining input %d", n, arity, len(r.buf)-r.off)
+	}
+	cols := make([][]relation.Value, arity)
+	for j := range cols {
+		cols[j] = make([]relation.Value, n)
+	}
+	sorted := true
 	for i := 0; i < n; i++ {
-		for j := 0; j < arity; j++ {
+		for j := range cols {
 			v, err := r.varint()
 			if err != nil {
 				return nil, err
 			}
-			t[j] = relation.Value(v)
+			cols[j][i] = relation.Value(v)
+		}
+		if sorted && i > 0 {
+			sorted = rowLess(cols, i-1, i)
+		}
+	}
+	if sorted {
+		return relation.FromColumns(name, attrs, cols), nil
+	}
+	b := relation.NewBuilder(name, attrs...)
+	t := make(relation.Tuple, arity)
+	for i := 0; i < n; i++ {
+		for j := range cols {
+			t[j] = cols[j][i]
 		}
 		if err := b.Add(t...); err != nil {
 			return nil, err
 		}
 	}
 	return b.Build(), nil
+}
+
+// rowLess reports whether row a of cols sorts strictly before row b.
+func rowLess(cols [][]relation.Value, a, b int) bool {
+	for _, c := range cols {
+		if c[a] != c[b] {
+			return c[a] < c[b]
+		}
+	}
+	return false
 }

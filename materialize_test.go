@@ -551,6 +551,55 @@ func TestMaterializeWALRecovery(t *testing.T) {
 	}
 }
 
+// TestMaterializeRetiredIDAfterRotation: a view retired before a log
+// rotation keeps its id off the reissue floor even when it was the
+// highest id and no live view remembers it.
+func TestMaterializeRetiredIDAfterRotation(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Register(dataset.RandomGraph(10, 30, 7)); err != nil {
+		t.Fatal(err)
+	}
+	var views []*MaterializedQuery
+	for i := 0; i < 2; i++ {
+		mq, err := db.Materialize("X(A,B) :- E(A,B)", MaterializeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, mq)
+	}
+	if views[1].ID() != "m1" {
+		t.Fatalf("second view id %s, want m1", views[1].ID())
+	}
+	if err := views[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Apply(NewBatch().Insert("E", Tuple{100, 101})); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	fresh, err := re.Materialize("Y(A,B) :- E(A,B)", MaterializeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID() != "m2" {
+		t.Fatalf("fresh view after rotation got id %s, want m2", fresh.ID())
+	}
+}
+
 // TestMaterializeClosedDB checks that a closed durable DB rejects new
 // registrations (writers must fail rather than continue non-durably).
 func TestMaterializeClosedDB(t *testing.T) {
