@@ -175,6 +175,34 @@ polymatroid bound: 512.0 tuples (2^9.000)
 modular bound:     skipped (constraints are cyclic; Prop 4.4 does not apply)
 `
 
+// TestRunExplainCountsConstraintsOnce: the planner's LPs and the
+// bounds block read the same measured constraints, each once — the
+// triangle's atoms contribute their cardinalities only as the X = ∅ rows
+// of their degree constraints, 5 per binary atom. Every plan header
+// (the heuristic's, the count plan's and the cost-based planner's) and
+// the bounds block count 15 on the AGM-tight triangle.
+func TestRunExplainCountsConstraintsOnce(t *testing.T) {
+	_, flags := writeTri(t, 1000)
+	for _, planner := range []string{"auto", "cost-based"} {
+		var out bytes.Buffer
+		if err := run(&out, config{query: triQuery, algo: "generic-join", planner: planner, explain: true, count: true, rels: flags}); err != nil {
+			t.Fatal(err)
+		}
+		headers := 0
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.Contains(line, "plan: policy=") {
+				headers++
+				if !strings.Contains(line, " scored, 15 constraints)") {
+					t.Errorf("planner %s: plan header %q does not count 15 constraints", planner, line)
+				}
+			}
+		}
+		if headers == 0 || !strings.Contains(out.String(), "\nconstraints:       15 measured degree constraints\n") {
+			t.Errorf("planner %s: -explain printed %d plan headers and\n%s\nwant the bounds block to count 15 constraints", planner, headers, out.String())
+		}
+	}
+}
+
 func TestRunExplainBounds(t *testing.T) {
 	_, flags := writeTri(t, 64)
 	for _, count := range []bool{false, true} {

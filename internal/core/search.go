@@ -60,25 +60,16 @@ type gjAtom struct {
 	// variable at depth d is bound, or -1 if the atom lacks that
 	// variable.
 	levelOf []int
-	// segLo/segHi[l] is the candidate segment range at trie level l
-	// after binding the atom's first l variables (the children span of
-	// the segment chosen at level l-1; the whole level for l = 0).
-	segLo []int
-	segHi []int
-	// segAt[l] is the segment chosen at level l by the current prefix;
+	// segAt[l] is the segment chosen at level l by the current prefix.
+	// Its children are the candidates at level l+1 (levelRanges), and
 	// its row range (SegRows) is what the aggregate modes' products and
 	// memo keys are built from.
 	segAt []int
 }
 
 // take records segment s, where the level kernel matched the value, as
-// the one chosen at trie level l and pushes its children span.
-func (ga *gjAtom) take(l, s int) {
-	ga.segAt[l] = s
-	if l+1 < ga.trie.Depth() {
-		ga.segLo[l+1], ga.segHi[l+1] = ga.trie.Children(l, s)
-	}
-}
+// the one chosen at trie level l.
+func (ga *gjAtom) take(l, s int) { ga.segAt[l] = s }
 
 // rows returns the row range selected after this atom's first l
 // variables are bound: the whole relation for l = 0, the chosen
@@ -165,17 +156,7 @@ func newSearcher(p *Plan, cls *agg.Classification, cap int64, stats *Stats,
 	}
 	s.out = s.binding
 	for i, tr := range p.Tries {
-		k := tr.Depth()
-		idx := make([]int, 3*k)
-		ga := &gjAtom{
-			trie:    tr,
-			levelOf: p.LevelOf[i],
-			segLo:   idx[:k:k],
-			segHi:   idx[k : 2*k : 2*k],
-			segAt:   idx[2*k:],
-		}
-		ga.segLo[0], ga.segHi[0] = 0, tr.NumSegs(0)
-		s.atoms[i] = ga
+		s.atoms[i] = &gjAtom{trie: tr, levelOf: p.LevelOf[i], segAt: make([]int, tr.Depth())}
 	}
 	total := 0
 	for _, ps := range p.Participants {
@@ -191,7 +172,7 @@ func newSearcher(p *Plan, cls *agg.Classification, cap int64, stats *Stats,
 		for j, ai := range ps {
 			ga := s.atoms[ai]
 			l := ga.levelOf[d]
-			s.ranges[d][j] = ga.trie.SegLevel(l, ga.segLo[l], ga.segHi[l])
+			s.ranges[d][j] = ga.trie.SegLevel(l, 0, ga.trie.NumSegs(l))
 		}
 	}
 	if cls == nil {
@@ -231,16 +212,18 @@ func (s *searcher) node() bool {
 }
 
 // levelRanges returns the participating level ranges at depth d. The
-// searcher builds them once (newSearcher) and here only moves their
-// windows to the atoms' current children spans: a level's key array is
-// fixed for the search, and a level-0 window is always the whole level,
-// so its rank array stays valid.
+// searcher builds them once (newSearcher) and here only moves each
+// deeper range to the children of the segment its atom chose one level
+// up, with their bitset when they are dense (trie.Child): a level's key
+// array is fixed for the search, and a level-0 window is always the
+// whole level, so its bitset stays valid.
 func (s *searcher) levelRanges(d int) []trie.LevelRange {
 	rs := s.ranges[d]
 	for j, ai := range s.plan.Participants[d] {
 		ga := s.atoms[ai]
-		l := ga.levelOf[d]
-		rs[j].Lo, rs[j].Hi = ga.segLo[l], ga.segHi[l]
+		if l := ga.levelOf[d]; l > 0 {
+			ga.trie.Child(&rs[j], l-1, ga.segAt[l-1])
+		}
 	}
 	return rs
 }

@@ -241,15 +241,15 @@ func TestChooseGolden(t *testing.T) {
 		want string
 	}{
 		{"star", starQ(t, 200, 5, 40), Options{Policy: CostBased},
-			"[B C A] [0 2.321928094887362 9.965784284662087] 1006 12"},
+			"[B C A] [0 2.321928094887362 9.965784284662087] 1006 10"},
 		{"star-small", starQ(t, 30, 3, 5), Options{Policy: CostBased},
-			"[B C A] [0 1.5849625007211563 6.491853096329675] 94 12"},
+			"[B C A] [0 1.5849625007211563 6.491853096329675] 94 10"},
 		{"chain9-beam", chainQ(t, 9), Options{Policy: CostBased, MaxDegreeVars: 2},
-			"[X0 X1 X2 X3 X4 X5 X6 X7 X8] [2.584962500721156 2 3 4 5 6 7 8 9] 1026 48"},
+			"[X0 X1 X2 X3 X4 X5 X6 X7 X8] [2.584962500721156 2 3 4 5 6 7 8 9] 1026 40"},
 		{"triangle-selfjoin", selfJoin([]string{"A", "B", "C"}, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2}), Options{Policy: CostBased},
-			"[A B C] [5.906890595608519 7.906890595608519 11.813781191217037] 3900.000000000001 18"},
+			"[A B C] [5.906890595608519 7.906890595608519 11.813781191217037] 3900.000000000001 15"},
 		{"path4-selfjoin", selfJoin([]string{"A", "B", "C", "D"}, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}), Options{Policy: CostBased, MaxDegreeVars: 3},
-			"[A B C D] [5.906890595608519 7.906890595608519 11.813781191217037 15.720671786825555] 57899.999999999985 18"},
+			"[A B C D] [5.906890595608519 7.906890595608519 11.813781191217037 15.720671786825555] 57899.999999999985 15"},
 	} {
 		e, err := Choose(tc.q, tc.opt)
 		if err != nil {

@@ -1,7 +1,9 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -262,17 +264,35 @@ func (r *Relation) Permuted(perm []int) (*Relation, error) {
 	if identity {
 		return r, nil
 	}
-	b := NewBuilder(r.name, order...)
-	row := make(Tuple, k)
-	for i := 0; i < r.n; i++ {
-		for x, j := range perm {
-			row[x] = r.cols[j][i]
-		}
-		if err := b.Add(row...); err != nil {
-			return nil, err
-		}
+	// The rows are already distinct: sort their indices once under the
+	// permuted column order, then gather every column into one presized
+	// slab. The allocations do not grow with the row count.
+	src := make([][]Value, k)
+	for x, j := range perm {
+		src[x] = r.cols[j]
 	}
-	return b.Build(), nil
+	idx := make([]int, r.n)
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		for _, c := range src {
+			if c[a] != c[b] {
+				return cmp.Compare(c[a], c[b])
+			}
+		}
+		return 0
+	})
+	slab := make([]Value, k*r.n)
+	cols := make([][]Value, k)
+	for x, c := range src {
+		col := slab[x*r.n : (x+1)*r.n : (x+1)*r.n]
+		for i, p := range idx {
+			col[i] = c[p]
+		}
+		cols[x] = col
+	}
+	return &Relation{name: r.name, attrs: order, cols: cols, n: r.n}, nil
 }
 
 // Equal reports whether two relations hold the same tuple set over the

@@ -209,6 +209,67 @@ func TestSortedBy(t *testing.T) {
 	}
 }
 
+// TestPropertyPermuted: Permuted holds the same tuples as a Builder fed
+// the permuted rows, sorted and named in the permuted column order.
+func TestPropertyPermuted(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		b := NewBuilder("R", "A", "B", "C")
+		for i := 0; i < rng.Intn(200); i++ {
+			if err := b.Add(Value(rng.Intn(6)), Value(rng.Intn(6)-3), Value(rng.Intn(6))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := b.Build()
+		perm := rng.Perm(3)
+		got, err := r.Permuted(perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		attrs := make([]string, 3)
+		for x, j := range perm {
+			attrs[x] = r.Attrs()[j]
+		}
+		want := NewBuilder("R", attrs...)
+		for _, tu := range r.Tuples() {
+			if err := want.Add(tu[perm[0]], tu[perm[1]], tu[perm[2]]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return got.Equal(want.Build())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPermutedAllocs: Permuted sorts the row indices once and fills
+// presized columns, so its allocation count does not grow with the row
+// count (staging the rows through a Builder grew a slice per doubling).
+func TestPermutedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	allocs := func(n int) float64 {
+		rng := rand.New(rand.NewSource(int64(n)))
+		b := NewBuilder("R", "A", "B", "C")
+		for i := 0; i < n; i++ {
+			if err := b.Add(Value(rng.Intn(n)), Value(rng.Intn(50)), Value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := b.Build()
+		return testing.AllocsPerRun(5, func() {
+			if _, err := r.Permuted([]int{2, 0, 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(100), allocs(50_000); large != small {
+		t.Fatalf("Permuted allocates %v times on 100 rows and %v on 50,000", small, large)
+	}
+}
+
 func TestRename(t *testing.T) {
 	r := mustRel(t, "R", []string{"A", "B"}, []Value{1, 2})
 	s, err := r.Rename("S", "X", "Y")

@@ -91,14 +91,19 @@ func AllDegrees(q *core.Query, maxY int) (constraints.Set, error) {
 }
 
 // ForPlanner extracts the constraint set the cost-based planner
-// scores variable orders with: per-atom cardinality constraints plus
-// every degree constraint (X, Y, N_{Y|X}) with |Y| ≤ maxY measured
-// from the bound relations. This is the "FromDatabase" side of the
-// paper's Definition 1 — the empirical N_{Y|X} the bound LPs consume.
-// Redundant constraints are harmless (the LPs simply carry slack
-// rows), so no deduplication is attempted.
+// scores variable orders with: every degree constraint (X, Y, N_{Y|X})
+// with |Y| ≤ maxY measured from the bound relations, plus a
+// cardinality constraint for each atom whose arity exceeds maxY —
+// Degrees already measures the others as their X = ∅, Y = vars(F)
+// row. This is the "FromDatabase" side of the paper's Definition 1 —
+// the empirical N_{Y|X} the bound LPs consume.
 func ForPlanner(q *core.Query, maxY int) (constraints.Set, error) {
-	dc := Cardinalities(q)
+	var dc constraints.Set
+	for i, c := range Cardinalities(q) {
+		if maxY > 0 && len(q.Atoms[i].Vars) > maxY {
+			dc = append(dc, c)
+		}
+	}
 	deg, err := AllDegrees(q, maxY)
 	if err != nil {
 		return nil, err

@@ -40,6 +40,51 @@ func TestCardinalities(t *testing.T) {
 	}
 }
 
+// TestForPlannerCardinalityOnce: every atom's cardinality reaches the
+// planner exactly once — as Degrees' X = ∅, Y = vars(F) row when the
+// atom's arity is within maxY, as a cardinality constraint beside its
+// degrees when it exceeds maxY.
+func TestForPlannerCardinalityOnce(t *testing.T) {
+	b := relation.NewBuilder("W", "x", "y", "z")
+	for i := 0; i < 40; i++ {
+		if err := b.Add(relation.Value(i%5), relation.Value(i%7), relation.Value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tri := dataset.TriangleAGMTight(100)
+	q, err := core.NewQuery([]string{"A", "B", "C"}, []core.Atom{
+		{Name: "R", Vars: []string{"A", "B"}, Rel: tri.R},
+		{Name: "W", Vars: []string{"A", "B", "C"}, Rel: b.Build()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxY := range []int{0, 2, 3} {
+		dc, err := ForPlanner(q, maxY)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]int{}
+		for _, c := range dc {
+			if len(c.X) == 0 && len(c.Y) == len(q.Atoms[atomIndex(q, c.Guard)].Vars) {
+				seen[c.Guard]++
+			}
+		}
+		if seen["R"] != 1 || seen["W"] != 1 {
+			t.Errorf("maxY %d: cardinality rows per atom %v, want one each", maxY, seen)
+		}
+	}
+}
+
+func atomIndex(q *core.Query, name string) int {
+	for i, a := range q.Atoms {
+		if a.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestDegrees(t *testing.T) {
 	tri := dataset.TriangleAGMTight(100)
 	q := triQuery(t, tri)

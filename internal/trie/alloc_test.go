@@ -12,17 +12,20 @@ import (
 // nothing once the caller's buffers are warm — k <= 2 reads the ranges
 // in place, k >= 3 keeps its cursors on the stack, and values and
 // positions go to the caller's buffers. It covers k = 1, k = 2 through
-// the merge, the gallop and (narrowed) the ranked probe, and k = 3
-// smallest-pair-first over unranked windows and (narrowed) ranked whole
-// levels, over the level-0 keys of narrowed and wide tries. Each k = 2
-// row asserts that its inputs take the branch its name states.
+// the merge, the gallop and (narrowed) every dense branch — the probe
+// into a dense set from a smaller or a larger sparse side, and the AND
+// of two dense sets — and k = 3 smallest-pair-first over sparse
+// windows and (narrowed) over dense whole levels, all ANDed or with a
+// sparse range probed, over the level-0 keys of narrowed and wide
+// tries. Each k = 2 row asserts that its inputs take the branch its
+// name states.
 func TestKernelAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	// keyTrie builds a one-attribute trie over n multiples of step,
 	// shifted past uint32 for the wide variant. Its keys are dense, so
-	// a narrowed trie ranks its level 0.
+	// a narrowed trie stores its level 0 as a bitset.
 	keyTrie := func(n, step int, wide bool) *Trie {
 		b := relation.NewBuilder("R", "A")
 		for i := 0; i < n; i++ {
@@ -44,15 +47,15 @@ func TestKernelAllocs(t *testing.T) {
 		return tr
 	}
 	// whole is the trie's level 0 as the search sees it at an atom's
-	// first variable (ranked when the trie has a rank array); inner
-	// drops the first key, so the window is never ranked.
+	// first variable (dense when the trie has a bitset for it); inner
+	// drops the first key, so the window is never dense.
 	whole := func(tr *Trie) LevelRange { return tr.SegLevel(0, 0, tr.NumSegs(0)) }
 	inner := func(tr *Trie) LevelRange { return tr.SegLevel(0, 1, tr.NumSegs(0)) }
 	for _, wide := range []bool{false, true} {
 		big, mid, small := keyTrie(4000, 2, wide), keyTrie(3000, 3, wide), keyTrie(64, 7, wide)
 		type row struct {
 			name   string
-			branch string // the k = 2 branch: merge, gallop or ranked
+			branch string // the k = 2 branch: merge, gallop, ranked or and
 			ranges []LevelRange
 		}
 		rows := []row{
@@ -65,7 +68,10 @@ func TestKernelAllocs(t *testing.T) {
 			rows = append(rows,
 				row{"k=2/ranked", "ranked", []LevelRange{inner(mid), whole(big)}},
 				row{"k=2/ranked-skewed", "ranked", []LevelRange{inner(small), whole(big)}},
+				row{"k=2/ranked-dense-smaller", "ranked", []LevelRange{whole(mid), inner(big)}},
+				row{"k=2/and", "and", []LevelRange{whole(big), whole(mid)}},
 				row{"k=3/ranked", "", []LevelRange{whole(big), whole(mid), whole(small)}},
+				row{"k=3/and-probe", "", []LevelRange{whole(mid), whole(small), inner(big)}},
 			)
 		}
 		for _, c := range rows {
@@ -102,17 +108,25 @@ func TestKernelAllocs(t *testing.T) {
 }
 
 // pairBranch names the branch the two-way kernels take on a and b:
-// "ranked" when the larger range carries a rank array, "gallop" when it
-// is gallopRatio times larger, "merge" otherwise.
+// "and" when both are dense, "ranked" when they probe a dense set,
+// "gallop" when they probe a sparse one gallopRatio times larger,
+// "merge" otherwise.
 func pairBranch(a, b LevelRange) string {
-	if a.Size() > b.Size() {
-		a, b = b, a
+	if a.Keys32 != nil {
+		return branchName(span32(&a, 0), span32(&b, 1))
 	}
+	return branchName(span64(&a, 0), span64(&b, 1))
+}
+
+func branchName[K key](a, b span[K]) string {
+	_, probed, br := pairOf(&a, &b)
 	switch {
-	case b.rank != nil:
+	case br == andBranch:
+		return "and"
+	case br == mergeBranch:
+		return "merge"
+	case probed.dense():
 		return "ranked"
-	case b.Size() >= gallopRatio*a.Size():
-		return "gallop"
 	}
-	return "merge"
+	return "gallop"
 }

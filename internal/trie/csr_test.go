@@ -3,6 +3,7 @@ package trie
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -58,9 +59,9 @@ func toNarrow(keys []relation.Value) []uint32 {
 }
 
 // trieLevel builds a one-attribute trie over the sorted, duplicate-free
-// keys and returns its level 0 restricted to [lo,hi): ranked, as the
+// keys and returns its level 0 restricted to [lo,hi): dense, as the
 // search sees it, when the window is the whole level and the keys are
-// dense and fit uint32; unranked otherwise.
+// dense and fit uint32; sparse otherwise.
 func trieLevel(t testing.TB, keys []relation.Value, lo, hi int) LevelRange {
 	t.Helper()
 	b := relation.NewBuilder("R", "A")
@@ -74,6 +75,49 @@ func trieLevel(t testing.TB, keys []relation.Value, lo, hi int) LevelRange {
 		t.Fatal(err)
 	}
 	return tr.SegLevel(0, lo, hi)
+}
+
+// childLevel builds a two-attribute trie in which parent 1's children
+// are the sorted, duplicate-free keys, after parent 0's three children,
+// and returns parent 1's children restricted to [lo,hi): dense, as the
+// search sees them (Trie.Child), when the window is the whole span and
+// the keys are dense and fit uint32; sparse otherwise. Unlike a whole
+// level 0, the span starts inside its level's key array, and SegLevel
+// must find the same bitset Child attaches.
+func childLevel(t testing.TB, keys []relation.Value, lo, hi int) LevelRange {
+	t.Helper()
+	b := relation.NewBuilder("R", "P", "A")
+	for _, v := range []relation.Value{1, 2, 3} {
+		if err := b.Add(0, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range keys {
+		if err := b.Add(1, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := Build(b.Build(), []string{"P", "A"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) == 0 || lo > 0 || hi < len(keys) {
+		return tr.SegLevel(1, 3+lo, 3+hi)
+	}
+	r := tr.SegLevel(1, 0, 0)
+	tr.Child(&r, 0, 1)
+	if seg := tr.SegLevel(1, r.Lo, r.Hi); seg.w0 != r.w0 || seg.w1 != r.w1 || seg.wb != r.wb {
+		t.Fatalf("SegLevel and Child disagree on the bitset of %v", keys)
+	}
+	return r
+}
+
+// isDense reports whether a range carries a bitset.
+func isDense(r LevelRange) bool { return r.w0 < r.w1 }
+
+// rangeSet returns a dense range's bitset.
+func rangeSet(r LevelRange) bitset {
+	return bitset{words: r.t.words[r.w0:r.w1], rank: r.t.ranks[r.w0/2 : r.w1/2]}
 }
 
 // matchedAt reports whether at holds, for every range, a position
@@ -163,11 +207,13 @@ func kernelsAgree(ranges []LevelRange, want []relation.Value, stop int) string {
 
 // TestPropertyKernelsAgree: for random duplicate-free sorted inputs —
 // including size skews that exercise the linear merge, the galloping
-// kernel and the ranked probe, empty ranges, windows that start and
-// end inside their key arrays, whole ranked and unranked level-0
-// ranges, k up to 4 and every width combination (wide, narrow, mixed)
-// — every kernel entry agrees with the map-based oracle, and every
-// reported position lies in its range's window and holds the value.
+// kernel, the probe into a dense set and the AND of dense sets, empty
+// ranges, windows that start and end inside their key arrays, whole
+// dense and sparse level-0 ranges, dense and sparse children spans
+// (whose first key sits inside the level's key array), k up to 4 and
+// every width combination (wide, narrow, mixed) — every kernel entry
+// agrees with the map-based oracle, and every reported position lies in
+// its range's window and holds the value.
 func TestPropertyKernelsAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -177,17 +223,20 @@ func TestPropertyKernelsAgree(t *testing.T) {
 		width := rng.Intn(3) // 0 = all wide, 1 = all narrow, 2 = mixed
 		for i := 0; i < k; i++ {
 			// Skewed sizes: some tiny sets against some large ones, so
-			// k = 2 draws hit both the merge and the gallop kernel.
+			// k = 2 draws hit both the merge and the gallop kernel; a
+			// large set over the wider domain is too sparse for a bitset.
 			var n int
+			dom := 1500
 			if rng.Intn(2) == 0 {
-				n = rng.Intn(8) // occasionally empty
+				n = rng.Intn(12) // occasionally empty
 			} else {
 				n = 200 + rng.Intn(800)
+				dom = []int{1500, 1500, 40000}[rng.Intn(3)]
 			}
-			keys := sortedSet(rng, n, 1500)
+			keys := sortedSet(rng, n, dom)
 			// The window is a parent's children span, which may start
 			// and end inside the level's key array, or half the time
-			// the whole of level 0.
+			// the whole span.
 			lo, hi := 0, len(keys)
 			if rng.Intn(2) == 0 {
 				lo = rng.Intn(len(keys)/4 + 1)
@@ -195,10 +244,13 @@ func TestPropertyKernelsAgree(t *testing.T) {
 			}
 			keySets[i] = keys[lo:hi]
 			narrow := width == 1 || (width == 2 && i%2 == 1)
-			switch {
-			case narrow && rng.Intn(2) == 0:
-				// A trie's level: ranked if whole and dense.
+			switch c := rng.Intn(3); {
+			case narrow && c == 0:
+				// A trie's level 0: dense if whole and dense.
 				ranges[i] = trieLevel(t, keys, lo, hi)
+			case narrow && c == 1:
+				// A parent's children: dense if whole and dense.
+				ranges[i] = childLevel(t, keys, lo, hi)
 			case narrow:
 				ranges[i] = LevelRange{Keys32: toNarrow(keys), Lo: lo, Hi: hi}
 			default:
@@ -212,7 +264,7 @@ func TestPropertyKernelsAgree(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -238,50 +290,81 @@ func TestPropertyGallopLB(t *testing.T) {
 }
 
 // TestPropertySeek: from any cursor lo that satisfies seek's
-// precondition (every key before lo is below v), seek on a ranked whole
-// level 0 matches a plain binary search over the window, for v from
-// below the first key to past the last.
+// precondition (every key before lo is below v), seek on a dense set —
+// a whole level 0, or a children span that starts inside its level —
+// finds v exactly when the set holds it, at its position, and ends the
+// intersection only past the last key, for v from below the set's
+// first word to past its last.
 func TestPropertySeek(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		shift := relation.Value(rng.Intn(100)) // a minimum off the word grid
 		keys := sortedSet(rng, 150+rng.Intn(300), 400)
+		for i := range keys {
+			keys[i] += shift
+		}
 		r := trieLevel(t, keys, 0, len(keys))
-		if r.rank == nil {
-			t.Logf("seed %d: %d keys below 400 are not ranked", seed, len(keys))
+		if rng.Intn(2) == 0 {
+			r = childLevel(t, keys, 0, len(keys))
+		}
+		if !isDense(r) {
+			t.Logf("seed %d: %d keys below 500 are not dense", seed, len(keys))
 			return false
 		}
-		v := uint32(rng.Intn(460))
-		want := sort.Search(len(keys), func(i int) bool { return keys[i] >= relation.Value(v) })
-		lo := rng.Intn(want + 1)
-		return seek(r.Keys32, r.rank, lo, r.Hi, v) == want
+		v := uint32(rng.Intn(600))
+		want := r.Lo + sort.Search(len(keys), func(i int) bool { return keys[i] >= relation.Value(v) })
+		in := want < r.Hi && r.Keys32[want] == v
+		lo := r.Lo + rng.Intn(want-r.Lo+1)
+		s := span32(&r, 0)
+		at, hit, more := seek(&s, lo, v)
+		if hit != in || (hit && at != want) || (!more && want < r.Hi) {
+			t.Logf("seed %d: seek(%d) = %d, %v, %v; want the key at %d (held %v)", seed, v, at, hit, more, want, in)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRankedLevelEdges pins the rank array's edges through every
-// kernel entry: probe values 0 and past the last ranked key, a level-0
-// window that starts at 0 but ends early (which must not be ranked, or
-// seeks would land past its end), a sparse level 0 (no rank array) and
-// a wide one (never ranked).
+// TestRankedLevelEdges pins the dense sets' edges through every kernel
+// entry: probe values 0 and past the last key, a level-0 window that
+// starts at 0 but ends early (which must not be dense, or seeks would
+// land past its end), a sparse and a too-small level 0 and a wide one
+// (none dense), keys at bits 0, 63 and 64 of a word, a minimum off the
+// word grid, children spans that start inside their level, the AND of
+// two and three dense sets, and a dense pair with a sparse third range;
+// every case also stops its stream mid-word.
 func TestRankedLevelEdges(t *testing.T) {
 	dense := []relation.Value{0, 1, 2, 5, 8, 13, 21, 34, 40}
 	whole := trieLevel(t, dense, 0, len(dense))
-	if whole.rank == nil {
-		t.Fatal("a dense narrowed level 0 is not ranked")
+	if !isDense(whole) {
+		t.Fatal("a dense narrowed level 0 has no bitset")
 	}
 	early := trieLevel(t, dense, 0, len(dense)-3)
-	if early.rank != nil {
-		t.Fatal("a level-0 window that ends early is ranked")
+	if isDense(early) {
+		t.Fatal("a level-0 window that ends early is dense")
 	}
-	sparse := []relation.Value{0, 1000, 2000, 3000}
-	if r := trieLevel(t, sparse, 0, len(sparse)); r.rank != nil {
-		t.Fatal("a sparse level 0 is ranked")
+	sparse := []relation.Value{0, 1000, 2000, 3000, 4000, 5000, 6000, 7000}
+	if r := trieLevel(t, sparse, 0, len(sparse)); isDense(r) {
+		t.Fatal("a sparse level 0 is dense")
+	}
+	if r := trieLevel(t, dense[:denseMin-1], 0, denseMin-1); isDense(r) {
+		t.Fatalf("a level 0 of %d keys is dense", denseMin-1)
 	}
 	wideKeys := []relation.Value{1 << 33, 1<<33 + 1}
-	if r := trieLevel(t, wideKeys, 0, len(wideKeys)); r.rank != nil || r.Keys == nil {
-		t.Fatal("a wide level 0 is ranked")
+	if r := trieLevel(t, wideKeys, 0, len(wideKeys)); isDense(r) || r.Keys == nil {
+		t.Fatal("a wide level 0 is dense")
+	}
+	// Keys on both sides of word boundaries, from a minimum off the
+	// grid: 64 is bit 0 of the set's second word, 127 bit 63.
+	edges := []relation.Value{5, 63, 64, 65, 100, 126, 127, 128, 191, 192}
+	edges2 := []relation.Value{0, 5, 62, 63, 64, 127, 128, 129, 190, 191}
+	edges3 := []relation.Value{5, 6, 7, 63, 64, 127, 128, 191, 192, 193}
+	child, child2 := childLevel(t, edges, 0, len(edges)), childLevel(t, edges2, 0, len(edges2))
+	if !isDense(child) || !isDense(child2) || child.Lo == 0 {
+		t.Fatal("a dense children span has no bitset, or starts at 0")
 	}
 	probe := func(vs ...relation.Value) LevelRange {
 		return LevelRange{Keys32: toNarrow(vs), Lo: 0, Hi: len(vs)}
@@ -300,7 +383,7 @@ func TestRankedLevelEdges(t *testing.T) {
 		{"k=3 zero and past the last key",
 			[][]relation.Value{{0, 8, 40, 99}, dense, {0, 8, 40, 99, 500}},
 			[]LevelRange{probe(0, 8, 40, 99), whole, probe(0, 8, 40, 99, 500)}},
-		{"k=3 two ranked",
+		{"k=3 two dense",
 			[][]relation.Value{dense, dense, {0, 5, 34, 77}},
 			[]LevelRange{whole, whole, probe(0, 5, 34, 77)}},
 		{"window ending early",
@@ -312,6 +395,24 @@ func TestRankedLevelEdges(t *testing.T) {
 		{"sparse",
 			[][]relation.Value{{0, 999, 1000, 3000, 3001}, sparse},
 			[]LevelRange{probe(0, 999, 1000, 3000, 3001), trieLevel(t, sparse, 0, len(sparse))}},
+		{"and across word boundaries",
+			[][]relation.Value{edges, edges2},
+			[]LevelRange{child, child2}},
+		{"and with a whole level 0",
+			[][]relation.Value{edges, dense},
+			[]LevelRange{child, whole}},
+		{"k=3 and",
+			[][]relation.Value{edges, edges2, edges3},
+			[]LevelRange{child, child2, childLevel(t, edges3, 0, len(edges3))}},
+		{"k=3 and, sparse third",
+			[][]relation.Value{edges, edges2, {63, 64, 127, 128, 129, 400, 500, 600, 700, 800, 900, 1000}},
+			[]LevelRange{child, child2, probe(63, 64, 127, 128, 129, 400, 500, 600, 700, 800, 900, 1000)}},
+		{"probe a dense children span",
+			[][]relation.Value{{0, 5, 63, 64, 127, 192, 193, 400}, edges},
+			[]LevelRange{probe(0, 5, 63, 64, 127, 192, 193, 400), child}},
+		{"dense smaller than a sparse side",
+			[][]relation.Value{edges, {1, 5, 9, 63, 64, 70, 80, 90, 100, 120, 127, 128, 130, 191, 192}},
+			[]LevelRange{child, probe(1, 5, 9, 63, 64, 70, 80, 90, 100, 120, 127, 128, 130, 191, 192)}},
 	} {
 		if msg := kernelsAgree(c.rs, refIntersect(c.sets), 3); msg != "" {
 			t.Errorf("%s: %s", c.name, msg)
@@ -370,8 +471,8 @@ func randomRelation(t testing.TB, rng *rand.Rand, name string, attrs []string, n
 }
 
 // sameCSR asserts two tries have identical CSR structure: segment
-// counts, keys, row ranges and children spans at every level, plus the
-// same narrowing decision.
+// counts, keys, row ranges and children spans at every level, the same
+// narrowing decision, and the same dense sets — words, ranks and index.
 func sameCSR(t *testing.T, got, want *Trie) {
 	t.Helper()
 	if got.Len() != want.Len() || got.Depth() != want.Depth() {
@@ -400,6 +501,16 @@ func sameCSR(t *testing.T, got, want *Trie) {
 					t.Fatalf("level %d seg %d: children [%d,%d) vs [%d,%d)", d, s, gcl, gch, wcl, wch)
 				}
 			}
+		}
+	}
+	if !slices.Equal(got.words, want.words) || !slices.Equal(got.ranks, want.ranks) || len(got.dense) != len(want.dense) {
+		t.Fatalf("dense sets: %d words, %d ranks, %d levels vs %d, %d, %d",
+			len(got.words), len(got.ranks), len(got.dense), len(want.words), len(want.ranks), len(want.dense))
+	}
+	for d := range got.dense {
+		if !slices.Equal(got.dense[d].off, want.dense[d].off) || !slices.Equal(got.dense[d].wb, want.dense[d].wb) ||
+			!slices.Equal(got.dense[d].parents.words, want.dense[d].parents.words) {
+			t.Fatalf("level %d: dense sets at %v vs %v", d, got.dense[d].off, want.dense[d].off)
 		}
 	}
 }
@@ -493,10 +604,20 @@ func TestNarrowing(t *testing.T) {
 	}
 }
 
+// denseBytes is what a trie's dense sets own: their words and ranks
+// and the levels' offset and first-word tables.
+func denseBytes(tr *Trie) int64 {
+	n := int64(len(tr.words))*8 + int64(len(tr.ranks))*4
+	for _, dl := range tr.dense {
+		n += int64(len(dl.off)+len(dl.wb)) * 4
+	}
+	return n
+}
+
 // TestSizeBytesAccountsIndex: SizeBytes covers the raw columns plus
-// every owned index array (offsets, the level-0 rank array,
-// segment-key slabs, narrowed copies) — the footprint a memoized trie
-// pins.
+// every owned index array (offsets, segment-key slabs, narrowed copies,
+// the dense sets' words, counts and offset tables) — the footprint a
+// memoized trie pins.
 func TestSizeBytesAccountsIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := randomRelation(t, rng, "R", []string{"A", "B", "C"}, 500, 12)
@@ -510,24 +631,25 @@ func TestSizeBytesAccountsIndex(t *testing.T) {
 	}
 	// Offsets alone: every non-deepest level owns rowStart (+1
 	// sentinel) int32 entries, so the index must charge at least that;
-	// the dense level 0 (values below 12) also owns a rank array.
+	// level 0 and every level-1 span (values below 12) are dense too.
 	var offsets int64
 	for d := 0; d < tr.Depth()-1; d++ {
 		offsets += int64((tr.NumSegs(d) + 1) * 4)
 	}
-	if tr.rank0 == nil {
-		t.Fatal("level 0 of values below 12 is not ranked")
+	if !isDense(tr.SegLevel(0, 0, tr.NumSegs(0))) || len(tr.dense[1].off) != tr.NumSegs(0)+1 {
+		t.Fatal("level 0 and the level-1 spans of values below 12 are not all dense")
 	}
-	rank := int64(len(tr.rank0) * 4)
-	if tr.SizeBytes() < colBytes+offsets+rank {
-		t.Fatalf("SizeBytes = %d < columns %d + offsets %d + rank %d", tr.SizeBytes(), colBytes, offsets, rank)
+	dense := denseBytes(tr)
+	if tr.SizeBytes() < colBytes+offsets+dense {
+		t.Fatalf("SizeBytes = %d < columns %d + offsets %d + dense sets %d", tr.SizeBytes(), colBytes, offsets, dense)
 	}
 
-	// The same shape with level-0 keys spread 1000 apart has no rank
-	// array, and SizeBytes charges exactly the rank array's bytes less.
+	// The same shape with level-0 and level-1 keys spread 1000 apart
+	// has no dense set, and SizeBytes charges exactly the dense sets'
+	// bytes less.
 	sb := relation.NewBuilder("R", "A", "B", "C")
 	for _, tup := range r.Tuples() {
-		if err := sb.Add(tup[0]*1000, tup[1], tup[2]); err != nil {
+		if err := sb.Add(tup[0]*1000, tup[1]*1000, tup[2]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -535,24 +657,83 @@ func TestSizeBytesAccountsIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sparse.rank0 != nil {
-		t.Fatal("a sparse level 0 is ranked")
+	if sparse.dense != nil {
+		t.Fatal("keys spread 1000 apart are dense")
 	}
-	if got := tr.SizeBytes() - sparse.SizeBytes(); got != rank {
-		t.Fatalf("ranked - sparse SizeBytes = %d, want the rank array's %d bytes", got, rank)
+	if got := tr.SizeBytes() - sparse.SizeBytes(); got != dense {
+		t.Fatalf("dense - sparse SizeBytes = %d, want the dense sets' %d bytes", got, dense)
+	}
+}
+
+// TestDenseSets: on random narrowed tries, a span — the whole of level
+// 0 or a parent's children — has a bitset exactly when denseWords
+// accepts it; the bitset holds exactly the span's keys, and the rank of
+// each key is its position. Child and SegLevel attach the same bitset.
+func TestDenseSets(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		dom := []int{16, 60, 400}[rng.Intn(3)]
+		tr, err := Build(randomRelation(t, rng, "R", []string{"A", "B", "C"}, 50+rng.Intn(400), dom), []string{"A", "B", "C"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(r LevelRange) bool {
+			if isDense(r) != (denseWords(r.Keys32, r.Lo, r.Hi) > 0) {
+				t.Logf("seed %d: span [%d,%d) dense = %v", seed, r.Lo, r.Hi, isDense(r))
+				return false
+			}
+			if !isDense(r) {
+				return true
+			}
+			set, base, members := rangeSet(r), int(r.Keys32[r.Lo]&^63), 0
+			if int(r.wb)<<6 != base {
+				t.Logf("seed %d: span [%d,%d) has its first word at %d, want %d", seed, r.Lo, r.Hi, r.wb, base>>6)
+				return false
+			}
+			for _, x := range set.words {
+				members += bits.OnesCount64(x)
+			}
+			for p := r.Lo; p < r.Hi; p++ {
+				i := int(r.Keys32[p]) - base
+				if !set.has(i) || set.below(i) != p {
+					t.Logf("seed %d: key %d at %d not found at its rank", seed, r.Keys32[p], p)
+					return false
+				}
+			}
+			return members == r.Hi-r.Lo
+		}
+		if !check(tr.SegLevel(0, 0, tr.NumSegs(0))) {
+			return false
+		}
+		for d := 0; d+1 < tr.Depth(); d++ {
+			r := tr.SegLevel(d+1, 0, 0)
+			for s := 0; s < tr.NumSegs(d); s++ {
+				tr.Child(&r, d, s)
+				seg := tr.SegLevel(d+1, r.Lo, r.Hi)
+				if seg.w0 != r.w0 || seg.w1 != r.w1 || seg.wb != r.wb || !check(r) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // FuzzIntersectKernels cross-checks every kernel entry and the
 // positions they report against the oracle on fuzzer-shaped inputs:
 // two and three sorted duplicate-free sets built from the raw bytes,
-// wide, narrow, mixed, and as trie levels (ranked when dense), with a
-// streaming stop index derived from the input lengths.
+// wide, narrow, mixed, and as whole levels 0 and children spans (with
+// bitsets when dense), with a streaming stop index derived from the
+// input lengths.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, []byte{3})
 	f.Add([]byte{}, []byte{0, 255}, []byte{0})
 	f.Add([]byte{9, 9, 9, 1}, []byte{9}, []byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, []byte{0, 7, 8, 200}, []byte{0, 1, 7, 255})
+	f.Add([]byte{3, 9, 63, 64, 65, 100, 127, 128, 191}, []byte{0, 5, 9, 63, 64, 127, 128, 129, 190, 191}, []byte{9, 62, 63, 64, 127, 128, 129, 191, 192})
 	f.Fuzz(func(t *testing.T, ab, bb, cb []byte) {
 		mk := func(bs []byte) []relation.Value {
 			set := make(map[relation.Value]bool)
@@ -570,6 +751,7 @@ func FuzzIntersectKernels(f *testing.F) {
 		wide := func(ks []relation.Value) LevelRange { return LevelRange{Keys: ks, Lo: 0, Hi: len(ks)} }
 		narrow := func(ks []relation.Value) LevelRange { return LevelRange{Keys32: toNarrow(ks), Lo: 0, Hi: len(ks)} }
 		level := func(ks []relation.Value) LevelRange { return trieLevel(t, ks, 0, len(ks)) }
+		child := func(ks []relation.Value) LevelRange { return childLevel(t, ks, 0, len(ks)) }
 		want2 := refIntersect([][]relation.Value{a, b})
 		want3 := refIntersect([][]relation.Value{a, b, c})
 		for _, tc := range []struct {
@@ -586,6 +768,9 @@ func FuzzIntersectKernels(f *testing.F) {
 			{[]LevelRange{wide(a), narrow(b), wide(c)}, want3},
 			{[]LevelRange{narrow(a), level(b), narrow(c)}, want3},
 			{[]LevelRange{level(a), level(b), level(c)}, want3},
+			{[]LevelRange{child(a), level(b)}, want2},
+			{[]LevelRange{child(a), child(b), child(c)}, want3},
+			{[]LevelRange{child(a), narrow(b), level(c)}, want3},
 		} {
 			// The stop index comes from the input too.
 			stop := (len(ab) + 3*len(bb) + 7*len(cb)) % (len(tc.want) + 1)

@@ -6,17 +6,21 @@ package trie
 // which with cap 1 is the existence check) and streaming
 // (StreamLevels). The search calls one of them per level, and per
 // value it then pays only its share of that one intersection — the
-// primitive Algorithm 1 and Generic-Join assume. Every seek goes
-// through seek: O(1) into the whole of a ranked level 0, a gallop
-// otherwise. No entry allocates on the same-width path: k <= 2 reads
-// the caller's ranges in place, k >= 3 keeps its cursors in a fixed
-// stack buffer, and values and positions go to the caller's buffers,
-// which grow at most once per call, to the smallest range's size. The
-// positions mean a caller never searches again for a value the kernel
-// has already matched. Only the mixed-width widening copy allocates
-// per call.
+// primitive Algorithm 1 and Generic-Join assume. Each pair of ranges
+// takes the cheapest branch their layouts allow: two dense sets AND
+// their common words, a dense set is probed from the other side's keys,
+// and two sorted arrays merge or gallop. Every lookup follows seek's
+// rule: on a dense range it is a bit test and a value's position its
+// rank, a word read and a popcount or two; otherwise it gallops. No
+// entry allocates on the same-width path: k <= 2 reads the caller's
+// ranges in place, k >= 3 keeps its cursors in a fixed stack buffer,
+// and values and positions go to the caller's buffers, which grow at
+// most once per call, to the smallest range's size. The positions mean
+// a caller never searches again for a value the kernel has already
+// matched. Only the mixed-width widening copy allocates per call.
 
 import (
+	"math/bits"
 	"slices"
 
 	"wcoj/internal/relation"
@@ -25,18 +29,23 @@ import (
 // LevelRange is one participant in a multiway sorted intersection: a
 // dense, strictly increasing, duplicate-free key array restricted to
 // segments [Lo,Hi) — one trie level's segment keys within a parent's
-// children span (see Trie.SegLevel). Exactly one of Keys and Keys32 is
-// non-nil: wide tries expose Keys, uint32-narrowed tries Keys32.
+// children span (see Trie.SegLevel and Trie.Child). Exactly one of Keys
+// and Keys32 is non-nil: wide tries expose Keys, uint32-narrowed tries
+// Keys32.
 type LevelRange struct {
 	Keys   []relation.Value
 	Keys32 []uint32
 	Lo     int
 	Hi     int
-	// rank is the trie's level-0 rank array when the range is the whole
-	// of a ranked level 0 (Trie.SegLevel attaches it), nil otherwise:
-	// rank[v] is the index of the first key >= v, for v up to the
-	// largest key.
-	rank []int32
+	// t is the narrowed trie the range was cut from, and [w0,w1) the
+	// words of the window's bitset in t's arena when the window is one
+	// of t's dense sets (SegLevel and Child attach it); w0 == w1
+	// otherwise. Bit i of the set stands for key 64·wb + i. dense
+	// indexes the dense sets of the range's level, nil when it has
+	// none, so Child tests a parent's flag in two reads.
+	t          *Trie
+	dense      *denseLevel
+	w0, w1, wb int32
 }
 
 // Size returns the number of keys in the range.
@@ -49,15 +58,38 @@ type key interface {
 }
 
 // span is a kernel-internal cursor over one key range; the kernels
-// advance lo in place. rank is the range's rank array, if any. id is
-// the index of the range the span was made from: the kernels reorder
-// spans, and positions are reported per range.
+// advance lo in place. id is the index of the range the span was made
+// from: the kernels reorder spans, and positions are reported per
+// range. A dense span also carries its trie, whose arenas hold its
+// bitset's nw words from the even word w0 with their rank pairs, and
+// wb, the absolute index (key / 64) of its first word. The span is 64
+// bytes, so the k >= 3 entries copy their cursors by plain moves.
 type span[K key] struct {
 	keys []K
-	rank []int32
 	lo   int
 	hi   int
-	id   int
+	t    *Trie
+	id   int32
+	w0   int32
+	nw   int32
+	wb   int32
+}
+
+// dense reports whether the span carries a bitset.
+func (s *span[K]) dense() bool { return s.t != nil }
+
+// bitPos returns the position of the key at bit i of a dense span's set,
+// which holds it.
+func (s *span[K]) bitPos(i int) int {
+	return s.at(int(s.w0)+i>>6, s.t.words[int(s.w0)+i>>6]&(1<<(uint(i)&63)-1))
+}
+
+// at returns the position of the first member of a dense span's set at
+// or past arena word w, plus the members of x: the rank of word w's
+// pair plus, when w is its pair's second word (the set starts on an
+// even word), the members of the first.
+func (s *span[K]) at(w int, x uint64) int {
+	return int(s.t.ranks[w>>1]) + bits.OnesCount64(x) + bits.OnesCount64(s.t.words[w&^1])&-(w&1)
 }
 
 // stackSpans is how many span cursors an entry keeps in its stack
@@ -104,17 +136,40 @@ func gallopLB[K key](keys []K, lo, hi int, v K) int {
 	return lo
 }
 
-// seek returns the first index i in [lo,hi) with keys[i] >= v, or hi
-// if there is none. Seeks only move forward: every key before lo is
-// below v. A ranked range is the whole of level 0, so for any v up to
-// its largest key the answer is one read of the rank array; every
-// other seek gallops from lo (a nil rank has no entries). Every kernel
-// seeks through here.
-func seek[K key](keys []K, rank []int32, lo, hi int, v K) int {
-	if uint(v) < uint(len(rank)) {
-		return int(rank[v])
+// seek looks v up in s from the cursor lo: it reports whether s holds
+// v, with its position at when it does, and more = false when v is past
+// s's last key, which ends an intersection (a dense span notices only
+// once v is past its last word). Seeks only move forward: every key
+// before lo is below v. On a dense span a lookup is a bit test and a
+// hit's position its rank (see at), so a miss leaves the cursor as it
+// was; every other seek gallops from lo, and at is then the first index
+// >= v, the next seek's cursor. It is the one lookup rule: the rest
+// probes call it, and the pair kernels' probe loops run its two halves
+// inline (probeBits, probePair).
+func seek[K key](s *span[K], lo int, v K) (at int, hit, more bool) {
+	if s.dense() {
+		return seekBits(s, lo, v)
 	}
-	return gallopLB(keys, lo, hi, v)
+	at = gallopLB(s.keys, lo, s.hi, v)
+	return at, at < s.hi && s.keys[at] == v, at < s.hi
+}
+
+// seekBits is seek on a dense span.
+func seekBits[K key](s *span[K], lo int, v K) (at int, hit, more bool) {
+	base := uint64(s.wb) << 6
+	if uint64(v) < base {
+		return lo, false, true
+	}
+	i := uint64(v) - base
+	if i >= uint64(s.nw)<<6 {
+		return s.hi, false, false
+	}
+	w := int(s.w0) + int(i>>6)
+	x := s.t.words[w] & (2<<(i&63) - 1)
+	if x>>(i&63) == 0 {
+		return lo, false, true
+	}
+	return s.at(w, x) - 1, true, true
 }
 
 // mixedWidth reports whether ranges mixes narrowed and wide key
@@ -149,33 +204,53 @@ func widenRanges(ranges []LevelRange) []LevelRange {
 }
 
 // span32 wraps a narrowed range as an intersection cursor, carrying
-// its rank array if it has one.
+// its bitset if it has one.
 func span32(r *LevelRange, id int) span[uint32] {
-	return span[uint32]{keys: r.Keys32, rank: r.rank, lo: r.Lo, hi: r.Hi, id: id}
+	if r.w0 == r.w1 {
+		return span[uint32]{keys: r.Keys32, lo: r.Lo, hi: r.Hi, id: int32(id)}
+	}
+	return span[uint32]{keys: r.Keys32, lo: r.Lo, hi: r.Hi, id: int32(id),
+		t: r.t, w0: r.w0, nw: r.w1 - r.w0, wb: r.wb}
 }
 
 // span64 wraps a wide range as an intersection cursor; wide ranges are
-// never ranked.
+// never dense.
 func span64(r *LevelRange, id int) span[relation.Value] {
-	return span[relation.Value]{keys: r.Keys, lo: r.Lo, hi: r.Hi, id: id}
+	return span[relation.Value]{keys: r.Keys, lo: r.Lo, hi: r.Hi, id: int32(id)}
 }
 
-// toSpans32 wraps every narrowed range as a cursor, appending to the
-// caller's (stack) buffer.
-func toSpans32(buf []span[uint32], ranges []LevelRange) []span[uint32] {
-	for i := range ranges {
-		buf = append(buf, span32(&ranges[i], i))
+// pairs32 runs the pair kernels into o over k >= 2 narrowed ranges:
+// k = 2 reads the ranges in place; only k >= 3 fills a cursor buffer on
+// the stack, ordered smallest first, and probes the rest.
+func pairs32(o *sink[uint32], ranges []LevelRange, emit func(relation.Value, []int) bool) {
+	if len(ranges) == 2 {
+		a, b := span32(&ranges[0], 0), span32(&ranges[1], 1)
+		intersectPair(o, &a, &b, nil, emit)
+		return
 	}
-	return buf
+	var buf [stackSpans]span[uint32]
+	spans := buf[:0]
+	for i := range ranges {
+		spans = append(spans, span32(&ranges[i], i))
+	}
+	spans = bySize(spans)
+	intersectPair(o, &spans[0], &spans[1], spans[2:], emit)
 }
 
-// toSpans64 wraps every wide range as a cursor, appending to the
-// caller's (stack) buffer.
-func toSpans64(buf []span[relation.Value], ranges []LevelRange) []span[relation.Value] {
-	for i := range ranges {
-		buf = append(buf, span64(&ranges[i], i))
+// pairs64 is pairs32 over wide ranges.
+func pairs64(o *sink[relation.Value], ranges []LevelRange, emit func(relation.Value, []int) bool) {
+	if len(ranges) == 2 {
+		a, b := span64(&ranges[0], 0), span64(&ranges[1], 1)
+		intersectPair(o, &a, &b, nil, emit)
+		return
 	}
-	return buf
+	var buf [stackSpans]span[relation.Value]
+	spans := buf[:0]
+	for i := range ranges {
+		spans = append(spans, span64(&ranges[i], i))
+	}
+	spans = bySize(spans)
+	intersectPair(o, &spans[0], &spans[1], spans[2:], emit)
 }
 
 // bySize orders the cursors by size, smallest first (k is the number
@@ -202,9 +277,10 @@ func anyEmpty(ranges []LevelRange) bool {
 
 // IntersectLevels computes the sorted values common to all level
 // ranges, appending to dst. Keys are duplicate-free, so the k = 1 case
-// is a bulk copy. k = 2 probes the larger range from every key of the
-// smaller one when the larger is ranked or gallopRatio times larger,
-// and merges linearly otherwise. k >= 3 intersects the two smallest
+// is a bulk copy. k = 2 ANDs two dense ranges' common words, probes a
+// dense range (or one gallopRatio times larger than the other) from
+// every key of the other side, and merges linearly otherwise (see
+// pairOf). k >= 3 intersects the two smallest
 // ranges that way and probes each common key in the others, smallest
 // first. Per key of the smallest range the cost is O(k log N), so the
 // total is proportional (up to logs) to the smallest range — the
@@ -250,32 +326,22 @@ func intersectLevels(dst []relation.Value, at []int, pos bool, ranges []LevelRan
 	if pos {
 		at = slices.Grow(at, bound*len(ranges))
 	}
-	// k <= 2 reads the ranges in place; only k >= 3 fills a cursor
-	// buffer, ordered smallest first.
 	if ranges[0].Keys32 != nil {
-		a := span32(&ranges[0], 0)
-		switch len(ranges) {
-		case 1:
+		if len(ranges) == 1 {
+			a := span32(&ranges[0], 0)
 			return appendSpan(dst, at, pos, &a)
-		case 2:
-			b := span32(&ranges[1], 1)
-			return intersectPair(dst, at, pos, &a, &b, nil, nil)
 		}
-		var buf [stackSpans]span[uint32]
-		spans := bySize(toSpans32(buf[:0], ranges))
-		return intersectPair(dst, at, pos, &spans[0], &spans[1], spans[2:], nil)
+		o := sink[uint32]{dst: dst, at: at, pos: pos}
+		pairs32(&o, ranges, nil)
+		return o.dst, o.at
 	}
-	a := span64(&ranges[0], 0)
-	switch len(ranges) {
-	case 1:
+	if len(ranges) == 1 {
+		a := span64(&ranges[0], 0)
 		return appendSpan(dst, at, pos, &a)
-	case 2:
-		b := span64(&ranges[1], 1)
-		return intersectPair(dst, at, pos, &a, &b, nil, nil)
 	}
-	var buf [stackSpans]span[relation.Value]
-	spans := bySize(toSpans64(buf[:0], ranges))
-	return intersectPair(dst, at, pos, &spans[0], &spans[1], spans[2:], nil)
+	o := sink[relation.Value]{dst: dst, at: at, pos: pos}
+	pairs64(&o, ranges, nil)
+	return o.dst, o.at
 }
 
 // appendSpan is the k = 1 materializer: every key of s, in order.
@@ -306,21 +372,13 @@ func IntersectLevelsCount(ranges []LevelRange, cap int) int {
 		return min(ranges[0].Hi-ranges[0].Lo, cap)
 	}
 	if ranges[0].Keys32 != nil {
-		if len(ranges) == 2 {
-			a, b := span32(&ranges[0], 0), span32(&ranges[1], 1)
-			return countPair(&a, &b, nil, cap)
-		}
-		var buf [stackSpans]span[uint32]
-		spans := bySize(toSpans32(buf[:0], ranges))
-		return countPair(&spans[0], &spans[1], spans[2:], cap)
+		o := sink[uint32]{count: true, cap: cap}
+		pairs32(&o, ranges, nil)
+		return o.n
 	}
-	if len(ranges) == 2 {
-		a, b := span64(&ranges[0], 0), span64(&ranges[1], 1)
-		return countPair(&a, &b, nil, cap)
-	}
-	var buf [stackSpans]span[relation.Value]
-	spans := bySize(toSpans64(buf[:0], ranges))
-	return countPair(&spans[0], &spans[1], spans[2:], cap)
+	o := sink[relation.Value]{count: true, cap: cap}
+	pairs64(&o, ranges, nil)
+	return o.n
 }
 
 // StreamLevels streams the values common to all level ranges to emit
@@ -357,32 +415,17 @@ func StreamLevels(ranges []LevelRange, at []int, emit func(v relation.Value, at 
 		})
 		return
 	}
-	if ranges[0].Keys32 != nil {
+	switch {
+	case len(ranges) == 1 && ranges[0].Keys32 != nil:
 		a := span32(&ranges[0], 0)
-		switch len(ranges) {
-		case 1:
-			streamSpan(&a, at, emit)
-		case 2:
-			b := span32(&ranges[1], 1)
-			intersectPair(nil, at, false, &a, &b, nil, emit)
-		default:
-			var buf [stackSpans]span[uint32]
-			spans := bySize(toSpans32(buf[:0], ranges))
-			intersectPair(nil, at, false, &spans[0], &spans[1], spans[2:], emit)
-		}
-		return
-	}
-	a := span64(&ranges[0], 0)
-	switch len(ranges) {
-	case 1:
 		streamSpan(&a, at, emit)
-	case 2:
-		b := span64(&ranges[1], 1)
-		intersectPair(nil, at, false, &a, &b, nil, emit)
+	case len(ranges) == 1:
+		a := span64(&ranges[0], 0)
+		streamSpan(&a, at, emit)
+	case ranges[0].Keys32 != nil:
+		pairs32(&sink[uint32]{at: at}, ranges, emit)
 	default:
-		var buf [stackSpans]span[relation.Value]
-		spans := bySize(toSpans64(buf[:0], ranges))
-		intersectPair(nil, at, false, &spans[0], &spans[1], spans[2:], emit)
+		pairs64(&sink[relation.Value]{at: at}, ranges, emit)
 	}
 }
 
@@ -402,152 +445,306 @@ func streamSpan[K key](s *span[K], at []int, emit func(relation.Value, []int) bo
 func probeRest[K key](rest []span[K], v K) (hit, more bool) {
 	for r := range rest {
 		s := &rest[r]
-		if s.lo = seek(s.keys, s.rank, s.lo, s.hi, v); s.lo >= s.hi {
-			return false, false
-		}
-		if s.keys[s.lo] != v {
-			return false, true
+		if s.lo, hit, more = seek(s, s.lo, v); !hit {
+			return false, more
 		}
 	}
 	return true, true
 }
 
-// probes reports whether the pair kernels intersect a and b (|a| <=
-// |b|) by seeking into b from every key of a — one read per key when b
-// is ranked, a gallop when b is gallopRatio times larger — rather than
-// by a linear merge.
-func probes[K key](a, b *span[K]) bool {
-	return b.rank != nil || b.hi-b.lo >= gallopRatio*(a.hi-a.lo)
-}
+// branch names how the pair kernels intersect two ranges.
+type branch uint8
 
-// intersectPair intersects a ∩ b ∩ rest: it intersects the pair (by
-// probing the larger side, see probes, or merging), then probes each
-// common key in rest, which the k >= 3 entries order smallest first.
-// The pair's common keys bound the probes, so the level costs
-// O(k·min·log N) for the smallest range's min keys. With a nil emit it
-// materializes: values go to dst and, with pos, positions to at in
-// range order, by span id. With a non-nil emit it streams: at is the
-// caller's scratch of k positions, overwritten before each emit, and
-// emit returns true to stop.
-func intersectPair[K key](dst []relation.Value, at []int, pos bool, a, b *span[K], rest []span[K], emit func(relation.Value, []int) bool) ([]relation.Value, []int) {
+const (
+	// mergeBranch walks both sorted key arrays in one linear merge.
+	mergeBranch branch = iota
+	// probeBranch seeks into b from every key of a: O(1) per key when
+	// b is dense, a gallop when b is gallopRatio times larger.
+	probeBranch
+	// andBranch ANDs the two dense sets' common words.
+	andBranch
+)
+
+// pairOf orders a and b for the pair kernels and picks their branch.
+// Two dense sets AND. Otherwise the keys of the smaller side are
+// probed into the larger when it is dense or gallopRatio times larger,
+// and merged with it when not — except that a dense smaller side is
+// probed from a sparse larger one that is less than gallopRatio times
+// its size, which costs one bit probe per key instead of a merge step
+// per key of both.
+func pairOf[K key](a, b *span[K]) (*span[K], *span[K], branch) {
 	if a.hi-a.lo > b.hi-b.lo {
 		a, b = b, a
 	}
-	ak, alo, ahi, aid := a.keys, a.lo, a.hi, a.id
-	bk, brank, blo, bhi, bid := b.keys, b.rank, b.lo, b.hi, b.id
-	k := 2 + len(rest)
-	// match takes one common value, found at i in a and j in b, and
-	// reports whether the level stops.
-	match := func(v K, i, j int) bool {
-		if emit != nil {
-			at[aid], at[bid] = i, j
-			for _, s := range rest {
-				at[s.id] = s.lo
-			}
-			return emit(relation.Value(v), at)
-		}
-		dst = append(dst, relation.Value(v))
-		if pos {
-			n := len(at)
-			at = slices.Grow(at, k)[:n+k]
-			at[n+aid], at[n+bid] = i, j
-			for _, s := range rest {
-				at[n+s.id] = s.lo
-			}
-		}
-		return false
+	skewed := b.hi-b.lo >= gallopRatio*(a.hi-a.lo)
+	switch {
+	case a.dense() && b.dense():
+		return a, b, andBranch
+	case a.dense() && !skewed:
+		return b, a, probeBranch
+	case b.dense() || skewed:
+		return a, b, probeBranch
 	}
-	if probes(a, b) {
-		j := blo
-		for i := alo; i < ahi; i++ {
-			v := ak[i]
-			if j = seek(bk, brank, j, bhi, v); j >= bhi {
-				break
+	return a, b, mergeBranch
+}
+
+// andWindow returns the absolute word range [lo,hi) common to the dense
+// a and b and, when every span of rest is dense too (all), to rest.
+func andWindow[K key](a, b *span[K], rest []span[K]) (lo, hi int, all bool) {
+	lo, hi, all = int(max(a.wb, b.wb)), int(min(a.wb+a.nw, b.wb+b.nw)), true
+	for r := range rest {
+		all = all && rest[r].dense()
+	}
+	if all {
+		for r := range rest {
+			lo, hi = max(lo, int(rest[r].wb)), min(hi, int(rest[r].wb+rest[r].nw))
+		}
+	}
+	return lo, hi, all
+}
+
+// andRest ANDs x, the pair's word at absolute word w, with every rest
+// span's when all of them are dense (all).
+func andRest[K key](rest []span[K], all bool, w int, x uint64) uint64 {
+	if all {
+		for r := range rest {
+			s := &rest[r]
+			x &= s.t.words[int(s.w0-s.wb)+w]
+		}
+	}
+	return x
+}
+
+// sink receives a level's common values in ascending order, as the
+// entry that runs the pair kernels asks: it materializes them (to dst,
+// with their positions appended to at when pos), streams them (to the
+// kernels' emit, with their positions in the scratch at), or counts
+// them up to cap (count). a and b are the ids of the pair's ranges.
+// The rest cursors and emit travel beside it as parameters: passing at
+// to emit leaks whatever the sink holds, and they must stay on the
+// caller's stack. The kernels keep dst, at and n in locals while they
+// run and store them back when they return.
+type sink[K key] struct {
+	dst   []relation.Value
+	at    []int
+	pos   bool
+	count bool
+	n     int
+	cap   int
+	a, b  int
+}
+
+// stream hands one value, found at i in a, j in b and the rest's
+// cursors, to emit and reports whether the level stops.
+func (o *sink[K]) stream(v K, i, j int, rest []span[K], emit func(relation.Value, []int) bool) bool {
+	o.at[o.a], o.at[o.b] = i, j
+	for _, s := range rest {
+		o.at[s.id] = s.lo
+	}
+	return emit(relation.Value(v), o.at)
+}
+
+// appendAt appends one value's positions in range order: i and j for
+// the pair's ranges a and b, and each rest cursor's lo for its range.
+// The materializing entry grows at once to room for a position per
+// range for every key of the smallest range, so this never reallocates.
+func appendAt[K key](at []int, a, b, i, j int, rest []span[K]) []int {
+	n := len(at)
+	at = at[:n+2+len(rest)]
+	at[n+a], at[n+b] = i, j
+	for r := range rest {
+		at[n+int(rest[r].id)] = rest[r].lo
+	}
+	return at
+}
+
+// intersectPair intersects a ∩ b ∩ rest into o: it intersects the
+// pair by the branch pairOf picks, then probes each common key in the
+// rest, smallest first; when the pair ANDs and every rest span is dense
+// too, the rest are ANDed in the same word loop. The pair's common keys
+// bound the probes, so the level costs O(k·min·log N) for the smallest
+// range's min keys. Each branch is a function of its own, so each loop
+// keeps its cursors in registers.
+func intersectPair[K key](o *sink[K], a, b *span[K], rest []span[K], emit func(relation.Value, []int) bool) {
+	a, b, br := pairOf(a, b)
+	o.a, o.b = int(a.id), int(b.id)
+	switch br {
+	case andBranch:
+		andPair(o, a, b, rest, emit)
+	case probeBranch:
+		if b.dense() {
+			probeBits(o, a, b, rest, emit)
+		} else {
+			probePair(o, a, b, rest, emit)
+		}
+	default:
+		mergePair(o, a, b, rest, emit)
+	}
+}
+
+// andPair ANDs the dense a's and b's common words and hands o each set
+// bit that the rest hold too. A count over all-dense ranges adds whole
+// words by popcount; otherwise the positions of a's and b's first
+// members at the current word run along, so a match's position is one
+// popcount away.
+func andPair[K key](o *sink[K], a, b *span[K], rest []span[K], emit func(relation.Value, []int) bool) {
+	lo, hi, all := andWindow(a, b, rest)
+	if lo >= hi {
+		return
+	}
+	aw, bw, ao, bo := a.t.words, b.t.words, int(a.w0-a.wb), int(b.w0-b.wb)
+	if o.count && all {
+		for w := lo; w < hi; w++ {
+			if o.n += bits.OnesCount64(andRest(rest, all, w, aw[ao+w]&bw[bo+w])); o.n >= o.cap {
+				o.n = o.cap
+				return
 			}
-			if bk[j] != v {
-				continue
-			}
-			if len(rest) > 0 {
+		}
+		return
+	}
+	dst, at, n := o.dst, o.at, o.n
+	i, j := a.at(ao+lo, 0), b.at(bo+lo, 0)
+words:
+	for w := lo; w < hi; w++ {
+		ax, bx := aw[ao+w], bw[bo+w]
+		for x := andRest(rest, all, w, ax&bx); x != 0; x &= x - 1 {
+			bit, low := uint(bits.TrailingZeros64(x)), x&-x-1
+			v := K(uint64(w)<<6 | uint64(bit))
+			if all {
+				for r := range rest {
+					rest[r].lo = rest[r].bitPos((w-int(rest[r].wb))<<6 | int(bit))
+				}
+			} else if len(rest) > 0 {
 				hit, more := probeRest(rest, v)
 				if !more {
-					break
+					break words
 				}
 				if !hit {
 					continue
 				}
 			}
-			if match(v, i, j) {
-				break
+			pi, pj := i+bits.OnesCount64(ax&low), j+bits.OnesCount64(bx&low)
+			switch {
+			case o.count:
+				if n++; n == o.cap {
+					break words
+				}
+			case emit != nil:
+				if o.stream(v, pi, pj, rest, emit) {
+					break words
+				}
+			default:
+				dst = append(dst, relation.Value(v))
+				if o.pos {
+					at = appendAt(at, o.a, o.b, pi, pj, rest)
+				}
 			}
 		}
-		return dst, at
+		i, j = i+bits.OnesCount64(ax), j+bits.OnesCount64(bx)
 	}
-	i, j := alo, blo
-	for i < ahi && j < bhi {
-		av, bv := ak[i], bk[j]
-		if av < bv {
-			i++
-			continue
-		}
-		if av > bv {
-			j++
-			continue
-		}
-		if len(rest) > 0 {
-			hit, more := probeRest(rest, av)
-			if !more {
-				break
-			}
-			if !hit {
-				i++
-				j++
+	o.dst, o.at, o.n = dst, at, n
+}
+
+// probeBits probes the dense b from every key of a — one bit test per
+// key, and a rank for each hit — and hands o each hit that the rest
+// hold too.
+func probeBits[K key](o *sink[K], a, b *span[K], rest []span[K], emit func(relation.Value, []int) bool) {
+	ak, ahi := a.keys, a.hi
+	words, w0, base, nbits := b.t.words, int(b.w0), uint64(b.wb)<<6, uint64(b.nw)<<6
+	dst, at, n := o.dst, o.at, o.n
+keys:
+	for i := a.lo; i < ahi; i++ {
+		v := ak[i]
+		off := uint64(v) - base
+		if off >= nbits {
+			if uint64(v) < base {
 				continue
 			}
-		}
-		if match(av, i, j) {
 			break
 		}
-		i++
-		j++
-	}
-	return dst, at
-}
-
-// countPair is the counting twin of intersectPair: it stops at the
-// cap-th common value.
-func countPair[K key](a, b *span[K], rest []span[K], cap int) int {
-	if a.hi-a.lo > b.hi-b.lo {
-		a, b = b, a
-	}
-	ak, alo, ahi := a.keys, a.lo, a.hi
-	bk, brank, blo, bhi := b.keys, b.rank, b.lo, b.hi
-	n := 0
-	if probes(a, b) {
-		j := blo
-		for i := alo; i < ahi; i++ {
-			v := ak[i]
-			if j = seek(bk, brank, j, bhi, v); j >= bhi {
-				return n
+		w := w0 + int(off>>6)
+		x := words[w] & (2<<(off&63) - 1)
+		if x>>(off&63) == 0 {
+			continue
+		}
+		if len(rest) > 0 {
+			hit, more := probeRest(rest, v)
+			if !more {
+				break
 			}
-			if bk[j] != v {
+			if !hit {
 				continue
 			}
-			if len(rest) > 0 {
-				hit, more := probeRest(rest, v)
-				if !more {
-					return n
-				}
-				if !hit {
-					continue
-				}
+		}
+		switch j := b.at(w, x) - 1; {
+		case o.count:
+			if n++; n == o.cap {
+				break keys
 			}
-			if n++; n == cap {
-				return n
+		case emit != nil:
+			if o.stream(v, i, j, rest, emit) {
+				break keys
+			}
+		default:
+			dst = append(dst, relation.Value(v))
+			if o.pos {
+				at = appendAt(at, o.a, o.b, i, j, rest)
 			}
 		}
-		return n
 	}
-	i, j := alo, blo
+	o.dst, o.at, o.n = dst, at, n
+}
+
+// probePair gallops into the sparse b from every key of a and hands o
+// each hit that the rest hold too.
+func probePair[K key](o *sink[K], a, b *span[K], rest []span[K], emit func(relation.Value, []int) bool) {
+	ak, ahi, bk, bhi := a.keys, a.hi, b.keys, b.hi
+	dst, at, n := o.dst, o.at, o.n
+	j := b.lo
+keys:
+	for i := a.lo; i < ahi; i++ {
+		v := ak[i]
+		if j = gallopLB(bk, j, bhi, v); j >= bhi {
+			break
+		}
+		if bk[j] != v {
+			continue
+		}
+		if len(rest) > 0 {
+			hit, more := probeRest(rest, v)
+			if !more {
+				break
+			}
+			if !hit {
+				continue
+			}
+		}
+		switch {
+		case o.count:
+			if n++; n == o.cap {
+				break keys
+			}
+		case emit != nil:
+			if o.stream(v, i, j, rest, emit) {
+				break keys
+			}
+		default:
+			dst = append(dst, relation.Value(v))
+			if o.pos {
+				at = appendAt(at, o.a, o.b, i, j, rest)
+			}
+		}
+	}
+	o.dst, o.at, o.n = dst, at, n
+}
+
+// mergePair walks a's and b's sorted keys in one linear merge and hands
+// o each common key that the rest hold too.
+func mergePair[K key](o *sink[K], a, b *span[K], rest []span[K], emit func(relation.Value, []int) bool) {
+	ak, bk, ahi, bhi := a.keys, b.keys, a.hi, b.hi
+	dst, at, n := o.dst, o.at, o.n
+	i, j := a.lo, b.lo
+keys:
 	for i < ahi && j < bhi {
 		av, bv := ak[i], bk[j]
 		if av < bv {
@@ -558,22 +755,33 @@ func countPair[K key](a, b *span[K], rest []span[K], cap int) int {
 			j++
 			continue
 		}
-		i++
-		j++
+		i, j = i+1, j+1
 		if len(rest) > 0 {
 			hit, more := probeRest(rest, av)
 			if !more {
-				return n
+				break
 			}
 			if !hit {
 				continue
 			}
 		}
-		if n++; n == cap {
-			return n
+		switch {
+		case o.count:
+			if n++; n == o.cap {
+				break keys
+			}
+		case emit != nil:
+			if o.stream(av, i-1, j-1, rest, emit) {
+				break keys
+			}
+		default:
+			dst = append(dst, relation.Value(av))
+			if o.pos {
+				at = appendAt(at, o.a, o.b, i-1, j-1, rest)
+			}
 		}
 	}
-	return n
+	o.dst, o.at, o.n = dst, at, n
 }
 
 // smallestRange returns the index of the range with the fewest keys,
