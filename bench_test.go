@@ -339,8 +339,9 @@ func BenchmarkShearer(b *testing.B) {
 	}
 }
 
-// BenchmarkIntersect: ablation of the galloping vs merging sorted-set
-// intersection (the Õ(min) assumption of Section 2).
+// BenchmarkIntersect: ablation of the level kernels' sorted-set
+// intersection (the Õ(min) assumption of Section 2): a three-way
+// intersection and a heavily skewed pair.
 func BenchmarkIntersect(b *testing.B) {
 	big := make([]relation.Value, 1<<16)
 	for i := range big {
@@ -350,22 +351,6 @@ func BenchmarkIntersect(b *testing.B) {
 	for i := range small {
 		small[i] = relation.Value(1024 * i)
 	}
-	b.Run("gallop-unbalanced", func(b *testing.B) {
-		var dst []relation.Value
-		for i := 0; i < b.N; i++ {
-			dst = relation.IntersectSorted(dst[:0], small, big)
-		}
-	})
-	balanced := make([]relation.Value, 1<<16)
-	for i := range balanced {
-		balanced[i] = relation.Value(2*i + 1)
-	}
-	b.Run("merge-balanced", func(b *testing.B) {
-		var dst []relation.Value
-		for i := 0; i < b.N; i++ {
-			dst = relation.IntersectSorted(dst[:0], balanced, big)
-		}
-	})
 	// Multiway intersection on three lists.
 	third := make([]relation.Value, 1<<12)
 	for i := range third {
@@ -475,8 +460,9 @@ func BenchmarkParallelEngine(b *testing.B) {
 // baseline the >=10x acceptance is measured against), the Count
 // pushdown, plus the free-
 // counted factorization workloads (path4, skewed star), EXISTS and
-// projection pushdown. CI captures this output in the benchmark
-// regression gate.
+// projection pushdown. The >=10x is asserted in work, not time, by
+// TestWork: on its AGM-tight triangle the pushdown visits at least ten
+// times fewer search nodes than the enumeration.
 func BenchmarkCountPushdown(b *testing.B) {
 	tri := dataset.TriangleAGMTight(40000)
 	triQ := benchTriangleQuery(b, tri)
@@ -547,7 +533,6 @@ func benchParse(b *testing.B, db *Database, src string) *core.Query {
 // the cost-based plan, and the index build. The prepared rows must
 // beat replan by >= 2x on the triangle and star workloads (the plan is
 // computed once, the executions share the DB's tries).
-// CI captures this output in the benchmark regression gate.
 func BenchmarkConcurrentDB(b *testing.B) {
 	ctx := context.Background()
 	star := dataset.SkewedStar(1000, 4, 200)
@@ -667,8 +652,7 @@ func BenchmarkAGMBoundComputation(b *testing.B) {
 // degree-order heuristic and the worst enumerated order — the chosen
 // order must beat the worst by well over the 5x acceptance margin —
 // plus the cost of planning itself (degree measurement and the
-// per-prefix modular LPs). CI captures this benchmark's output as
-// BENCH_planner.json.
+// per-prefix modular LPs).
 func BenchmarkPlanner(b *testing.B) {
 	star := dataset.SkewedStar(10000, 10, 500)
 	q, err := core.NewQuery([]string{"A", "B", "C"}, []core.Atom{
@@ -822,9 +806,12 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 // occurrence's delta-first join of the 1k delta against snapshot
 // tries) and then reads the answer with one atomic load; the
 // recompute row pays Apply plus a from-scratch pushdown Count of the
-// triangle query at the new snapshot. The differential work scales
-// with the delta and the degrees around it, the recompute with the
-// whole join — expect the maintained row ≥5x faster.
+// triangle query at the new snapshot. On a 2-core box the maintained
+// row ran 2.7x faster in the median (2.3–3.5x per pair over 12
+// alternating runs at -benchtime 5x): both rows re-version the
+// 100k-edge snapshot after every batch, and the differential terms
+// still search work that scales with the graph although the delta
+// closes no triangle (DESIGN.md §12). Report-only.
 func BenchmarkMaintainedCount(b *testing.B) {
 	ctx := context.Background()
 	const deltaSize = 1000

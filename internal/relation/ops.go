@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Project returns the projection of r onto attrs (π_attrs R), sorted
 // and deduplicated. Attrs must be a subset of r's schema.
@@ -150,46 +147,4 @@ func sharedAttrs(r, s *Relation) []string {
 		}
 	}
 	return out
-}
-
-// IntersectSorted intersects two ascending []Value slices, appending
-// into dst. When the lengths are very unbalanced it gallops through the
-// larger side so the cost is Õ(min(|a|,|b|)) — the assumption behind
-// the Section 2 runtime analyses.
-func IntersectSorted(dst, a, b []Value) []Value {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return dst
-	}
-	// If b is much larger, binary-search each element of a in b.
-	if len(b) > 8*len(a) {
-		lo := 0
-		for _, v := range a {
-			lo += sort.Search(len(b)-lo, func(i int) bool { return b[lo+i] >= v })
-			if lo < len(b) && b[lo] == v {
-				dst = append(dst, v)
-				lo++
-			}
-			if lo >= len(b) {
-				break
-			}
-		}
-		return dst
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
 }

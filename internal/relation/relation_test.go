@@ -2,7 +2,6 @@ package relation
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -299,78 +298,6 @@ func TestHashIndex(t *testing.T) {
 	}
 	if ix.Relation() != r {
 		t.Fatal("Relation() identity")
-	}
-}
-
-func TestIntersectSorted(t *testing.T) {
-	a := []Value{1, 3, 5, 7, 9}
-	b := []Value{3, 4, 5, 9, 11}
-	got := IntersectSorted(nil, a, b)
-	want := []Value{3, 5, 9}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	// Galloping path: very unbalanced sizes.
-	big := make([]Value, 1000)
-	for i := range big {
-		big[i] = Value(2 * i)
-	}
-	small := []Value{0, 3, 500, 998}
-	g := IntersectSorted(nil, small, big)
-	if len(g) != 3 { // 0, 500, 998 are even
-		t.Fatalf("gallop intersect: %v", g)
-	}
-	if out := IntersectSorted(nil, nil, big); len(out) != 0 {
-		t.Fatal("empty ∩ big must be empty")
-	}
-}
-
-// Property: IntersectSorted agrees with a map-based reference.
-func TestPropertyIntersect(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mk := func() []Value {
-			n := rng.Intn(50)
-			m := make(map[Value]bool)
-			for i := 0; i < n; i++ {
-				m[Value(rng.Intn(40))] = true
-			}
-			out := make([]Value, 0, len(m))
-			for v := range m {
-				out = append(out, v)
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-			return out
-		}
-		a, b := mk(), mk()
-		got := IntersectSorted(nil, a, b)
-		inB := make(map[Value]bool, len(b))
-		for _, v := range b {
-			inB[v] = true
-		}
-		var want []Value
-		for _, v := range a {
-			if inB[v] {
-				want = append(want, v)
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -274,7 +274,10 @@ type Options struct {
 	// budget, and the calling goroutine always works, so under
 	// concurrent load a run uses fewer goroutines — never a different
 	// partition: output, emit order and Count's Stats depend on
-	// Parallelism alone. A DB's writer holds one slot while it applies a
+	// Parallelism alone. The Stats of Exists, and of a run stopped early
+	// (an emit error, a cancelled Context), do not: at Parallelism > 1
+	// they count what each shard did before it saw the stop, which
+	// depends on timing. A DB's writer holds one slot while it applies a
 	// batch, and a worker that finds the budget oversubscribed gives its
 	// slot back before claiming its next chunk.
 	Parallelism int
